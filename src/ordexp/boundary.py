@@ -41,37 +41,23 @@ from fractions import Fraction
 from .errors import DimensionMismatch, SingularOperator, UnsupportedOrder
 from .expansion import BACKWARD, FORWARD, SiteOperatorFamily
 from .freealg import FreeElement
-from .matrix import Matrix
-from .series import AlphaSeries, _check_compatible, is_zero_op
-
-
-def _op_max_abs(op):
-    if isinstance(op, Matrix):
-        return op.max_abs()
-    if isinstance(op, FreeElement):
-        return max((abs(c) for c in op.terms.values()), default=Fraction(0))
-    return abs(op)
-
-
-def _series_max_abs(series: AlphaSeries):
-    return max(_op_max_abs(c) for c in series.coeffs)
+from .ops import check_compatible, invert, is_zero
+from .series import AlphaSeries
 
 
 def _require_invertible(op, what: str):
-    """Invertibility of a single operator, by backend.
+    """Invertibility of a value the problems store but never invert.
 
-    Matrices must be nonsingular, scalars nonzero, and free elements need
-    a nonzero coefficient on the empty word (the series-inverse criterion).
+    A free element passes when its scalar part is nonzero: it is then a
+    unit of the completed free algebra, although `invert` (units of the
+    free algebra only) has no finite answer for it.
     """
-    if isinstance(op, Matrix):
-        op.inverse()
-        return
     if isinstance(op, FreeElement):
-        if not op.terms.get((), 0):
-            raise SingularOperator(f"{what} needs a nonzero scalar part")
-        return
-    if not op:
-        raise SingularOperator(f"{what} must be nonzero")
+        op = FreeElement({(): op.terms.get((), 0)})
+    try:
+        invert(op)
+    except SingularOperator as exc:
+        raise SingularOperator(f"{what} is not invertible") from exc
 
 
 def _check_order(order: int):
@@ -89,8 +75,8 @@ class GaugeProblem:
         if forward.n_sites != target.n_sites:
             raise DimensionMismatch(
                 f"family sizes differ: {forward.n_sites} vs {target.n_sites}")
-        _check_compatible(forward.like, target.like)
-        _check_compatible(initial, forward.like)
+        check_compatible(forward.like, target.like)
+        check_compatible(initial, forward.like)
         _require_invertible(initial, "gauge initial value")
         _check_order(order)
         self.forward = forward
@@ -113,13 +99,13 @@ class BoundaryProblem:
         if forward.n_sites != backward.n_sites:
             raise DimensionMismatch(
                 f"family sizes differ: {forward.n_sites} vs {backward.n_sites}")
-        _check_compatible(forward.like, backward.like)
+        check_compatible(forward.like, backward.like)
         _check_order(order)
         if isinstance(boundary, AlphaSeries):
             boundary = boundary.truncate(order)
         else:
             boundary = AlphaSeries.from_parts(order, {0: boundary}, like=forward.like)
-        _check_compatible(boundary.coeff(0), forward.like)
+        check_compatible(boundary.coeff(0), forward.like)
         _require_invertible(boundary.coeff(0), "boundary operator constant term")
         self.forward = forward
         self.backward = backward
@@ -143,9 +129,7 @@ class GaugeReport:
         return all(r.is_zero() for r in self.residuals)
 
     def max_abs(self):
-        if not self.residuals:
-            return Fraction(0)
-        return max(_series_max_abs(r) for r in self.residuals)
+        return max((r.max_abs() for r in self.residuals), default=Fraction(0))
 
 
 class BoundaryReport:
@@ -164,9 +148,7 @@ class BoundaryReport:
         return all(r.is_zero() for r in self.residuals)
 
     def max_abs(self):
-        if not self.residuals:
-            return Fraction(0)
-        return max(_series_max_abs(r) for r in self.residuals)
+        return max((r.max_abs() for r in self.residuals), default=Fraction(0))
 
 
 def gauge_solve(p: GaugeProblem) -> GaugeReport:
@@ -229,7 +211,7 @@ def reflection_hat(fam: SiteOperatorFamily, order: int) -> SiteOperatorFamily:
         hat = fam.lax_series(site, order).flip().inverse()
         for m in range(1, order + 1):
             c = hat.coeff(m)
-            if not is_zero_op(c):
+            if not is_zero(c):
                 entries[(site, m)] = c
     direction = BACKWARD if fam.direction == FORWARD else FORWARD
     return SiteOperatorFamily(fam.n_sites, entries, direction=direction, like=fam.like)

@@ -13,11 +13,8 @@ from fractions import Fraction
 
 from .errors import BackendMismatch, DimensionMismatch
 from .freealg import FreeElement
+from .ops import max_abs
 from .series import AlphaSeries
-
-
-def _zero_of(value):
-    return value * Fraction(0)
 
 
 class GradedPreLieElement:
@@ -26,6 +23,8 @@ class GradedPreLieElement:
     Components beyond the truncation order are discarded. The pre-Lie
     product is a bilinear callable on component values; component values
     only need addition, subtraction, scalar multiples, and is_zero.
+    `like` is a template component value (the first component when
+    omitted); its multiple by zero stands in for missing degrees.
     """
 
     __slots__ = ("order", "product", "components", "like")
@@ -42,7 +41,7 @@ class GradedPreLieElement:
         if like is None:
             if not clean:
                 raise DimensionMismatch("an all-zero element needs a like value")
-            like = _zero_of(next(iter(clean.values())))
+            like = next(iter(clean.values()))
         self.order = order
         self.product = product
         self.components = clean
@@ -50,18 +49,20 @@ class GradedPreLieElement:
 
     @staticmethod
     def homogeneous(value, degree, order, product) -> "GradedPreLieElement":
-        return GradedPreLieElement(
-            order, {degree: value}, product, like=_zero_of(value)
-        )
+        return GradedPreLieElement(order, {degree: value}, product, like=value)
 
     def zero(self) -> "GradedPreLieElement":
         return GradedPreLieElement(self.order, {}, self.product, like=self.like)
 
     def component(self, degree: int):
-        return self.components.get(degree, self.like)
+        value = self.components.get(degree)
+        return self.like * Fraction(0) if value is None else value
 
     def is_zero(self) -> bool:
         return not self.components
+
+    def max_abs(self):
+        return max((max_abs(v) for v in self.components.values()), default=Fraction(0))
 
     def _check(self, other: "GradedPreLieElement"):
         if not isinstance(other, GradedPreLieElement):

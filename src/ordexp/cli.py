@@ -64,6 +64,13 @@ def _fraction(text: str, what: str) -> Fraction:
         raise SpecError(f"{what}: cannot read {text!r} as a rational") from exc
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text.strip())
+    except ValueError as exc:
+        raise SpecError(f"{what}: cannot read {text!r} as an integer") from exc
+
+
 def _key_values(parts) -> dict:
     out = {}
     for part in parts:
@@ -77,7 +84,7 @@ def _key_values(parts) -> dict:
 def _sites(fields: dict, spec: str) -> int:
     if "N" not in fields:
         raise SpecError(f"spec {spec!r} needs N=<sites>")
-    n = int(fields["N"])
+    n = _int(fields["N"], "N")
     if n < 0:
         raise SpecError("N must be nonnegative")
     return n
@@ -125,7 +132,7 @@ def parse_family_spec(spec: str, default_seed: int) -> SiteOperatorFamily:
         fields = _key_values(parts[1:])
         n = _sites(fields, spec)
         degrees = _degrees(fields)
-        seed = int(fields.get("seed", default_seed))
+        seed = _int(fields["seed"], "seed") if "seed" in fields else default_seed
         src = SampleSource(seed).split("expand:matrix")
         return src.matrix_family(n, degrees, size=size, bound=bound)
 
@@ -165,7 +172,7 @@ def _parse_field_term(term: str) -> Poly:
         elif factor == "x":
             power += 1
         elif factor.startswith("x^"):
-            power += int(factor[2:])
+            power += _int(factor[2:], f"term {term!r}")
         else:
             coeff = coeff * _fraction(factor, f"term {term!r}")
     if symbol is None:
@@ -183,7 +190,7 @@ def parse_field_spec(spec: str) -> MatrixField:
     pieces = inner.split(";")
     expr = pieces[0]
     options = _key_values(pieces[1:])
-    dim = int(options.get("dim", "2"))
+    dim = _int(options.get("dim", "2"), "dim")
     if dim != 2:
         raise SpecError("only dim=2 field symbols are defined")
     poly = Poly({0: Matrix.zeros(2)})
@@ -260,14 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_u64, default=1,
                         help="64-bit sampling seed (default 1)")
-    common.add_argument("--backend", choices=["exact", "float"], default="exact",
-                        help="arithmetic backend (default exact)")
-    common.add_argument("--tolerance", type=float, default=1e-10,
-                        help="pass threshold on the float backend (default 1e-10)")
     common.add_argument("--order", type=int, default=None,
-                        help="truncation order (default 3)")
-    common.add_argument("--json", action="store_true",
-                        help="emit the verification report as JSON")
+                        help="truncation order (default 3 for expand, suite-specific for verify)")
 
     parser = argparse.ArgumentParser(
         prog="ordexp",
@@ -278,6 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
+    p_verify.add_argument("--backend", choices=["exact", "float"], default="exact",
+                          help="arithmetic backend (default exact)")
+    p_verify.add_argument("--tolerance", type=float, default=1e-10,
+                          help="pass threshold on the float backend (default 1e-10)")
+    p_verify.add_argument("--json", action="store_true",
+                          help="emit the verification report as JSON")
     p_verify.add_argument("--sites", "--N", dest="sites", type=int, default=None,
                           help="chain length (suite-specific default)")
     p_verify.add_argument("--dim", type=int, default=None,
@@ -295,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--direction", choices=[FORWARD, BACKWARD], default=None)
     p_expand.set_defaults(func=cmd_expand)
 
-    p_limit = sub.add_parser("limit", parents=[common],
-                             help="print a convergence table as CSV")
+    p_limit = sub.add_parser("limit", help="print a convergence table as CSV")
     p_limit.add_argument("spec", help="field spec, e.g. field:poly(X+x*Y;dim=2)")
     p_limit.add_argument("--deltas", required=True,
                          help="comma-separated steps, e.g. 1/4,1/8,1/16,1/32")

@@ -10,13 +10,11 @@ polynomials at numeric points for finite-difference and rate checks.
 import math
 from fractions import Fraction
 
-import numpy as np
-from scipy.linalg import expm
-
 from .errors import AlgebraError, DimensionMismatch, UnsupportedOrder
+from .expansion import FORWARD, SiteOperatorFamily, compositions, magnus_oracle
 from .matrix import Matrix
-from .poly import Poly, poly_commutator
-from .expansion import FORWARD, SiteOperatorFamily, magnus_oracle
+from .ops import commutator
+from .poly import Poly
 
 
 def bernoulli(n: int) -> Fraction:
@@ -66,7 +64,7 @@ class MatrixField:
 
 def field_prelie(field: MatrixField, a: Poly, b: Poly) -> Poly:
     """(A |> B)(x) = [integral of A from the base point, B(x)]."""
-    return poly_commutator(a.integrate(field.x0), b)
+    return commutator(a.integrate(field.x0), b)
 
 
 def _scalar_simplex(degrees, x0) -> Poly:
@@ -95,8 +93,7 @@ def _magnus_explicit(field: MatrixField, order: int) -> dict:
         for d2, m2 in _monomials(field):
             for d1, m1 in _monomials(field):
                 weight = _scalar_simplex((d1, d2), x0)
-                bracket = m2 * m1 - m1 * m2
-                term = weight * Poly.constant(bracket)
+                term = weight * Poly.constant(commutator(m2, m1))
                 q2 = term if q2 is None else q2 + term
         out[2] = Fraction(1, 2) * q2
     if order >= 3:
@@ -105,10 +102,8 @@ def _magnus_explicit(field: MatrixField, order: int) -> dict:
             for d2, m2 in _monomials(field):
                 for d1, m1 in _monomials(field):
                     weight = _scalar_simplex((d1, d2, d3), x0)
-                    inner = m2 * m1 - m1 * m2
-                    first = m3 * inner - inner * m3
-                    outer = m3 * m2 - m2 * m3
-                    second = outer * m1 - m1 * outer
+                    first = commutator(m3, commutator(m2, m1))
+                    second = commutator(commutator(m3, m2), m1)
                     term = weight * Poly.constant(first + second)
                     q3 = term if q3 is None else q3 + term
         out[3] = Fraction(1, 6) * q3
@@ -165,15 +160,6 @@ def magnus_bernoulli_iterate(field: MatrixField, depth: int, order: int) -> dict
     a = field.poly
     x0 = field.x0
     q = {m: Poly() for m in range(1, order + 1)}
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(1, total - parts + 2):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
     for _ in range(depth):
         new = {}
         for m in range(1, order + 1):
@@ -185,7 +171,7 @@ def magnus_bernoulli_iterate(field: MatrixField, depth: int, order: int) -> dict
                 for combo in compositions(m - 1, n):
                     nested = a
                     for part in reversed(combo):
-                        nested = poly_commutator(q[part], nested)
+                        nested = commutator(q[part], nested)
                     integrand = integrand + (b / math.factorial(n)) * nested
             new[m] = integrand.integrate(x0)
         q = new
@@ -316,8 +302,22 @@ def convergence_study(field: MatrixField, deltas, orders=(1, 2, 3)) -> Convergen
     return ConvergenceTable(deltas, tuple(orders), errors, rates)
 
 
-def _np(mat: Matrix) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in mat.data], dtype=float)
+def expm(m: Matrix) -> Matrix:
+    """exp(m) in floats: a degree-18 Taylor sum of m / 2^s, squared s times.
+
+    s is chosen so that the scaled matrix has row-sum norm at most 1/2,
+    which puts the Taylor remainder below 1e-22 relative to the result.
+    """
+    norm = max(sum(abs(float(v)) for v in row) for row in m.data)
+    s = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0 else 0
+    scaled = m.to_float() * 0.5 ** s
+    term = result = Matrix.identity(m.rows).to_float()
+    for k in range(1, 19):
+        term = term * scaled * (1.0 / k)
+        result = result + term
+    for _ in range(s):
+        result = result * result
+    return result
 
 
 def open_evolution_residual(field: MatrixField, k: Matrix, x, delta,
@@ -332,22 +332,20 @@ def open_evolution_residual(field: MatrixField, k: Matrix, x, delta,
     delta = float(delta)
     alpha = float(alpha)
     q_polys = magnus_continuous(field, order, style="prelie")
+    k = k.to_float()
 
-    def double_row(point: float) -> np.ndarray:
-        plus = np.zeros((field.dim, field.dim))
-        minus = np.zeros((field.dim, field.dim))
+    def double_row(point: float) -> Matrix:
+        plus = minus = Matrix.zeros(field.dim).to_float()
         for m, poly in q_polys.items():
             if poly.is_zero():
                 continue
-            qm = _np(poly.eval(point))
-            plus = plus + (alpha ** m) * qm
-            minus = minus + ((-alpha) ** m) * qm
-        t = expm(plus)
-        t_hat = expm(-minus)
-        return t @ _np(k) @ t_hat
+            qm = poly.eval(point).to_float()
+            plus = plus + qm * alpha ** m
+            minus = minus + qm * (-alpha) ** m
+        return expm(plus) * k * expm(-minus)
 
-    lhs = (double_row(x + delta) - double_row(x)) / delta
-    a_x = _np(field.eval(x))
+    lhs = (double_row(x + delta) - double_row(x)) * (1.0 / delta)
+    a_x = field.eval(x).to_float()
     t_x = double_row(x)
-    rhs = alpha * (a_x @ t_x + t_x @ a_x)
-    return float(np.max(np.abs(lhs - rhs)))
+    rhs = (a_x * t_x + t_x * a_x) * alpha
+    return float((lhs - rhs).max_abs())

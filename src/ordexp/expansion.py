@@ -24,8 +24,9 @@ from functools import reduce
 from itertools import combinations
 
 from .errors import DimensionMismatch, SingularOperator, UnsupportedOrder
+from .ops import check_compatible, commutator, invert, is_zero, one_like, to_float, zero_like
 from .rotabaxter import SiteSequence, prelie_left, prelie_right, trid_prec, trid_succ
-from .series import AlphaSeries, _check_compatible, one_like, zero_like
+from .series import AlphaSeries
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -40,10 +41,6 @@ def compositions(total: int, parts: int):
     for first in range(1, total - parts + 2):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _comm(a, b):
-    return a * b - b * a
 
 
 class SiteOperatorFamily:
@@ -74,7 +71,7 @@ class SiteOperatorFamily:
                 raise DimensionMismatch("empty family needs an explicit template")
             like = next(iter(clean.values()))
         for op in clean.values():
-            _check_compatible(op, like)
+            check_compatible(op, like)
         self.n_sites = n_sites
         self.entries = clean
         self.direction = direction
@@ -95,6 +92,10 @@ class SiteOperatorFamily:
         parts = {m: self.entry(site, m) for m in range(1, order + 1)}
         series = AlphaSeries.from_parts(order, parts, like=self.like)
         return series + AlphaSeries.one(order, like=self.like)
+
+    def to_float(self) -> "SiteOperatorFamily":
+        entries = {k: to_float(v) for k, v in self.entries.items()}
+        return SiteOperatorFamily(self.n_sites, entries, self.direction, to_float(self.like))
 
     def reversed(self) -> "SiteOperatorFamily":
         """The same local data read in the opposite site order."""
@@ -134,10 +135,6 @@ def prefix_monodromy(family: SiteOperatorFamily, upto: int, order: int) -> Alpha
     return result
 
 
-def _sum_sites(seq: SiteSequence):
-    return reduce(lambda a, b: a + b, seq.values)
-
-
 def dyson_terms(family: SiteOperatorFamily, order: int, method: str = "direct"):
     """Coefficients [T^(0)=1, T^(1), ..., T^(order)] of the ordered product.
 
@@ -161,7 +158,7 @@ def _dyson_direct(family, order):
             for comp in compositions(m, k):
                 for sites in combinations(range(1, family.n_sites + 1), k):
                     factors = [family.entry(sites[i], comp[i]) for i in range(k)]
-                    if any(_is_zero(f) for f in factors):
+                    if any(is_zero(f) for f in factors):
                         continue
                     if family.direction == FORWARD:
                         factors = factors[::-1]
@@ -185,16 +182,9 @@ def _dyson_trid(family, order):
                     word = seqs[comp[0]]
                     for degree in comp[1:]:
                         word = trid_succ(word, seqs[degree])
-                total = total + _sum_sites(word)
+                total = total + word.total()
         terms.append(total)
     return terms
-
-
-def _is_zero(op):
-    if hasattr(op, "is_zero"):
-        zero = op.is_zero
-        return zero() if callable(zero) else zero
-    return not op
 
 
 def pi_table(dyson: list, order: int) -> dict:
@@ -242,7 +232,7 @@ def magnus_closed_form(family: SiteOperatorFamily, order: int = 3, style: str = 
         raise UnsupportedOrder(f"closed forms cover orders 1..3, got {order}")
     if style not in ("explicit", "prelie"):
         raise ValueError(f"unknown style {style!r}")
-    out = [_sum_sites(family.degree_sequence(1))]
+    out = [family.degree_sequence(1).total()]
     if order >= 2:
         if style == "explicit":
             q2 = _magnus2_explicit(family)
@@ -265,9 +255,9 @@ def _magnus2_explicit(family):
     for n in range(1, family.n_sites + 1):
         for n1 in range(1, n):
             if family.direction == FORWARD:
-                total = total + half * _comm(x[n], x[n1])
+                total = total + half * commutator(x[n], x[n1])
             else:
-                total = total + half * _comm(x[n1], x[n])
+                total = total + half * commutator(x[n1], x[n])
         total = total - half * (x[n] * x[n])
         total = total + family.entry(n, 2)
     return total
@@ -286,21 +276,23 @@ def _magnus3_explicit(family):
             for n2 in range(n1 + 1, n):
                 if forward:
                     total = total + sixth * (
-                        _comm(x[n], _comm(x[n2], x[n1])) + _comm(_comm(x[n], x[n2]), x[n1])
+                        commutator(x[n], commutator(x[n2], x[n1]))
+                        + commutator(commutator(x[n], x[n2]), x[n1])
                     )
                 else:
                     total = total + sixth * (
-                        _comm(x[n1], _comm(x[n2], x[n])) + _comm(_comm(x[n1], x[n2]), x[n])
+                        commutator(x[n1], commutator(x[n2], x[n]))
+                        + commutator(commutator(x[n1], x[n2]), x[n])
                     )
         for m in range(1, n):
             if forward:
-                total = total + sixth * (x[m] * _comm(x[m], x[n]) + _comm(x[m], x[n]) * x[n])
-                total = total + sixth * (_comm(x[m], x[n] * x[n]) + _comm(x[m] * x[m], x[n]))
-                total = total - half * (_comm(x[m], y[n]) + _comm(y[m], x[n]))
+                total = total + sixth * (x[m] * commutator(x[m], x[n]) + commutator(x[m], x[n]) * x[n])
+                total = total + sixth * (commutator(x[m], x[n] * x[n]) + commutator(x[m] * x[m], x[n]))
+                total = total - half * (commutator(x[m], y[n]) + commutator(y[m], x[n]))
             else:
-                total = total + sixth * (x[n] * _comm(x[n], x[m]) + _comm(x[n], x[m]) * x[m])
-                total = total + sixth * (_comm(x[n], x[m] * x[m]) + _comm(x[n] * x[n], x[m]))
-                total = total - half * (_comm(x[n], y[m]) + _comm(y[n], x[m]))
+                total = total + sixth * (x[n] * commutator(x[n], x[m]) + commutator(x[n], x[m]) * x[m])
+                total = total + sixth * (commutator(x[n], x[m] * x[m]) + commutator(x[n] * x[n], x[m]))
+                total = total - half * (commutator(x[n], y[m]) + commutator(y[n], x[m]))
         total = total + third * (x[n] * x[n] * x[n])
         total = total + family.entry(n, 3)
         total = total - half * (x[n] * y[n] + y[n] * x[n])
@@ -315,7 +307,7 @@ def _magnus2_prelie(family):
     act = _prelie(family)
     s1 = family.degree_sequence(1)
     seq = Fraction(-1, 2) * act(s1, s1)
-    return _sum_sites(seq) + _sum_sites(family.degree_sequence(2))
+    return seq.total() + family.degree_sequence(2).total()
 
 
 def _magnus3_prelie(family):
@@ -328,7 +320,7 @@ def _magnus3_prelie(family):
     else:
         cubic = Fraction(1, 12) * act(inner, s1) + Fraction(1, 4) * act(s1, inner)
     mixed = Fraction(-1, 2) * (act(s2, s1) + act(s1, s2))
-    return _sum_sites(cubic) + _sum_sites(mixed) + _sum_sites(family.degree_sequence(3))
+    return cubic.total() + mixed.total() + family.degree_sequence(3).total()
 
 
 def closed_form_defects(family: SiteOperatorFamily, order: int = 3, style: str = "explicit"):
@@ -360,8 +352,8 @@ def factorized_generators(m_ops: list, l_ops: list):
     inverses = []
     for site, op in enumerate(m_ops, start=1):
         try:
-            inverses.append(_invert(op))
-        except (SingularOperator, ZeroDivisionError):
+            inverses.append(invert(op))
+        except SingularOperator:
             raise SingularOperator(f"frame factor at site {site} is not invertible")
     generators = []
     for n in range(1, n_sites + 1):
@@ -373,16 +365,6 @@ def factorized_generators(m_ops: list, l_ops: list):
             dressed = dressed * inverses[k - 1]
         generators.append(dressed)
     return generators
-
-
-def _invert(op):
-    if hasattr(op, "inverse"):
-        return op.inverse()
-    if not op:
-        raise SingularOperator("zero scalar")
-    if isinstance(op, Fraction) or isinstance(op, int):
-        return Fraction(1, 1) / Fraction(op)
-    return 1.0 / op
 
 
 class ExpansionResult:

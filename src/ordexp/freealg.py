@@ -123,6 +123,9 @@ class FreeElement:
             return self.__mul__(other)
         return NotImplemented
 
+    def max_abs(self) -> Fraction:
+        return max((abs(c) for c in self.terms.values()), default=Fraction(0))
+
     def degree(self) -> int:
         """Largest word degree present; zero element has degree 0."""
         return max((word_degree(w) for w in self.terms), default=0)

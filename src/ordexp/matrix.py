@@ -18,7 +18,8 @@ from itertools import product as iproduct
 
 from .errors import DimensionMismatch, SingularOperator
 
-_SCALARS = (int, Fraction, float)
+# The scalar operator types; `ops` re-exports this tuple for the rest of the package.
+SCALARS = (int, Fraction, float)
 
 
 class Matrix:
@@ -83,7 +84,7 @@ class Matrix:
         return Matrix([[-a for a in row] for row in self.data])
 
     def __mul__(self, other) -> "Matrix":
-        if isinstance(other, _SCALARS):
+        if isinstance(other, SCALARS):
             return Matrix([[a * other for a in row] for row in self.data])
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -103,7 +104,7 @@ class Matrix:
         return Matrix(out)
 
     def __rmul__(self, other) -> "Matrix":
-        if isinstance(other, _SCALARS):
+        if isinstance(other, SCALARS):
             return self.__mul__(other)
         return NotImplemented
 
@@ -175,6 +176,7 @@ class Matrix:
 
 
 def commutator(a, b):
+    """[a, b] = ab - ba, for operators of any backend."""
     return a * b - b * a
 
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BackendMismatch
-from .series import is_zero_op
-
-_SCALARS = (int, Fraction, float)
+from .ops import SCALARS, is_zero, max_abs, to_float
+from .ops import commutator as poly_commutator
 
 
 class Poly:
@@ -24,7 +23,7 @@ class Poly:
         for d, c in (coeffs or {}).items():
             if d < 0:
                 raise BackendMismatch("polynomials here have nonnegative degrees")
-            if not is_zero_op(c):
+            if not is_zero(c):
                 clean[int(d)] = c
         self.coeffs = clean
 
@@ -54,7 +53,7 @@ class Poly:
         for d, c in other.coeffs.items():
             if d in out:
                 s = out[d] + c
-                if is_zero_op(s):
+                if is_zero(s):
                     del out[d]
                 else:
                     out[d] = s
@@ -69,7 +68,7 @@ class Poly:
         return Poly({d: -c for d, c in self.coeffs.items()})
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, _SCALARS):
+        if isinstance(other, SCALARS):
             return Poly({d: c * other for d, c in self.coeffs.items()})
         if not isinstance(other, Poly):
             return NotImplemented
@@ -85,7 +84,7 @@ class Poly:
         return Poly(out)
 
     def __rmul__(self, other) -> "Poly":
-        if isinstance(other, _SCALARS):
+        if isinstance(other, SCALARS):
             return Poly({d: other * c for d, c in self.coeffs.items()})
         return NotImplemented
 
@@ -120,6 +119,12 @@ class Poly:
     def map_coeffs(self, f) -> "Poly":
         return Poly({d: f(c) for d, c in self.coeffs.items()})
 
+    def max_abs(self):
+        return max((max_abs(c) for c in self.coeffs.values()), default=Fraction(0))
+
+    def to_float(self) -> "Poly":
+        return self.map_coeffs(to_float)
+
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -130,6 +135,3 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({self})"
 
-
-def poly_commutator(a: Poly, b: Poly) -> Poly:
-    return a * b - b * a

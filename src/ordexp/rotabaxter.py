@@ -20,12 +20,12 @@ mirror (a <| b)_n = [a_n, R(b)_n] + a_n b_n.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .errors import BackendMismatch, DimensionMismatch
+from .ops import SCALARS, is_zero, max_abs, to_float, zero_like
 from .poly import Poly
-from .series import is_zero_op, zero_like
-
-_SCALARS = (int, Fraction, float)
 
 
 class SiteSequence:
@@ -80,17 +80,27 @@ class SiteSequence:
         if isinstance(other, SiteSequence):
             self._check(other)
             return SiteSequence(a * b for a, b in zip(self.values, other.values))
-        if isinstance(other, _SCALARS):
+        if isinstance(other, SCALARS):
             return SiteSequence(a * other for a in self.values)
         return NotImplemented
 
     def __rmul__(self, other) -> "SiteSequence":
-        if isinstance(other, _SCALARS):
+        if isinstance(other, SCALARS):
             return SiteSequence(a * other for a in self.values)
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return all(is_zero_op(v) for v in self.values)
+        return all(is_zero(v) for v in self.values)
+
+    def total(self):
+        """f_1 + ... + f_N, summed from site 1 up."""
+        return reduce(add, self.values)
+
+    def max_abs(self):
+        return max((max_abs(v) for v in self.values), default=Fraction(0))
+
+    def to_float(self) -> "SiteSequence":
+        return SiteSequence(to_float(v) for v in self.values)
 
     def __str__(self) -> str:
         return "[" + "; ".join(str(v) for v in self.values) + "]"

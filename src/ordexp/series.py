@@ -12,51 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BackendMismatch, DimensionMismatch
-from .freealg import FreeElement
-from .matrix import Matrix
-
-_SCALARS = (int, Fraction, float)
-
-
-def zero_like(x):
-    if isinstance(x, Matrix):
-        return Matrix.zeros(x.rows, x.cols)
-    if isinstance(x, FreeElement):
-        return FreeElement.zero()
-    if isinstance(x, _SCALARS):
-        return 0.0 if isinstance(x, float) else Fraction(0)
-    raise BackendMismatch(f"unknown operator type {type(x).__name__}")
-
-
-def one_like(x):
-    if isinstance(x, Matrix):
-        if not x.is_square():
-            raise DimensionMismatch("identity only exists for square matrices")
-        return Matrix.identity(x.rows)
-    if isinstance(x, FreeElement):
-        return FreeElement.one()
-    if isinstance(x, _SCALARS):
-        return 1.0 if isinstance(x, float) else Fraction(1)
-    raise BackendMismatch(f"unknown operator type {type(x).__name__}")
-
-
-def is_zero_op(x) -> bool:
-    if isinstance(x, Matrix):
-        return x.is_zero()
-    return not x
-
-
-def is_exact_op(x) -> bool:
-    if isinstance(x, Matrix):
-        return x.is_exact()
-    return not isinstance(x, float)
-
-
-def _check_compatible(a, b):
-    if isinstance(a, Matrix) != isinstance(b, Matrix) or isinstance(a, FreeElement) != isinstance(b, FreeElement):
-        raise BackendMismatch(f"{type(a).__name__} vs {type(b).__name__}")
-    if isinstance(a, Matrix) and (a.rows != b.rows or a.cols != b.cols):
-        raise DimensionMismatch(f"{a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+from .ops import SCALARS, check_compatible, invert, is_exact, is_zero, max_abs, one_like, to_float, zero_like
+from .ops import commutator as ad
 
 
 class AlphaSeries:
@@ -101,7 +58,7 @@ class AlphaSeries:
     def _binop_check(self, other: "AlphaSeries"):
         if self.order != other.order:
             raise DimensionMismatch(f"series orders differ: {self.order} vs {other.order}")
-        _check_compatible(self.coeffs[0], other.coeffs[0])
+        check_compatible(self.coeffs[0], other.coeffs[0])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlphaSeries):
@@ -130,7 +87,7 @@ class AlphaSeries:
         return AlphaSeries([c * s for c in self.coeffs])
 
     def __mul__(self, other) -> "AlphaSeries":
-        if isinstance(other, _SCALARS):
+        if isinstance(other, SCALARS):
             return self.scale(other)
         if not isinstance(other, AlphaSeries):
             return NotImplemented
@@ -141,7 +98,7 @@ class AlphaSeries:
         for n in range(D + 1):
             acc = None
             for k in range(n + 1):
-                if is_zero_op(a[k]) or is_zero_op(b[n - k]):
+                if is_zero(a[k]) or is_zero(b[n - k]):
                     continue
                 term = a[k] * b[n - k]
                 acc = term if acc is None else acc + term
@@ -149,12 +106,12 @@ class AlphaSeries:
         return AlphaSeries(out)
 
     def __rmul__(self, other) -> "AlphaSeries":
-        if isinstance(other, _SCALARS):
+        if isinstance(other, SCALARS):
             return self.scale(other)
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return all(is_zero_op(c) for c in self.coeffs)
+        return all(is_zero(c) for c in self.coeffs)
 
     def truncate(self, order: int) -> "AlphaSeries":
         if order <= self.order:
@@ -167,10 +124,10 @@ class AlphaSeries:
         return AlphaSeries([c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)])
 
     def _frac(self, num: int, den: int):
-        return num / den if not is_exact_op(self.coeffs[0]) else Fraction(num, den)
+        return num / den if not is_exact(self.coeffs[0]) else Fraction(num, den)
 
     def exp(self) -> "AlphaSeries":
-        if not is_zero_op(self.coeffs[0]):
+        if not is_zero(self.coeffs[0]):
             raise BackendMismatch("exp needs a vanishing constant term")
         D = self.order
         result = AlphaSeries.one(D, self.coeffs[0])
@@ -182,7 +139,7 @@ class AlphaSeries:
 
     def log(self) -> "AlphaSeries":
         u = self - AlphaSeries.one(self.order, self.coeffs[0])
-        if not is_zero_op(u.coeffs[0]):
+        if not is_zero(u.coeffs[0]):
             raise BackendMismatch("log needs constant term equal to the identity")
         D = self.order
         result = AlphaSeries.zero(D, self.coeffs[0])
@@ -196,40 +153,29 @@ class AlphaSeries:
         """Multiplicative inverse; the constant term must be invertible."""
         c0 = self.coeffs[0]
         D = self.order
-        if isinstance(c0, Matrix):
-            c0inv = c0.inverse()
-            unit = AlphaSeries([c0inv * c for c in self.coeffs])
-        elif isinstance(c0, FreeElement):
-            if list(c0.terms.keys()) != [()]:
-                raise BackendMismatch("free-element series invert only over a scalar constant term")
-            c0inv = FreeElement({(): 1 / c0.terms[()]})
-            unit = AlphaSeries([c0inv * c for c in self.coeffs])
-        else:
-            if not c0:
-                raise BackendMismatch("series with zero constant term has no inverse")
-            c0inv = 1.0 / c0 if isinstance(c0, float) else Fraction(1) / c0
-            unit = self.scale(c0inv)
-        # unit = 1 + u, so unit^{-1} is the alternating Neumann sum, and
-        # self^{-1} = unit^{-1} c0^{-1} from self = c0 * unit.
+        c0inv = invert(c0)
+        # self = c0 * unit with unit = 1 + u, so self^{-1} = unit^{-1} c0^{-1},
+        # and unit^{-1} is the alternating Neumann sum.
+        unit = AlphaSeries([c0inv * c for c in self.coeffs])
         u = unit - AlphaSeries.one(D, c0)
         result = AlphaSeries.one(D, c0)
         power = AlphaSeries.one(D, c0)
         for k in range(1, D + 1):
             power = power * u
             result = result + power.scale((-1) ** k)
-        if isinstance(c0inv, (Matrix, FreeElement)):
-            return AlphaSeries([c * c0inv for c in result.coeffs])
-        return result.scale(c0inv)
+        return AlphaSeries([c * c0inv for c in result.coeffs])
+
+    def max_abs(self):
+        return max(max_abs(c) for c in self.coeffs)
+
+    def to_float(self) -> "AlphaSeries":
+        return AlphaSeries([to_float(c) for c in self.coeffs])
 
     def __str__(self) -> str:
         return " + ".join(f"a^{k} ({c})" for k, c in enumerate(self.coeffs))
 
     def __repr__(self) -> str:
         return f"AlphaSeries(order={self.order})"
-
-
-def ad(a, b):
-    return a * b - b * a
 
 
 def ad_pow(a, b, n: int):

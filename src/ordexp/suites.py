@@ -34,9 +34,8 @@ from .expansion import (
     magnus_oracle,
     monodromy,
 )
-from .freealg import FreeElement
 from .matrix import Matrix
-from .poly import Poly
+from .ops import max_abs, to_float
 from .report import EXACT, FLOAT, VerificationReport
 from .rotabaxter import (
     IntegralOp,
@@ -59,8 +58,6 @@ from .boundary import (
     reflection_hat,
 )
 from .yangian import (
-    LaxRep,
-    MatrixPoly,
     classical_r,
     classical_ybe_residual,
     coproduct_tridendriform_residual,
@@ -81,12 +78,20 @@ F = Fraction
 
 
 class SuiteConfig:
-    """Size and backend knobs shared by every suite; None means default."""
+    """Size and backend knobs shared by every suite; None means default.
+
+    Sizes are checked here, once: order, dim and samples must be at least
+    1 and sites at least 0, so no suite swaps a bad value for its default.
+    """
 
     __slots__ = ("seed", "backend", "tolerance", "order", "sites", "dim", "samples")
 
     def __init__(self, seed=1, backend=EXACT, tolerance=1e-10, order=None,
                  sites=None, dim=None, samples=None):
+        for name, value, low in (("order", order, 1), ("dim", dim, 1),
+                                 ("samples", samples, 1), ("sites", sites, 0)):
+            if value is not None and value < low:
+                raise AlgebraError(f"{name} must be at least {low}, got {value}")
         self.seed = seed
         self.backend = backend
         self.tolerance = tolerance
@@ -96,65 +101,17 @@ class SuiteConfig:
         self.samples = samples
 
 
-def defect_of(obj):
-    """Largest absolute coefficient in any of the engine's value shapes."""
-    if obj is None:
-        return F(0)
-    if isinstance(obj, Matrix):
-        return obj.max_abs()
-    if isinstance(obj, FreeElement):
-        return max((abs(c) for c in obj.terms.values()), default=F(0))
-    if isinstance(obj, SiteSequence):
-        return max((defect_of(v) for v in obj.values), default=F(0))
-    if isinstance(obj, AlphaSeries):
-        return max(defect_of(c) for c in obj.coeffs)
-    if isinstance(obj, Poly):
-        return max((defect_of(c) for c in obj.coeffs.values()), default=F(0))
-    if isinstance(obj, GradedPreLieElement):
-        return max(
-            (defect_of(v) for v in obj.components.values()), default=F(0)
-        )
-    if isinstance(obj, MatrixPoly):
-        return obj.max_abs()
-    return abs(obj)
-
-
-def _float_op(op):
-    if isinstance(op, Matrix):
-        return op.to_float()
-    return float(op)
-
-
-def _float_seq(seq: SiteSequence) -> SiteSequence:
-    return SiteSequence([_float_op(v) for v in seq.values])
-
-
-def _float_family(fam: SiteOperatorFamily) -> SiteOperatorFamily:
-    entries = {k: _float_op(v) for k, v in fam.entries.items()}
-    return SiteOperatorFamily(
-        fam.n_sites, entries, direction=fam.direction, like=_float_op(fam.like)
-    )
-
-
-def _float_poly(p: Poly) -> Poly:
-    return Poly({d: float(c) for d, c in p.coeffs.items()})
-
-
-def _float_lax(lax: LaxRep) -> LaxRep:
-    return LaxRep(lax.dim, [c.to_float() for c in lax.coeffs])
-
-
 def _report(cfg: SuiteConfig, suite: str, order: int) -> VerificationReport:
     return VerificationReport(suite, cfg.seed, cfg.backend, cfg.tolerance, order)
 
 
 def rota_baxter_suite(cfg: SuiteConfig) -> VerificationReport:
     sites = 5 if cfg.sites is None else cfg.sites
-    dim = cfg.dim or 2
-    sequences = cfg.samples or 100
+    dim = 2 if cfg.dim is None else cfg.dim
+    sequences = 100 if cfg.samples is None else cfg.samples
     pairs = max(1, sequences // 2)
     poly_pairs = max(1, sequences // 5)
-    rep = _report(cfg, "rota-baxter", cfg.order or 3)
+    rep = _report(cfg, "rota-baxter", 3 if cfg.order is None else cfg.order)
     use_float = cfg.backend == FLOAT
 
     src = SampleSource(cfg.seed).split("rota-baxter:weight-one")
@@ -164,8 +121,8 @@ def rota_baxter_suite(cfg: SuiteConfig) -> VerificationReport:
         a = src.sequence(sites, dim)
         b = src.sequence(sites, dim)
         if use_float:
-            a, b = _float_seq(a), _float_seq(b)
-        worst = max(worst, defect_of(rb_residual(op, a, b)))
+            a, b = a.to_float(), b.to_float()
+        worst = max(worst, max_abs(rb_residual(op, a, b)))
     rep.add(
         "partial-sum-weight-one",
         law="R(a)R(b) = R(R(a)b + aR(b) + ab) for the strict prefix sum",
@@ -179,8 +136,8 @@ def rota_baxter_suite(cfg: SuiteConfig) -> VerificationReport:
         p = src.poly()
         q = src.poly()
         if use_float:
-            p, q = _float_poly(p), _float_poly(q)
-        worst = max(worst, defect_of(rb_residual(integral, p, q)))
+            p, q = p.to_float(), q.to_float()
+        worst = max(worst, max_abs(rb_residual(integral, p, q)))
     rep.add(
         "integral-weight-zero",
         law="R(p)R(q) = R(R(p)q + pR(q)) for the integral from the base point",
@@ -202,9 +159,9 @@ _TRID_LAWS = [
 
 def tridendriform_suite(cfg: SuiteConfig) -> VerificationReport:
     sites = 4 if cfg.sites is None else cfg.sites
-    dim = cfg.dim or 2
-    triples = cfg.samples or 50
-    rep = _report(cfg, "tridendriform", cfg.order or 3)
+    dim = 2 if cfg.dim is None else cfg.dim
+    triples = 50 if cfg.samples is None else cfg.samples
+    rep = _report(cfg, "tridendriform", 3 if cfg.order is None else cfg.order)
     use_float = cfg.backend == FLOAT
 
     def run(tag, draw, backend):
@@ -214,9 +171,9 @@ def tridendriform_suite(cfg: SuiteConfig) -> VerificationReport:
         for _ in range(triples):
             a, b, c = draw(src)
             for idx, res in enumerate(check_tridendriform(a, b, c)):
-                worst[idx] = max(worst[idx], defect_of(res))
+                worst[idx] = max(worst[idx], max_abs(res))
             assoc = trid_star(trid_star(a, b), c) - trid_star(a, trid_star(b, c))
-            star_worst = max(star_worst, defect_of(assoc))
+            star_worst = max(star_worst, max_abs(assoc))
         for idx, law in enumerate(_TRID_LAWS):
             rep.add(
                 f"axiom-{idx + 1}-{tag}", law=law, defect=worst[idx],
@@ -232,7 +189,7 @@ def tridendriform_suite(cfg: SuiteConfig) -> VerificationReport:
         out = []
         for _ in range(3):
             s = src.sequence(sites, dim)
-            out.append(_float_seq(s) if use_float else s)
+            out.append(s.to_float() if use_float else s)
         return out
 
     def draw_free(src):
@@ -245,9 +202,9 @@ def tridendriform_suite(cfg: SuiteConfig) -> VerificationReport:
 
 def prelie_suite(cfg: SuiteConfig) -> VerificationReport:
     sites = 4 if cfg.sites is None else cfg.sites
-    dim = cfg.dim or 2
-    triples = cfg.samples or 50
-    rep = _report(cfg, "prelie", cfg.order or 3)
+    dim = 2 if cfg.dim is None else cfg.dim
+    triples = 50 if cfg.samples is None else cfg.samples
+    rep = _report(cfg, "prelie", 3 if cfg.order is None else cfg.order)
     use_float = cfg.backend == FLOAT
 
     checks = [
@@ -262,8 +219,8 @@ def prelie_suite(cfg: SuiteConfig) -> VerificationReport:
         for _ in range(triples):
             abc = [src.sequence(sites, dim) for _ in range(3)]
             if use_float:
-                abc = [_float_seq(s) for s in abc]
-            worst = max(worst, defect_of(residual(*abc)))
+                abc = [s.to_float() for s in abc]
+            worst = max(worst, max_abs(residual(*abc)))
         rep.add(case_id, law=law, defect=worst,
                 triples=triples, sites=sites, dim=dim)
     return rep
@@ -278,9 +235,9 @@ def _sampled_family(src: SampleSource, max_sites: int, dim: int, index: int):
 
 def dyson_suite(cfg: SuiteConfig) -> VerificationReport:
     max_sites = 5 if cfg.sites is None else cfg.sites
-    dim = cfg.dim or 2
-    families = cfg.samples or 25
-    order = cfg.order or 4
+    dim = 2 if cfg.dim is None else cfg.dim
+    families = 25 if cfg.samples is None else cfg.samples
+    order = 4 if cfg.order is None else cfg.order
     rep = _report(cfg, "dyson", order)
     use_float = cfg.backend == FLOAT
 
@@ -289,13 +246,13 @@ def dyson_suite(cfg: SuiteConfig) -> VerificationReport:
     for k in range(families):
         fam = _sampled_family(src, max_sites, dim, k)
         if use_float:
-            fam = _float_family(fam)
+            fam = fam.to_float()
         mono = monodromy(fam, order)
         for method in ("direct", "tridendriform"):
             terms = dyson_terms(fam, order, method=method)
             for m in range(order + 1):
                 worst[method] = max(
-                    worst[method], defect_of(terms[m] - mono.coeff(m))
+                    worst[method], max_abs(terms[m] - mono.coeff(m))
                 )
     rep.add(
         "iterated-sums-vs-product",
@@ -313,20 +270,20 @@ def dyson_suite(cfg: SuiteConfig) -> VerificationReport:
 
 
 def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
-    dim = cfg.dim or 2
-    order = cfg.order or 4
+    dim = 2 if cfg.dim is None else cfg.dim
+    order = 4 if cfg.order is None else cfg.order
     rep = _report(cfg, "magnus", order)
     use_float = cfg.backend == FLOAT
 
     if cfg.sites == 0:
         fam = SiteOperatorFamily(0, {}, like=Matrix.identity(dim))
         if use_float:
-            fam = _float_family(fam)
+            fam = fam.to_float()
         mono = monodromy(fam, order)
         q = magnus_oracle(fam, order)
         defect = max(
-            defect_of(mono - AlphaSeries.one(order, like=fam.like)),
-            max((defect_of(c) for c in q), default=F(0)),
+            max_abs(mono - AlphaSeries.one(order, like=fam.like)),
+            max((max_abs(c) for c in q), default=F(0)),
         )
         rep.add(
             "empty-chain-identity",
@@ -336,19 +293,19 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
         return rep
 
     max_sites = 5 if cfg.sites is None else cfg.sites
-    families = cfg.samples or 25
+    families = 25 if cfg.samples is None else cfg.samples
 
     worst = F(0)
     src = SampleSource(cfg.seed).split("magnus:round-trip")
     for k in range(families):
         fam = _sampled_family(src, max_sites, dim, k)
         if use_float:
-            fam = _float_family(fam)
+            fam = fam.to_float()
         q = magnus_oracle(fam, order)
         series = AlphaSeries.from_parts(
             order, {m: q[m - 1] for m in range(1, order + 1)}, like=fam.like
         ).exp()
-        worst = max(worst, defect_of(series - monodromy(fam, order)))
+        worst = max(worst, max_abs(series - monodromy(fam, order)))
     rep.add(
         "exponential-round-trip",
         law="exp(sum_m alpha^m Q^(m)) reproduces the ordered product",
@@ -357,10 +314,10 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
 
     scalar = SiteOperatorFamily(2, {(1, 1): F(1), (2, 1): F(1)}, like=F(1))
     if use_float:
-        scalar = _float_family(scalar)
+        scalar = scalar.to_float()
     q = magnus_oracle(scalar, 3)
     expected = [2, -1, F(2, 3)]
-    defect = max(defect_of(q[m] - expected[m]) for m in range(3))
+    defect = max(max_abs(q[m] - expected[m]) for m in range(3))
     rep.add(
         "scalar-chain-logarithm",
         law="two unit sites give Q = (2, -1, 2/3), the log of (1+alpha)^2",
@@ -386,10 +343,10 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
         )
     for fam in cases:
         if use_float:
-            fam = _float_family(fam)
+            fam = fam.to_float()
         for style in styles:
             for degree, res in closed_form_defects(fam, order=3, style=style):
-                d = defect_of(res)
+                d = max_abs(res)
                 if style == "explicit" and d != 0:
                     offending.append(f"degree {degree}")
                 styles[style] = max(styles[style], d)
@@ -411,28 +368,28 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
 
 def brace_suite(cfg: SuiteConfig) -> VerificationReport:
     sites = 3 if cfg.sites is None else cfg.sites
-    dim = cfg.dim or 2
-    pairs = cfg.samples or 25
-    order = cfg.order or 4
+    dim = 2 if cfg.dim is None else cfg.dim
+    pairs = 25 if cfg.samples is None else cfg.samples
+    order = 4 if cfg.order is None else cfg.order
     rep = _report(cfg, "brace", order)
     use_float = cfg.backend == FLOAT
 
     zero_seq = SiteSequence([Matrix.zeros(dim) for _ in range(sites)])
     if use_float:
-        zero_seq = _float_seq(zero_seq)
+        zero_seq = zero_seq.to_float()
 
     def element(src):
         comps = {d: src.sequence(sites, dim) for d in (1, 2)}
         if use_float:
-            comps = {d: _float_seq(s) for d, s in comps.items()}
+            comps = {d: s.to_float() for d, s in comps.items()}
         return GradedPreLieElement(order, comps, prelie_left, like=zero_seq)
 
     src = SampleSource(cfg.seed).split("brace:flow-inverse")
     worst = F(0)
     for _ in range(pairs):
         a = element(src)
-        worst = max(worst, defect_of(omega_map(w_map(a)) - a))
-        worst = max(worst, defect_of(w_map(omega_map(a)) - a))
+        worst = max(worst, max_abs(omega_map(w_map(a)) - a))
+        worst = max(worst, max_abs(w_map(omega_map(a)) - a))
     rep.add(
         "flow-inverse",
         law="Omega inverts W in both orders, degree by degree",
@@ -443,7 +400,7 @@ def brace_suite(cfg: SuiteConfig) -> VerificationReport:
     worst = F(0)
     for _ in range(pairs):
         a, b, c = element(src), element(src), element(src)
-        worst = max(worst, defect_of(left_brace_residual(a, b, c)))
+        worst = max(worst, max_abs(left_brace_residual(a, b, c)))
     rep.add(
         "left-brace-law",
         law="the circle product distributes as a left brace",
@@ -455,9 +412,9 @@ def brace_suite(cfg: SuiteConfig) -> VerificationReport:
     worst_assoc = F(0)
     for _ in range(pairs):
         a, b = element(src), element(src)
-        worst_flow = max(worst_flow, defect_of(flow_composition_residual(a, b)))
+        worst_flow = max(worst_flow, max_abs(flow_composition_residual(a, b)))
         c = element(src)
-        worst_assoc = max(worst_assoc, defect_of(circle_assoc_residual(a, b, c)))
+        worst_assoc = max(worst_assoc, max_abs(circle_assoc_residual(a, b, c)))
     rep.add(
         "flow-composition",
         law="W(a) o W(b) = W(C(a,b)) with C the BCH composition",
@@ -472,9 +429,9 @@ def brace_suite(cfg: SuiteConfig) -> VerificationReport:
 
 
 def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
-    dims = [cfg.dim] if cfg.dim else [2, 3]
+    dims = [2, 3] if cfg.dim is None else [cfg.dim]
     sites = 4 if cfg.sites is None else cfg.sites
-    rep = _report(cfg, "yangian", cfg.order or 3)
+    rep = _report(cfg, "yangian", 3 if cfg.order is None else cfg.order)
     use_float = cfg.backend == FLOAT
 
     def triples(src, count, distinct):
@@ -492,15 +449,12 @@ def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
         lax = fundamental_lax(dim)
         geo = geometric_lax(dim, 3)
         if use_float:
-            r = r.map_coeffs(lambda m: m.to_float())
-            rc = rc.map_coeffs(lambda m: m.to_float())
-            lax = _float_lax(lax)
-            geo = _float_lax(geo)
+            r, rc, lax, geo = r.to_float(), rc.to_float(), lax.to_float(), geo.to_float()
 
         src = SampleSource(cfg.seed).split(f"yangian:ybe:{dim}")
         worst = F(0)
         for lams in triples(src, 10, distinct=False):
-            worst = max(worst, defect_of(ybe_residual(r, *lams, dim)))
+            worst = max(worst, max_abs(ybe_residual(r, *lams, dim)))
         rep.add(
             f"braid-relation-dim{dim}",
             law="R12 R13 R23 = R23 R13 R12 for R = lambda + P",
@@ -510,7 +464,7 @@ def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
         src = SampleSource(cfg.seed).split(f"yangian:classical:{dim}")
         worst = F(0)
         for lams in triples(src, 10, distinct=True):
-            worst = max(worst, defect_of(classical_ybe_residual(rc, *lams, dim)))
+            worst = max(worst, max_abs(classical_ybe_residual(rc, *lams, dim)))
         rep.add(
             f"classical-braid-dim{dim}",
             law="[r12, r13] + [r12 + r13, r23] = 0 for r = P/lambda",
@@ -531,7 +485,7 @@ def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
             f"matching-order-geometric-dim{dim}",
             law="truncated geometric factors satisfy the exchange relation "
                 "through the shared order window",
-            defect=defect_of(res), dim=dim, truncation=3,
+            defect=max_abs(res), dim=dim, truncation=3,
         )
 
         n_max = min(sites, 4 if dim == 2 else 2)
@@ -540,7 +494,7 @@ def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
         for n in range(1, n_max + 1):
             worst = max(
                 worst,
-                defect_of(transfer_commute_residual(dim, n, t_order, lax=lax)),
+                max_abs(transfer_commute_residual(dim, n, t_order, lax=lax)),
             )
         rep.add(
             f"transfer-commutativity-dim{dim}",
@@ -562,7 +516,7 @@ def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
                                     res = yangian_relations_residual(
                                         coeffs, dim, p, q, i, j, k, l
                                     )
-                                    worst = max(worst, defect_of(res))
+                                    worst = max(worst, max_abs(res))
         rep.add(
             f"charge-exchange-dim{dim}",
             law="[L^(n+1)_ij, L^(m)_kl] - [L^(n)_ij, L^(m+1)_kl] "
@@ -618,9 +572,9 @@ def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
 
 def boundary_suite(cfg: SuiteConfig) -> VerificationReport:
     sites = 3 if cfg.sites is None else max(cfg.sites, 1)
-    dim = cfg.dim or 2
-    problems = cfg.samples or 25
-    order = cfg.order or 3
+    dim = 2 if cfg.dim is None else cfg.dim
+    problems = 25 if cfg.samples is None else cfg.samples
+    order = 3 if cfg.order is None else cfg.order
     rep = _report(cfg, "boundary", order)
     use_float = cfg.backend == FLOAT
 
@@ -635,9 +589,8 @@ def boundary_suite(cfg: SuiteConfig) -> VerificationReport:
         tgt = src.matrix_family(sites, (1, 2), size=dim)
         g1 = src.invertible_matrix(dim)
         if use_float:
-            fwd, tgt, g1 = _float_family(fwd), _float_family(tgt), g1.to_float()
-        worst = max(worst, defect_of(gauge_solve(
-            GaugeProblem(fwd, tgt, g1, order)).max_abs()))
+            fwd, tgt, g1 = fwd.to_float(), tgt.to_float(), g1.to_float()
+        worst = max(worst, gauge_solve(GaugeProblem(fwd, tgt, g1, order)).max_abs())
     rep.add(
         "gauge-difference-equation",
         law="G_{n+1} = Lhat_n G_n L_n^{-1} holds for the prefix-product solution",
@@ -657,13 +610,9 @@ def boundary_suite(cfg: SuiteConfig) -> VerificationReport:
                 order, {0: k0, 1: src.matrix(dim)}, like=Matrix.identity(dim)
             )
         if use_float:
-            fwd, bwd = _float_family(fwd), _float_family(bwd)
-            if isinstance(boundary, AlphaSeries):
-                boundary = AlphaSeries([c.to_float() for c in boundary.coeffs])
-            else:
-                boundary = boundary.to_float()
-        worst = max(worst, defect_of(double_row_monodromy(
-            BoundaryProblem(fwd, bwd, boundary, order)).max_abs()))
+            fwd, bwd, boundary = fwd.to_float(), bwd.to_float(), to_float(boundary)
+        worst = max(worst, double_row_monodromy(
+            BoundaryProblem(fwd, bwd, boundary, order)).max_abs())
     rep.add(
         "double-row-recursion",
         law="B_{n+1} = L_n B_n Lhat_n for B = T K That",
@@ -676,16 +625,16 @@ def boundary_suite(cfg: SuiteConfig) -> VerificationReport:
     for _ in range(reflect_count):
         fwd = src.matrix_family(sites, (1,), size=dim)
         if use_float:
-            fwd = _float_family(fwd)
+            fwd = fwd.to_float()
         bwd = reflection_hat(fwd, order)
         k0 = src.invertible_matrix(dim)
         if use_float:
             k0 = k0.to_float()
-        worst = max(worst, defect_of(double_row_monodromy(
-            BoundaryProblem(fwd, bwd, k0, order)).max_abs()))
+        worst = max(worst, double_row_monodromy(
+            BoundaryProblem(fwd, bwd, k0, order)).max_abs())
         back = reflection_hat(bwd, order)
         for site in range(1, sites + 1):
-            involution_worst = max(involution_worst, defect_of(
+            involution_worst = max(involution_worst, max_abs(
                 back.lax_series(site, order) - fwd.lax_series(site, order)))
     rep.add(
         "reflection-double-row",

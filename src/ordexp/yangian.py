@@ -17,14 +17,8 @@ from .errors import (
     SingularOperator,
     UnsupportedOrder,
 )
-from .matrix import (
-    Matrix,
-    aux_block,
-    commutator,
-    kron_embed,
-    partial_trace_first,
-    permutation_op,
-)
+from .matrix import Matrix, aux_block, kron_embed, partial_trace_first, permutation_op
+from .ops import commutator
 from .rotabaxter import SiteSequence, prelie_left, trid_dot, trid_prec, trid_succ
 from .expansion import FORWARD, SiteOperatorFamily, monodromy
 
@@ -146,6 +140,9 @@ class MatrixPoly:
     def max_abs(self):
         return max((m.max_abs() for m in self.coeffs.values()), default=Fraction(0))
 
+    def to_float(self) -> "MatrixPoly":
+        return self.map_coeffs(Matrix.to_float)
+
 
 class LaxRep:
     """Lax operator 1 + sum_m lambda^(-m) L^(m) on aux tensor one quantum site."""
@@ -176,6 +173,9 @@ class LaxRep:
         from .series import AlphaSeries
 
         return AlphaSeries([self.coeff(m) for m in range(order + 1)])
+
+    def to_float(self) -> "LaxRep":
+        return LaxRep(self.dim, [c.to_float() for c in self.coeffs])
 
     def to_poly(self, var: int = 0, nvars: int = 1) -> MatrixPoly:
         coeffs = {}
@@ -563,17 +563,6 @@ def _entry_sequence(lax: LaxRep, m: int, a: int, b: int, n_sites: int) -> SiteSe
     )
 
 
-def _sum_sites(seq: SiteSequence):
-    total = None
-    for n in range(1, seq.n_sites + 1):
-        total = seq.at(n) if total is None else total + seq.at(n)
-    return total
-
-
-def _seq_max_abs(seq: SiteSequence) -> Fraction:
-    return max((v.max_abs() for v in seq.values), default=Fraction(0))
-
-
 def coproduct_tridendriform_residual(lax: LaxRep, n_sites: int) -> dict:
     """Defects of the entrywise coproduct formulas against the monodromy.
 
@@ -601,7 +590,7 @@ def coproduct_tridendriform_residual(lax: LaxRep, n_sites: int) -> dict:
         for b in range(dim):
             left = trid_prec(seq[1][(a, b)], seq[1][(b, a)])
             right = trid_succ(seq[1][(b, a)], seq[1][(a, b)])
-            lemma_defect = max(lemma_defect, _seq_max_abs(left - right))
+            lemma_defect = max(lemma_defect, (left - right).max_abs())
 
     defects = {"prec_succ_transpose": lemma_defect}
 
@@ -623,7 +612,7 @@ def coproduct_tridendriform_residual(lax: LaxRep, n_sites: int) -> dict:
                                 trid_prec(seq[1][(d, c)], seq[1][(c, b)]),
                             )
                 target = aux_block(series.coeff(m), a, b, dim)
-                worst = max(worst, (target - _sum_sites(rhs)).max_abs())
+                worst = max(worst, (target - rhs.total()).max_abs())
         defects[f"dendriform_order_{m}"] = worst
 
     single_logs = lax.series(3).log()
@@ -654,9 +643,9 @@ def coproduct_tridendriform_residual(lax: LaxRep, n_sites: int) -> dict:
         + Fraction(1, 2) * (trid_dot(q2, q1) + trid_dot(q1, q2))
         + Fraction(1, 6) * trid_dot(q1sq, q1)
     )
-    defects["prelie_matrix_order_1"] = (logs.coeff(1) - _sum_sites(q1)).max_abs()
-    defects["prelie_matrix_order_2"] = (logs.coeff(2) - _sum_sites(pre2)).max_abs()
-    defects["prelie_matrix_order_3"] = (logs.coeff(3) - _sum_sites(pre3)).max_abs()
+    defects["prelie_matrix_order_1"] = (logs.coeff(1) - q1.total()).max_abs()
+    defects["prelie_matrix_order_2"] = (logs.coeff(2) - pre2.total()).max_abs()
+    defects["prelie_matrix_order_3"] = (logs.coeff(3) - pre3.total()).max_abs()
 
     qe = {
         m: {
@@ -678,7 +667,7 @@ def coproduct_tridendriform_residual(lax: LaxRep, n_sites: int) -> dict:
     for a in range(dim):
         for b in range(dim):
             target1 = aux_block(logs.coeff(1), a, b, dim)
-            worst1 = max(worst1, (target1 - _sum_sites(qe[1][(a, b)])).max_abs())
+            worst1 = max(worst1, (target1 - qe[1][(a, b)].total()).max_abs())
             rhs = qe[2][(a, b)]
             for c in range(dim):
                 diff = trid_succ(qe[1][(a, c)], qe[1][(c, b)]) - trid_prec(
@@ -686,7 +675,7 @@ def coproduct_tridendriform_residual(lax: LaxRep, n_sites: int) -> dict:
                 )
                 rhs = rhs - Fraction(1, 2) * diff
             target2 = aux_block(logs.coeff(2), a, b, dim)
-            worst2 = max(worst2, (target2 - _sum_sites(rhs)).max_abs())
+            worst2 = max(worst2, (target2 - rhs.total()).max_abs())
     defects["prelie_entry_order_1"] = worst1
     defects["prelie_entry_order_2"] = worst2
     return defects

@@ -133,6 +133,25 @@ class TestVerifyCommand:
             main(["verify", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", [["--deltas", "1/4,1/8,1/16"], ["--form", "dyson"],
+                                      ["--direction", "forward"]])
+    def test_other_subcommands_flags_rejected(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "prelie", *flag])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["rota-baxter", "--samples", "0"],
+        ["rota-baxter", "--dim", "0"],
+        ["boundary", "--order", "0"],
+        ["magnus", "--sites", "-1"],
+    ])
+    def test_sizes_below_minimum_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be at least" in err
+
     def test_float_backend_passes_at_default_tolerance(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "dyson", "--backend", "float", "--samples", "5"
@@ -209,6 +228,12 @@ class TestExpandCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("flag", [["--json"], ["--backend", "float"], ["--tolerance", "5"]])
+    def test_verify_only_flags_rejected(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["expand", "scalar:N=2", *flag])
+        assert exc.value.code == 2
+
 
 class TestLimitCommand:
     def test_header_and_shape(self, capsys):
@@ -247,9 +272,29 @@ class TestLimitCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--backend", "float"], ["--tolerance", "5"],
+                                      ["--order", "2"], ["--json"]])
+    def test_only_deltas_accepted(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["limit", "field:poly(X;dim=2)", "--deltas", "1/4,1/8,1/16", *flag])
+        assert exc.value.code == 2
+
     def test_malformed_field_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "limit", "field:poly(Q;dim=2)", "--deltas", "1/4,1/8,1/16"
         )
         assert code == 2
         assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "scalar:N=x"],
+    ["expand", "matrix:rand(2x2,int<=3);N=2;seed=abc"],
+    ["limit", "field:poly(X;dim=z)", "--deltas", "1/4,1/8,1/16"],
+    ["limit", "field:poly(X+x^y*Y;dim=2)", "--deltas", "1/4,1/8,1/16"],
+])
+def test_unreadable_spec_numbers_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "cannot read" in err

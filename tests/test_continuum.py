@@ -1,10 +1,15 @@
 """Continuous Magnus/Dyson forms, discretization, and limit diagnostics."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ordexp
 from ordexp.errors import AlgebraError, DimensionMismatch, UnsupportedOrder
 from ordexp.matrix import Matrix, commutator
 from ordexp.poly import Poly
@@ -18,12 +23,15 @@ from ordexp.continuum import (
     discretize,
     dyson_continuous,
     dyson_simplex_oracle,
+    expm,
     magnus_bernoulli_iterate,
     magnus_continuous,
     open_evolution_residual,
 )
 
 F = Fraction
+# Directory holding the imported package, for fresh interpreters.
+SRC = str(Path(ordexp.__file__).resolve().parents[1])
 
 X = Matrix([[0, 1], [0, 0]])
 Y = Matrix([[0, 0], [1, 0]])
@@ -240,6 +248,22 @@ class TestConvergence:
             convergence_study(field, [F(1, 4), F(1, 8)])
         with pytest.raises(AlgebraError):
             convergence_study(field, [F(1, 8), F(1, 4), F(1, 16)])
+
+
+@pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 2.5, -3.0])
+def test_expm_matches_rotation(t):
+    rotation = expm(Matrix([[0, t], [-t, 0]]))
+    expected = [[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]]
+    for row, want in zip(rotation.data, expected):
+        for got, value in zip(row, want):
+            assert abs(got - value) <= 1e-14
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    code = "import sys, ordexp; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert done.stdout.strip() == "[]"
 
 
 class TestOpenEvolution:
