@@ -221,14 +221,17 @@ def discretize(field: MatrixField, delta) -> SiteOperatorFamily:
     """Linear site family with L^(1)_n = delta * A(x0 + (n-1) delta).
 
     Left-endpoint sampling: site n carries the field value at the left
-    edge of its subinterval, so T_1 sits at x0.
+    edge of its subinterval, so T_1 sits at x0.  The step must divide the
+    interval, so the chain covers all of it.
     """
     delta = Fraction(delta)
     if delta <= 0:
         raise AlgebraError("need a positive step")
-    n_sites = int((field.x_end - field.x0) / delta)
+    n_sites, rest = divmod(field.x_end - field.x0, delta)
     if n_sites < 1:
         raise AlgebraError("step larger than the interval")
+    if rest:
+        raise AlgebraError(f"delta {delta} does not divide the interval [{field.x0}, {field.x_end}]")
     entries = {}
     for n in range(1, n_sites + 1):
         value = field.eval(field.x0 + (n - 1) * delta) * delta

@@ -24,7 +24,7 @@ from functools import reduce
 from itertools import combinations
 
 from .errors import DimensionMismatch, SingularOperator, UnsupportedOrder
-from .ops import check_compatible, commutator, invert, is_zero, one_like, to_float, zero_like
+from .ops import check_compatible, commutator, invert, is_zero, one_like, zero_like
 from .rotabaxter import SiteSequence, prelie_left, prelie_right, trid_prec, trid_succ
 from .series import AlphaSeries
 
@@ -92,10 +92,6 @@ class SiteOperatorFamily:
         parts = {m: self.entry(site, m) for m in range(1, order + 1)}
         series = AlphaSeries.from_parts(order, parts, like=self.like)
         return series + AlphaSeries.one(order, like=self.like)
-
-    def to_float(self) -> "SiteOperatorFamily":
-        entries = {k: to_float(v) for k, v in self.entries.items()}
-        return SiteOperatorFamily(self.n_sites, entries, self.direction, to_float(self.like))
 
     def reversed(self) -> "SiteOperatorFamily":
         """The same local data read in the opposite site order."""

@@ -2,9 +2,12 @@
 
 An operator is an exact or float scalar (one of `SCALARS`), a `Matrix`, or
 a `FreeElement`.  Every other value in the package is a container of
-operators (series, site sequences, polynomials, ...) whose `max_abs()` and
-`to_float()` map the functions below over its children, so this module is
-the only place that asks which backend a value lives in.
+operators (series, site sequences, polynomials, ...) whose `max_abs()` maps
+the function below over its children, so this module is the only place that
+asks which backend a value lives in.  Which backend a sampled value is
+drawn in is decided in one place too: `sampling.SampleSource`, whose
+`cast` is the one caller of `to_float` (the yangian `MatrixPoly` and
+`LaxRep` it converts carry their own `to_float()`).
 
 `SCALARS` and `commutator` are defined in `matrix`, which sits below this
 module (`Matrix` needs the scalar tuple, and `matrix.commutator` is public);
@@ -19,7 +22,7 @@ from .errors import BackendMismatch, DimensionMismatch, SingularOperator
 from .freealg import FreeElement
 from .matrix import SCALARS, Matrix, commutator
 
-__all__ = ["SCALARS", "check_compatible", "commutator", "invert", "is_exact", "is_zero",
+__all__ = ["SCALARS", "check_compatible", "commutator", "invert", "is_zero",
            "max_abs", "one_like", "to_float", "zero_like"]
 
 
@@ -51,12 +54,6 @@ def is_zero(x) -> bool:
     if isinstance(x, Matrix):
         return x.is_zero()
     return not x
-
-
-def is_exact(x) -> bool:
-    if isinstance(x, Matrix):
-        return x.is_exact()
-    return not isinstance(x, float)
 
 
 def check_compatible(a, b):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BackendMismatch
-from .ops import SCALARS, is_zero, max_abs, to_float
+from .ops import SCALARS, is_zero, max_abs
 from .ops import commutator as poly_commutator
 
 
@@ -121,9 +121,6 @@ class Poly:
 
     def max_abs(self):
         return max((max_abs(c) for c in self.coeffs.values()), default=Fraction(0))
-
-    def to_float(self) -> "Poly":
-        return self.map_coeffs(to_float)
 
     def __str__(self) -> str:
         if not self.coeffs:

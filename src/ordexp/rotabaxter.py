@@ -24,7 +24,7 @@ from functools import reduce
 from operator import add
 
 from .errors import BackendMismatch, DimensionMismatch
-from .ops import SCALARS, is_zero, max_abs, to_float, zero_like
+from .ops import SCALARS, is_zero, max_abs, zero_like
 from .poly import Poly
 
 
@@ -98,9 +98,6 @@ class SiteSequence:
 
     def max_abs(self):
         return max((max_abs(v) for v in self.values), default=Fraction(0))
-
-    def to_float(self) -> "SiteSequence":
-        return SiteSequence(to_float(v) for v in self.values)
 
     def __str__(self) -> str:
         return "[" + "; ".join(str(v) for v in self.values) + "]"

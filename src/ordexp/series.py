@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BackendMismatch, DimensionMismatch
-from .ops import SCALARS, check_compatible, invert, is_exact, is_zero, max_abs, one_like, to_float, zero_like
+from .ops import SCALARS, check_compatible, invert, is_zero, max_abs, one_like, zero_like
 from .ops import commutator as ad
 
 
@@ -123,9 +123,6 @@ class AlphaSeries:
         """Substitute alpha -> -alpha."""
         return AlphaSeries([c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)])
 
-    def _frac(self, num: int, den: int):
-        return num / den if not is_exact(self.coeffs[0]) else Fraction(num, den)
-
     def exp(self) -> "AlphaSeries":
         if not is_zero(self.coeffs[0]):
             raise BackendMismatch("exp needs a vanishing constant term")
@@ -133,7 +130,7 @@ class AlphaSeries:
         result = AlphaSeries.one(D, self.coeffs[0])
         term = result
         for k in range(1, D + 1):
-            term = (term * self).scale(self._frac(1, k))
+            term = (term * self).scale(Fraction(1, k))
             result = result + term
         return result
 
@@ -146,7 +143,7 @@ class AlphaSeries:
         power = AlphaSeries.one(D, self.coeffs[0])
         for k in range(1, D + 1):
             power = power * u
-            result = result + power.scale(self._frac((-1) ** (k + 1), k))
+            result = result + power.scale(Fraction((-1) ** (k + 1), k))
         return result
 
     def inverse(self) -> "AlphaSeries":
@@ -167,9 +164,6 @@ class AlphaSeries:
 
     def max_abs(self):
         return max(max_abs(c) for c in self.coeffs)
-
-    def to_float(self) -> "AlphaSeries":
-        return AlphaSeries([to_float(c) for c in self.coeffs])
 
     def __str__(self) -> str:
         return " + ".join(f"a^{k} ({c})" for k, c in enumerate(self.coeffs))

@@ -6,8 +6,10 @@ law with the worst defect seen across the samples.  Default sizes match
 the package's acceptance scale; `--sites`, `--dim`, and `--samples`
 rescale them.
 
-On the float backend, sampled operators are converted to floating point
-and rows pass when the defect stays within the tolerance.  Rows whose
+Each suite reads the backend once, to create its report and its root
+`SampleSource`; the source then draws (or `cast`s) every sampled operator
+in that backend, so no suite code branches on it.  On the float backend
+rows pass when the defect stays within the tolerance.  Rows whose
 computation is inherently exact (free-letter triples, the structural
 quantum-algebra checks) keep their exact backend label either way.
 """
@@ -35,8 +37,8 @@ from .expansion import (
     monodromy,
 )
 from .matrix import Matrix
-from .ops import max_abs, to_float
-from .report import EXACT, FLOAT, VerificationReport
+from .ops import max_abs
+from .report import EXACT, VerificationReport
 from .rotabaxter import (
     IntegralOp,
     PartialSumOp,
@@ -101,8 +103,25 @@ class SuiteConfig:
         self.samples = samples
 
 
-def _report(cfg: SuiteConfig, suite: str, order: int) -> VerificationReport:
+def _report(cfg: SuiteConfig, suite: str, order: int | None = None) -> VerificationReport:
+    """The suite's empty report.
+
+    `order` None marks a suite whose checks read no order: an explicit
+    order is rejected rather than printed and ignored, and the header
+    shows a fixed 3, which keeps reports at default flags byte-identical.
+    """
+    if order is None:
+        if cfg.order is not None:
+            raise AlgebraError(f"order is not read by the {suite} suite, got {cfg.order}")
+        order = 3
     return VerificationReport(suite, cfg.seed, cfg.backend, cfg.tolerance, order)
+
+
+def _at_least(name: str, value: int, low: int, suite: str) -> int:
+    """`value`, or AlgebraError when the suite would check nothing at that size."""
+    if value < low:
+        raise AlgebraError(f"{name} must be at least {low} for the {suite} suite, got {value}")
+    return value
 
 
 def rota_baxter_suite(cfg: SuiteConfig) -> VerificationReport:
@@ -111,17 +130,15 @@ def rota_baxter_suite(cfg: SuiteConfig) -> VerificationReport:
     sequences = 100 if cfg.samples is None else cfg.samples
     pairs = max(1, sequences // 2)
     poly_pairs = max(1, sequences // 5)
-    rep = _report(cfg, "rota-baxter", 3 if cfg.order is None else cfg.order)
-    use_float = cfg.backend == FLOAT
+    rep = _report(cfg, "rota-baxter")
+    root = SampleSource(cfg.seed, cfg.backend)
 
-    src = SampleSource(cfg.seed).split("rota-baxter:weight-one")
+    src = root.split("rota-baxter:weight-one")
     op = PartialSumOp()
     worst = F(0)
     for _ in range(pairs):
         a = src.sequence(sites, dim)
         b = src.sequence(sites, dim)
-        if use_float:
-            a, b = a.to_float(), b.to_float()
         worst = max(worst, max_abs(rb_residual(op, a, b)))
     rep.add(
         "partial-sum-weight-one",
@@ -129,14 +146,12 @@ def rota_baxter_suite(cfg: SuiteConfig) -> VerificationReport:
         defect=worst, sequences=2 * pairs, sites=sites, dim=dim,
     )
 
-    src = SampleSource(cfg.seed).split("rota-baxter:weight-zero")
+    src = root.split("rota-baxter:weight-zero")
     integral = IntegralOp()
     worst = F(0)
     for _ in range(poly_pairs):
         p = src.poly()
         q = src.poly()
-        if use_float:
-            p, q = p.to_float(), q.to_float()
         worst = max(worst, max_abs(rb_residual(integral, p, q)))
     rep.add(
         "integral-weight-zero",
@@ -161,13 +176,13 @@ def tridendriform_suite(cfg: SuiteConfig) -> VerificationReport:
     sites = 4 if cfg.sites is None else cfg.sites
     dim = 2 if cfg.dim is None else cfg.dim
     triples = 50 if cfg.samples is None else cfg.samples
-    rep = _report(cfg, "tridendriform", 3 if cfg.order is None else cfg.order)
-    use_float = cfg.backend == FLOAT
+    rep = _report(cfg, "tridendriform")
+    root = SampleSource(cfg.seed, cfg.backend)
 
-    def run(tag, draw, backend):
+    def run(tag, draw, backend=None):
         worst = [F(0)] * 7
         star_worst = F(0)
-        src = SampleSource(cfg.seed).split(f"tridendriform:{tag}")
+        src = root.split(f"tridendriform:{tag}")
         for _ in range(triples):
             a, b, c = draw(src)
             for idx, res in enumerate(check_tridendriform(a, b, c)):
@@ -186,16 +201,12 @@ def tridendriform_suite(cfg: SuiteConfig) -> VerificationReport:
         )
 
     def draw_matrix(src):
-        out = []
-        for _ in range(3):
-            s = src.sequence(sites, dim)
-            out.append(s.to_float() if use_float else s)
-        return out
+        return [src.sequence(sites, dim) for _ in range(3)]
 
     def draw_free(src):
         return [src.free_sequence(sites, tag) for tag in ("a", "b", "c")]
 
-    run("matrix", draw_matrix, cfg.backend)
+    run("matrix", draw_matrix)
     run("free", draw_free, EXACT)
     return rep
 
@@ -204,8 +215,8 @@ def prelie_suite(cfg: SuiteConfig) -> VerificationReport:
     sites = 4 if cfg.sites is None else cfg.sites
     dim = 2 if cfg.dim is None else cfg.dim
     triples = 50 if cfg.samples is None else cfg.samples
-    rep = _report(cfg, "prelie", 3 if cfg.order is None else cfg.order)
-    use_float = cfg.backend == FLOAT
+    rep = _report(cfg, "prelie")
+    root = SampleSource(cfg.seed, cfg.backend)
 
     checks = [
         ("left-associator-symmetry", check_prelie_left,
@@ -214,12 +225,10 @@ def prelie_suite(cfg: SuiteConfig) -> VerificationReport:
          "assoc(a,b,c) of a<|b is symmetric in b and c"),
     ]
     for case_id, residual, law in checks:
-        src = SampleSource(cfg.seed).split(f"prelie:{case_id}")
+        src = root.split(f"prelie:{case_id}")
         worst = F(0)
         for _ in range(triples):
             abc = [src.sequence(sites, dim) for _ in range(3)]
-            if use_float:
-                abc = [s.to_float() for s in abc]
             worst = max(worst, max_abs(residual(*abc)))
         rep.add(case_id, law=law, defect=worst,
                 triples=triples, sites=sites, dim=dim)
@@ -239,14 +248,12 @@ def dyson_suite(cfg: SuiteConfig) -> VerificationReport:
     families = 25 if cfg.samples is None else cfg.samples
     order = 4 if cfg.order is None else cfg.order
     rep = _report(cfg, "dyson", order)
-    use_float = cfg.backend == FLOAT
+    root = SampleSource(cfg.seed, cfg.backend)
 
     worst = {"direct": F(0), "tridendriform": F(0)}
-    src = SampleSource(cfg.seed).split("dyson:families")
+    src = root.split("dyson:families")
     for k in range(families):
         fam = _sampled_family(src, max_sites, dim, k)
-        if use_float:
-            fam = fam.to_float()
         mono = monodromy(fam, order)
         for method in ("direct", "tridendriform"):
             terms = dyson_terms(fam, order, method=method)
@@ -273,12 +280,10 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
     dim = 2 if cfg.dim is None else cfg.dim
     order = 4 if cfg.order is None else cfg.order
     rep = _report(cfg, "magnus", order)
-    use_float = cfg.backend == FLOAT
+    root = SampleSource(cfg.seed, cfg.backend)
 
     if cfg.sites == 0:
         fam = SiteOperatorFamily(0, {}, like=Matrix.identity(dim))
-        if use_float:
-            fam = fam.to_float()
         mono = monodromy(fam, order)
         q = magnus_oracle(fam, order)
         defect = max(
@@ -296,11 +301,9 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
     families = 25 if cfg.samples is None else cfg.samples
 
     worst = F(0)
-    src = SampleSource(cfg.seed).split("magnus:round-trip")
+    src = root.split("magnus:round-trip")
     for k in range(families):
         fam = _sampled_family(src, max_sites, dim, k)
-        if use_float:
-            fam = fam.to_float()
         q = magnus_oracle(fam, order)
         series = AlphaSeries.from_parts(
             order, {m: q[m - 1] for m in range(1, order + 1)}, like=fam.like
@@ -312,9 +315,8 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
         defect=worst, families=families, max_sites=max_sites, order=order,
     )
 
-    scalar = SiteOperatorFamily(2, {(1, 1): F(1), (2, 1): F(1)}, like=F(1))
-    if use_float:
-        scalar = scalar.to_float()
+    one = root.cast(F(1))
+    scalar = SiteOperatorFamily(2, {(1, 1): one, (2, 1): one}, like=one)
     q = magnus_oracle(scalar, 3)
     expected = [2, -1, F(2, 3)]
     defect = max(max_abs(q[m] - expected[m]) for m in range(3))
@@ -329,21 +331,19 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
     # row is gated by the pre-Lie match.
     styles = {"prelie": F(0), "explicit": F(0)}
     offending = []
-    src = SampleSource(cfg.seed).split("magnus:closed-forms")
+    src = root.split("magnus:closed-forms")
     cases = []
     for k in range(families):
         cases.append(_sampled_family(src, max_sites, dim, k))
     for k in range(families):
-        p = src.nonzero_fraction()
+        p = root.cast(src.nonzero_fraction())
         n = src.integer(1, 4)
         entries = {(s, 1): p for s in range(1, n + 1)}
         direction = FORWARD if k % 2 == 0 else BACKWARD
         cases.append(
-            SiteOperatorFamily(n, entries, direction=direction, like=F(1))
+            SiteOperatorFamily(n, entries, direction=direction, like=one)
         )
     for fam in cases:
-        if use_float:
-            fam = fam.to_float()
         for style in styles:
             for degree, res in closed_form_defects(fam, order=3, style=style):
                 d = max_abs(res)
@@ -372,19 +372,15 @@ def brace_suite(cfg: SuiteConfig) -> VerificationReport:
     pairs = 25 if cfg.samples is None else cfg.samples
     order = 4 if cfg.order is None else cfg.order
     rep = _report(cfg, "brace", order)
-    use_float = cfg.backend == FLOAT
+    root = SampleSource(cfg.seed, cfg.backend)
 
     zero_seq = SiteSequence([Matrix.zeros(dim) for _ in range(sites)])
-    if use_float:
-        zero_seq = zero_seq.to_float()
 
     def element(src):
         comps = {d: src.sequence(sites, dim) for d in (1, 2)}
-        if use_float:
-            comps = {d: s.to_float() for d, s in comps.items()}
         return GradedPreLieElement(order, comps, prelie_left, like=zero_seq)
 
-    src = SampleSource(cfg.seed).split("brace:flow-inverse")
+    src = root.split("brace:flow-inverse")
     worst = F(0)
     for _ in range(pairs):
         a = element(src)
@@ -396,7 +392,7 @@ def brace_suite(cfg: SuiteConfig) -> VerificationReport:
         defect=worst, elements=pairs, degree=order,
     )
 
-    src = SampleSource(cfg.seed).split("brace:left-law")
+    src = root.split("brace:left-law")
     worst = F(0)
     for _ in range(pairs):
         a, b, c = element(src), element(src), element(src)
@@ -407,7 +403,7 @@ def brace_suite(cfg: SuiteConfig) -> VerificationReport:
         defect=worst, triples=pairs, degree=order,
     )
 
-    src = SampleSource(cfg.seed).split("brace:flow-composition")
+    src = root.split("brace:flow-composition")
     worst_flow = F(0)
     worst_assoc = F(0)
     for _ in range(pairs):
@@ -429,10 +425,10 @@ def brace_suite(cfg: SuiteConfig) -> VerificationReport:
 
 
 def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
-    dims = [2, 3] if cfg.dim is None else [cfg.dim]
-    sites = 4 if cfg.sites is None else cfg.sites
-    rep = _report(cfg, "yangian", 3 if cfg.order is None else cfg.order)
-    use_float = cfg.backend == FLOAT
+    dims = [2, 3] if cfg.dim is None else [_at_least("dim", cfg.dim, 2, "yangian")]
+    sites = 4 if cfg.sites is None else _at_least("sites", cfg.sites, 1, "yangian")
+    rep = _report(cfg, "yangian")
+    root = SampleSource(cfg.seed, cfg.backend)
 
     def triples(src, count, distinct):
         out = []
@@ -444,14 +440,12 @@ def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
         return out
 
     for dim in dims:
-        r = yangian_r(dim)
-        rc = classical_r(dim)
-        lax = fundamental_lax(dim)
-        geo = geometric_lax(dim, 3)
-        if use_float:
-            r, rc, lax, geo = r.to_float(), rc.to_float(), lax.to_float(), geo.to_float()
+        r = root.cast(yangian_r(dim))
+        rc = root.cast(classical_r(dim))
+        lax = root.cast(fundamental_lax(dim))
+        geo = root.cast(geometric_lax(dim, 3))
 
-        src = SampleSource(cfg.seed).split(f"yangian:ybe:{dim}")
+        src = root.split(f"yangian:ybe:{dim}")
         worst = F(0)
         for lams in triples(src, 10, distinct=False):
             worst = max(worst, max_abs(ybe_residual(r, *lams, dim)))
@@ -461,7 +455,7 @@ def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
             defect=worst, dim=dim, triples=10,
         )
 
-        src = SampleSource(cfg.seed).split(f"yangian:classical:{dim}")
+        src = root.split(f"yangian:classical:{dim}")
         worst = F(0)
         for lams in triples(src, 10, distinct=True):
             worst = max(worst, max_abs(classical_ybe_residual(rc, *lams, dim)))
@@ -571,25 +565,23 @@ def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
 
 
 def boundary_suite(cfg: SuiteConfig) -> VerificationReport:
-    sites = 3 if cfg.sites is None else max(cfg.sites, 1)
+    sites = 3 if cfg.sites is None else _at_least("sites", cfg.sites, 1, "boundary")
     dim = 2 if cfg.dim is None else cfg.dim
     problems = 25 if cfg.samples is None else cfg.samples
     order = 3 if cfg.order is None else cfg.order
     rep = _report(cfg, "boundary", order)
-    use_float = cfg.backend == FLOAT
+    root = SampleSource(cfg.seed, cfg.backend)
 
     gauge_count = problems // 2
     reflect_count = max(1, problems // 5)
     plain_count = max(problems - gauge_count - reflect_count, 1)
 
-    src = SampleSource(cfg.seed).split("boundary:gauge")
+    src = root.split("boundary:gauge")
     worst = F(0)
     for _ in range(gauge_count):
         fwd = src.matrix_family(sites, (1, 2), size=dim)
         tgt = src.matrix_family(sites, (1, 2), size=dim)
         g1 = src.invertible_matrix(dim)
-        if use_float:
-            fwd, tgt, g1 = fwd.to_float(), tgt.to_float(), g1.to_float()
         worst = max(worst, gauge_solve(GaugeProblem(fwd, tgt, g1, order)).max_abs())
     rep.add(
         "gauge-difference-equation",
@@ -597,7 +589,7 @@ def boundary_suite(cfg: SuiteConfig) -> VerificationReport:
         defect=worst, problems=gauge_count, sites=sites, order=order,
     )
 
-    src = SampleSource(cfg.seed).split("boundary:double-row")
+    src = root.split("boundary:double-row")
     worst = F(0)
     for k in range(plain_count):
         fwd = src.matrix_family(sites, (1, 2), size=dim)
@@ -609,8 +601,6 @@ def boundary_suite(cfg: SuiteConfig) -> VerificationReport:
             boundary = AlphaSeries.from_parts(
                 order, {0: k0, 1: src.matrix(dim)}, like=Matrix.identity(dim)
             )
-        if use_float:
-            fwd, bwd, boundary = fwd.to_float(), bwd.to_float(), to_float(boundary)
         worst = max(worst, double_row_monodromy(
             BoundaryProblem(fwd, bwd, boundary, order)).max_abs())
     rep.add(
@@ -619,17 +609,13 @@ def boundary_suite(cfg: SuiteConfig) -> VerificationReport:
         defect=worst, problems=plain_count, sites=sites, order=order,
     )
 
-    src = SampleSource(cfg.seed).split("boundary:reflection")
+    src = root.split("boundary:reflection")
     worst = F(0)
     involution_worst = F(0)
     for _ in range(reflect_count):
         fwd = src.matrix_family(sites, (1,), size=dim)
-        if use_float:
-            fwd = fwd.to_float()
         bwd = reflection_hat(fwd, order)
         k0 = src.invertible_matrix(dim)
-        if use_float:
-            k0 = k0.to_float()
         worst = max(worst, double_row_monodromy(
             BoundaryProblem(fwd, bwd, k0, order)).max_abs())
         back = reflection_hat(bwd, order)

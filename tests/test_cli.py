@@ -145,12 +145,20 @@ class TestVerifyCommand:
         ["rota-baxter", "--dim", "0"],
         ["boundary", "--order", "0"],
         ["magnus", "--sites", "-1"],
+        ["rota-baxter", "--order", "5"],
+        ["tridendriform", "--order", "2"],
+        ["prelie", "--order", "7"],
+        ["yangian", "--order", "3"],
+        ["boundary", "--sites", "0"],
+        ["yangian", "--sites", "0"],
+        ["yangian", "--dim", "1"],
     ])
     def test_sizes_below_minimum_are_usage_errors(self, capsys, argv):
+        # also covers --order on the suites that read no order
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
-        assert "must be at least" in err
+        assert err.startswith(f"error: {argv[1][2:]} ")
 
     def test_float_backend_passes_at_default_tolerance(self, capsys):
         code, out, _ = run_cli(
@@ -271,6 +279,14 @@ class TestLimitCommand:
         )
         assert code == 2
         assert "error:" in err
+
+    def test_step_not_dividing_interval_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "limit", "field:poly(X+x*Y;dim=2)", "--deltas", "2/5,1/5,1/10"
+        )
+        assert code == 2
+        assert out == ""
+        assert "delta 2/5 does not divide" in err
 
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--backend", "float"], ["--tolerance", "5"],
                                       ["--order", "2"], ["--json"]])

@@ -214,6 +214,8 @@ class TestDiscretize:
             discretize(field, 0)
         with pytest.raises(AlgebraError):
             discretize(field, 2)
+        with pytest.raises(AlgebraError):
+            discretize(field, F(2, 5))
 
 
 class TestConvergence:

@@ -1,0 +1,122 @@
+"""The sample source: one seeded stream, drawn in the suite's backend.
+
+A float source must draw exactly the values an exact source of the same
+seed draws, converted to float, and must consume the stream identically;
+free letters stay exact.  Every suite row labelled exact must then carry an
+exact defect on both backends, so no float leaks into an exact check.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from ordexp import FreeElement, Matrix, Poly, SiteOperatorFamily, SiteSequence, SuiteConfig
+from ordexp.report import EXACT, FLOAT
+from ordexp.sampling import SampleSource
+from ordexp.suites import SUITES
+
+
+def leaves(x):
+    """Every scalar coefficient of a drawn value, in a fixed order."""
+    if isinstance(x, Matrix):
+        return [v for row in x.data for v in row]
+    if isinstance(x, SiteSequence):
+        return [v for s in x.values for v in leaves(s)]
+    if isinstance(x, SiteOperatorFamily):
+        return [v for key in sorted(x.entries) for v in leaves(x.entries[key])]
+    if isinstance(x, Poly):
+        return [x.coeffs[d] for d in sorted(x.coeffs)]
+    if isinstance(x, FreeElement):
+        return [x.terms[w] for w in sorted(x.terms)]
+    return [x]
+
+
+def shape(x):
+    """What a drawn value is, apart from its coefficients."""
+    if isinstance(x, SiteOperatorFamily):
+        return (x.n_sites, x.direction, sorted(x.entries), x.like)
+    if isinstance(x, SiteSequence):
+        return len(x.values)
+    if isinstance(x, Poly):
+        return sorted(x.coeffs)
+    if isinstance(x, Matrix):
+        return (x.rows, x.cols)
+    return None
+
+
+DRAWS = [
+    ("matrix", (3, 2)),
+    ("invertible_matrix", (2, 1)),
+    ("sequence", (3, 2)),
+    ("matrix_family", (3, (1, 3), 2)),
+    ("poly", (4,)),
+]
+
+
+@pytest.mark.parametrize("method,args", DRAWS)
+@pytest.mark.parametrize("seed", [1, 7, 2**64 - 1])
+def test_float_source_draws_the_exact_values_converted(method, args, seed):
+    exact = SampleSource(seed).split("child").split(method)
+    flt = SampleSource(seed, FLOAT).split("child").split(method)
+    assert flt.backend == FLOAT
+    for _ in range(5):
+        want = getattr(exact, method)(*args)
+        got = getattr(flt, method)(*args)
+        assert type(got) is type(want)
+        assert shape(got) == shape(want)
+        assert all(not isinstance(v, float) for v in leaves(want))
+        assert all(isinstance(v, float) for v in leaves(got))
+        assert leaves(got) == [float(v) for v in leaves(want)]
+    assert flt._rng.getstate() == exact._rng.getstate()
+
+
+def test_invertible_matrix_rejects_exact_draws_alike(monkeypatch):
+    tested = {EXACT: [], FLOAT: []}
+    original = Matrix.inverse
+    backend = EXACT
+
+    def counted(self):
+        tested[backend].append(self.is_exact())
+        return original(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    draws = 20
+    for backend in (EXACT, FLOAT):
+        src = SampleSource(3, backend).split("invertible")
+        for _ in range(draws):
+            # 1x1 entries in {-1, 0, 1}: about a third of the draws are singular
+            src.invertible_matrix(1, 1)
+    assert len(tested[EXACT]) > draws
+    assert tested[FLOAT] == tested[EXACT]
+    assert all(tested[FLOAT])
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_free_sequence_is_exact_on_both_backends(backend):
+    want = SampleSource(5).split("free").free_sequence(3, "a")
+    got = SampleSource(5, backend).split("free").free_sequence(3, "a")
+    assert got == want
+    assert all(isinstance(v, Fraction) for v in leaves(got))
+
+
+def test_cast_converts_only_on_the_float_backend():
+    m = Matrix([[1, Fraction(1, 2)], [0, 3]])
+    assert SampleSource(1).cast(m) is m
+    assert SampleSource(1, FLOAT).cast(m) == m.to_float()
+    assert isinstance(SampleSource(1, FLOAT).cast(Fraction(1, 3)), float)
+
+
+def _small(name):
+    if name == "yangian":
+        return {"dim": 2, "sites": 1}
+    return {"dim": 2, "sites": 2, "samples": 2}
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_exact_rows_have_exact_defects(name, backend):
+    report = SUITES[name](SuiteConfig(seed=2, backend=backend, **_small(name)))
+    exact_rows = [c for c in report.cases if c.backend == EXACT]
+    assert exact_rows or backend == FLOAT
+    for case in exact_rows:
+        assert not isinstance(case.defect, float), case.case_id
