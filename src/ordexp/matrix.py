@@ -1,9 +1,15 @@
 """Dense matrices over exact rationals (or floats) plus tensor-leg utilities.
 
-Entries stay whatever numeric type they were given (int, Fraction, float); int
-and Fraction mix exactly, and any float entry marks the matrix as inexact.
-Products skip zero entries, which keeps the many permutation-shaped operators
-in the tensor-product checks cheap without a sparse type.
+An exact matrix (every entry an int or a Fraction) is stored as integer
+numerators `num` over one positive denominator `den`, reduced so that
+`gcd(den, *num) == 1`; that form is unique, so equality is a comparison of
+integers, and every operation runs on plain ints with one gcd reduction per
+result.  `data` gives the entries back: ints when `den == 1`, otherwise a
+Fraction each.  A matrix with any float entry keeps the entries it was given
+in `num` and has `den = None`; an operation with such an operand works on
+the entries of both operands, exactly as int and Fraction mix with float.
+Products skip zero entries, which keeps the many permutation-shaped
+operators in the tensor-product checks cheap without a sparse type.
 
 Tensor convention used everywhere: a state of `total` factors, each of local
 dimension `dim`, is indexed lexicographically with slot 0 slowest. Slot 0 is
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
+from math import gcd, lcm
 
 from .errors import DimensionMismatch, SingularOperator
 
@@ -23,7 +30,7 @@ SCALARS = (int, Fraction, float)
 
 
 class Matrix:
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, data):
         data = tuple(tuple(row) for row in data)
@@ -34,34 +41,58 @@ class Matrix:
             raise DimensionMismatch("ragged rows")
         self.rows = len(data)
         self.cols = w
-        self.data = data
+        if any(isinstance(x, float) for row in data for x in row):
+            self.num, self.den = data, None
+            return
+        try:
+            den = lcm(*(x.denominator for row in data for x in row))
+        except AttributeError:
+            raise TypeError("matrix entries must be int, Fraction or float") from None
+        # Reduced fractions over the lcm of their denominators share no factor with it.
+        self.num = [[x.numerator * (den // x.denominator) for x in row] for row in data]
+        self.den = den
+
+    @property
+    def data(self) -> tuple:
+        """The entries, row by row: ints when `den == 1`, otherwise Fractions."""
+        return tuple(map(tuple, self._entries()))
+
+    def _entries(self):
+        """Rows of entries, for the code that mixes exact and float operands."""
+        den = self.den
+        if den is None or den == 1:
+            return self.num
+        return [[Fraction(x, den) for x in row] for row in self.num]
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return _wrap([[1 if i == j else 0 for j in range(n)] for i in range(n)], 1)
 
     @staticmethod
     def zeros(rows: int, cols: int | None = None) -> "Matrix":
         cols = rows if cols is None else cols
-        return Matrix([[0] * cols for _ in range(rows)])
+        return _wrap([[0] * cols for _ in range(rows)], 1)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_exact(self) -> bool:
-        return not any(isinstance(x, float) for row in self.data for x in row)
+        return self.den is not None
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(map(any, self.num))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and all(
-            a == b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb)
-        )
+        if self.rows != other.rows or self.cols != other.cols:
+            return False
+        if self.den is not None and other.den is not None:
+            return self.den == other.den and self.num == other.num
+        return all(a == b for ra, rb in zip(self._entries(), other._entries()) for a, b in zip(ra, rb))
 
     def __hash__(self):
+        # Hashing the entries keeps equal exact and float matrices hashing alike.
         return hash((self.rows, self.cols, self.data))
 
     def _same_shape(self, other: "Matrix"):
@@ -72,36 +103,56 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other)
-        return Matrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
+        if self.den is None or other.den is None:
+            return _from_entries([[a + b for a, b in zip(ra, rb)]
+                                  for ra, rb in zip(self._entries(), other._entries())])
+        na, nb, den = _common(self, other)
+        return _reduced([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(na, nb)], den)
 
     def __sub__(self, other) -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other)
-        return Matrix([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
+        if self.den is None or other.den is None:
+            return _from_entries([[a - b for a, b in zip(ra, rb)]
+                                  for ra, rb in zip(self._entries(), other._entries())])
+        na, nb, den = _common(self, other)
+        return _reduced([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(na, nb)], den)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.data])
+        if self.den is None:
+            return _from_entries([[-a for a in row] for row in self.num])
+        return _wrap([[-a for a in row] for row in self.num], self.den)
 
     def __mul__(self, other) -> "Matrix":
         if isinstance(other, SCALARS):
-            return Matrix([[a * other for a in row] for row in self.data])
+            den = self.den
+            if den is None or isinstance(other, float):
+                return _from_entries([[a * other for a in row] for row in self._entries()])
+            if isinstance(other, int):
+                # gcd(den, *num) == 1, so gcd(den, other) is all that cancels.
+                g = gcd(den, other)
+                f = other // g
+                return _wrap([[a * f for a in row] for row in self.num], den // g)
+            p = other.numerator
+            return _reduced([[a * p for a in row] for row in self.num], den * other.denominator)
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        bdata = other.data
-        out = [[0] * other.cols for _ in range(self.rows)]
-        for i, arow in enumerate(self.data):
-            orow = out[i]
-            for k, aik in enumerate(arow):
-                if not aik:
-                    continue
-                brow = bdata[k]
-                for j, bkj in enumerate(brow):
-                    if bkj:
-                        orow[j] = orow[j] + aik * bkj
-        return Matrix(out)
+        exact = self.den is not None and other.den is not None
+        adata, bdata = (self.num, other.num) if exact else (self._entries(), other._entries())
+        cols = other.cols
+        out = []
+        for arow in adata:
+            orow = [0] * cols
+            for aik, brow in zip(arow, bdata):
+                if aik:
+                    for j, bkj in enumerate(brow):
+                        if bkj:
+                            orow[j] += aik * bkj
+            out.append(orow)
+        return _reduced(out, self.den * other.den) if exact else _from_entries(out)
 
     def __rmul__(self, other) -> "Matrix":
         if isinstance(other, SCALARS):
@@ -113,18 +164,23 @@ class Matrix:
             raise DimensionMismatch("trace of a non-square matrix")
         t = 0
         for i in range(self.rows):
-            t = t + self.data[i][i]
-        return t
+            t = t + self.num[i][i]
+        den = self.den
+        return t if den is None or den == 1 else Fraction(t, den)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.data)))
+        if self.den is None:
+            return _from_entries(list(zip(*self.num)))
+        return _wrap([list(col) for col in zip(*self.num)], self.den)
 
     def kron(self, other: "Matrix") -> "Matrix":
+        exact = self.den is not None and other.den is not None
+        adata, bdata = (self.num, other.num) if exact else (self._entries(), other._entries())
         out = []
-        for ra in self.data:
-            for rb in other.data:
+        for ra in adata:
+            for rb in bdata:
                 out.append([a * b for a in ra for b in rb])
-        return Matrix(out)
+        return _reduced(out, self.den * other.den) if exact else _from_entries(out)
 
     def inverse(self) -> "Matrix":
         """Gauss-Jordan inverse; exact when the entries are exact."""
@@ -163,16 +219,69 @@ class Matrix:
         return Matrix([row[n:] for row in aug])
 
     def max_abs(self):
-        return max(abs(x) for row in self.data for x in row)
+        """Largest absolute entry; a Fraction whenever the matrix is exact."""
+        if self.den is None:
+            return max(abs(x) for row in self.num for x in row)
+        return Fraction(max(abs(x) for row in self.num for x in row), self.den)
 
     def to_float(self) -> "Matrix":
-        return Matrix([[float(x) for x in row] for row in self.data])
+        den = self.den
+        if den is None:
+            return _from_entries([[float(x) for x in row] for row in self.num])
+        # int true division rounds correctly, as float(Fraction) does.
+        return _from_entries([[x / den for x in row] for row in self.num])
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.data) + "]"
 
     def __repr__(self) -> str:
         return f"Matrix({self})"
+
+
+def _wrap(num: list, den) -> Matrix:
+    """A matrix over rows it takes as they are: reduced integer numerators
+    over `den`, or, when `den` is None, entries of which one is a float."""
+    m = object.__new__(Matrix)
+    m.rows = len(num)
+    m.cols = len(num[0])
+    m.num = num
+    m.den = den
+    return m
+
+
+def _reduced(num: list, den: int) -> Matrix:
+    """An exact matrix from integer rows over a positive denominator, reduced by their gcd."""
+    if den != 1:
+        g = den
+        for row in num:
+            g = gcd(g, *row)
+            if g == 1:
+                break
+        if g != 1:
+            num = [[x // g for x in row] for row in num]
+            den //= g
+    return _wrap(num, den)
+
+
+def _from_entries(rows: list) -> Matrix:
+    """A matrix from computed rows of equal length: float storage if any entry is a float."""
+    for row in rows:
+        for x in row:
+            if isinstance(x, float):
+                return _wrap(rows, None)
+    return Matrix(rows)
+
+
+def _common(a: Matrix, b: Matrix) -> tuple:
+    """The numerators of two exact matrices over their least common denominator."""
+    da, db = a.den, b.den
+    if da == db:
+        return a.num, b.num, da
+    g = gcd(da, db)
+    fa, fb = db // g, da // g
+    na = a.num if fa == 1 else [[x * fa for x in row] for row in a.num]
+    nb = b.num if fb == 1 else [[x * fb for x in row] for row in b.num]
+    return na, nb, da * fa
 
 
 def commutator(a, b):
@@ -207,7 +316,7 @@ def kron_embed(op: Matrix, slots: tuple[int, ...], total: int, dim: int) -> Matr
     rest_count = len(others)
     for i in range(op.rows):
         idig = local_digits(i)
-        row = op.data[i]
+        row = op.num[i]
         for j in range(op.cols):
             v = row[j]
             if not v:
@@ -218,7 +327,8 @@ def kron_embed(op: Matrix, slots: tuple[int, ...], total: int, dim: int) -> Matr
             for rest in iproduct(range(dim), repeat=rest_count):
                 off = sum(d * weight[s] for d, s in zip(rest, others))
                 out[base_r + off][base_c + off] = v
-    return Matrix(out)
+    # The same nonzero numerators over the same denominator: still reduced.
+    return _from_entries(out) if op.den is None else _wrap(out, op.den)
 
 
 def permutation_op(dim: int) -> Matrix:
@@ -228,7 +338,7 @@ def permutation_op(dim: int) -> Matrix:
     for a in range(dim):
         for b in range(dim):
             out[a * dim + b][b * dim + a] = 1
-    return Matrix(out)
+    return _wrap(out, 1)
 
 
 def partial_trace_first(m: Matrix, dim: int) -> Matrix:
@@ -239,13 +349,13 @@ def partial_trace_first(m: Matrix, dim: int) -> Matrix:
     out = [[0] * b for _ in range(b)]
     for i in range(dim):
         for r in range(b):
-            mr = m.data[i * b + r]
+            mr = m.num[i * b + r]
             orow = out[r]
             for c in range(b):
                 v = mr[i * b + c]
                 if v:
                     orow[c] = orow[c] + v
-    return Matrix(out)
+    return _from_entries(out) if m.den is None else _reduced(out, m.den)
 
 
 def aux_block(m: Matrix, a: int, b: int, dim: int) -> Matrix:
@@ -253,4 +363,5 @@ def aux_block(m: Matrix, a: int, b: int, dim: int) -> Matrix:
     if m.rows != m.cols or m.rows % dim:
         raise DimensionMismatch("matrix size not divisible by the block dimension")
     s = m.rows // dim
-    return Matrix([row[b * s:(b + 1) * s] for row in m.data[a * s:(a + 1) * s]])
+    block = [row[b * s:(b + 1) * s] for row in m.num[a * s:(a + 1) * s]]
+    return _from_entries(block) if m.den is None else _reduced(block, m.den)

@@ -38,7 +38,7 @@ from .expansion import (
 )
 from .matrix import Matrix
 from .ops import max_abs
-from .report import EXACT, VerificationReport
+from .report import EXACT, FLOAT, VerificationReport
 from .rotabaxter import (
     IntegralOp,
     PartialSumOp,
@@ -82,14 +82,17 @@ F = Fraction
 class SuiteConfig:
     """Size and backend knobs shared by every suite; None means default.
 
-    Sizes are checked here, once: order, dim and samples must be at least
-    1 and sites at least 0, so no suite swaps a bad value for its default.
+    Flags are checked here, once: the backend must be exact or float, and
+    order, dim and samples must be at least 1 and sites at least 0, so no
+    suite swaps a bad value for its default.
     """
 
     __slots__ = ("seed", "backend", "tolerance", "order", "sites", "dim", "samples")
 
     def __init__(self, seed=1, backend=EXACT, tolerance=1e-10, order=None,
                  sites=None, dim=None, samples=None):
+        if backend not in (EXACT, FLOAT):
+            raise AlgebraError(f"backend must be {EXACT} or {FLOAT}, got {backend!r}")
         for name, value, low in (("order", order, 1), ("dim", dim, 1),
                                  ("samples", samples, 1), ("sites", sites, 0)):
             if value is not None and value < low:

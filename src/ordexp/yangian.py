@@ -417,18 +417,15 @@ def q_generators_and_relations(series, dim: int) -> tuple[dict, dict]:
     size = q[1][0][0].rows
     zero = Matrix.zeros(size)
 
-    def q1sq(a, b):
-        total = zero
-        for x in range(dim):
-            total = total + q[1][a][x] * q[1][x][b]
-        return total
-
-    def q1cube(a, b):
-        total = zero
-        for x in range(dim):
-            for y in range(dim):
-                total = total + q[1][a][x] * q[1][x][y] * q[1][y][b]
-        return total
+    # Block tables of q1^2 and q1^3, built once for the dim^4 loop below.
+    q1sq = [[zero] * dim for _ in range(dim)]
+    q1cube = [[zero] * dim for _ in range(dim)]
+    for a in range(dim):
+        for b in range(dim):
+            for x in range(dim):
+                q1sq[a][b] = q1sq[a][b] + q[1][a][x] * q[1][x][b]
+                for y in range(dim):
+                    q1cube[a][b] = q1cube[a][b] + q[1][a][x] * q[1][x][y] * q[1][y][b]
 
     fam1 = Fraction(0)
     fam2 = Fraction(0)
@@ -454,12 +451,12 @@ def q_generators_and_relations(series, dim: int) -> tuple[dict, dict]:
                         commutator(q[2][i][j], q[2][k][l])
                         - q[3][k][j] * _delta(i, l)
                         + q[3][i][l] * _delta(k, j)
-                        + q[1][k][j] * q1sq(i, l) * Fraction(1, 4)
-                        - q1sq(k, j) * q[1][i][l] * Fraction(1, 4)
+                        + q[1][k][j] * q1sq[i][l] * Fraction(1, 4)
+                        - q1sq[k][j] * q[1][i][l] * Fraction(1, 4)
                     )
                     twelfth = (
-                        q1cube(i, l) * _delta(k, j)
-                        - q1cube(k, j) * _delta(i, l)
+                        q1cube[i][l] * _delta(k, j)
+                        - q1cube[k][j] * _delta(i, l)
                     ) * Fraction(1, 12)
                     fam3_literal = max(fam3_literal, (base - twelfth).max_abs())
                     fam3_swapped = max(fam3_swapped, (base + twelfth).max_abs())

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from ordexp import SuiteConfig
 from ordexp.cli import SpecError, main, parse_family_spec, parse_field_spec
+from ordexp.errors import AlgebraError
 from ordexp.matrix import Matrix
 
 CSV_HEADER = "delta,err_q1,err_q2,err_q3,rate_q1,rate_q2,rate_q3"
@@ -159,6 +161,12 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {argv[1][2:]} ")
+
+    @pytest.mark.parametrize("backend", ["Float", "EXACT", "numpy", ""])
+    def test_suite_config_rejects_unknown_backend(self, backend):
+        # the CLI's choices keep these out; the library API must too
+        with pytest.raises(AlgebraError, match="backend must be exact or float"):
+            SuiteConfig(backend=backend, samples=1)
 
     def test_float_backend_passes_at_default_tolerance(self, capsys):
         code, out, _ = run_cli(

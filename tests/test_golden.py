@@ -1,28 +1,42 @@
-"""Byte identity: seed-1 reports match the digests committed with the benchmark.
+"""Byte identity: seed-1 outputs match the digests committed with the benchmark.
 
 `perfbench/golden/seed1.json` holds the SHA-256 of each suite's
-`to_text() + "\\n" + to_json()` at seed 1 and default sizes.  The float
-suites and the five light exact suites are rechecked here; brace, yangian
-and tridendriform on the exact backend take too long for this tier, and the
-benchmark's own golden check covers them.
+`to_text() + "\\n" + to_json()` at seed 1 and default sizes, on both
+backends, and of the standard output of each `ordexp expand` / `ordexp
+limit` command line of the benchmark's expand workload at seed 1.  Every
+one of them is rechecked here.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 from ordexp import SuiteConfig, run_suite
+from ordexp.cli import main
 
 GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "seed1.json").read_text())
-LIGHT_EXACT = ("rota-baxter", "prelie", "dyson", "magnus", "boundary")
-CASES = [("exact", row) for row in GOLDEN["verify-exact"] if row["label"] in LIGHT_EXACT]
+CASES = [("exact", row) for row in GOLDEN["verify-exact"]]
 CASES += [("float", row) for row in GOLDEN["verify-float"]]
+COMMANDS = list(enumerate(GOLDEN["expand"]))
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("backend,row", CASES, ids=[f"{b}-{r['label']}" for b, r in CASES])
 def test_seed1_report_matches_golden_digest(backend, row):
     report = run_suite(row["label"], SuiteConfig(seed=1, backend=backend))
-    text = report.to_text() + "\n" + report.to_json()
-    assert hashlib.sha256(text.encode()).hexdigest() == row["sha256"]
+    assert sha256(report.to_text() + "\n" + report.to_json()) == row["sha256"]
+
+
+@pytest.mark.parametrize("index,row", COMMANDS, ids=[f"{i:03d}-{r['label']}" for i, r in COMMANDS])
+def test_seed1_command_output_matches_golden_digest(index, row):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(list(row["argv"]))
+    assert sha256(out.getvalue()) == row["sha256"]

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordexp.errors import DimensionMismatch, SingularOperator
 from ordexp.matrix import (
@@ -27,6 +30,13 @@ def test_constructor_rejects_bad_shapes():
         Matrix([])
     with pytest.raises(DimensionMismatch):
         Matrix([[1, 2], [3]])
+
+
+def test_constructor_rejects_non_numeric_entries():
+    with pytest.raises(TypeError):
+        Matrix([[1, 1j]])
+    with pytest.raises(TypeError):
+        Matrix([["1"]])
 
 
 def test_equality_and_hash():
@@ -201,3 +211,259 @@ def test_aux_block_reads_slot_zero_blocks():
 def test_aux_block_shape_check():
     with pytest.raises(DimensionMismatch):
         aux_block(Matrix.identity(3), 0, 0, 2)
+
+
+# -- properties against a plain-Fraction reference -------------------------------
+#
+# The reference works on lists of int/Fraction/float entries with the
+# per-entry arithmetic `Matrix` used before it stored integer numerators over
+# one denominator; every exact result must match it entry for entry, and
+# every float result bit for bit.
+
+
+def ref_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_mul(a, b):
+    out = [[0] * len(b[0]) for _ in a]
+    for i, arow in enumerate(a):
+        for k, x in enumerate(arow):
+            if x:
+                for j, y in enumerate(b[k]):
+                    if y:
+                        out[i][j] = out[i][j] + x * y
+    return out
+
+
+def ref_scale(a, s):
+    return [[x * s for x in row] for row in a]
+
+
+def ref_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def ref_embed(op, slots, total, dim):
+    def digits(i):
+        return [(i // dim ** (total - 1 - s)) % dim for s in range(total)]
+
+    def local(d):
+        idx = 0
+        for s in slots:
+            idx = idx * dim + d[s]
+        return idx
+
+    size = dim ** total
+    out = [[0] * size for _ in range(size)]
+    for r in range(size):
+        dr = digits(r)
+        for c in range(size):
+            dc = digits(c)
+            if all(dr[s] == dc[s] for s in range(total) if s not in slots):
+                out[r][c] = op[local(dr)][local(dc)]
+    return out
+
+
+def ref_partial_trace(a, dim):
+    b = len(a) // dim
+    return [[sum(a[i * b + r][i * b + c] for i in range(dim)) for c in range(b)] for r in range(b)]
+
+
+def ref_det(a):
+    rows = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            f = rows[r][col] / rows[col][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def ref_str(a):
+    return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in a) + "]"
+
+
+def assert_exact(m, ref):
+    """`m` is exact, canonically stored, and holds the reference's values."""
+    assert m.is_exact()
+    assert m.den > 0
+    assert all(type(x) is int for row in m.num for x in row)
+    assert gcd(m.den, *(x for row in m.num for x in row)) == 1
+    assert all(type(x) in (int, Fraction) for row in m.data for x in row)
+    assert [list(row) for row in m.data] == ref
+
+
+def assert_bits(m, ref):
+    """`m` holds the reference's entries with the same types and float bits."""
+    assert [[repr(x) for x in row] for row in m.data] == [[repr(x) for x in row] for row in ref]
+
+
+zero_heavy = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6),
+)
+floats = st.floats(min_value=-8, max_value=8, allow_nan=False, allow_infinity=False)
+sizes = st.integers(1, 5)
+exact_scalars = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=12),
+)
+
+
+def grid(rows, cols, entries=zero_heavy):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def same_shape(draw, second=zero_heavy):
+    n, m = draw(sizes), draw(sizes)
+    return draw(grid(n, m)), draw(grid(n, m, second))
+
+
+@st.composite
+def chain(draw, second=zero_heavy):
+    n, k, m = draw(sizes), draw(sizes), draw(sizes)
+    return draw(grid(n, k)), draw(grid(k, m, second))
+
+
+@st.composite
+def square(draw, max_size=5):
+    n = draw(st.integers(1, max_size))
+    return draw(grid(n, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(same_shape())
+def test_prop_add_sub_neg(ab):
+    a, b = ab
+    ma, mb = Matrix(a), Matrix(b)
+    assert_exact(ma + mb, ref_add(a, b))
+    assert_exact(ma - mb, ref_sub(a, b))
+    assert_exact(-ma, ref_scale(a, -1))
+    assert_exact(ma, ref_scale(a, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain())
+def test_prop_product(ab):
+    a, b = ab
+    assert_exact(Matrix(a) * Matrix(b), ref_mul(a, b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(same_shape(), exact_scalars, floats)
+def test_prop_scaling(ab, s, f):
+    a = ab[0]
+    m = Matrix(a)
+    assert_exact(m * s, ref_scale(a, s))
+    assert_exact(s * m, ref_scale(a, s))
+    assert_bits(m * f, ref_scale(a, f))
+    assert_bits(f * m, ref_scale(a, f))
+
+
+@settings(max_examples=40, deadline=None)
+@given(same_shape())
+def test_prop_kron_transpose_trace(ab):
+    a, b = ab
+    ma, mb = Matrix(a), Matrix(b)
+    assert_exact(ma.kron(mb), ref_kron(a, b))
+    assert_exact(ma.transpose(), [list(col) for col in zip(*a)])
+    sq = Matrix(ref_mul(a, [list(col) for col in zip(*a)]))
+    assert sq.trace() == sum(x * x for row in a for x in row)
+    assert not isinstance(sq.trace(), float)
+
+
+@settings(max_examples=40, deadline=None)
+@given(square())
+def test_prop_inverse(a):
+    m = Matrix(a)
+    n = len(a)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    try:
+        inv = m.inverse()
+    except SingularOperator:
+        assert ref_det(a) == 0
+        return
+    assert_exact(inv, [list(row) for row in inv.data])
+    assert ref_mul(a, [list(row) for row in inv.data]) == eye
+    assert ref_mul([list(row) for row in inv.data], a) == eye
+
+
+@st.composite
+def embedding(draw):
+    dim = draw(st.integers(1, 3))
+    total = draw(st.integers(1, 3 if dim < 3 else 2))
+    slots = draw(st.permutations(range(total)))[:draw(st.integers(1, total))]
+    k = dim ** len(slots)
+    return draw(grid(k, k)), tuple(slots), total, dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(embedding())
+def test_prop_tensor_legs(case):
+    op, slots, total, dim = case
+    big = ref_embed(op, slots, total, dim)
+    embedded = kron_embed(Matrix(op), slots, total, dim)
+    assert_exact(embedded, big)
+    assert_exact(partial_trace_first(embedded, dim), ref_partial_trace(big, dim))
+    s = len(big) // dim
+    for i in range(dim):
+        for j in range(dim):
+            want = [row[j * s:(j + 1) * s] for row in big[i * s:(i + 1) * s]]
+            assert_exact(aux_block(embedded, i, j, dim), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(same_shape())
+def test_prop_str_eq_hash(ab):
+    a, b = ab
+    ma, mb = Matrix(a), Matrix(b)
+    assert str(ma) == ref_str(a)
+    assert (ma == mb) == (a == b)
+    assert ma == Matrix([[Fraction(x) for x in row] for row in a])
+    assert hash(ma) == hash(Matrix([[Fraction(x) for x in row] for row in a]))
+    fl = [[float(x) for x in row] for row in a]
+    same = all(Fraction(f) == x for rf, ra in zip(fl, a) for f, x in zip(rf, ra))
+    assert (ma == Matrix(fl)) == same
+    if same:
+        assert hash(ma) == hash(Matrix(fl))
+
+
+@settings(max_examples=40, deadline=None)
+@given(same_shape())
+def test_prop_max_abs(ab):
+    a = ab[0]
+    got = Matrix(a).max_abs()
+    assert type(got) is Fraction
+    assert got == max(abs(x) for row in a for x in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(same_shape(floats), chain(floats))
+def test_prop_exact_with_float_is_bit_identical(ab, cd):
+    a, b = ab
+    ma, mb = Matrix(a), Matrix(b)
+    assert_bits(ma + mb, ref_add(a, b))
+    assert_bits(mb + ma, ref_add(b, a))
+    assert_bits(ma - mb, ref_sub(a, b))
+    assert_bits(mb - ma, ref_sub(b, a))
+    assert_bits(ma.kron(mb), ref_kron(a, b))
+    assert_bits(mb.kron(ma), ref_kron(b, a))
+    c, d = cd
+    mc, md = Matrix(c), Matrix(d)
+    assert_bits(mc * md, ref_mul(c, d))
+    assert_bits(md.transpose() * mc.transpose(), ref_mul([list(r) for r in zip(*d)], [list(r) for r in zip(*c)]))
+    assert_bits(ma.to_float(), [[float(x) for x in row] for row in a])
