@@ -13,11 +13,12 @@ Family and field specs use a small textual grammar:
   free:N=3;degrees=1,2               formal letters P_n (degree d prints Pd_n)
   field:poly(X+x*Y;dim=2)            matrix polynomial in x on [0, 1]
 
-Field expressions combine rational coefficients, powers of x, and the
-2x2 symbols X (upper step), Y (lower step), and I (identity) with * and
-+.  Reports are deterministic for a given seed and flag set; wall-clock
-timing goes to standard error only.  Exit status: 0 all checks passed,
-1 a check failed, 2 usage or spec error.
+A key the spec's kind does not read is an error.  Field expressions
+combine rational coefficients, powers of x, and the 2x2 symbols X (upper
+step), Y (lower step), and I (identity) with * and +.  Reports are
+deterministic for a given seed and flag set; wall-clock timing goes to
+standard error only.  Exit status: 0 all checks passed, 1 a check
+failed, 2 usage or spec error.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from .expansion import (
     BACKWARD,
     FORWARD,
     SiteOperatorFamily,
-    dyson_terms,
     magnus_closed_form,
     magnus_oracle,
+    monodromy,
 )
 from .freealg import FreeElement
 from .matrix import Matrix
@@ -71,13 +72,17 @@ def _int(text: str, what: str) -> int:
         raise SpecError(f"{what}: cannot read {text!r} as an integer") from exc
 
 
-def _key_values(parts) -> dict:
+def _key_values(parts, kind: str, keys: tuple) -> dict:
+    """The `key=value` parts as a dict; a key the `kind` spec does not read is an error."""
     out = {}
     for part in parts:
         key, sep, value = part.partition("=")
+        key = key.strip()
         if not sep or not key:
             raise SpecError(f"expected key=value, got {part!r}")
-        out[key.strip()] = value.strip()
+        if key not in keys:
+            raise SpecError(f"a {kind} spec does not read {key!r}; it reads {', '.join(keys)}")
+        out[key] = value.strip()
     return out
 
 
@@ -108,7 +113,7 @@ def parse_family_spec(spec: str, default_seed: int) -> SiteOperatorFamily:
     parts = [p for p in rest.split(";") if p]
 
     if kind == "scalar":
-        fields = _key_values(parts)
+        fields = _key_values(parts, kind, ("p", "N"))
         n = _sites(fields, spec)
         p = _fraction(fields.get("p", "1"), "p")
         entries = {(s, 1): p for s in range(1, n + 1)}
@@ -129,7 +134,7 @@ def parse_family_spec(spec: str, default_seed: int) -> SiteOperatorFamily:
         if not bound_text.isdigit():
             raise SpecError(f"rand bound must be int<=K, got {pieces[1]!r}")
         bound = int(bound_text)
-        fields = _key_values(parts[1:])
+        fields = _key_values(parts[1:], kind, ("N", "degrees", "seed"))
         n = _sites(fields, spec)
         degrees = _degrees(fields)
         seed = _int(fields["seed"], "seed") if "seed" in fields else default_seed
@@ -137,7 +142,7 @@ def parse_family_spec(spec: str, default_seed: int) -> SiteOperatorFamily:
         return src.matrix_family(n, degrees, size=size, bound=bound)
 
     if kind == "free":
-        fields = _key_values(parts)
+        fields = _key_values(parts, kind, ("N", "degrees"))
         n = _sites(fields, spec)
         degrees = _degrees(fields)
         entries = {
@@ -189,7 +194,7 @@ def parse_field_spec(spec: str) -> MatrixField:
     inner = rest[len("poly("):-1]
     pieces = inner.split(";")
     expr = pieces[0]
-    options = _key_values(pieces[1:])
+    options = _key_values(pieces[1:], "field", ("dim",))
     dim = _int(options.get("dim", "2"), "dim")
     if dim != 2:
         raise SpecError("only dim=2 field symbols are defined")
@@ -236,8 +241,9 @@ def cmd_expand(args) -> int:
         "",
     ]
     if args.form == "dyson":
-        terms = dyson_terms(family, order)
-        for m, t in enumerate(terms):
+        # The ordered product's coefficients are the Dyson terms, at O(N order^2)
+        # cost; `dyson_terms`' direct enumerator costs O(N^order).
+        for m, t in enumerate(monodromy(family, order).coeffs):
             lines.append(f"T^({m}) = {t}")
     else:
         if args.form == "magnus-oracle":

@@ -1,15 +1,18 @@
 """Dense matrices over exact rationals (or floats) plus tensor-leg utilities.
 
-An exact matrix (every entry an int or a Fraction) is stored as integer
-numerators `num` over one positive denominator `den`, reduced so that
-`gcd(den, *num) == 1`; that form is unique, so equality is a comparison of
-integers, and every operation runs on plain ints with one gcd reduction per
-result.  `data` gives the entries back: ints when `den == 1`, otherwise a
-Fraction each.  A matrix with any float entry keeps the entries it was given
-in `num` and has `den = None`; an operation with such an operand works on
-the entries of both operands, exactly as int and Fraction mix with float.
-Products skip zero entries, which keeps the many permutation-shaped
-operators in the tensor-product checks cheap without a sparse type.
+A matrix is stored as rows `num` over one denominator `den`.  An exact
+matrix (every entry an int or a Fraction) holds integer numerators over a
+positive `den`, reduced so that `gcd(den, *num) == 1`; that form is unique,
+so equality is a comparison of integers, and every operation runs on plain
+ints with one gcd reduction per result.  `data` gives the entries back: ints
+when `den == 1`, otherwise a Fraction each.  A float matrix holds Python
+floats only and has `den = None`.  An exact operand (a matrix, or an int or
+Fraction scalar) that meets a float one is rounded once, entry by entry,
+with `x / den`, which rounds correctly as `float(Fraction)` does.  So every
+operation has one body for both backends; `den` only decides whether the
+result is reduced.  Products skip zero entries, which keeps the many
+permutation-shaped operators in the tensor-product checks cheap without a
+sparse type.
 
 Tensor convention used everywhere: a state of `total` factors, each of local
 dimension `dim`, is indexed lexicographically with slot 0 slowest. Slot 0 is
@@ -41,10 +44,12 @@ class Matrix:
             raise DimensionMismatch("ragged rows")
         self.rows = len(data)
         self.cols = w
-        if any(isinstance(x, float) for row in data for x in row):
-            self.num, self.den = data, None
-            return
         try:
+            if any(isinstance(x, float) for row in data for x in row):
+                self.num = [[x if isinstance(x, float) else x.numerator / x.denominator for x in row]
+                            for row in data]
+                self.den = None
+                return
             den = lcm(*(x.denominator for row in data for x in row))
         except AttributeError:
             raise TypeError("matrix entries must be int, Fraction or float") from None
@@ -54,15 +59,11 @@ class Matrix:
 
     @property
     def data(self) -> tuple:
-        """The entries, row by row: ints when `den == 1`, otherwise Fractions."""
-        return tuple(map(tuple, self._entries()))
-
-    def _entries(self):
-        """Rows of entries, for the code that mixes exact and float operands."""
+        """The entries, row by row: floats, ints when `den == 1`, otherwise Fractions."""
         den = self.den
         if den is None or den == 1:
-            return self.num
-        return [[Fraction(x, den) for x in row] for row in self.num]
+            return tuple(map(tuple, self.num))
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -85,11 +86,10 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.rows != other.rows or self.cols != other.cols:
-            return False
-        if self.den is not None and other.den is not None:
+        if (self.den is None) == (other.den is None):
             return self.den == other.den and self.num == other.num
-        return all(a == b for ra, rb in zip(self._entries(), other._entries()) for a, b in zip(ra, rb))
+        # An exact and a float matrix compare by value, as Fraction and float do.
+        return self.data == other.data
 
     def __hash__(self):
         # Hashing the entries keeps equal exact and float matrices hashing alike.
@@ -103,9 +103,6 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other)
-        if self.den is None or other.den is None:
-            return _from_entries([[a + b for a, b in zip(ra, rb)]
-                                  for ra, rb in zip(self._entries(), other._entries())])
         na, nb, den = _common(self, other)
         return _reduced([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(na, nb)], den)
 
@@ -113,22 +110,18 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other)
-        if self.den is None or other.den is None:
-            return _from_entries([[a - b for a, b in zip(ra, rb)]
-                                  for ra, rb in zip(self._entries(), other._entries())])
         na, nb, den = _common(self, other)
         return _reduced([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(na, nb)], den)
 
     def __neg__(self) -> "Matrix":
-        if self.den is None:
-            return _from_entries([[-a for a in row] for row in self.num])
         return _wrap([[-a for a in row] for row in self.num], self.den)
 
     def __mul__(self, other) -> "Matrix":
         if isinstance(other, SCALARS):
             den = self.den
             if den is None or isinstance(other, float):
-                return _from_entries([[a * other for a in row] for row in self._entries()])
+                s = float(other)
+                return _wrap([[a * s for a in row] for row in self.to_float().num], None)
             if isinstance(other, int):
                 # gcd(den, *num) == 1, so gcd(den, other) is all that cancels.
                 g = gcd(den, other)
@@ -140,19 +133,21 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        exact = self.den is not None and other.den is not None
-        adata, bdata = (self.num, other.num) if exact else (self._entries(), other._entries())
+        if self.den is None or other.den is None:
+            adata, bdata, den, zero = self.to_float().num, other.to_float().num, None, 0.0
+        else:
+            adata, bdata, den, zero = self.num, other.num, self.den * other.den, 0
         cols = other.cols
         out = []
         for arow in adata:
-            orow = [0] * cols
+            orow = [zero] * cols
             for aik, brow in zip(arow, bdata):
                 if aik:
                     for j, bkj in enumerate(brow):
                         if bkj:
                             orow[j] += aik * bkj
             out.append(orow)
-        return _reduced(out, self.den * other.den) if exact else _from_entries(out)
+        return _reduced(out, den)
 
     def __rmul__(self, other) -> "Matrix":
         if isinstance(other, SCALARS):
@@ -162,52 +157,32 @@ class Matrix:
     def trace(self):
         if not self.is_square():
             raise DimensionMismatch("trace of a non-square matrix")
-        t = 0
-        for i in range(self.rows):
-            t = t + self.num[i][i]
+        t = sum(self.num[i][i] for i in range(self.rows))
         den = self.den
         return t if den is None or den == 1 else Fraction(t, den)
 
     def transpose(self) -> "Matrix":
-        if self.den is None:
-            return _from_entries(list(zip(*self.num)))
         return _wrap([list(col) for col in zip(*self.num)], self.den)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        exact = self.den is not None and other.den is not None
-        adata, bdata = (self.num, other.num) if exact else (self._entries(), other._entries())
-        out = []
-        for ra in adata:
-            for rb in bdata:
-                out.append([a * b for a in ra for b in rb])
-        return _reduced(out, self.den * other.den) if exact else _from_entries(out)
+        if self.den is None or other.den is None:
+            adata, bdata, den = self.to_float().num, other.to_float().num, None
+        else:
+            adata, bdata, den = self.num, other.num, self.den * other.den
+        return _reduced([[a * b for a in ra for b in rb] for ra in adata for rb in bdata], den)
 
     def inverse(self) -> "Matrix":
-        """Gauss-Jordan inverse; exact when the entries are exact."""
+        """Gauss-Jordan inverse with a largest-magnitude pivot; exact when the
+        matrix is (the exact inverse is unique, so the pivot cannot change it)."""
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        exact = self.is_exact()
-        one = Fraction(1) if exact else 1.0
-        zero = Fraction(0) if exact else 0.0
-        aug = [[Fraction(x) if exact and not isinstance(x, Fraction) else x for x in row]
-               + [one if i == j else zero for j in range(n)]
+        entry = float if self.den is None else Fraction
+        aug = [[entry(x) for x in row] + [entry(i == j) for j in range(n)]
                for i, row in enumerate(self.data)]
         for col in range(n):
-            pivot = None
-            if exact:
-                for r in range(col, n):
-                    if aug[r][col]:
-                        pivot = r
-                        break
-            else:
-                best, bestval = None, 0.0
-                for r in range(col, n):
-                    v = abs(aug[r][col])
-                    if v > bestval:
-                        best, bestval = r, v
-                pivot = best if bestval > 0.0 else None
-            if pivot is None:
+            pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
+            if not aug[pivot][col]:
                 raise SingularOperator("matrix is singular")
             aug[col], aug[pivot] = aug[pivot], aug[col]
             pv = aug[col][col]
@@ -220,16 +195,15 @@ class Matrix:
 
     def max_abs(self):
         """Largest absolute entry; a Fraction whenever the matrix is exact."""
-        if self.den is None:
-            return max(abs(x) for row in self.num for x in row)
-        return Fraction(max(abs(x) for row in self.num for x in row), self.den)
+        m = max(abs(x) for row in self.num for x in row)
+        return m if self.den is None else Fraction(m, self.den)
 
     def to_float(self) -> "Matrix":
         den = self.den
         if den is None:
-            return _from_entries([[float(x) for x in row] for row in self.num])
+            return self
         # int true division rounds correctly, as float(Fraction) does.
-        return _from_entries([[x / den for x in row] for row in self.num])
+        return _wrap([[x / den for x in row] for row in self.num], None)
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.data) + "]"
@@ -240,7 +214,7 @@ class Matrix:
 
 def _wrap(num: list, den) -> Matrix:
     """A matrix over rows it takes as they are: reduced integer numerators
-    over `den`, or, when `den` is None, entries of which one is a float."""
+    over `den`, or, when `den` is None, floats."""
     m = object.__new__(Matrix)
     m.rows = len(num)
     m.cols = len(num[0])
@@ -249,9 +223,10 @@ def _wrap(num: list, den) -> Matrix:
     return m
 
 
-def _reduced(num: list, den: int) -> Matrix:
-    """An exact matrix from integer rows over a positive denominator, reduced by their gcd."""
-    if den != 1:
+def _reduced(num: list, den) -> Matrix:
+    """A matrix from integer rows over a positive denominator, reduced by
+    their gcd, or from float rows when `den` is None."""
+    if den is not None and den != 1:
         g = den
         for row in num:
             g = gcd(g, *row)
@@ -263,18 +238,12 @@ def _reduced(num: list, den: int) -> Matrix:
     return _wrap(num, den)
 
 
-def _from_entries(rows: list) -> Matrix:
-    """A matrix from computed rows of equal length: float storage if any entry is a float."""
-    for row in rows:
-        for x in row:
-            if isinstance(x, float):
-                return _wrap(rows, None)
-    return Matrix(rows)
-
-
 def _common(a: Matrix, b: Matrix) -> tuple:
-    """The numerators of two exact matrices over their least common denominator."""
+    """The rows of two matrices over one denominator: integer numerators over
+    their least common denominator, or floats over None when either is float."""
     da, db = a.den, b.den
+    if da is None or db is None:
+        return a.to_float().num, b.to_float().num, None
     if da == db:
         return a.num, b.num, da
     g = gcd(da, db)
@@ -312,7 +281,8 @@ def kron_embed(op: Matrix, slots: tuple[int, ...], total: int, dim: int) -> Matr
             out.append((idx // dim ** t) % dim)
         return out  # slowest first, aligned with `slots`
 
-    out = [[0] * size for _ in range(size)]
+    zero = 0.0 if op.den is None else 0
+    out = [[zero] * size for _ in range(size)]
     rest_count = len(others)
     for i in range(op.rows):
         idig = local_digits(i)
@@ -328,7 +298,7 @@ def kron_embed(op: Matrix, slots: tuple[int, ...], total: int, dim: int) -> Matr
                 off = sum(d * weight[s] for d, s in zip(rest, others))
                 out[base_r + off][base_c + off] = v
     # The same nonzero numerators over the same denominator: still reduced.
-    return _from_entries(out) if op.den is None else _wrap(out, op.den)
+    return _wrap(out, op.den)
 
 
 def permutation_op(dim: int) -> Matrix:
@@ -346,7 +316,8 @@ def partial_trace_first(m: Matrix, dim: int) -> Matrix:
     if m.rows != m.cols or m.rows % dim:
         raise DimensionMismatch("matrix size not divisible by the traced dimension")
     b = m.rows // dim
-    out = [[0] * b for _ in range(b)]
+    zero = 0.0 if m.den is None else 0
+    out = [[zero] * b for _ in range(b)]
     for i in range(dim):
         for r in range(b):
             mr = m.num[i * b + r]
@@ -355,7 +326,7 @@ def partial_trace_first(m: Matrix, dim: int) -> Matrix:
                 v = mr[i * b + c]
                 if v:
                     orow[c] = orow[c] + v
-    return _from_entries(out) if m.den is None else _reduced(out, m.den)
+    return _reduced(out, m.den)
 
 
 def aux_block(m: Matrix, a: int, b: int, dim: int) -> Matrix:
@@ -363,5 +334,4 @@ def aux_block(m: Matrix, a: int, b: int, dim: int) -> Matrix:
     if m.rows != m.cols or m.rows % dim:
         raise DimensionMismatch("matrix size not divisible by the block dimension")
     s = m.rows // dim
-    block = [row[b * s:(b + 1) * s] for row in m.num[a * s:(a + 1) * s]]
-    return _from_entries(block) if m.den is None else _reduced(block, m.den)
+    return _reduced([row[b * s:(b + 1) * s] for row in m.num[a * s:(a + 1) * s]], m.den)

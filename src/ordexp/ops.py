@@ -27,7 +27,12 @@ __all__ = ["SCALARS", "check_compatible", "commutator", "invert", "is_zero",
 
 
 def zero_like(x):
-    """The zero of the algebra `x` lives in (same shape, same exactness)."""
+    """The zero of the algebra `x` lives in, of the same shape.
+
+    A scalar zero keeps the exactness of `x`.  A `Matrix` zero is exact on
+    either backend: added to a float matrix it is rounded to float zeros,
+    so the sum holds floats only.
+    """
     if isinstance(x, Matrix):
         return Matrix.zeros(x.rows, x.cols)
     if isinstance(x, FreeElement):

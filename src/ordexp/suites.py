@@ -84,7 +84,8 @@ class SuiteConfig:
 
     Flags are checked here, once: the backend must be exact or float, and
     order, dim and samples must be at least 1 and sites at least 0, so no
-    suite swaps a bad value for its default.
+    suite swaps a bad value for its default.  Only the magnus suite reads
+    0 sites (the empty chain); the others reject it through `_at_least`.
     """
 
     __slots__ = ("seed", "backend", "tolerance", "order", "sites", "dim", "samples")
@@ -128,7 +129,7 @@ def _at_least(name: str, value: int, low: int, suite: str) -> int:
 
 
 def rota_baxter_suite(cfg: SuiteConfig) -> VerificationReport:
-    sites = 5 if cfg.sites is None else cfg.sites
+    sites = 5 if cfg.sites is None else _at_least("sites", cfg.sites, 1, "rota-baxter")
     dim = 2 if cfg.dim is None else cfg.dim
     sequences = 100 if cfg.samples is None else cfg.samples
     pairs = max(1, sequences // 2)
@@ -176,7 +177,7 @@ _TRID_LAWS = [
 
 
 def tridendriform_suite(cfg: SuiteConfig) -> VerificationReport:
-    sites = 4 if cfg.sites is None else cfg.sites
+    sites = 4 if cfg.sites is None else _at_least("sites", cfg.sites, 1, "tridendriform")
     dim = 2 if cfg.dim is None else cfg.dim
     triples = 50 if cfg.samples is None else cfg.samples
     rep = _report(cfg, "tridendriform")
@@ -215,7 +216,7 @@ def tridendriform_suite(cfg: SuiteConfig) -> VerificationReport:
 
 
 def prelie_suite(cfg: SuiteConfig) -> VerificationReport:
-    sites = 4 if cfg.sites is None else cfg.sites
+    sites = 4 if cfg.sites is None else _at_least("sites", cfg.sites, 1, "prelie")
     dim = 2 if cfg.dim is None else cfg.dim
     triples = 50 if cfg.samples is None else cfg.samples
     rep = _report(cfg, "prelie")
@@ -239,14 +240,14 @@ def prelie_suite(cfg: SuiteConfig) -> VerificationReport:
 
 
 def _sampled_family(src: SampleSource, max_sites: int, dim: int, index: int):
-    n = src.integer(1, max(1, max_sites))
+    n = src.integer(1, max_sites)
     degrees = src.subset((1, 2, 3))
     direction = FORWARD if index % 2 == 0 else BACKWARD
     return src.matrix_family(n, degrees, size=dim, direction=direction)
 
 
 def dyson_suite(cfg: SuiteConfig) -> VerificationReport:
-    max_sites = 5 if cfg.sites is None else cfg.sites
+    max_sites = 5 if cfg.sites is None else _at_least("sites", cfg.sites, 1, "dyson")
     dim = 2 if cfg.dim is None else cfg.dim
     families = 25 if cfg.samples is None else cfg.samples
     order = 4 if cfg.order is None else cfg.order
@@ -370,7 +371,7 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
 
 
 def brace_suite(cfg: SuiteConfig) -> VerificationReport:
-    sites = 3 if cfg.sites is None else cfg.sites
+    sites = 3 if cfg.sites is None else _at_least("sites", cfg.sites, 1, "brace")
     dim = 2 if cfg.dim is None else cfg.dim
     pairs = 25 if cfg.samples is None else cfg.samples
     order = 4 if cfg.order is None else cfg.order

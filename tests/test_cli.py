@@ -8,6 +8,7 @@ import pytest
 from ordexp import SuiteConfig
 from ordexp.cli import SpecError, main, parse_family_spec, parse_field_spec
 from ordexp.errors import AlgebraError
+from ordexp.expansion import BACKWARD, FORWARD, SiteOperatorFamily, dyson_terms
 from ordexp.matrix import Matrix
 
 CSV_HEADER = "delta,err_q1,err_q2,err_q3,rate_q1,rate_q2,rate_q3"
@@ -154,6 +155,11 @@ class TestVerifyCommand:
         ["boundary", "--sites", "0"],
         ["yangian", "--sites", "0"],
         ["yangian", "--dim", "1"],
+        ["dyson", "--sites", "0"],
+        ["rota-baxter", "--sites", "0"],
+        ["tridendriform", "--sites", "0"],
+        ["prelie", "--sites", "0"],
+        ["brace", "--sites", "0"],
     ])
     def test_sizes_below_minimum_are_usage_errors(self, capsys, argv):
         # also covers --order on the suites that read no order
@@ -239,6 +245,22 @@ class TestExpandCommand:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize("spec", [
+        "scalar:N=0", "scalar:p=3/2;N=3", "free:N=0", "free:N=3;degrees=1,2", "free:N=2;degrees=2",
+        "matrix:rand(2x2,int<=3);N=0;seed=4", "matrix:rand(2x2,int<=3);N=3;degrees=1,2;seed=5",
+        "matrix:rand(2x2,int<=0);N=2", "matrix:rand(3x3,int<=2);N=2;degrees=3;seed=9",
+    ])
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    @pytest.mark.parametrize("order", [0, 1, 4])
+    def test_dyson_form_matches_direct_enumerator(self, capsys, spec, direction, order):
+        code, out, _ = run_cli(capsys, "expand", spec, "--form", "dyson",
+                               "--order", str(order), "--direction", direction)
+        assert code == 0
+        fam = parse_family_spec(spec, 1)
+        fam = SiteOperatorFamily(fam.n_sites, fam.entries, direction=direction, like=fam.like)
+        want = [f"T^({m}) = {t}" for m, t in enumerate(dyson_terms(fam, order, method="direct"))]
+        assert [line for line in out.splitlines() if line.startswith("T^")] == want
+
     def test_malformed_spec_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "expand", "scalar:p=1")
         assert code == 2
@@ -322,3 +344,16 @@ def test_unreadable_spec_numbers_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["expand", "scalar:p=1;N=2;q=3"], "q"),
+    (["expand", "matrix:rand(2x2,int<=3);N=2;p=1"], "p"),
+    (["expand", "free:N=2;seed=3"], "seed"),
+    (["limit", "field:poly(X;dim=2;N=4)", "--deltas", "1/4,1/8,1/16"], "N"),
+])
+def test_spec_key_the_kind_does_not_read_exits_2(capsys, argv, key):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"does not read {key!r}" in err

@@ -215,10 +215,10 @@ def test_aux_block_shape_check():
 
 # -- properties against a plain-Fraction reference -------------------------------
 #
-# The reference works on lists of int/Fraction/float entries with the
-# per-entry arithmetic `Matrix` used before it stored integer numerators over
-# one denominator; every exact result must match it entry for entry, and
-# every float result bit for bit.
+# The reference works on lists of int/Fraction/float entries with plain
+# per-entry arithmetic; every exact result must match it entry for entry, and
+# every result with a float operand must hold floats only, each bit for bit
+# the reference entry rounded to float.
 
 
 def ref_add(a, b):
@@ -264,7 +264,8 @@ def ref_embed(op, slots, total, dim):
         dr = digits(r)
         for c in range(size):
             dc = digits(c)
-            if all(dr[s] == dc[s] for s in range(total) if s not in slots):
+            # a zero entry of `op` (0.0 or -0.0) stays the zero of `out`
+            if all(dr[s] == dc[s] for s in range(total) if s not in slots) and op[local(dr)][local(dc)]:
                 out[r][c] = op[local(dr)][local(dc)]
     return out
 
@@ -291,6 +292,28 @@ def ref_det(a):
     return det
 
 
+def ref_float_inverse(a):
+    """Gauss-Jordan on float rows, pivoting on the first row of largest
+    magnitude; None when a column has no nonzero pivot."""
+    n = len(a)
+    rows = [[float(x) for x in row] + [1.0 if i == j else 0.0 for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = col
+        for r in range(col + 1, n):
+            if abs(rows[r][col]) > abs(rows[pivot][col]):
+                pivot = r
+        if not rows[pivot][col]:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        pv = rows[col][col]
+        rows[col] = [x / pv for x in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
 def ref_str(a):
     return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in a) + "]"
 
@@ -308,6 +331,14 @@ def assert_exact(m, ref):
 def assert_bits(m, ref):
     """`m` holds the reference's entries with the same types and float bits."""
     assert [[repr(x) for x in row] for row in m.data] == [[repr(x) for x in row] for row in ref]
+
+
+def assert_floats(m, ref):
+    """`m` holds floats only: each reference entry rounded once to float, bit for bit."""
+    assert not m.is_exact()
+    assert all(type(x) is float for row in m.num for x in row)
+    assert all(type(x) is float for row in m.data for x in row)
+    assert [[repr(x) for x in row] for row in m.data] == [[repr(float(x)) for x in row] for row in ref]
 
 
 zero_heavy = st.one_of(
@@ -340,9 +371,9 @@ def chain(draw, second=zero_heavy):
 
 
 @st.composite
-def square(draw, max_size=5):
+def square(draw, max_size=5, entries=zero_heavy):
     n = draw(st.integers(1, max_size))
-    return draw(grid(n, n))
+    return draw(grid(n, n, entries))
 
 
 @settings(max_examples=40, deadline=None)
@@ -403,12 +434,12 @@ def test_prop_inverse(a):
 
 
 @st.composite
-def embedding(draw):
+def embedding(draw, entries=zero_heavy):
     dim = draw(st.integers(1, 3))
     total = draw(st.integers(1, 3 if dim < 3 else 2))
     slots = draw(st.permutations(range(total)))[:draw(st.integers(1, total))]
     k = dim ** len(slots)
-    return draw(grid(k, k)), tuple(slots), total, dim
+    return draw(grid(k, k, entries)), tuple(slots), total, dim
 
 
 @settings(max_examples=40, deadline=None)
@@ -452,18 +483,55 @@ def test_prop_max_abs(ab):
 
 
 @settings(max_examples=40, deadline=None)
-@given(same_shape(floats), chain(floats))
-def test_prop_exact_with_float_is_bit_identical(ab, cd):
+@given(same_shape(floats), chain(floats), exact_scalars, embedding(floats), square(entries=floats))
+def test_prop_exact_with_float_is_bit_identical(ab, cd, s, case, sq):
     a, b = ab
     ma, mb = Matrix(a), Matrix(b)
-    assert_bits(ma + mb, ref_add(a, b))
-    assert_bits(mb + ma, ref_add(b, a))
-    assert_bits(ma - mb, ref_sub(a, b))
-    assert_bits(mb - ma, ref_sub(b, a))
-    assert_bits(ma.kron(mb), ref_kron(a, b))
-    assert_bits(mb.kron(ma), ref_kron(b, a))
+    assert_floats(ma + mb, ref_add(a, b))
+    assert_floats(mb + ma, ref_add(b, a))
+    assert_floats(ma - mb, ref_sub(a, b))
+    assert_floats(mb - ma, ref_sub(b, a))
+    assert_floats(ma.kron(mb), ref_kron(a, b))
+    assert_floats(mb.kron(ma), ref_kron(b, a))
+    assert_floats(mb * s, ref_scale(b, s))
+    assert_floats(s * mb, ref_scale(b, s))
+    assert_floats(-mb, ref_scale(b, -1.0))
+    assert_floats(mb.transpose(), [list(col) for col in zip(*b)])
+    assert_floats(ma.to_float(), a)
     c, d = cd
     mc, md = Matrix(c), Matrix(d)
-    assert_bits(mc * md, ref_mul(c, d))
-    assert_bits(md.transpose() * mc.transpose(), ref_mul([list(r) for r in zip(*d)], [list(r) for r in zip(*c)]))
-    assert_bits(ma.to_float(), [[float(x) for x in row] for row in a])
+    assert_floats(mc * md, ref_mul(c, d))
+    assert_floats(md.transpose() * mc.transpose(), ref_mul([list(r) for r in zip(*d)], [list(r) for r in zip(*c)]))
+    op, slots, total, dim = case
+    big = ref_embed(op, slots, total, dim)
+    embedded = kron_embed(Matrix(op), slots, total, dim)
+    assert_floats(embedded, big)
+    assert_floats(partial_trace_first(embedded, dim), ref_partial_trace(big, dim))
+    k = len(big) // dim
+    for i in range(dim):
+        for j in range(dim):
+            assert_floats(aux_block(embedded, i, j, dim), [row[j * k:(j + 1) * k] for row in big[i * k:(i + 1) * k]])
+    want = ref_float_inverse(sq)
+    if want is None:
+        with pytest.raises(SingularOperator):
+            Matrix(sq).inverse()
+    else:
+        assert_floats(Matrix(sq).inverse(), want)
+
+
+mixed = st.one_of(zero_heavy, floats)
+
+
+@settings(max_examples=40, deadline=None)
+@given(same_shape(mixed), floats)
+def test_prop_float_matrix_holds_floats_only(ab, f):
+    b = ab[1]
+    b[0][0] = f
+    mb = Matrix(b)
+    assert_floats(mb, b)
+    assert_floats(-mb, [[-float(x) for x in row] for row in b])
+    assert_floats(mb * Fraction(1, 3), [[float(x) * float(Fraction(1, 3)) for x in row] for row in b])
+    zeros = [[0] * len(b) for _ in b[0]]
+    assert_floats(mb.transpose() * Matrix(b), ref_mul([[float(x) for x in col] for col in zip(*b)],
+                                                       [[float(x) for x in row] for row in b]))
+    assert_floats(Matrix(zeros) * mb, [[0.0] * len(b[0]) for _ in b[0]])
