@@ -87,8 +87,6 @@ from .series import AlphaSeries, ad, ad_pow
 from .suites import SUITES, SuiteConfig, run_suite
 from .yangian import (
     DIMENSION_BUDGET,
-    LaxRep,
-    MatrixPoly,
     RttReport,
     classical_r,
     classical_ybe_residual,

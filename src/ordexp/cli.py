@@ -182,7 +182,7 @@ def _parse_field_term(term: str) -> Poly:
             coeff = coeff * _fraction(factor, f"term {term!r}")
     if symbol is None:
         raise SpecError(f"term {term!r} needs one of the symbols X, Y, I")
-    return Poly({power: _FIELD_SYMBOLS[symbol] * coeff})
+    return Poly({(power,): _FIELD_SYMBOLS[symbol] * coeff})
 
 
 def parse_field_spec(spec: str) -> MatrixField:
@@ -198,7 +198,7 @@ def parse_field_spec(spec: str) -> MatrixField:
     dim = _int(options.get("dim", "2"), "dim")
     if dim != 2:
         raise SpecError("only dim=2 field symbols are defined")
-    poly = Poly({0: Matrix.zeros(2)})
+    poly = Poly()
     for term in expr.split("+"):
         poly = poly + _parse_field_term(term)
     return MatrixField(poly)
@@ -287,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=sorted(SUITES))
     p_verify.add_argument("--backend", choices=["exact", "float"], default="exact",
                           help="arithmetic backend (default exact)")
-    p_verify.add_argument("--tolerance", type=float, default=1e-10,
-                          help="pass threshold on the float backend (default 1e-10)")
+    p_verify.add_argument("--tolerance", type=float, default=None,
+                          help="pass threshold, float backend only (default 1e-10)")
     p_verify.add_argument("--json", action="store_true",
                           help="emit the verification report as JSON")
     p_verify.add_argument("--sites", "--N", dest="sites", type=int, default=None,

@@ -38,6 +38,8 @@ class MatrixField:
     def __init__(self, poly: Poly, x0=Fraction(0), x_end=Fraction(1)):
         if not isinstance(poly, Poly):
             raise AlgebraError("a field needs a matrix-valued polynomial")
+        if any(len(e) != 1 or e[0] < 0 for e in poly.coeffs):
+            raise AlgebraError("a field is a polynomial in one variable with nonnegative degrees")
         sample = next(iter(poly.coeffs.values()), None)
         if not isinstance(sample, Matrix) or not sample.is_square():
             raise DimensionMismatch("field coefficients must be square matrices")
@@ -74,12 +76,13 @@ def _scalar_simplex(degrees, x0) -> Poly:
     """
     acc = Poly.constant(Fraction(1))
     for d in degrees:
-        acc = (Poly({d: Fraction(1)}) * acc).integrate(x0)
+        acc = (Poly({(d,): Fraction(1)}) * acc).integrate(x0)
     return acc
 
 
 def _monomials(field: MatrixField):
-    return sorted(field.poly.coeffs.items())
+    """(degree, coefficient) pairs of the field, by increasing degree."""
+    return [(d, c) for (d,), c in sorted(field.poly.coeffs.items())]
 
 
 def _magnus_explicit(field: MatrixField, order: int) -> dict:

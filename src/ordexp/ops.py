@@ -6,8 +6,8 @@ operators (series, site sequences, polynomials, ...) whose `max_abs()` maps
 the function below over its children, so this module is the only place that
 asks which backend a value lives in.  Which backend a sampled value is
 drawn in is decided in one place too: `sampling.SampleSource`, whose
-`cast` is the one caller of `to_float` (the yangian `MatrixPoly` and
-`LaxRep` it converts carry their own `to_float()`).
+`cast` is the one caller of `to_float` (the yangian `Poly` R-matrices and
+`AlphaSeries` Lax operators it converts carry their own `to_float()`).
 
 `SCALARS` and `commutator` are defined in `matrix`, which sits below this
 module (`Matrix` needs the scalar tuple, and `matrix.commutator` is public);
@@ -27,14 +27,14 @@ __all__ = ["SCALARS", "check_compatible", "commutator", "invert", "is_zero",
 
 
 def zero_like(x):
-    """The zero of the algebra `x` lives in, of the same shape.
+    """The zero of the algebra `x` lives in, of the same shape and backend.
 
-    A scalar zero keeps the exactness of `x`.  A `Matrix` zero is exact on
-    either backend: added to a float matrix it is rounded to float zeros,
-    so the sum holds floats only.
+    A scalar or `Matrix` zero is exact when `x` is and float when `x` is
+    float, so the float backend never rounds an exact zero.
     """
     if isinstance(x, Matrix):
-        return Matrix.zeros(x.rows, x.cols)
+        z = Matrix.zeros(x.rows, x.cols)
+        return z if x.is_exact() else z.to_float()
     if isinstance(x, FreeElement):
         return FreeElement.zero()
     if isinstance(x, SCALARS):
@@ -43,11 +43,12 @@ def zero_like(x):
 
 
 def one_like(x):
-    """The unit of the algebra `x` lives in."""
+    """The unit of the algebra `x` lives in, in the backend of `x`."""
     if isinstance(x, Matrix):
         if not x.is_square():
             raise DimensionMismatch("identity only exists for square matrices")
-        return Matrix.identity(x.rows)
+        one = Matrix.identity(x.rows)
+        return one if x.is_exact() else one.to_float()
     if isinstance(x, FreeElement):
         return FreeElement.one()
     if isinstance(x, SCALARS):

@@ -118,7 +118,7 @@ class SampleSource:
         )
 
     def poly(self, degree: int = 3, bound: int = 3) -> Poly:
-        return Poly({d: self.cast(self.fraction(bound)) for d in range(degree + 1)})
+        return Poly({(d,): self.cast(self.fraction(bound)) for d in range(degree + 1)})
 
     def subset(self, items) -> tuple:
         """Nonempty subset, drawn element by element."""

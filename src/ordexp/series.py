@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BackendMismatch, DimensionMismatch
-from .ops import SCALARS, check_compatible, invert, is_zero, max_abs, one_like, zero_like
+from .ops import SCALARS, check_compatible, invert, is_zero, max_abs, one_like, to_float, zero_like
 from .ops import commutator as ad
 
 
@@ -164,6 +164,9 @@ class AlphaSeries:
 
     def max_abs(self):
         return max(max_abs(c) for c in self.coeffs)
+
+    def to_float(self) -> "AlphaSeries":
+        return AlphaSeries([to_float(c) for c in self.coeffs])
 
     def __str__(self) -> str:
         return " + ".join(f"a^{k} ({c})" for k, c in enumerate(self.coeffs))

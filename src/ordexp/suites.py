@@ -16,6 +16,7 @@ quantum-algebra checks) keep their exact backend label either way.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .brace import (
@@ -86,14 +87,22 @@ class SuiteConfig:
     order, dim and samples must be at least 1 and sites at least 0, so no
     suite swaps a bad value for its default.  Only the magnus suite reads
     0 sites (the empty chain); the others reject it through `_at_least`.
+    A tolerance is read only on the float backend and must be a finite
+    number >= 0; None means 1e-10, which the header shows on either backend.
     """
 
     __slots__ = ("seed", "backend", "tolerance", "order", "sites", "dim", "samples")
 
-    def __init__(self, seed=1, backend=EXACT, tolerance=1e-10, order=None,
+    def __init__(self, seed=1, backend=EXACT, tolerance=None, order=None,
                  sites=None, dim=None, samples=None):
         if backend not in (EXACT, FLOAT):
             raise AlgebraError(f"backend must be {EXACT} or {FLOAT}, got {backend!r}")
+        if tolerance is None:
+            tolerance = 1e-10
+        elif backend == EXACT:
+            raise AlgebraError(f"tolerance is read only on the {FLOAT} backend, got {tolerance!r}")
+        elif not 0 <= tolerance < math.inf:
+            raise AlgebraError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
         for name, value, low in (("order", order, 1), ("dim", dim, 1),
                                  ("samples", samples, 1), ("sites", sites, 0)):
             if value is not None and value < low:

@@ -3,235 +3,99 @@
 Every abstract relation is evaluated in a faithful-enough tensor
 representation built from a lax operator on aux tensor quantum space:
 defects falsify a relation, exact matches support it but cannot prove it
-for the abstract algebra. Polynomial identities in spectral parameters
+for the abstract algebra.  A lax operator is an `AlphaSeries` in
+alpha = 1/lambda whose constant term is the identity, the same kind of
+series that the monodromy (the ordered product over sites) expands.
+R-matrices and the RTT residuals are Laurent `Poly`s in one or two
+spectral parameters.  Polynomial identities in spectral parameters
 are decided by exact rational evaluation at more points than the degree
 bound, after clearing denominators, or by direct coefficient comparison
 for truncated (matching-order) checks.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import (
     DimensionMismatch,
     InsufficientSamples,
-    SingularOperator,
     UnsupportedOrder,
 )
 from .matrix import Matrix, aux_block, kron_embed, partial_trace_first, permutation_op
-from .ops import commutator
+from .ops import commutator, max_abs
+from .poly import Poly
 from .rotabaxter import SiteSequence, prelie_left, trid_dot, trid_prec, trid_succ
 from .expansion import FORWARD, SiteOperatorFamily, monodromy
+from .series import AlphaSeries
 
 DIMENSION_BUDGET = 256
 
 
-class MatrixPoly:
-    """Matrix-valued Laurent polynomial in one or two spectral parameters."""
-
-    __slots__ = ("nvars", "coeffs", "dim")
-
-    def __init__(self, nvars: int, coeffs: dict, dim: int | None = None):
-        if nvars not in (1, 2):
-            raise DimensionMismatch("only 1 or 2 spectral parameters supported")
-        clean = {}
-        for exps, mat in coeffs.items():
-            exps = tuple(exps)
-            if len(exps) != nvars:
-                raise DimensionMismatch(f"exponent tuple {exps} for {nvars} variables")
-            if dim is None:
-                dim = mat.rows
-            if mat.rows != dim or mat.cols != dim:
-                raise DimensionMismatch("coefficient matrices must share a square shape")
-            if not mat.is_zero():
-                clean[exps] = mat
-        if dim is None:
-            raise DimensionMismatch("an empty matrix polynomial needs an explicit dim")
-        self.nvars = nvars
-        self.coeffs = clean
-        self.dim = dim
-
-    @staticmethod
-    def constant(mat: Matrix, nvars: int = 1) -> "MatrixPoly":
-        return MatrixPoly(nvars, {(0,) * nvars: mat})
-
-    def _check(self, other: "MatrixPoly"):
-        if self.nvars != other.nvars or self.dim != other.dim:
-            raise DimensionMismatch("mixed variable counts or dimensions")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MatrixPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __add__(self, other) -> "MatrixPoly":
-        self._check(other)
-        out = dict(self.coeffs)
-        for e, m in other.coeffs.items():
-            out[e] = out[e] + m if e in out else m
-        return MatrixPoly(self.nvars, out, dim=self.dim)
-
-    def __sub__(self, other) -> "MatrixPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "MatrixPoly":
-        return self.scale(Fraction(-1))
-
-    def scale(self, s) -> "MatrixPoly":
-        return MatrixPoly(
-            self.nvars, {e: m * s for e, m in self.coeffs.items()}, dim=self.dim
-        )
-
-    def __mul__(self, other) -> "MatrixPoly":
-        self._check(other)
-        out = {}
-        for e1, m1 in self.coeffs.items():
-            for e2, m2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                m = m1 * m2
-                out[e] = out[e] + m if e in out else m
-        return MatrixPoly(self.nvars, out, dim=self.dim)
-
-    def shift(self, exps) -> "MatrixPoly":
-        """Multiply by the monomial with the given exponents."""
-        exps = tuple(exps)
-        return MatrixPoly(
-            self.nvars,
-            {tuple(a + b for a, b in zip(e, exps)): m for e, m in self.coeffs.items()},
-            dim=self.dim,
-        )
-
-    def exponent_range(self, var: int) -> tuple[int, int]:
-        vals = [e[var] for e in self.coeffs] or [0]
-        return min(vals), max(vals)
-
-    def restrict_floor(self, floors) -> "MatrixPoly":
-        """Keep only monomials with every exponent at or above its floor."""
-        floors = tuple(floors)
-        out = {
-            e: m
-            for e, m in self.coeffs.items()
-            if all(a >= f for a, f in zip(e, floors))
-        }
-        return MatrixPoly(self.nvars, out, dim=self.dim)
-
-    def eval(self, point) -> Matrix:
-        point = tuple(Fraction(p) for p in point)
-        if len(point) != self.nvars:
-            raise DimensionMismatch(f"need {self.nvars} coordinates")
-        total = Matrix.zeros(self.dim)
-        for exps, mat in self.coeffs.items():
-            scalar = Fraction(1)
-            for p, e in zip(point, exps):
-                if e < 0 and p == 0:
-                    raise SingularOperator("evaluation at a pole")
-                scalar *= p ** e
-            total = total + mat * scalar
-        return total
-
-    def map_coeffs(self, f) -> "MatrixPoly":
-        mapped = {e: f(m) for e, m in self.coeffs.items()}
-        return MatrixPoly(self.nvars, mapped, dim=self.dim if not mapped else None)
-
-    def max_abs(self):
-        return max((m.max_abs() for m in self.coeffs.values()), default=Fraction(0))
-
-    def to_float(self) -> "MatrixPoly":
-        return self.map_coeffs(Matrix.to_float)
+# perfbench/tracing.py patches `yangian.MatrixPoly.__mul__` by name; this
+# alias keeps that working until the tracer moves onto package hooks.
+MatrixPoly = Poly
 
 
-class LaxRep:
-    """Lax operator 1 + sum_m lambda^(-m) L^(m) on aux tensor one quantum site."""
+def _lax_dim(lax: AlphaSeries) -> int:
+    """Local dimension d of a Lax series on aux (x) one site.
 
-    __slots__ = ("dim", "coeffs")
-
-    def __init__(self, dim: int, coeffs: list):
-        size = dim * dim
-        if not coeffs or coeffs[0] != Matrix.identity(size):
-            raise DimensionMismatch("degree-0 coefficient must be the identity")
-        for m in coeffs:
-            if m.rows != size or m.cols != size:
-                raise DimensionMismatch(f"coefficients must be {size}x{size}")
-        self.dim = dim
-        self.coeffs = list(coeffs)
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, m: int) -> Matrix:
-        if m < len(self.coeffs):
-            return self.coeffs[m]
-        return Matrix.zeros(self.dim * self.dim)
-
-    def series(self, order: int):
-        """The lax expansion as a power series in alpha = 1/lambda."""
-        from .series import AlphaSeries
-
-        return AlphaSeries([self.coeff(m) for m in range(order + 1)])
-
-    def to_float(self) -> "LaxRep":
-        return LaxRep(self.dim, [c.to_float() for c in self.coeffs])
-
-    def to_poly(self, var: int = 0, nvars: int = 1) -> MatrixPoly:
-        coeffs = {}
-        for m, mat in enumerate(self.coeffs):
-            exps = [0] * nvars
-            exps[var] = -m
-            coeffs[tuple(exps)] = mat
-        return MatrixPoly(nvars, coeffs)
+    Every coefficient must be d^2 x d^2 and the constant term the identity.
+    """
+    c0 = lax.coeffs[0]
+    dim = math.isqrt(c0.rows) if isinstance(c0, Matrix) else 0
+    if not dim or dim * dim != c0.rows or c0 != Matrix.identity(c0.rows):
+        raise DimensionMismatch("degree-0 coefficient must be the identity on dim^2")
+    if any(m.rows != c0.rows or m.cols != c0.rows for m in lax.coeffs):
+        raise DimensionMismatch(f"coefficients must be {c0.rows}x{c0.rows}")
+    return dim
 
 
-def fundamental_lax(dim: int) -> LaxRep:
+def fundamental_lax(dim: int) -> AlphaSeries:
     """1 + P/lambda with P the permutation, the basic RTT solution."""
-    return LaxRep(dim, [Matrix.identity(dim * dim), permutation_op(dim)])
+    return AlphaSeries([Matrix.identity(dim * dim), permutation_op(dim)])
 
 
-def geometric_lax(dim: int, max_degree: int) -> LaxRep:
+def geometric_lax(dim: int, max_degree: int) -> AlphaSeries:
     """sum_m lambda^(-m) P^m truncated; exact RTT solution to matching order."""
     p = permutation_op(dim)
     coeffs = [Matrix.identity(dim * dim)]
     for _ in range(max_degree):
         coeffs.append(coeffs[-1] * p)
-    return LaxRep(dim, coeffs)
+    return AlphaSeries(coeffs)
 
 
-def yangian_r(dim: int) -> MatrixPoly:
+def yangian_r(dim: int) -> Poly:
     """R(lambda) = lambda 1 + P in difference form."""
     size = dim * dim
-    return MatrixPoly(1, {(1,): Matrix.identity(size), (0,): permutation_op(dim)})
+    return Poly({(1,): Matrix.identity(size), (0,): permutation_op(dim)})
 
 
-def classical_r(dim: int) -> MatrixPoly:
+def classical_r(dim: int) -> Poly:
     """The classical r-matrix P/lambda."""
-    return MatrixPoly(1, {(-1,): permutation_op(dim)})
+    return Poly({(-1,): permutation_op(dim)})
 
 
-def _embed_poly(poly: MatrixPoly, slots, total: int, dim: int) -> MatrixPoly:
+def _embed_poly(poly: Poly, slots, total: int, dim: int) -> Poly:
     return poly.map_coeffs(lambda m: kron_embed(m, slots, total, dim))
 
 
-def ybe_residual(r: MatrixPoly, lam1, lam2, lam3, dim: int) -> Matrix:
+def ybe_residual(r: Poly, lam1, lam2, lam3, dim: int) -> Matrix:
     """R12(l1-l2) R13(l1-l3) R23(l2-l3) minus the reversed product."""
-    r12 = kron_embed(r.eval((lam1 - lam2,)), (0, 1), 3, dim)
-    r13 = kron_embed(r.eval((lam1 - lam3,)), (0, 2), 3, dim)
-    r23 = kron_embed(r.eval((lam2 - lam3,)), (1, 2), 3, dim)
+    r12 = kron_embed(r.eval(lam1 - lam2), (0, 1), 3, dim)
+    r13 = kron_embed(r.eval(lam1 - lam3), (0, 2), 3, dim)
+    r23 = kron_embed(r.eval(lam2 - lam3), (1, 2), 3, dim)
     return r12 * r13 * r23 - r23 * r13 * r12
 
 
-def classical_ybe_residual(r: MatrixPoly, lam1, lam2, lam3, dim: int) -> Matrix:
+def classical_ybe_residual(r: Poly, lam1, lam2, lam3, dim: int) -> Matrix:
     """[r12, r13] + [r12 + r13, r23] for the classical r-matrix."""
-    r12 = kron_embed(r.eval((lam1 - lam2,)), (0, 1), 3, dim)
-    r13 = kron_embed(r.eval((lam1 - lam3,)), (0, 2), 3, dim)
-    r23 = kron_embed(r.eval((lam2 - lam3,)), (1, 2), 3, dim)
+    r12 = kron_embed(r.eval(lam1 - lam2), (0, 1), 3, dim)
+    r13 = kron_embed(r.eval(lam1 - lam3), (0, 2), 3, dim)
+    r23 = kron_embed(r.eval(lam2 - lam3), (1, 2), 3, dim)
     return commutator(r12, r13) + commutator(r12 + r13, r23)
 
 
-def _difference_form(r: MatrixPoly) -> MatrixPoly:
+def _difference_form(r: Poly) -> Poly:
     """Rewrite R(lambda) as the two-variable polynomial R(lambda1 - lambda2)."""
     out = {}
     for (k,), mat in r.coeffs.items():
@@ -245,7 +109,17 @@ def _difference_form(r: MatrixPoly) -> MatrixPoly:
             term = mat * coeff
             out[e] = out[e] + term if e in out else term
             binom = binom * (k - i) // (i + 1)
-    return MatrixPoly(2, out)
+    return Poly(out)
+
+
+def _rtt_parts(r: Poly, lax: AlphaSeries):
+    """The embedded factors R12(u - v), L1(u), L2(v) on aux (x) aux (x) quantum,
+    and the residual R12 L1 L2 - L2 L1 R12, all polynomials in (u, v)."""
+    dim = _lax_dim(lax)
+    rhat = _embed_poly(_difference_form(r), (0, 1), 3, dim)
+    l1 = _embed_poly(Poly({(-m, 0): c for m, c in enumerate(lax.coeffs)}), (0, 2), 3, dim)
+    l2 = _embed_poly(Poly({(0, -m): c for m, c in enumerate(lax.coeffs)}), (1, 2), 3, dim)
+    return (rhat, l1, l2), rhat * l1 * l2 - l2 * l1 * rhat
 
 
 class RttReport:
@@ -260,32 +134,20 @@ class RttReport:
         self.exact_zero = exact_zero
 
 
-def rtt_residual(r: MatrixPoly, lax: LaxRep, samples1, samples2) -> RttReport:
+def rtt_residual(r: Poly, lax: AlphaSeries, samples1, samples2) -> RttReport:
     """Check R12 L1 L2 = L2 L1 R12 on a rational grid exceeding degree bounds.
 
     The residual is cleared of denominators, so vanishing on the grid is
     equivalent to the polynomial identity. Raises when the grid is too
     small for the declared degrees.
     """
-    dim = lax.dim
-    rhat = _embed_poly(_difference_form(r), (0, 1), 3, dim)
-    l1 = _embed_poly(lax.to_poly(var=0, nvars=2), (0, 2), 3, dim)
-    l2 = _embed_poly(lax.to_poly(var=1, nvars=2), (1, 2), 3, dim)
-    residual = rhat * l1 * l2 - l2 * l1 * rhat
+    factors, residual = _rtt_parts(r, lax)
     # a priori per-variable spans of the cleared residual
-    spans = []
-    for var in range(2):
-        lo = (
-            rhat.exponent_range(var)[0]
-            + l1.exponent_range(var)[0]
-            + l2.exponent_range(var)[0]
-        )
-        hi = (
-            rhat.exponent_range(var)[1]
-            + l1.exponent_range(var)[1]
-            + l2.exponent_range(var)[1]
-        )
-        spans.append(hi - lo)
+    spans = [
+        sum(f.exponent_range(var)[1] for f in factors)
+        - sum(f.exponent_range(var)[0] for f in factors)
+        for var in range(2)
+    ]
     needed = (spans[0] + 1, spans[1] + 1)
     s1 = sorted(set(Fraction(s) for s in samples1))
     s2 = sorted(set(Fraction(s) for s in samples2))
@@ -301,25 +163,20 @@ def rtt_residual(r: MatrixPoly, lax: LaxRep, samples1, samples2) -> RttReport:
     points = []
     for a in s1:
         for b in s2:
-            value = cleared.eval((a, b)).max_abs()
-            worst = max(worst, value)
+            worst = max(worst, max_abs(cleared.eval(a, b)))
             points.append((a, b))
     return RttReport(spans, points, worst, residual.is_zero())
 
 
-def rtt_matching_order_residual(r: MatrixPoly, lax: LaxRep) -> MatrixPoly:
+def rtt_matching_order_residual(r: Poly, lax: AlphaSeries) -> Poly:
     """RTT residual of a degree-truncated lax, restricted to trusted orders.
 
     Truncating the geometric solution at degree M contaminates only the
     monomials with an exponent at or below -M in either variable, so the
     residual restricted to exponents above that floor must vanish.
     """
-    dim = lax.dim
-    rhat = _embed_poly(_difference_form(r), (0, 1), 3, dim)
-    l1 = _embed_poly(lax.to_poly(var=0, nvars=2), (0, 2), 3, dim)
-    l2 = _embed_poly(lax.to_poly(var=1, nvars=2), (1, 2), 3, dim)
-    residual = rhat * l1 * l2 - l2 * l1 * rhat
-    floor = -(lax.max_degree - 1)
+    _, residual = _rtt_parts(r, lax)
+    floor = -(lax.order - 1)
     return residual.restrict_floor((floor, floor))
 
 
@@ -330,28 +187,29 @@ def _check_budget(dim: int, slots: int):
         )
 
 
-def monodromy_family(lax: LaxRep, n_sites: int) -> SiteOperatorFamily:
+def monodromy_family(lax: AlphaSeries, n_sites: int) -> SiteOperatorFamily:
     """Site family whose forward product is L_{0N} ... L_{01}."""
-    _check_budget(lax.dim, n_sites + 1)
+    dim = _lax_dim(lax)
+    _check_budget(dim, n_sites + 1)
     total = n_sites + 1
     entries = {}
-    for m in range(1, lax.max_degree + 1):
+    for m in range(1, lax.order + 1):
         mat = lax.coeff(m)
         if mat.is_zero():
             continue
         for n in range(1, n_sites + 1):
-            entries[(n, m)] = kron_embed(mat, (0, n), total, lax.dim)
-    like = Matrix.identity(lax.dim ** total)
+            entries[(n, m)] = kron_embed(mat, (0, n), total, dim)
+    like = Matrix.identity(dim ** total)
     return SiteOperatorFamily(n_sites, entries, direction=FORWARD, like=like)
 
 
-def monodromy_coproduct(lax: LaxRep, n_sites: int, order: int):
+def monodromy_coproduct(lax: AlphaSeries, n_sites: int, order: int):
     """T = L_{0N} ... L_{01} as a series; realizes (id x Delta^N) of the lax."""
     return monodromy(monodromy_family(lax, n_sites), order)
 
 
 def transfer_commute_residual(dim: int, n_sites: int, order: int,
-                              lax: LaxRep | None = None) -> Fraction:
+                              lax: AlphaSeries | None = None) -> Fraction:
     """Largest entry of [t^(k), t^(l)] over all order pairs; zero exactly."""
     if lax is None:
         lax = fundamental_lax(dim)
@@ -512,7 +370,7 @@ def hopf_checks(dim: int, order: int = 3) -> dict:
         default=Fraction(0),
     )
 
-    single = lax.series(order)
+    single = lax.truncate(order)
     inv = single.inverse()
     logs1 = single.log()
     antipode_q1 = (inv.coeff(1) + logs1.coeff(1)).max_abs()
@@ -551,16 +409,15 @@ def hopf_checks(dim: int, order: int = 3) -> dict:
     }
 
 
-def _entry_sequence(lax: LaxRep, m: int, a: int, b: int, n_sites: int) -> SiteSequence:
-    """(L^(m)_{a,b})_n as a sequence of operators on the quantum sites."""
-    dim = lax.dim
-    block = aux_block(lax.coeff(m), a, b, dim)
+def _entry_sequence(coeff: Matrix, a: int, b: int, dim: int, n_sites: int) -> SiteSequence:
+    """(L^(m)_{a,b})_n, for the Lax coefficient L^(m), on the quantum sites."""
+    block = aux_block(coeff, a, b, dim)
     return SiteSequence(
         [kron_embed(block, (n,), n_sites, dim) for n in range(n_sites)]
     )
 
 
-def coproduct_tridendriform_residual(lax: LaxRep, n_sites: int) -> dict:
+def coproduct_tridendriform_residual(lax: AlphaSeries, n_sites: int) -> dict:
     """Defects of the entrywise coproduct formulas against the monodromy.
 
     Checks the nested-prec expansion of Delta^N(L^(m)_{a,b}) for m = 1..3,
@@ -568,14 +425,14 @@ def coproduct_tridendriform_residual(lax: LaxRep, n_sites: int) -> dict:
     entrywise order-2 variant, and the prec/succ transpose identity for
     operators on distinct sites.
     """
-    dim = lax.dim
+    dim = _lax_dim(lax)
     _check_budget(dim, n_sites + 1)
     series = monodromy_coproduct(lax, n_sites, 3)
     logs = series.log()
 
     seq = {
         m: {
-            (a, b): _entry_sequence(lax, m, a, b, n_sites)
+            (a, b): _entry_sequence(lax.coeff(m), a, b, dim, n_sites)
             for a in range(dim)
             for b in range(dim)
         }
@@ -612,7 +469,7 @@ def coproduct_tridendriform_residual(lax: LaxRep, n_sites: int) -> dict:
                 worst = max(worst, (target - rhs.total()).max_abs())
         defects[f"dendriform_order_{m}"] = worst
 
-    single_logs = lax.series(3).log()
+    single_logs = lax.truncate(3).log()
     total = n_sites + 1
     q_site = {
         m: SiteSequence(

@@ -187,8 +187,8 @@ def test_criterion_10_boundary_recursions():
 def test_criterion_11_continuum_limit():
     x_step = Matrix([[0, 1], [0, 0]])
     y_step = Matrix([[0, 0], [1, 0]])
-    field = MatrixField(Poly({0: x_step, 1: y_step}))
-    expected_q2 = Poly({3: commutator(x_step, y_step) * F(-1, 12)})
+    field = MatrixField(Poly({(0,): x_step, (1,): y_step}))
+    expected_q2 = Poly({(3,): commutator(x_step, y_step) * F(-1, 12)})
     second_terms = (
         magnus_continuous(field, 2, style="explicit")[2],
         magnus_continuous(field, 2, style="prelie")[2],
@@ -202,7 +202,7 @@ def test_criterion_11_continuum_limit():
         0.85 <= table.summary_rate(order) <= 1.15 for order in (1, 2)
     )
 
-    constant = MatrixField(Poly({0: Matrix([[0, 1], [1, 0]])}))
+    constant = MatrixField(Poly({(0,): Matrix([[0, 1], [1, 0]])}))
     residual = open_evolution_residual(
         constant, k=Matrix.identity(2), x=1.0, delta=1e-4, alpha=F(1, 20)
     )

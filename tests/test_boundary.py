@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordexp.boundary import (
     BoundaryProblem,
@@ -290,6 +292,19 @@ class TestReflectionHat:
         for site in (1, 2):
             assert back.lax_series(site, 3) == fam.lax_series(site, 3)
         assert back.direction == fam.direction
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=24, max_size=24),
+           st.sampled_from([FORWARD, BACKWARD]))
+    def test_involution_property(self, values, direction):
+        # two sites, degrees 1..3, 2x2 entries: hat(hat(L)) = L through order 3
+        mats = [Matrix([values[i:i + 2], values[i + 2:i + 4]]) for i in range(0, 24, 4)]
+        entries = {(n, d): mats[3 * (n - 1) + d - 1] for n in (1, 2) for d in (1, 2, 3)}
+        fam = SiteOperatorFamily(2, entries, direction=direction, like=Matrix.identity(2))
+        back = reflection_hat(reflection_hat(fam, 3), 3)
+        for site in (1, 2):
+            assert back.lax_series(site, 3) == fam.lax_series(site, 3)
+        assert back.direction == direction
 
     def test_order_too_small(self):
         fam = scalar_family(1, 1)

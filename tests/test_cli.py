@@ -174,6 +174,36 @@ class TestVerifyCommand:
         with pytest.raises(AlgebraError, match="backend must be exact or float"):
             SuiteConfig(backend=backend, samples=1)
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_tolerance_not_finite_and_nonnegative_is_usage_error(self, capsys, tolerance):
+        code, out, err = run_cli(capsys, "verify", "dyson", "--backend", "float",
+                                 "--samples", "2", "--tolerance", tolerance)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance must be a finite number >= 0")
+
+    def test_tolerance_on_exact_backend_is_usage_error(self, capsys):
+        # no exact row reads a tolerance, so printing it would claim a check
+        code, out, err = run_cli(capsys, "verify", "dyson", "--samples", "2",
+                                 "--tolerance", "0.5")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance is read only on the float backend")
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_default_tolerance_header(self, capsys, backend):
+        code, out, _ = run_cli(capsys, "verify", "dyson", "--samples", "2",
+                               "--backend", backend)
+        assert code == 0
+        assert "tolerance: 1e-10\n" in out
+
+    def test_suite_config_checks_tolerance(self):
+        with pytest.raises(AlgebraError, match="read only on the float backend"):
+            SuiteConfig(tolerance=1e-10)
+        with pytest.raises(AlgebraError, match="finite number"):
+            SuiteConfig(backend="float", tolerance=float("nan"))
+        assert SuiteConfig(backend="float", tolerance=0).tolerance == 0
+
     def test_float_backend_passes_at_default_tolerance(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "dyson", "--backend", "float", "--samples", "5"

@@ -65,6 +65,11 @@ class TestMatrixField:
         with pytest.raises(DimensionMismatch):
             MatrixField(bad, 0, 1)
 
+    @pytest.mark.parametrize("exps", [(-1,), (1, 0)])
+    def test_requires_one_variable_polynomial(self, exps):
+        with pytest.raises(AlgebraError):
+            MatrixField(Poly({exps: X}), 0, 1)
+
     def test_requires_nonempty_interval(self):
         with pytest.raises(AlgebraError):
             MatrixField(Poly.constant(X), 1, 1)
@@ -86,18 +91,18 @@ class TestMagnusContinuous:
     def test_affine_second_order_closed_form(self):
         # Q2(x) = -(x^3/12) [X, Y]
         q = magnus_continuous(affine_field(), 3)
-        assert q[2] == Poly({3: commutator(X, Y) * F(-1, 12)})
+        assert q[2] == Poly({(3,): commutator(X, Y) * F(-1, 12)})
 
     def test_affine_third_order_closed_form(self):
         # hand-integrated: Q3(x) = (x^5/240) [[X, Y], Y]
         q = magnus_continuous(affine_field(), 3)
-        assert q[3] == Poly({5: commutator(commutator(X, Y), Y) * F(1, 240)})
+        assert q[3] == Poly({(5,): commutator(commutator(X, Y), Y) * F(1, 240)})
         # for these generators [[X, Y], Y] = -2Y
-        assert q[3] == Poly({5: Y * F(-1, 120)})
+        assert q[3] == Poly({(5,): Y * F(-1, 120)})
 
     def test_commuting_field_has_no_higher_terms(self):
         field = MatrixField(
-            Poly.constant(X) + Poly({1: X * F(3)}), F(0), F(1)
+            Poly.constant(X) + Poly({(1,): X * F(3)}), F(0), F(1)
         )
         q = magnus_continuous(field, 3)
         assert q[2].is_zero()
@@ -109,7 +114,7 @@ class TestMagnusContinuous:
         rng = random.Random(11)
         for _ in range(5):
             coeffs = {
-                d: Matrix(
+                (d,): Matrix(
                     [[F(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
                 )
                 for d in range(3)
@@ -183,8 +188,8 @@ class TestDysonContinuous:
         field = MatrixField(Poly.constant(X), F(0), F(1))
         t = dyson_continuous(field, 3)
         # plain powers x^m/m! of a constant operator
-        assert t[2] == Poly({2: X * X * F(1, 2)})
-        assert t[3] == Poly({3: X * X * X * F(1, 6)})
+        assert t[2] == Poly({(2,): X * X * F(1, 2)})
+        assert t[3] == Poly({(3,): X * X * X * F(1, 6)})
 
 
 class TestDiscretize:

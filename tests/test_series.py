@@ -209,3 +209,41 @@ def test_log_of_geometric_series():
         Fraction(1, 3),
         Fraction(1, 4),
     ]
+
+
+# Round trips as properties over every coefficient backend: (coefficient
+# strategy, unit).  Free coefficients are noncommuting combinations a x + b y.
+small = st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=3)
+X, Y = FreeElement.gen("x"), FreeElement.gen("y")
+BACKENDS = {
+    "scalar": (small, Fraction(1)),
+    "matrix": (st.lists(small, min_size=4, max_size=4).map(lambda v: Matrix([v[:2], v[2:]])),
+               Matrix.identity(2)),
+    "free": (st.tuples(small, small).map(lambda ab: X * ab[0] + Y * ab[1]), FreeElement.one()),
+}
+
+
+def draw_series(data, kind, constant):
+    coeff, _ = BACKENDS[kind]
+    return AlphaSeries([constant] + data.draw(st.lists(coeff, min_size=3, max_size=3)))
+
+
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_exp_log_round_trip_every_backend(kind, data):
+    one = BACKENDS[kind][1]
+    unit = draw_series(data, kind, one)
+    assert unit.log().exp() == unit
+    nil = draw_series(data, kind, one - one)
+    assert nil.exp().log() == nil
+
+
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_inverse_round_trip_every_backend(kind, data):
+    one = BACKENDS[kind][1]
+    x = draw_series(data, kind, one * data.draw(small.filter(bool)))
+    assert x * x.inverse() == AlphaSeries.one(3, like=one)
+    assert x.inverse() * x == AlphaSeries.one(3, like=one)
