@@ -122,12 +122,6 @@ class GradedPreLieElement:
         return f"GradedPreLieElement(order={self.order}, degrees=[{degs}])"
 
 
-def _retruncate(a: GradedPreLieElement, order) -> GradedPreLieElement:
-    if order is None or order == a.order:
-        return a
-    return GradedPreLieElement(order, a.components, a.product, like=a.like)
-
-
 def exp_flow(a: GradedPreLieElement, b: GradedPreLieElement) -> GradedPreLieElement:
     """e^{L_a}(b) = b + a|>b + a|>(a|>b)/2! + ...; finite by truncation."""
     a._check(b)
@@ -141,9 +135,8 @@ def exp_flow(a: GradedPreLieElement, b: GradedPreLieElement) -> GradedPreLieElem
     return out
 
 
-def w_map(a: GradedPreLieElement, order=None) -> GradedPreLieElement:
+def w_map(a: GradedPreLieElement) -> GradedPreLieElement:
     """The flow W(a) = a + a|>a/2! + a|>(a|>a)/3! + ..., right-nested."""
-    a = _retruncate(a, order)
     out = a
     term = a
     for k in range(2, a.order + 1):
@@ -154,28 +147,25 @@ def w_map(a: GradedPreLieElement, order=None) -> GradedPreLieElement:
     return out
 
 
-def omega_map(b: GradedPreLieElement, order=None) -> GradedPreLieElement:
+def omega_map(b: GradedPreLieElement) -> GradedPreLieElement:
     """The compositional inverse of w_map, solved degree by degree.
 
     Each fixed-point sweep x <- b - (W(x) - x) settles one more degree,
     since the degree-d part of W(x) - x only involves lower degrees of x.
     """
-    b = _retruncate(b, order)
     x = b
     for _ in range(b.order):
         x = b - (w_map(x) - x)
     return x
 
 
-def bch(a: GradedPreLieElement, b: GradedPreLieElement, order=None) -> GradedPreLieElement:
+def bch(a: GradedPreLieElement, b: GradedPreLieElement) -> GradedPreLieElement:
     """BCH composition C(a, b) in the Lie algebra induced by the carrier.
 
     log(exp(x)exp(y)) is expanded in the free associative algebra; each
     word is a Lie-series term, so the left-nested bracketing scaled by
     1/length projects it to brackets, which are then evaluated on a, b.
     """
-    a = _retruncate(a, order)
-    b = _retruncate(b, order)
     a._check(b)
     depth = a.order
     one = FreeElement.one()
@@ -193,10 +183,8 @@ def bch(a: GradedPreLieElement, b: GradedPreLieElement, order=None) -> GradedPre
     return out
 
 
-def brace_mul(a: GradedPreLieElement, b: GradedPreLieElement, order=None) -> GradedPreLieElement:
+def brace_mul(a: GradedPreLieElement, b: GradedPreLieElement) -> GradedPreLieElement:
     """The brace product a o b = a + e^{L_Omega(a)}(b)."""
-    a = _retruncate(a, order)
-    b = _retruncate(b, order)
     a._check(b)
     return a + exp_flow(omega_map(a), b)
 

@@ -8,6 +8,8 @@ asks which backend a value lives in.  Which backend a sampled value is
 drawn in is decided in one place too: `sampling.SampleSource`, whose
 `cast` is the one caller of `to_float` (the yangian `Poly` R-matrices and
 `AlphaSeries` Lax operators it converts carry their own `to_float()`).
+The rule that turns a law's residuals into its reported defect is here as
+well: `worst` takes their largest `max_abs`, keeping their type.
 
 `SCALARS` and `commutator` are defined in `matrix`, which sits below this
 module (`Matrix` needs the scalar tuple, and `matrix.commutator` is public);
@@ -18,12 +20,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BackendMismatch, DimensionMismatch, SingularOperator
+from .errors import BackendMismatch, DimensionMismatch, InsufficientSamples, SingularOperator
 from .freealg import FreeElement
 from .matrix import SCALARS, Matrix, commutator
 
 __all__ = ["SCALARS", "check_compatible", "commutator", "invert", "is_zero",
-           "max_abs", "one_like", "to_float", "zero_like"]
+           "max_abs", "one_like", "to_float", "worst", "zero_like"]
 
 
 def zero_like(x):
@@ -92,6 +94,26 @@ def max_abs(x):
     if isinstance(x, SCALARS):
         return abs(x)
     return x.max_abs()
+
+
+def worst(residuals):
+    """Largest `max_abs` over a nonempty iterable of residuals: a row's defect.
+
+    There is no starting value, so the defect keeps the residuals' type: a
+    float residual makes it a float, even at 0.0.  No residual at all raises
+    InsufficientSamples, so a check that ran on no case never reads as zero.
+    The iterable is consumed one residual at a time and none is kept.
+    """
+    best = None
+    floated = False
+    for r in residuals:
+        d = max_abs(r)
+        floated = floated or isinstance(d, float)
+        if best is None or d > best:
+            best = d
+    if best is None:
+        raise InsufficientSamples("no residual to take the worst of")
+    return float(best) if floated else best
 
 
 def to_float(x):

@@ -4,6 +4,9 @@ A report is a list of case rows, each naming the law it checked, the
 backend it ran on, the parameters of the sample, and the worst defect
 observed.  One rule decides the pass flag: on an exact backend the
 defect must be exactly zero, on a float backend at most the tolerance.
+An exact row refuses a float defect outright (TypeError): a float there
+means a float leaked into the exact path, and 0.0 must not read as
+exact-zero.
 
 Rendered output is deterministic for a given seed and flag set, so
 wall-clock timing never enters the document; callers print timing to
@@ -66,8 +69,14 @@ class VerificationReport:
     def add(self, case_id: str, law: str, defect, backend: str | None = None,
             gate: bool | None = None, **params) -> bool:
         """Append one case; `gate` overrides the defect-derived pass flag
-        for rows whose defect is diagnostic rather than a failure."""
+        for rows whose defect is diagnostic rather than a failure.
+
+        A float defect on an exact row is a program fault, a float leak
+        into the exact path, and raises TypeError.
+        """
         backend = self.backend if backend is None else backend
+        if backend == EXACT and isinstance(defect, float):
+            raise TypeError(f"{case_id}: exact row got the float defect {defect!r}")
         if gate is None:
             if backend == EXACT:
                 passed = defect == 0

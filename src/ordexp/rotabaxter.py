@@ -161,12 +161,9 @@ def trid_succ(a: SiteSequence, b: SiteSequence) -> SiteSequence:
     return SiteSequence(x * y for x, y in zip(r.values, b.values))
 
 
-def trid_dot(a: SiteSequence, b: SiteSequence, weight=Fraction(1)) -> SiteSequence:
-    """(a . b)_n = weight * a_n b_n."""
-    out = SiteSequence(x * y for x, y in zip(a.values, b.values))
-    if weight != 1:
-        out = out * weight
-    return out
+def trid_dot(a: SiteSequence, b: SiteSequence) -> SiteSequence:
+    """(a . b)_n = a_n b_n."""
+    return SiteSequence(x * y for x, y in zip(a.values, b.values))
 
 
 def trid_star(a: SiteSequence, b: SiteSequence) -> SiteSequence:

@@ -2,9 +2,13 @@
 
 Each suite draws its cases from labeled substreams of the seed, runs the
 module checks at the requested sizes, and records one report row per
-law with the worst defect seen across the samples.  Default sizes match
-the package's acceptance scale; `--sites`, `--dim`, and `--samples`
-rescale them.
+law with the worst defect seen across the samples.  That defect comes
+from `ops.worst` over the row's residuals, or from one residual's
+`max_abs`, so it keeps the residuals' type: an exact row cannot hide a
+float, and a row that checked no case raises.  A loop that feeds several
+rows keeps each residual's `max_abs`, not the residual.  Default sizes match the
+package's acceptance scale; `--sites`, `--dim`, and `--samples` rescale
+them.
 
 Each suite reads the backend once, to create its report and its root
 `SampleSource`; the source then draws (or `cast`s) every sampled operator
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 from .brace import (
     GradedPreLieElement,
@@ -38,7 +43,7 @@ from .expansion import (
     monodromy,
 )
 from .matrix import Matrix
-from .ops import max_abs
+from .ops import max_abs, worst
 from .report import EXACT, FLOAT, VerificationReport
 from .rotabaxter import (
     IntegralOp,
@@ -148,40 +153,36 @@ def rota_baxter_suite(cfg: SuiteConfig) -> VerificationReport:
 
     src = root.split("rota-baxter:weight-one")
     op = PartialSumOp()
-    worst = F(0)
-    for _ in range(pairs):
-        a = src.sequence(sites, dim)
-        b = src.sequence(sites, dim)
-        worst = max(worst, max_abs(rb_residual(op, a, b)))
     rep.add(
         "partial-sum-weight-one",
         law="R(a)R(b) = R(R(a)b + aR(b) + ab) for the strict prefix sum",
-        defect=worst, sequences=2 * pairs, sites=sites, dim=dim,
+        defect=worst(rb_residual(op, src.sequence(sites, dim), src.sequence(sites, dim))
+                     for _ in range(pairs)),
+        sequences=2 * pairs, sites=sites, dim=dim,
     )
 
     src = root.split("rota-baxter:weight-zero")
     integral = IntegralOp()
-    worst = F(0)
-    for _ in range(poly_pairs):
-        p = src.poly()
-        q = src.poly()
-        worst = max(worst, max_abs(rb_residual(integral, p, q)))
     rep.add(
         "integral-weight-zero",
         law="R(p)R(q) = R(R(p)q + pR(q)) for the integral from the base point",
-        defect=worst, pairs=poly_pairs, degree=3,
+        defect=worst(rb_residual(integral, src.poly(), src.poly()) for _ in range(poly_pairs)),
+        pairs=poly_pairs, degree=3,
     )
     return rep
 
 
+# Row stem and law of each tridendriform row: the seven axioms, in the
+# order check_tridendriform returns their residuals, then the star product.
 _TRID_LAWS = [
-    "(a<b)<c = a<(b*c)",
-    "(a>b)<c = a>(b<c)",
-    "a>(b>c) = (a*b)>c",
-    "(a.b).c = a.(b.c)",
-    "(a>b).c = a>(b.c)",
-    "(a<b).c = a.(b>c)",
-    "(a.b)<c = a.(b<c)",
+    ("axiom-1", "(a<b)<c = a<(b*c)"),
+    ("axiom-2", "(a>b)<c = a>(b<c)"),
+    ("axiom-3", "a>(b>c) = (a*b)>c"),
+    ("axiom-4", "(a.b).c = a.(b.c)"),
+    ("axiom-5", "(a>b).c = a>(b.c)"),
+    ("axiom-6", "(a<b).c = a.(b>c)"),
+    ("axiom-7", "(a.b)<c = a.(b<c)"),
+    ("star-associativity", "(a*b)*c = a*(b*c) with * = < + > + ."),
 ]
 
 
@@ -193,25 +194,15 @@ def tridendriform_suite(cfg: SuiteConfig) -> VerificationReport:
     root = SampleSource(cfg.seed, cfg.backend)
 
     def run(tag, draw, backend=None):
-        worst = [F(0)] * 7
-        star_worst = F(0)
         src = root.split(f"tridendriform:{tag}")
+        rows = []
         for _ in range(triples):
             a, b, c = draw(src)
-            for idx, res in enumerate(check_tridendriform(a, b, c)):
-                worst[idx] = max(worst[idx], max_abs(res))
             assoc = trid_star(trid_star(a, b), c) - trid_star(a, trid_star(b, c))
-            star_worst = max(star_worst, max_abs(assoc))
-        for idx, law in enumerate(_TRID_LAWS):
-            rep.add(
-                f"axiom-{idx + 1}-{tag}", law=law, defect=worst[idx],
-                backend=backend, triples=triples, sites=sites,
-            )
-        rep.add(
-            f"star-associativity-{tag}",
-            law="(a*b)*c = a*(b*c) with * = < + > + .",
-            defect=star_worst, backend=backend, triples=triples, sites=sites,
-        )
+            rows.append([max_abs(res) for res in (*check_tridendriform(a, b, c), assoc)])
+        for (stem, law), defects in zip(_TRID_LAWS, zip(*rows)):
+            rep.add(f"{stem}-{tag}", law=law, defect=worst(defects),
+                    backend=backend, triples=triples, sites=sites)
 
     def draw_matrix(src):
         return [src.sequence(sites, dim) for _ in range(3)]
@@ -239,12 +230,9 @@ def prelie_suite(cfg: SuiteConfig) -> VerificationReport:
     ]
     for case_id, residual, law in checks:
         src = root.split(f"prelie:{case_id}")
-        worst = F(0)
-        for _ in range(triples):
-            abc = [src.sequence(sites, dim) for _ in range(3)]
-            worst = max(worst, max_abs(residual(*abc)))
-        rep.add(case_id, law=law, defect=worst,
-                triples=triples, sites=sites, dim=dim)
+        defect = worst(residual(*(src.sequence(sites, dim) for _ in range(3)))
+                       for _ in range(triples))
+        rep.add(case_id, law=law, defect=defect, triples=triples, sites=sites, dim=dim)
     return rep
 
 
@@ -263,27 +251,24 @@ def dyson_suite(cfg: SuiteConfig) -> VerificationReport:
     rep = _report(cfg, "dyson", order)
     root = SampleSource(cfg.seed, cfg.backend)
 
-    worst = {"direct": F(0), "tridendriform": F(0)}
+    defects = {"direct": [], "tridendriform": []}
     src = root.split("dyson:families")
     for k in range(families):
         fam = _sampled_family(src, max_sites, dim, k)
         mono = monodromy(fam, order)
-        for method in ("direct", "tridendriform"):
+        for method, found in defects.items():
             terms = dyson_terms(fam, order, method=method)
-            for m in range(order + 1):
-                worst[method] = max(
-                    worst[method], max_abs(terms[m] - mono.coeff(m))
-                )
+            found.extend(max_abs(terms[m] - mono.coeff(m)) for m in range(order + 1))
     rep.add(
         "iterated-sums-vs-product",
         law="T^(m) from descending iterated sums equals the ordered-product coefficient",
-        defect=worst["direct"], families=families, max_sites=max_sites,
+        defect=worst(defects["direct"]), families=families, max_sites=max_sites,
         order=order, directions="both",
     )
     rep.add(
         "dendriform-nesting-vs-product",
         law="T^(m) from nested half-shuffles equals the ordered-product coefficient",
-        defect=worst["tridendriform"], families=families, max_sites=max_sites,
+        defect=worst(defects["tridendriform"]), families=families, max_sites=max_sites,
         order=order, directions="both",
     )
     return rep
@@ -299,55 +284,49 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
         fam = SiteOperatorFamily(0, {}, like=Matrix.identity(dim))
         mono = monodromy(fam, order)
         q = magnus_oracle(fam, order)
-        defect = max(
-            max_abs(mono - AlphaSeries.one(order, like=fam.like)),
-            max((max_abs(c) for c in q), default=F(0)),
-        )
         rep.add(
             "empty-chain-identity",
             law="an empty chain has T = 1 and Q = 0",
-            defect=defect, sites=0, order=order,
+            defect=worst([mono - AlphaSeries.one(order, like=fam.like), *q]),
+            sites=0, order=order,
         )
         return rep
 
     max_sites = 5 if cfg.sites is None else cfg.sites
     families = 25 if cfg.samples is None else cfg.samples
 
-    worst = F(0)
-    src = root.split("magnus:round-trip")
-    for k in range(families):
-        fam = _sampled_family(src, max_sites, dim, k)
+    def round_trip(fam):
         q = magnus_oracle(fam, order)
         series = AlphaSeries.from_parts(
             order, {m: q[m - 1] for m in range(1, order + 1)}, like=fam.like
         ).exp()
-        worst = max(worst, max_abs(series - monodromy(fam, order)))
+        return series - monodromy(fam, order)
+
+    src = root.split("magnus:round-trip")
     rep.add(
         "exponential-round-trip",
         law="exp(sum_m alpha^m Q^(m)) reproduces the ordered product",
-        defect=worst, families=families, max_sites=max_sites, order=order,
+        defect=worst(round_trip(_sampled_family(src, max_sites, dim, k))
+                     for k in range(families)),
+        families=families, max_sites=max_sites, order=order,
     )
 
     one = root.cast(F(1))
     scalar = SiteOperatorFamily(2, {(1, 1): one, (2, 1): one}, like=one)
     q = magnus_oracle(scalar, 3)
     expected = [2, -1, F(2, 3)]
-    defect = max(max_abs(q[m] - expected[m]) for m in range(3))
     rep.add(
         "scalar-chain-logarithm",
         law="two unit sites give Q = (2, -1, 2/3), the log of (1+alpha)^2",
-        defect=defect, sites=2, value=1,
+        defect=worst(q[m] - expected[m] for m in range(3)), sites=2, value=1,
     )
 
     # Closed commutator and pre-Lie forms, orders 1-3, against the series
     # oracle; the transcribed commutator form is diagnostic only and its
     # row is gated by the pre-Lie match.
-    styles = {"prelie": F(0), "explicit": F(0)}
-    offending = []
+    styles = {"prelie": [], "explicit": []}
     src = root.split("magnus:closed-forms")
-    cases = []
-    for k in range(families):
-        cases.append(_sampled_family(src, max_sites, dim, k))
+    cases = [_sampled_family(src, max_sites, dim, k) for k in range(families)]
     for k in range(families):
         p = root.cast(src.nonzero_fraction())
         n = src.integer(1, 4)
@@ -357,23 +336,21 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
             SiteOperatorFamily(n, entries, direction=direction, like=one)
         )
     for fam in cases:
-        for style in styles:
-            for degree, res in closed_form_defects(fam, order=3, style=style):
-                d = max_abs(res)
-                if style == "explicit" and d != 0:
-                    offending.append(f"degree {degree}")
-                styles[style] = max(styles[style], d)
+        for style, found in styles.items():
+            found.extend((degree, max_abs(res))
+                         for degree, res in closed_form_defects(fam, order=3, style=style))
+    offending = {f"degree {degree}" for degree, d in styles["explicit"] if d != 0}
     prelie_pass = rep.add(
         "closed-form-pre-lie",
         law="Q^(2), Q^(3) from the pre-Lie closed forms match the series oracle",
-        defect=styles["prelie"], families=families, scalar_families=families,
-        orders="1-3", directions="both",
+        defect=worst(d for _, d in styles["prelie"]), families=families,
+        scalar_families=families, orders="1-3", directions="both",
     )
     rep.add(
         "closed-form-commutator",
         law="Q^(2), Q^(3) from the transcribed commutator forms match the oracle",
-        defect=styles["explicit"], gate=prelie_pass,
-        offending=", ".join(sorted(set(offending))) or "none",
+        defect=worst(d for _, d in styles["explicit"]), gate=prelie_pass,
+        offending=", ".join(sorted(offending)) or "none",
         families=families, scalar_families=families, orders="1-3",
     )
     return rep
@@ -394,47 +371,51 @@ def brace_suite(cfg: SuiteConfig) -> VerificationReport:
         return GradedPreLieElement(order, comps, prelie_left, like=zero_seq)
 
     src = root.split("brace:flow-inverse")
-    worst = F(0)
-    for _ in range(pairs):
-        a = element(src)
-        worst = max(worst, max_abs(omega_map(w_map(a)) - a))
-        worst = max(worst, max_abs(w_map(omega_map(a)) - a))
     rep.add(
         "flow-inverse",
         law="Omega inverts W in both orders, degree by degree",
-        defect=worst, elements=pairs, degree=order,
+        defect=worst(res for a in (element(src) for _ in range(pairs))
+                     for res in (omega_map(w_map(a)) - a, w_map(omega_map(a)) - a)),
+        elements=pairs, degree=order,
     )
 
     src = root.split("brace:left-law")
-    worst = F(0)
-    for _ in range(pairs):
-        a, b, c = element(src), element(src), element(src)
-        worst = max(worst, max_abs(left_brace_residual(a, b, c)))
     rep.add(
         "left-brace-law",
         law="the circle product distributes as a left brace",
-        defect=worst, triples=pairs, degree=order,
+        defect=worst(left_brace_residual(element(src), element(src), element(src))
+                     for _ in range(pairs)),
+        triples=pairs, degree=order,
     )
 
     src = root.split("brace:flow-composition")
-    worst_flow = F(0)
-    worst_assoc = F(0)
+    flows, assocs = [], []
     for _ in range(pairs):
         a, b = element(src), element(src)
-        worst_flow = max(worst_flow, max_abs(flow_composition_residual(a, b)))
-        c = element(src)
-        worst_assoc = max(worst_assoc, max_abs(circle_assoc_residual(a, b, c)))
+        flows.append(max_abs(flow_composition_residual(a, b)))
+        assocs.append(max_abs(circle_assoc_residual(a, b, element(src))))
     rep.add(
         "flow-composition",
         law="W(a) o W(b) = W(C(a,b)) with C the BCH composition",
-        defect=worst_flow, pairs=pairs, degree=order,
+        defect=worst(flows), pairs=pairs, degree=order,
     )
     rep.add(
         "circle-associativity",
         law="the circle product is associative to the truncation degree",
-        defect=worst_assoc, triples=pairs, degree=order,
+        defect=worst(assocs), triples=pairs, degree=order,
     )
     return rep
+
+
+def _exchange_residuals(dim: int, n: int):
+    """Every charge-exchange residual of the n-site chain, one at a time;
+    there are 810 of them at dim 3, so none is kept."""
+    series = monodromy_coproduct(fundamental_lax(dim), n, 4)
+    coeffs = [series.coeff(k) for k in range(5)]
+    for p in range(4):
+        for q in range(4 - p):
+            for i, j, k, l in product(range(dim), repeat=4):
+                yield yangian_relations_residual(coeffs, dim, p, q, i, j, k, l)
 
 
 def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
@@ -459,23 +440,21 @@ def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
         geo = root.cast(geometric_lax(dim, 3))
 
         src = root.split(f"yangian:ybe:{dim}")
-        worst = F(0)
-        for lams in triples(src, 10, distinct=False):
-            worst = max(worst, max_abs(ybe_residual(r, *lams, dim)))
         rep.add(
             f"braid-relation-dim{dim}",
             law="R12 R13 R23 = R23 R13 R12 for R = lambda + P",
-            defect=worst, dim=dim, triples=10,
+            defect=worst(ybe_residual(r, *lams, dim)
+                         for lams in triples(src, 10, distinct=False)),
+            dim=dim, triples=10,
         )
 
         src = root.split(f"yangian:classical:{dim}")
-        worst = F(0)
-        for lams in triples(src, 10, distinct=True):
-            worst = max(worst, max_abs(classical_ybe_residual(rc, *lams, dim)))
         rep.add(
             f"classical-braid-dim{dim}",
             law="[r12, r13] + [r12 + r13, r23] = 0 for r = P/lambda",
-            defect=worst, dim=dim, triples=10,
+            defect=worst(classical_ybe_residual(rc, *lams, dim)
+                         for lams in triples(src, 10, distinct=True)),
+            dim=dim, triples=10,
         )
 
         grid = rtt_residual(r, lax, [F(2), F(3), F(5), F(7)],
@@ -497,52 +476,31 @@ def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
 
         n_max = min(sites, 4 if dim == 2 else 2)
         t_order = 4 if dim == 2 else 3
-        worst = F(0)
-        for n in range(1, n_max + 1):
-            worst = max(
-                worst,
-                max_abs(transfer_commute_residual(dim, n, t_order, lax=lax)),
-            )
         rep.add(
             f"transfer-commutativity-dim{dim}",
             law="traced charges commute: [t^(k), t^(l)] = 0",
-            defect=worst, dim=dim, max_sites=n_max, order=t_order,
+            defect=worst(transfer_commute_residual(dim, n, t_order, lax=lax)
+                         for n in range(1, n_max + 1)),
+            dim=dim, max_sites=n_max, order=t_order,
         )
 
         charge_n = min(sites, 3 if dim == 2 else 2)
-        worst = F(0)
-        for n in range(1, charge_n + 1):
-            series = monodromy_coproduct(fundamental_lax(dim), n, 4)
-            coeffs = [series.coeff(k) for k in range(5)]
-            for p in range(4):
-                for q in range(4 - p):
-                    for i in range(dim):
-                        for j in range(dim):
-                            for k in range(dim):
-                                for l in range(dim):
-                                    res = yangian_relations_residual(
-                                        coeffs, dim, p, q, i, j, k, l
-                                    )
-                                    worst = max(worst, max_abs(res))
         rep.add(
             f"charge-exchange-dim{dim}",
             law="[L^(n+1)_ij, L^(m)_kl] - [L^(n)_ij, L^(m+1)_kl] "
                 "= L^(m)_kj L^(n)_il - L^(n)_kj L^(m)_il",
-            defect=worst, backend=EXACT, dim=dim, max_sites=charge_n,
-            orders="n+m <= 3",
+            defect=worst(res for n in range(1, charge_n + 1) for res in _exchange_residuals(dim, n)),
+            backend=EXACT, dim=dim, max_sites=charge_n, orders="n+m <= 3",
         )
 
         qn = 3
         series = monodromy_coproduct(fundamental_lax(dim), qn, 3)
         _, qrep = q_generators_and_relations(series, dim)
-        worst = max(
-            qrep["first_family"], qrep["second_family"],
-            qrep["third_family_literal"],
-        )
+        closing = ("first_family", "second_family", "third_family_literal")
         rep.add(
             f"quadratic-generator-families-dim{dim}",
             law="the three bracket families of the quadratic charges close",
-            defect=worst, backend=EXACT, dim=dim, sites=qn,
+            defect=worst(qrep[k] for k in closing), backend=EXACT, dim=dim, sites=qn,
             swapped_delta_diagnostic=qrep["third_family_swapped"],
         )
 
@@ -552,26 +510,23 @@ def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
             "coassociativity", "counit", "antipode_q1",
             "antipode_q2_vs_derived",
         ]
-        worst = max(hopf[k] for k in gated)
         rep.add(
             f"coproduct-log-dim{dim}",
             law="splitting the chain splits the charges: coproduct, counit, "
                 "and antipode act on Q1, Q2 as derived",
-            defect=worst, backend=EXACT, dim=dim,
+            defect=worst(hopf[k] for k in gated), backend=EXACT, dim=dim,
             low_site_leg_diagnostic=hopf["coproduct_q2_first_leg_low_site"],
             printed_antipode_diagnostic=hopf["antipode_q2_vs_printed"],
         )
 
         split_sites = (2, 3) if dim == 2 else (2,)
-        worst = F(0)
-        for n in split_sites:
-            srep = coproduct_tridendriform_residual(fundamental_lax(dim), n)
-            worst = max(worst, max(srep.values()))
         rep.add(
             f"coproduct-splitting-dim{dim}",
             law="half-shuffle and pre-Lie recursions reassemble the "
                 "split-chain charges",
-            defect=worst, backend=EXACT, dim=dim,
+            defect=worst(d for n in split_sites for d in
+                         coproduct_tridendriform_residual(fundamental_lax(dim), n).values()),
+            backend=EXACT, dim=dim,
             sites=",".join(str(n) for n in split_sites),
         )
     return rep
@@ -580,30 +535,29 @@ def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
 def boundary_suite(cfg: SuiteConfig) -> VerificationReport:
     sites = 3 if cfg.sites is None else _at_least("sites", cfg.sites, 1, "boundary")
     dim = 2 if cfg.dim is None else cfg.dim
-    problems = 25 if cfg.samples is None else cfg.samples
+    # Three problems at least, so each of the three problem kinds gets one.
+    problems = 25 if cfg.samples is None else _at_least("samples", cfg.samples, 3, "boundary")
     order = 3 if cfg.order is None else cfg.order
     rep = _report(cfg, "boundary", order)
     root = SampleSource(cfg.seed, cfg.backend)
 
     gauge_count = problems // 2
     reflect_count = max(1, problems // 5)
-    plain_count = max(problems - gauge_count - reflect_count, 1)
+    plain_count = problems - gauge_count - reflect_count
 
     src = root.split("boundary:gauge")
-    worst = F(0)
-    for _ in range(gauge_count):
-        fwd = src.matrix_family(sites, (1, 2), size=dim)
-        tgt = src.matrix_family(sites, (1, 2), size=dim)
-        g1 = src.invertible_matrix(dim)
-        worst = max(worst, gauge_solve(GaugeProblem(fwd, tgt, g1, order)).max_abs())
     rep.add(
         "gauge-difference-equation",
         law="G_{n+1} = Lhat_n G_n L_n^{-1} holds for the prefix-product solution",
-        defect=worst, problems=gauge_count, sites=sites, order=order,
+        defect=worst(gauge_solve(GaugeProblem(src.matrix_family(sites, (1, 2), size=dim),
+                                              src.matrix_family(sites, (1, 2), size=dim),
+                                              src.invertible_matrix(dim), order))
+                     for _ in range(gauge_count)),
+        problems=gauge_count, sites=sites, order=order,
     )
 
     src = root.split("boundary:double-row")
-    worst = F(0)
+    doubles = []
     for k in range(plain_count):
         fwd = src.matrix_family(sites, (1, 2), size=dim)
         bwd = src.matrix_family(sites, (1, 2), size=dim, direction=BACKWARD)
@@ -614,36 +568,32 @@ def boundary_suite(cfg: SuiteConfig) -> VerificationReport:
             boundary = AlphaSeries.from_parts(
                 order, {0: k0, 1: src.matrix(dim)}, like=Matrix.identity(dim)
             )
-        worst = max(worst, double_row_monodromy(
-            BoundaryProblem(fwd, bwd, boundary, order)).max_abs())
+        doubles.append(max_abs(double_row_monodromy(BoundaryProblem(fwd, bwd, boundary, order))))
     rep.add(
         "double-row-recursion",
         law="B_{n+1} = L_n B_n Lhat_n for B = T K That",
-        defect=worst, problems=plain_count, sites=sites, order=order,
+        defect=worst(doubles), problems=plain_count, sites=sites, order=order,
     )
 
     src = root.split("boundary:reflection")
-    worst = F(0)
-    involution_worst = F(0)
+    doubles, involutions = [], []
     for _ in range(reflect_count):
         fwd = src.matrix_family(sites, (1,), size=dim)
         bwd = reflection_hat(fwd, order)
         k0 = src.invertible_matrix(dim)
-        worst = max(worst, double_row_monodromy(
-            BoundaryProblem(fwd, bwd, k0, order)).max_abs())
+        doubles.append(max_abs(double_row_monodromy(BoundaryProblem(fwd, bwd, k0, order))))
         back = reflection_hat(bwd, order)
-        for site in range(1, sites + 1):
-            involution_worst = max(involution_worst, max_abs(
-                back.lax_series(site, order) - fwd.lax_series(site, order)))
+        involutions.extend(max_abs(back.lax_series(site, order) - fwd.lax_series(site, order))
+                           for site in range(1, sites + 1))
     rep.add(
         "reflection-double-row",
         law="Lhat(alpha) = L^{-1}(-alpha) yields a valid double-row recursion",
-        defect=worst, problems=reflect_count, sites=sites, order=order,
+        defect=worst(doubles), problems=reflect_count, sites=sites, order=order,
     )
     rep.add(
         "reflection-involution",
         law="applying the reflection map twice returns the family",
-        defect=involution_worst, families=reflect_count, order=order,
+        defect=worst(involutions), families=reflect_count, order=order,
     )
     return rep
 

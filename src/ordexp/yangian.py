@@ -15,6 +15,7 @@ for truncated (matching-order) checks.
 
 import math
 from fractions import Fraction
+from itertools import product
 
 from .errors import (
     DimensionMismatch,
@@ -22,7 +23,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .matrix import Matrix, aux_block, kron_embed, partial_trace_first, permutation_op
-from .ops import commutator, max_abs
+from .ops import commutator, max_abs, worst
 from .poly import Poly
 from .rotabaxter import SiteSequence, prelie_left, trid_dot, trid_prec, trid_succ
 from .expansion import FORWARD, SiteOperatorFamily, monodromy
@@ -159,13 +160,9 @@ def rtt_residual(r: Poly, lax: AlphaSeries, samples1, samples2) -> RttReport:
     floor1 = residual.exponent_range(0)[0]
     floor2 = residual.exponent_range(1)[0]
     cleared = residual.shift((max(0, -floor1), max(0, -floor2)))
-    worst = Fraction(0)
-    points = []
-    for a in s1:
-        for b in s2:
-            worst = max(worst, max_abs(cleared.eval(a, b)))
-            points.append((a, b))
-    return RttReport(spans, points, worst, residual.is_zero())
+    points = [(a, b) for a in s1 for b in s2]
+    defect = worst(cleared.eval(a, b) for a, b in points)
+    return RttReport(spans, points, defect, residual.is_zero())
 
 
 def rtt_matching_order_residual(r: Poly, lax: AlphaSeries) -> Poly:
@@ -215,11 +212,8 @@ def transfer_commute_residual(dim: int, n_sites: int, order: int,
         lax = fundamental_lax(dim)
     series = monodromy_coproduct(lax, n_sites, order)
     traced = [partial_trace_first(series.coeff(k), dim) for k in range(order + 1)]
-    worst = Fraction(0)
-    for k in range(1, order + 1):
-        for l in range(k + 1, order + 1):
-            worst = max(worst, commutator(traced[k], traced[l]).max_abs())
-    return worst
+    return worst(commutator(traced[k], traced[l])
+                 for k in range(1, order + 1) for l in range(k + 1, order + 1))
 
 
 def generator_block(coeffs: list, m: int, a: int, b: int, dim: int) -> Matrix:
@@ -285,46 +279,37 @@ def q_generators_and_relations(series, dim: int) -> tuple[dict, dict]:
                 for y in range(dim):
                     q1cube[a][b] = q1cube[a][b] + q[1][a][x] * q[1][x][y] * q[1][y][b]
 
-    fam1 = Fraction(0)
-    fam2 = Fraction(0)
-    fam3_literal = Fraction(0)
-    fam3_swapped = Fraction(0)
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                for l in range(dim):
-                    r1 = (
-                        commutator(q[1][i][j], q[1][k][l])
-                        - q[1][k][j] * _delta(i, l)
-                        + q[1][i][l] * _delta(k, j)
-                    )
-                    fam1 = max(fam1, r1.max_abs())
-                    r2 = (
-                        commutator(q[1][i][j], q[2][k][l])
-                        - q[2][k][j] * _delta(i, l)
-                        + q[2][i][l] * _delta(k, j)
-                    )
-                    fam2 = max(fam2, r2.max_abs())
-                    base = (
-                        commutator(q[2][i][j], q[2][k][l])
-                        - q[3][k][j] * _delta(i, l)
-                        + q[3][i][l] * _delta(k, j)
-                        + q[1][k][j] * q1sq[i][l] * Fraction(1, 4)
-                        - q1sq[k][j] * q[1][i][l] * Fraction(1, 4)
-                    )
-                    twelfth = (
-                        q1cube[i][l] * _delta(k, j)
-                        - q1cube[k][j] * _delta(i, l)
-                    ) * Fraction(1, 12)
-                    fam3_literal = max(fam3_literal, (base - twelfth).max_abs())
-                    fam3_swapped = max(fam3_swapped, (base + twelfth).max_abs())
-    report = {
-        "first_family": fam1,
-        "second_family": fam2,
-        "third_family_literal": fam3_literal,
-        "third_family_swapped": fam3_swapped,
-    }
-    return q, report
+    def defects(i, j, k, l):
+        """The four families' defects at one index tuple; the two readings
+        of the third family share its 1/12-free part."""
+        r1 = (
+            commutator(q[1][i][j], q[1][k][l])
+            - q[1][k][j] * _delta(i, l)
+            + q[1][i][l] * _delta(k, j)
+        )
+        r2 = (
+            commutator(q[1][i][j], q[2][k][l])
+            - q[2][k][j] * _delta(i, l)
+            + q[2][i][l] * _delta(k, j)
+        )
+        base = (
+            commutator(q[2][i][j], q[2][k][l])
+            - q[3][k][j] * _delta(i, l)
+            + q[3][i][l] * _delta(k, j)
+            + q[1][k][j] * q1sq[i][l] * Fraction(1, 4)
+            - q1sq[k][j] * q[1][i][l] * Fraction(1, 4)
+        )
+        twelfth = (
+            q1cube[i][l] * _delta(k, j)
+            - q1cube[k][j] * _delta(i, l)
+        ) * Fraction(1, 12)
+        return max_abs(r1), max_abs(r2), max_abs(base - twelfth), max_abs(base + twelfth)
+
+    # One defect per family and index tuple is kept, never the residual
+    # matrices themselves, which are dim^3 x dim^3 each.
+    families = zip(*(defects(*ijkl) for ijkl in product(range(dim), repeat=4)))
+    names = ("first_family", "second_family", "third_family_literal", "third_family_swapped")
+    return q, dict(zip(names, map(worst, families)))
 
 
 def hopf_checks(dim: int, order: int = 3) -> dict:
@@ -359,16 +344,11 @@ def hopf_checks(dim: int, order: int = 3) -> dict:
         (l_series[2] * l_series[1]) * l_series[0]
         - l_series[2] * (l_series[1] * l_series[0])
     )
-    coassoc_defect = max(
-        (coassoc.coeff(k).max_abs() for k in range(order + 1)), default=Fraction(0)
-    )
+    coassoc_defect = worst(coassoc.coeff(k) for k in range(order + 1))
 
     empty = SiteOperatorFamily(0, {}, direction=FORWARD, like=Matrix.identity(dim))
     counit_series = monodromy(empty, order).log()
-    counit_defect = max(
-        (counit_series.coeff(k).max_abs() for k in range(1, order + 1)),
-        default=Fraction(0),
-    )
+    counit_defect = worst(counit_series.coeff(k) for k in range(1, order + 1))
 
     single = lax.truncate(order)
     inv = single.inverse()
@@ -382,21 +362,23 @@ def hopf_checks(dim: int, order: int = 3) -> dict:
     trace_q1 = Matrix.zeros(dim)
     for x in range(dim):
         trace_q1 = trace_q1 + q1b[x][x]
-    printed_defect = Fraction(0)
-    derived_defect = Fraction(0)
-    for a in range(dim):
-        for b in range(dim):
-            true = m2[a][b]
-            for x in range(dim):
-                true = true - m1[x][b] * m1[a][x] * half
-            printed = -q2b[a][b] + q1b[a][b] * half
-            derived = (
-                -q2b[a][b]
-                - q1b[a][b] * Fraction(dim, 2)
-                + trace_q1 * (half * _delta(a, b))
-            )
-            printed_defect = max(printed_defect, (true - printed).max_abs())
-            derived_defect = max(derived_defect, (true - derived).max_abs())
+
+    def antipode_residuals(a, b):
+        """The true order-2 antipode block minus its printed and derived forms."""
+        true = m2[a][b]
+        for x in range(dim):
+            true = true - m1[x][b] * m1[a][x] * half
+        printed = -q2b[a][b] + q1b[a][b] * half
+        derived = (
+            -q2b[a][b]
+            - q1b[a][b] * Fraction(dim, 2)
+            + trace_q1 * (half * _delta(a, b))
+        )
+        return true - printed, true - derived
+
+    printed_defect, derived_defect = map(
+        worst, zip(*(antipode_residuals(a, b) for a, b in product(range(dim), repeat=2)))
+    )
     return {
         "coproduct_q1": q1_defect,
         "coproduct_q2_first_leg_high_site": q2_high,
@@ -417,6 +399,15 @@ def _entry_sequence(coeff: Matrix, a: int, b: int, dim: int, n_sites: int) -> Si
     )
 
 
+def _entry_table(series: AlphaSeries, orders, dim: int, n_sites: int) -> dict:
+    """{m: {(a, b): (L^(m)_{a,b})_n}} for the coefficients of `series`."""
+    return {
+        m: {(a, b): _entry_sequence(series.coeff(m), a, b, dim, n_sites)
+            for a, b in product(range(dim), repeat=2)}
+        for m in orders
+    }
+
+
 def coproduct_tridendriform_residual(lax: AlphaSeries, n_sites: int) -> dict:
     """Defects of the entrywise coproduct formulas against the monodromy.
 
@@ -430,44 +421,32 @@ def coproduct_tridendriform_residual(lax: AlphaSeries, n_sites: int) -> dict:
     series = monodromy_coproduct(lax, n_sites, 3)
     logs = series.log()
 
-    seq = {
-        m: {
-            (a, b): _entry_sequence(lax.coeff(m), a, b, dim, n_sites)
-            for a in range(dim)
-            for b in range(dim)
-        }
-        for m in (1, 2, 3)
-    }
+    seq = _entry_table(lax, (1, 2, 3), dim, n_sites)
+    pairs = list(product(range(dim), repeat=2))
 
-    lemma_defect = Fraction(0)
-    for a in range(dim):
-        for b in range(dim):
-            left = trid_prec(seq[1][(a, b)], seq[1][(b, a)])
-            right = trid_succ(seq[1][(b, a)], seq[1][(a, b)])
-            lemma_defect = max(lemma_defect, (left - right).max_abs())
-
-    defects = {"prec_succ_transpose": lemma_defect}
-
-    for m in (1, 2, 3):
-        worst = Fraction(0)
-        for a in range(dim):
-            for b in range(dim):
-                rhs = seq[m][(a, b)]
-                if m >= 2:
-                    for c in range(dim):
-                        rhs = rhs + trid_prec(seq[1][(a, c)], seq[m - 1][(c, b)])
-                        if m == 3:
-                            rhs = rhs + trid_prec(seq[2][(a, c)], seq[1][(c, b)])
+    def nested_residual(m, a, b):
+        """The monodromy block minus its nested-prec expansion at order m."""
+        rhs = seq[m][(a, b)]
+        if m >= 2:
+            for c in range(dim):
+                rhs = rhs + trid_prec(seq[1][(a, c)], seq[m - 1][(c, b)])
                 if m == 3:
-                    for c in range(dim):
-                        for d in range(dim):
-                            rhs = rhs + trid_prec(
-                                seq[1][(a, d)],
-                                trid_prec(seq[1][(d, c)], seq[1][(c, b)]),
-                            )
-                target = aux_block(series.coeff(m), a, b, dim)
-                worst = max(worst, (target - rhs.total()).max_abs())
-        defects[f"dendriform_order_{m}"] = worst
+                    rhs = rhs + trid_prec(seq[2][(a, c)], seq[1][(c, b)])
+        if m == 3:
+            for c in range(dim):
+                for d in range(dim):
+                    rhs = rhs + trid_prec(
+                        seq[1][(a, d)],
+                        trid_prec(seq[1][(d, c)], seq[1][(c, b)]),
+                    )
+        return aux_block(series.coeff(m), a, b, dim) - rhs.total()
+
+    defects = {"prec_succ_transpose": worst(
+        trid_prec(seq[1][(a, b)], seq[1][(b, a)]) - trid_succ(seq[1][(b, a)], seq[1][(a, b)])
+        for a, b in pairs
+    )}
+    for m in (1, 2, 3):
+        defects[f"dendriform_order_{m}"] = worst(nested_residual(m, a, b) for a, b in pairs)
 
     single_logs = lax.truncate(3).log()
     total = n_sites + 1
@@ -501,35 +480,19 @@ def coproduct_tridendriform_residual(lax: AlphaSeries, n_sites: int) -> dict:
     defects["prelie_matrix_order_2"] = (logs.coeff(2) - pre2.total()).max_abs()
     defects["prelie_matrix_order_3"] = (logs.coeff(3) - pre3.total()).max_abs()
 
-    qe = {
-        m: {
-            (a, b): SiteSequence(
-                [
-                    kron_embed(
-                        aux_block(single_logs.coeff(m), a, b, dim), (n,), n_sites, dim
-                    )
-                    for n in range(n_sites)
-                ]
+    qe = _entry_table(single_logs, (1, 2), dim, n_sites)
+
+    def entry_order_2_residual(a, b):
+        rhs = qe[2][(a, b)]
+        for c in range(dim):
+            diff = trid_succ(qe[1][(a, c)], qe[1][(c, b)]) - trid_prec(
+                qe[1][(a, c)], qe[1][(c, b)]
             )
-            for a in range(dim)
-            for b in range(dim)
-        }
-        for m in (1, 2)
-    }
-    worst1 = Fraction(0)
-    worst2 = Fraction(0)
-    for a in range(dim):
-        for b in range(dim):
-            target1 = aux_block(logs.coeff(1), a, b, dim)
-            worst1 = max(worst1, (target1 - qe[1][(a, b)].total()).max_abs())
-            rhs = qe[2][(a, b)]
-            for c in range(dim):
-                diff = trid_succ(qe[1][(a, c)], qe[1][(c, b)]) - trid_prec(
-                    qe[1][(a, c)], qe[1][(c, b)]
-                )
-                rhs = rhs - Fraction(1, 2) * diff
-            target2 = aux_block(logs.coeff(2), a, b, dim)
-            worst2 = max(worst2, (target2 - rhs.total()).max_abs())
-    defects["prelie_entry_order_1"] = worst1
-    defects["prelie_entry_order_2"] = worst2
+            rhs = rhs - Fraction(1, 2) * diff
+        return aux_block(logs.coeff(2), a, b, dim) - rhs.total()
+
+    defects["prelie_entry_order_1"] = worst(
+        aux_block(logs.coeff(1), a, b, dim) - qe[1][(a, b)].total() for a, b in pairs
+    )
+    defects["prelie_entry_order_2"] = worst(entry_order_2_residual(a, b) for a, b in pairs)
     return defects

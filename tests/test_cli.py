@@ -160,6 +160,8 @@ class TestVerifyCommand:
         ["tridendriform", "--sites", "0"],
         ["prelie", "--sites", "0"],
         ["brace", "--sites", "0"],
+        ["boundary", "--samples", "1"],
+        ["boundary", "--samples", "2"],
     ])
     def test_sizes_below_minimum_are_usage_errors(self, capsys, argv):
         # also covers --order on the suites that read no order

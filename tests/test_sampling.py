@@ -3,14 +3,17 @@
 A float source must draw exactly the values an exact source of the same
 seed draws, converted to float, and must consume the stream identically;
 free letters stay exact.  Every suite row labelled exact must then carry an
-exact defect on both backends, so no float leaks into an exact check.
+exact defect on both backends, so no float leaks into an exact check, and
+no suite builds a float matrix on the exact backend.
 """
 
 from fractions import Fraction
 
 import pytest
 
+import ordexp
 from ordexp import FreeElement, Matrix, Poly, SiteOperatorFamily, SiteSequence, SuiteConfig
+from ordexp import matrix, ops
 from ordexp.report import EXACT, FLOAT
 from ordexp.sampling import SampleSource
 from ordexp.suites import SUITES
@@ -109,7 +112,8 @@ def test_cast_converts_only_on_the_float_backend():
 def _small(name):
     if name == "yangian":
         return {"dim": 2, "sites": 1}
-    return {"dim": 2, "sites": 2, "samples": 2}
+    # boundary needs a problem of each of its three kinds
+    return {"dim": 2, "sites": 2, "samples": 3 if name == "boundary" else 2}
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])
@@ -120,3 +124,37 @@ def test_exact_rows_have_exact_defects(name, backend):
     assert exact_rows or backend == FLOAT
     for case in exact_rows:
         assert not isinstance(case.defect, float), case.case_id
+
+
+@pytest.fixture
+def float_matrices_trapped(monkeypatch):
+    """Make every way of building a float `Matrix` raise, for one test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a float matrix was built on the exact backend")
+
+    init, wrap = Matrix.__init__, matrix._wrap
+
+    def exact_init(self, data):
+        init(self, data)
+        if self.den is None:
+            refuse()
+
+    def exact_wrap(num, den):
+        if den is None:
+            refuse()
+        return wrap(num, den)
+
+    monkeypatch.setattr(Matrix, "__init__", exact_init)
+    monkeypatch.setattr(matrix, "_wrap", exact_wrap)
+    monkeypatch.setattr(Matrix, "to_float", refuse)
+    # `ops.to_float` is bound by name in every module that imports it
+    to_float = ops.to_float
+    for module in vars(ordexp).values():
+        if getattr(module, "to_float", None) is to_float:
+            monkeypatch.setattr(module, "to_float", refuse)
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_exact_suites_build_no_float_matrix(name, float_matrices_trapped):
+    report = SUITES[name](SuiteConfig(seed=2, **_small(name)))
+    assert report.all_passed()
