@@ -36,12 +36,10 @@ for exact inputs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import DimensionMismatch, SingularOperator, UnsupportedOrder
 from .expansion import BACKWARD, FORWARD, SiteOperatorFamily
 from .freealg import FreeElement
-from .ops import check_compatible, invert, is_zero
+from .ops import check_compatible, invert, is_zero, worst
 from .series import AlphaSeries
 
 
@@ -129,7 +127,7 @@ class GaugeReport:
         return all(r.is_zero() for r in self.residuals)
 
     def max_abs(self):
-        return max((r.max_abs() for r in self.residuals), default=Fraction(0))
+        return worst(self.residuals)
 
 
 class BoundaryReport:
@@ -148,7 +146,7 @@ class BoundaryReport:
         return all(r.is_zero() for r in self.residuals)
 
     def max_abs(self):
-        return max((r.max_abs() for r in self.residuals), default=Fraction(0))
+        return worst(self.residuals)
 
 
 def gauge_solve(p: GaugeProblem) -> GaugeReport:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import BackendMismatch, DimensionMismatch
 from .freealg import FreeElement
-from .ops import max_abs
+from .ops import worst
 from .series import AlphaSeries
 
 
@@ -62,7 +62,8 @@ class GradedPreLieElement:
         return not self.components
 
     def max_abs(self):
-        return max((max_abs(v) for v in self.components.values()), default=Fraction(0))
+        # an all-zero element keeps the backend of its like value
+        return worst(self.components.values() or [self.like * Fraction(0)])
 
     def _check(self, other: "GradedPreLieElement"):
         if not isinstance(other, GradedPreLieElement):

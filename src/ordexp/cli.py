@@ -13,12 +13,12 @@ Family and field specs use a small textual grammar:
   free:N=3;degrees=1,2               formal letters P_n (degree d prints Pd_n)
   field:poly(X+x*Y;dim=2)            matrix polynomial in x on [0, 1]
 
-A key the spec's kind does not read is an error.  Field expressions
-combine rational coefficients, powers of x, and the 2x2 symbols X (upper
-step), Y (lower step), and I (identity) with * and +.  Reports are
-deterministic for a given seed and flag set; wall-clock timing goes to
-standard error only.  Exit status: 0 all checks passed, 1 a check
-failed, 2 usage or spec error.
+A key the spec's kind does not read, a repeated key, and a repeated degree
+are errors.  Field expressions combine rational coefficients, powers of
+x, and the 2x2 symbols X (upper step), Y (lower step), and I (identity)
+with * and +.  Reports are deterministic for a given seed and flag set;
+wall-clock timing goes to standard error only.  Exit status: 0 all checks
+passed, 1 a check failed, 2 usage or spec error.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ def _int(text: str, what: str) -> int:
 
 
 def _key_values(parts, kind: str, keys: tuple) -> dict:
-    """The `key=value` parts as a dict; a key the `kind` spec does not read is an error."""
+    """The `key=value` parts as a dict; a key the `kind` spec does not read,
+    or a key given twice, is an error."""
     out = {}
     for part in parts:
         key, sep, value = part.partition("=")
@@ -82,6 +83,8 @@ def _key_values(parts, kind: str, keys: tuple) -> dict:
             raise SpecError(f"expected key=value, got {part!r}")
         if key not in keys:
             raise SpecError(f"a {kind} spec does not read {key!r}; it reads {', '.join(keys)}")
+        if key in out:
+            raise SpecError(f"a {kind} spec gives {key!r} twice")
         out[key] = value.strip()
     return out
 
@@ -101,8 +104,8 @@ def _degrees(fields: dict) -> tuple:
         degrees = tuple(int(d) for d in raw.split(","))
     except ValueError as exc:
         raise SpecError(f"bad degrees list {raw!r}") from exc
-    if not degrees or any(d < 1 for d in degrees):
-        raise SpecError(f"bad degrees list {raw!r}")
+    if not degrees or any(d < 1 for d in degrees) or len(set(degrees)) < len(degrees):
+        raise SpecError(f"bad degrees list {raw!r}: need distinct degrees >= 1")
     return degrees
 
 

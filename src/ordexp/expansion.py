@@ -246,14 +246,14 @@ def magnus_closed_form(family: SiteOperatorFamily, order: int = 3, style: str = 
 
 def _magnus2_explicit(family):
     half = Fraction(1, 2)
+    forward = family.direction == FORWARD
     x = {n: family.entry(n, 1) for n in range(1, family.n_sites + 1)}
     total = zero_like(family.like)
     for n in range(1, family.n_sites + 1):
         for n1 in range(1, n):
-            if family.direction == FORWARD:
-                total = total + half * commutator(x[n], x[n1])
-            else:
-                total = total + half * commutator(x[n1], x[n])
+            # a backward family swaps the two site indices of each term
+            left, right = (n, n1) if forward else (n1, n)
+            total = total + half * commutator(x[left], x[right])
         total = total - half * (x[n] * x[n])
         total = total + family.entry(n, 2)
     return total
@@ -269,26 +269,17 @@ def _magnus3_explicit(family):
     total = zero_like(family.like)
     for n in range(1, family.n_sites + 1):
         for n1 in range(1, n):
+            a, c = (n, n1) if forward else (n1, n)
             for n2 in range(n1 + 1, n):
-                if forward:
-                    total = total + sixth * (
-                        commutator(x[n], commutator(x[n2], x[n1]))
-                        + commutator(commutator(x[n], x[n2]), x[n1])
-                    )
-                else:
-                    total = total + sixth * (
-                        commutator(x[n1], commutator(x[n2], x[n]))
-                        + commutator(commutator(x[n1], x[n2]), x[n])
-                    )
+                total = total + sixth * (
+                    commutator(x[a], commutator(x[n2], x[c]))
+                    + commutator(commutator(x[a], x[n2]), x[c])
+                )
         for m in range(1, n):
-            if forward:
-                total = total + sixth * (x[m] * commutator(x[m], x[n]) + commutator(x[m], x[n]) * x[n])
-                total = total + sixth * (commutator(x[m], x[n] * x[n]) + commutator(x[m] * x[m], x[n]))
-                total = total - half * (commutator(x[m], y[n]) + commutator(y[m], x[n]))
-            else:
-                total = total + sixth * (x[n] * commutator(x[n], x[m]) + commutator(x[n], x[m]) * x[m])
-                total = total + sixth * (commutator(x[n], x[m] * x[m]) + commutator(x[n] * x[n], x[m]))
-                total = total - half * (commutator(x[n], y[m]) + commutator(y[n], x[m]))
+            a, b = (m, n) if forward else (n, m)
+            total = total + sixth * (x[a] * commutator(x[a], x[b]) + commutator(x[a], x[b]) * x[b])
+            total = total + sixth * (commutator(x[a], x[b] * x[b]) + commutator(x[a] * x[a], x[b]))
+            total = total - half * (commutator(x[a], y[b]) + commutator(y[a], x[b]))
         total = total + third * (x[n] * x[n] * x[n])
         total = total + family.entry(n, 3)
         total = total - half * (x[n] * y[n] + y[n] * x[n])

@@ -6,8 +6,10 @@ operators (series, site sequences, polynomials, ...) whose `max_abs()` maps
 the function below over its children, so this module is the only place that
 asks which backend a value lives in.  Which backend a sampled value is
 drawn in is decided in one place too: `sampling.SampleSource`, whose
-`cast` is the one caller of `to_float` (the yangian `Poly` R-matrices and
-`AlphaSeries` Lax operators it converts carry their own `to_float()`).
+`cast` converts every float-backend operator through `to_float`.  The
+containers it converts (the yangian `Poly` R-matrices and `AlphaSeries`
+Lax operators) carry their own `to_float()`, which maps `to_float` over
+their coefficients; those two are its only other callers.
 The rule that turns a law's residuals into its reported defect is here as
 well: `worst` takes their largest `max_abs`, keeping their type.
 

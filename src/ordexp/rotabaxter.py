@@ -24,7 +24,7 @@ from functools import reduce
 from operator import add
 
 from .errors import BackendMismatch, DimensionMismatch
-from .ops import SCALARS, is_zero, max_abs, zero_like
+from .ops import SCALARS, is_zero, worst, zero_like
 from .poly import Poly
 
 
@@ -97,7 +97,7 @@ class SiteSequence:
         return reduce(add, self.values)
 
     def max_abs(self):
-        return max((max_abs(v) for v in self.values), default=Fraction(0))
+        return worst(self.values)
 
     def __str__(self) -> str:
         return "[" + "; ".join(str(v) for v in self.values) + "]"
@@ -204,11 +204,7 @@ def check_tridendriform(a: SiteSequence, b: SiteSequence, c: SiteSequence) -> li
     3. a>(b>c) = (a*b)>c        7. (a.b)<c = a.(b<c)
     4. (a.b).c = a.(b.c)
     """
-    p, s, d = trid_prec, trid_succ, trid_dot
-
-    def star(x, y):
-        return p(x, y) + s(x, y) + d(x, y)
-
+    p, s, d, star = trid_prec, trid_succ, trid_dot, trid_star
     return [
         p(p(a, b), c) - p(a, star(b, c)),
         p(s(a, b), c) - s(a, p(b, c)),

@@ -6,9 +6,12 @@ law with the worst defect seen across the samples.  That defect comes
 from `ops.worst` over the row's residuals, or from one residual's
 `max_abs`, so it keeps the residuals' type: an exact row cannot hide a
 float, and a row that checked no case raises.  A loop that feeds several
-rows keeps each residual's `max_abs`, not the residual.  Default sizes match the
-package's acceptance scale; `--sites`, `--dim`, and `--samples` rescale
-them.
+rows keeps each residual's `max_abs`, not the residual.
+
+The size flags each suite reads (`--order`, `--sites`, `--dim`,
+`--samples`) are declared once, in `SUITE_FLAGS`, with their defaults
+(the package's acceptance scale) and least values; `_start` resolves
+them, and rejects any other size flag, before the suite draws a case.
 
 Each suite reads the backend once, to create its report and its root
 `SampleSource`; the source then draws (or `cast`s) every sampled operator
@@ -88,12 +91,11 @@ F = Fraction
 class SuiteConfig:
     """Size and backend knobs shared by every suite; None means default.
 
-    Flags are checked here, once: the backend must be exact or float, and
-    order, dim and samples must be at least 1 and sites at least 0, so no
-    suite swaps a bad value for its default.  Only the magnus suite reads
-    0 sites (the empty chain); the others reject it through `_at_least`.
-    A tolerance is read only on the float backend and must be a finite
-    number >= 0; None means 1e-10, which the header shows on either backend.
+    The backend and tolerance are checked here: the backend must be exact
+    or float, and a tolerance is read only on the float backend and must be
+    a finite number >= 0; None means 1e-10, which the header shows on
+    either backend.  The sizes (order, sites, dim, samples) are checked
+    against the suite's row of `SUITE_FLAGS` when the suite starts.
     """
 
     __slots__ = ("seed", "backend", "tolerance", "order", "sites", "dim", "samples")
@@ -108,10 +110,6 @@ class SuiteConfig:
             raise AlgebraError(f"tolerance is read only on the {FLOAT} backend, got {tolerance!r}")
         elif not 0 <= tolerance < math.inf:
             raise AlgebraError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
-        for name, value, low in (("order", order, 1), ("dim", dim, 1),
-                                 ("samples", samples, 1), ("sites", sites, 0)):
-            if value is not None and value < low:
-                raise AlgebraError(f"{name} must be at least {low}, got {value}")
         self.seed = seed
         self.backend = backend
         self.tolerance = tolerance
@@ -121,35 +119,57 @@ class SuiteConfig:
         self.samples = samples
 
 
-def _report(cfg: SuiteConfig, suite: str, order: int | None = None) -> VerificationReport:
-    """The suite's empty report.
+SIZE_FLAGS = ("order", "sites", "dim", "samples")
 
-    `order` None marks a suite whose checks read no order: an explicit
-    order is rejected rather than printed and ignored, and the header
-    shows a fixed 3, which keeps reports at default flags byte-identical.
+# The size flags each suite reads, as flag: (default, least value).  A flag
+# missing from a row is rejected, so no flag is printed and ignored.  Only
+# magnus takes 0 sites (the empty chain, which draws no samples); yangian's
+# default dim (2, 3) runs both dimensions; boundary splits its samples over
+# three kinds of problem, so it needs one of each.
+SUITE_FLAGS = {
+    "rota-baxter": {"sites": (5, 1), "dim": (2, 1), "samples": (100, 1)},
+    "tridendriform": {"sites": (4, 1), "dim": (2, 1), "samples": (50, 1)},
+    "prelie": {"sites": (4, 1), "dim": (2, 1), "samples": (50, 1)},
+    "dyson": {"order": (4, 1), "sites": (5, 1), "dim": (2, 1), "samples": (25, 1)},
+    "magnus": {"order": (4, 1), "sites": (5, 0), "dim": (2, 1), "samples": (25, 1)},
+    "brace": {"order": (4, 1), "sites": (3, 1), "dim": (2, 1), "samples": (25, 1)},
+    "yangian": {"sites": (4, 1), "dim": ((2, 3), 2)},
+    "boundary": {"order": (3, 1), "sites": (3, 1), "dim": (2, 1), "samples": (25, 3)},
+}
+
+
+def _start(cfg: SuiteConfig, suite: str):
+    """The suite's sizes, its empty report, and its root `SampleSource`.
+
+    The sizes are the flags of the suite's row in `SIZE_FLAGS` order, each
+    its default when not given (a given dim replaces yangian's two).  The
+    header shows the suite's order, or 3 for a suite that reads none.
     """
-    if order is None:
-        if cfg.order is not None:
-            raise AlgebraError(f"order is not read by the {suite} suite, got {cfg.order}")
-        order = 3
-    return VerificationReport(suite, cfg.seed, cfg.backend, cfg.tolerance, order)
-
-
-def _at_least(name: str, value: int, low: int, suite: str) -> int:
-    """`value`, or AlgebraError when the suite would check nothing at that size."""
-    if value < low:
-        raise AlgebraError(f"{name} must be at least {low} for the {suite} suite, got {value}")
-    return value
+    row = SUITE_FLAGS[suite]
+    sizes = []
+    for flag in SIZE_FLAGS:
+        value = getattr(cfg, flag)
+        if value is None:
+            if flag in row:
+                sizes.append(row[flag][0])
+            continue
+        if flag not in row:
+            raise AlgebraError(f"{flag} is not read by the {suite} suite, got {value}")
+        if flag == "samples" and cfg.sites == 0:
+            raise AlgebraError(f"samples is not read by the empty {suite} chain, got {value}")
+        default, least = row[flag]
+        if value < least:
+            raise AlgebraError(f"{flag} must be at least {least} for the {suite} suite, got {value}")
+        sizes.append((value,) if isinstance(default, tuple) else value)
+    rep = VerificationReport(suite, cfg.seed, cfg.backend, cfg.tolerance,
+                             sizes[0] if "order" in row else 3)
+    return sizes, rep, SampleSource(cfg.seed, cfg.backend)
 
 
 def rota_baxter_suite(cfg: SuiteConfig) -> VerificationReport:
-    sites = 5 if cfg.sites is None else _at_least("sites", cfg.sites, 1, "rota-baxter")
-    dim = 2 if cfg.dim is None else cfg.dim
-    sequences = 100 if cfg.samples is None else cfg.samples
+    (sites, dim, sequences), rep, root = _start(cfg, "rota-baxter")
     pairs = max(1, sequences // 2)
     poly_pairs = max(1, sequences // 5)
-    rep = _report(cfg, "rota-baxter")
-    root = SampleSource(cfg.seed, cfg.backend)
 
     src = root.split("rota-baxter:weight-one")
     op = PartialSumOp()
@@ -187,11 +207,7 @@ _TRID_LAWS = [
 
 
 def tridendriform_suite(cfg: SuiteConfig) -> VerificationReport:
-    sites = 4 if cfg.sites is None else _at_least("sites", cfg.sites, 1, "tridendriform")
-    dim = 2 if cfg.dim is None else cfg.dim
-    triples = 50 if cfg.samples is None else cfg.samples
-    rep = _report(cfg, "tridendriform")
-    root = SampleSource(cfg.seed, cfg.backend)
+    (sites, dim, triples), rep, root = _start(cfg, "tridendriform")
 
     def run(tag, draw, backend=None):
         src = root.split(f"tridendriform:{tag}")
@@ -216,11 +232,7 @@ def tridendriform_suite(cfg: SuiteConfig) -> VerificationReport:
 
 
 def prelie_suite(cfg: SuiteConfig) -> VerificationReport:
-    sites = 4 if cfg.sites is None else _at_least("sites", cfg.sites, 1, "prelie")
-    dim = 2 if cfg.dim is None else cfg.dim
-    triples = 50 if cfg.samples is None else cfg.samples
-    rep = _report(cfg, "prelie")
-    root = SampleSource(cfg.seed, cfg.backend)
+    (sites, dim, triples), rep, root = _start(cfg, "prelie")
 
     checks = [
         ("left-associator-symmetry", check_prelie_left,
@@ -244,12 +256,7 @@ def _sampled_family(src: SampleSource, max_sites: int, dim: int, index: int):
 
 
 def dyson_suite(cfg: SuiteConfig) -> VerificationReport:
-    max_sites = 5 if cfg.sites is None else _at_least("sites", cfg.sites, 1, "dyson")
-    dim = 2 if cfg.dim is None else cfg.dim
-    families = 25 if cfg.samples is None else cfg.samples
-    order = 4 if cfg.order is None else cfg.order
-    rep = _report(cfg, "dyson", order)
-    root = SampleSource(cfg.seed, cfg.backend)
+    (order, max_sites, dim, families), rep, root = _start(cfg, "dyson")
 
     defects = {"direct": [], "tridendriform": []}
     src = root.split("dyson:families")
@@ -275,12 +282,9 @@ def dyson_suite(cfg: SuiteConfig) -> VerificationReport:
 
 
 def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
-    dim = 2 if cfg.dim is None else cfg.dim
-    order = 4 if cfg.order is None else cfg.order
-    rep = _report(cfg, "magnus", order)
-    root = SampleSource(cfg.seed, cfg.backend)
+    (order, max_sites, dim, families), rep, root = _start(cfg, "magnus")
 
-    if cfg.sites == 0:
+    if max_sites == 0:
         fam = SiteOperatorFamily(0, {}, like=Matrix.identity(dim))
         mono = monodromy(fam, order)
         q = magnus_oracle(fam, order)
@@ -291,9 +295,6 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
             sites=0, order=order,
         )
         return rep
-
-    max_sites = 5 if cfg.sites is None else cfg.sites
-    families = 25 if cfg.samples is None else cfg.samples
 
     def round_trip(fam):
         q = magnus_oracle(fam, order)
@@ -357,14 +358,9 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
 
 
 def brace_suite(cfg: SuiteConfig) -> VerificationReport:
-    sites = 3 if cfg.sites is None else _at_least("sites", cfg.sites, 1, "brace")
-    dim = 2 if cfg.dim is None else cfg.dim
-    pairs = 25 if cfg.samples is None else cfg.samples
-    order = 4 if cfg.order is None else cfg.order
-    rep = _report(cfg, "brace", order)
-    root = SampleSource(cfg.seed, cfg.backend)
+    (order, sites, dim, pairs), rep, root = _start(cfg, "brace")
 
-    zero_seq = SiteSequence([Matrix.zeros(dim) for _ in range(sites)])
+    zero_seq = SiteSequence([root.cast(Matrix.zeros(dim)) for _ in range(sites)])
 
     def element(src):
         comps = {d: src.sequence(sites, dim) for d in (1, 2)}
@@ -419,10 +415,7 @@ def _exchange_residuals(dim: int, n: int):
 
 
 def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
-    dims = [2, 3] if cfg.dim is None else [_at_least("dim", cfg.dim, 2, "yangian")]
-    sites = 4 if cfg.sites is None else _at_least("sites", cfg.sites, 1, "yangian")
-    rep = _report(cfg, "yangian")
-    root = SampleSource(cfg.seed, cfg.backend)
+    (sites, dims), rep, root = _start(cfg, "yangian")
 
     def triples(src, count, distinct):
         out = []
@@ -533,13 +526,7 @@ def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
 
 
 def boundary_suite(cfg: SuiteConfig) -> VerificationReport:
-    sites = 3 if cfg.sites is None else _at_least("sites", cfg.sites, 1, "boundary")
-    dim = 2 if cfg.dim is None else cfg.dim
-    # Three problems at least, so each of the three problem kinds gets one.
-    problems = 25 if cfg.samples is None else _at_least("samples", cfg.samples, 3, "boundary")
-    order = 3 if cfg.order is None else cfg.order
-    rep = _report(cfg, "boundary", order)
-    root = SampleSource(cfg.seed, cfg.backend)
+    (order, sites, dim, problems), rep, root = _start(cfg, "boundary")
 
     gauge_count = problems // 2
     reflect_count = max(1, problems // 5)

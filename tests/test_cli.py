@@ -10,6 +10,7 @@ from ordexp.cli import SpecError, main, parse_family_spec, parse_field_spec
 from ordexp.errors import AlgebraError
 from ordexp.expansion import BACKWARD, FORWARD, SiteOperatorFamily, dyson_terms
 from ordexp.matrix import Matrix
+from ordexp.suites import SIZE_FLAGS, SUITE_FLAGS
 
 CSV_HEADER = "delta,err_q1,err_q2,err_q3,rate_q1,rate_q2,rate_q3"
 
@@ -59,6 +60,9 @@ class TestFamilySpecs:
         "matrix:rand(2x2,float);N=2",
         "free:N=2;degrees=0",
         "scalar:p=q;N=2",
+        "matrix:rand(2x2,int<=3);N=2;seed=5;seed=6",
+        "matrix:rand(2x2,int<=3);N=2;degrees=1,1",
+        "free:N=2;degrees=2,1,2",
     ])
     def test_malformed(self, bad):
         with pytest.raises(SpecError):
@@ -83,6 +87,7 @@ class TestFieldSpecs:
         "field:poly(X;dim=3)",
         "field:poly(X*Y;dim=2)",
         "field:poly(x;dim=2)",
+        "field:poly(X;dim=2;dim=2)",
     ])
     def test_malformed(self, bad):
         with pytest.raises(SpecError):
@@ -144,27 +149,20 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["rota-baxter", "--samples", "0"],
-        ["rota-baxter", "--dim", "0"],
-        ["boundary", "--order", "0"],
-        ["magnus", "--sites", "-1"],
+        # from the table: every size flag a suite does not read, and every
+        # flag it reads at one below its least value
+        *([suite, f"--{flag}", str(row[flag][1] - 1 if flag in row else 3)]
+          for suite, row in SUITE_FLAGS.items() for flag in SIZE_FLAGS),
+        # other values of the same flags
         ["rota-baxter", "--order", "5"],
         ["tridendriform", "--order", "2"],
         ["prelie", "--order", "7"],
-        ["yangian", "--order", "3"],
-        ["boundary", "--sites", "0"],
-        ["yangian", "--sites", "0"],
-        ["yangian", "--dim", "1"],
-        ["dyson", "--sites", "0"],
-        ["rota-baxter", "--sites", "0"],
-        ["tridendriform", "--sites", "0"],
-        ["prelie", "--sites", "0"],
-        ["brace", "--sites", "0"],
         ["boundary", "--samples", "1"],
-        ["boundary", "--samples", "2"],
+        # the empty magnus chain draws no samples; the flag the error
+        # names comes first
+        ["magnus", "--samples", "7", "--sites", "0"],
     ])
     def test_sizes_below_minimum_are_usage_errors(self, capsys, argv):
-        # also covers --order on the suites that read no order
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2
         assert out == ""

@@ -11,7 +11,18 @@ from fractions import Fraction
 
 import pytest
 
-from ordexp import AlphaSeries, Matrix, Poly, SiteSequence, SuiteConfig, suites
+from ordexp import (
+    AlphaSeries,
+    BoundaryReport,
+    GaugeReport,
+    GradedPreLieElement,
+    Matrix,
+    Poly,
+    SiteSequence,
+    SuiteConfig,
+    prelie_left,
+    suites,
+)
 from ordexp.errors import InsufficientSamples
 from ordexp.ops import worst
 from ordexp.report import EXACT, FLOAT, VerificationReport
@@ -70,3 +81,28 @@ class TestExactRows:
         monkeypatch.setattr(suites, "fundamental_lax", lambda dim: lax(dim).to_float())
         with pytest.raises(TypeError, match="float defect"):
             run_suite("yangian", SuiteConfig(dim=2, sites=1))
+
+
+class TestContainerMaxAbs:
+    """A container's `max_abs` keeps its children's backend, even at zero."""
+
+    @pytest.mark.parametrize("zero, kind", [(Matrix.zeros(2), Fraction),
+                                            (Matrix.zeros(2).to_float(), float)])
+    def test_site_sequence_zero(self, zero, kind):
+        d = SiteSequence([zero, zero]).max_abs()
+        assert d == 0 and type(d) is kind
+
+    @pytest.mark.parametrize("zero, kind", [(Matrix.zeros(2), Fraction),
+                                            (Matrix.zeros(2).to_float(), float)])
+    def test_all_zero_graded_element_reads_its_like_value(self, zero, kind):
+        seq = SiteSequence([zero])
+        # the zero component is dropped, so only `like` knows the backend
+        elem = GradedPreLieElement(2, {1: seq}, prelie_left, like=seq)
+        assert elem.is_zero()
+        d = elem.max_abs()
+        assert d == 0 and type(d) is kind
+
+    @pytest.mark.parametrize("report", [GaugeReport([], []), BoundaryReport([], [])])
+    def test_report_with_no_residual_raises(self, report):
+        with pytest.raises(InsufficientSamples):
+            report.max_abs()
