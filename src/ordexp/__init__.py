@@ -44,13 +44,11 @@ from .errors import (
 from .expansion import (
     BACKWARD,
     FORWARD,
-    ExpansionResult,
     FactorizedResult,
     SiteOperatorFamily,
     closed_form_defects,
     compositions,
     dyson_terms,
-    expand_family,
     factorized_direct,
     factorized_expansion,
     factorized_generators,
@@ -64,7 +62,7 @@ from .expansion import (
 )
 from .freealg import FreeElement, Letter, word_degree
 from .matrix import Matrix, aux_block, commutator, kron_embed, partial_trace_first, permutation_op
-from .poly import Poly, poly_commutator
+from .poly import Poly
 from .report import CaseResult, VerificationReport
 from .rotabaxter import (
     IntegralOp,
@@ -83,11 +81,12 @@ from .rotabaxter import (
     trid_succ,
 )
 from .sampling import SampleSource
-from .series import AlphaSeries, ad, ad_pow
+from .series import AlphaSeries, ad_pow
 from .suites import SUITES, SuiteConfig, run_suite
 from .yangian import (
     DIMENSION_BUDGET,
     RttReport,
+    block_table,
     classical_r,
     classical_ybe_residual,
     coproduct_tridendriform_residual,

@@ -14,16 +14,19 @@ Family and field specs use a small textual grammar:
   field:poly(X+x*Y;dim=2)            matrix polynomial in x on [0, 1]
 
 A key the spec's kind does not read, a repeated key, and a repeated degree
-are errors.  Field expressions combine rational coefficients, powers of
-x, and the 2x2 symbols X (upper step), Y (lower step), and I (identity)
-with * and +.  Reports are deterministic for a given seed and flag set;
-wall-clock timing goes to standard error only.  Exit status: 0 all checks
-passed, 1 a check failed, 2 usage or spec error.
+are errors.  Only `verify` takes --seed; a matrix spec is seeded by its
+own seed= key, and draws with seed 1 without it.  The rand bound is
+written exactly int<=K or int≤K.  Field expressions combine rational
+coefficients, powers of x, and the 2x2 symbols X (upper step), Y (lower
+step), and I (identity) with * and +.  Reports are deterministic for a
+given seed and flag set; wall-clock timing goes to standard error only.
+Exit status: 0 all checks passed, 1 a check failed, 2 usage or spec error.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from fractions import Fraction
@@ -109,7 +112,7 @@ def _degrees(fields: dict) -> tuple:
     return degrees
 
 
-def parse_family_spec(spec: str, default_seed: int) -> SiteOperatorFamily:
+def parse_family_spec(spec: str, default_seed: int = 1) -> SiteOperatorFamily:
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise SpecError(f"spec {spec!r} needs a kind prefix like scalar: or matrix:")
@@ -129,20 +132,18 @@ def parse_family_spec(spec: str, default_seed: int) -> SiteOperatorFamily:
         pieces = [p.strip() for p in inner.split(",")]
         if len(pieces) != 2:
             raise SpecError(f"rand needs a shape and a bound, got {parts[0]!r}")
-        shape = pieces[0].lower().split("x")
-        if len(shape) != 2 or shape[0] != shape[1] or not shape[0].isdigit():
+        shape = re.fullmatch(r"(\d+)x\1", pieces[0].lower())
+        if shape is None:
             raise SpecError(f"rand shape must be AxA, got {pieces[0]!r}")
-        size = int(shape[0])
-        bound_text = pieces[1].replace("int<=", "").replace("int≤", "")
-        if not bound_text.isdigit():
+        bound = re.fullmatch(r"int(?:<=|≤)(\d+)", pieces[1])
+        if bound is None:
             raise SpecError(f"rand bound must be int<=K, got {pieces[1]!r}")
-        bound = int(bound_text)
         fields = _key_values(parts[1:], kind, ("N", "degrees", "seed"))
         n = _sites(fields, spec)
         degrees = _degrees(fields)
         seed = _int(fields["seed"], "seed") if "seed" in fields else default_seed
         src = SampleSource(seed).split("expand:matrix")
-        return src.matrix_family(n, degrees, size=size, bound=bound)
+        return src.matrix_family(n, degrees, size=int(shape[1]), bound=int(bound[1]))
 
     if kind == "free":
         fields = _key_values(parts, kind, ("N", "degrees"))
@@ -226,7 +227,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    family = parse_family_spec(args.spec, args.seed)
+    family = parse_family_spec(args.spec)
     if args.direction and args.direction != family.direction:
         family = SiteOperatorFamily(
             family.n_sites, family.entries,
@@ -274,8 +275,6 @@ def cmd_limit(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_u64, default=1,
-                        help="64-bit sampling seed (default 1)")
     common.add_argument("--order", type=int, default=None,
                         help="truncation order (default 3 for expand, suite-specific for verify)")
 
@@ -288,13 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
+    p_verify.add_argument("--seed", type=_u64, default=1,
+                          help="64-bit sampling seed (default 1)")
     p_verify.add_argument("--backend", choices=["exact", "float"], default="exact",
                           help="arithmetic backend (default exact)")
     p_verify.add_argument("--tolerance", type=float, default=None,
                           help="pass threshold, float backend only (default 1e-10)")
     p_verify.add_argument("--json", action="store_true",
                           help="emit the verification report as JSON")
-    p_verify.add_argument("--sites", "--N", dest="sites", type=int, default=None,
+    p_verify.add_argument("--sites", type=int, default=None,
                           help="chain length (suite-specific default)")
     p_verify.add_argument("--dim", type=int, default=None,
                           help="local matrix dimension (suite-specific default)")

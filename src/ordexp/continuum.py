@@ -3,8 +3,10 @@
 Exact polynomial matrix fields keep every integral in closed form, so the
 three Magnus constructions (explicit commutator integrals, the pre-Lie
 form, and the Bernoulli fixed point) can be compared coefficient by
-coefficient. The float layer only enters when evaluating those exact
-polynomials at numeric points for finite-difference and rate checks.
+coefficient.  The pre-Lie form is the one the convergence study and the
+open-evolution residual compute with; the other two are its references.
+The float layer only enters when evaluating those exact polynomials at
+numeric points for finite-difference and rate checks.
 """
 
 import math
@@ -49,12 +51,6 @@ class MatrixField:
         if self.x_end <= self.x0:
             raise AlgebraError("empty interval")
         self.dim = sample.rows
-
-    @staticmethod
-    def affine(const: Matrix, slope: Matrix, x0=Fraction(0), x_end=Fraction(1)):
-        """The field const + x * slope."""
-        poly = Poly.constant(const) + Poly.variable() * Poly.constant(slope)
-        return MatrixField(poly, x0, x_end)
 
     def eval(self, x) -> Matrix:
         return self.poly.eval(x)
@@ -130,11 +126,11 @@ def _magnus_prelie(field: MatrixField, order: int) -> dict:
     return out
 
 
-def magnus_continuous(field: MatrixField, order: int = 3, style: str | None = None) -> dict:
+def magnus_continuous(field: MatrixField, order: int = 3, style: str = "prelie") -> dict:
     """Magnus terms Q^(m)(x) as exact matrix polynomials, m = 1..order.
 
-    With style None both the commutator-integral and pre-Lie forms are
-    computed and must agree; a named style returns that form alone.
+    The pre-Lie form is the one the package computes with; the
+    commutator-integral form ("explicit") is its reference.
     """
     if order < 1:
         raise UnsupportedOrder("need order >= 1")
@@ -142,14 +138,7 @@ def magnus_continuous(field: MatrixField, order: int = 3, style: str | None = No
         return _magnus_explicit(field, order)
     if style == "prelie":
         return _magnus_prelie(field, order)
-    if style is not None:
-        raise AlgebraError(f"unknown style {style!r}")
-    explicit = _magnus_explicit(field, order)
-    prelie = _magnus_prelie(field, order)
-    for m in explicit:
-        if not (explicit[m] - prelie[m]).is_zero():
-            raise AlgebraError(f"continuous Magnus forms disagree at order {m}")
-    return explicit
+    raise AlgebraError(f"unknown style {style!r}")
 
 
 def magnus_bernoulli_iterate(field: MatrixField, depth: int, order: int) -> dict:
@@ -243,17 +232,20 @@ def discretize(field: MatrixField, delta) -> SiteOperatorFamily:
     return SiteOperatorFamily(n_sites, entries, direction=FORWARD, like=like)
 
 
+# The Magnus orders a convergence study compares.
+STUDY_ORDERS = (1, 2, 3)
+
+
 class ConvergenceTable:
-    """Per-step errors and estimated convergence rates of the discrete terms."""
+    """Per-step errors and estimated convergence rates of the discrete terms,
+    keyed by the orders of `STUDY_ORDERS`."""
 
-    __slots__ = ("deltas", "orders", "errors", "rates", "label")
+    __slots__ = ("deltas", "errors", "rates")
 
-    def __init__(self, deltas, orders, errors, rates, label=""):
+    def __init__(self, deltas, errors, rates):
         self.deltas = deltas
-        self.orders = orders
         self.errors = errors
         self.rates = rates
-        self.label = label
 
     def summary_rate(self, order: int) -> float:
         """Average of the rate estimates from the last two refinements."""
@@ -266,38 +258,34 @@ class ConvergenceTable:
         yield "delta,err_q1,err_q2,err_q3,rate_q1,rate_q2,rate_q3"
         for i, delta in enumerate(self.deltas):
             cells = [f"{float(delta):.10g}"]
-            for order in (1, 2, 3):
-                err = self.errors.get(order)
-                cells.append(f"{err[i]:.12g}" if err is not None else "")
-            for order in (1, 2, 3):
-                rate = self.rates.get(order)
-                cells.append(f"{rate[i]:.6g}" if rate is not None else "")
+            cells += [f"{self.errors[m][i]:.12g}" for m in STUDY_ORDERS]
+            cells += [f"{self.rates[m][i]:.6g}" for m in STUDY_ORDERS]
             yield ",".join(cells)
 
 
-def convergence_study(field: MatrixField, deltas, orders=(1, 2, 3)) -> ConvergenceTable:
+def convergence_study(field: MatrixField, deltas) -> ConvergenceTable:
     """Compare discrete Magnus terms against the continuous ones per step."""
     deltas = [Fraction(d) for d in deltas]
     if len(deltas) < 3:
         raise AlgebraError("a convergence study needs at least three steps")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise AlgebraError("steps must decrease strictly")
-    top = max(orders)
-    continuous = magnus_continuous(field, top, style="prelie")
+    top = STUDY_ORDERS[-1]
+    continuous = magnus_continuous(field, top)
     blank = Matrix.zeros(field.dim)
     targets = {
         m: blank if continuous[m].is_zero() else continuous[m].eval(field.x_end)
-        for m in orders
+        for m in STUDY_ORDERS
     }
-    errors = {m: [] for m in orders}
+    errors = {m: [] for m in STUDY_ORDERS}
     for delta in deltas:
         family = discretize(field, delta)
         discrete = magnus_oracle(family, top)
-        for m in orders:
+        for m in STUDY_ORDERS:
             diff = discrete[m - 1] - targets[m]
             errors[m].append(float(diff.max_abs()))
-    rates = {m: [float("nan")] for m in orders}
-    for m in orders:
+    rates = {m: [float("nan")] for m in STUDY_ORDERS}
+    for m in STUDY_ORDERS:
         for i in range(1, len(deltas)):
             e_prev, e_cur = errors[m][i - 1], errors[m][i]
             if e_prev <= 0 or e_cur <= 0:
@@ -305,7 +293,7 @@ def convergence_study(field: MatrixField, deltas, orders=(1, 2, 3)) -> Convergen
             else:
                 ratio = math.log(e_prev / e_cur) / math.log(deltas[i - 1] / deltas[i])
                 rates[m].append(ratio)
-    return ConvergenceTable(deltas, tuple(orders), errors, rates)
+    return ConvergenceTable(deltas, errors, rates)
 
 
 def expm(m: Matrix) -> Matrix:
@@ -337,7 +325,7 @@ def open_evolution_residual(field: MatrixField, k: Matrix, x, delta,
     x = float(x)
     delta = float(delta)
     alpha = float(alpha)
-    q_polys = magnus_continuous(field, order, style="prelie")
+    q_polys = magnus_continuous(field, order)
     k = k.to_float()
 
     def double_row(point: float) -> Matrix:

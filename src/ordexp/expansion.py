@@ -354,33 +354,6 @@ def factorized_generators(m_ops: list, l_ops: list):
     return generators
 
 
-class ExpansionResult:
-    """Bundle of Dyson terms, the splitting table, and logarithm coefficients.
-
-    `dyson[m]` is T^(m) (index 0 holds the unit), `pi_table[(n, k)]` the
-    k-block refinement of T^(n), and `q_list[m-1]` the order-m logarithm
-    coefficient recovered from the table.
-    """
-
-    __slots__ = ("family", "order", "dyson", "pi_table", "q_list")
-
-    def __init__(self, family, order, dyson, pi_table, q_list):
-        self.family = family
-        self.order = order
-        self.dyson = dyson
-        self.pi_table = pi_table
-        self.q_list = q_list
-
-
-def expand_family(family: SiteOperatorFamily, order: int,
-                  method: str = "direct") -> ExpansionResult:
-    """Compute the full ordered-product expansion data for a site family."""
-    terms = dyson_terms(family, order, method=method)
-    table = pi_table(terms, order)
-    q_list = magnus_from_dyson(terms, order)
-    return ExpansionResult(family, order, terms, table, q_list)
-
-
 class FactorizedResult:
     """Outcome of the frame-dressed expansion of an ordered product.
 

@@ -19,7 +19,6 @@ from operator import add
 
 from .errors import BackendMismatch, DimensionMismatch, SingularOperator
 from .ops import SCALARS, is_zero, max_abs, to_float
-from .ops import commutator as poly_commutator
 
 
 class Poly:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import BackendMismatch, DimensionMismatch
 from .ops import SCALARS, check_compatible, invert, is_zero, max_abs, one_like, to_float, zero_like
-from .ops import commutator as ad
+from .ops import commutator
 
 
 class AlphaSeries:
@@ -181,5 +181,5 @@ def ad_pow(a, b, n: int):
         raise BackendMismatch("ad power needs n >= 0")
     out = b
     for _ in range(n):
-        out = ad(a, out)
+        out = commutator(a, out)
     return out

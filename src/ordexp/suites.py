@@ -69,6 +69,7 @@ from .boundary import (
     reflection_hat,
 )
 from .yangian import (
+    block_table,
     classical_r,
     classical_ybe_residual,
     coproduct_tridendriform_residual,
@@ -407,11 +408,11 @@ def _exchange_residuals(dim: int, n: int):
     """Every charge-exchange residual of the n-site chain, one at a time;
     there are 810 of them at dim 3, so none is kept."""
     series = monodromy_coproduct(fundamental_lax(dim), n, 4)
-    coeffs = [series.coeff(k) for k in range(5)]
+    tables = [block_table(series.coeff(k), dim) for k in range(5)]
     for p in range(4):
         for q in range(4 - p):
             for i, j, k, l in product(range(dim), repeat=4):
-                yield yangian_relations_residual(coeffs, dim, p, q, i, j, k, l)
+                yield yangian_relations_residual(tables, p, q, i, j, k, l)
 
 
 def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
@@ -472,7 +473,7 @@ def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
         rep.add(
             f"transfer-commutativity-dim{dim}",
             law="traced charges commute: [t^(k), t^(l)] = 0",
-            defect=worst(transfer_commute_residual(dim, n, t_order, lax=lax)
+            defect=worst(transfer_commute_residual(lax, n, t_order)
                          for n in range(1, n_max + 1)),
             dim=dim, max_sites=n_max, order=t_order,
         )

@@ -10,7 +10,9 @@ R-matrices and the RTT residuals are Laurent `Poly`s in one or two
 spectral parameters.  Polynomial identities in spectral parameters
 are decided by exact rational evaluation at more points than the degree
 bound, after clearing denominators, or by direct coefficient comparison
-for truncated (matching-order) checks.
+for truncated (matching-order) checks.  The generators L^(m)_ab of an
+operator on aux (x) quantum are read from its `block_table`, built once
+per coefficient.
 """
 
 import math
@@ -205,49 +207,39 @@ def monodromy_coproduct(lax: AlphaSeries, n_sites: int, order: int):
     return monodromy(monodromy_family(lax, n_sites), order)
 
 
-def transfer_commute_residual(dim: int, n_sites: int, order: int,
-                              lax: AlphaSeries | None = None) -> Fraction:
+def transfer_commute_residual(lax: AlphaSeries, n_sites: int, order: int) -> Fraction:
     """Largest entry of [t^(k), t^(l)] over all order pairs; zero exactly."""
-    if lax is None:
-        lax = fundamental_lax(dim)
     series = monodromy_coproduct(lax, n_sites, order)
+    dim = _lax_dim(lax)
     traced = [partial_trace_first(series.coeff(k), dim) for k in range(order + 1)]
     return worst(commutator(traced[k], traced[l])
                  for k in range(1, order + 1) for l in range(k + 1, order + 1))
 
 
-def generator_block(coeffs: list, m: int, a: int, b: int, dim: int) -> Matrix:
-    """L^(m)_{a,b} on the quantum space; L^(0)_{a,b} = delta_{a,b}."""
-    if m >= len(coeffs):
-        raise UnsupportedOrder(f"order {m} not available")
-    return aux_block(coeffs[m], a, b, dim)
+def block_table(mat: Matrix, dim: int) -> list:
+    """The aux blocks of `mat`: `block_table(mat, dim)[a][b]` is mat_{a,b}
+    on the quantum space."""
+    return [[aux_block(mat, a, b, dim) for b in range(dim)] for a in range(dim)]
 
 
-def yangian_relations_residual(coeffs: list, dim: int, n: int, m: int,
+def yangian_relations_residual(tables: list, n: int, m: int,
                                i: int, j: int, k: int, l: int) -> Matrix:
     """Defect of the defining exchange relation for generator orders n, m.
 
+    `tables[p]` is the `block_table` of the order-p monodromy coefficient
+    L^(p), so L^(p)_ab is `tables[p][a][b]`.  The defect is
     [L^(n+1)_ij, L^(m)_kl] - [L^(n)_ij, L^(m+1)_kl]
         - L^(m)_kj L^(n)_il + L^(n)_kj L^(m)_il, all indices 0-based.
     """
-    ln1 = generator_block(coeffs, n + 1, i, j, dim)
-    lm = generator_block(coeffs, m, k, l, dim)
-    ln = generator_block(coeffs, n, i, j, dim)
-    lm1 = generator_block(coeffs, m + 1, k, l, dim)
-    lkj_m = generator_block(coeffs, m, k, j, dim)
-    lil_n = generator_block(coeffs, n, i, l, dim)
-    lkj_n = generator_block(coeffs, n, k, j, dim)
-    lil_m = generator_block(coeffs, m, i, l, dim)
+    if max(n, m) + 1 >= len(tables):
+        raise UnsupportedOrder(f"order {max(n, m) + 1} not available")
+    ln, lm = tables[n], tables[m]
     return (
-        commutator(ln1, lm)
-        - commutator(ln, lm1)
-        - lkj_m * lil_n
-        + lkj_n * lil_m
+        commutator(tables[n + 1][i][j], lm[k][l])
+        - commutator(ln[i][j], tables[m + 1][k][l])
+        - lm[k][j] * ln[i][l]
+        + ln[k][j] * lm[i][l]
     )
-
-
-def _block_table(mat: Matrix, dim: int) -> list:
-    return [[aux_block(mat, a, b, dim) for b in range(dim)] for a in range(dim)]
 
 
 def _delta(i: int, j: int) -> Fraction:
@@ -265,7 +257,7 @@ def q_generators_and_relations(series, dim: int) -> tuple[dict, dict]:
     if series.order < 3:
         raise UnsupportedOrder("q-generator relations need the series through order 3")
     logs = series.log()
-    q = {m: _block_table(logs.coeff(m), dim) for m in (1, 2, 3)}
+    q = {m: block_table(logs.coeff(m), dim) for m in (1, 2, 3)}
     size = q[1][0][0].rows
     zero = Matrix.zeros(size)
 
@@ -312,8 +304,9 @@ def q_generators_and_relations(series, dim: int) -> tuple[dict, dict]:
     return q, dict(zip(names, map(worst, families)))
 
 
-def hopf_checks(dim: int, order: int = 3) -> dict:
-    """Coproduct, coassociativity, counit, and antipode data for the lax rep.
+def hopf_checks(dim: int) -> dict:
+    """Coproduct, coassociativity, counit, and antipode data for the lax rep,
+    through order 3.
 
     The two-site coproduct comparison fixes the tensor-leg dictionary: the
     first coproduct leg corresponds to the leftmost (highest-site) factor
@@ -322,6 +315,7 @@ def hopf_checks(dim: int, order: int = 3) -> dict:
     lax and compared against both the printed linear form and the derived
     closed form -Q2 - (dim/2) Q1 + (1/2) tr(Q1) delta.
     """
+    order = 3
     lax = fundamental_lax(dim)
     two_site = monodromy_coproduct(lax, 2, order)
     logs2 = two_site.log()
@@ -355,10 +349,10 @@ def hopf_checks(dim: int, order: int = 3) -> dict:
     logs1 = single.log()
     antipode_q1 = (inv.coeff(1) + logs1.coeff(1)).max_abs()
 
-    m1 = _block_table(inv.coeff(1), dim)
-    m2 = _block_table(inv.coeff(2), dim)
-    q1b = _block_table(logs1.coeff(1), dim)
-    q2b = _block_table(logs1.coeff(2), dim)
+    m1 = block_table(inv.coeff(1), dim)
+    m2 = block_table(inv.coeff(2), dim)
+    q1b = block_table(logs1.coeff(1), dim)
+    q2b = block_table(logs1.coeff(2), dim)
     trace_q1 = Matrix.zeros(dim)
     for x in range(dim):
         trace_q1 = trace_q1 + q1b[x][x]

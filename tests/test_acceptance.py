@@ -13,7 +13,6 @@ from ordexp import (
     Matrix,
     MatrixField,
     Poly,
-    SuiteConfig,
     commutator,
     convergence_study,
     magnus_bernoulli_iterate,
@@ -21,16 +20,6 @@ from ordexp import (
     open_evolution_residual,
 )
 from ordexp.report import EXACT, FLOAT
-from ordexp.suites import (
-    boundary_suite,
-    brace_suite,
-    dyson_suite,
-    magnus_suite,
-    prelie_suite,
-    rota_baxter_suite,
-    tridendriform_suite,
-    yangian_suite,
-)
 
 F = Fraction
 
@@ -45,17 +34,17 @@ def by_id(report):
 
 
 @pytest.fixture(scope="module")
-def magnus_rows():
-    return by_id(magnus_suite(SuiteConfig()))
+def magnus_rows(seed1_report):
+    return by_id(seed1_report("magnus"))
 
 
 @pytest.fixture(scope="module")
-def yangian_rows():
-    return by_id(yangian_suite(SuiteConfig()))
+def yangian_rows(seed1_report):
+    return by_id(seed1_report("yangian"))
 
 
-def test_criterion_01_rota_baxter_weights():
-    report = rota_baxter_suite(SuiteConfig())
+def test_criterion_01_rota_baxter_weights(seed1_report):
+    report = seed1_report("rota-baxter")
     rows = by_id(report)
     partial = rows["partial-sum-weight-one"]
     integral = rows["integral-weight-zero"]
@@ -68,9 +57,9 @@ def test_criterion_01_rota_baxter_weights():
     assert announce(1, "Rota-Baxter weights one and zero", ok)
 
 
-def test_criterion_02_tridendriform_axioms():
-    exact = tridendriform_suite(SuiteConfig(backend=EXACT))
-    flt = tridendriform_suite(SuiteConfig(backend=FLOAT))
+def test_criterion_02_tridendriform_axioms(seed1_report):
+    exact = seed1_report("tridendriform", EXACT)
+    flt = seed1_report("tridendriform", FLOAT)
     ok = (
         exact.all_passed()
         and flt.all_passed()
@@ -80,8 +69,8 @@ def test_criterion_02_tridendriform_axioms():
     assert announce(2, "tridendriform axioms, both backends", ok)
 
 
-def test_criterion_03_prelie_associators():
-    report = prelie_suite(SuiteConfig())
+def test_criterion_03_prelie_associators(seed1_report):
+    report = seed1_report("prelie")
     ok = (
         report.all_passed()
         and len(report.cases) == 2
@@ -90,8 +79,8 @@ def test_criterion_03_prelie_associators():
     assert announce(3, "pre-Lie associator symmetries", ok)
 
 
-def test_criterion_04_dyson_equivalence():
-    rows = by_id(dyson_suite(SuiteConfig()))
+def test_criterion_04_dyson_equivalence(seed1_report):
+    rows = by_id(seed1_report("dyson"))
     ok = all(
         rows[case_id].passed
         and rows[case_id].params["families"] == 25
@@ -126,8 +115,8 @@ def test_criterion_06_magnus_closed_forms(magnus_rows):
     assert announce(6, "Magnus closed forms match the oracle", ok)
 
 
-def test_criterion_07_brace_structure():
-    report = brace_suite(SuiteConfig())
+def test_criterion_07_brace_structure(seed1_report):
+    report = seed1_report("brace")
     rows = by_id(report)
     ok = (
         report.all_passed()
@@ -168,8 +157,8 @@ def test_criterion_09_coproduct_identities(yangian_rows):
     assert announce(9, "coproducts match the log of the ordered product", ok)
 
 
-def test_criterion_10_boundary_recursions():
-    report = boundary_suite(SuiteConfig())
+def test_criterion_10_boundary_recursions(seed1_report):
+    report = seed1_report("boundary")
     rows = by_id(report)
     problem_rows = (
         "gauge-difference-equation", "double-row-recursion",
@@ -197,7 +186,7 @@ def test_criterion_11_continuum_limit():
     exact_ok = all((q - expected_q2).is_zero() for q in second_terms)
 
     deltas = [F(1, 4), F(1, 8), F(1, 16), F(1, 32), F(1, 64)]
-    table = convergence_study(field, deltas, orders=(1, 2))
+    table = convergence_study(field, deltas)
     rates_ok = all(
         0.85 <= table.summary_rate(order) <= 1.15 for order in (1, 2)
     )

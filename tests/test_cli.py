@@ -47,6 +47,10 @@ class TestFamilySpecs:
         b = parse_family_spec("matrix:rand(2x2,int<=3);N=2", 4)
         assert a.entries != b.entries
 
+    def test_matrix_default_seed_is_one(self):
+        unseeded = parse_family_spec("matrix:rand(2x2,int<=3);N=3")
+        assert unseeded.entries == parse_family_spec("matrix:rand(2x2,int<=3);N=3;seed=1").entries
+
     def test_free_degrees(self):
         fam = parse_family_spec("free:N=2;degrees=1,2", 1)
         assert set(fam.entries) == {(1, 1), (1, 2), (2, 1), (2, 2)}
@@ -58,6 +62,9 @@ class TestFamilySpecs:
         "matrix:N=2",
         "matrix:rand(2x3,int<=3);N=2",
         "matrix:rand(2x2,float);N=2",
+        "matrix:rand(2x2,3);N=2",
+        "matrix:rand(2x2,int<=int<=3);N=2",
+        "matrix:rand(²x²,int<=3);N=2",
         "free:N=2;degrees=0",
         "scalar:p=q;N=2",
         "matrix:rand(2x2,int<=3);N=2;seed=5;seed=6",
@@ -129,12 +136,16 @@ class TestVerifyCommand:
         assert code == 0
         assert "empty-chain-identity" in out
 
-    def test_sites_alias(self, capsys):
+    def test_sites_has_no_alias(self, capsys):
         code, out, _ = run_cli(
-            capsys, "verify", "boundary", "--N", "2", "--samples", "6"
+            capsys, "verify", "boundary", "--sites", "2", "--samples", "6"
         )
         assert code == 0
         assert "sites=2" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "rota-baxter", "--N", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -296,7 +307,8 @@ class TestExpandCommand:
         assert code == 2
         assert "error:" in err
 
-    @pytest.mark.parametrize("flag", [["--json"], ["--backend", "float"], ["--tolerance", "5"]])
+    @pytest.mark.parametrize("flag", [["--json"], ["--backend", "float"], ["--tolerance", "5"],
+                                      ["--seed", "5"]])
     def test_verify_only_flags_rejected(self, flag):
         with pytest.raises(SystemExit) as exc:
             main(["expand", "scalar:N=2", *flag])

@@ -35,10 +35,13 @@ SRC = str(Path(ordexp.__file__).resolve().parents[1])
 
 X = Matrix([[0, 1], [0, 0]])
 Y = Matrix([[0, 0], [1, 0]])
+# The two continuous Magnus forms; each hand value below must hold for both.
+STYLES = ("explicit", "prelie")
 
 
 def affine_field(x_end=F(1)):
-    return MatrixField.affine(X, Y, F(0), x_end)
+    """The field X + x Y on [0, x_end]."""
+    return MatrixField(Poly({(0,): X, (1,): Y}), F(0), x_end)
 
 
 class TestBernoulli:
@@ -85,28 +88,32 @@ class TestMatrixField:
 class TestMagnusContinuous:
     def test_first_order_is_the_integral(self):
         field = affine_field()
-        q = magnus_continuous(field, 1)
-        assert q[1] == field.integral()
+        for style in STYLES:
+            q = magnus_continuous(field, 1, style)
+            assert q[1] == field.integral()
 
     def test_affine_second_order_closed_form(self):
         # Q2(x) = -(x^3/12) [X, Y]
-        q = magnus_continuous(affine_field(), 3)
-        assert q[2] == Poly({(3,): commutator(X, Y) * F(-1, 12)})
+        for style in STYLES:
+            q = magnus_continuous(affine_field(), 3, style)
+            assert q[2] == Poly({(3,): commutator(X, Y) * F(-1, 12)})
 
     def test_affine_third_order_closed_form(self):
         # hand-integrated: Q3(x) = (x^5/240) [[X, Y], Y]
-        q = magnus_continuous(affine_field(), 3)
-        assert q[3] == Poly({(5,): commutator(commutator(X, Y), Y) * F(1, 240)})
-        # for these generators [[X, Y], Y] = -2Y
-        assert q[3] == Poly({(5,): Y * F(-1, 120)})
+        for style in STYLES:
+            q = magnus_continuous(affine_field(), 3, style)
+            assert q[3] == Poly({(5,): commutator(commutator(X, Y), Y) * F(1, 240)})
+            # for these generators [[X, Y], Y] = -2Y
+            assert q[3] == Poly({(5,): Y * F(-1, 120)})
 
     def test_commuting_field_has_no_higher_terms(self):
         field = MatrixField(
             Poly.constant(X) + Poly({(1,): X * F(3)}), F(0), F(1)
         )
-        q = magnus_continuous(field, 3)
-        assert q[2].is_zero()
-        assert q[3].is_zero()
+        for style in STYLES:
+            q = magnus_continuous(field, 3, style)
+            assert q[2].is_zero()
+            assert q[3].is_zero()
 
     def test_styles_agree_on_random_quadratics(self):
         import random
@@ -126,10 +133,11 @@ class TestMagnusContinuous:
                 assert (explicit[m] - prelie[m]).is_zero()
 
     def test_order_bounds(self):
-        with pytest.raises(UnsupportedOrder):
-            magnus_continuous(affine_field(), 4)
-        with pytest.raises(UnsupportedOrder):
-            magnus_continuous(affine_field(), 0)
+        for style in STYLES:
+            with pytest.raises(UnsupportedOrder):
+                magnus_continuous(affine_field(), 4, style)
+            with pytest.raises(UnsupportedOrder):
+                magnus_continuous(affine_field(), 0, style)
         with pytest.raises(AlgebraError):
             magnus_continuous(affine_field(), 2, style="nope")
 

@@ -19,7 +19,6 @@ from ordexp.expansion import (
     closed_form_defects,
     compositions,
     dyson_terms,
-    expand_family,
     factorized_direct,
     factorized_expansion,
     factorized_generators,
@@ -278,14 +277,6 @@ def test_factorized_expansion_matrix():
     result = factorized_expansion(m_ops, l_ops, 3)
     assert result.residual.is_zero()
     assert result.series == factorized_direct(m_ops, l_ops, 3)
-
-
-def test_expand_family_bundles_consistent_data():
-    fam = free_family(3, degrees=(1, 2))
-    result = expand_family(fam, 3)
-    assert result.dyson == dyson_terms(fam, 3)
-    assert result.pi_table[(2, 2)] == result.dyson[1] * result.dyson[1]
-    assert result.q_list == magnus_from_dyson(result.dyson, 3)
 
 
 def test_scalar_two_site_magnus_values():

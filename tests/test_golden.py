@@ -4,7 +4,8 @@
 `to_text() + "\\n" + to_json()` at seed 1 and default sizes, on both
 backends, and of the standard output of each `ordexp expand` / `ordexp
 limit` command line of the benchmark's expand workload at seed 1.  Every
-one of them is rechecked here.
+one of them is rechecked here.  The reports come from the session cache
+of `conftest.py`, which `test_acceptance.py` reads too.
 """
 
 import contextlib
@@ -15,7 +16,6 @@ from pathlib import Path
 
 import pytest
 
-from ordexp import SuiteConfig, run_suite
 from ordexp.cli import main
 
 GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "seed1.json").read_text())
@@ -29,8 +29,8 @@ def sha256(text: str) -> str:
 
 
 @pytest.mark.parametrize("backend,row", CASES, ids=[f"{b}-{r['label']}" for b, r in CASES])
-def test_seed1_report_matches_golden_digest(backend, row):
-    report = run_suite(row["label"], SuiteConfig(seed=1, backend=backend))
+def test_seed1_report_matches_golden_digest(seed1_report, backend, row):
+    report = seed1_report(row["label"], backend)
     assert sha256(report.to_text() + "\n" + report.to_json()) == row["sha256"]
 
 

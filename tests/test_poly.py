@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordexp.errors import BackendMismatch, DimensionMismatch, SingularOperator
-from ordexp.matrix import Matrix
-from ordexp.poly import Poly, poly_commutator
+from ordexp.matrix import Matrix, commutator
+from ordexp.poly import Poly
 
 fractions = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6
@@ -103,7 +103,7 @@ def test_matrix_coefficients():
     p = Poly({(0,): a, (1,): b})
     v = p.eval(Fraction(2))
     assert v == a + 2 * b
-    comm = poly_commutator(p, Poly.constant(a))
+    comm = commutator(p, Poly.constant(a))
     assert comm.eval(Fraction(2)) == v * a - a * v
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from ordexp.errors import AlgebraError, BackendMismatch
 from ordexp.freealg import FreeElement
-from ordexp.matrix import Matrix
-from ordexp.series import AlphaSeries, ad, ad_pow
+from ordexp.matrix import Matrix, commutator
+from ordexp.series import AlphaSeries, ad_pow
 
 ORDER = 4
 
@@ -191,7 +191,7 @@ def test_ad_and_ad_pow():
     e12 = Matrix([[0, 1], [0, 0]])
     e21 = Matrix([[0, 0], [1, 0]])
     h = Matrix([[1, 0], [0, -1]])
-    assert ad(e12, e21) == h
+    assert commutator(e12, e21) == h
     assert ad_pow(e12, e21, 0) == e21
     assert ad_pow(e12, e21, 1) == h
     assert ad_pow(e12, e21, 2) == -2 * e12

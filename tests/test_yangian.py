@@ -14,6 +14,7 @@ from ordexp.matrix import Matrix, aux_block, commutator, kron_embed, partial_tra
 from ordexp.series import AlphaSeries
 from ordexp.yangian import (
     _rtt_parts,
+    block_table,
     classical_r,
     classical_ybe_residual,
     coproduct_tridendriform_residual,
@@ -176,7 +177,7 @@ class TestExchangeRelations:
     @pytest.mark.parametrize("n_sites", [1, 2, 3])
     def test_defining_relation_all_low_orders(self, n_sites):
         series = monodromy_coproduct(fundamental_lax(2), n_sites, 4)
-        coeffs = [series.coeff(k) for k in range(5)]
+        tables = [block_table(series.coeff(k), 2) for k in range(5)]
         for n in range(4):
             for m in range(4 - n):
                 for i in range(2):
@@ -184,7 +185,7 @@ class TestExchangeRelations:
                         for k in range(2):
                             for l in range(2):
                                 res = yangian_relations_residual(
-                                    coeffs, 2, n, m, i, j, k, l
+                                    tables, n, m, i, j, k, l
                                 )
                                 assert res.is_zero()
 
@@ -224,9 +225,9 @@ class TestExchangeRelations:
 
     def test_order_out_of_range(self):
         series = monodromy_coproduct(fundamental_lax(2), 2, 2)
-        coeffs = [series.coeff(k) for k in range(3)]
+        tables = [block_table(series.coeff(k), 2) for k in range(3)]
         with pytest.raises(UnsupportedOrder):
-            yangian_relations_residual(coeffs, 2, 2, 0, 0, 0, 0, 0)
+            yangian_relations_residual(tables, 2, 0, 0, 0, 0, 0)
 
 
 class TestQGenerators:
@@ -257,11 +258,11 @@ class TestQGenerators:
 class TestTransferMatrices:
     @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
     def test_commuting_family_dim_two(self, n_sites):
-        assert transfer_commute_residual(2, n_sites, 4) == 0
+        assert transfer_commute_residual(fundamental_lax(2), n_sites, 4) == 0
 
     @pytest.mark.parametrize("n_sites", [1, 2])
     def test_commuting_family_dim_three(self, n_sites):
-        assert transfer_commute_residual(3, n_sites, 3) == 0
+        assert transfer_commute_residual(fundamental_lax(3), n_sites, 3) == 0
 
     def test_single_site_transfer_values(self):
         # tr_aux(1 + a P) = 2 + a on one site of dimension two
