@@ -7,9 +7,14 @@ left brace on the same underlying addition. The BCH composition C(a, b)
 with W(a) o W(b) = W(C(a, b)) is read off from log(exp exp) in the free
 associative algebra and reduced to nested brackets, so no BCH coefficient
 is ever hand-coded.
+
+Nothing is computed twice: each brace residual computes Omega(a) once for
+its left factor a, and the BCH word table is built once per truncation
+depth and then only read.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .errors import BackendMismatch, DimensionMismatch
 from .freealg import FreeElement
@@ -160,6 +165,24 @@ def omega_map(b: GradedPreLieElement) -> GradedPreLieElement:
     return x
 
 
+@cache
+def _bch_words(depth: int) -> tuple:
+    """log(exp(x)exp(y)) through degree `depth`, as its Lie-series terms.
+
+    One (letter names, coefficient / word length) pair per word, in the
+    order the free algebra lists them, degree by degree.
+    """
+    one = FreeElement.one()
+    ex = AlphaSeries.from_parts(depth, {1: FreeElement.gen("x")}, like=one).exp()
+    ey = AlphaSeries.from_parts(depth, {1: FreeElement.gen("y")}, like=one).exp()
+    logs = (ex * ey).log()
+    return tuple(
+        (tuple(letter.name for letter in word), coeff * Fraction(1, len(word)))
+        for k in range(1, depth + 1)
+        for word, coeff in logs.coeff(k).terms.items()
+    )
+
+
 def bch(a: GradedPreLieElement, b: GradedPreLieElement) -> GradedPreLieElement:
     """BCH composition C(a, b) in the Lie algebra induced by the carrier.
 
@@ -168,36 +191,37 @@ def bch(a: GradedPreLieElement, b: GradedPreLieElement) -> GradedPreLieElement:
     1/length projects it to brackets, which are then evaluated on a, b.
     """
     a._check(b)
-    depth = a.order
-    one = FreeElement.one()
-    ex = AlphaSeries.from_parts(depth, {1: FreeElement.gen("x")}, like=one).exp()
-    ey = AlphaSeries.from_parts(depth, {1: FreeElement.gen("y")}, like=one).exp()
-    logs = (ex * ey).log()
     letters = {"x": a, "y": b}
     out = a.zero()
-    for k in range(1, depth + 1):
-        for word, coeff in logs.coeff(k).terms.items():
-            acc = letters[word[0].name]
-            for letter in word[1:]:
-                acc = acc.bracket(letters[letter.name])
-            out = out + acc.scale(coeff * Fraction(1, len(word)))
+    for names, scale in _bch_words(a.order):
+        acc = letters[names[0]]
+        for name in names[1:]:
+            acc = acc.bracket(letters[name])
+        out = out + acc.scale(scale)
     return out
+
+
+def _brace_with(a, omega_a, b) -> GradedPreLieElement:
+    """a o b given omega_a = Omega(a), so one left factor's flow serves many products."""
+    a._check(b)
+    return a + exp_flow(omega_a, b)
 
 
 def brace_mul(a: GradedPreLieElement, b: GradedPreLieElement) -> GradedPreLieElement:
     """The brace product a o b = a + e^{L_Omega(a)}(b)."""
-    a._check(b)
-    return a + exp_flow(omega_map(a), b)
+    return _brace_with(a, omega_map(a), b)
 
 
 def left_brace_residual(a, b, c) -> GradedPreLieElement:
     """a o (b+c) + a - a o b - a o c; zero in a left brace."""
-    return brace_mul(a, b + c) + a - brace_mul(a, b) - brace_mul(a, c)
+    oa = omega_map(a)
+    return _brace_with(a, oa, b + c) + a - _brace_with(a, oa, b) - _brace_with(a, oa, c)
 
 
 def circle_assoc_residual(a, b, c) -> GradedPreLieElement:
     """(a o b) o c - a o (b o c); zero since the flows form a group."""
-    return brace_mul(brace_mul(a, b), c) - brace_mul(a, brace_mul(b, c))
+    oa = omega_map(a)
+    return brace_mul(_brace_with(a, oa, b), c) - _brace_with(a, oa, brace_mul(b, c))
 
 
 def flow_composition_residual(a, b) -> GradedPreLieElement:

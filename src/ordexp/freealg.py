@@ -3,8 +3,10 @@
 A letter is a named symbol attached to a site index and a degree; a word is a
 tuple of letters and multiplies by concatenation. Elements store a mapping
 word -> coefficient with zero coefficients pruned, so equality is exact and
-structural. The degree of a word is the sum of its letter degrees, which makes
-the product degree-additive.
+structural. A coefficient is stored in one canonical form: a plain `int` when
+it is integral, otherwise a `Fraction` with denominator > 1, so the common
+integer coefficients never pay for `Fraction` arithmetic. The degree of a word
+is the sum of its letter degrees, which makes the product degree-additive.
 """
 
 from __future__ import annotations
@@ -29,10 +31,13 @@ def word_degree(word: tuple[Letter, ...]) -> int:
 
 
 def _coerce(c):
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, Fraction):
+    """The canonical form of a rational coefficient: int if integral, else Fraction."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
     raise BackendMismatch(f"free-element coefficients must be rational, got {type(c).__name__}")
 
 
@@ -55,11 +60,11 @@ class FreeElement:
 
     @staticmethod
     def one() -> "FreeElement":
-        return FreeElement({(): Fraction(1)})
+        return FreeElement({(): 1})
 
     @staticmethod
     def gen(name: str, site: int = 0, degree: int = 1) -> "FreeElement":
-        return FreeElement({(Letter(name, site, degree),): Fraction(1)})
+        return FreeElement({(Letter(name, site, degree),): 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -124,7 +129,7 @@ class FreeElement:
         return NotImplemented
 
     def max_abs(self) -> Fraction:
-        return max((abs(c) for c in self.terms.values()), default=Fraction(0))
+        return Fraction(max((abs(c) for c in self.terms.values()), default=0))
 
     def degree(self) -> int:
         """Largest word degree present; zero element has degree 0."""

@@ -85,7 +85,7 @@ def invert(x):
     if isinstance(x, FreeElement):
         if list(x.terms) != [()]:
             raise SingularOperator("a free element is invertible only when it is a nonzero scalar")
-        return FreeElement({(): 1 / x.terms[()]})
+        return FreeElement({(): Fraction(1) / x.terms[()]})
     if not x:
         raise SingularOperator("zero scalar has no inverse")
     return 1.0 / x if isinstance(x, float) else Fraction(1) / x

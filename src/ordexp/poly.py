@@ -41,10 +41,6 @@ class Poly:
     def constant(op) -> "Poly":
         return Poly({(0,): op})
 
-    @staticmethod
-    def variable() -> "Poly":
-        return Poly({(1,): Fraction(1)})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

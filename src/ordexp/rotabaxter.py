@@ -29,15 +29,21 @@ from .poly import Poly
 
 
 class SiteSequence:
-    """A finite sequence of operators indexed by sites 1..N (stored 0-based)."""
+    """A finite sequence of operators indexed by sites 1..N (stored 0-based).
 
-    __slots__ = ("values",)
+    A sequence is immutable. It caches its strict prefix sums, filled by the
+    first `PartialSumOp()` call on it, so every splitting and pre-Lie product
+    that reads R(f) sums f once; `==` compares the values only.
+    """
+
+    __slots__ = ("values", "_prefix")
 
     def __init__(self, values):
         values = tuple(values)
         if not values:
             raise DimensionMismatch("a site sequence needs at least one site")
         self.values = values
+        self._prefix = None
 
     @property
     def n_sites(self) -> int:
@@ -120,12 +126,15 @@ class PartialSumOp:
     weight = Fraction(1)
 
     def __call__(self, seq: SiteSequence) -> SiteSequence:
-        out = []
-        acc = zero_like(seq.values[0])
-        for v in seq.values:
-            out.append(acc)
-            acc = acc + v
-        return SiteSequence(out)
+        """R(seq), summed from site 1 up on the first call and cached on `seq`."""
+        if seq._prefix is None:
+            acc = zero_like(seq.values[0])
+            out = [acc]
+            for v in seq.values[:-1]:
+                acc = acc + v
+                out.append(acc)
+            seq._prefix = SiteSequence(out)
+        return seq._prefix
 
 
 class IntegralOp:

@@ -200,6 +200,52 @@ def test_flow_composition_lemma():
         assert flow_composition_residual(a, b).is_zero()
 
 
+def float_element(rng, order=3, degrees=(1, 2)):
+    """A graded element whose site values are float matrices with inexact entries."""
+    def seq():
+        return SiteSequence(
+            [Matrix([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)])
+             for _ in range(3)]
+        )
+    return GradedPreLieElement(order, {d: seq() for d in degrees}, seq_prelie)
+
+
+def test_float_residuals_equal_the_spelled_out_products():
+    # Omega(a) is computed once per residual; on floats that must round
+    # exactly as the separate brace products do (float == compares storage)
+    rng = random.Random(73)
+    for _ in range(3):
+        a, b, c = (float_element(rng) for _ in range(3))
+        assert left_brace_residual(a, b, c) == (
+            brace_mul(a, b + c) + a - brace_mul(a, b) - brace_mul(a, c)
+        )
+        assert circle_assoc_residual(a, b, c) == (
+            brace_mul(brace_mul(a, b), c) - brace_mul(a, brace_mul(b, c))
+        )
+        assert not left_brace_residual(a, b, c).is_zero()  # floats do round
+
+
+def test_bch_table_serves_every_depth():
+    # bch reads a word table cached per depth; each depth must still give
+    # what a fresh log(exp(x)exp(y)) at that depth gives, bracket by bracket
+    rng = random.Random(79)
+    for order in (2, 6, 3, 5):
+        a = float_element(rng, order=order, degrees=(1,))
+        b = float_element(rng, order=order, degrees=(1,))
+        one = FreeElement.one()
+        ex = AlphaSeries.from_parts(order, {1: FreeElement.gen("x")}, like=one).exp()
+        ey = AlphaSeries.from_parts(order, {1: FreeElement.gen("y")}, like=one).exp()
+        logs = (ex * ey).log()
+        want = a.zero()
+        for k in range(1, order + 1):
+            for word, coeff in logs.coeff(k).terms.items():
+                acc = {"x": a, "y": b}[word[0].name]
+                for letter in word[1:]:
+                    acc = acc.bracket({"x": a, "y": b}[letter.name])
+                want = want + acc.scale(coeff * Fraction(1, len(word)))
+        assert bch(a, b) == want
+
+
 def test_brace_mul_expands_as_printed():
     rng = random.Random(71)
     a = rand_element(rng, order=3, degrees=(1,))

@@ -2,7 +2,30 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordexp import ops
 from ordexp.freealg import FreeElement, Letter, word_degree
+
+# Coefficients either way they may arrive: ints, or Fractions that are
+# sometimes integral (Fraction(4, 2)), so canonicalisation is exercised.
+ints = st.integers(-6, 6)
+fracs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+coeffs = st.one_of(ints, fracs)
+words = st.lists(st.sampled_from([Letter("x", 0, 1), Letter("y", 1, 2)]), max_size=3).map(tuple)
+elements = st.dictionaries(words, coeffs, max_size=4).map(FreeElement)
+
+
+def canonical(e: FreeElement) -> bool:
+    """Every coefficient is an int, or a Fraction with denominator > 1."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in e.terms.values())
+
+
+def as_fractions(e: FreeElement) -> FreeElement:
+    """The same element built from Fraction coefficients only."""
+    return FreeElement({w: Fraction(c) for w, c in e.terms.items()})
 
 
 def test_generators_and_words():
@@ -74,3 +97,46 @@ def test_mixed_site_letters_keep_order():
     prod = a * b
     (word,) = prod.terms
     assert [letter.site for letter in word] == [2, 1]
+
+
+def test_generators_store_int_coefficients():
+    assert FreeElement.one().terms == {(): 1}
+    assert type(FreeElement.one().terms[()]) is int
+    assert type(next(iter(FreeElement.gen("x").terms.values()))) is int
+    assert FreeElement({(): Fraction(6, 3)}).terms == {(): 2}
+    assert type(FreeElement({(): Fraction(6, 3)}).terms[()]) is int
+    assert type(FreeElement({(): True}).terms[()]) is int
+
+
+@settings(max_examples=80, deadline=None)
+@given(elements, elements, coeffs)
+def test_arithmetic_keeps_coefficients_canonical(a, b, s):
+    assert canonical(a) and canonical(b)
+    for result in (a + b, a - b, -a, a * b, b * a, a * s, s * a, a + s, a - s, s - a):
+        assert canonical(result)
+
+
+@settings(max_examples=80, deadline=None)
+@given(elements, elements)
+def test_int_and_fraction_built_elements_agree(a, b):
+    fa = as_fractions(a)
+    assert fa == a and fa.terms == a.terms
+    assert hash(fa) == hash(a)
+    assert as_fractions(a * b) == fa * as_fractions(b)
+    assert hash(as_fractions(a + b)) == hash(a + b)
+
+
+@settings(max_examples=50, deadline=None)
+@given(elements)
+def test_max_abs_is_a_fraction(a):
+    m = a.max_abs()
+    assert type(m) is Fraction
+    assert m == max((abs(c) for c in a.terms.values()), default=0)
+
+
+def test_invert_of_an_int_scalar_is_exact():
+    inv = ops.invert(FreeElement({(): 2}))
+    assert inv == FreeElement({(): Fraction(1, 2)})
+    assert type(inv.terms[()]) is Fraction
+    assert ops.invert(FreeElement({(): Fraction(1, 3)})).terms == {(): 3}
+    assert type(ops.invert(FreeElement({(): -1})).terms[()]) is int

@@ -36,7 +36,7 @@ def value(p, point, kind):
 
 
 def test_constant_and_variable():
-    x = Poly.variable()
+    x = Poly({(1,): Fraction(1)})
     c = Poly.constant(Fraction(3))
     p = c + x * x
     assert p.eval(Fraction(2)) == 7
@@ -45,7 +45,7 @@ def test_constant_and_variable():
 
 def test_zero_polynomial():
     assert Poly().is_zero()
-    assert (Poly.variable() - Poly.variable()).is_zero()
+    assert (Poly({(1,): Fraction(1)}) - Poly({(1,): Fraction(1)})).is_zero()
     assert Poly().exponent_range(0) == (0, 0)
     assert Poly().eval(Fraction(2)) == 0
 
@@ -66,7 +66,7 @@ def test_eval_is_ring_map(p, x):
 
 
 def test_integrate_shifts_degrees():
-    x = Poly.variable()
+    x = Poly({(1,): Fraction(1)})
     p = Poly.constant(Fraction(2)) + 3 * x
     f = p.integrate()
     # antiderivative of 2 + 3x with F(0) = 0
@@ -75,7 +75,7 @@ def test_integrate_shifts_degrees():
 
 
 def test_integrate_vanishes_at_base_point():
-    x = Poly.variable()
+    x = Poly({(1,): Fraction(1)})
     p = x * x
     f = p.integrate(x0=Fraction(2))
     assert f.eval(Fraction(2)) == 0

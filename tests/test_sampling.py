@@ -99,7 +99,10 @@ def test_free_sequence_is_exact_on_both_backends(backend):
     want = SampleSource(5).split("free").free_sequence(3, "a")
     got = SampleSource(5, backend).split("free").free_sequence(3, "a")
     assert got == want
-    assert all(isinstance(v, Fraction) for v in leaves(got))
+    # every free coefficient is canonical: an int, or a Fraction that is not one
+    assert leaves(got)
+    assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
+               for v in leaves(got))
 
 
 def test_cast_converts_only_on_the_float_backend():
