@@ -2,9 +2,8 @@
 
 from .boundary import (
     BoundaryProblem,
-    BoundaryReport,
+    ChainReport,
     GaugeProblem,
-    GaugeReport,
     double_row_monodromy,
     gauge_solve,
     reflection_hat,
@@ -60,7 +59,7 @@ from .expansion import (
     pi_table,
     prefix_monodromy,
 )
-from .freealg import FreeElement, Letter, word_degree
+from .freealg import FreeElement, Letter
 from .matrix import Matrix, aux_block, commutator, kron_embed, partial_trace_first, permutation_op
 from .poly import Poly
 from .report import CaseResult, VerificationReport
@@ -81,7 +80,7 @@ from .rotabaxter import (
     trid_succ,
 )
 from .sampling import SampleSource
-from .series import AlphaSeries, ad_pow
+from .series import AlphaSeries
 from .suites import SUITES, SuiteConfig, run_suite
 from .yangian import (
     DIMENSION_BUDGET,

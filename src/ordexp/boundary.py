@@ -25,7 +25,8 @@ which solves the two-sided difference equation
     B_{n+1} = L_n B_n Lhat_n,   B_1 = K.
 
 `double_row_monodromy` builds the sequence and reports the residuals of
-that equation.  The reflection choice Lhat(alpha) = L^{-1}(-alpha),
+that equation.  Both return one `ChainReport`: the sequence along the
+chain and its recursion residuals.  The reflection choice Lhat(alpha) = L^{-1}(-alpha),
 realized by `reflection_hat`, produces a backward family from a forward
 one by series inversion at negated coupling.
 
@@ -111,16 +112,17 @@ class BoundaryProblem:
         self.order = order
 
 
-class GaugeReport:
-    """Gauge sequence G_1..G_{N+1} and the difference-equation residuals.
+class ChainReport:
+    """A sequence along the chain and the residuals of its recursion.
 
-    `gauges[n-1]` is G_n; `residuals[n-1]` is G_{n+1} - Lhat_n G_n L_n^{-1}.
+    `values[n-1]` is the n-th member (G_n or B_n, n = 1..N+1);
+    `residuals[n-1]` is the recursion's residual at site n (n = 1..N).
     """
 
-    __slots__ = ("gauges", "residuals")
+    __slots__ = ("values", "residuals")
 
-    def __init__(self, gauges, residuals):
-        self.gauges = list(gauges)
+    def __init__(self, values, residuals):
+        self.values = list(values)
         self.residuals = list(residuals)
 
     def is_zero(self) -> bool:
@@ -130,27 +132,11 @@ class GaugeReport:
         return worst(self.residuals)
 
 
-class BoundaryReport:
-    """Double-row sequence B_1..B_{N+1} and the residuals of its recursion.
-
-    `rows[n-1]` is B_n; `residuals[n-1]` is B_{n+1} - L_n B_n Lhat_n.
-    """
-
-    __slots__ = ("rows", "residuals")
-
-    def __init__(self, rows, residuals):
-        self.rows = list(rows)
-        self.residuals = list(residuals)
-
-    def is_zero(self) -> bool:
-        return all(r.is_zero() for r in self.residuals)
-
-    def max_abs(self):
-        return worst(self.residuals)
-
-
-def gauge_solve(p: GaugeProblem) -> GaugeReport:
+def gauge_solve(p: GaugeProblem) -> ChainReport:
     """Gauge sequence from the prefix products, with residuals re-checked.
+
+    The report's values are G_1..G_{N+1}; its residuals are
+    G_{n+1} - Lhat_n G_n L_n^{-1}.
 
     The construction G_n = That_n G_1 T_n^{-1} satisfies the difference
     equation identically, so nonzero residuals indicate a broken
@@ -170,11 +156,14 @@ def gauge_solve(p: GaugeProblem) -> GaugeReport:
     for n in range(1, p.forward.n_sites + 1):
         step = p.target.lax_series(n, D) * gauges[n - 1] * p.forward.lax_series(n, D).inverse()
         residuals.append(gauges[n] - step)
-    return GaugeReport(gauges, residuals)
+    return ChainReport(gauges, residuals)
 
 
-def double_row_monodromy(p: BoundaryProblem) -> BoundaryReport:
+def double_row_monodromy(p: BoundaryProblem) -> ChainReport:
     """Double-row sequence B_n = T_n K That_n with its recursion residuals.
+
+    The report's values are B_1..B_{N+1}; its residuals are
+    B_{n+1} - L_n B_n Lhat_n.
 
     The forward factor grows on the left, the backward factor on the
     right, so B_{n+1} = L_n B_n Lhat_n holds by associativity alone; the
@@ -192,7 +181,7 @@ def double_row_monodromy(p: BoundaryProblem) -> BoundaryReport:
     for n in range(1, p.forward.n_sites + 1):
         step = p.forward.lax_series(n, D) * rows[n - 1] * p.backward.lax_series(n, D)
         residuals.append(rows[n] - step)
-    return BoundaryReport(rows, residuals)
+    return ChainReport(rows, residuals)
 
 
 def reflection_hat(fam: SiteOperatorFamily, order: int) -> SiteOperatorFamily:

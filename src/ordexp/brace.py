@@ -52,10 +52,6 @@ class GradedPreLieElement:
         self.components = clean
         self.like = like
 
-    @staticmethod
-    def homogeneous(value, degree, order, product) -> "GradedPreLieElement":
-        return GradedPreLieElement(order, {degree: value}, product, like=value)
-
     def zero(self) -> "GradedPreLieElement":
         return GradedPreLieElement(self.order, {}, self.product, like=self.like)
 
@@ -128,29 +124,27 @@ class GradedPreLieElement:
         return f"GradedPreLieElement(order={self.order}, degrees=[{degs}])"
 
 
-def exp_flow(a: GradedPreLieElement, b: GradedPreLieElement) -> GradedPreLieElement:
-    """e^{L_a}(b) = b + a|>b + a|>(a|>b)/2! + ...; finite by truncation."""
-    a._check(b)
-    out = b
-    term = b
-    for k in range(1, a.order + 1):
+def _flow(a: GradedPreLieElement, start: GradedPreLieElement, first: int) -> GradedPreLieElement:
+    """start + t_first + t_{first+1} + ..., where t_{first-1} = start and
+    t_k = a|>t_{k-1} / k; stops at the first zero term or at the order."""
+    out = term = start
+    for k in range(first, a.order + 1):
         term = a.prod(term).scale(Fraction(1, k))
         if term.is_zero():
             break
         out = out + term
     return out
+
+
+def exp_flow(a: GradedPreLieElement, b: GradedPreLieElement) -> GradedPreLieElement:
+    """e^{L_a}(b) = b + a|>b + a|>(a|>b)/2! + ...; finite by truncation."""
+    a._check(b)
+    return _flow(a, b, 1)
 
 
 def w_map(a: GradedPreLieElement) -> GradedPreLieElement:
     """The flow W(a) = a + a|>a/2! + a|>(a|>a)/3! + ..., right-nested."""
-    out = a
-    term = a
-    for k in range(2, a.order + 1):
-        term = a.prod(term).scale(Fraction(1, k))
-        if term.is_zero():
-            break
-        out = out + term
-    return out
+    return _flow(a, a, 2)
 
 
 def omega_map(b: GradedPreLieElement) -> GradedPreLieElement:

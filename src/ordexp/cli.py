@@ -15,7 +15,8 @@ Family and field specs use a small textual grammar:
 
 A key the spec's kind does not read, a repeated key, and a repeated degree
 are errors.  Only `verify` takes --seed; a matrix spec is seeded by its
-own seed= key, and draws with seed 1 without it.  The rand bound is
+own seed= key, and draws with seed 1 without it.  Either seed must lie in
+0..2**64-1.  The rand bound is
 written exactly int<=K or int≤K.  Field expressions combine rational
 coefficients, powers of x, and the 2x2 symbols X (upper step), Y (lower
 step), and I (identity) with * and +.  Reports are deterministic for a
@@ -52,13 +53,6 @@ F = Fraction
 
 class SpecError(ValueError):
     """A family or field spec that does not parse."""
-
-
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return value
 
 
 def _fraction(text: str, what: str) -> Fraction:
@@ -287,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run a verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
-    p_verify.add_argument("--seed", type=_u64, default=1,
+    p_verify.add_argument("--seed", type=int, default=1,
                           help="64-bit sampling seed (default 1)")
     p_verify.add_argument("--backend", choices=["exact", "float"], default="exact",
                           help="arithmetic backend (default exact)")

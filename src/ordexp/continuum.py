@@ -247,13 +247,6 @@ class ConvergenceTable:
         self.errors = errors
         self.rates = rates
 
-    def summary_rate(self, order: int) -> float:
-        """Average of the rate estimates from the last two refinements."""
-        tail = [r for r in self.rates[order][-2:] if not math.isnan(r)]
-        if not tail:
-            return float("nan")
-        return sum(tail) / len(tail)
-
     def csv_rows(self):
         yield "delta,err_q1,err_q2,err_q3,rate_q1,rate_q2,rate_q3"
         for i, delta in enumerate(self.deltas):

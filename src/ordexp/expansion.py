@@ -81,9 +81,6 @@ class SiteOperatorFamily:
         op = self.entries.get((site, degree))
         return zero_like(self.like) if op is None else op
 
-    def max_degree(self) -> int:
-        return max((d for (_, d) in self.entries), default=0)
-
     def degree_sequence(self, degree: int) -> SiteSequence:
         """All sites' operators of one degree, as a site sequence."""
         return SiteSequence([self.entry(n, degree) for n in range(1, self.n_sites + 1)])
@@ -92,15 +89,6 @@ class SiteOperatorFamily:
         parts = {m: self.entry(site, m) for m in range(1, order + 1)}
         series = AlphaSeries.from_parts(order, parts, like=self.like)
         return series + AlphaSeries.one(order, like=self.like)
-
-    def reversed(self) -> "SiteOperatorFamily":
-        """The same local data read in the opposite site order."""
-        flipped = {
-            (self.n_sites + 1 - site, degree): op
-            for (site, degree), op in self.entries.items()
-        }
-        other = BACKWARD if self.direction == FORWARD else FORWARD
-        return SiteOperatorFamily(self.n_sites, flipped, direction=other, like=self.like)
 
 
 def ordered_product(family: SiteOperatorFamily, order: int, descending: bool) -> AlphaSeries:

@@ -5,8 +5,7 @@ tuple of letters and multiplies by concatenation. Elements store a mapping
 word -> coefficient with zero coefficients pruned, so equality is exact and
 structural. A coefficient is stored in one canonical form: a plain `int` when
 it is integral, otherwise a `Fraction` with denominator > 1, so the common
-integer coefficients never pay for `Fraction` arithmetic. The degree of a word
-is the sum of its letter degrees, which makes the product degree-additive.
+integer coefficients never pay for `Fraction` arithmetic.
 """
 
 from __future__ import annotations
@@ -24,10 +23,6 @@ class Letter(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.name}_{self.site}"
-
-
-def word_degree(word: tuple[Letter, ...]) -> int:
-    return sum(l.degree for l in word)
 
 
 def _coerce(c):
@@ -130,13 +125,6 @@ class FreeElement:
 
     def max_abs(self) -> Fraction:
         return Fraction(max((abs(c) for c in self.terms.values()), default=0))
-
-    def degree(self) -> int:
-        """Largest word degree present; zero element has degree 0."""
-        return max((word_degree(w) for w in self.terms), default=0)
-
-    def graded_part(self, d: int) -> "FreeElement":
-        return FreeElement({w: c for w, c in self.terms.items() if word_degree(w) == d})
 
     def __str__(self) -> str:
         if not self.terms:

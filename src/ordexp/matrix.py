@@ -154,16 +154,6 @@ class Matrix:
             return self.__mul__(other)
         return NotImplemented
 
-    def trace(self):
-        if not self.is_square():
-            raise DimensionMismatch("trace of a non-square matrix")
-        t = sum(self.num[i][i] for i in range(self.rows))
-        den = self.den
-        return t if den is None or den == 1 else Fraction(t, den)
-
-    def transpose(self) -> "Matrix":
-        return _wrap([list(col) for col in zip(*self.num)], self.den)
-
     def kron(self, other: "Matrix") -> "Matrix":
         if self.den is None or other.den is None:
             adata, bdata, den = self.to_float().num, other.to_float().num, None

@@ -24,7 +24,7 @@ import hashlib
 import random
 from fractions import Fraction
 
-from .errors import SingularOperator
+from .errors import AlgebraError, SingularOperator
 from .expansion import FORWARD, SiteOperatorFamily
 from .freealg import FreeElement
 from .matrix import Matrix
@@ -33,19 +33,20 @@ from .poly import Poly
 from .report import EXACT, FLOAT
 from .rotabaxter import SiteSequence
 
-MASK64 = 2**64 - 1
-
 
 class SampleSource:
     """Seeded draw stream with labeled, order-independent substreams.
 
+    The seed is an int in 0..2**64-1; anything else raises AlgebraError.
     `backend` (exact or float) is passed on to every child stream.
     """
 
     __slots__ = ("seed", "backend", "_rng")
 
     def __init__(self, seed: int, backend: str = EXACT):
-        self.seed = int(seed) & MASK64
+        if type(seed) is not int or not 0 <= seed < 2**64:
+            raise AlgebraError(f"seed must be an integer in 0..2**64-1, got {seed!r}")
+        self.seed = seed
         self.backend = backend
         self._rng = random.Random(self.seed)
 
@@ -91,18 +92,18 @@ class SampleSource:
                 continue
             return self.cast(m)
 
-    def sequence(self, n_sites: int, size: int = 2, bound: int = 3) -> SiteSequence:
-        return SiteSequence([self.matrix(size, bound) for _ in range(n_sites)])
+    def sequence(self, n_sites: int, size: int = 2) -> SiteSequence:
+        return SiteSequence([self.matrix(size) for _ in range(n_sites)])
 
-    def free_sequence(self, n_sites: int, tag: str, bound: int = 3) -> SiteSequence:
+    def free_sequence(self, n_sites: int, tag: str) -> SiteSequence:
         """Per site, a random combination of two letters named after the tag.
 
         Exact on both backends: free letters take only rational coefficients.
         """
         values = []
         for n in range(1, n_sites + 1):
-            v = FreeElement.gen(f"{tag}1", site=n) * self.fraction(bound)
-            v = v + FreeElement.gen(f"{tag}2", site=n) * self.fraction(bound)
+            v = FreeElement.gen(f"{tag}1", site=n) * self.fraction()
+            v = v + FreeElement.gen(f"{tag}2", site=n) * self.fraction()
             values.append(v)
         return SiteSequence(values)
 
@@ -117,8 +118,8 @@ class SampleSource:
             n_sites, entries, direction=direction, like=Matrix.identity(size)
         )
 
-    def poly(self, degree: int = 3, bound: int = 3) -> Poly:
-        return Poly({(d,): self.cast(self.fraction(bound)) for d in range(degree + 1)})
+    def poly(self, degree: int) -> Poly:
+        return Poly({(d,): self.cast(self.fraction()) for d in range(degree + 1)})
 
     def subset(self, items) -> tuple:
         """Nonempty subset, drawn element by element."""

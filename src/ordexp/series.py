@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .errors import BackendMismatch, DimensionMismatch
 from .ops import SCALARS, check_compatible, invert, is_zero, max_abs, one_like, to_float, zero_like
-from .ops import commutator
 
 
 class AlphaSeries:
@@ -174,12 +173,3 @@ class AlphaSeries:
     def __repr__(self) -> str:
         return f"AlphaSeries(order={self.order})"
 
-
-def ad_pow(a, b, n: int):
-    """Iterated commutator [a,[a,...[a,b]]] with n brackets; n=0 returns b."""
-    if n < 0:
-        raise BackendMismatch("ad power needs n >= 0")
-    out = b
-    for _ in range(n):
-        out = commutator(a, out)
-    return out

@@ -184,11 +184,13 @@ def rota_baxter_suite(cfg: SuiteConfig) -> VerificationReport:
 
     src = root.split("rota-baxter:weight-zero")
     integral = IntegralOp()
+    degree = 3
     rep.add(
         "integral-weight-zero",
         law="R(p)R(q) = R(R(p)q + pR(q)) for the integral from the base point",
-        defect=worst(rb_residual(integral, src.poly(), src.poly()) for _ in range(poly_pairs)),
-        pairs=poly_pairs, degree=3,
+        defect=worst(rb_residual(integral, src.poly(degree), src.poly(degree))
+                     for _ in range(poly_pairs)),
+        pairs=poly_pairs, degree=degree,
     )
     return rep
 

@@ -105,8 +105,8 @@ class TestGaugeSolve:
         fam = matrix_family(rng, 3)
         report = gauge_solve(GaugeProblem(fam, fam, Matrix.identity(2), 3))
         one = AlphaSeries.one(3, like=Matrix.identity(2))
-        assert len(report.gauges) == 4
-        assert all(g == one for g in report.gauges)
+        assert len(report.values) == 4
+        assert all(g == one for g in report.values)
         assert report.is_zero()
         assert report.max_abs() == 0
 
@@ -116,9 +116,9 @@ class TestGaugeSolve:
         fwd = scalar_family(2, 1)
         tgt = scalar_family(2, 2)
         report = gauge_solve(GaugeProblem(fwd, tgt, F(1), 3))
-        assert series_coeffs(report.gauges[0]) == [1, 0, 0, 0]
-        assert series_coeffs(report.gauges[1]) == [1, 1, -1, 1]
-        assert series_coeffs(report.gauges[2]) == [1, 2, -1, 0]
+        assert series_coeffs(report.values[0]) == [1, 0, 0, 0]
+        assert series_coeffs(report.values[1]) == [1, 1, -1, 1]
+        assert series_coeffs(report.values[2]) == [1, 2, -1, 0]
         assert report.is_zero()
 
     @pytest.mark.parametrize("seed", [11, 13, 17, 19])
@@ -129,7 +129,7 @@ class TestGaugeSolve:
         g1 = rand_invertible(rng)
         report = gauge_solve(GaugeProblem(fwd, tgt, g1, 3))
         assert report.is_zero()
-        assert report.gauges[0].coeff(0) == g1
+        assert report.values[0].coeff(0) == g1
 
     def test_free_backend(self):
         entries_f = {(n, 1): FreeElement.gen("y", site=n, degree=1) for n in (1, 2)}
@@ -151,10 +151,10 @@ class TestGaugeSolve:
         for n in range(1, 3):
             step = (
                 fwd.lax_series(n, 3)
-                * report.gauges[n - 1]
+                * report.values[n - 1]
                 * tgt.lax_series(n, 3).inverse()
             )
-            wrong.append(report.gauges[n] - step)
+            wrong.append(report.values[n] - step)
         assert report.is_zero()
         assert any(not w.is_zero() for w in wrong)
 
@@ -192,7 +192,7 @@ class TestDoubleRow:
         fam = SiteOperatorFamily(3, {}, like=like)
         report = double_row_monodromy(BoundaryProblem(fam, fam, like, 2))
         one = AlphaSeries.one(2, like=like)
-        assert all(r == one for r in report.rows)
+        assert all(r == one for r in report.values)
         assert report.is_zero()
 
     def test_scalar_closed_form(self):
@@ -201,9 +201,9 @@ class TestDoubleRow:
         fwd = scalar_family(2, 1)
         bwd = scalar_family(2, 2, direction=BACKWARD)
         report = double_row_monodromy(BoundaryProblem(fwd, bwd, F(3), 2))
-        assert series_coeffs(report.rows[0]) == [3, 0, 0]
-        assert series_coeffs(report.rows[1]) == [3, 9, 6]
-        assert series_coeffs(report.rows[2]) == [3, 18, 39]
+        assert series_coeffs(report.values[0]) == [3, 0, 0]
+        assert series_coeffs(report.values[1]) == [3, 9, 6]
+        assert series_coeffs(report.values[2]) == [3, 18, 39]
         assert report.is_zero()
 
     @pytest.mark.parametrize("seed", [31, 37, 41])
@@ -214,7 +214,7 @@ class TestDoubleRow:
         k = rand_invertible(rng)
         report = double_row_monodromy(BoundaryProblem(fwd, bwd, k, 3))
         assert report.is_zero()
-        assert report.rows[-1].coeff(0) == k
+        assert report.values[-1].coeff(0) == k
 
     def test_coupling_dependent_boundary(self):
         rng = random.Random(43)
@@ -226,7 +226,7 @@ class TestDoubleRow:
         )
         report = double_row_monodromy(BoundaryProblem(fwd, bwd, k, 3))
         assert report.is_zero()
-        assert report.rows[0] == k
+        assert report.values[0] == k
 
     def test_reflection_family_residuals(self):
         swap = Matrix([[0, 1], [1, 0]])
@@ -236,7 +236,7 @@ class TestDoubleRow:
             BoundaryProblem(fwd, bwd, Matrix.identity(2), 3)
         )
         assert report.is_zero()
-        assert report.rows[-1].coeff(0) == Matrix.identity(2)
+        assert report.values[-1].coeff(0) == Matrix.identity(2)
 
     def test_recursion_has_teeth(self):
         # Multiplying the boundary factors in the wrong order picks up the
@@ -248,8 +248,8 @@ class TestDoubleRow:
         p = BoundaryProblem(fwd, bwd, Matrix.identity(2), 2)
         report = double_row_monodromy(p)
         assert report.is_zero()
-        swapped = report.rows[1] - (
-            bwd.lax_series(1, 2) * report.rows[0] * fwd.lax_series(1, 2)
+        swapped = report.values[1] - (
+            bwd.lax_series(1, 2) * report.values[0] * fwd.lax_series(1, 2)
         )
         assert not swapped.is_zero()
         assert swapped.coeff(2) == a * b - b * a

@@ -92,7 +92,7 @@ def test_trivial_product_flows_are_identity():
 
 def test_w_printed_coefficients():
     s = free_seq(3, "a")
-    a = GradedPreLieElement.homogeneous(s, 1, 3, seq_prelie)
+    a = GradedPreLieElement(3, {1: s}, seq_prelie)
     w = w_map(a)
     ss = prelie_left(s, s)
     assert w.component(1) == s
@@ -102,7 +102,7 @@ def test_w_printed_coefficients():
 
 def test_omega_printed_coefficients():
     s = free_seq(3, "a")
-    a = GradedPreLieElement.homogeneous(s, 1, 3, seq_prelie)
+    a = GradedPreLieElement(3, {1: s}, seq_prelie)
     om = omega_map(a)
     ss = prelie_left(s, s)
     assert om.component(1) == s
@@ -128,27 +128,23 @@ def test_round_trips_free_backend():
 
 
 def test_bch_scalar_sequences_commute():
-    a = GradedPreLieElement.homogeneous(
-        SiteSequence([Fraction(1), Fraction(2)]), 1, 3, seq_prelie
-    )
-    b = GradedPreLieElement.homogeneous(
-        SiteSequence([Fraction(5), Fraction(-1)]), 1, 3, seq_prelie
-    )
+    a = GradedPreLieElement(3, {1: SiteSequence([Fraction(1), Fraction(2)])}, seq_prelie)
+    b = GradedPreLieElement(3, {1: SiteSequence([Fraction(5), Fraction(-1)])}, seq_prelie)
     assert a.bracket(b).is_zero()
     assert bch(a, b) == a + b
 
 
 def test_bch_degree_two():
     rng = random.Random(43)
-    a = GradedPreLieElement.homogeneous(rand_seq(rng), 1, 2, seq_prelie)
-    b = GradedPreLieElement.homogeneous(rand_seq(rng), 1, 2, seq_prelie)
+    a = GradedPreLieElement(2, {1: rand_seq(rng)}, seq_prelie)
+    b = GradedPreLieElement(2, {1: rand_seq(rng)}, seq_prelie)
     assert bch(a, b) == a + b + a.bracket(b).scale(Fraction(1, 2))
 
 
 def test_bch_degree_three_hand_terms():
     rng = random.Random(47)
-    a = GradedPreLieElement.homogeneous(rand_seq(rng), 1, 3, seq_prelie)
-    b = GradedPreLieElement.homogeneous(rand_seq(rng), 1, 3, seq_prelie)
+    a = GradedPreLieElement(3, {1: rand_seq(rng)}, seq_prelie)
+    b = GradedPreLieElement(3, {1: rand_seq(rng)}, seq_prelie)
     c = bch(a, b)
     expected3 = (
         a.bracket(a.bracket(b)) + b.bracket(b.bracket(a))
@@ -159,8 +155,8 @@ def test_bch_degree_three_hand_terms():
 def test_bch_matches_associative_log_through_degree_four():
     # in an associative carrier the induced bracket is the commutator, so
     # the bracket-reduced series must reproduce log(exp(x)exp(y)) verbatim
-    x = GradedPreLieElement.homogeneous(FreeElement.gen("x"), 1, 4, assoc_prod)
-    y = GradedPreLieElement.homogeneous(FreeElement.gen("y"), 1, 4, assoc_prod)
+    x = GradedPreLieElement(4, {1: FreeElement.gen("x")}, assoc_prod)
+    y = GradedPreLieElement(4, {1: FreeElement.gen("y")}, assoc_prod)
     c = bch(x, y)
     one = FreeElement.one()
     ex = AlphaSeries.from_parts(4, {1: FreeElement.gen("x")}, like=one).exp()
@@ -269,9 +265,7 @@ def test_omega_gives_per_site_magnus_increments():
         )
     fam = SiteOperatorFamily(n_sites, entries, direction=FORWARD)
     order = 3
-    a = GradedPreLieElement.homogeneous(
-        fam.degree_sequence(1), 1, order, seq_prelie
-    )
+    a = GradedPreLieElement(order, {1: fam.degree_sequence(1)}, seq_prelie)
     om = omega_map(a)
     logs = [
         prefix_monodromy(fam, j, order).log() for j in range(1, n_sites + 2)

@@ -399,3 +399,17 @@ def test_spec_key_the_kind_does_not_read_exits_2(capsys, argv, key):
     assert code == 2
     assert out == ""
     assert f"does not read {key!r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "matrix:rand(2x2,int<=3);N=2;seed=-1"],
+    ["expand", f"matrix:rand(2x2,int<=3);N=2;seed={2**64}"],
+    ["verify", "rota-baxter", "--seed", "-1"],
+    ["verify", "rota-baxter", "--seed", str(2**64)],
+])
+def test_seed_outside_64_bits_exits_2(capsys, argv):
+    # no wrap-around: seed=-1 is not seed=2**64-1, and 2**64 is not 0
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "seed must be an integer in 0..2**64-1" in err

@@ -134,8 +134,12 @@ def test_dyson_tridendriform_equals_direct(direction, degrees):
 def test_backward_is_forward_of_reversed_chain():
     fam = free_family(4, degrees=(1, 2), direction=BACKWARD)
     order = 3
-    flipped = fam.reversed()
-    assert flipped.direction == FORWARD
+    flipped = SiteOperatorFamily(
+        fam.n_sites,
+        {(fam.n_sites + 1 - site, degree): op for (site, degree), op in fam.entries.items()},
+        direction=FORWARD,
+        like=fam.like,
+    )
     assert monodromy(fam, order) == monodromy(flipped, order)
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordexp import ops
-from ordexp.freealg import FreeElement, Letter, word_degree
+from ordexp.freealg import FreeElement, Letter
 
 # Coefficients either way they may arrive: ints, or Fractions that are
 # sometimes integral (Fraction(4, 2)), so canonicalisation is exercised.
@@ -38,11 +38,6 @@ def test_generators_and_words():
     assert word == (Letter("x", 0, 1), Letter("y", 2, 3))
 
 
-def test_word_degree_adds_letter_degrees():
-    w = (Letter("a", 1, 2), Letter("b", 3, 1))
-    assert word_degree(w) == 3
-
-
 def test_zero_and_one():
     x = FreeElement.gen("x")
     assert x + FreeElement.zero() == x
@@ -71,16 +66,6 @@ def test_scalar_action_and_pruning():
     assert half + half == x
     assert (x * 0).is_zero()
     assert not (x * 0).terms
-
-
-def test_degree_and_graded_part():
-    x = FreeElement.gen("x", degree=1)
-    u = FreeElement.gen("u", degree=2)
-    elt = x * x + u + FreeElement.one()
-    assert elt.degree() == 2
-    assert elt.graded_part(2) == x * x + u
-    assert elt.graded_part(0) == FreeElement.one()
-    assert elt.graded_part(5).is_zero()
 
 
 def test_str_is_deterministic():

@@ -13,8 +13,7 @@ import pytest
 
 from ordexp import (
     AlphaSeries,
-    BoundaryReport,
-    GaugeReport,
+    ChainReport,
     GradedPreLieElement,
     Matrix,
     Poly,
@@ -102,7 +101,8 @@ class TestContainerMaxAbs:
         d = elem.max_abs()
         assert d == 0 and type(d) is kind
 
-    @pytest.mark.parametrize("report", [GaugeReport([], []), BoundaryReport([], [])])
+    # the second is a chain of no sites: its one value and no residual
+    @pytest.mark.parametrize("report", [ChainReport([], []), ChainReport([Matrix.identity(2)], [])])
     def test_report_with_no_residual_raises(self, report):
         with pytest.raises(InsufficientSamples):
             report.max_abs()

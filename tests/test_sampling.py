@@ -4,7 +4,8 @@ A float source must draw exactly the values an exact source of the same
 seed draws, converted to float, and must consume the stream identically;
 free letters stay exact.  Every suite row labelled exact must then carry an
 exact defect on both backends, so no float leaks into an exact check, and
-no suite builds a float matrix on the exact backend.
+no suite builds a float matrix, or a polynomial or series with a float
+coefficient, on the exact backend.
 """
 
 from fractions import Fraction
@@ -12,8 +13,9 @@ from fractions import Fraction
 import pytest
 
 import ordexp
-from ordexp import FreeElement, Matrix, Poly, SiteOperatorFamily, SiteSequence, SuiteConfig
+from ordexp import AlphaSeries, FreeElement, Matrix, Poly, SiteOperatorFamily, SiteSequence, SuiteConfig
 from ordexp import matrix, ops
+from ordexp.errors import AlgebraError
 from ordexp.report import EXACT, FLOAT
 from ordexp.sampling import SampleSource
 from ordexp.suites import SUITES
@@ -105,6 +107,12 @@ def test_free_sequence_is_exact_on_both_backends(backend):
                for v in leaves(got))
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.0, "7", True])
+def test_seed_is_an_int_in_64_bits(seed):
+    with pytest.raises(AlgebraError, match="seed must be"):
+        SampleSource(seed)
+
+
 def test_cast_converts_only_on_the_float_backend():
     m = Matrix([[1, Fraction(1, 2)], [0, 3]])
     assert SampleSource(1).cast(m) is m
@@ -131,11 +139,13 @@ def test_exact_rows_have_exact_defects(name, backend):
 
 @pytest.fixture
 def float_matrices_trapped(monkeypatch):
-    """Make every way of building a float `Matrix` raise, for one test."""
+    """Make every way of building a float `Matrix`, and every float
+    coefficient entering a `Poly` or an `AlphaSeries`, raise, for one test."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a float matrix was built on the exact backend")
+        raise AssertionError("a float was built on the exact backend")
 
     init, wrap = Matrix.__init__, matrix._wrap
+    poly_init, series_init = Poly.__init__, AlphaSeries.__init__
 
     def exact_init(self, data):
         init(self, data)
@@ -147,7 +157,20 @@ def float_matrices_trapped(monkeypatch):
             refuse()
         return wrap(num, den)
 
+    def exact_poly_init(self, coeffs=None):
+        # checked before Poly prunes zeros, so a float 0.0 is caught too
+        if any(type(c) is float for c in (coeffs or {}).values()):
+            refuse()
+        poly_init(self, coeffs)
+
+    def exact_series_init(self, coeffs):
+        series_init(self, coeffs)
+        if any(type(c) is float for c in self.coeffs):
+            refuse()
+
     monkeypatch.setattr(Matrix, "__init__", exact_init)
+    monkeypatch.setattr(Poly, "__init__", exact_poly_init)
+    monkeypatch.setattr(AlphaSeries, "__init__", exact_series_init)
     monkeypatch.setattr(matrix, "_wrap", exact_wrap)
     monkeypatch.setattr(Matrix, "to_float", refuse)
     # `ops.to_float` is bound by name in every module that imports it
