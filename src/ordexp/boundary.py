@@ -25,7 +25,9 @@ which solves the two-sided difference equation
     B_{n+1} = L_n B_n Lhat_n,   B_1 = K.
 
 `double_row_monodromy` builds the sequence and reports the residuals of
-that equation.  Both return one `ChainReport`: the sequence along the
+that equation.  Each walks each of its chains once (`chain_walk`): every
+site's series is built once and serves both the prefix products and the
+residual recursion.  Both return one `ChainReport`: the sequence along the
 chain and its recursion residuals.  The reflection choice Lhat(alpha) = L^{-1}(-alpha),
 realized by `reflection_hat`, produces a backward family from a forward
 one by series inversion at negated coupling.
@@ -38,7 +40,7 @@ for exact inputs.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, SingularOperator, UnsupportedOrder
-from .expansion import BACKWARD, FORWARD, SiteOperatorFamily
+from .expansion import BACKWARD, FORWARD, SiteOperatorFamily, chain_walk
 from .freealg import FreeElement
 from .ops import check_compatible, invert, is_zero, worst
 from .series import AlphaSeries
@@ -142,20 +144,12 @@ def gauge_solve(p: GaugeProblem) -> ChainReport:
     equation identically, so nonzero residuals indicate a broken
     invertibility assumption rather than a bad problem.
     """
-    D = p.order
-    g1 = AlphaSeries.from_parts(D, {0: p.initial}, like=p.forward.like)
-    gauges = []
-    t = AlphaSeries.one(D, like=p.forward.like)
-    t_hat = AlphaSeries.one(D, like=p.target.like)
-    for n in range(1, p.forward.n_sites + 2):
-        gauges.append(t_hat * g1 * t.inverse())
-        if n <= p.forward.n_sites:
-            t = p.forward.lax_series(n, D) * t
-            t_hat = p.target.lax_series(n, D) * t_hat
-    residuals = []
-    for n in range(1, p.forward.n_sites + 1):
-        step = p.target.lax_series(n, D) * gauges[n - 1] * p.forward.lax_series(n, D).inverse()
-        residuals.append(gauges[n] - step)
+    g1 = AlphaSeries.from_parts(p.order, {0: p.initial}, like=p.forward.like)
+    laxes, ts = chain_walk(p.forward, p.order, FORWARD)
+    hats, t_hats = chain_walk(p.target, p.order, FORWARD)
+    gauges = [t_hat * g1 * t.inverse() for t, t_hat in zip(ts, t_hats)]
+    residuals = [g_next - hat * g * lax.inverse()
+                 for g_next, hat, g, lax in zip(gauges[1:], hats, gauges, laxes)]
     return ChainReport(gauges, residuals)
 
 
@@ -169,18 +163,11 @@ def double_row_monodromy(p: BoundaryProblem) -> ChainReport:
     right, so B_{n+1} = L_n B_n Lhat_n holds by associativity alone; the
     residuals are computed from independently assembled products.
     """
-    D = p.order
-    rows = [p.boundary]
-    t = AlphaSeries.one(D, like=p.forward.like)
-    t_hat = AlphaSeries.one(D, like=p.backward.like)
-    for n in range(1, p.forward.n_sites + 1):
-        t = p.forward.lax_series(n, D) * t
-        t_hat = t_hat * p.backward.lax_series(n, D)
-        rows.append(t * p.boundary * t_hat)
-    residuals = []
-    for n in range(1, p.forward.n_sites + 1):
-        step = p.forward.lax_series(n, D) * rows[n - 1] * p.backward.lax_series(n, D)
-        residuals.append(rows[n] - step)
+    laxes, ts = chain_walk(p.forward, p.order, FORWARD)
+    hats, t_hats = chain_walk(p.backward, p.order, BACKWARD)
+    rows = [p.boundary] + [t * p.boundary * t_hat for t, t_hat in zip(ts[1:], t_hats[1:])]
+    residuals = [b_next - lax * b * hat
+                 for b_next, lax, b, hat in zip(rows[1:], laxes, rows, hats)]
     return ChainReport(rows, residuals)
 
 

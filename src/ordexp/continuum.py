@@ -5,12 +5,18 @@ three Magnus constructions (explicit commutator integrals, the pre-Lie
 form, and the Bernoulli fixed point) can be compared coefficient by
 coefficient.  The pre-Lie form is the one the convergence study and the
 open-evolution residual compute with; the other two are its references.
+The explicit commutator integrals and the Dyson simplex oracle share one
+simplex sum: every tuple of field monomials, weighted by the iterated
+integral of its degrees.
 The float layer only enters when evaluating those exact polynomials at
 numeric points for finite-difference and rate checks.
 """
 
 import math
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import mul
 
 from .errors import AlgebraError, DimensionMismatch, UnsupportedOrder
 from .expansion import FORWARD, SiteOperatorFamily, compositions, magnus_oracle
@@ -81,31 +87,28 @@ def _monomials(field: MatrixField):
     return [(d, c) for (d,), c in sorted(field.poly.coeffs.items())]
 
 
+def _simplex_sum(field: MatrixField, m: int, integrand) -> Poly:
+    """Sum over m-tuples of field monomials of the simplex weight times
+    `integrand(mats)`, the tuple's matrices ordered innermost first."""
+    total = Poly()
+    for monos in product(_monomials(field), repeat=m):
+        degrees, mats = zip(*monos)
+        total = total + _scalar_simplex(degrees, field.x0) * Poly.constant(integrand(mats))
+    return total
+
+
 def _magnus_explicit(field: MatrixField, order: int) -> dict:
     """Commutator-integral Magnus terms, built monomial by monomial."""
     if order >= 4:
         raise UnsupportedOrder("explicit continuous Magnus terms stop at order 3")
-    x0 = field.x0
     out = {1: field.integral()}
     if order >= 2:
-        q2 = None
-        for d2, m2 in _monomials(field):
-            for d1, m1 in _monomials(field):
-                weight = _scalar_simplex((d1, d2), x0)
-                term = weight * Poly.constant(commutator(m2, m1))
-                q2 = term if q2 is None else q2 + term
-        out[2] = Fraction(1, 2) * q2
+        out[2] = Fraction(1, 2) * _simplex_sum(
+            field, 2, lambda m: commutator(m[1], m[0]))
     if order >= 3:
-        q3 = None
-        for d3, m3 in _monomials(field):
-            for d2, m2 in _monomials(field):
-                for d1, m1 in _monomials(field):
-                    weight = _scalar_simplex((d1, d2, d3), x0)
-                    first = commutator(m3, commutator(m2, m1))
-                    second = commutator(commutator(m3, m2), m1)
-                    term = weight * Poly.constant(first + second)
-                    q3 = term if q3 is None else q3 + term
-        out[3] = Fraction(1, 6) * q3
+        out[3] = Fraction(1, 6) * _simplex_sum(
+            field, 3, lambda m: commutator(m[2], commutator(m[1], m[0]))
+            + commutator(commutator(m[2], m[1]), m[0]))
     return out
 
 
@@ -119,7 +122,6 @@ def _magnus_prelie(field: MatrixField, order: int) -> dict:
         aa = field_prelie(field, a, a)
         out[2] = (Fraction(-1, 2) * aa).integrate(x0)
     if order >= 3:
-        aa = field_prelie(field, a, a)
         left = field_prelie(field, aa, a)
         right = field_prelie(field, a, aa)
         out[3] = (Fraction(1, 4) * left + Fraction(1, 12) * right).integrate(x0)
@@ -187,26 +189,8 @@ def dyson_continuous(field: MatrixField, order: int) -> dict:
 
 def dyson_simplex_oracle(field: MatrixField, order: int) -> dict:
     """T^(m)(x) as descending-ordered simplex integrals, term by term."""
-    x0 = field.x0
-    out = {}
-    for m in range(1, order + 1):
-        total = None
-        stack = [((), ())]
-        for _ in range(m):
-            stack = [
-                (degs + (d,), mats + (mat,))
-                for degs, mats in stack
-                for d, mat in _monomials(field)
-            ]
-        for degs, mats in stack:
-            weight = _scalar_simplex(degs, x0)
-            prod = mats[-1]
-            for mat in reversed(mats[:-1]):
-                prod = prod * mat
-            term = weight * Poly.constant(prod)
-            total = term if total is None else total + term
-        out[m] = total
-    return out
+    return {m: _simplex_sum(field, m, lambda mats: reduce(mul, reversed(mats)))
+            for m in range(1, order + 1)}
 
 
 def discretize(field: MatrixField, delta) -> SiteOperatorFamily:

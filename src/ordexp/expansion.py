@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 
-from .errors import DimensionMismatch, SingularOperator, UnsupportedOrder
+from .errors import AlgebraError, DimensionMismatch, SingularOperator, UnsupportedOrder
 from .ops import check_compatible, commutator, invert, is_zero, one_like, zero_like
 from .rotabaxter import SiteSequence, prelie_left, prelie_right, trid_prec, trid_succ
 from .series import AlphaSeries
@@ -58,7 +58,7 @@ class SiteOperatorFamily:
         if n_sites < 0:
             raise DimensionMismatch("need a nonnegative number of sites")
         if direction not in (FORWARD, BACKWARD):
-            raise ValueError(f"unknown direction {direction!r}")
+            raise AlgebraError(f"unknown direction {direction!r}")
         clean = {}
         for (site, degree), op in entries.items():
             if not 1 <= site <= n_sites:
@@ -104,6 +104,18 @@ def monodromy(family: SiteOperatorFamily, order: int) -> AlphaSeries:
     return ordered_product(family, order, descending=family.direction == FORWARD)
 
 
+def chain_walk(family: SiteOperatorFamily, order: int, direction: str):
+    """Each site's series [L_1..L_N] and the prefix products [T_1..T_{N+1}]:
+    T_1 = 1, T_{n+1} = L_n T_n (forward) or T_n L_n (backward), the side
+    set by `direction`, not by the family's own direction."""
+    laxes = [family.lax_series(n, order) for n in range(1, family.n_sites + 1)]
+    prefixes = [AlphaSeries.one(order, like=family.like)]
+    for lax in laxes:
+        t = prefixes[-1]
+        prefixes.append(lax * t if direction == FORWARD else t * lax)
+    return laxes, prefixes
+
+
 def prefix_monodromy(family: SiteOperatorFamily, upto: int, order: int) -> AlphaSeries:
     """Partial ordered product over sites 1..upto-1.
 
@@ -112,11 +124,7 @@ def prefix_monodromy(family: SiteOperatorFamily, upto: int, order: int) -> Alpha
     """
     if not 1 <= upto <= family.n_sites + 1:
         raise DimensionMismatch(f"prefix end {upto} outside 1..{family.n_sites + 1}")
-    result = AlphaSeries.one(order, like=family.like)
-    for site in range(1, upto):
-        lax = family.lax_series(site, order)
-        result = lax * result if family.direction == FORWARD else result * lax
-    return result
+    return chain_walk(family, order, family.direction)[1][upto - 1]
 
 
 def dyson_terms(family: SiteOperatorFamily, order: int, method: str = "direct"):
@@ -131,7 +139,7 @@ def dyson_terms(family: SiteOperatorFamily, order: int, method: str = "direct"):
         return _dyson_direct(family, order)
     if method == "tridendriform":
         return _dyson_trid(family, order)
-    raise ValueError(f"unknown method {method!r}")
+    raise AlgebraError(f"unknown method {method!r}")
 
 
 def _dyson_direct(family, order):
@@ -214,22 +222,10 @@ def magnus_closed_form(family: SiteOperatorFamily, order: int = 3, style: str = 
     """
     if not 1 <= order <= 3:
         raise UnsupportedOrder(f"closed forms cover orders 1..3, got {order}")
-    if style not in ("explicit", "prelie"):
-        raise ValueError(f"unknown style {style!r}")
-    out = [family.degree_sequence(1).total()]
-    if order >= 2:
-        if style == "explicit":
-            q2 = _magnus2_explicit(family)
-        else:
-            q2 = _magnus2_prelie(family)
-        out.append(q2)
-    if order >= 3:
-        if style == "explicit":
-            q3 = _magnus3_explicit(family)
-        else:
-            q3 = _magnus3_prelie(family)
-        out.append(q3)
-    return out
+    if style not in _CLOSED_FORMS:
+        raise AlgebraError(f"unknown style {style!r}")
+    higher = _CLOSED_FORMS[style][:order - 1]
+    return [family.degree_sequence(1).total()] + [closed(family) for closed in higher]
 
 
 def _magnus2_explicit(family):
@@ -296,6 +292,13 @@ def _magnus3_prelie(family):
         cubic = Fraction(1, 12) * act(inner, s1) + Fraction(1, 4) * act(s1, inner)
     mixed = Fraction(-1, 2) * (act(s2, s1) + act(s1, s2))
     return cubic.total() + mixed.total() + family.degree_sequence(3).total()
+
+
+# The closed forms of Q^(2) and Q^(3), per style.
+_CLOSED_FORMS = {
+    "explicit": (_magnus2_explicit, _magnus3_explicit),
+    "prelie": (_magnus2_prelie, _magnus3_prelie),
+}
 
 
 def closed_form_defects(family: SiteOperatorFamily, order: int = 3, style: str = "explicit"):

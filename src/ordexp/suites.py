@@ -125,10 +125,11 @@ SIZE_FLAGS = ("order", "sites", "dim", "samples")
 # The size flags each suite reads, as flag: (default, least value).  A flag
 # missing from a row is rejected, so no flag is printed and ignored.  Only
 # magnus takes 0 sites (the empty chain, which draws no samples); yangian's
-# default dim (2, 3) runs both dimensions; boundary splits its samples over
-# three kinds of problem, so it needs one of each.
+# default dim (2, 3) runs both dimensions; rota-baxter draws its samples as
+# pairs of sequences, so it needs an even count of at least 2; boundary
+# splits its samples over three kinds of problem, so it needs one of each.
 SUITE_FLAGS = {
-    "rota-baxter": {"sites": (5, 1), "dim": (2, 1), "samples": (100, 1)},
+    "rota-baxter": {"sites": (5, 1), "dim": (2, 1), "samples": (100, 2)},
     "tridendriform": {"sites": (4, 1), "dim": (2, 1), "samples": (50, 1)},
     "prelie": {"sites": (4, 1), "dim": (2, 1), "samples": (50, 1)},
     "dyson": {"order": (4, 1), "sites": (5, 1), "dim": (2, 1), "samples": (25, 1)},
@@ -169,7 +170,9 @@ def _start(cfg: SuiteConfig, suite: str):
 
 def rota_baxter_suite(cfg: SuiteConfig) -> VerificationReport:
     (sites, dim, sequences), rep, root = _start(cfg, "rota-baxter")
-    pairs = max(1, sequences // 2)
+    if sequences % 2:
+        raise AlgebraError(f"samples must be even for the rota-baxter suite, got {sequences}")
+    pairs = sequences // 2
     poly_pairs = max(1, sequences // 5)
 
     src = root.split("rota-baxter:weight-one")

@@ -12,7 +12,9 @@ are decided by exact rational evaluation at more points than the degree
 bound, after clearing denominators, or by direct coefficient comparison
 for truncated (matching-order) checks.  The generators L^(m)_ab of an
 operator on aux (x) quantum are read from its `block_table`, built once
-per coefficient.
+per coefficient, and those of generator products from whole products.
+The coproduct's nested-prec expansion is the tridendriform Dyson fold
+(`dyson_terms`) of the monodromy family, not a hand-unrolled copy.
 """
 
 import math
@@ -28,7 +30,7 @@ from .matrix import Matrix, aux_block, kron_embed, partial_trace_first, permutat
 from .ops import commutator, max_abs, worst
 from .poly import Poly
 from .rotabaxter import SiteSequence, prelie_left, trid_dot, trid_prec, trid_succ
-from .expansion import FORWARD, SiteOperatorFamily, monodromy
+from .expansion import FORWARD, SiteOperatorFamily, dyson_terms, monodromy
 from .series import AlphaSeries
 
 DIMENSION_BUDGET = 256
@@ -128,13 +130,12 @@ def _rtt_parts(r: Poly, lax: AlphaSeries):
 class RttReport:
     """Outcome of a sampled RTT verification."""
 
-    __slots__ = ("degrees", "points", "max_abs", "exact_zero")
+    __slots__ = ("degrees", "points", "max_abs")
 
-    def __init__(self, degrees, points, max_abs, exact_zero):
+    def __init__(self, degrees, points, max_abs):
         self.degrees = degrees
         self.points = points
         self.max_abs = max_abs
-        self.exact_zero = exact_zero
 
 
 def rtt_residual(r: Poly, lax: AlphaSeries, samples1, samples2) -> RttReport:
@@ -164,7 +165,7 @@ def rtt_residual(r: Poly, lax: AlphaSeries, samples1, samples2) -> RttReport:
     cleared = residual.shift((max(0, -floor1), max(0, -floor2)))
     points = [(a, b) for a in s1 for b in s2]
     defect = worst(cleared.eval(a, b) for a, b in points)
-    return RttReport(spans, points, defect, residual.is_zero())
+    return RttReport(spans, points, defect)
 
 
 def rtt_matching_order_residual(r: Poly, lax: AlphaSeries) -> Poly:
@@ -186,20 +187,25 @@ def _check_budget(dim: int, slots: int):
         )
 
 
-def monodromy_family(lax: AlphaSeries, n_sites: int) -> SiteOperatorFamily:
-    """Site family whose forward product is L_{0N} ... L_{01}."""
-    dim = _lax_dim(lax)
+def _site_family(series: AlphaSeries, n_sites: int, dim: int) -> SiteOperatorFamily:
+    """Forward family whose degree-m operator at site n is the coefficient
+    series^(m) embedded on aux (x) site n."""
     _check_budget(dim, n_sites + 1)
     total = n_sites + 1
     entries = {}
-    for m in range(1, lax.order + 1):
-        mat = lax.coeff(m)
+    for m in range(1, series.order + 1):
+        mat = series.coeff(m)
         if mat.is_zero():
             continue
         for n in range(1, n_sites + 1):
             entries[(n, m)] = kron_embed(mat, (0, n), total, dim)
     like = Matrix.identity(dim ** total)
     return SiteOperatorFamily(n_sites, entries, direction=FORWARD, like=like)
+
+
+def monodromy_family(lax: AlphaSeries, n_sites: int) -> SiteOperatorFamily:
+    """Site family whose forward product is L_{0N} ... L_{01}."""
+    return _site_family(lax, n_sites, _lax_dim(lax))
 
 
 def monodromy_coproduct(lax: AlphaSeries, n_sites: int, order: int):
@@ -258,18 +264,10 @@ def q_generators_and_relations(series, dim: int) -> tuple[dict, dict]:
         raise UnsupportedOrder("q-generator relations need the series through order 3")
     logs = series.log()
     q = {m: block_table(logs.coeff(m), dim) for m in (1, 2, 3)}
-    size = q[1][0][0].rows
-    zero = Matrix.zeros(size)
-
-    # Block tables of q1^2 and q1^3, built once for the dim^4 loop below.
-    q1sq = [[zero] * dim for _ in range(dim)]
-    q1cube = [[zero] * dim for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            for x in range(dim):
-                q1sq[a][b] = q1sq[a][b] + q[1][a][x] * q[1][x][b]
-                for y in range(dim):
-                    q1cube[a][b] = q1cube[a][b] + q[1][a][x] * q[1][x][y] * q[1][y][b]
+    # A block of a product is the sum of the block products over inner indices.
+    q1 = logs.coeff(1)
+    q1sq = block_table(q1 * q1, dim)
+    q1cube = block_table(q1 * q1 * q1, dim)
 
     def defects(i, j, k, l):
         """The four families' defects at one index tuple; the two readings
@@ -353,9 +351,7 @@ def hopf_checks(dim: int) -> dict:
     m2 = block_table(inv.coeff(2), dim)
     q1b = block_table(logs1.coeff(1), dim)
     q2b = block_table(logs1.coeff(2), dim)
-    trace_q1 = Matrix.zeros(dim)
-    for x in range(dim):
-        trace_q1 = trace_q1 + q1b[x][x]
+    trace_q1 = partial_trace_first(logs1.coeff(1), dim)
 
     def antipode_residuals(a, b):
         """The true order-2 antipode block minus its printed and derived forms."""
@@ -385,75 +381,46 @@ def hopf_checks(dim: int) -> dict:
     }
 
 
-def _entry_sequence(coeff: Matrix, a: int, b: int, dim: int, n_sites: int) -> SiteSequence:
-    """(L^(m)_{a,b})_n, for the Lax coefficient L^(m), on the quantum sites."""
-    block = aux_block(coeff, a, b, dim)
-    return SiteSequence(
-        [kron_embed(block, (n,), n_sites, dim) for n in range(n_sites)]
-    )
-
-
 def _entry_table(series: AlphaSeries, orders, dim: int, n_sites: int) -> dict:
-    """{m: {(a, b): (L^(m)_{a,b})_n}} for the coefficients of `series`."""
-    return {
-        m: {(a, b): _entry_sequence(series.coeff(m), a, b, dim, n_sites)
-            for a, b in product(range(dim), repeat=2)}
-        for m in orders
-    }
+    """{m: {(a, b): (L^(m)_{a,b})_n}}: each aux block of a coefficient of
+    `series`, placed on every quantum site."""
+    table = {}
+    for m in orders:
+        blocks = block_table(series.coeff(m), dim)
+        table[m] = {(a, b): SiteSequence([kron_embed(blocks[a][b], (n,), n_sites, dim)
+                                          for n in range(n_sites)])
+                    for a, b in product(range(dim), repeat=2)}
+    return table
 
 
 def coproduct_tridendriform_residual(lax: AlphaSeries, n_sites: int) -> dict:
-    """Defects of the entrywise coproduct formulas against the monodromy.
+    """Defects of the coproduct formulas against the monodromy.
 
-    Checks the nested-prec expansion of Delta^N(L^(m)_{a,b}) for m = 1..3,
-    the pre-Lie matrix form for the log generators through order 3, its
-    entrywise order-2 variant, and the prec/succ transpose identity for
-    operators on distinct sites.
+    Checks the nested-prec expansion of Delta^N(L^(m)) for m = 1..3, which
+    is the tridendriform Dyson fold of the monodromy family, the pre-Lie
+    matrix form for the log generators through order 3, its entrywise
+    order-2 variant, and the prec/succ transpose identity for operators on
+    distinct sites.
     """
     dim = _lax_dim(lax)
-    _check_budget(dim, n_sites + 1)
-    series = monodromy_coproduct(lax, n_sites, 3)
+    family = _site_family(lax, n_sites, dim)
+    series = monodromy(family, 3)
     logs = series.log()
+    fold = dyson_terms(family, 3, method="tridendriform")
 
-    seq = _entry_table(lax, (1, 2, 3), dim, n_sites)
+    l1 = _entry_table(lax, (1,), dim, n_sites)[1]
     pairs = list(product(range(dim), repeat=2))
 
-    def nested_residual(m, a, b):
-        """The monodromy block minus its nested-prec expansion at order m."""
-        rhs = seq[m][(a, b)]
-        if m >= 2:
-            for c in range(dim):
-                rhs = rhs + trid_prec(seq[1][(a, c)], seq[m - 1][(c, b)])
-                if m == 3:
-                    rhs = rhs + trid_prec(seq[2][(a, c)], seq[1][(c, b)])
-        if m == 3:
-            for c in range(dim):
-                for d in range(dim):
-                    rhs = rhs + trid_prec(
-                        seq[1][(a, d)],
-                        trid_prec(seq[1][(d, c)], seq[1][(c, b)]),
-                    )
-        return aux_block(series.coeff(m), a, b, dim) - rhs.total()
-
     defects = {"prec_succ_transpose": worst(
-        trid_prec(seq[1][(a, b)], seq[1][(b, a)]) - trid_succ(seq[1][(b, a)], seq[1][(a, b)])
+        trid_prec(l1[(a, b)], l1[(b, a)]) - trid_succ(l1[(b, a)], l1[(a, b)])
         for a, b in pairs
     )}
     for m in (1, 2, 3):
-        defects[f"dendriform_order_{m}"] = worst(nested_residual(m, a, b) for a, b in pairs)
+        defects[f"dendriform_order_{m}"] = (series.coeff(m) - fold[m]).max_abs()
 
     single_logs = lax.truncate(3).log()
-    total = n_sites + 1
-    q_site = {
-        m: SiteSequence(
-            [
-                kron_embed(single_logs.coeff(m), (0, n), total, dim)
-                for n in range(1, n_sites + 1)
-            ]
-        )
-        for m in (1, 2, 3)
-    }
-    q1, q2, q3 = q_site[1], q_site[2], q_site[3]
+    q_site = _site_family(single_logs, n_sites, dim)
+    q1, q2, q3 = (q_site.degree_sequence(m) for m in (1, 2, 3))
     pre2 = (
         Fraction(-1, 2) * prelie_left(q1, q1)
         + q2

@@ -27,7 +27,7 @@ from ordexp.errors import (
     SingularOperator,
     UnsupportedOrder,
 )
-from ordexp.expansion import BACKWARD, FORWARD, SiteOperatorFamily
+from ordexp.expansion import BACKWARD, FORWARD, SiteOperatorFamily, prefix_monodromy
 from ordexp.freealg import FreeElement
 from ordexp.matrix import Matrix
 from ordexp.series import AlphaSeries
@@ -253,6 +253,79 @@ class TestDoubleRow:
         )
         assert not swapped.is_zero()
         assert swapped.coeff(2) == a * b - b * a
+
+
+def float_family(rng, n_sites, direction=FORWARD):
+    # entries like 1/3 and 2/7 round in binary, so a product taken in
+    # another association order shows in the last bits
+    entries = {
+        (n, d): Matrix([[F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2)]
+                        for _ in range(2)]).to_float()
+        for n in range(1, n_sites + 1)
+        for d in (1, 2)
+    }
+    return SiteOperatorFamily(n_sites, entries, direction=direction)
+
+
+CHAIN_SIZES = [(n_sites, order) for n_sites in (1, 2, 3, 4) for order in (1, 2, 3)]
+
+
+class TestChainWalkFloat:
+    """Float chains follow the spelled-out recursions product for product.
+
+    Float `==` compares the stored entries, so a product taken in another
+    association order than the recursion's fails these checks.
+    """
+
+    @pytest.mark.parametrize("n_sites,order", CHAIN_SIZES)
+    def test_gauge_solve(self, n_sites, order):
+        rng = random.Random(100 * n_sites + order)
+        fwd, tgt = float_family(rng, n_sites), float_family(rng, n_sites)
+        g1 = rand_invertible(rng).to_float()
+        report = gauge_solve(GaugeProblem(fwd, tgt, g1, order))
+        one = AlphaSeries.one(order, like=fwd.like)
+        t, t_hat = one, one
+        g = AlphaSeries.from_parts(order, {0: g1}, like=fwd.like)
+        values = [t_hat * g * t.inverse()]
+        for n in range(1, n_sites + 1):
+            t = fwd.lax_series(n, order) * t
+            t_hat = tgt.lax_series(n, order) * t_hat
+            values.append(t_hat * g * t.inverse())
+        residuals = [values[n] - tgt.lax_series(n, order) * values[n - 1]
+                     * fwd.lax_series(n, order).inverse() for n in range(1, n_sites + 1)]
+        assert report.values == values
+        assert report.residuals == residuals
+
+    @pytest.mark.parametrize("n_sites,order", CHAIN_SIZES)
+    def test_double_row_monodromy(self, n_sites, order):
+        rng = random.Random(200 * n_sites + order)
+        fwd = float_family(rng, n_sites)
+        bwd = float_family(rng, n_sites, direction=BACKWARD)
+        k = rand_invertible(rng).to_float()
+        report = double_row_monodromy(BoundaryProblem(fwd, bwd, k, order))
+        boundary = AlphaSeries.from_parts(order, {0: k}, like=fwd.like)
+        one = AlphaSeries.one(order, like=fwd.like)
+        t, t_hat = one, one
+        values = [boundary]
+        for n in range(1, n_sites + 1):
+            t = fwd.lax_series(n, order) * t
+            t_hat = t_hat * bwd.lax_series(n, order)
+            values.append(t * boundary * t_hat)
+        residuals = [values[n] - fwd.lax_series(n, order) * values[n - 1]
+                     * bwd.lax_series(n, order) for n in range(1, n_sites + 1)]
+        assert report.values == values
+        assert report.residuals == residuals
+
+    @pytest.mark.parametrize("n_sites,order", CHAIN_SIZES)
+    @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+    def test_prefix_monodromy(self, n_sites, order, direction):
+        fam = float_family(random.Random(300 * n_sites + order), n_sites, direction)
+        prefix = AlphaSeries.one(order, like=fam.like)
+        for upto in range(1, n_sites + 2):
+            assert prefix_monodromy(fam, upto, order) == prefix
+            if upto <= n_sites:
+                lax = fam.lax_series(upto, order)
+                prefix = lax * prefix if direction == FORWARD else prefix * lax
 
 
 class TestReflectionHat:

@@ -169,6 +169,8 @@ class TestVerifyCommand:
         ["tridendriform", "--order", "2"],
         ["prelie", "--order", "7"],
         ["boundary", "--samples", "1"],
+        # rota-baxter draws pairs of sequences, so an odd count is refused
+        ["rota-baxter", "--samples", "3"],
         # the empty magnus chain draws no samples; the flag the error
         # names comes first
         ["magnus", "--samples", "7", "--sites", "0"],
@@ -178,6 +180,12 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {argv[1][2:]} ")
+
+    @pytest.mark.parametrize("samples", ["2", "4"])
+    def test_rota_baxter_runs_the_samples_given(self, capsys, samples):
+        code, out, _ = run_cli(capsys, "verify", "rota-baxter", "--samples", samples)
+        assert code == 0
+        assert f"params: sequences={samples}, " in out
 
     @pytest.mark.parametrize("backend", ["Float", "EXACT", "numpy", ""])
     def test_suite_config_rejects_unknown_backend(self, backend):

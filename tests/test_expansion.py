@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from ordexp.errors import DimensionMismatch, SingularOperator, UnsupportedOrder
+from ordexp.continuum import MatrixField, magnus_continuous
+from ordexp.errors import AlgebraError, DimensionMismatch, SingularOperator, UnsupportedOrder
 from ordexp.expansion import (
     BACKWARD,
     FORWARD,
@@ -31,6 +32,7 @@ from ordexp.expansion import (
 )
 from ordexp.freealg import FreeElement
 from ordexp.matrix import Matrix
+from ordexp.poly import Poly
 from ordexp.series import AlphaSeries
 
 
@@ -308,3 +310,18 @@ def test_family_validation():
     empty = SiteOperatorFamily(2, {}, like=y)
     assert monodromy(empty, 2).coeff(0) == FreeElement.one()
     assert monodromy(empty, 2).coeff(1) == FreeElement.zero()
+
+
+def _one_site():
+    return SiteOperatorFamily(1, {(1, 1): Fraction(2)})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SiteOperatorFamily(1, {(1, 1): Fraction(2)}, direction="sideways"),
+    lambda: dyson_terms(_one_site(), 2, method="recursive"),
+    lambda: magnus_closed_form(_one_site(), 2, style="bch"),
+    lambda: magnus_continuous(MatrixField(Poly({(0,): Matrix.identity(2)})), 2, style="bch"),
+], ids=["direction", "method", "closed-form-style", "continuous-style"])
+def test_unknown_mode_string_is_an_algebra_error(call):
+    with pytest.raises(AlgebraError, match="unknown "):
+        call()

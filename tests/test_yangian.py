@@ -1,6 +1,9 @@
 """R-matrix identities, RTT, exchange relations, and Hopf data in exact arithmetic."""
 
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import add
 
 import pytest
 
@@ -10,7 +13,9 @@ from ordexp.errors import (
     SingularOperator,
     UnsupportedOrder,
 )
+from ordexp.expansion import dyson_terms
 from ordexp.matrix import Matrix, aux_block, commutator, kron_embed, partial_trace_first
+from ordexp.rotabaxter import SiteSequence, trid_prec
 from ordexp.series import AlphaSeries
 from ordexp.yangian import (
     _rtt_parts,
@@ -22,6 +27,7 @@ from ordexp.yangian import (
     geometric_lax,
     hopf_checks,
     monodromy_coproduct,
+    monodromy_family,
     permutation_op,
     q_generators_and_relations,
     rtt_matching_order_residual,
@@ -33,6 +39,10 @@ from ordexp.yangian import (
 )
 
 F = Fraction
+
+
+def sum_of(matrices):
+    return reduce(add, matrices)
 
 TRIPLES = [
     (F(3), F(1, 2), F(-2)),
@@ -124,7 +134,7 @@ class TestRtt:
         )
         assert report.degrees == [2, 2]
         assert report.max_abs == 0
-        assert report.exact_zero
+        assert _rtt_parts(yangian_r(dim), fundamental_lax(dim))[1].is_zero()
         assert len(report.points) == 16
 
     def test_insufficient_samples_rejected(self):
@@ -249,6 +259,18 @@ class TestQGenerators:
             for b in range(2):
                 assert q[1][a][b] == aux_block(logs.coeff(1), a, b, 2)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_product_tables_are_block_sums(self, dim):
+        # the tables of q1^2 and q1^3 are read from whole products; a block
+        # of a product is the sum of the block products over inner indices
+        q1 = monodromy_coproduct(fundamental_lax(dim), 3, 3).log().coeff(1)
+        q = block_table(q1, dim)
+        sq, cube = block_table(q1 * q1, dim), block_table(q1 * q1 * q1, dim)
+        for a, b in product(range(dim), repeat=2):
+            assert sq[a][b] == sum_of(q[a][x] * q[x][b] for x in range(dim))
+            assert cube[a][b] == sum_of(q[a][x] * q[x][y] * q[y][b]
+                                        for x, y in product(range(dim), repeat=2))
+
     def test_requires_order_three(self):
         series = monodromy_coproduct(fundamental_lax(2), 2, 2)
         with pytest.raises(UnsupportedOrder):
@@ -344,3 +366,33 @@ class TestCoproductSplitting:
         }
         for name, value in report.items():
             assert value == 0, name
+
+    @pytest.mark.parametrize("dim,n_sites", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("kind", ["fundamental", "geometric"])
+    def test_fold_blocks_are_the_nested_prec_expansion(self, dim, n_sites, kind):
+        # The paper's entrywise formulas for Delta^N(L^(m)_ab), m = 1..3,
+        # spelled out as nested prec actions of the lax blocks on the
+        # quantum sites: block (a, b) of the tridendriform Dyson fold of
+        # the monodromy family is that expansion.
+        lax = fundamental_lax(dim) if kind == "fundamental" else geometric_lax(dim, 3)
+        fold = dyson_terms(monodromy_family(lax, n_sites), 3, method="tridendriform")
+
+        def seq(m, a, b):
+            block = aux_block(lax.coeff(m), a, b, dim)
+            return SiteSequence([kron_embed(block, (n,), n_sites, dim) for n in range(n_sites)])
+
+        def nested(m, a, b):
+            rhs = seq(m, a, b)
+            for c in range(dim):
+                if m >= 2:
+                    rhs = rhs + trid_prec(seq(1, a, c), seq(m - 1, c, b))
+                if m == 3:
+                    rhs = rhs + trid_prec(seq(2, a, c), seq(1, c, b))
+                    for d in range(dim):
+                        rhs = rhs + trid_prec(seq(1, a, d),
+                                              trid_prec(seq(1, d, c), seq(1, c, b)))
+            return rhs.total()
+
+        for m in (1, 2, 3):
+            for a, b in product(range(dim), repeat=2):
+                assert aux_block(fold[m], a, b, dim) == nested(m, a, b), (m, a, b)
