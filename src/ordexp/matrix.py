@@ -1,18 +1,21 @@
 """Dense matrices over exact rationals (or floats) plus tensor-leg utilities.
 
-A matrix is stored as rows `num` over one denominator `den`.  An exact
-matrix (every entry an int or a Fraction) holds integer numerators over a
-positive `den`, reduced so that `gcd(den, *num) == 1`; that form is unique,
-so equality is a comparison of integers, and every operation runs on plain
-ints with one gcd reduction per result.  `data` gives the entries back: ints
-when `den == 1`, otherwise a Fraction each.  A float matrix holds Python
-floats only and has `den = None`.  An exact operand (a matrix, or an int or
-Fraction scalar) that meets a float one is rounded once, entry by entry,
-with `x / den`, which rounds correctly as `float(Fraction)` does.  So every
+A matrix is stored as one flat row-major list `num`, with its shape in
+`rows`/`cols`, over one denominator `den`.  An exact matrix (every entry an
+int or a Fraction) holds integer numerators over a positive `den`, reduced so
+that `gcd(den, *num) == 1`; that form is unique, so equality is a comparison
+of shapes and integers, and every operation runs on plain ints with one gcd
+reduction per result.  `data` gives the entries back row by row: ints when
+`den == 1`, otherwise a Fraction each.  A float matrix holds Python floats
+only and has `den = None`.  An exact operand (a matrix, or an int or Fraction
+scalar) that meets a float one is rounded once, entry by entry, with
+`x / den`, which rounds correctly as `float(Fraction)` does.  So every
 operation has one body for both backends; `den` only decides whether the
 result is reduced.  Products skip zero entries, which keeps the many
 permutation-shaped operators in the tensor-product checks cheap without a
-sparse type.
+sparse type.  The flat store changes no float result: each product entry
+still starts from its backend's zero and adds its nonzero terms in order of
+the inner index, and each sum or scaling is still one operation per entry.
 
 Tensor convention used everywhere: a state of `total` factors, each of local
 dimension `dim`, is indexed lexicographically with slot 0 slowest. Slot 0 is
@@ -25,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, lcm
+from operator import add, neg, sub
 
 from .errors import DimensionMismatch, SingularOperator
 
@@ -44,35 +48,39 @@ class Matrix:
             raise DimensionMismatch("ragged rows")
         self.rows = len(data)
         self.cols = w
+        flat = [x for row in data for x in row]
         try:
-            if any(isinstance(x, float) for row in data for x in row):
-                self.num = [[x if isinstance(x, float) else x.numerator / x.denominator for x in row]
-                            for row in data]
+            if any(isinstance(x, float) for x in flat):
+                self.num = [x if isinstance(x, float) else x.numerator / x.denominator for x in flat]
                 self.den = None
                 return
-            den = lcm(*(x.denominator for row in data for x in row))
+            den = lcm(*(x.denominator for x in flat))
         except AttributeError:
             raise TypeError("matrix entries must be int, Fraction or float") from None
         # Reduced fractions over the lcm of their denominators share no factor with it.
-        self.num = [[x.numerator * (den // x.denominator) for x in row] for row in data]
+        self.num = [x.numerator * (den // x.denominator) for x in flat]
         self.den = den
 
     @property
     def data(self) -> tuple:
         """The entries, row by row: floats, ints when `den == 1`, otherwise Fractions."""
-        den = self.den
-        if den is None or den == 1:
-            return tuple(map(tuple, self.num))
-        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
+        num, den, c = self.num, self.den, self.cols
+        if den is not None and den != 1:
+            num = [Fraction(x, den) for x in num]
+        return tuple(tuple(num[i:i + c]) for i in range(0, len(num), c))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return _wrap([[1 if i == j else 0 for j in range(n)] for i in range(n)], 1)
+        m = Matrix.zeros(n)
+        m.num[::n + 1] = [1] * n
+        return m
 
     @staticmethod
     def zeros(rows: int, cols: int | None = None) -> "Matrix":
         cols = rows if cols is None else cols
-        return _wrap([[0] * cols for _ in range(rows)], 1)
+        if rows < 1 or cols < 1:
+            raise DimensionMismatch("matrix needs at least one row and column")
+        return _wrap([0] * (rows * cols), rows, cols, 1)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -81,11 +89,13 @@ class Matrix:
         return self.den is not None
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.num))
+        return not any(self.num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
+        if self.rows != other.rows or self.cols != other.cols:
+            return False
         if (self.den is None) == (other.den is None):
             return self.den == other.den and self.num == other.num
         # An exact and a float matrix compare by value, as Fraction and float do.
@@ -95,59 +105,56 @@ class Matrix:
         # Hashing the entries keeps equal exact and float matrices hashing alike.
         return hash((self.rows, self.cols, self.data))
 
-    def _same_shape(self, other: "Matrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-
     def __add__(self, other) -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._same_shape(other)
         na, nb, den = _common(self, other)
-        return _reduced([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(na, nb)], den)
+        return _reduced(list(map(add, na, nb)), self.rows, self.cols, den)
 
     def __sub__(self, other) -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._same_shape(other)
         na, nb, den = _common(self, other)
-        return _reduced([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(na, nb)], den)
+        return _reduced(list(map(sub, na, nb)), self.rows, self.cols, den)
 
     def __neg__(self) -> "Matrix":
-        return _wrap([[-a for a in row] for row in self.num], self.den)
+        return _wrap(list(map(neg, self.num)), self.rows, self.cols, self.den)
 
     def __mul__(self, other) -> "Matrix":
-        if isinstance(other, SCALARS):
-            den = self.den
-            if den is None or isinstance(other, float):
-                s = float(other)
-                return _wrap([[a * s for a in row] for row in self.to_float().num], None)
-            if isinstance(other, int):
-                # gcd(den, *num) == 1, so gcd(den, other) is all that cancels.
-                g = gcd(den, other)
-                f = other // g
-                return _wrap([[a * f for a in row] for row in self.num], den // g)
-            p = other.numerator
-            return _reduced([[a * p for a in row] for row in self.num], den * other.denominator)
-        if not isinstance(other, Matrix):
+        # Matrix first: `isinstance(x, Fraction)` on anything else is an ABC check.
+        if isinstance(other, Matrix):
+            n, cols = self.cols, other.cols
+            if n != other.rows:
+                raise DimensionMismatch(f"{self.rows}x{n} times {other.rows}x{cols}")
+            if self.den is None or other.den is None:
+                adata, bdata, den, zero = self.to_float().num, other.to_float().num, None, 0.0
+            else:
+                adata, bdata, den, zero = self.num, other.num, self.den * other.den, 0
+            out = [zero] * (self.rows * cols)
+            o = 0  # flat offset of output row i; `k` is that of row k of `other`
+            for i in range(0, len(adata), n):
+                k = 0
+                for aik in adata[i:i + n]:
+                    if aik:
+                        for j, bkj in enumerate(bdata[k:k + cols], o):
+                            if bkj:
+                                out[j] += aik * bkj
+                    k += cols
+                o += cols
+            return _reduced(out, self.rows, cols, den)
+        if not isinstance(other, SCALARS):
             return NotImplemented
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        if self.den is None or other.den is None:
-            adata, bdata, den, zero = self.to_float().num, other.to_float().num, None, 0.0
-        else:
-            adata, bdata, den, zero = self.num, other.num, self.den * other.den, 0
-        cols = other.cols
-        out = []
-        for arow in adata:
-            orow = [zero] * cols
-            for aik, brow in zip(arow, bdata):
-                if aik:
-                    for j, bkj in enumerate(brow):
-                        if bkj:
-                            orow[j] += aik * bkj
-            out.append(orow)
-        return _reduced(out, den)
+        den = self.den
+        if den is None or isinstance(other, float):
+            s = float(other)
+            return _wrap([a * s for a in self.to_float().num], self.rows, self.cols, None)
+        if isinstance(other, int):
+            # gcd(den, *num) == 1, so gcd(den, other) is all that cancels.
+            g = gcd(den, other)
+            f = other // g
+            return _wrap([a * f for a in self.num], self.rows, self.cols, den // g)
+        p = other.numerator
+        return _reduced([a * p for a in self.num], self.rows, self.cols, den * other.denominator)
 
     def __rmul__(self, other) -> "Matrix":
         if isinstance(other, SCALARS):
@@ -159,7 +166,10 @@ class Matrix:
             adata, bdata, den = self.to_float().num, other.to_float().num, None
         else:
             adata, bdata, den = self.num, other.num, self.den * other.den
-        return _reduced([[a * b for a in ra for b in rb] for ra in adata for rb in bdata], den)
+        ac, bc = self.cols, other.cols
+        out = [a * b for i in range(0, len(adata), ac) for k in range(0, len(bdata), bc)
+               for a in adata[i:i + ac] for b in bdata[k:k + bc]]
+        return _reduced(out, self.rows * other.rows, ac * bc, den)
 
     def inverse(self) -> "Matrix":
         """Gauss-Jordan inverse with a largest-magnitude pivot; exact when the
@@ -185,7 +195,7 @@ class Matrix:
 
     def max_abs(self):
         """Largest absolute entry; a Fraction whenever the matrix is exact."""
-        m = max(abs(x) for row in self.num for x in row)
+        m = max(map(abs, self.num))
         return m if self.den is None else Fraction(m, self.den)
 
     def to_float(self) -> "Matrix":
@@ -193,7 +203,7 @@ class Matrix:
         if den is None:
             return self
         # int true division rounds correctly, as float(Fraction) does.
-        return _wrap([[x / den for x in row] for row in self.num], None)
+        return _wrap([x / den for x in self.num], self.rows, self.cols, None)
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.data) + "]"
@@ -202,35 +212,34 @@ class Matrix:
         return f"Matrix({self})"
 
 
-def _wrap(num: list, den) -> Matrix:
-    """A matrix over rows it takes as they are: reduced integer numerators
-    over `den`, or, when `den` is None, floats."""
+def _wrap(num: list, rows: int, cols: int, den) -> Matrix:
+    """A `rows` x `cols` matrix over the flat row-major list it takes as it is:
+    reduced integer numerators over `den`, or, when `den` is None, floats."""
     m = object.__new__(Matrix)
-    m.rows = len(num)
-    m.cols = len(num[0])
+    m.rows = rows
+    m.cols = cols
     m.num = num
     m.den = den
     return m
 
 
-def _reduced(num: list, den) -> Matrix:
-    """A matrix from integer rows over a positive denominator, reduced by
-    their gcd, or from float rows when `den` is None."""
+def _reduced(num: list, rows: int, cols: int, den) -> Matrix:
+    """A matrix from flat integer numerators over a positive denominator,
+    reduced by their gcd, or from flat floats when `den` is None."""
     if den is not None and den != 1:
-        g = den
-        for row in num:
-            g = gcd(g, *row)
-            if g == 1:
-                break
+        g = gcd(den, *num)
         if g != 1:
-            num = [[x // g for x in row] for row in num]
+            num = [x // g for x in num]
             den //= g
-    return _wrap(num, den)
+    return _wrap(num, rows, cols, den)
 
 
 def _common(a: Matrix, b: Matrix) -> tuple:
-    """The rows of two matrices over one denominator: integer numerators over
-    their least common denominator, or floats over None when either is float."""
+    """The flat entries of two same-shape matrices over one denominator: integer
+    numerators over their least common denominator, or floats over None when
+    either is float."""
+    if a.rows != b.rows or a.cols != b.cols:
+        raise DimensionMismatch(f"{a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     da, db = a.den, b.den
     if da is None or db is None:
         return a.to_float().num, b.to_float().num, None
@@ -238,8 +247,8 @@ def _common(a: Matrix, b: Matrix) -> tuple:
         return a.num, b.num, da
     g = gcd(da, db)
     fa, fb = db // g, da // g
-    na = a.num if fa == 1 else [[x * fa for x in row] for row in a.num]
-    nb = b.num if fb == 1 else [[x * fb for x in row] for row in b.num]
+    na = a.num if fa == 1 else [x * fa for x in a.num]
+    nb = b.num if fb == 1 else [x * fb for x in b.num]
     return na, nb, da * fa
 
 
@@ -264,64 +273,52 @@ def kron_embed(op: Matrix, slots: tuple[int, ...], total: int, dim: int) -> Matr
     others = [s for s in range(total) if s not in slots]
     # weight of each slot position in the global index
     weight = [dim ** (total - 1 - s) for s in range(total)]
-
-    def local_digits(idx: int) -> list[int]:
-        out = []
-        for t in range(k - 1, -1, -1):
-            out.append((idx // dim ** t) % dim)
-        return out  # slowest first, aligned with `slots`
-
-    zero = 0.0 if op.den is None else 0
-    out = [[zero] * size for _ in range(size)]
-    rest_count = len(others)
-    for i in range(op.rows):
-        idig = local_digits(i)
-        row = op.num[i]
-        for j in range(op.cols):
-            v = row[j]
-            if not v:
-                continue
-            jdig = local_digits(j)
-            base_r = sum(d * weight[s] for d, s in zip(idig, slots))
-            base_c = sum(d * weight[s] for d, s in zip(jdig, slots))
-            for rest in iproduct(range(dim), repeat=rest_count):
-                off = sum(d * weight[s] for d, s in zip(rest, others))
-                out[base_r + off][base_c + off] = v
+    # global offset of each local index (its digits slowest first, aligned with
+    # `slots`), and of each assignment of the factors outside `slots`
+    base = [sum(d * weight[s] for d, s in zip(digits, slots)) for digits in iproduct(range(dim), repeat=k)]
+    offs = [sum(d * weight[s] for d, s in zip(rest, others)) for rest in iproduct(range(dim), repeat=len(others))]
+    out = [0.0 if op.den is None else 0] * (size * size)
+    for idx, v in enumerate(op.num):
+        if v:
+            i, j = divmod(idx, op.cols)
+            start = base[i] * size + base[j]
+            for off in offs:
+                out[start + off * (size + 1)] = v
     # The same nonzero numerators over the same denominator: still reduced.
-    return _wrap(out, op.den)
+    return _wrap(out, size, size, op.den)
 
 
 def permutation_op(dim: int) -> Matrix:
     """The flip on C^dim tensor C^dim: P(u x v) = v x u."""
     n = dim * dim
-    out = [[0] * n for _ in range(n)]
+    out = [0] * (n * n)
     for a in range(dim):
         for b in range(dim):
-            out[a * dim + b][b * dim + a] = 1
-    return _wrap(out, 1)
+            out[(a * dim + b) * n + b * dim + a] = 1
+    return _wrap(out, n, n, 1)
 
 
 def partial_trace_first(m: Matrix, dim: int) -> Matrix:
     """Trace out the slowest (slot-0) factor of size `dim`."""
-    if m.rows != m.cols or m.rows % dim:
+    n = m.rows
+    if n != m.cols or n % dim:
         raise DimensionMismatch("matrix size not divisible by the traced dimension")
-    b = m.rows // dim
-    zero = 0.0 if m.den is None else 0
-    out = [[zero] * b for _ in range(b)]
+    b = n // dim
+    out = [0.0 if m.den is None else 0] * (b * b)
     for i in range(dim):
         for r in range(b):
-            mr = m.num[i * b + r]
-            orow = out[r]
-            for c in range(b):
-                v = mr[i * b + c]
+            start = (i * b + r) * n + i * b
+            for c, v in enumerate(m.num[start:start + b], r * b):
                 if v:
-                    orow[c] = orow[c] + v
-    return _reduced(out, m.den)
+                    out[c] += v
+    return _reduced(out, b, b, m.den)
 
 
 def aux_block(m: Matrix, a: int, b: int, dim: int) -> Matrix:
     """The (a, b) block with respect to the slot-0 factor of size `dim`."""
-    if m.rows != m.cols or m.rows % dim:
+    n = m.rows
+    if n != m.cols or n % dim:
         raise DimensionMismatch("matrix size not divisible by the block dimension")
-    s = m.rows // dim
-    return _reduced([row[b * s:(b + 1) * s] for row in m.num[a * s:(a + 1) * s]], m.den)
+    s = n // dim
+    start = a * s * n + b * s
+    return _reduced([x for r in range(start, start + s * n, n) for x in m.num[r:r + s]], s, s, m.den)

@@ -30,6 +30,9 @@ def test_constructor_rejects_bad_shapes():
         Matrix([])
     with pytest.raises(DimensionMismatch):
         Matrix([[1, 2], [3]])
+    for empty in (lambda: Matrix.zeros(0), lambda: Matrix.zeros(2, 0), lambda: Matrix.identity(0)):
+        with pytest.raises(DimensionMismatch):
+            empty()
 
 
 def test_constructor_rejects_non_numeric_entries():
@@ -45,6 +48,25 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Matrix([[1, 2], [3, 5]])
+
+
+def test_equality_distinguishes_shapes():
+    # the same row-major entries in two shapes: equal flat lists, unequal matrices
+    square_, wide, tall = Matrix([[1, 2], [3, 4]]), Matrix([[1, 2, 3, 4]]), Matrix([[1], [2], [3], [4]])
+    assert square_.num == wide.num == tall.num
+    half = Fraction(1, 2)
+    for x, y in ((square_, wide), (square_, tall), (wide, tall)):
+        assert x != y
+        assert x * half != y * half
+        assert x.to_float() != y.to_float()
+        assert x != y.to_float() and x.to_float() != y
+    assert Matrix.zeros(1, 4) != Matrix.zeros(2, 2)
+    assert Matrix.zeros(4, 1) != Matrix.zeros(1, 4)
+    # equal matrices still hash alike, across storages
+    for x in (square_, wide, tall, square_ * half):
+        same = Matrix([list(row) for row in x.data])
+        assert same == x and hash(same) == hash(x)
+        assert x.to_float() == x and hash(x.to_float()) == hash(x)
 
 
 def test_arithmetic_basics():
@@ -310,12 +332,22 @@ def ref_str(a):
     return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in a) + "]"
 
 
+def assert_stored(m):
+    """`m` keeps one flat row-major list of `rows * cols` entries, in canonical
+    form: integer numerators reduced over a positive `den`, or floats only."""
+    assert len(m.num) == m.rows * m.cols
+    if m.is_exact():
+        assert m.den > 0
+        assert all(type(x) is int for x in m.num)
+        assert gcd(m.den, *m.num) == 1
+    else:
+        assert all(type(x) is float for x in m.num)
+
+
 def assert_exact(m, ref):
     """`m` is exact, canonically stored, and holds the reference's values."""
     assert m.is_exact()
-    assert m.den > 0
-    assert all(type(x) is int for row in m.num for x in row)
-    assert gcd(m.den, *(x for row in m.num for x in row)) == 1
+    assert_stored(m)
     assert all(type(x) in (int, Fraction) for row in m.data for x in row)
     assert [list(row) for row in m.data] == ref
 
@@ -328,7 +360,7 @@ def assert_bits(m, ref):
 def assert_floats(m, ref):
     """`m` holds floats only: each reference entry rounded once to float, bit for bit."""
     assert not m.is_exact()
-    assert all(type(x) is float for row in m.num for x in row)
+    assert_stored(m)
     assert all(type(x) is float for row in m.data for x in row)
     assert [[repr(x) for x in row] for row in m.data] == [[repr(float(x)) for x in row] for row in ref]
 
@@ -397,6 +429,26 @@ def test_prop_scaling(ab, s, f):
     assert_bits(f * m, ref_scale(a, f))
 
 
+def test_zero_results_stay_canonical():
+    def assert_zero(m, rows, cols):
+        assert (m.rows, m.cols, m.den) == (rows, cols, 1)
+        assert m.num == [0] * (rows * cols)
+        assert m.is_zero()
+
+    for rows, cols in ((1, 1), (1, 4), (4, 1), (2, 3)):
+        z = Matrix.zeros(rows, cols)
+        for s in (0, Fraction(0), Fraction(3, 7), -5):
+            assert_zero(z * s, rows, cols)
+            assert_zero(s * z, rows, cols)
+        a = Matrix([[Fraction(i - j + 1, i + 2 * j + 3) for j in range(cols)] for i in range(rows)])
+        assert a.den > 1
+        for s in (0, Fraction(0)):
+            assert_zero(a * s, rows, cols)
+            assert_zero(s * a, rows, cols)
+        assert_zero(a - a, rows, cols)
+        assert_zero(a + -a, rows, cols)
+
+
 @settings(max_examples=40, deadline=None)
 @given(same_shape())
 def test_prop_kron_transpose_trace(ab):
@@ -443,6 +495,45 @@ def test_prop_tensor_legs(case):
         for j in range(dim):
             want = [row[j * s:(j + 1) * s] for row in big[i * s:(i + 1) * s]]
             assert_exact(aux_block(embedded, i, j, dim), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(same_shape(), chain(), embedding(), square(), exact_scalars, floats)
+def test_prop_flat_storage(ab, cd, case, sq, s, f):
+    """Every constructor and operation keeps `rows * cols` canonical entries in
+    its flat store; a wrong stride in a flat index shows here first."""
+    def check(m, rows, cols):
+        assert (m.rows, m.cols) == (rows, cols)
+        assert_stored(m)
+
+    n = len(sq)
+    assert_exact(Matrix.identity(n), [[int(i == j) for j in range(n)] for i in range(n)])
+    check(Matrix(sq) * Matrix.identity(n), n, n)
+    a, b = ab
+    r, c = len(a), len(a[0])
+    assert_exact(Matrix.zeros(r, c), [[0] * c for _ in range(r)])
+    ma, mb = Matrix(a), Matrix(b)
+    check(ma.kron(mb), r * r, c * c)
+    check(ma.kron(mb.to_float()), r * r, c * c)
+    x, y = cd
+    check(Matrix(x) * Matrix(y), len(x), len(y[0]))
+    check(Matrix(x).to_float() * Matrix(y), len(x), len(y[0]))
+    for m in (ma, ma * Fraction(1, 3), ma.to_float()):
+        check(m.to_float(), r, c)
+        for scalar in (int(s), Fraction(s), f):
+            check(m * scalar, r, c)
+            check(scalar * m, r, c)
+    op, slots, total, dim = case
+    size, k = dim ** total, dim ** (total - 1)
+    p = permutation_op(dim)
+    assert_exact(p, [[int(i == (j % dim) * dim + j // dim) for j in range(dim * dim)] for i in range(dim * dim)])
+    for embedded in (kron_embed(Matrix(op), slots, total, dim),
+                     kron_embed(Matrix(op).to_float(), slots, total, dim)):
+        check(embedded, size, size)
+        check(partial_trace_first(embedded, dim), k, k)
+        for i in range(dim):
+            for j in range(dim):
+                check(aux_block(embedded, i, j, dim), k, k)
 
 
 @settings(max_examples=40, deadline=None)

@@ -152,10 +152,10 @@ def float_matrices_trapped(monkeypatch):
         if self.den is None:
             refuse()
 
-    def exact_wrap(num, den):
+    def exact_wrap(num, rows, cols, den):
         if den is None:
             refuse()
-        return wrap(num, den)
+        return wrap(num, rows, cols, den)
 
     def exact_poly_init(self, coeffs=None):
         # checked before Poly prunes zeros, so a float 0.0 is caught too
