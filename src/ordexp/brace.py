@@ -9,8 +9,13 @@ associative algebra and reduced to nested brackets, so no BCH coefficient
 is ever hand-coded.
 
 Nothing is computed twice: each brace residual computes Omega(a) once for
-its left factor a, and the BCH word table is built once per truncation
-depth and then only read.
+its left factor a, the BCH word table is built once per truncation depth
+and then only read, and `bch` brackets each left-nested word prefix once,
+so a word xyx reuses [x, y].  The pre-Lie product itself is the callable
+the elements carry; the brace suite gives the elements of one case (one
+flow-inverse element, one left-law triple, one flow-composition draw) one
+product memoized on its operands' values, so each distinct product is made
+once per case, and the memo is freed with the case's elements.
 """
 
 from fractions import Fraction
@@ -186,11 +191,18 @@ def bch(a: GradedPreLieElement, b: GradedPreLieElement) -> GradedPreLieElement:
     """
     a._check(b)
     letters = {"x": a, "y": b}
+    # Left-nested brackets keyed by their letter names, so words that share a
+    # prefix (xyx and xyy both start [x, y]) bracket it once.
+    brackets = {}
     out = a.zero()
     for names, scale in _bch_words(a.order):
         acc = letters[names[0]]
-        for name in names[1:]:
-            acc = acc.bracket(letters[name])
+        for end in range(2, len(names) + 1):
+            prefix = names[:end]
+            nested = brackets.get(prefix)
+            if nested is None:
+                nested = brackets[prefix] = acc.bracket(letters[names[end - 1]])
+            acc = nested
         out = out + acc.scale(scale)
     return out
 

@@ -212,6 +212,16 @@ class Matrix:
         return f"Matrix({self})"
 
 
+def value_key(m: Matrix) -> tuple:
+    """A hashable key of the value `m` stores: its shape, `den` and flat entries.
+
+    Matrices with equal keys are `==`, so a memo keyed by them never merges two
+    values (an exact and a float matrix never share one).  Unlike `hash(m)` it
+    builds no Fraction.  Float keys compare by `==`, so 0.0 and -0.0 match.
+    """
+    return (m.rows, m.cols, m.den, *m.num)
+
+
 def _wrap(num: list, rows: int, cols: int, den) -> Matrix:
     """A `rows` x `cols` matrix over the flat row-major list it takes as it is:
     reduced integer numerators over `den`, or, when `den` is None, floats."""

@@ -212,16 +212,21 @@ def check_tridendriform(a: SiteSequence, b: SiteSequence, c: SiteSequence) -> li
     2. (a>b)<c = a>(b<c)        6. (a<b).c = a.(b>c)
     3. a>(b>c) = (a*b)>c        7. (a.b)<c = a.(b<c)
     4. (a.b).c = a.(b.c)
+
+    The three pieces of (a, b) and of (b, c) are made once each; both stars
+    are summed from them in `trid_star`'s order, p + s + d.
     """
-    p, s, d, star = trid_prec, trid_succ, trid_dot, trid_star
+    p, s, d = trid_prec, trid_succ, trid_dot
+    ab_p, ab_s, ab_d = p(a, b), s(a, b), d(a, b)
+    bc_p, bc_s, bc_d = p(b, c), s(b, c), d(b, c)
     return [
-        p(p(a, b), c) - p(a, star(b, c)),
-        p(s(a, b), c) - s(a, p(b, c)),
-        s(a, s(b, c)) - s(star(a, b), c),
-        d(d(a, b), c) - d(a, d(b, c)),
-        d(s(a, b), c) - s(a, d(b, c)),
-        d(p(a, b), c) - d(a, s(b, c)),
-        p(d(a, b), c) - d(a, p(b, c)),
+        p(ab_p, c) - p(a, bc_p + bc_s + bc_d),
+        p(ab_s, c) - s(a, bc_p),
+        s(a, bc_s) - s(ab_p + ab_s + ab_d, c),
+        d(ab_d, c) - d(a, bc_d),
+        d(ab_s, c) - s(a, bc_d),
+        d(ab_p, c) - d(a, bc_s),
+        p(ab_d, c) - d(a, bc_p),
     ]
 
 

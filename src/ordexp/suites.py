@@ -45,7 +45,7 @@ from .expansion import (
     magnus_oracle,
     monodromy,
 )
-from .matrix import Matrix
+from .matrix import Matrix, value_key
 from .ops import max_abs, worst
 from .report import EXACT, FLOAT, VerificationReport
 from .rotabaxter import (
@@ -363,20 +363,46 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
     return rep
 
 
+def _memoized(product):
+    """`product` on site sequences of matrices, computed once per pair of operand values.
+
+    The memo is keyed by `matrix.value_key`, so operands that are `==` but
+    distinct objects still hit it, and it lives as long as the returned
+    callable.  A hit returns the earlier result itself; on floats only the
+    sign of a zero entry can differ from recomputing, which `max_abs` erases.
+    """
+    memo = {}
+
+    def memo_product(a, b):
+        key = (tuple(map(value_key, a.values)), tuple(map(value_key, b.values)))
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = product(a, b)
+        return out
+
+    return memo_product
+
+
 def brace_suite(cfg: SuiteConfig) -> VerificationReport:
     (order, sites, dim, pairs), rep, root = _start(cfg, "brace")
 
     zero_seq = SiteSequence([root.cast(Matrix.zeros(dim)) for _ in range(sites)])
 
-    def element(src):
-        comps = {d: src.sequence(sites, dim) for d in (1, 2)}
-        return GradedPreLieElement(order, comps, prelie_left, like=zero_seq)
+    # One case (a flow-inverse element, a left-law triple, a flow-composition
+    # draw) shares one memoized product, so the products it repeats are made
+    # once: Omega's later sweeps redo the settled degrees, and the residuals
+    # rebuild W and Omega on the same elements.  The memo goes with the case.
+    def case(src, count):
+        product = _memoized(prelie_left)
+        return [GradedPreLieElement(order, {d: src.sequence(sites, dim) for d in (1, 2)},
+                                    product, like=zero_seq)
+                for _ in range(count)]
 
     src = root.split("brace:flow-inverse")
     rep.add(
         "flow-inverse",
         law="Omega inverts W in both orders, degree by degree",
-        defect=worst(res for a in (element(src) for _ in range(pairs))
+        defect=worst(res for (a,) in (case(src, 1) for _ in range(pairs))
                      for res in (omega_map(w_map(a)) - a, w_map(omega_map(a)) - a)),
         elements=pairs, degree=order,
     )
@@ -385,17 +411,16 @@ def brace_suite(cfg: SuiteConfig) -> VerificationReport:
     rep.add(
         "left-brace-law",
         law="the circle product distributes as a left brace",
-        defect=worst(left_brace_residual(element(src), element(src), element(src))
-                     for _ in range(pairs)),
+        defect=worst(left_brace_residual(*case(src, 3)) for _ in range(pairs)),
         triples=pairs, degree=order,
     )
 
     src = root.split("brace:flow-composition")
     flows, assocs = [], []
     for _ in range(pairs):
-        a, b = element(src), element(src)
+        a, b, c = case(src, 3)
         flows.append(max_abs(flow_composition_residual(a, b)))
-        assocs.append(max_abs(circle_assoc_residual(a, b, element(src))))
+        assocs.append(max_abs(circle_assoc_residual(a, b, c)))
     rep.add(
         "flow-composition",
         law="W(a) o W(b) = W(C(a,b)) with C the BCH composition",

@@ -1,10 +1,12 @@
 """Brace structure built from the degree-truncated pre-Lie algebra."""
 
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
+from ordexp import SuiteConfig, run_suite, suites
 from ordexp.brace import (
     GradedPreLieElement,
     bch,
@@ -19,7 +21,7 @@ from ordexp.brace import (
 from ordexp.errors import BackendMismatch, DimensionMismatch
 from ordexp.expansion import FORWARD, SiteOperatorFamily, magnus_oracle, prefix_monodromy
 from ordexp.freealg import FreeElement
-from ordexp.matrix import Matrix
+from ordexp.matrix import Matrix, value_key
 from ordexp.rotabaxter import SiteSequence, prelie_left
 from ordexp.series import AlphaSeries
 
@@ -222,10 +224,11 @@ def test_float_residuals_equal_the_spelled_out_products():
 
 
 def test_bch_table_serves_every_depth():
-    # bch reads a word table cached per depth; each depth must still give
-    # what a fresh log(exp(x)exp(y)) at that depth gives, bracket by bracket
+    # bch reads a word table cached per depth and brackets each shared word
+    # prefix once; each depth must still give, bit for bit, what the plain
+    # per-word left-nested loop over a fresh log(exp(x)exp(y)) gives
     rng = random.Random(79)
-    for order in (2, 6, 3, 5):
+    for order in (2, 6, 3, 5, 4):
         a = float_element(rng, order=order, degrees=(1,))
         b = float_element(rng, order=order, degrees=(1,))
         one = FreeElement.one()
@@ -239,7 +242,58 @@ def test_bch_table_serves_every_depth():
                 for letter in word[1:]:
                     acc = acc.bracket({"x": a, "y": b}[letter.name])
                 want = want + acc.scale(coeff * Fraction(1, len(word)))
-        assert bch(a, b) == want
+        got = bch(a, b)
+        assert got.components.keys() == want.components.keys()
+        # str of a float matrix spells every entry by repr, the sign of a zero too
+        assert all(str(got.component(d)) == str(want.component(d)) for d in want.components)
+
+
+def test_memoized_product_keeps_values_apart_below_float_resolution():
+    tiny = Fraction(1, 3) + Fraction(1, 2**80)
+    assert float(tiny) == float(Fraction(1, 3))
+    seqs = [SiteSequence([Matrix([[x, 1], [0, x]]), Matrix([[1, x], [x, 0]])])
+            for x in (Fraction(1, 3), tiny)]
+    other = SiteSequence([Matrix([[2, 1], [1, 0]]), Matrix([[0, 1], [3, 1]])])
+    product = suites._memoized(prelie_left)
+    first, second = product(seqs[0], other), product(seqs[1], other)
+    assert first == prelie_left(seqs[0], other)
+    assert second == prelie_left(seqs[1], other)
+    assert first != second
+    assert product(seqs[0], other) is first  # a repeat is read, not recomputed
+
+
+def test_memoized_product_keeps_shapes_apart():
+    row, square = Matrix([[1, 2, 3, 4]]), Matrix([[1, 2], [3, 4]])
+    assert value_key(row) != value_key(square)
+    product = suites._memoized(lambda a, b: a + b)
+    assert product(SiteSequence([row]), SiteSequence([row])).at(1) == Matrix([[2, 4, 6, 8]])
+    assert product(SiteSequence([square]), SiteSequence([square])).at(1) == Matrix([[2, 4], [6, 8]])
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("order,samples", [(4, 6), (6, 3)])
+def test_brace_suite_memo_changes_no_byte(monkeypatch, seed, backend, order, samples):
+    # the per-case memo must give every byte the plain product gives,
+    # beyond the seed whose digests are committed
+    cfg = SuiteConfig(seed=seed, backend=backend, order=order, samples=samples)
+    memo = run_suite("brace", cfg)
+    monkeypatch.setattr(suites, "_memoized", lambda product: product)
+    plain = run_suite("brace", cfg)
+    assert memo.to_text() == plain.to_text()
+    assert memo.to_json() == plain.to_json()
+
+
+def test_brace_suite_leaves_no_reference_cycle():
+    # each case's memo must be freed when its case ends, by reference
+    # counting alone: a cycle would keep it until the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        run_suite("brace", SuiteConfig(order=4, sites=2, samples=2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_brace_mul_expands_as_printed():

@@ -178,6 +178,29 @@ def test_tridendriform_axioms_matrix():
             assert res.is_zero()
 
 
+def test_tridendriform_residuals_round_as_the_spelled_out_axioms():
+    # check_tridendriform makes each piece of (a, b) and (b, c) once; on
+    # floats its residuals must keep every bit of the axioms as printed
+    rng = random.Random(11)
+    p, s, d, star = trid_prec, trid_succ, trid_dot, trid_star
+    for _ in range(4):
+        a, b, c = (
+            SiteSequence([Matrix([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)])
+                          for _ in range(4)])
+            for _ in range(3)
+        )
+        printed = [
+            p(p(a, b), c) - p(a, star(b, c)),
+            p(s(a, b), c) - s(a, p(b, c)),
+            s(a, s(b, c)) - s(star(a, b), c),
+            d(d(a, b), c) - d(a, d(b, c)),
+            d(s(a, b), c) - s(a, d(b, c)),
+            d(p(a, b), c) - d(a, s(b, c)),
+            p(d(a, b), c) - d(a, p(b, c)),
+        ]
+        assert [str(res) for res in check_tridendriform(a, b, c)] == [str(res) for res in printed]
+
+
 def test_star_is_associative():
     rng = random.Random(7)
     a, b, c = (rand_matrix_seq(rng) for _ in range(3))
