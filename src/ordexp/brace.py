@@ -15,7 +15,11 @@ so a word xyx reuses [x, y].  The pre-Lie product itself is the callable
 the elements carry; the brace suite gives the elements of one case (one
 flow-inverse element, one left-law triple, one flow-composition draw) one
 product memoized on its operands' values, so each distinct product is made
-once per case, and the memo is freed with the case's elements.
+once per case, and the memo is freed with the case's elements.  A
+difference subtracts component by component, and a degree only the
+subtrahend has enters as its negation, so no intermediate negated element
+is built; in IEEE arithmetic x - y is x + (-y), so it rounds as adding the
+negation does.
 """
 
 from fractions import Fraction
@@ -32,7 +36,7 @@ class GradedPreLieElement:
 
     Components beyond the truncation order are discarded. The pre-Lie
     product is a bilinear callable on component values; component values
-    only need addition, subtraction, scalar multiples, and is_zero.
+    only need addition, subtraction, negation, scalar multiples, and is_zero.
     `like` is a template component value (the first component when
     omitted); its multiple by zero stands in for missing degrees.
     """
@@ -94,10 +98,16 @@ class GradedPreLieElement:
         return GradedPreLieElement(self.order, out, self.product, like=self.like)
 
     def __sub__(self, other) -> "GradedPreLieElement":
-        return self + (-other)
+        self._check(other)
+        out = dict(self.components)
+        for d, v in other.components.items():
+            out[d] = out[d] - v if d in out else -v
+        return GradedPreLieElement(self.order, out, self.product, like=self.like)
 
     def __neg__(self) -> "GradedPreLieElement":
-        return self.scale(Fraction(-1))
+        return GradedPreLieElement(
+            self.order, {d: -v for d, v in self.components.items()}, self.product, like=self.like
+        )
 
     def scale(self, s) -> "GradedPreLieElement":
         return GradedPreLieElement(

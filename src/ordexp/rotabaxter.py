@@ -206,27 +206,34 @@ def prelie_right(a: SiteSequence, b: SiteSequence) -> SiteSequence:
 
 
 def check_tridendriform(a: SiteSequence, b: SiteSequence, c: SiteSequence) -> list[SiteSequence]:
-    """Residuals of the seven splitting axioms; all zero over a Rota-Baxter product.
+    """Residuals of the seven splitting axioms and of star associativity;
+    all zero over a Rota-Baxter product.
 
     1. (a<b)<c = a<(b*c)        5. (a>b).c = a>(b.c)
     2. (a>b)<c = a>(b<c)        6. (a<b).c = a.(b>c)
     3. a>(b>c) = (a*b)>c        7. (a.b)<c = a.(b<c)
-    4. (a.b).c = a.(b.c)
+    4. (a.b).c = a.(b.c)        8. (a*b)*c = a*(b*c)
 
-    The three pieces of (a, b) and of (b, c) are made once each; both stars
-    are summed from them in `trid_star`'s order, p + s + d.
+    The eighth follows from the seven.  The three pieces of (a, b) and of
+    (b, c) are made once each, and so are (a*b)>c (axiom 3) and a<(b*c)
+    (axiom 1), which the outer stars reuse; every star is summed in
+    `trid_star`'s order, p + s + d.
     """
     p, s, d = trid_prec, trid_succ, trid_dot
     ab_p, ab_s, ab_d = p(a, b), s(a, b), d(a, b)
     bc_p, bc_s, bc_d = p(b, c), s(b, c), d(b, c)
+    ab_star, bc_star = ab_p + ab_s + ab_d, bc_p + bc_s + bc_d
+    ab_star_s, a_bc_star_p = s(ab_star, c), p(a, bc_star)
     return [
-        p(ab_p, c) - p(a, bc_p + bc_s + bc_d),
+        p(ab_p, c) - a_bc_star_p,
         p(ab_s, c) - s(a, bc_p),
-        s(a, bc_s) - s(ab_p + ab_s + ab_d, c),
+        s(a, bc_s) - ab_star_s,
         d(ab_d, c) - d(a, bc_d),
         d(ab_s, c) - s(a, bc_d),
         d(ab_p, c) - d(a, bc_s),
         p(ab_d, c) - d(a, bc_p),
+        (p(ab_star, c) + ab_star_s + d(ab_star, c))
+        - (a_bc_star_p + s(a, bc_star) + d(a, bc_star)),
     ]
 
 

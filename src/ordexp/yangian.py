@@ -15,11 +15,20 @@ operator on aux (x) quantum are read from its `block_table`, built once
 per coefficient, and those of generator products from whole products.
 The coproduct's nested-prec expansion is the tridendriform Dyson fold
 (`dyson_terms`) of the monodromy family, not a hand-unrolled copy.
+
+Arithmetic whose result is known is skipped.  The exchange residuals never
+multiply an all-zero block (L^(p) vanishes past the chain's length, and
+the off-diagonal blocks of L^(0) = 1 are zero); the q-generator relations
+make each pair's brackets [q1_ij, q1_kl] and [q2_ij, q2_kl] once and read
+the reversed pair's as their negation; and every Kronecker delta is a
+branch that adds its term only when the indices match, never a product
+with a 0 or 1 scalar.
 """
 
 import math
 from fractions import Fraction
 from itertools import product
+from operator import add, sub
 
 from .errors import (
     DimensionMismatch,
@@ -27,7 +36,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .matrix import Matrix, aux_block, kron_embed, partial_trace_first, permutation_op
-from .ops import commutator, max_abs, worst
+from .ops import commutator, max_abs, worst, zero_like
 from .poly import Poly
 from .rotabaxter import SiteSequence, prelie_left, trid_dot, trid_prec, trid_succ
 from .expansion import FORWARD, SiteOperatorFamily, dyson_terms, monodromy
@@ -236,20 +245,28 @@ def yangian_relations_residual(tables: list, n: int, m: int,
     L^(p), so L^(p)_ab is `tables[p][a][b]`.  The defect is
     [L^(n+1)_ij, L^(m)_kl] - [L^(n)_ij, L^(m+1)_kl]
         - L^(m)_kj L^(n)_il + L^(n)_kj L^(m)_il, all indices 0-based.
+    A product with an all-zero block (L^(p) = 0 past the chain's length,
+    and L^(0) = 1 has zero off-diagonal blocks) is the zero of its shape,
+    so it is never formed and adds nothing.
     """
     if max(n, m) + 1 >= len(tables):
         raise UnsupportedOrder(f"order {max(n, m) + 1} not available")
     ln, lm = tables[n], tables[m]
-    return (
-        commutator(tables[n + 1][i][j], lm[k][l])
-        - commutator(ln[i][j], tables[m + 1][k][l])
-        - lm[k][j] * ln[i][l]
-        + ln[k][j] * lm[i][l]
-    )
-
-
-def _delta(i: int, j: int) -> Fraction:
-    return Fraction(1) if i == j else Fraction(0)
+    up_n, up_m = tables[n + 1][i][j], tables[m + 1][k][l]
+    out = None
+    # The defect as six signed block products, in the order printed above.
+    for op, x, y in ((add, up_n, lm[k][l]), (sub, lm[k][l], up_n),
+                     (sub, ln[i][j], up_m), (add, up_m, ln[i][j]),
+                     (sub, lm[k][j], ln[i][l]), (add, ln[k][j], lm[i][l])):
+        if x.is_zero() or y.is_zero():
+            continue
+        xy = x * y
+        if out is None:
+            out = xy if op is add else -xy
+        else:
+            out = op(out, xy)
+    # The blocks are square and of one size, so this is every product's shape.
+    return zero_like(up_n) if out is None else out
 
 
 def q_generators_and_relations(series, dim: int) -> tuple[dict, dict]:
@@ -258,7 +275,11 @@ def q_generators_and_relations(series, dim: int) -> tuple[dict, dict]:
     Returns ({m: block table}, report). The report carries the maximal
     defects of the three displayed relation families; the third family is
     evaluated under both readings of its unbalanced 1/12 parentheses: the
-    literal placement and the delta-swapped variant.
+    literal placement and the delta-swapped variant.  The brackets
+    [q1_ij, q1_kl] and [q2_ij, q2_kl] are made once per unordered pair
+    {ij, kl}: the reversed pair reads their negation, and a pair with
+    itself reads zero.  Each Kronecker delta is a branch: its term is added
+    only when the indices match.
     """
     if series.order < 3:
         raise UnsupportedOrder("q-generator relations need the series through order 3")
@@ -269,37 +290,44 @@ def q_generators_and_relations(series, dim: int) -> tuple[dict, dict]:
     q1sq = block_table(q1 * q1, dim)
     q1cube = block_table(q1 * q1 * q1, dim)
 
-    def defects(i, j, k, l):
-        """The four families' defects at one index tuple; the two readings
-        of the third family share its 1/12-free part."""
-        r1 = (
-            commutator(q[1][i][j], q[1][k][l])
-            - q[1][k][j] * _delta(i, l)
-            + q[1][i][l] * _delta(k, j)
-        )
-        r2 = (
-            commutator(q[1][i][j], q[2][k][l])
-            - q[2][k][j] * _delta(i, l)
-            + q[2][i][l] * _delta(k, j)
-        )
+    def defects(i, j, k, l, c1, c2):
+        """The four families' defects at one index tuple, given c1 = [q1_ij, q1_kl]
+        and c2 = [q2_ij, q2_kl]; the two readings of the third family share
+        its 1/12-free part."""
+        r1 = c1
+        r2 = commutator(q[1][i][j], q[2][k][l])
         base = (
-            commutator(q[2][i][j], q[2][k][l])
-            - q[3][k][j] * _delta(i, l)
-            + q[3][i][l] * _delta(k, j)
+            c2
             + q[1][k][j] * q1sq[i][l] * Fraction(1, 4)
             - q1sq[k][j] * q[1][i][l] * Fraction(1, 4)
         )
-        twelfth = (
-            q1cube[i][l] * _delta(k, j)
-            - q1cube[k][j] * _delta(i, l)
-        ) * Fraction(1, 12)
+        cube = None
+        if i == l:
+            r1, r2, base = r1 - q[1][k][j], r2 - q[2][k][j], base - q[3][k][j]
+            cube = -q1cube[k][j]
+        if k == j:
+            r1, r2, base = r1 + q[1][i][l], r2 + q[2][i][l], base + q[3][i][l]
+            cube = q1cube[i][l] if cube is None else cube + q1cube[i][l]
+        if cube is None:
+            third = max_abs(base)
+            return max_abs(r1), max_abs(r2), third, third
+        twelfth = cube * Fraction(1, 12)
         return max_abs(r1), max_abs(r2), max_abs(base - twelfth), max_abs(base + twelfth)
 
     # One defect per family and index tuple is kept, never the residual
     # matrices themselves, which are dim^3 x dim^3 each.
-    families = zip(*(defects(*ijkl) for ijkl in product(range(dim), repeat=4)))
+    rows = []
+    blocks = list(product(range(dim), repeat=2))
+    for at, (i, j) in enumerate(blocks):
+        zero = zero_like(q[1][i][j])
+        rows.append(defects(i, j, i, j, zero, zero))
+        for k, l in blocks[at + 1:]:
+            c1 = commutator(q[1][i][j], q[1][k][l])
+            c2 = commutator(q[2][i][j], q[2][k][l])
+            rows.append(defects(i, j, k, l, c1, c2))
+            rows.append(defects(k, l, i, j, -c1, -c2))
     names = ("first_family", "second_family", "third_family_literal", "third_family_swapped")
-    return q, dict(zip(names, map(worst, families)))
+    return q, dict(zip(names, map(worst, zip(*rows))))
 
 
 def hopf_checks(dim: int) -> dict:
@@ -359,11 +387,9 @@ def hopf_checks(dim: int) -> dict:
         for x in range(dim):
             true = true - m1[x][b] * m1[a][x] * half
         printed = -q2b[a][b] + q1b[a][b] * half
-        derived = (
-            -q2b[a][b]
-            - q1b[a][b] * Fraction(dim, 2)
-            + trace_q1 * (half * _delta(a, b))
-        )
+        derived = -q2b[a][b] - q1b[a][b] * Fraction(dim, 2)
+        if a == b:
+            derived = derived + trace_q1 * half
         return true - printed, true - derived
 
     printed_defect, derived_defect = map(

@@ -223,6 +223,34 @@ def test_float_residuals_equal_the_spelled_out_products():
         assert not left_brace_residual(a, b, c).is_zero()  # floats do round
 
 
+def test_difference_and_negation_keep_every_bit():
+    # a - b subtracts component by component and -b negates each component;
+    # both must give, bit for bit (str spells each float by repr, so a -0.0
+    # shows), what adding the -1 multiple gives, on both backends
+    rng = random.Random(83)
+
+    def spelled(elt):
+        return {d: str(v) for d, v in elt.components.items()}
+
+    backends = (
+        (lambda: rng.uniform(-1, 1), 0.0),
+        (lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)), Fraction(0)),
+    )
+    for draw, zero in backends:
+        def seq():
+            return SiteSequence([Matrix([[draw(), zero], [draw(), draw()]]) for _ in range(3)])
+
+        shared = seq()
+        a = GradedPreLieElement(4, {1: seq(), 2: shared}, seq_prelie)
+        # degree 3 is only in b; degree 2 cancels, so a - b must drop it
+        b = GradedPreLieElement(4, {1: seq(), 2: shared, 3: seq()}, seq_prelie)
+        for left, right in ((a - b, a + b.scale(Fraction(-1))),
+                            (b - a, b + a.scale(Fraction(-1))),
+                            (-b, b.scale(Fraction(-1)))):
+            assert spelled(left) == spelled(right)
+        assert sorted((a - b).components) == [1, 3]
+
+
 def test_bch_table_serves_every_depth():
     # bch reads a word table cached per depth and brackets each shared word
     # prefix once; each depth must still give, bit for bit, what the plain

@@ -179,8 +179,9 @@ def test_tridendriform_axioms_matrix():
 
 
 def test_tridendriform_residuals_round_as_the_spelled_out_axioms():
-    # check_tridendriform makes each piece of (a, b) and (b, c) once; on
-    # floats its residuals must keep every bit of the axioms as printed
+    # check_tridendriform makes each piece of (a, b) and (b, c) once, and the
+    # star row reuses two axioms' products; on floats its residuals must keep
+    # every bit of the axioms and of star associativity as printed
     rng = random.Random(11)
     p, s, d, star = trid_prec, trid_succ, trid_dot, trid_star
     for _ in range(4):
@@ -197,6 +198,7 @@ def test_tridendriform_residuals_round_as_the_spelled_out_axioms():
             d(s(a, b), c) - s(a, d(b, c)),
             d(p(a, b), c) - d(a, s(b, c)),
             p(d(a, b), c) - d(a, p(b, c)),
+            star(star(a, b), c) - star(a, star(b, c)),
         ]
         assert [str(res) for res in check_tridendriform(a, b, c)] == [str(res) for res in printed]
 

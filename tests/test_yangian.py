@@ -1,5 +1,6 @@
 """R-matrix identities, RTT, exchange relations, and Hopf data in exact arithmetic."""
 
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -43,6 +44,16 @@ F = Fraction
 
 def sum_of(matrices):
     return reduce(add, matrices)
+
+
+def generic_lax(dim, seed):
+    """1 + A/lambda with A a random integer matrix: no RTT solution, so its
+    exchange residuals and q-generator families do not vanish."""
+    rng = random.Random(seed)
+    size = dim * dim
+    return AlphaSeries([Matrix.identity(size),
+                        Matrix([[F(rng.randint(-2, 2)) for _ in range(size)]
+                                for _ in range(size)])])
 
 TRIPLES = [
     (F(3), F(1, 2), F(-2)),
@@ -233,6 +244,43 @@ class TestExchangeRelations:
                         )
                         assert lhs == rhs
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_skipping_zero_blocks_keeps_the_plain_formula(self, dim, n_sites):
+        # L^(p) = 0 for p > n_sites and L^(0) = 1 has zero off-diagonal
+        # blocks; products with such a block are skipped, which must leave
+        # the plain formula's value, also where the residual is not zero
+        generic = generic_lax(dim, seed=10 * dim + n_sites)
+        for lax in (fundamental_lax(dim), generic):
+            series = monodromy_coproduct(lax, n_sites, 4)
+            tables = [block_table(series.coeff(p), dim) for p in range(5)]
+            nonzero = 0
+            for n in range(4):
+                for m in range(4 - n):
+                    for i, j, k, l in product(range(dim), repeat=4):
+                        ln, lm = tables[n], tables[m]
+                        plain = (
+                            commutator(tables[n + 1][i][j], lm[k][l])
+                            - commutator(ln[i][j], tables[m + 1][k][l])
+                            - lm[k][j] * ln[i][l]
+                            + ln[k][j] * lm[i][l]
+                        )
+                        res = yangian_relations_residual(tables, n, m, i, j, k, l)
+                        assert res == plain
+                        nonzero += not res.is_zero()
+            assert nonzero > 0 if lax is generic else nonzero == 0
+
+    def test_all_zero_blocks_give_the_zero_of_the_product_shape(self):
+        # on one site every block of L^(2), L^(3) and L^(4) is zero, so
+        # nothing is multiplied and the residual is the zero block
+        dim = 3
+        series = monodromy_coproduct(fundamental_lax(dim), 1, 4)
+        tables = [block_table(series.coeff(p), dim) for p in range(5)]
+        res = yangian_relations_residual(tables, 2, 2, 0, 1, 2, 0)
+        block = tables[2][0][1]
+        assert (res.rows, res.cols) == (block.rows, block.cols) == (dim, dim)
+        assert res == Matrix.zeros(dim, dim)
+
     def test_order_out_of_range(self):
         series = monodromy_coproduct(fundamental_lax(2), 2, 2)
         tables = [block_table(series.coeff(k), 2) for k in range(3)]
@@ -250,6 +298,59 @@ class TestQGenerators:
         # deltas breaks the relation
         assert report["third_family_literal"] == 0
         assert report["third_family_swapped"] == F(7, 2)
+
+    @staticmethod
+    def per_tuple_reference(series, dim):
+        """The four family defects by the per-tuple formula, with Fraction
+        Kronecker deltas and every bracket formed at every index tuple."""
+        def delta(a, b):
+            return F(1) if a == b else F(0)
+
+        logs = series.log()
+        q = {m: block_table(logs.coeff(m), dim) for m in (1, 2, 3)}
+        q1 = logs.coeff(1)
+        q1sq, q1cube = block_table(q1 * q1, dim), block_table(q1 * q1 * q1, dim)
+        rows = []
+        for i, j, k, l in product(range(dim), repeat=4):
+            r1 = (commutator(q[1][i][j], q[1][k][l])
+                  - q[1][k][j] * delta(i, l) + q[1][i][l] * delta(k, j))
+            r2 = (commutator(q[1][i][j], q[2][k][l])
+                  - q[2][k][j] * delta(i, l) + q[2][i][l] * delta(k, j))
+            base = (
+                commutator(q[2][i][j], q[2][k][l])
+                - q[3][k][j] * delta(i, l)
+                + q[3][i][l] * delta(k, j)
+                + q[1][k][j] * q1sq[i][l] * F(1, 4)
+                - q1sq[k][j] * q[1][i][l] * F(1, 4)
+            )
+            twelfth = (q1cube[i][l] * delta(k, j) - q1cube[k][j] * delta(i, l)) * F(1, 12)
+            rows.append((r1.max_abs(), r2.max_abs(),
+                         (base - twelfth).max_abs(), (base + twelfth).max_abs()))
+        names = ("first_family", "second_family", "third_family_literal",
+                 "third_family_swapped")
+        return dict(zip(names, map(max, zip(*rows))))
+
+    @pytest.mark.parametrize("dim, n_sites, generic", [
+        (2, 3, False), (3, 3, False), (2, 3, True), (3, 2, True),
+    ])
+    def test_families_equal_the_per_tuple_formula(self, dim, n_sites, generic):
+        # brackets made once per unordered pair and deltas as branches must
+        # give every family's value exactly; the generic lax breaks every
+        # family, so no value is a trivial zero
+        lax = generic_lax(dim, seed=dim) if generic else fundamental_lax(dim)
+        series = monodromy_coproduct(lax, n_sites, 3)
+        _, report = q_generators_and_relations(series, dim)
+        reference = self.per_tuple_reference(series, dim)
+        assert report == reference
+        assert all(isinstance(v, Fraction) for v in report.values())
+        if generic:
+            assert all(report.values())
+
+    def test_relation_families_dim_three(self):
+        series = monodromy_coproduct(fundamental_lax(3), 3, 3)
+        _, report = q_generators_and_relations(series, 3)
+        assert report == {"first_family": 0, "second_family": 0,
+                          "third_family_literal": 0, "third_family_swapped": F(7, 2)}
 
     def test_q1_blocks_are_log_blocks(self):
         series = monodromy_coproduct(fundamental_lax(2), 2, 3)
