@@ -24,10 +24,10 @@ from fractions import Fraction
 
 from .errors import BackendMismatch, DimensionMismatch, InsufficientSamples, SingularOperator
 from .freealg import FreeElement
-from .matrix import SCALARS, Matrix, commutator
+from .matrix import SCALARS, Matrix, commutator, fused_prelie_site
 
 __all__ = ["SCALARS", "check_compatible", "commutator", "invert", "is_zero",
-           "max_abs", "one_like", "to_float", "worst", "zero_like"]
+           "max_abs", "one_like", "prelie_site", "to_float", "worst", "zero_like"]
 
 
 def zero_like(x):
@@ -72,6 +72,22 @@ def check_compatible(a, b):
         raise BackendMismatch(f"{type(a).__name__} vs {type(b).__name__}")
     if isinstance(a, Matrix) and (a.rows != b.rows or a.cols != b.cols):
         raise DimensionMismatch(f"{a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+
+
+def prelie_site(p, q, x, y):
+    """(p*q - q*p) + x*y, the value of a pre-Lie product at one site.
+
+    Four square `Matrix` values of one shape and one backend go through
+    `matrix.fused_prelie_site`, which gives the same entries, bit for bit,
+    in one pass.  Anything else is the composed formula: scalars and free
+    elements, and mixed backends, where `x*y` of two exact matrices is
+    formed exactly and rounded only when added to a float.
+    """
+    if type(p) is type(q) is type(x) is type(y) is Matrix and (
+            p.rows == p.cols == q.rows == q.cols == x.rows == x.cols == y.rows == y.cols
+            and (p.den is None) == (q.den is None) == (x.den is None) == (y.den is None)):
+        return fused_prelie_site(p, q, x, y)
+    return (p * q - q * p) + x * y
 
 
 def invert(x):

@@ -14,7 +14,9 @@ The partial sum splits the sitewise product into three tridendriform pieces
 
 whose sum is the associative sitewise product, and induces a left pre-Lie
 product (a |> b)_n = [R(a)_n, b_n] + a_n b_n together with its right-handed
-mirror (a <| b)_n = [a_n, R(b)_n] + a_n b_n.
+mirror (a <| b)_n = [a_n, R(b)_n] + a_n b_n.  Each site of either is one
+`ops.prelie_site` call, which fuses the three matrix products and keeps
+every float bit of the formula as written.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import reduce
 from operator import add
 
 from .errors import BackendMismatch, DimensionMismatch
-from .ops import SCALARS, is_zero, worst, zero_like
+from .ops import SCALARS, is_zero, prelie_site, worst, zero_like
 from .poly import Poly
 
 
@@ -193,7 +195,7 @@ def prelie_left(a: SiteSequence, b: SiteSequence) -> SiteSequence:
     """(a |> b)_n = [a_1+...+a_{n-1}, b_n] + a_n b_n."""
     r = PartialSumOp()(a)
     return SiteSequence(
-        s * y - y * s + x * y for s, x, y in zip(r.values, a.values, b.values)
+        prelie_site(s, y, x, y) for s, x, y in zip(r.values, a.values, b.values)
     )
 
 
@@ -201,7 +203,7 @@ def prelie_right(a: SiteSequence, b: SiteSequence) -> SiteSequence:
     """(a <| b)_n = [a_n, b_1+...+b_{n-1}] + a_n b_n."""
     r = PartialSumOp()(b)
     return SiteSequence(
-        x * s - s * x + x * y for s, x, y in zip(r.values, a.values, b.values)
+        prelie_site(x, s, x, y) for s, x, y in zip(r.values, a.values, b.values)
     )
 
 

@@ -18,11 +18,12 @@ The coproduct's nested-prec expansion is the tridendriform Dyson fold
 
 Arithmetic whose result is known is skipped.  The exchange residuals never
 multiply an all-zero block (L^(p) vanishes past the chain's length, and
-the off-diagonal blocks of L^(0) = 1 are zero); the q-generator relations
-make each pair's brackets [q1_ij, q1_kl] and [q2_ij, q2_kl] once and read
-the reversed pair's as their negation; and every Kronecker delta is a
-branch that adds its term only when the indices match, never a product
-with a 0 or 1 scalar.
+the off-diagonal blocks of L^(0) = 1 are zero) nor an identity block (a
+diagonal block of L^(0) = 1: the product is the other operand); the
+q-generator relations make each pair's brackets [q1_ij, q1_kl] and
+[q2_ij, q2_kl] once and read the reversed pair's as their negation; and
+every Kronecker delta is a branch that adds its term only when the indices
+match, never a product with a 0 or 1 scalar.
 """
 
 import math
@@ -247,26 +248,37 @@ def yangian_relations_residual(tables: list, n: int, m: int,
         - L^(m)_kj L^(n)_il + L^(n)_kj L^(m)_il, all indices 0-based.
     A product with an all-zero block (L^(p) = 0 past the chain's length,
     and L^(0) = 1 has zero off-diagonal blocks) is the zero of its shape,
-    so it is never formed and adds nothing.
+    so it is never formed and adds nothing.  A product with a diagonal
+    block of L^(0) = 1 is the other operand, taken as it is; on floats
+    that keeps the sign of a zero entry a product would make 0.0.
     """
     if max(n, m) + 1 >= len(tables):
         raise UnsupportedOrder(f"order {max(n, m) + 1} not available")
-    ln, lm = tables[n], tables[m]
-    up_n, up_m = tables[n + 1][i][j], tables[m + 1][k][l]
     out = None
-    # The defect as six signed block products, in the order printed above.
-    for op, x, y in ((add, up_n, lm[k][l]), (sub, lm[k][l], up_n),
-                     (sub, ln[i][j], up_m), (add, up_m, ln[i][j]),
-                     (sub, lm[k][j], ln[i][l]), (add, ln[k][j], lm[i][l])):
+    # The defect as six signed block products, in the order printed above;
+    # each operand is (order p, row a, column b) of the block L^(p)_ab.
+    for op, (p, a, b), (r, c, d) in (
+        (add, (n + 1, i, j), (m, k, l)), (sub, (m, k, l), (n + 1, i, j)),
+        (sub, (n, i, j), (m + 1, k, l)), (add, (m + 1, k, l), (n, i, j)),
+        (sub, (m, k, j), (n, i, l)), (add, (n, k, j), (m, i, l)),
+    ):
+        x, y = tables[p][a][b], tables[r][c][d]
         if x.is_zero() or y.is_zero():
             continue
-        xy = x * y
+        # L^(0) = 1, so a block of it that is not zero is a diagonal one, the
+        # identity, and the product is the other operand.
+        if p == 0:
+            xy = y
+        elif r == 0:
+            xy = x
+        else:
+            xy = x * y
         if out is None:
             out = xy if op is add else -xy
         else:
             out = op(out, xy)
     # The blocks are square and of one size, so this is every product's shape.
-    return zero_like(up_n) if out is None else out
+    return zero_like(tables[n + 1][i][j]) if out is None else out
 
 
 def q_generators_and_relations(series, dim: int) -> tuple[dict, dict]:

@@ -8,14 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordexp import ops
 from ordexp.errors import DimensionMismatch, SingularOperator
+from ordexp.freealg import FreeElement
 from ordexp.matrix import (
+    SPARSE_FROM,
     Matrix,
     aux_block,
     commutator,
+    fused_prelie_site,
     kron_embed,
     partial_trace_first,
     permutation_op,
+    value_key,
 )
 
 
@@ -615,3 +620,178 @@ def test_prop_float_matrix_holds_floats_only(ab, f):
     assert_floats(Matrix(bt) * mb, ref_mul([[float(x) for x in row] for row in bt],
                                            [[float(x) for x in row] for row in b]))
     assert_floats(Matrix(zeros) * mb, [[0.0] * len(b[0]) for _ in b[0]])
+
+
+# -- the fused pre-Lie site kernel and the sparse product path ---------------------
+#
+# `fused_prelie_site(p, q, x, y)` must give `(p*q - q*p) + x*y` bit for bit,
+# and a product above the size rule, which walks cached nonzero rows, must
+# give the plain reference product; both are checked against the composed
+# `Matrix` formula and against the plain-list reference above.
+
+
+def ref_prelie_site(p, q, x, y):
+    return ref_add(ref_sub(ref_mul(p, q), ref_mul(q, p)), ref_mul(x, y))
+
+
+def composed(p, q, x, y):
+    return (p * q - q * p) + x * y
+
+
+def rand_entry(rng, exact):
+    """About 10 % exact zeros; on floats about 5 % -0.0 as well."""
+    u = rng.random()
+    if u < 0.1:
+        return 0
+    if not exact and u < 0.15:
+        return -0.0
+    v = Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    return v if exact else float(v) + rng.uniform(-1e-3, 1e-3)
+
+
+def rand_grid(rng, rows, cols, exact, fill=1.0):
+    return [[rand_entry(rng, exact) if rng.random() < fill else 0 for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def embedded_grid(rng, dim, exact):
+    """A random two-slot operator placed on two of three factors: a sparse
+    dim**3 x dim**3 matrix, as the tensor-product checks build."""
+    slots = tuple(rng.sample(range(3), 2))
+    op = Matrix(rand_grid(rng, dim * dim, dim * dim, exact))
+    if not exact:
+        op = op.to_float()
+    return [list(row) for row in kron_embed(op, slots, 3, dim).data]
+
+
+def assert_same_bits(m, ref):
+    """`m` holds `ref`'s values: exact and canonical, or floats bit for bit."""
+    if m.is_exact():
+        assert_exact(m, [[Fraction(x) for x in row] for row in ref])
+    else:
+        assert_floats(m, ref)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("kind", ["2x2", "3x3", "kron-8x8", "kron-27x27"])
+def test_fused_prelie_site_matches_the_composed_formula(kind, exact):
+    rng = random.Random(f"{kind}-{exact}")
+    count = {"2x2": 150, "3x3": 100, "kron-8x8": 20, "kron-27x27": 4}[kind]
+    for _ in range(count):
+        if kind.startswith("kron"):
+            grids = [embedded_grid(rng, 2 if kind == "kron-8x8" else 3, exact) for _ in range(4)]
+        else:
+            n = int(kind[0])
+            grids = [rand_grid(rng, n, n, exact) for _ in range(4)]
+        mats = [Matrix(g) if exact else Matrix(g).to_float() for g in grids]
+        got = fused_prelie_site(*mats)
+        assert [repr(v) for v in got.data] == [repr(v) for v in composed(*mats).data]
+        assert ops.prelie_site(*mats).data == got.data
+        assert_same_bits(got, ref_prelie_site(*grids))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_fused_prelie_site_with_a_zero_prefix_sum(exact):
+    # site 1 of a pre-Lie product: p (or q) is the empty prefix sum, a zero
+    rng = random.Random(3)
+    zero = Matrix.zeros(2) if exact else Matrix.zeros(2).to_float()
+    for _ in range(20):
+        x, y = (Matrix(rand_grid(rng, 2, 2, exact)) for _ in range(2))
+        for args in ((zero, y, x, y), (x, zero, x, y)):
+            got = fused_prelie_site(*args)
+            assert [repr(v) for v in got.data] == [repr(v) for v in composed(*args).data]
+            assert [repr(v) for v in got.data] == [repr(v) for v in (x * y).data]
+
+
+@pytest.mark.parametrize("n", [2, SPARSE_FROM])
+def test_zero_entries_never_meet_an_infinite_one(n):
+    # a product skips zero entries, 0.0 and -0.0 alike, so 0 * inf (a nan)
+    # is never formed, on the dense path and on the cached-row path
+    inf = float("inf")
+    rng = random.Random(n)
+    for _ in range(20):
+        grids = [[[rng.choice([0.0, -0.0, 1.5, -2.0, inf, -inf]) for _ in range(n)] for _ in range(n)]
+                 for _ in range(4)]
+        p, q, x, y = map(Matrix, grids)
+        assert_floats(p * q, ref_mul(grids[0], grids[1]))
+        assert_floats(fused_prelie_site(p, q, x, y), ref_prelie_site(*grids))
+
+
+def test_prelie_site_falls_back_to_the_composed_formula(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the fused kernel met operands it does not take")
+
+    monkeypatch.setattr(ops, "fused_prelie_site", refuse)
+    rng = random.Random(5)
+    e, f = (Matrix(rand_grid(rng, 2, 2, True)) for _ in range(2))
+    g, h = (Matrix(rand_grid(rng, 2, 2, False)).to_float() for _ in range(2))
+    wide, tall = Matrix(rand_grid(rng, 2, 3, True)), Matrix(rand_grid(rng, 3, 2, True))
+    cases = [
+        (e, f, g, h), (g, h, e, f), (e, g, e, f), (g, h, g, e),  # mixed backends
+        (e, f, wide, tall),  # x*y is 2x2, but x and y are not square
+        (Fraction(1, 3), Fraction(2), Fraction(-5, 7), Fraction(3, 4)),
+        (0.25, -1.5, 3.0, 0.5),
+    ]
+    for args in cases:
+        got, want = ops.prelie_site(*args), composed(*args)
+        if isinstance(want, Matrix):
+            got, want = got.data, want.data
+        assert repr(got) == repr(want)
+    x, y = FreeElement.gen("x"), FreeElement.gen("y", site=2)
+    assert ops.prelie_site(x, y, x * Fraction(1, 2), y) == composed(x, y, x * Fraction(1, 2), y)
+    with pytest.raises(DimensionMismatch):
+        ops.prelie_site(e, wide, e, f)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("shape", [
+    (SPARSE_FROM - 1,) * 3, (SPARSE_FROM,) * 3, (SPARSE_FROM + 1,) * 3,
+    (2, SPARSE_FROM, 3), (SPARSE_FROM, 2, SPARSE_FROM), (1, SPARSE_FROM, 1), (3, 2, SPARSE_FROM + 4),
+])
+def test_products_match_the_reference_on_both_sides_of_the_size_rule(shape, exact):
+    rows, inner, cols = shape
+    rng = random.Random(f"{shape}-{exact}")
+    for fill in (0.1, 0.5, 1.0):
+        a, b = rand_grid(rng, rows, inner, exact, fill), rand_grid(rng, inner, cols, exact, fill)
+        ma, mb = Matrix(a), Matrix(b)
+        if not exact:
+            ma, mb = ma.to_float(), mb.to_float()
+        assert_same_bits(ma * mb, ref_mul(a, b))
+        # a mixed product rounds the exact operand first, on either side
+        assert_floats(Matrix(a) * mb.to_float(), ref_mul([[float(x) for x in r] for r in a], b))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_cached_rows_are_reused_on_either_side(exact):
+    rng = random.Random(9)
+    n = SPARSE_FROM + 1
+    grids = [rand_grid(rng, n, n, exact, 0.3) for _ in range(3)]
+    m, b, c = (Matrix(g) if exact else Matrix(g).to_float() for g in grids)
+
+    def fresh():
+        return Matrix([list(row) for row in m.data])
+
+    first = m * b
+    rows = m._nonzeros
+    assert rows is not None
+    for got, want in ((m * b, fresh() * b), (c * m, c * fresh()), (m * c, fresh() * c),
+                      (m * m, fresh() * fresh()), (first, fresh() * b)):
+        assert [repr(v) for v in got.data] == [repr(v) for v in want.data]
+        assert_stored(got)
+    assert m._nonzeros is rows  # made once, then read on both sides
+
+
+def test_filled_rows_keep_equality_key_and_hash():
+    rng = random.Random(4)
+    n = SPARSE_FROM
+    for exact in (True, False):
+        g = rand_grid(rng, n, n, exact, 0.3)
+        m = Matrix(g)
+        m * m
+        assert m._nonzeros is not None
+        fresh = Matrix(g)
+        assert fresh._nonzeros is None
+        assert m == fresh and fresh == m
+        assert value_key(m) == value_key(fresh)
+        assert hash(m) == hash(fresh)
+        assert str(m) == str(fresh)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordexp import ops
 from ordexp.errors import DimensionMismatch
+from ordexp.freealg import FreeElement
 from ordexp.matrix import Matrix
 from ordexp.poly import Poly
 from ordexp.rotabaxter import (
@@ -244,6 +246,67 @@ def test_prelie_left_right_transpose():
     n = 3
     pref = b.at(1) + b.at(2)
     assert r.at(n) == a.at(n) * pref - pref * a.at(n) + a.at(n) * b.at(n)
+
+
+def signed_zero_seq(rng, exact, n_sites=4, size=2):
+    """Random site values with about 10 % exact zeros, and -0.0 on floats."""
+    def entry():
+        u = rng.random()
+        if u < 0.1:
+            return 0
+        if not exact and u < 0.15:
+            return -0.0
+        v = Fraction(rng.randint(-7, 7), rng.randint(1, 9))
+        return v if exact else float(v) + rng.uniform(-1e-3, 1e-3)
+
+    values = [Matrix([[entry() for _ in range(size)] for _ in range(size)]) for _ in range(n_sites)]
+    return SiteSequence(v if exact else v.to_float() for v in values)
+
+
+def composed_left(a, b):
+    r = PartialSumOp()(SiteSequence(a.values))
+    return [s * y - y * s + x * y for s, x, y in zip(r.values, a.values, b.values)]
+
+
+def composed_right(a, b):
+    r = PartialSumOp()(SiteSequence(b.values))
+    return [x * s - s * x + x * y for s, x, y in zip(r.values, a.values, b.values)]
+
+
+def bits(values):
+    return [repr(v.data) if isinstance(v, Matrix) else repr(v) for v in values]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("size", [2, 3])
+def test_prelie_products_round_as_the_composed_formula(size, exact):
+    # each site goes through the fused kernel, which must keep every float
+    # bit of s*y - y*s + x*y, site 1's zero prefix sum included
+    rng = random.Random(size * 10 + exact)
+    for _ in range(30):
+        a, b = signed_zero_seq(rng, exact, size=size), signed_zero_seq(rng, exact, size=size)
+        left, right = prelie_left(a, b), prelie_right(a, b)
+        assert bits(left.values) == bits(composed_left(a, b))
+        assert bits(right.values) == bits(composed_right(a, b))
+        assert left.at(1) == a.at(1) * b.at(1) and right.at(1) == a.at(1) * b.at(1)
+
+
+def test_prelie_products_fall_back_off_matrices(monkeypatch):
+    # free letters, scalars and mixed backends take the composed formula
+    def refuse(*args):
+        raise AssertionError("the fused kernel met operands it does not take")
+
+    monkeypatch.setattr(ops, "fused_prelie_site", refuse)
+    rng = random.Random(21)
+    exact, floats = signed_zero_seq(rng, True), signed_zero_seq(rng, False)
+    x, y = FreeElement.gen("x"), FreeElement.gen("y")
+    free_a = SiteSequence([x, y * Fraction(2, 3), x * y])
+    free_b = SiteSequence([y, x + y, x * Fraction(-1, 2)])
+    scal_a = SiteSequence([Fraction(1, 2), Fraction(-3), Fraction(5, 7)])
+    scal_b = SiteSequence([0.5, -1.25, 3.0])
+    for a, b in ((exact, floats), (floats, exact), (free_a, free_b), (scal_a, scal_a), (scal_b, scal_b)):
+        assert bits(prelie_left(a, b).values) == bits(composed_left(a, b))
+        assert bits(prelie_right(a, b).values) == bits(composed_right(a, b))
 
 
 def test_length_mismatch_rejected():

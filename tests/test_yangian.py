@@ -270,6 +270,30 @@ class TestExchangeRelations:
                         nonzero += not res.is_zero()
             assert nonzero > 0 if lax is generic else nonzero == 0
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_identity_blocks_are_not_multiplied(self, dim, monkeypatch):
+        # at orders n = m = 0 every one of the six block products has a block
+        # of L^(0) = 1 as an operand: a zero block or the identity, so none is
+        # formed, and the residual is still the plain formula's value
+        series = monodromy_coproduct(generic_lax(dim, seed=dim), 2, 4)
+        tables = [block_table(series.coeff(p), dim) for p in range(5)]
+        plain = {}
+        for i, j, k, l in product(range(dim), repeat=4):
+            ln = lm = tables[0]
+            plain[i, j, k, l] = (
+                commutator(tables[1][i][j], lm[k][l])
+                - commutator(ln[i][j], tables[1][k][l])
+                - lm[k][j] * ln[i][l]
+                + ln[k][j] * lm[i][l]
+            )
+
+        def refuse(self, other):
+            raise AssertionError("a block product with L^(0) was formed")
+
+        monkeypatch.setattr(Matrix, "__mul__", refuse)
+        for (i, j, k, l), want in plain.items():
+            assert yangian_relations_residual(tables, 0, 0, i, j, k, l) == want
+
     def test_all_zero_blocks_give_the_zero_of_the_product_shape(self):
         # on one site every block of L^(2), L^(3) and L^(4) is zero, so
         # nothing is multiplied and the residual is the zero block
