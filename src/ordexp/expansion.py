@@ -13,6 +13,13 @@ logarithm (the discrete Magnus series), and evaluates the closed
 commutator and pre-Lie formulas for the first three logarithm
 coefficients so they can be compared against the series oracle.
 
+The ordered product and the prefix products of `chain_walk` grow by one
+Lax step per site: the product with 1 + sum_m alpha^m L_n^(m) formed from
+the site's nonzero degrees alone, with each term by the unit taken through
+`ops.unit_product` rather than multiplied.  Every coefficient adds the same
+terms in the same order as the series product with `lax_series`, so the
+results are those of that plain fold, float bits included.
+
 Operators are polymorphic: exact scalars, Matrix, or FreeElement all
 work, as long as one kind is used per family.
 """
@@ -22,9 +29,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from operator import add
 
 from .errors import AlgebraError, DimensionMismatch, SingularOperator, UnsupportedOrder
-from .ops import check_compatible, commutator, invert, is_zero, one_like, zero_like
+from .ops import check_compatible, commutator, invert, is_zero, one_like, unit_product, zero_like
 from .rotabaxter import SiteSequence, prelie_left, prelie_right, trid_prec, trid_succ
 from .series import AlphaSeries
 
@@ -86,16 +94,67 @@ class SiteOperatorFamily:
         return SiteSequence([self.entry(n, degree) for n in range(1, self.n_sites + 1)])
 
     def lax_series(self, site: int, order: int) -> AlphaSeries:
-        parts = {m: self.entry(site, m) for m in range(1, order + 1)}
-        series = AlphaSeries.from_parts(order, parts, like=self.like)
-        return series + AlphaSeries.one(order, like=self.like)
+        """The site's series 1 + sum_m alpha^m L_site^(m) through `order`.
+
+        Each present coefficient is stored as its sum with the template's
+        zero, so its type and float bits are those of the zero-padded series
+        plus the unit: an int scalar over an exact template becomes a
+        Fraction, and a float -0.0 entry becomes 0.0.
+        """
+        zero = zero_like(self.like)
+        coeffs = [one_like(self.like)]
+        for m in range(1, order + 1):
+            op = self.entries.get((site, m))
+            coeffs.append(zero if op is None else op + zero)
+        return AlphaSeries(coeffs)
+
+
+def _lax_step(family: SiteOperatorFamily, site: int, t: AlphaSeries, left: bool) -> AlphaSeries:
+    """L_site T (`left`) or T L_site, for a series T whose constant term is the unit.
+
+    Value and float bits are those of the series product with
+    `lax_series(site, t.order)`: coefficient n adds the same nonzero terms in
+    the same order (left: 1 T^(n), L^(1) T^(n-1), ..., L^(n) 1; right:
+    1 L^(n), T^(1) L^(n-1), ..., T^(n) 1) and is the zero when there are
+    none.  A term with the unit is `ops.unit_product`, not a product, and
+    only the site's nonzero degrees are walked.
+    """
+    coeffs = t.coeffs
+    unit = coeffs[0]
+    nonzero = [not is_zero(c) for c in coeffs]
+    entries = family.entries
+    laxes = [(m, entries[site, m]) for m in range(1, len(coeffs))
+             if (site, m) in entries and not is_zero(entries[site, m])]
+    if not left:
+        # Descending degrees, so that 1 L^(n) comes first on the right as
+        # L^(n) 1 comes last on the left.
+        laxes.reverse()
+    out = [unit]
+    for n in range(1, len(coeffs)):
+        middle = []
+        for m, op in laxes:
+            if m == n:
+                middle.append(unit_product(unit, op))
+            elif m < n and nonzero[n - m]:
+                middle.append(op * coeffs[n - m] if left else coeffs[n - m] * op)
+        own = [unit_product(unit, coeffs[n])] if nonzero[n] else []
+        terms = own + middle if left else middle + own
+        out.append(reduce(add, terms) if terms else zero_like(unit))
+    return AlphaSeries(out)
 
 
 def ordered_product(family: SiteOperatorFamily, order: int, descending: bool) -> AlphaSeries:
+    """The product of the sites' series 1 + sum_m alpha^m L_n^(m) through `order`,
+    site N leftmost when `descending`, else site 1 leftmost.
+
+    It grows from 1 by one Lax step per site (`_lax_step`, multiplying on
+    the right), so it has the value and float bits of the plain fold of
+    `lax_series` products without forming any product by the unit.
+    """
     result = AlphaSeries.one(order, like=family.like)
     sites = range(family.n_sites, 0, -1) if descending else range(1, family.n_sites + 1)
     for site in sites:
-        result = result * family.lax_series(site, order)
+        result = _lax_step(family, site, result, left=False)
     return result
 
 
@@ -107,12 +166,13 @@ def monodromy(family: SiteOperatorFamily, order: int) -> AlphaSeries:
 def chain_walk(family: SiteOperatorFamily, order: int, direction: str):
     """Each site's series [L_1..L_N] and the prefix products [T_1..T_{N+1}]:
     T_1 = 1, T_{n+1} = L_n T_n (forward) or T_n L_n (backward), the side
-    set by `direction`, not by the family's own direction."""
+    set by `direction`, not by the family's own direction.  Each prefix is
+    one Lax step (`_lax_step`) from the last, with the bits of the series
+    product."""
     laxes = [family.lax_series(n, order) for n in range(1, family.n_sites + 1)]
     prefixes = [AlphaSeries.one(order, like=family.like)]
-    for lax in laxes:
-        t = prefixes[-1]
-        prefixes.append(lax * t if direction == FORWARD else t * lax)
+    for site in range(1, family.n_sites + 1):
+        prefixes.append(_lax_step(family, site, prefixes[-1], left=direction == FORWARD))
     return laxes, prefixes
 
 

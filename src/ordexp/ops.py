@@ -24,10 +24,11 @@ from fractions import Fraction
 
 from .errors import BackendMismatch, DimensionMismatch, InsufficientSamples, SingularOperator
 from .freealg import FreeElement
-from .matrix import SCALARS, Matrix, commutator, fused_prelie_site
+from .matrix import SCALARS, Matrix, _wrap, commutator, fused_prelie_site
 
 __all__ = ["SCALARS", "check_compatible", "commutator", "invert", "is_zero",
-           "max_abs", "one_like", "prelie_site", "to_float", "worst", "zero_like"]
+           "max_abs", "one_like", "prelie_site", "to_float", "unit_product", "worst",
+           "zero_like"]
 
 
 def zero_like(x):
@@ -58,6 +59,24 @@ def one_like(x):
     if isinstance(x, SCALARS):
         return 1.0 if isinstance(x, float) else Fraction(1)
     raise BackendMismatch(f"unknown operator type {type(x).__name__}")
+
+
+def unit_product(unit, x):
+    """`unit * x`, equally `x * unit`, for `unit = one_like(...)` of the algebra
+    of a nonzero `x`, formed without the product and with the same value.
+
+    Two exact matrices give `x` itself.  A matrix with a float side gives the
+    float entries of `x` as `0.0 + v`: the zero-skipping product starts each
+    entry at 0.0 and adds `1.0 * v` for each nonzero `v`, so -0.0 becomes 0.0.
+    Any other `x` is itself when its type is the unit's (a free element, or
+    a scalar of the unit's type), otherwise `unit * x` (an int or a float
+    meeting `Fraction(1)`, a rational meeting 1.0).
+    """
+    if isinstance(x, Matrix):
+        if x.den is None or unit.den is None:
+            return _wrap([0.0 + v for v in x.to_float().num], x.rows, x.cols, None)
+        return x
+    return x if type(x) is type(unit) else unit * x
 
 
 def is_zero(x) -> bool:

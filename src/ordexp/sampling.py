@@ -71,12 +71,10 @@ class SampleSource:
                 return f
 
     def _exact_matrix(self, size: int, bound: int) -> Matrix:
-        return Matrix(
-            [
-                [self.fraction(bound) for _ in range(size)]
-                for _ in range(size)
-            ]
-        )
+        # The draws of `fraction(bound)` row by row, kept as ints over den = 1.
+        m = Matrix.zeros(size)
+        m.num[:] = [self.integer(-bound, bound) for _ in range(size * size)]
+        return m
 
     def matrix(self, size: int = 2, bound: int = 3) -> Matrix:
         return self.cast(self._exact_matrix(size, bound))

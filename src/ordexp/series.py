@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BackendMismatch, DimensionMismatch
-from .ops import SCALARS, check_compatible, invert, is_zero, max_abs, one_like, to_float, zero_like
+from .ops import (SCALARS, check_compatible, invert, is_zero, max_abs, one_like, to_float,
+                  unit_product, zero_like)
 
 
 class AlphaSeries:
@@ -126,10 +127,10 @@ class AlphaSeries:
         if not is_zero(self.coeffs[0]):
             raise BackendMismatch("exp needs a vanishing constant term")
         D = self.order
-        result = AlphaSeries.one(D, self.coeffs[0])
-        term = result
+        one = one_like(self.coeffs[0])
+        result = AlphaSeries.one(D, one)
         for k in range(1, D + 1):
-            term = (term * self).scale(Fraction(1, k))
+            term = (_unit_times(one, self) if k == 1 else term * self).scale(Fraction(1, k))
             result = result + term
         return result
 
@@ -138,10 +139,10 @@ class AlphaSeries:
         if not is_zero(u.coeffs[0]):
             raise BackendMismatch("log needs constant term equal to the identity")
         D = self.order
-        result = AlphaSeries.zero(D, self.coeffs[0])
-        power = AlphaSeries.one(D, self.coeffs[0])
+        one = one_like(self.coeffs[0])
+        result = AlphaSeries.zero(D, one)
         for k in range(1, D + 1):
-            power = power * u
+            power = _unit_times(one, u) if k == 1 else power * u
             result = result + power.scale(Fraction((-1) ** (k + 1), k))
         return result
 
@@ -153,11 +154,11 @@ class AlphaSeries:
         # self = c0 * unit with unit = 1 + u, so self^{-1} = unit^{-1} c0^{-1},
         # and unit^{-1} is the alternating Neumann sum.
         unit = AlphaSeries([c0inv * c for c in self.coeffs])
-        u = unit - AlphaSeries.one(D, c0)
-        result = AlphaSeries.one(D, c0)
-        power = AlphaSeries.one(D, c0)
+        one = one_like(c0)
+        u = unit - AlphaSeries.one(D, one)
+        result = AlphaSeries.one(D, one)
         for k in range(1, D + 1):
-            power = power * u
+            power = _unit_times(one, u) if k == 1 else power * u
             result = result + power.scale((-1) ** k)
         return AlphaSeries([c * c0inv for c in result.coeffs])
 
@@ -173,3 +174,10 @@ class AlphaSeries:
     def __repr__(self) -> str:
         return f"AlphaSeries(order={self.order})"
 
+
+def _unit_times(unit, series: AlphaSeries) -> AlphaSeries:
+    """`AlphaSeries.one * series` for the unit `unit`, without a product: each
+    nonzero coefficient through `ops.unit_product`, each zero one the zero of
+    the unit's backend, as the series product gives."""
+    zero = zero_like(unit)
+    return AlphaSeries([unit_product(unit, c) if not is_zero(c) else zero for c in series.coeffs])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ordexp import SuiteConfig, run_suite
+from ordexp import AlphaSeries, FreeElement, Matrix, SuiteConfig, run_suite
 
 
 @pytest.fixture(scope="session")
@@ -18,3 +18,21 @@ def seed1_report():
         return cache[suite, backend]
 
     return get
+
+
+def _bits(x):
+    """Every entry of an operator or a series as its `repr`, in storage order,
+    so values that are equal but differ in type or sign of zero differ."""
+    if isinstance(x, AlphaSeries):
+        return [_bits(c) for c in x.coeffs]
+    if isinstance(x, Matrix):
+        return [x.rows, x.cols] + [repr(v) for row in x.data for v in row]
+    if isinstance(x, FreeElement):
+        return [(w, repr(c)) for w, c in x.terms.items()]
+    return repr(x)
+
+
+@pytest.fixture
+def bits():
+    """`bits(x)`: a value to compare two results bit for bit by."""
+    return _bits

@@ -25,12 +25,15 @@ from ordexp.expansion import (
     factorized_generators,
     magnus_closed_form,
     magnus_from_dyson,
+    chain_walk,
     magnus_oracle,
     monodromy,
+    ordered_product,
     pi_table,
     prefix_monodromy,
 )
 from ordexp.freealg import FreeElement
+from ordexp.ops import unit_product
 from ordexp.matrix import Matrix
 from ordexp.poly import Poly
 from ordexp.series import AlphaSeries
@@ -325,3 +328,112 @@ def _one_site():
 def test_unknown_mode_string_is_an_algebra_error(call):
     with pytest.raises(AlgebraError, match="unknown "):
         call()
+
+
+# -- the Lax step against the plain fold ----------------------------------------
+
+# Floats whose sums round, and both zeros.
+FLOATS = (0.0, -0.0, 1.5, -2.25, 0.1, -1 / 3, 7.0, 1e-17)
+
+
+def _free(rng, site, degree):
+    x = FreeElement.gen("x", site=site, degree=degree) * rng.randint(-2, 2)
+    return x + FreeElement.gen("y", site=site) * Fraction(rng.randint(-2, 2), 3)
+
+
+# kind -> (the family's template, a draw of one operator)
+LAX_KINDS = {
+    "exact-matrix": (Matrix.identity(2), lambda rng, n, d: Matrix(
+        [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)] for _ in range(2)])),
+    "float-matrix": (Matrix.identity(2).to_float(), lambda rng, n, d: Matrix(
+        [[rng.choice(FLOATS) for _ in range(2)] for _ in range(2)])),
+    # As `SampleSource.matrix_family` builds on the float backend, with an
+    # exact entry now and then.
+    "float-over-exact": (Matrix.identity(2), lambda rng, n, d: Matrix(
+        [[rng.choice(FLOATS + (Fraction(1, 3),)) for _ in range(2)] for _ in range(2)])),
+    "float-over-float-exact-entries": (Matrix.identity(2).to_float(), lambda rng, n, d: Matrix(
+        [[Fraction(rng.randint(-3, 3), 3) for _ in range(2)] for _ in range(2)])),
+    "int": (1, lambda rng, n, d: rng.randint(-3, 3)),
+    "fraction": (Fraction(1), lambda rng, n, d: Fraction(rng.randint(-3, 3), rng.randint(1, 3))),
+    "float": (1.0, lambda rng, n, d: rng.choice(FLOATS)),
+    "mixed-scalar": (Fraction(1), lambda rng, n, d: rng.choice(
+        (rng.randint(-3, 3), Fraction(rng.randint(-3, 3), 2), rng.choice(FLOATS)))),
+    "free": (FreeElement.one(), _free),
+}
+
+
+def lax_family(kind, n_sites, direction, seed):
+    """Each site draws degrees 1, 2, 3 and 5 at random, so degrees go
+    missing, whole sites are empty and some lie above the order; now and
+    then an operator is the zero."""
+    like, draw = LAX_KINDS[kind]
+    rng = random.Random(seed)
+    entries = {}
+    for n in range(1, n_sites + 1):
+        for d in (1, 2, 3, 5):
+            if rng.random() < 0.7:
+                entries[n, d] = draw(rng, n, d) if rng.random() < 0.9 else draw(rng, n, d) * 0
+    return SiteOperatorFamily(n_sites, entries, direction=direction, like=like)
+
+
+def padded_lax(family, site, order):
+    """A site's series as the zero-padded series plus the unit."""
+    parts = {m: family.entry(site, m) for m in range(1, order + 1)}
+    series = AlphaSeries.from_parts(order, parts, like=family.like)
+    return series + AlphaSeries.one(order, like=family.like)
+
+
+def plain_fold(family, order, sites, left):
+    """[1, then the product after each site]: the series products, one by one."""
+    t = AlphaSeries.one(order, like=family.like)
+    out = [t]
+    for site in sites:
+        lax = padded_lax(family, site, order)
+        t = lax * t if left else t * lax
+        out.append(t)
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(LAX_KINDS))
+@pytest.mark.parametrize("n_sites,order", [(0, 2), (1, 0), (1, 4), (3, 0), (3, 3), (4, 4)])
+def test_lax_step_is_the_plain_fold_bit_for_bit(kind, n_sites, order, bits):
+    ascending = range(1, n_sites + 1)
+    descending = range(n_sites, 0, -1)
+    for seed in range(4):
+        for direction in (FORWARD, BACKWARD):
+            fam = lax_family(kind, n_sites, direction, seed)
+            for site in ascending:
+                assert bits(fam.lax_series(site, order)) == bits(padded_lax(fam, site, order))
+            for descend, sites in ((True, descending), (False, ascending)):
+                want = plain_fold(fam, order, sites, False)[-1]
+                assert bits(ordered_product(fam, order, descend)) == bits(want)
+                if descend == (direction == FORWARD):
+                    assert bits(monodromy(fam, order)) == bits(want)
+            for walk in (FORWARD, BACKWARD):
+                laxes, prefixes = chain_walk(fam, order, walk)
+                assert [bits(lax) for lax in laxes] == [bits(padded_lax(fam, n, order)) for n in ascending]
+                assert [bits(t) for t in prefixes] == [
+                    bits(t) for t in plain_fold(fam, order, ascending, walk == FORWARD)]
+
+
+UNIT_CASES = [
+    (Matrix.identity(2), Matrix([[Fraction(1, 3), 0], [-2, 5]])),
+    (Matrix.identity(2), Matrix([[0.1, -0.0], [0.0, -2.5]])),
+    (Matrix.identity(2).to_float(), Matrix([[Fraction(1, 3), 0], [-2, 5]])),
+    (Matrix.identity(2).to_float(), Matrix([[0.1, -0.0], [0.0, -2.5]])),
+    (Matrix.identity(2).to_float(), Matrix([[-0.0, -0.0], [-0.0, -0.0]])),
+    (Fraction(1), Fraction(-2, 3)),
+    (Fraction(1), 4),
+    (Fraction(1), 0.1),
+    (Fraction(1), -0.0),
+    (1.0, 0.1),
+    (1.0, -0.0),
+    (1.0, 4),
+    (1.0, Fraction(-2, 3)),
+    (FreeElement.one(), FreeElement.gen("x") * Fraction(1, 2) + FreeElement.gen("y") * 3),
+]
+
+
+@pytest.mark.parametrize("unit,x", UNIT_CASES)
+def test_unit_product_is_the_product_by_the_unit(unit, x, bits):
+    assert bits(unit_product(unit, x)) == bits(unit * x) == bits(x * unit)

@@ -75,6 +75,18 @@ def test_float_source_draws_the_exact_values_converted(method, args, seed):
     assert flt._rng.getstate() == exact._rng.getstate()
 
 
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_matrix_draws_the_fractions_it_always_drew(backend):
+    for seed in range(40):
+        src = SampleSource(seed, backend)
+        ref = SampleSource(seed, backend)
+        for size in (1, 2, 3, 5):
+            for bound in (0, 1, 3, 10**20):
+                old = Matrix([[ref.fraction(bound) for _ in range(size)] for _ in range(size)])
+                assert matrix.value_key(src.matrix(size, bound)) == matrix.value_key(ref.cast(old))
+        assert src._rng.getstate() == ref._rng.getstate()
+
+
 def test_invertible_matrix_rejects_exact_draws_alike(monkeypatch):
     tested = {EXACT: [], FLOAT: []}
     original = Matrix.inverse

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ordexp.errors import AlgebraError, BackendMismatch
 from ordexp.freealg import FreeElement
 from ordexp.matrix import Matrix, commutator
+from ordexp import series
 from ordexp.series import AlphaSeries
 
 ORDER = 4
@@ -246,3 +247,42 @@ def test_inverse_round_trip_every_backend(kind, data):
     x = draw_series(data, kind, one * data.draw(small.filter(bool)))
     assert x * x.inverse() == AlphaSeries.one(3, like=one)
     assert x.inverse() * x == AlphaSeries.one(3, like=one)
+
+
+# Constant terms that make each of exp, log and inverse defined, per backend,
+# and the coefficients above them: -0.0 and rounding floats, rationals, letters,
+# and float coefficients over an exact constant.
+UNIT_FREE_SERIES = [
+    [Matrix([[0.1, -0.0], [Fraction(1, 3), 2.5]]), Matrix([[-0.0, -0.0], [-0.0, -0.0]]),
+     Matrix([[1.5, -1 / 3], [0.0, 7.0]])],
+    [Matrix([[Fraction(1, 3), 0], [-2, 5]]), Matrix.zeros(2), Matrix([[1, Fraction(-1, 2)], [3, 0]])],
+    [0.1, -0.0, -1 / 3],
+    [Fraction(1, 3), 0, 4],
+    # float coefficients, zeros among them, over an exact constant term
+    [Matrix([[1, 2], [0, 1]]), Matrix([[-0.0, 0.0], [0.0, 0.0]]), Matrix([[0.5, -0.0], [0.1, 3.0]])],
+    [Fraction(1, 3), -0.0, 0.1],
+    [X * Fraction(1, 2) + Y, FreeElement.zero(), X * Y - Y * X],
+]
+CONSTANTS = {
+    "exp": lambda c: c - c,
+    "log": lambda c: c * 0 + one_of(c),
+    "inverse": lambda c: (c * 0 + one_of(c)) * 3,
+}
+
+
+def one_of(c):
+    if isinstance(c, Matrix):
+        one = Matrix.identity(c.rows)
+        return one if c.is_exact() else one.to_float()
+    if isinstance(c, FreeElement):
+        return FreeElement.one()
+    return 1.0 if isinstance(c, float) else Fraction(1)
+
+
+@pytest.mark.parametrize("coeffs", UNIT_FREE_SERIES)
+@pytest.mark.parametrize("method", sorted(CONSTANTS))
+def test_first_power_keeps_the_bits_of_the_product_by_one(coeffs, method, monkeypatch, bits):
+    s = AlphaSeries([CONSTANTS[method](coeffs[0])] + coeffs)
+    got = getattr(s, method)()
+    monkeypatch.setattr(series, "_unit_times", lambda one, x: AlphaSeries.one(x.order, one) * x)
+    assert bits(got) == bits(getattr(s, method)())
