@@ -1,4 +1,4 @@
-"""Dense matrices over exact rationals (or floats) plus tensor-leg utilities.
+"""Dense matrices over exact rationals or floats, plus tensor-leg utilities.
 
 A matrix is stored as one flat row-major list `num`, with its shape in
 `rows`/`cols`, over one denominator `den`.  An exact matrix (every entry an
@@ -7,13 +7,13 @@ that `gcd(den, *num) == 1`; that form is unique, so equality is a comparison
 of shapes and integers, and every operation runs on plain ints with one gcd
 reduction per result.  `data` gives the entries back row by row: ints when
 `den == 1`, otherwise a Fraction each.  A float matrix holds Python floats
-only and has `den = None`.  An exact operand (a matrix, or an int or Fraction
-scalar) that meets a float one is rounded once, entry by entry, with
-`x / den`, which rounds correctly as `float(Fraction)` does.  So every
-operation has one body for both backends; `den` only decides whether the
-result is reduced.  Products skip zero entries.  A product with a dimension
-of at least `SPARSE_FROM` walks both operands by their nonzero entries, row
-by row, from a list each matrix makes on first use and keeps (a matrix is
+only and has `den = None`.  An exact and a float matrix are never equal, and
+`+`, `-`, `*`, `kron` and `fused_prelie_site` refuse them with BackendMismatch,
+as an exact matrix refuses a float scalar.  So every operation has one body
+for both backends; `den` only decides whether the result is reduced.
+Products skip zero entries.  A product with a dimension of at least
+`SPARSE_FROM` walks both operands by their nonzero entries, row by row,
+from a list each matrix makes on first use and keeps (a matrix is
 never changed once built); that keeps the many permutation-shaped operators
 of the tensor-product checks cheap, and small dense products keep a plain
 loop.  `fused_prelie_site` forms (p*q - q*p) + x*y in one pass, without the
@@ -35,7 +35,7 @@ from itertools import compress, product as iproduct
 from math import gcd, lcm
 from operator import add, neg, sub
 
-from .errors import DimensionMismatch, SingularOperator
+from .errors import BackendMismatch, DimensionMismatch, SingularOperator
 
 # The scalar operator types; `ops` re-exports this tuple for the rest of the package.
 SCALARS = (int, Fraction, float)
@@ -100,16 +100,11 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.rows != other.rows or self.cols != other.cols:
-            return False
-        if (self.den is None) == (other.den is None):
-            return self.den == other.den and self.num == other.num
-        # An exact and a float matrix compare by value, as Fraction and float do.
-        return self.data == other.data
+        return (self.rows == other.rows and self.cols == other.cols
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        # Hashing the entries keeps equal exact and float matrices hashing alike.
-        return hash((self.rows, self.cols, self.data))
+        return hash(value_key(self))
 
     def __add__(self, other) -> "Matrix":
         if not isinstance(other, Matrix):
@@ -131,17 +126,19 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-            if self.den is None or other.den is None:
-                a, b, den, zero = self.to_float(), other.to_float(), None, 0.0
-            else:
-                a, b, den, zero = self, other, self.den * other.den, 0
-            return _reduced(_product(a, b, zero), self.rows, other.cols, den)
+            if (self.den is None) != (other.den is None):
+                raise BackendMismatch("an exact and a float matrix")
+            if self.den is None:
+                return _wrap(_product(self, other, 0.0), self.rows, other.cols, None)
+            return _reduced(_product(self, other, 0), self.rows, other.cols, self.den * other.den)
         if not isinstance(other, SCALARS):
             return NotImplemented
         den = self.den
-        if den is None or isinstance(other, float):
+        if den is None:
             s = float(other)
-            return _wrap([a * s for a in self.to_float().num], self.rows, self.cols, None)
+            return _wrap([a * s for a in self.num], self.rows, self.cols, None)
+        if isinstance(other, float):
+            raise BackendMismatch("an exact matrix times a float")
         if isinstance(other, int):
             # gcd(den, *num) == 1, so gcd(den, other) is all that cancels.
             g = gcd(den, other)
@@ -156,11 +153,10 @@ class Matrix:
         return NotImplemented
 
     def kron(self, other: "Matrix") -> "Matrix":
-        if self.den is None or other.den is None:
-            adata, bdata, den = self.to_float().num, other.to_float().num, None
-        else:
-            adata, bdata, den = self.num, other.num, self.den * other.den
-        ac, bc = self.cols, other.cols
+        if (self.den is None) != (other.den is None):
+            raise BackendMismatch("an exact and a float matrix")
+        adata, bdata, ac, bc = self.num, other.num, self.cols, other.cols
+        den = None if self.den is None else self.den * other.den
         out = [a * b for i in range(0, len(adata), ac) for k in range(0, len(bdata), bc)
                for a in adata[i:i + ac] for b in bdata[k:k + bc]]
         return _reduced(out, self.rows * other.rows, ac * bc, den)
@@ -240,14 +236,14 @@ def _reduced(num: list, rows: int, cols: int, den) -> Matrix:
 
 
 def _common(a: Matrix, b: Matrix) -> tuple:
-    """The flat entries of two same-shape matrices over one denominator: integer
-    numerators over their least common denominator, or floats over None when
-    either is float."""
+    """The flat entries of two same-shape matrices of one backend over one
+    denominator: integer numerators over their least common denominator, or
+    floats over None."""
     if a.rows != b.rows or a.cols != b.cols:
         raise DimensionMismatch(f"{a.rows}x{a.cols} vs {b.rows}x{b.cols}")
     da, db = a.den, b.den
-    if da is None or db is None:
-        return a.to_float().num, b.to_float().num, None
+    if (da is None) != (db is None):
+        raise BackendMismatch("an exact and a float matrix")
     if da == db:
         return a.num, b.num, da
     g = gcd(da, db)
@@ -317,6 +313,8 @@ def fused_prelie_site(p: Matrix, q: Matrix, x: Matrix, y: Matrix) -> Matrix:
     for bit those of `p * q - q * p + x * y`; the exact result is reduced once,
     over the common denominator of the two product denominators.
     """
+    if not (p.den is None) == (q.den is None) == (x.den is None) == (y.den is None):
+        raise BackendMismatch("an exact and a float matrix")
     n = p.rows
     if p.den is None:
         pq, qp, xy = _product(p, q, 0.0), _product(q, p, 0.0), _product(x, y, 0.0)

@@ -6,7 +6,8 @@ operators (series, site sequences, polynomials, ...) whose `max_abs()` maps
 the function below over its children, so this module is the only place that
 asks which backend a value lives in.  Which backend a sampled value is
 drawn in is decided in one place too: `sampling.SampleSource`, whose
-`cast` converts every float-backend operator through `to_float`.  The
+`cast` converts every float-backend operator through `to_float`, so an
+exact and a float matrix never meet (`check_compatible` refuses them).  The
 containers it converts (the yangian `Poly` R-matrices and `AlphaSeries`
 Lax operators) carry their own `to_float()`, which maps `to_float` over
 their coefficients; those two are its only other callers.
@@ -65,17 +66,17 @@ def unit_product(unit, x):
     """`unit * x`, equally `x * unit`, for `unit = one_like(...)` of the algebra
     of a nonzero `x`, formed without the product and with the same value.
 
-    Two exact matrices give `x` itself.  A matrix with a float side gives the
-    float entries of `x` as `0.0 + v`: the zero-skipping product starts each
-    entry at 0.0 and adds `1.0 * v` for each nonzero `v`, so -0.0 becomes 0.0.
-    Any other `x` is itself when its type is the unit's (a free element, or
-    a scalar of the unit's type), otherwise `unit * x` (an int or a float
-    meeting `Fraction(1)`, a rational meeting 1.0).
+    An exact matrix gives `x` itself, a float one its entries as `0.0 + v`:
+    the zero-skipping product starts each entry at 0.0 and adds `1.0 * v`
+    for each nonzero `v`, so -0.0 becomes 0.0.  Any other `x` is itself
+    when its type is the unit's (a free element, or a scalar of the unit's
+    type), otherwise `unit * x` (an int or a float meeting `Fraction(1)`, a
+    rational meeting 1.0).
     """
     if isinstance(x, Matrix):
-        if x.den is None or unit.den is None:
-            return _wrap([0.0 + v for v in x.to_float().num], x.rows, x.cols, None)
-        return x
+        if (x.den is None) != (unit.den is None):
+            raise BackendMismatch("an exact and a float matrix")
+        return x if x.den is not None else _wrap([0.0 + v for v in x.num], x.rows, x.cols, None)
     return x if type(x) is type(unit) else unit * x
 
 
@@ -86,25 +87,26 @@ def is_zero(x) -> bool:
 
 
 def check_compatible(a, b):
-    """Raise unless `a` and `b` live in the same operator algebra."""
+    """Raise unless `a` and `b` live in the same operator algebra; matrices
+    also share their shape and their backend."""
     if isinstance(a, Matrix) != isinstance(b, Matrix) or isinstance(a, FreeElement) != isinstance(b, FreeElement):
         raise BackendMismatch(f"{type(a).__name__} vs {type(b).__name__}")
     if isinstance(a, Matrix) and (a.rows != b.rows or a.cols != b.cols):
         raise DimensionMismatch(f"{a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+    if isinstance(a, Matrix) and a.is_exact() != b.is_exact():
+        raise BackendMismatch("an exact and a float matrix")
 
 
 def prelie_site(p, q, x, y):
     """(p*q - q*p) + x*y, the value of a pre-Lie product at one site.
 
-    Four square `Matrix` values of one shape and one backend go through
+    Four square `Matrix` values of one shape go through
     `matrix.fused_prelie_site`, which gives the same entries, bit for bit,
-    in one pass.  Anything else is the composed formula: scalars and free
-    elements, and mixed backends, where `x*y` of two exact matrices is
-    formed exactly and rounded only when added to a float.
+    in one pass, and refuses two backends as the composed formula does.
+    Anything else is the composed formula: scalars and free elements.
     """
     if type(p) is type(q) is type(x) is type(y) is Matrix and (
-            p.rows == p.cols == q.rows == q.cols == x.rows == x.cols == y.rows == y.cols
-            and (p.den is None) == (q.den is None) == (x.den is None) == (y.den is None)):
+            p.rows == p.cols == q.rows == q.cols == x.rows == x.cols == y.rows == y.cols):
         return fused_prelie_site(p, q, x, y)
     return (p * q - q * p) + x * y
 

@@ -13,9 +13,10 @@ reordering one check never shifts the samples of another.
 A source also carries the suite's backend, and this is the one place that
 decides it: on the float backend `matrix`, `invertible_matrix`, `sequence`,
 `matrix_family` and `poly` draw the exact value from the same stream and
-return it converted to float, and `cast` converts the few operators a suite
-builds instead of draws.  Scalars drawn as parameters (`integer`,
-`fraction`, `nonzero_fraction`) and free-letter coefficients stay exact.
+return it converted to float (a family's template `like` too), and `cast`
+converts the few operators a suite builds instead of draws.  Scalars drawn
+as parameters (`integer`, `fraction`, `nonzero_fraction`) and free-letter
+coefficients stay exact.
 """
 
 from __future__ import annotations
@@ -107,14 +108,9 @@ class SampleSource:
 
     def matrix_family(self, n_sites: int, degrees=(1,), size: int = 2,
                       bound: int = 3, direction=FORWARD) -> SiteOperatorFamily:
-        entries = {
-            (n, d): self.matrix(size, bound)
-            for n in range(1, n_sites + 1)
-            for d in degrees
-        }
-        return SiteOperatorFamily(
-            n_sites, entries, direction=direction, like=Matrix.identity(size)
-        )
+        entries = {(n, d): self.matrix(size, bound) for n in range(1, n_sites + 1) for d in degrees}
+        like = self.cast(Matrix.identity(size))
+        return SiteOperatorFamily(n_sites, entries, direction=direction, like=like)
 
     def poly(self, degree: int) -> Poly:
         return Poly({(d,): self.cast(self.fraction()) for d in range(degree + 1)})

@@ -138,13 +138,9 @@ class AlphaSeries:
         u = self - AlphaSeries.one(self.order, self.coeffs[0])
         if not is_zero(u.coeffs[0]):
             raise BackendMismatch("log needs constant term equal to the identity")
-        D = self.order
         one = one_like(self.coeffs[0])
-        result = AlphaSeries.zero(D, one)
-        for k in range(1, D + 1):
-            power = _unit_times(one, u) if k == 1 else power * u
-            result = result + power.scale(Fraction((-1) ** (k + 1), k))
-        return result
+        return _power_sum(AlphaSeries.zero(self.order, one), one, u,
+                          lambda k: Fraction((-1) ** (k + 1), k))
 
     def inverse(self) -> "AlphaSeries":
         """Multiplicative inverse; the constant term must be invertible."""
@@ -156,10 +152,7 @@ class AlphaSeries:
         unit = AlphaSeries([c0inv * c for c in self.coeffs])
         one = one_like(c0)
         u = unit - AlphaSeries.one(D, one)
-        result = AlphaSeries.one(D, one)
-        for k in range(1, D + 1):
-            power = _unit_times(one, u) if k == 1 else power * u
-            result = result + power.scale((-1) ** k)
+        result = _power_sum(AlphaSeries.one(D, one), one, u, lambda k: (-1) ** k)
         return AlphaSeries([c * c0inv for c in result.coeffs])
 
     def max_abs(self):
@@ -173,6 +166,15 @@ class AlphaSeries:
 
     def __repr__(self) -> str:
         return f"AlphaSeries(order={self.order})"
+
+
+def _power_sum(start: AlphaSeries, unit, u: AlphaSeries, weight) -> AlphaSeries:
+    """`start + sum_k weight(k) u^k` for k = 1..order, with u^1 = `_unit_times(unit, u)`."""
+    result = start
+    for k in range(1, u.order + 1):
+        power = _unit_times(unit, u) if k == 1 else power * u
+        result = result + power.scale(weight(k))
+    return result
 
 
 def _unit_times(unit, series: AlphaSeries) -> AlphaSeries:

@@ -289,7 +289,7 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
     (order, max_sites, dim, families), rep, root = _start(cfg, "magnus")
 
     if max_sites == 0:
-        fam = SiteOperatorFamily(0, {}, like=Matrix.identity(dim))
+        fam = SiteOperatorFamily(0, {}, like=root.cast(Matrix.identity(dim)))
         mono = monodromy(fam, order)
         q = magnus_oracle(fam, order)
         rep.add(
@@ -582,7 +582,7 @@ def boundary_suite(cfg: SuiteConfig) -> VerificationReport:
             boundary = k0
         else:
             boundary = AlphaSeries.from_parts(
-                order, {0: k0, 1: src.matrix(dim)}, like=Matrix.identity(dim)
+                order, {0: k0, 1: src.matrix(dim)}, like=root.cast(Matrix.identity(dim))
             )
         doubles.append(max_abs(double_row_monodromy(BoundaryProblem(fwd, bwd, boundary, order))))
     rep.add(

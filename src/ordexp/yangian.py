@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .matrix import Matrix, aux_block, kron_embed, partial_trace_first, permutation_op
-from .ops import commutator, max_abs, worst, zero_like
+from .ops import commutator, max_abs, one_like, worst, zero_like
 from .poly import Poly
 from .rotabaxter import SiteSequence, prelie_left, trid_dot, trid_prec, trid_succ
 from .expansion import FORWARD, SiteOperatorFamily, dyson_terms, monodromy
@@ -58,7 +58,7 @@ def _lax_dim(lax: AlphaSeries) -> int:
     """
     c0 = lax.coeffs[0]
     dim = math.isqrt(c0.rows) if isinstance(c0, Matrix) else 0
-    if not dim or dim * dim != c0.rows or c0 != Matrix.identity(c0.rows):
+    if not dim or dim * dim != c0.rows or not c0.is_square() or c0 != one_like(c0):
         raise DimensionMismatch("degree-0 coefficient must be the identity on dim^2")
     if any(m.rows != c0.rows or m.cols != c0.rows for m in lax.coeffs):
         raise DimensionMismatch(f"coefficients must be {c0.rows}x{c0.rows}")
@@ -209,8 +209,9 @@ def _site_family(series: AlphaSeries, n_sites: int, dim: int) -> SiteOperatorFam
             continue
         for n in range(1, n_sites + 1):
             entries[(n, m)] = kron_embed(mat, (0, n), total, dim)
-    like = Matrix.identity(dim ** total)
-    return SiteOperatorFamily(n_sites, entries, direction=FORWARD, like=like)
+    one = Matrix.identity(dim ** total)
+    return SiteOperatorFamily(n_sites, entries, direction=FORWARD,
+                              like=one if series.coeffs[0].is_exact() else one.to_float())
 
 
 def monodromy_family(lax: AlphaSeries, n_sites: int) -> SiteOperatorFamily:

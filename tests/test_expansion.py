@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from ordexp.continuum import MatrixField, magnus_continuous
-from ordexp.errors import AlgebraError, DimensionMismatch, SingularOperator, UnsupportedOrder
+from ordexp.errors import AlgebraError, BackendMismatch, DimensionMismatch, SingularOperator, UnsupportedOrder
 from ordexp.expansion import (
     BACKWARD,
     FORWARD,
@@ -347,12 +347,9 @@ LAX_KINDS = {
         [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)] for _ in range(2)])),
     "float-matrix": (Matrix.identity(2).to_float(), lambda rng, n, d: Matrix(
         [[rng.choice(FLOATS) for _ in range(2)] for _ in range(2)])),
-    # As `SampleSource.matrix_family` builds on the float backend, with an
-    # exact entry now and then.
-    "float-over-exact": (Matrix.identity(2), lambda rng, n, d: Matrix(
-        [[rng.choice(FLOATS + (Fraction(1, 3),)) for _ in range(2)] for _ in range(2)])),
-    "float-over-float-exact-entries": (Matrix.identity(2).to_float(), lambda rng, n, d: Matrix(
-        [[Fraction(rng.randint(-3, 3), 3) for _ in range(2)] for _ in range(2)])),
+    # Thirds rounded to float, as a float run casts its exact draws.
+    "float-matrix-thirds": (Matrix.identity(2).to_float(), lambda rng, n, d: Matrix(
+        [[Fraction(rng.randint(-3, 3), 3) for _ in range(2)] for _ in range(2)]).to_float()),
     "int": (1, lambda rng, n, d: rng.randint(-3, 3)),
     "fraction": (Fraction(1), lambda rng, n, d: Fraction(rng.randint(-3, 3), rng.randint(1, 3))),
     "float": (1.0, lambda rng, n, d: rng.choice(FLOATS)),
@@ -418,8 +415,6 @@ def test_lax_step_is_the_plain_fold_bit_for_bit(kind, n_sites, order, bits):
 
 UNIT_CASES = [
     (Matrix.identity(2), Matrix([[Fraction(1, 3), 0], [-2, 5]])),
-    (Matrix.identity(2), Matrix([[0.1, -0.0], [0.0, -2.5]])),
-    (Matrix.identity(2).to_float(), Matrix([[Fraction(1, 3), 0], [-2, 5]])),
     (Matrix.identity(2).to_float(), Matrix([[0.1, -0.0], [0.0, -2.5]])),
     (Matrix.identity(2).to_float(), Matrix([[-0.0, -0.0], [-0.0, -0.0]])),
     (Fraction(1), Fraction(-2, 3)),
@@ -437,3 +432,27 @@ UNIT_CASES = [
 @pytest.mark.parametrize("unit,x", UNIT_CASES)
 def test_unit_product_is_the_product_by_the_unit(unit, x, bits):
     assert bits(unit_product(unit, x)) == bits(unit * x) == bits(x * unit)
+
+
+# An exact and a float matrix are two backends: a family refuses them when it
+# is built, and the unit of one never meets an operator of the other.
+MIXED_CASES = [
+    (Matrix.identity(2), Matrix([[0.1, -0.0], [Fraction(1, 3), -2.5]])),
+    (Matrix.identity(2).to_float(), Matrix([[Fraction(1, 3), 0], [-2, 5]])),
+]
+
+
+@pytest.mark.parametrize("like,op", MIXED_CASES, ids=["float-over-exact", "exact-over-float"])
+def test_family_refuses_a_matrix_of_the_other_backend(like, op):
+    with pytest.raises(BackendMismatch):
+        SiteOperatorFamily(2, {(1, 1): op}, like=like)
+    # an inferred template is the first entry, so a second one of the other backend is refused
+    with pytest.raises(BackendMismatch):
+        SiteOperatorFamily(2, {(1, 1): like, (2, 1): op})
+
+
+@pytest.mark.parametrize("unit,x", MIXED_CASES, ids=["float-over-exact", "exact-over-float"])
+def test_unit_product_refuses_two_backends_as_the_product_does(unit, x):
+    for call in (lambda: unit_product(unit, x), lambda: unit * x, lambda: x * unit):
+        with pytest.raises(BackendMismatch):
+            call()

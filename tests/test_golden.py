@@ -6,6 +6,11 @@ backends, and of the standard output of each `ordexp expand` / `ordexp
 limit` command line of the benchmark's expand workload at seed 1.  Every
 one of them is rechecked here.  The reports come from the session cache
 of `conftest.py`, which `test_acceptance.py` reads too.
+
+`golden_seeds_2_3.json`, beside this file, holds the same report digests
+at seeds 2 and 3 (the 8 exact suites and the 7 float ones), so a change
+that keeps seed 1 but moves another seed's bits shows here too.  They were
+captured with `run_suite` at default sizes, like the seed-1 digests.
 """
 
 import contextlib
@@ -16,12 +21,17 @@ from pathlib import Path
 
 import pytest
 
+from ordexp import SuiteConfig, run_suite
 from ordexp.cli import main
 
 GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "seed1.json").read_text())
 CASES = [("exact", row) for row in GOLDEN["verify-exact"]]
 CASES += [("float", row) for row in GOLDEN["verify-float"]]
 COMMANDS = list(enumerate(GOLDEN["expand"]))
+OTHER_SEEDS = json.loads((Path(__file__).resolve().parent / "golden_seeds_2_3.json").read_text())
+SEED_CASES = [(int(seed), workload.removeprefix("verify-"), row)
+              for seed, workloads in OTHER_SEEDS.items()
+              for workload, rows in workloads.items() for row in rows]
 
 
 def sha256(text: str) -> str:
@@ -31,6 +41,13 @@ def sha256(text: str) -> str:
 @pytest.mark.parametrize("backend,row", CASES, ids=[f"{b}-{r['label']}" for b, r in CASES])
 def test_seed1_report_matches_golden_digest(seed1_report, backend, row):
     report = seed1_report(row["label"], backend)
+    assert sha256(report.to_text() + "\n" + report.to_json()) == row["sha256"]
+
+
+@pytest.mark.parametrize("seed,backend,row", SEED_CASES,
+                         ids=[f"seed{s}-{b}-{r['label']}" for s, b, r in SEED_CASES])
+def test_seed_2_3_report_matches_golden_digest(seed, backend, row):
+    report = run_suite(row["label"], SuiteConfig(seed=seed, backend=backend))
     assert sha256(report.to_text() + "\n" + report.to_json()) == row["sha256"]
 
 

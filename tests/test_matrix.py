@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordexp import ops
-from ordexp.errors import DimensionMismatch, SingularOperator
+from ordexp.errors import BackendMismatch, DimensionMismatch, SingularOperator
 from ordexp.freealg import FreeElement
 from ordexp.matrix import (
     SPARSE_FROM,
@@ -53,6 +53,9 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Matrix([[1, 2], [3, 5]])
+    # 0.0 and -0.0 are equal floats, so their matrices are equal and hash alike
+    z, nz = Matrix([[0.0, 1.5]]), Matrix([[-0.0, 1.5]])
+    assert z == nz and hash(z) == hash(nz)
 
 
 def test_equality_distinguishes_shapes():
@@ -67,11 +70,15 @@ def test_equality_distinguishes_shapes():
         assert x != y.to_float() and x.to_float() != y
     assert Matrix.zeros(1, 4) != Matrix.zeros(2, 2)
     assert Matrix.zeros(4, 1) != Matrix.zeros(1, 4)
-    # equal matrices still hash alike, across storages
+    # equal matrices still hash alike, across storages; an exact matrix and
+    # its float copy are two backends, so never equal
     for x in (square_, wide, tall, square_ * half):
         same = Matrix([list(row) for row in x.data])
         assert same == x and hash(same) == hash(x)
-        assert x.to_float() == x and hash(x.to_float()) == hash(x)
+        flt = x.to_float()
+        assert flt != x and x != flt
+        same = Matrix([list(row) for row in flt.data])
+        assert same == flt and hash(same) == hash(flt)
 
 
 def test_arithmetic_basics():
@@ -111,7 +118,7 @@ def test_inverse_round_trip_exact():
 def test_inverse_float_backend():
     a = Matrix([[2.0, 1.0], [1.0, 1.0]])
     prod = a * a.inverse()
-    assert (prod - Matrix.identity(2)).max_abs() < 1e-12
+    assert (prod - Matrix.identity(2).to_float()).max_abs() < 1e-12
 
 
 def test_inverse_singular_raises():
@@ -430,8 +437,13 @@ def test_prop_scaling(ab, s, f):
     m = Matrix(a)
     assert_exact(m * s, ref_scale(a, s))
     assert_exact(s * m, ref_scale(a, s))
-    assert_bits(m * f, ref_scale(a, f))
-    assert_bits(f * m, ref_scale(a, f))
+    # a float scalar meets the matrix rounded to float, never the exact one
+    assert_bits(m.to_float() * f, ref_scale(a, f))
+    assert_bits(f * m.to_float(), ref_scale(a, f))
+    with pytest.raises(BackendMismatch):
+        m * f
+    with pytest.raises(BackendMismatch):
+        f * m
 
 
 def test_zero_results_stay_canonical():
@@ -519,13 +531,13 @@ def test_prop_flat_storage(ab, cd, case, sq, s, f):
     assert_exact(Matrix.zeros(r, c), [[0] * c for _ in range(r)])
     ma, mb = Matrix(a), Matrix(b)
     check(ma.kron(mb), r * r, c * c)
-    check(ma.kron(mb.to_float()), r * r, c * c)
+    check(ma.to_float().kron(mb.to_float()), r * r, c * c)
     x, y = cd
     check(Matrix(x) * Matrix(y), len(x), len(y[0]))
-    check(Matrix(x).to_float() * Matrix(y), len(x), len(y[0]))
+    check(Matrix(x).to_float() * Matrix(y).to_float(), len(x), len(y[0]))
     for m in (ma, ma * Fraction(1, 3), ma.to_float()):
         check(m.to_float(), r, c)
-        for scalar in (int(s), Fraction(s), f):
+        for scalar in (int(s), Fraction(s)) + (() if m.is_exact() else (f,)):
             check(m * scalar, r, c)
             check(scalar * m, r, c)
     op, slots, total, dim = case
@@ -550,11 +562,10 @@ def test_prop_str_eq_hash(ab):
     assert (ma == mb) == (a == b)
     assert ma == Matrix([[Fraction(x) for x in row] for row in a])
     assert hash(ma) == hash(Matrix([[Fraction(x) for x in row] for row in a]))
-    fl = [[float(x) for x in row] for row in a]
-    same = all(Fraction(f) == x for rf, ra in zip(fl, a) for f, x in zip(rf, ra))
-    assert (ma == Matrix(fl)) == same
-    if same:
-        assert hash(ma) == hash(Matrix(fl))
+    # a float matrix equals the exact one rounded, never the exact one itself
+    fl = Matrix([[float(x) for x in row] for row in a])
+    assert ma != fl and fl != ma
+    assert ma.to_float() == fl and hash(ma.to_float()) == hash(fl)
 
 
 @settings(max_examples=40, deadline=None)
@@ -568,24 +579,26 @@ def test_prop_max_abs(ab):
 
 @settings(max_examples=40, deadline=None)
 @given(same_shape(floats), chain(floats), exact_scalars, embedding(floats), square(entries=floats))
-def test_prop_exact_with_float_is_bit_identical(ab, cd, s, case, sq):
+def test_prop_rounded_exact_with_float_is_bit_identical(ab, cd, s, case, sq):
+    # an exact operand rounded once to float, then met by a float one,
+    # matches the reference that mixes the two entry by entry
     a, b = ab
-    ma, mb = Matrix(a), Matrix(b)
-    assert_floats(ma + mb, ref_add(a, b))
-    assert_floats(mb + ma, ref_add(b, a))
-    assert_floats(ma - mb, ref_sub(a, b))
-    assert_floats(mb - ma, ref_sub(b, a))
-    assert_floats(ma.kron(mb), ref_kron(a, b))
-    assert_floats(mb.kron(ma), ref_kron(b, a))
+    fa, mb = Matrix(a).to_float(), Matrix(b)
+    assert_floats(fa + mb, ref_add(a, b))
+    assert_floats(mb + fa, ref_add(b, a))
+    assert_floats(fa - mb, ref_sub(a, b))
+    assert_floats(mb - fa, ref_sub(b, a))
+    assert_floats(fa.kron(mb), ref_kron(a, b))
+    assert_floats(mb.kron(fa), ref_kron(b, a))
     assert_floats(mb * s, ref_scale(b, s))
     assert_floats(s * mb, ref_scale(b, s))
     assert_floats(-mb, ref_scale(b, -1.0))
-    assert_floats(ma.to_float(), a)
+    assert_floats(fa, a)
     c, d = cd
-    mc, md = Matrix(c), Matrix(d)
-    assert_floats(mc * md, ref_mul(c, d))
+    fc, md = Matrix(c).to_float(), Matrix(d)
+    assert_floats(fc * md, ref_mul(c, d))
     dt, ct = [list(r) for r in zip(*d)], [list(r) for r in zip(*c)]
-    assert_floats(Matrix(dt) * Matrix(ct), ref_mul(dt, ct))
+    assert_floats(Matrix(dt) * Matrix(ct).to_float(), ref_mul(dt, ct))
     op, slots, total, dim = case
     big = ref_embed(op, slots, total, dim)
     embedded = kron_embed(Matrix(op), slots, total, dim)
@@ -619,7 +632,7 @@ def test_prop_float_matrix_holds_floats_only(ab, f):
     bt = [list(col) for col in zip(*b)]
     assert_floats(Matrix(bt) * mb, ref_mul([[float(x) for x in row] for row in bt],
                                            [[float(x) for x in row] for row in b]))
-    assert_floats(Matrix(zeros) * mb, [[0.0] * len(b[0]) for _ in b[0]])
+    assert_floats(Matrix(zeros).to_float() * mb, [[0.0] * len(b[0]) for _ in b[0]])
 
 
 # -- the fused pre-Lie site kernel and the sparse product path ---------------------
@@ -727,7 +740,6 @@ def test_prelie_site_falls_back_to_the_composed_formula(monkeypatch):
     g, h = (Matrix(rand_grid(rng, 2, 2, False)).to_float() for _ in range(2))
     wide, tall = Matrix(rand_grid(rng, 2, 3, True)), Matrix(rand_grid(rng, 3, 2, True))
     cases = [
-        (e, f, g, h), (g, h, e, f), (e, g, e, f), (g, h, g, e),  # mixed backends
         (e, f, wide, tall),  # x*y is 2x2, but x and y are not square
         (Fraction(1, 3), Fraction(2), Fraction(-5, 7), Fraction(3, 4)),
         (0.25, -1.5, 3.0, 0.5),
@@ -757,8 +769,11 @@ def test_products_match_the_reference_on_both_sides_of_the_size_rule(shape, exac
         if not exact:
             ma, mb = ma.to_float(), mb.to_float()
         assert_same_bits(ma * mb, ref_mul(a, b))
-        # a mixed product rounds the exact operand first, on either side
-        assert_floats(Matrix(a) * mb.to_float(), ref_mul([[float(x) for x in r] for r in a], b))
+        # an exact and a float operand never meet, on either side
+        ea, eb = (Matrix([[Fraction(x) for x in row] for row in g]) for g in (a, b))
+        for x, y in ((ea, eb.to_float()), (ea.to_float(), eb)):
+            with pytest.raises(BackendMismatch):
+                x * y
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
@@ -795,3 +810,22 @@ def test_filled_rows_keep_equality_key_and_hash():
         assert value_key(m) == value_key(fresh)
         assert hash(m) == hash(fresh)
         assert str(m) == str(fresh)
+
+
+# -- one backend per operation ----------------------------------------------------
+
+
+def test_every_operation_refuses_an_exact_and_a_float_matrix():
+    e = Matrix([[1, Fraction(1, 2)], [0, 3]])
+    f = Matrix([[0.5, -1.0], [2.0, 0.0]])
+    big_e, big_f = Matrix.identity(SPARSE_FROM), Matrix.identity(SPARSE_FROM).to_float()
+    for x, y in ((e, f), (f, e), (big_e, big_f), (big_f, big_e)):
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x.kron(y)):
+            with pytest.raises(BackendMismatch):
+                op()
+        assert x != y and not x == y
+    for args in ((e, e, e, f), (f, f, f, e), (e, f, e, e), (f, e, f, f)):
+        with pytest.raises(BackendMismatch):
+            fused_prelie_site(*args)
+        with pytest.raises(BackendMismatch):
+            ops.prelie_site(*args)

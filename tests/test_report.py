@@ -22,7 +22,7 @@ from ordexp import (
     prelie_left,
     suites,
 )
-from ordexp.errors import InsufficientSamples
+from ordexp.errors import BackendMismatch, InsufficientSamples
 from ordexp.ops import worst
 from ordexp.report import EXACT, FLOAT, VerificationReport
 from ordexp.suites import run_suite
@@ -75,10 +75,12 @@ class TestExactRows:
 
     def test_float_lax_in_exact_yangian_run_raises(self, monkeypatch):
         # Every exact yangian row built from a float Lax operator used to
-        # print exact-zero when its float residuals were 0.0.
+        # print exact-zero when its float residuals were 0.0.  The float Lax
+        # now meets the run's exact operators and is refused there, before
+        # any defect reaches a row.
         lax = suites.fundamental_lax
         monkeypatch.setattr(suites, "fundamental_lax", lambda dim: lax(dim).to_float())
-        with pytest.raises(TypeError, match="float defect"):
+        with pytest.raises(BackendMismatch):
             run_suite("yangian", SuiteConfig(dim=2, sites=1))
 
 

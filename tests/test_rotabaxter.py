@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordexp import ops
-from ordexp.errors import DimensionMismatch
+from ordexp.errors import BackendMismatch, DimensionMismatch
 from ordexp.freealg import FreeElement
 from ordexp.matrix import Matrix
 from ordexp.poly import Poly
@@ -292,7 +292,7 @@ def test_prelie_products_round_as_the_composed_formula(size, exact):
 
 
 def test_prelie_products_fall_back_off_matrices(monkeypatch):
-    # free letters, scalars and mixed backends take the composed formula
+    # free letters and scalars take the composed formula
     def refuse(*args):
         raise AssertionError("the fused kernel met operands it does not take")
 
@@ -304,9 +304,18 @@ def test_prelie_products_fall_back_off_matrices(monkeypatch):
     free_b = SiteSequence([y, x + y, x * Fraction(-1, 2)])
     scal_a = SiteSequence([Fraction(1, 2), Fraction(-3), Fraction(5, 7)])
     scal_b = SiteSequence([0.5, -1.25, 3.0])
-    for a, b in ((exact, floats), (floats, exact), (free_a, free_b), (scal_a, scal_a), (scal_b, scal_b)):
+    for a, b in ((free_a, free_b), (scal_a, scal_a), (scal_b, scal_b)):
         assert bits(prelie_left(a, b).values) == bits(composed_left(a, b))
         assert bits(prelie_right(a, b).values) == bits(composed_right(a, b))
+
+
+def test_prelie_products_refuse_two_backends():
+    rng = random.Random(21)
+    exact, floats = signed_zero_seq(rng, True), signed_zero_seq(rng, False)
+    for a, b in ((exact, floats), (floats, exact)):
+        for product in (prelie_left, prelie_right):
+            with pytest.raises(BackendMismatch):
+                product(a, b)
 
 
 def test_length_mismatch_rejected():

@@ -28,7 +28,8 @@ def leaves(x):
     if isinstance(x, SiteSequence):
         return [v for s in x.values for v in leaves(s)]
     if isinstance(x, SiteOperatorFamily):
-        return [v for key in sorted(x.entries) for v in leaves(x.entries[key])]
+        # the template too: it is drawn in the source's backend like the entries
+        return leaves(x.like) + [v for key in sorted(x.entries) for v in leaves(x.entries[key])]
     if isinstance(x, Poly):
         return [x.coeffs[d] for d in sorted(x.coeffs)]
     if isinstance(x, FreeElement):
@@ -39,7 +40,7 @@ def leaves(x):
 def shape(x):
     """What a drawn value is, apart from its coefficients."""
     if isinstance(x, SiteOperatorFamily):
-        return (x.n_sites, x.direction, sorted(x.entries), x.like)
+        return (x.n_sites, x.direction, sorted(x.entries), shape(x.like))
     if isinstance(x, SiteSequence):
         return len(x.values)
     if isinstance(x, Poly):

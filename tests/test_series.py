@@ -251,15 +251,13 @@ def test_inverse_round_trip_every_backend(kind, data):
 
 # Constant terms that make each of exp, log and inverse defined, per backend,
 # and the coefficients above them: -0.0 and rounding floats, rationals, letters,
-# and float coefficients over an exact constant.
+# and float scalars over an exact scalar constant.
 UNIT_FREE_SERIES = [
     [Matrix([[0.1, -0.0], [Fraction(1, 3), 2.5]]), Matrix([[-0.0, -0.0], [-0.0, -0.0]]),
      Matrix([[1.5, -1 / 3], [0.0, 7.0]])],
     [Matrix([[Fraction(1, 3), 0], [-2, 5]]), Matrix.zeros(2), Matrix([[1, Fraction(-1, 2)], [3, 0]])],
     [0.1, -0.0, -1 / 3],
     [Fraction(1, 3), 0, 4],
-    # float coefficients, zeros among them, over an exact constant term
-    [Matrix([[1, 2], [0, 1]]), Matrix([[-0.0, 0.0], [0.0, 0.0]]), Matrix([[0.5, -0.0], [0.1, 3.0]])],
     [Fraction(1, 3), -0.0, 0.1],
     [X * Fraction(1, 2) + Y, FreeElement.zero(), X * Y - Y * X],
 ]
@@ -286,3 +284,16 @@ def test_first_power_keeps_the_bits_of_the_product_by_one(coeffs, method, monkey
     got = getattr(s, method)()
     monkeypatch.setattr(series, "_unit_times", lambda one, x: AlphaSeries.one(x.order, one) * x)
     assert bits(got) == bits(getattr(s, method)())
+
+
+# Float matrix coefficients, zeros among them, over an exact constant term:
+# two backends in one series, which every one of exp, log and inverse refuses.
+MIXED_SERIES = [Matrix([[1, 2], [0, 1]]), Matrix([[-0.0, 0.0], [0.0, 0.0]]),
+                Matrix([[0.5, -0.0], [0.1, 3.0]])]
+
+
+@pytest.mark.parametrize("method", sorted(CONSTANTS))
+def test_float_matrices_over_an_exact_constant_are_refused(method):
+    s = AlphaSeries([CONSTANTS[method](MIXED_SERIES[0])] + MIXED_SERIES)
+    with pytest.raises(BackendMismatch):
+        getattr(s, method)()

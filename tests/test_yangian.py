@@ -108,7 +108,7 @@ class TestLaxSeries:
     def test_float_cast_keeps_a_valid_lax(self):
         lax = fundamental_lax(2).to_float()
         assert not lax.coeff(1).is_exact()
-        assert monodromy_coproduct(lax, 1, 2).coeff(1) == permutation_op(2)
+        assert monodromy_coproduct(lax, 1, 2).coeff(1) == permutation_op(2).to_float()
 
 
 class TestYangBaxter:
