@@ -12,14 +12,18 @@ Nothing is computed twice: each brace residual computes Omega(a) once for
 its left factor a, the BCH word table is built once per truncation depth
 and then only read, and `bch` brackets each left-nested word prefix once,
 so a word xyx reuses [x, y].  The pre-Lie product itself is the callable
-the elements carry; the brace suite gives the elements of one case (one
-flow-inverse element, one left-law triple, one flow-composition draw) one
-product memoized on its operands' values, so each distinct product is made
-once per case, and the memo is freed with the case's elements.  A
-difference subtracts component by component, and a degree only the
-subtrahend has enters as its negation, so no intermediate negated element
-is built; in IEEE arithmetic x - y is x + (-y), so it rounds as adding the
-negation does.
+the elements carry, and a component value may be anything with addition,
+subtraction, negation, scalar multiples and a zero test.  The brace suite
+stores each degree as one site stack (the sites' matrices on top of each
+other, one `Matrix`), so each of those is one matrix operation, and its
+product is `rotabaxter.stack_prelie_left`, one fused kernel call over all
+sites.  It gives the elements of one case (one flow-inverse element, one
+left-law triple, one flow-composition draw) one product memoized on its
+operands' values, so each distinct product is made once per case, and the
+memo is freed with the case's elements.  A difference subtracts component
+by component, and a degree only the subtrahend has enters as its negation,
+so no intermediate negated element is built; in IEEE arithmetic x - y is
+x + (-y), so it rounds as adding the negation does.
 """
 
 from fractions import Fraction

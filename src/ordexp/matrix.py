@@ -17,10 +17,13 @@ from a list each matrix makes on first use and keeps (a matrix is
 never changed once built); that keeps the many permutation-shaped operators
 of the tensor-product checks cheap, and small dense products keep a plain
 loop.  `fused_prelie_site` forms (p*q - q*p) + x*y in one pass, without the
-intermediate matrices.  None of this changes a float result: each product
-entry still starts from its backend's zero and adds its nonzero terms in
-order of the inner index, and each sum or scaling is still one operation
-per entry.
+intermediate matrices, for one square matrix or for each block of a site
+stack: N sites' d x d values on top of each other as one (N*d) x d matrix,
+the carrier of the brace suite's elements, on which every sum, scaling and
+zero test is one operation for all sites.  The size rule reads one block's
+shape.  None of this changes a float result: each product entry still
+starts from its backend's zero and adds its nonzero terms in order of the
+inner index, and each sum or scaling is still one operation per entry.
 
 Tensor convention used everywhere: a state of `total` factors, each of local
 dimension `dim`, is indexed lexicographically with slot 0 slowest. Slot 0 is
@@ -278,23 +281,40 @@ def _nonzero_rows(m: Matrix) -> list:
 
 def _product(a: Matrix, b: Matrix, zero) -> list:
     """The flat entries of `a * b` before any reduction, for two matrices of
-    one backend whose shapes chain: integer numerators over `a.den * b.den`,
-    or floats.  Each entry starts from `zero` and adds the products of its
-    nonzero terms in order of the inner index."""
+    one backend: integer numerators over `a.den * b.den`, or floats.
+
+    `b` is read as N = `b.rows // a.cols` blocks of `a.cols` rows stacked on
+    top of each other, and `a` as N blocks of `a.rows // N` rows; block n of
+    the result is a_n b_n.  N = 1, the ordinary product, is every call but
+    `fused_prelie_site` on a stack.  Each entry starts from `zero` and adds
+    the products of its nonzero terms in order of the inner index.  The size
+    rule reads one block's shape, so a stack of small blocks keeps the plain
+    loop however many sites it stacks.
+    """
     n, cols = a.cols, b.cols
+    m = a.rows * n // b.rows  # rows of one block of `a`
     out = [zero] * (a.rows * cols)
     o = 0  # flat offset of output row i
-    if n >= SPARSE_FROM or cols >= SPARSE_FROM or a.rows >= SPARSE_FROM:
-        brows = _nonzero_rows(b)
-        for arow in _nonzero_rows(a):
-            for k, aik in arow:
-                for j, bkj in brows[k]:
-                    out[o + j] += aik * bkj
-            o += cols
+    if n >= SPARSE_FROM or cols >= SPARSE_FROM or m >= SPARSE_FROM:
+        arows, brows = _nonzero_rows(a), _nonzero_rows(b)
+        r = 0  # first row of the block of `a`
+        for t in range(0, b.rows, n):  # first row of its block of `b`
+            bblock = brows[t:t + n]
+            for arow in arows[r:r + m]:
+                for k, aik in arow:
+                    for j, bkj in bblock[k]:
+                        out[o + j] += aik * bkj
+                o += cols
+            r += m
         return out
     adata, bdata = a.num, b.num
+    base = 0  # flat offset of the block of `b` that row i of `a` meets
+    end = step = m * n  # flat end of the block of `a` that holds row i; its size
     for i in range(0, len(adata), n):
-        k = 0  # flat offset of row k of `b`
+        if i == end:
+            base += n * cols
+            end += step
+        k = base  # flat offset of row k of that block of `b`
         for aik in adata[i:i + n]:
             if aik:
                 for j, bkj in enumerate(bdata[k:k + cols], o):
@@ -306,24 +326,28 @@ def _product(a: Matrix, b: Matrix, zero) -> list:
 
 
 def fused_prelie_site(p: Matrix, q: Matrix, x: Matrix, y: Matrix) -> Matrix:
-    """(p*q - q*p) + x*y for four square matrices of one shape and one backend.
+    """(p_n q_n - q_n p_n) + x_n y_n for each block n of four site stacks.
 
-    Each product keeps its own sum, formed as `p * q` forms it, and the
+    A stack holds the d x d values of N sites on top of each other, as one
+    (N*d) x d matrix, with N = `rows // cols`; the four stacks share their
+    shape and their backend, and N = 1 is one square matrix.  Each block
+    product keeps its own sum, formed as `p_n * q_n` forms it, and the
     entries combine as the composed formula does, so float results are bit
-    for bit those of `p * q - q * p + x * y`; the exact result is reduced once,
-    over the common denominator of the two product denominators.
+    for bit those of `p_n * q_n - q_n * p_n + x_n * y_n`; the exact result
+    is reduced once for the whole stack, over the common denominator of the
+    two product denominators.
     """
     if not (p.den is None) == (q.den is None) == (x.den is None) == (y.den is None):
         raise BackendMismatch("an exact and a float matrix")
-    n = p.rows
+    rows, cols = p.rows, p.cols
     if p.den is None:
         pq, qp, xy = _product(p, q, 0.0), _product(q, p, 0.0), _product(x, y, 0.0)
-        return _wrap([(a - b) + c for a, b, c in zip(pq, qp, xy)], n, n, None)
+        return _wrap([(a - b) + c for a, b, c in zip(pq, qp, xy)], rows, cols, None)
     pq, qp, xy = _product(p, q, 0), _product(q, p, 0), _product(x, y, 0)
     dpq, dxy = p.den * q.den, x.den * y.den
     g = gcd(dpq, dxy)
     f, h = dxy // g, dpq // g
-    return _reduced([(a - b) * f + c * h for a, b, c in zip(pq, qp, xy)], n, n, dpq * f)
+    return _reduced([(a - b) * f + c * h for a, b, c in zip(pq, qp, xy)], rows, cols, dpq * f)
 
 
 def commutator(a, b):

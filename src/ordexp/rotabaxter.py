@@ -17,6 +17,12 @@ product (a |> b)_n = [R(a)_n, b_n] + a_n b_n together with its right-handed
 mirror (a <| b)_n = [a_n, R(b)_n] + a_n b_n.  Each site of either is one
 `ops.prelie_site` call, which fuses the three matrix products and keeps
 every float bit of the formula as written.
+
+`stack_prelie_left` is the left product on another carrier of the same
+values: a site stack, the N sites' d x d matrices on top of each other as
+one (N*d) x d `Matrix`.  There R(a) is one more stack and the product is one
+`matrix.fused_prelie_site` call over all sites, with the values, and every
+float bit, that `prelie_left` gives site by site.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from functools import reduce
 from operator import add
 
 from .errors import BackendMismatch, DimensionMismatch
+from .matrix import Matrix, _reduced, fused_prelie_site
 from .ops import SCALARS, is_zero, prelie_site, worst, zero_like
 from .poly import Poly
 
@@ -205,6 +212,27 @@ def prelie_right(a: SiteSequence, b: SiteSequence) -> SiteSequence:
     return SiteSequence(
         prelie_site(x, s, x, y) for s, x, y in zip(r.values, a.values, b.values)
     )
+
+
+def stack_prelie_left(a: Matrix, b: Matrix) -> Matrix:
+    """(a |> b)_n = [a_1+...+a_{n-1}, b_n] + a_n b_n on two site stacks.
+
+    `a` and `b` stack N sites' d x d values as (N*d) x d matrices of one
+    backend.  Block n of R(a) is the strict prefix sum, added from site 1
+    up as `PartialSumOp` adds it from the zero of the backend (so a float
+    -0.0 becomes 0.0), and block 1 is that zero; then one
+    `fused_prelie_site(R(a), b, a, b)` call forms every site.
+    """
+    rows, d = a.rows, a.cols
+    if b.rows != rows or b.cols != d or rows % d:
+        raise DimensionMismatch(f"site stacks {a.rows}x{a.cols} and {b.rows}x{b.cols}")
+    num, size = a.num, d * d
+    acc = [0.0 if a.den is None else 0] * size
+    prefix = acc[:]
+    for i in range(0, len(num) - size, size):
+        acc = list(map(add, acc, num[i:i + size]))
+        prefix += acc
+    return fused_prelie_site(_reduced(prefix, rows, d, a.den), b, a, b)
 
 
 def check_tridendriform(a: SiteSequence, b: SiteSequence, c: SiteSequence) -> list[SiteSequence]:

@@ -12,9 +12,9 @@ reordering one check never shifts the samples of another.
 
 A source also carries the suite's backend, and this is the one place that
 decides it: on the float backend `matrix`, `invertible_matrix`, `sequence`,
-`matrix_family` and `poly` draw the exact value from the same stream and
-return it converted to float (a family's template `like` too), and `cast`
-converts the few operators a suite builds instead of draws.  Scalars drawn
+`site_stack`, `matrix_family` and `poly` draw the exact value from the same
+stream and return it converted to float (a family's template `like` too),
+and `cast` converts the few operators a suite builds instead of draws.  Scalars drawn
 as parameters (`integer`, `fraction`, `nonzero_fraction`) and free-letter
 coefficients stay exact.
 """
@@ -71,20 +71,20 @@ class SampleSource:
             if f:
                 return f
 
-    def _exact_matrix(self, size: int, bound: int) -> Matrix:
+    def _exact_matrix(self, rows: int, cols: int, bound: int) -> Matrix:
         # The draws of `fraction(bound)` row by row, kept as ints over den = 1.
-        m = Matrix.zeros(size)
-        m.num[:] = [self.integer(-bound, bound) for _ in range(size * size)]
+        m = Matrix.zeros(rows, cols)
+        m.num[:] = [self.integer(-bound, bound) for _ in range(rows * cols)]
         return m
 
     def matrix(self, size: int = 2, bound: int = 3) -> Matrix:
-        return self.cast(self._exact_matrix(size, bound))
+        return self.cast(self._exact_matrix(size, size, bound))
 
     def invertible_matrix(self, size: int = 2, bound: int = 3) -> Matrix:
         # Rejection sampling; random integer matrices are rarely singular.
         # The test runs on the exact draw, so both backends reject alike.
         while True:
-            m = self._exact_matrix(size, bound)
+            m = self._exact_matrix(size, size, bound)
             try:
                 m.inverse()
             except SingularOperator:
@@ -93,6 +93,12 @@ class SampleSource:
 
     def sequence(self, n_sites: int, size: int = 2) -> SiteSequence:
         return SiteSequence([self.matrix(size) for _ in range(n_sites)])
+
+    def site_stack(self, n_sites: int, size: int = 2) -> Matrix:
+        """`sequence(n_sites, size)` as one site stack, the sites' matrices on
+        top of each other: the same draws in the same order, since both are
+        row by row."""
+        return self.cast(self._exact_matrix(n_sites * size, size, 3))
 
     def free_sequence(self, n_sites: int, tag: str) -> SiteSequence:
         """Per site, a random combination of two letters named after the tag.

@@ -51,12 +51,11 @@ from .report import EXACT, FLOAT, VerificationReport
 from .rotabaxter import (
     IntegralOp,
     PartialSumOp,
-    SiteSequence,
     check_prelie_left,
     check_prelie_right,
     check_tridendriform,
-    prelie_left,
     rb_residual,
+    stack_prelie_left,
 )
 from .sampling import SampleSource
 from .series import AlphaSeries
@@ -362,17 +361,19 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
 
 
 def _memoized(product):
-    """`product` on site sequences of matrices, computed once per pair of operand values.
+    """`product` on two matrices, computed once per pair of operand values.
 
-    The memo is keyed by `matrix.value_key`, so operands that are `==` but
-    distinct objects still hit it, and it lives as long as the returned
-    callable.  A hit returns the earlier result itself; on floats only the
-    sign of a zero entry can differ from recomputing, which `max_abs` erases.
+    The brace suite's operands are site stacks (each degree of an element is
+    one (sites*dim) x dim matrix), so one `matrix.value_key` per operand is
+    the key.  Operands that are `==` but distinct objects still hit it, and
+    it lives as long as the returned callable.  A hit returns the earlier
+    result itself; on floats only the sign of a zero entry can differ from
+    recomputing, which `max_abs` erases.
     """
     memo = {}
 
     def memo_product(a, b):
-        key = (tuple(map(value_key, a.values)), tuple(map(value_key, b.values)))
+        key = (value_key(a), value_key(b))
         out = memo.get(key)
         if out is None:
             out = memo[key] = product(a, b)
@@ -384,16 +385,19 @@ def _memoized(product):
 def brace_suite(cfg: SuiteConfig) -> VerificationReport:
     (order, sites, dim, pairs), rep, root = _start(cfg, "brace")
 
-    zero_seq = SiteSequence([root.cast(Matrix.zeros(dim)) for _ in range(sites)])
+    # Each degree of an element is one site stack, the sites' dim x dim
+    # values on top of each other, so every linear operation is one matrix
+    # operation and `stack_prelie_left` forms a product over all sites at once.
+    zero = root.cast(Matrix.zeros(sites * dim, dim))
 
     # One case (a flow-inverse element, a left-law triple, a flow-composition
     # draw) shares one memoized product, so the products it repeats are made
     # once: Omega's later sweeps redo the settled degrees, and the residuals
     # rebuild W and Omega on the same elements.  The memo goes with the case.
     def case(src, count):
-        product = _memoized(prelie_left)
-        return [GradedPreLieElement(order, {d: src.sequence(sites, dim) for d in (1, 2)},
-                                    product, like=zero_seq)
+        product = _memoized(stack_prelie_left)
+        return [GradedPreLieElement(order, {d: src.site_stack(sites, dim) for d in (1, 2)},
+                                    product, like=zero)
                 for _ in range(count)]
 
     src = root.split("brace:flow-inverse")

@@ -22,7 +22,7 @@ from ordexp.errors import BackendMismatch, DimensionMismatch
 from ordexp.expansion import FORWARD, SiteOperatorFamily, magnus_oracle, prefix_monodromy
 from ordexp.freealg import FreeElement
 from ordexp.matrix import Matrix, value_key
-from ordexp.rotabaxter import SiteSequence, prelie_left
+from ordexp.rotabaxter import SiteSequence, prelie_left, stack_prelie_left
 from ordexp.series import AlphaSeries
 
 
@@ -276,26 +276,33 @@ def test_bch_table_serves_every_depth():
         assert all(str(got.component(d)) == str(want.component(d)) for d in want.components)
 
 
+def stack(seq):
+    """The site stack of a sequence of square matrices: its values on top of each other."""
+    return Matrix([row for v in seq.values for row in v.data])
+
+
 def test_memoized_product_keeps_values_apart_below_float_resolution():
     tiny = Fraction(1, 3) + Fraction(1, 2**80)
     assert float(tiny) == float(Fraction(1, 3))
     seqs = [SiteSequence([Matrix([[x, 1], [0, x]]), Matrix([[1, x], [x, 0]])])
             for x in (Fraction(1, 3), tiny)]
     other = SiteSequence([Matrix([[2, 1], [1, 0]]), Matrix([[0, 1], [3, 1]])])
-    product = suites._memoized(prelie_left)
-    first, second = product(seqs[0], other), product(seqs[1], other)
-    assert first == prelie_left(seqs[0], other)
-    assert second == prelie_left(seqs[1], other)
+    stacks = [stack(s) for s in seqs]
+    product = suites._memoized(stack_prelie_left)
+    first, second = product(stacks[0], stack(other)), product(stacks[1], stack(other))
+    assert first == stack(prelie_left(seqs[0], other))
+    assert second == stack(prelie_left(seqs[1], other))
     assert first != second
-    assert product(seqs[0], other) is first  # a repeat is read, not recomputed
+    assert product(stacks[0], stack(other)) is first  # a repeat is read, not recomputed
 
 
 def test_memoized_product_keeps_shapes_apart():
-    row, square = Matrix([[1, 2, 3, 4]]), Matrix([[1, 2], [3, 4]])
-    assert value_key(row) != value_key(square)
-    product = suites._memoized(lambda a, b: a + b)
-    assert product(SiteSequence([row]), SiteSequence([row])).at(1) == Matrix([[2, 4, 6, 8]])
-    assert product(SiteSequence([square]), SiteSequence([square])).at(1) == Matrix([[2, 4], [6, 8]])
+    # four 1x1 sites and one 2x2 site hold the same flat entries
+    column, square = Matrix([[1], [2], [3], [4]]), Matrix([[1, 2], [3, 4]])
+    assert value_key(column) != value_key(square)
+    product = suites._memoized(stack_prelie_left)
+    assert product(column, column) == Matrix([[1], [4], [9], [16]])
+    assert product(square, square) == Matrix([[7, 10], [15, 22]])
 
 
 @pytest.mark.parametrize("seed", [2, 3])

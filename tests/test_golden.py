@@ -11,6 +11,12 @@ of `conftest.py`, which `test_acceptance.py` reads too.
 at seeds 2 and 3 (the 8 exact suites and the 7 float ones), so a change
 that keeps seed 1 but moves another seed's bits shows here too.  They were
 captured with `run_suite` at default sizes, like the seed-1 digests.
+
+`golden_brace_sizes.json` holds the brace report's digest at seed 1 on both
+backends at sizes other than the defaults (`--sites 1 --dim 1`, `--dim 3`,
+`--sites 5`, `--order 6 --samples 3`), so the shapes of the brace suite's
+site stacks (one site, 3x3 blocks, five sites, degrees up to 6) are
+checked too.  They were captured before the brace elements became stacks.
 """
 
 import contextlib
@@ -32,6 +38,7 @@ OTHER_SEEDS = json.loads((Path(__file__).resolve().parent / "golden_seeds_2_3.js
 SEED_CASES = [(int(seed), workload.removeprefix("verify-"), row)
               for seed, workloads in OTHER_SEEDS.items()
               for workload, rows in workloads.items() for row in rows]
+BRACE_SIZES = json.loads((Path(__file__).resolve().parent / "golden_brace_sizes.json").read_text())
 
 
 def sha256(text: str) -> str:
@@ -48,6 +55,13 @@ def test_seed1_report_matches_golden_digest(seed1_report, backend, row):
                          ids=[f"seed{s}-{b}-{r['label']}" for s, b, r in SEED_CASES])
 def test_seed_2_3_report_matches_golden_digest(seed, backend, row):
     report = run_suite(row["label"], SuiteConfig(seed=seed, backend=backend))
+    assert sha256(report.to_text() + "\n" + report.to_json()) == row["sha256"]
+
+
+@pytest.mark.parametrize("row", BRACE_SIZES, ids=[
+    f"{r['backend']}-" + "-".join(f"{k}{v}" for k, v in r["sizes"].items()) for r in BRACE_SIZES])
+def test_brace_report_at_other_sizes_matches_golden_digest(row):
+    report = run_suite("brace", SuiteConfig(seed=1, backend=row["backend"], **row["sizes"]))
     assert sha256(report.to_text() + "\n" + report.to_json()) == row["sha256"]
 
 

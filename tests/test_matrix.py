@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordexp import ops
+from ordexp import matrix, ops
 from ordexp.errors import BackendMismatch, DimensionMismatch, SingularOperator
 from ordexp.freealg import FreeElement
 from ordexp.matrix import (
@@ -728,6 +728,57 @@ def test_zero_entries_never_meet_an_infinite_one(n):
         p, q, x, y = map(Matrix, grids)
         assert_floats(p * q, ref_mul(grids[0], grids[1]))
         assert_floats(fused_prelie_site(p, q, x, y), ref_prelie_site(*grids))
+
+
+def stack_grids(rng, n_blocks, d, exact, fill=1.0):
+    """N random d x d blocks, and their rows on top of each other."""
+    blocks = [rand_grid(rng, d, d, exact, fill) for _ in range(n_blocks)]
+    return blocks, [row for block in blocks for row in block]
+
+
+def as_matrix(grid, exact):
+    return Matrix(grid) if exact else Matrix(grid).to_float()
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("d", [1, 2, 3, SPARSE_FROM])
+@pytest.mark.parametrize("n_blocks", [1, 2, 3, 4])
+def test_stacked_fused_prelie_site_is_each_block_bit_for_bit(n_blocks, d, exact, bits):
+    # every block of a stack is the N = 1 kernel on that block, and the
+    # composed formula, entry for entry; d = SPARSE_FROM walks the stack's
+    # cached nonzero rows, block by block
+    rng = random.Random(f"{n_blocks}-{d}-{exact}")
+    fill = 0.4 if d >= SPARSE_FROM else 1.0
+    for _ in range(3 if d >= SPARSE_FROM else 25):
+        parts = [stack_grids(rng, n_blocks, d, exact, fill) for _ in range(4)]
+        got = fused_prelie_site(*(as_matrix(grid, exact) for _, grid in parts))
+        assert (got.rows, got.cols) == (n_blocks * d, d)
+        assert_stored(got)
+        want = []
+        for n in range(n_blocks):
+            mats = [as_matrix(blocks[n], exact) for blocks, _ in parts]
+            one = fused_prelie_site(*mats)
+            assert bits(one) == bits(composed(*mats))
+            assert bits(Matrix(got.data[n * d:(n + 1) * d])) == bits(one)
+            want += [list(row) for row in one.data]
+        assert got == as_matrix(want, exact)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_a_stack_of_small_blocks_keeps_the_dense_loop(monkeypatch, exact):
+    # the size rule reads the block, not the stack's rows: sixteen 2x2 sites
+    # make 32 rows, and still no nonzero rows are built
+    def refuse(m):
+        raise AssertionError("a stack of 2x2 blocks walked its nonzero rows")
+
+    rng = random.Random(8)
+    parts = [stack_grids(rng, 16, 2, exact) for _ in range(4)]
+    stacks = [as_matrix(grid, exact) for _, grid in parts]
+    monkeypatch.setattr(matrix, "_nonzero_rows", refuse)
+    got = fused_prelie_site(*stacks)
+    for n in range(16):
+        want = fused_prelie_site(*(as_matrix(blocks[n], exact) for blocks, _ in parts))
+        assert Matrix(got.data[2 * n:2 * n + 2]) == want
 
 
 def test_prelie_site_falls_back_to_the_composed_formula(monkeypatch):

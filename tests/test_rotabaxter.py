@@ -23,6 +23,7 @@ from ordexp.rotabaxter import (
     prelie_left,
     prelie_right,
     rb_residual,
+    stack_prelie_left,
     trid_apply,
     trid_dot,
     trid_prec,
@@ -289,6 +290,39 @@ def test_prelie_products_round_as_the_composed_formula(size, exact):
         assert bits(left.values) == bits(composed_left(a, b))
         assert bits(right.values) == bits(composed_right(a, b))
         assert left.at(1) == a.at(1) * b.at(1) and right.at(1) == a.at(1) * b.at(1)
+
+
+def stack(seq):
+    """The site stack of a sequence of square matrices: its values on top of each other."""
+    return Matrix([row for v in seq.values for row in v.data])
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+def test_stacked_left_product_is_prelie_left_site_by_site(n_sites, size, exact):
+    # block n of the stacked product is site n of prelie_left bit for bit;
+    # every other case starts from a zero first site (0 and -0.0 entries),
+    # so the first two prefix blocks are zero
+    rng = random.Random(f"{n_sites}-{size}-{exact}")
+    zero = Matrix([[-0.0 if (i + j) % 2 else 0.0 for j in range(size)] for i in range(size)])
+    for trial in range(20):
+        a, b = (signed_zero_seq(rng, exact, n_sites, size) for _ in range(2))
+        if trial % 2:
+            a = SiteSequence((Matrix.zeros(size) if exact else zero,) + a.values[1:])
+        got = stack_prelie_left(stack(a), stack(b))
+        assert (got.rows, got.cols) == (n_sites * size, size)
+        want = prelie_left(a, b).values
+        assert bits([Matrix(got.data[n * size:(n + 1) * size]) for n in range(n_sites)]) == bits(want)
+
+
+def test_stacked_left_product_checks_its_stacks():
+    tall, square = Matrix.zeros(4, 2), Matrix.zeros(2)
+    for a, b in ((tall, square), (square, tall), (Matrix.zeros(3, 2), Matrix.zeros(3, 2))):
+        with pytest.raises(DimensionMismatch):
+            stack_prelie_left(a, b)
+    with pytest.raises(BackendMismatch):
+        stack_prelie_left(tall, tall.to_float())
 
 
 def test_prelie_products_fall_back_off_matrices(monkeypatch):

@@ -54,6 +54,7 @@ DRAWS = [
     ("matrix", (3, 2)),
     ("invertible_matrix", (2, 1)),
     ("sequence", (3, 2)),
+    ("site_stack", (3, 2)),
     ("matrix_family", (3, (1, 3), 2)),
     ("poly", (4,)),
 ]
@@ -85,6 +86,18 @@ def test_matrix_draws_the_fractions_it_always_drew(backend):
             for bound in (0, 1, 3, 10**20):
                 old = Matrix([[ref.fraction(bound) for _ in range(size)] for _ in range(size)])
                 assert matrix.value_key(src.matrix(size, bound)) == matrix.value_key(ref.cast(old))
+        assert src._rng.getstate() == ref._rng.getstate()
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_site_stack_is_the_sequence_it_stacks(backend):
+    for seed in range(20):
+        src = SampleSource(seed, backend)
+        ref = SampleSource(seed, backend)
+        for n_sites, size in ((1, 1), (1, 2), (3, 2), (4, 3)):
+            seq = ref.sequence(n_sites, size)
+            want = Matrix([row for v in seq.values for row in v.data])
+            assert matrix.value_key(src.site_stack(n_sites, size)) == matrix.value_key(want)
         assert src._rng.getstate() == ref._rng.getstate()
 
 
