@@ -54,9 +54,9 @@ DRAWS = [
     ("matrix", (3, 2)),
     ("invertible_matrix", (2, 1)),
     ("sequence", (3, 2)),
-    ("site_stack", (3, 2)),
     ("matrix_family", (3, (1, 3), 2)),
     ("poly", (4,)),
+    ("site_stack", (3, 2)),
 ]
 
 
