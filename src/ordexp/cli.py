@@ -27,6 +27,7 @@ Exit status: 0 all checks passed, 1 a check failed, 2 usage or spec error.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 import time
@@ -268,7 +269,10 @@ def cmd_limit(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one: parsing fills a fresh namespace and leaves the parser as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--order", type=int, default=None,
                         help="truncation order (default 3 for expand, suite-specific for verify)")
@@ -296,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="local matrix dimension (suite-specific default)")
     p_verify.add_argument("--samples", type=int, default=None,
                           help="sampled cases per law (suite-specific default)")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_expand = sub.add_parser("expand", parents=[common],
                               help="print expansion coefficients for a family")
@@ -305,21 +308,21 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["dyson", "magnus-oracle", "magnus-explicit",
                                    "magnus-prelie"])
     p_expand.add_argument("--direction", choices=[FORWARD, BACKWARD], default=None)
-    p_expand.set_defaults(func=cmd_expand)
 
     p_limit = sub.add_parser("limit", help="print a convergence table as CSV")
     p_limit.add_argument("spec", help="field spec, e.g. field:poly(X+x*Y;dim=2)")
     p_limit.add_argument("--deltas", required=True,
                          help="comma-separated steps, e.g. 1/4,1/8,1/16,1/32")
-    p_limit.set_defaults(func=cmd_limit)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up per call, not stored in the shared parser, so that a later
+    # rebinding of a `cmd_*` name takes effect.
+    command = {"verify": cmd_verify, "expand": cmd_expand, "limit": cmd_limit}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (SpecError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,19 +11,22 @@ only and has `den = None`.  An exact and a float matrix are never equal, and
 `+`, `-`, `*`, `kron` and `fused_prelie_site` refuse them with BackendMismatch,
 as an exact matrix refuses a float scalar.  So every operation has one body
 for both backends; `den` only decides whether the result is reduced.
-Products skip zero entries.  A product with a dimension of at least
-`SPARSE_FROM` walks both operands by their nonzero entries, row by row,
-from a list each matrix makes on first use and keeps (a matrix is
-never changed once built); that keeps the many permutation-shaped operators
-of the tensor-product checks cheap, and small dense products keep a plain
-loop.  `fused_prelie_site` forms (p*q - q*p) + x*y in one pass, without the
-intermediate matrices, for one square matrix or for each block of a site
-stack: N sites' d x d values on top of each other as one (N*d) x d matrix,
-the carrier of the brace suite's elements, on which every sum, scaling and
-zero test is one operation for all sites.  The size rule reads one block's
-shape.  None of this changes a float result: each product entry still
-starts from its backend's zero and adds its nonzero terms in order of the
-inner index, and each sum or scaling is still one operation per entry.
+A product with a dimension of at least `SPARSE_FROM` walks both operands
+by their nonzero entries, row by row, from a list each matrix makes on
+first use and keeps (a matrix is never changed once built); that keeps the
+many permutation-shaped operators of the tensor-product checks cheap.  A
+smaller product, such as the dense 2x2-4x4 blocks of the expansions, is one
+straight-line function compiled on first use for its shape and backend,
+which forms every output entry as one expression.  `fused_prelie_site`
+forms (p*q - q*p) + x*y in one pass, without the intermediate matrices, for
+one square matrix or for each block of a site stack: N sites' d x d values
+on top of each other as one (N*d) x d matrix, the carrier of the brace
+suite's elements, on which every sum, scaling and zero test is one
+operation for all sites.  The size rule reads one block's shape.  None of
+this changes a float result: each product entry starts from its backend's
+zero and adds the products of its nonzero terms in order of the inner
+index (a float term with a zero factor is skipped, so a zero never meets an
+inf or a nan), and each sum or scaling is one operation per entry.
 
 Tensor convention used everywhere: a state of `total` factors, each of local
 dimension `dim`, is indexed lexicographically with slot 0 slowest. Slot 0 is
@@ -132,8 +135,8 @@ class Matrix:
             if (self.den is None) != (other.den is None):
                 raise BackendMismatch("an exact and a float matrix")
             if self.den is None:
-                return _wrap(_product(self, other, 0.0), self.rows, other.cols, None)
-            return _reduced(_product(self, other, 0), self.rows, other.cols, self.den * other.den)
+                return _wrap(_product(self, other), self.rows, other.cols, None)
+            return _reduced(_product(self, other), self.rows, other.cols, self.den * other.den)
         if not isinstance(other, SCALARS):
             return NotImplemented
         den = self.den
@@ -257,11 +260,12 @@ def _common(a: Matrix, b: Matrix) -> tuple:
 
 
 # A product with a dimension of at least this walks both operands by their
-# nonzero rows; smaller ones, such as the dense 2x2-4x4 chains of `expand`,
-# keep the plain loop.  On random operands at 10-100 % fill whose rows were
-# built for their one product, on a 2-vCPU x86-64 machine, the row walk took
-# 0.80-1.01 of the plain loop's time at 8x8 but up to 1.19 at 6x6 and 1.51 at
-# 4x4; rows reused by later products make it cheaper still.
+# nonzero rows; smaller ones take the kernel compiled for their shape.  In a
+# replay of the exact products of seed-1 runs on a 2-vCPU x86-64 machine,
+# each operand's rows built once per replay, the row walk took 3.8-7.2 times
+# the kernel's time on the dense 2x2-4x4 operands of `expand` (over 92 %
+# fill), and on the yangian suite's sparse ones 0.65-0.72 of it at 3x3 and
+# 4x4 (11-17 % fill), 0.29 at 8x8 (14 %) and 0.11 at 9x9 (5 %).
 SPARSE_FROM = 8
 
 
@@ -279,50 +283,104 @@ def _nonzero_rows(m: Matrix) -> list:
     return rows
 
 
-def _product(a: Matrix, b: Matrix, zero) -> list:
+def _product(a: Matrix, b: Matrix) -> list:
     """The flat entries of `a * b` before any reduction, for two matrices of
     one backend: integer numerators over `a.den * b.den`, or floats.
 
+    Each entry starts from the backend's zero and adds the products of its
+    nonzero terms in order of the inner index.  Below the size rule that is
+    the compiled kernel of the shape (`_product_kernel`).  At or above it,
     `b` is read as N = `b.rows // a.cols` blocks of `a.cols` rows stacked on
     top of each other, and `a` as N blocks of `a.rows // N` rows; block n of
     the result is a_n b_n.  N = 1, the ordinary product, is every call but
-    `fused_prelie_site` on a stack.  Each entry starts from `zero` and adds
-    the products of its nonzero terms in order of the inner index.  The size
-    rule reads one block's shape, so a stack of small blocks keeps the plain
-    loop however many sites it stacks.
+    `fused_prelie_site` on a stack of large blocks; a stack of small blocks
+    takes that function's own kernel.  The size rule reads one block's shape.
     """
     n, cols = a.cols, b.cols
     m = a.rows * n // b.rows  # rows of one block of `a`
-    out = [zero] * (a.rows * cols)
+    if n < SPARSE_FROM and cols < SPARSE_FROM and m < SPARSE_FROM:
+        return _product_kernel(m, n, cols, a.den is not None)(a.num, b.num)
+    out = [0.0 if a.den is None else 0] * (a.rows * cols)
     o = 0  # flat offset of output row i
-    if n >= SPARSE_FROM or cols >= SPARSE_FROM or m >= SPARSE_FROM:
-        arows, brows = _nonzero_rows(a), _nonzero_rows(b)
-        r = 0  # first row of the block of `a`
-        for t in range(0, b.rows, n):  # first row of its block of `b`
-            bblock = brows[t:t + n]
-            for arow in arows[r:r + m]:
-                for k, aik in arow:
-                    for j, bkj in bblock[k]:
-                        out[o + j] += aik * bkj
-                o += cols
-            r += m
-        return out
-    adata, bdata = a.num, b.num
-    base = 0  # flat offset of the block of `b` that row i of `a` meets
-    end = step = m * n  # flat end of the block of `a` that holds row i; its size
-    for i in range(0, len(adata), n):
-        if i == end:
-            base += n * cols
-            end += step
-        k = base  # flat offset of row k of that block of `b`
-        for aik in adata[i:i + n]:
-            if aik:
-                for j, bkj in enumerate(bdata[k:k + cols], o):
-                    if bkj:
-                        out[j] += aik * bkj
-            k += cols
-        o += cols
+    arows, brows = _nonzero_rows(a), _nonzero_rows(b)
+    r = 0  # first row of the block of `a`
+    for t in range(0, b.rows, n):  # first row of its block of `b`
+        bblock = brows[t:t + n]
+        for arow in arows[r:r + m]:
+            for k, aik in arow:
+                for j, bkj in bblock[k]:
+                    out[o + j] += aik * bkj
+            o += cols
+        r += m
     return out
+
+
+# The compiled kernels of the shapes below SPARSE_FROM, one per shape and
+# backend, each made on first use; their source is built from the shape alone.
+_KERNELS = {}
+
+
+def _names(letter: str, count: int) -> str:
+    return "".join(f"{letter}{i}, " for i in range(count))
+
+
+def _entry(a: str, b: str, i: int, j: int, n: int, cols: int, exact: bool) -> str:
+    """Source of entry (i, j) of the product of the row-major blocks whose
+    entries are the locals `a0, a1, ...` (n columns) and `b0, ...` (`cols`
+    columns), inner index in order.  A float entry starts from 0.0 and skips
+    a term with a zero factor, 0.0 and -0.0 alike, so a zero never meets an
+    inf or a nan; an exact one is the plain sum of integer products."""
+    terms = [(f"{a}{i * n + k}", f"{b}{k * cols + j}") for k in range(n)]
+    if exact:
+        return "(" + " + ".join(f"{x}*{y}" for x, y in terms) + ")"
+    return "(0.0" + "".join(f" + ({x}*{y} if {x} and {y} else 0.0)" for x, y in terms) + ")"
+
+
+def _compiled(key: tuple, source: str):
+    namespace = {}
+    # a file name per key keeps the kernels apart in a profile
+    exec(compile(source, f"<matrix kernel {key}>", "exec"), namespace)
+    kernel = _KERNELS[key] = namespace["kernel"]
+    return kernel
+
+
+def _product_kernel(m: int, n: int, cols: int, exact: bool):
+    """`kernel(A, B)`: the flat product of a flat m x n block and a flat
+    n x `cols` block, as one straight-line expression per entry."""
+    key = ("product", m, n, cols, exact)
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        entries = ", ".join(_entry("a", "b", i, j, n, cols, exact) for i in range(m) for j in range(cols))
+        kernel = _compiled(key, f"def kernel(A, B):\n"
+                                f"    {_names('a', m * n)}= A\n"
+                                f"    {_names('b', n * cols)}= B\n"
+                                f"    return [{entries}]\n")
+    return kernel
+
+
+def _prelie_kernel(d: int, exact: bool):
+    """`kernel(P, Q, X, Y)` on floats, `kernel(P, Q, X, Y, f, h)` on exact
+    numerators: for each d x d block of four flat stacks, every entry as
+    (pq - qp) + xy, or (pq - qp)*f + xy*h, each product entry formed as
+    `_product_kernel` forms it."""
+    key = ("prelie", d, exact)
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        size = d * d
+        entries = []
+        for i in range(d):
+            for j in range(d):
+                pq, qp, xy = (_entry(a, b, i, j, d, d, exact) for a, b in ("pq", "qp", "xy"))
+                entries.append(f"({pq} - {qp})*f + {xy}*h" if exact else f"({pq} - {qp}) + {xy}")
+        unpack = "".join(f"        {_names(letter, size)}= {letter.upper()}[t:t + {size}]\n"
+                         for letter in "pqxy")
+        kernel = _compiled(key, f"def kernel(P, Q, X, Y{', f, h' if exact else ''}):\n"
+                                f"    out = []\n"
+                                f"    for t in range(0, len(P), {size}):\n"
+                                f"{unpack}"
+                                f"        out += [{', '.join(entries)}]\n"
+                                f"    return out\n")
+    return kernel
 
 
 def fused_prelie_site(p: Matrix, q: Matrix, x: Matrix, y: Matrix) -> Matrix:
@@ -335,19 +393,26 @@ def fused_prelie_site(p: Matrix, q: Matrix, x: Matrix, y: Matrix) -> Matrix:
     entries combine as the composed formula does, so float results are bit
     for bit those of `p_n * q_n - q_n * p_n + x_n * y_n`; the exact result
     is reduced once for the whole stack, over the common denominator of the
-    two product denominators.
+    two product denominators.  Blocks below `SPARSE_FROM` take one compiled
+    kernel per block size (`_prelie_kernel`); larger ones walk their rows.
     """
     if not (p.den is None) == (q.den is None) == (x.den is None) == (y.den is None):
         raise BackendMismatch("an exact and a float matrix")
     rows, cols = p.rows, p.cols
     if p.den is None:
-        pq, qp, xy = _product(p, q, 0.0), _product(q, p, 0.0), _product(x, y, 0.0)
-        return _wrap([(a - b) + c for a, b, c in zip(pq, qp, xy)], rows, cols, None)
-    pq, qp, xy = _product(p, q, 0), _product(q, p, 0), _product(x, y, 0)
+        if cols < SPARSE_FROM:
+            out = _prelie_kernel(cols, False)(p.num, q.num, x.num, y.num)
+        else:
+            out = [(a - b) + c for a, b, c in zip(_product(p, q), _product(q, p), _product(x, y))]
+        return _wrap(out, rows, cols, None)
     dpq, dxy = p.den * q.den, x.den * y.den
     g = gcd(dpq, dxy)
     f, h = dxy // g, dpq // g
-    return _reduced([(a - b) * f + c * h for a, b, c in zip(pq, qp, xy)], rows, cols, dpq * f)
+    if cols < SPARSE_FROM:
+        out = _prelie_kernel(cols, True)(p.num, q.num, x.num, y.num, f, h)
+    else:
+        out = [(a - b) * f + c * h for a, b, c in zip(_product(p, q), _product(q, p), _product(x, y))]
+    return _reduced(out, rows, cols, dpq * f)
 
 
 def commutator(a, b):

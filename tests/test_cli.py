@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from ordexp import SuiteConfig
+from ordexp import SuiteConfig, cli, matrix
 from ordexp.cli import SpecError, main, parse_family_spec, parse_field_spec
 from ordexp.errors import AlgebraError
 from ordexp.expansion import BACKWARD, FORWARD, SiteOperatorFamily, dyson_terms
-from ordexp.matrix import Matrix
+from ordexp.matrix import SPARSE_FROM, Matrix
 from ordexp.suites import SIZE_FLAGS, SUITE_FLAGS
 
 CSV_HEADER = "delta,err_q1,err_q2,err_q3,rate_q1,rate_q2,rate_q3"
@@ -421,3 +421,60 @@ def test_seed_outside_64_bits_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "seed must be an integer in 0..2**64-1" in err
+
+
+# -- one parser for every call in a process ------------------------------------
+
+SEQUENCE = [
+    ["expand", "scalar:p=1/2;N=3", "--order", "5", "--form", "magnus-oracle"],
+    ["verify", "prelie", "--seed", "2", "--backend", "float", "--json", "--samples", "2"],
+    # the flags of the calls before are back at their defaults
+    ["expand", "free:N=2;degrees=1,2"],
+    ["limit", "field:poly(X+x*Y;dim=2)", "--deltas", "1/4,1/8,1/16"],
+    ["verify", "prelie", "--samples", "2"],
+]
+
+
+def test_calls_in_one_process_print_what_fresh_calls_print(capsys):
+    fresh = []
+    for argv in SEQUENCE:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv)[:2])
+    assert len({out for _, out in fresh}) == len(SEQUENCE)
+    assert cli.build_parser() is cli.build_parser()
+    assert [run_cli(capsys, *argv)[:2] for argv in SEQUENCE] == fresh
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "prelie", "--bogus"],
+    ["verify", "prelie", "--backend", "double"],
+    ["expand", "scalar:N=2", "--form", "taylor"],
+    ["limit", "field:poly(X;dim=2)"],
+])
+def test_a_bad_flag_exits_2_as_with_a_fresh_parser(capsys, argv):
+    def usage_error():
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        return exc.value.code, *capsys.readouterr()
+
+    cli.build_parser.cache_clear()
+    fresh = usage_error()
+    assert fresh[0] == 2 and fresh[1] == "" and fresh[2].startswith("usage: ordexp ")
+    assert run_cli(capsys, "expand", "scalar:N=2")[0] == 0
+    assert usage_error() == fresh
+    assert usage_error() == fresh
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("suite", ["brace", "prelie"])
+def test_both_sides_of_the_size_rule_reach_a_passing_report(capsys, suite, backend):
+    # blocks of SPARSE_FROM - 1 take a compiled kernel, blocks of SPARSE_FROM
+    # walk their nonzero rows
+    exact = backend == "exact"
+    for dim in (SPARSE_FROM - 1, SPARSE_FROM):
+        code, out, _ = run_cli(capsys, "verify", suite, "--dim", str(dim), "--samples", "1",
+                               "--backend", backend)
+        assert code == 0
+        assert out.endswith("result: PASS\n")
+        assert ("prelie", SPARSE_FROM - 1, exact) in matrix._KERNELS
+        assert not any(SPARSE_FROM in key for key in matrix._KERNELS)

@@ -1,8 +1,14 @@
 """Exact matrix arithmetic and tensor-leg helpers."""
 
+import ast
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import product as iproduct
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +28,8 @@ from ordexp.matrix import (
     permutation_op,
     value_key,
 )
+
+SRC = str(Path(matrix.__file__).resolve().parents[1])
 
 
 def rand_matrix(rng, size=2, bound=5):
@@ -767,7 +775,7 @@ def test_stacked_fused_prelie_site_is_each_block_bit_for_bit(n_blocks, d, exact,
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_a_stack_of_small_blocks_keeps_the_dense_loop(monkeypatch, exact):
     # the size rule reads the block, not the stack's rows: sixteen 2x2 sites
-    # make 32 rows, and still no nonzero rows are built
+    # make 32 rows, take the compiled 2x2 kernel, and build no nonzero rows
     def refuse(m):
         raise AssertionError("a stack of 2x2 blocks walked its nonzero rows")
 
@@ -779,6 +787,146 @@ def test_a_stack_of_small_blocks_keeps_the_dense_loop(monkeypatch, exact):
     for n in range(16):
         want = fused_prelie_site(*(as_matrix(blocks[n], exact) for blocks, _ in parts))
         assert Matrix(got.data[2 * n:2 * n + 2]) == want
+
+
+# -- the compiled kernels below the size rule --------------------------------------
+#
+# Below `SPARSE_FROM` a product, and each block of a fused pre-Lie site, is
+# one straight-line function compiled for its shape.  The interpreted loop it
+# replaced is kept here as the reference, and every kernel must give its
+# entries bit for bit: on floats each entry starts from 0.0 and adds the
+# products of its nonzero terms in order of the inner index.
+
+
+def dense_loop(a, b, zero):
+    """The flat entries of the block products a_n b_n of two stacks, as the
+    interpreted dense loop formed them: `b` holds N = `b.rows // a.cols`
+    blocks and `a` N blocks of `a.rows // N` rows."""
+    adata, bdata, n, cols = a.num, b.num, a.cols, b.cols
+    m = a.rows * n // b.rows
+    out = [zero] * (a.rows * cols)
+    o = 0
+    base = 0
+    end = step = m * n
+    for i in range(0, len(adata), n):
+        if i == end:
+            base += n * cols
+            end += step
+        k = base
+        for aik in adata[i:i + n]:
+            if aik:
+                for j, bkj in enumerate(bdata[k:k + cols], o):
+                    if bkj:
+                        out[j] += aik * bkj
+            k += cols
+        o += cols
+    return out
+
+
+# 1e-200 times -1e-200 underflows to -0.0, and 1e200 squared overflows to inf
+SPECIAL = [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1e-200, -1e-200, 1e200, -1.5]
+
+
+def kernel_entry(rng, kind):
+    """An int, a Fraction whose denominator is not 1, an ordinary float (about
+    10 % zeros of either sign), or a special float: zeros of both signs,
+    infinities, nans, and values whose products underflow or overflow."""
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "fraction":
+        return Fraction(rng.randint(-9, 9), rng.randint(2, 12))
+    if kind == "special":
+        return rng.choice(SPECIAL) if rng.random() < 0.5 else rng.uniform(-2, 2)
+    u = rng.random()
+    return (0.0 if u < 0.05 else -0.0) if u < 0.1 else rng.uniform(-9, 9)
+
+
+def kernel_matrix(rng, rows, cols, kind):
+    return Matrix([[kernel_entry(rng, kind) for _ in range(cols)] for _ in range(rows)])
+
+
+def from_flat(num, rows, cols, den):
+    """A matrix from unreduced flat entries: numerators over `den`, or floats."""
+    if den is None:
+        return Matrix([num[i:i + cols] for i in range(0, len(num), cols)])
+    return Matrix([[Fraction(v, den) for v in num[i:i + cols]] for i in range(0, len(num), cols)])
+
+
+KINDS = ["int", "fraction", "float", "special"]
+SMALL = range(1, SPARSE_FROM)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_small_product_shape_is_the_dense_loop_bit_for_bit(kind, bits):
+    rng = random.Random(kind)
+    for m, n, cols in iproduct(SMALL, SMALL, SMALL):
+        for _ in range(2):
+            a, b = kernel_matrix(rng, m, n, kind), kernel_matrix(rng, n, cols, kind)
+            exact = a.is_exact()
+            zero = 0 if exact else 0.0
+            flat = matrix._product(a, b)
+            want = dense_loop(a, b, zero)
+            assert [repr(v) for v in flat] == [repr(v) for v in want]
+            assert all(type(v) is (int if exact else float) for v in flat)
+            den = a.den * b.den if exact else None
+            assert bits(a * b) == bits(from_flat(want, m, cols, den))
+
+
+def prelie_reference(p, q, x, y):
+    """(pq - qp) + xy of each block of four stacks from the dense loop's
+    products: floats combined entry by entry, exact values as Fractions."""
+    zero = 0.0 if p.den is None else 0
+    pq, qp, xy = dense_loop(p, q, zero), dense_loop(q, p, zero), dense_loop(x, y, zero)
+    if p.den is None:
+        return from_flat([(a - b) + c for a, b, c in zip(pq, qp, xy)], p.rows, p.cols, None)
+    dpq, dxy = p.den * q.den, x.den * y.den
+    return from_flat([Fraction(a - b, dpq) + Fraction(c, dxy) for a, b, c in zip(pq, qp, xy)],
+                     p.rows, p.cols, 1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n_blocks", [1, 2, 3, 4])
+def test_every_small_fused_kernel_is_the_dense_loop_bit_for_bit(n_blocks, kind, bits):
+    rng = random.Random(f"{n_blocks}-{kind}")
+    for d in SMALL:
+        for _ in range(6):
+            stacks = [kernel_matrix(rng, n_blocks * d, d, kind) for _ in range(4)]
+            got = fused_prelie_site(*stacks)
+            assert_stored(got)
+            assert bits(got) == bits(prelie_reference(*stacks))
+            for n in range(n_blocks):
+                blocks = [Matrix(s.data[n * d:(n + 1) * d]) for s in stacks]
+                assert bits(Matrix(got.data[n * d:(n + 1) * d])) == bits(composed(*blocks))
+
+
+def test_kernels_are_compiled_on_first_use_and_only_below_the_size_rule():
+    # a fresh interpreter: importing compiles nothing, and a seed-1 pass of
+    # every suite on both backends and of some expand requests makes kernels
+    # only for shapes below the size rule, though yangian multiplies 8x8 and
+    # larger operators
+    script = """
+import ordexp
+print(len(ordexp.matrix._KERNELS))
+from ordexp import cli, matrix
+from ordexp.suites import SUITES, SuiteConfig, run_suite
+for suite in sorted(SUITES):
+    for backend in ("exact", "float"):
+        run_suite(suite, SuiteConfig(seed=1, backend=backend))
+for spec in ("matrix:rand(2x2,int<=3);N=16", "matrix:rand(3x3,int<=3);N=8;degrees=1,2",
+             "matrix:rand(4x4,int<=3);N=4"):
+    for form in ("dyson", "magnus-oracle"):
+        cli.main(["expand", spec, "--form", form])
+print(repr(sorted(matrix._KERNELS, key=repr)))
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": SRC})
+    lines = done.stdout.splitlines()
+    assert lines[0] == "0"
+    keys = ast.literal_eval(lines[-1])
+    assert ("product", 2, 2, 2, True) in keys and ("prelie", 2, False) in keys
+    for kind, *shape, exact in keys:
+        assert kind in ("product", "prelie") and exact in (True, False)
+        assert all(1 <= s < SPARSE_FROM for s in shape)
 
 
 def test_prelie_site_falls_back_to_the_composed_formula(monkeypatch):
