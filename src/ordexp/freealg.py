@@ -75,6 +75,9 @@ class FreeElement:
         return self.terms == other.terms
 
     def __hash__(self):
+        # A scalar element is == to its scalar, so it hashes as that scalar.
+        if self.terms.keys() <= {()}:
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other) -> "FreeElement":

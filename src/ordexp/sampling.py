@@ -38,8 +38,8 @@ from .rotabaxter import SiteSequence
 class SampleSource:
     """Seeded draw stream with labeled, order-independent substreams.
 
-    The seed is an int in 0..2**64-1; anything else raises AlgebraError.
-    `backend` (exact or float) is passed on to every child stream.
+    The seed is an int in 0..2**64-1 and `backend` exact or float; anything
+    else raises AlgebraError.  The backend is passed on to every child stream.
     """
 
     __slots__ = ("seed", "backend", "_rng")
@@ -47,6 +47,8 @@ class SampleSource:
     def __init__(self, seed: int, backend: str = EXACT):
         if type(seed) is not int or not 0 <= seed < 2**64:
             raise AlgebraError(f"seed must be an integer in 0..2**64-1, got {seed!r}")
+        if backend not in (EXACT, FLOAT):
+            raise AlgebraError(f"backend must be {EXACT} or {FLOAT}, got {backend!r}")
         self.seed = seed
         self.backend = backend
         self._rng = random.Random(self.seed)

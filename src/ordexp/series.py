@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BackendMismatch, DimensionMismatch
+from .errors import BackendMismatch, DimensionMismatch, UnsupportedOrder
 from .ops import (SCALARS, check_compatible, invert, is_zero, max_abs, one_like, to_float,
                   unit_product, zero_like)
 
@@ -114,6 +114,8 @@ class AlphaSeries:
         return all(is_zero(c) for c in self.coeffs)
 
     def truncate(self, order: int) -> "AlphaSeries":
+        if order < 0:
+            raise UnsupportedOrder(f"truncation order must be >= 0, got {order}")
         if order <= self.order:
             return AlphaSeries(self.coeffs[:order + 1])
         z = zero_like(self.coeffs[0])

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
 
 from .brace import (
     GradedPreLieElement,
@@ -67,7 +66,6 @@ from .boundary import (
     reflection_hat,
 )
 from .yangian import (
-    block_table,
     classical_r,
     classical_ybe_residual,
     coproduct_tridendriform_residual,
@@ -436,17 +434,6 @@ def brace_suite(cfg: SuiteConfig) -> VerificationReport:
     return rep
 
 
-def _exchange_residuals(dim: int, n: int):
-    """Every charge-exchange residual of the n-site chain, one at a time;
-    there are 810 of them at dim 3, so none is kept."""
-    series = monodromy_coproduct(fundamental_lax(dim), n, 4)
-    tables = [block_table(series.coeff(k), dim) for k in range(5)]
-    for p in range(4):
-        for q in range(4 - p):
-            for i, j, k, l in product(range(dim), repeat=4):
-                yield yangian_relations_residual(tables, p, q, i, j, k, l)
-
-
 def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
     (sites, dims), rep, root = _start(cfg, "yangian")
 
@@ -515,7 +502,8 @@ def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
             f"charge-exchange-dim{dim}",
             law="[L^(n+1)_ij, L^(m)_kl] - [L^(n)_ij, L^(m+1)_kl] "
                 "= L^(m)_kj L^(n)_il - L^(n)_kj L^(m)_il",
-            defect=worst(res for n in range(1, charge_n + 1) for res in _exchange_residuals(dim, n)),
+            defect=worst(yangian_relations_residual(monodromy_coproduct(fundamental_lax(dim), n, 4), dim)
+                         for n in range(1, charge_n + 1)),
             backend=EXACT, dim=dim, max_sites=charge_n, orders="n+m <= 3",
         )
 

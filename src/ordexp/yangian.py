@@ -10,26 +10,24 @@ R-matrices and the RTT residuals are Laurent `Poly`s in one or two
 spectral parameters.  Polynomial identities in spectral parameters
 are decided by exact rational evaluation at more points than the degree
 bound, after clearing denominators, or by direct coefficient comparison
-for truncated (matching-order) checks.  The generators L^(m)_ab of an
-operator on aux (x) quantum are read from its `block_table`, built once
-per coefficient, and those of generator products from whole products.
+for truncated (matching-order) checks.  The exchange relation among the
+generators L^(m)_ab is one operator identity on aux (x) aux (x) quantum,
+with the monodromy coefficients placed on either aux leg.  The q-generators
+of an operator on aux (x) quantum are read from its `block_table`, built
+once per coefficient, and those of generator products from whole products.
 The coproduct's nested-prec expansion is the tridendriform Dyson fold
 (`dyson_terms`) of the monodromy family, not a hand-unrolled copy.
 
-Arithmetic whose result is known is skipped.  The exchange residuals never
-multiply an all-zero block (L^(p) vanishes past the chain's length, and
-the off-diagonal blocks of L^(0) = 1 are zero) nor an identity block (a
-diagonal block of L^(0) = 1: the product is the other operand); the
-q-generator relations make each pair's brackets [q1_ij, q1_kl] and
-[q2_ij, q2_kl] once and read the reversed pair's as their negation; and
-every Kronecker delta is a branch that adds its term only when the indices
-match, never a product with a 0 or 1 scalar.
+Arithmetic whose result is known is skipped.  The q-generator relations
+make each pair's brackets [q1_ij, q1_kl] and [q2_ij, q2_kl] once and read
+the reversed pair's as their negation, and every Kronecker delta is a
+branch that adds its term only when the indices match, never a product
+with a 0 or 1 scalar.
 """
 
 import math
 from fractions import Fraction
 from itertools import product
-from operator import add, sub
 
 from .errors import (
     DimensionMismatch,
@@ -239,47 +237,36 @@ def block_table(mat: Matrix, dim: int) -> list:
     return [[aux_block(mat, a, b, dim) for b in range(dim)] for a in range(dim)]
 
 
-def yangian_relations_residual(tables: list, n: int, m: int,
-                               i: int, j: int, k: int, l: int) -> Matrix:
-    """Defect of the defining exchange relation for generator orders n, m.
+def yangian_relations_residual(series: AlphaSeries, dim: int) -> Fraction:
+    """Largest defect of the defining exchange relation over all generator
+    orders n + m <= series.order - 1; zero exactly.
 
-    `tables[p]` is the `block_table` of the order-p monodromy coefficient
-    L^(p), so L^(p)_ab is `tables[p][a][b]`.  The defect is
-    [L^(n+1)_ij, L^(m)_kl] - [L^(n)_ij, L^(m+1)_kl]
-        - L^(m)_kj L^(n)_il + L^(n)_kj L^(m)_il, all indices 0-based.
-    A product with an all-zero block (L^(p) = 0 past the chain's length,
-    and L^(0) = 1 has zero off-diagonal blocks) is the zero of its shape,
-    so it is never formed and adds nothing.  A product with a diagonal
-    block of L^(0) = 1 is the other operand, taken as it is; on floats
-    that keeps the sign of a zero entry a product would make 0.0.
+    `series` is a monodromy series on aux (x) N sites.  On aux (x) aux (x)
+    the N sites, T1^(p) is its coefficient L^(p) with the aux factor on the
+    first leg, T2^(p) the same on the second leg, and P12 flips the two aux
+    legs.  The defect for orders n, m is the operator
+        [T1^(n+1), T2^(m)] - [T1^(n), T2^(m+1)] - P12 (T1^(m) T2^(n) - T1^(n) T2^(m)),
+    whose aux block ((i, k), (j, l)) is, with all indices 0-based,
+        [L^(n+1)_ij, L^(m)_kl] - [L^(n)_ij, L^(m+1)_kl]
+            - L^(m)_kj L^(n)_il + L^(n)_kj L^(m)_il.
     """
-    if max(n, m) + 1 >= len(tables):
-        raise UnsupportedOrder(f"order {max(n, m) + 1} not available")
-    out = None
-    # The defect as six signed block products, in the order printed above;
-    # each operand is (order p, row a, column b) of the block L^(p)_ab.
-    for op, (p, a, b), (r, c, d) in (
-        (add, (n + 1, i, j), (m, k, l)), (sub, (m, k, l), (n + 1, i, j)),
-        (sub, (n, i, j), (m + 1, k, l)), (add, (m + 1, k, l), (n, i, j)),
-        (sub, (m, k, j), (n, i, l)), (add, (n, k, j), (m, i, l)),
-    ):
-        x, y = tables[p][a][b], tables[r][c][d]
-        if x.is_zero() or y.is_zero():
-            continue
-        # L^(0) = 1, so a block of it that is not zero is a diagonal one, the
-        # identity, and the product is the other operand.
-        if p == 0:
-            xy = y
-        elif r == 0:
-            xy = x
-        else:
-            xy = x * y
-        if out is None:
-            out = xy if op is add else -xy
-        else:
-            out = op(out, xy)
-    # The blocks are square and of one size, so this is every product's shape.
-    return zero_like(tables[n + 1][i][j]) if out is None else out
+    if series.order < 1:
+        raise UnsupportedOrder("the exchange relation needs the series through order 1")
+    # dim^(N + 1) = size; a size that is not such a power fails in kron_embed.
+    size, n_sites = series.coeffs[0].rows, -1
+    while size > 1 and size % dim == 0:
+        size, n_sites = size // dim, n_sites + 1
+    _check_budget(dim, n_sites + 2)
+    total, sites = n_sites + 2, tuple(range(2, n_sites + 2))
+    t1 = [kron_embed(c, (0, *sites), total, dim) for c in series.coeffs]
+    t2 = [kron_embed(c, (1, *sites), total, dim) for c in series.coeffs]
+    p12 = kron_embed(permutation_op(dim), (0, 1), total, dim)
+    # One defect per order pair is kept, never the residual operators.
+    return worst([
+        (commutator(t1[n + 1], t2[m]) - commutator(t1[n], t2[m + 1])
+         - p12 * (t1[m] * t2[n] - t1[n] * t2[m])).max_abs()
+        for n in range(series.order) for m in range(series.order - n)
+    ])
 
 
 def q_generators_and_relations(series, dim: int) -> tuple[dict, dict]:

@@ -47,6 +47,18 @@ def test_zero_and_one():
     assert FreeElement.zero().is_zero()
 
 
+def test_scalar_elements_hash_as_their_scalar():
+    # == and hash agree: a scalar element equals its coefficient
+    assert FreeElement.one() == 1 and hash(FreeElement.one()) == hash(1)
+    assert FreeElement.zero() == 0 and hash(FreeElement.zero()) == hash(0)
+    half = FreeElement({(): Fraction(1, 2)})
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert len({FreeElement.one(), 1}) == 1
+    assert len({FreeElement.zero(), 0, FreeElement.one() - FreeElement.one()}) == 1
+    x = FreeElement.gen("x")
+    assert hash(x + 1) == hash(FreeElement.one() + x)
+
+
 def test_associativity_and_distributivity():
     x, y, z = (FreeElement.gen(n) for n in "xyz")
     assert (x * y) * z == x * (y * z)

@@ -17,6 +17,15 @@ backends at sizes other than the defaults (`--sites 1 --dim 1`, `--dim 3`,
 `--sites 5`, `--order 6 --samples 3`), so the shapes of the brace suite's
 site stacks (one site, 3x3 blocks, five sites, degrees up to 6) are
 checked too.  They were captured before the brace elements became stacks.
+
+`golden_expand_seeds_2_3.json` holds the argv and the standard-output digest
+of each of the 104 expand/limit command lines that
+`perfbench/workloads.expand_requests(seed)` makes at seeds 2 and 3.
+`golden_yangian.json` holds the yangian report's digest on the float
+backend at seeds 1-3, which no benchmark workload runs, and on the exact
+backend at seed 1 at `--sites 1`, `2` and `3` and at `--dim 2` and `3`,
+the flags its charge-exchange row reads.  Both were captured before the
+exchange relation became one tensor-leg identity.
 """
 
 import contextlib
@@ -39,6 +48,10 @@ SEED_CASES = [(int(seed), workload.removeprefix("verify-"), row)
               for seed, workloads in OTHER_SEEDS.items()
               for workload, rows in workloads.items() for row in rows]
 BRACE_SIZES = json.loads((Path(__file__).resolve().parent / "golden_brace_sizes.json").read_text())
+OTHER_COMMANDS = [(int(seed), index, row) for seed, rows in json.loads(
+    (Path(__file__).resolve().parent / "golden_expand_seeds_2_3.json").read_text()).items()
+    for index, row in enumerate(rows)]
+YANGIAN = json.loads((Path(__file__).resolve().parent / "golden_yangian.json").read_text())
 
 
 def sha256(text: str) -> str:
@@ -71,3 +84,20 @@ def test_seed1_command_output_matches_golden_digest(index, row):
     with contextlib.redirect_stdout(out):
         main(list(row["argv"]))
     assert sha256(out.getvalue()) == row["sha256"]
+
+
+@pytest.mark.parametrize("seed,index,row", OTHER_COMMANDS,
+                         ids=[f"seed{s}-{i:03d}-{r['label']}" for s, i, r in OTHER_COMMANDS])
+def test_seed_2_3_command_output_matches_golden_digest(seed, index, row):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(list(row["argv"]))
+    assert sha256(out.getvalue()) == row["sha256"]
+
+
+@pytest.mark.parametrize("row", YANGIAN, ids=[
+    f"{r['backend']}-seed{r['seed']}" + "".join(f"-{k}{v}" for k, v in r["sizes"].items())
+    for r in YANGIAN])
+def test_yangian_report_matches_golden_digest(row):
+    report = run_suite("yangian", SuiteConfig(seed=row["seed"], backend=row["backend"], **row["sizes"]))
+    assert sha256(report.to_text() + "\n" + report.to_json()) == row["sha256"]

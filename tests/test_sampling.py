@@ -139,6 +139,14 @@ def test_seed_is_an_int_in_64_bits(seed):
         SampleSource(seed)
 
 
+@pytest.mark.parametrize("backend", ["Float", "EXACT", "", None, 1])
+def test_backend_is_exact_or_float(backend):
+    with pytest.raises(AlgebraError, match="backend must be"):
+        SampleSource(1, backend)
+    # a child stream takes its backend from a checked parent
+    assert SampleSource(1, FLOAT).split("child").backend == FLOAT
+
+
 def test_cast_converts_only_on_the_float_backend():
     m = Matrix([[1, Fraction(1, 2)], [0, 3]])
     assert SampleSource(1).cast(m) is m

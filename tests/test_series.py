@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordexp.errors import AlgebraError, BackendMismatch
+from ordexp.errors import AlgebraError, BackendMismatch, UnsupportedOrder
 from ordexp.freealg import FreeElement
 from ordexp.matrix import Matrix, commutator
 from ordexp import series
@@ -174,6 +174,14 @@ def test_truncate():
     t = s.truncate(1)
     assert t.order == 1
     assert t.coeff(1) == 2
+
+
+@pytest.mark.parametrize("order", [-1, -3, -4])
+def test_truncate_rejects_a_negative_order(order):
+    s = AlphaSeries([Fraction(1), Fraction(2), Fraction(3), Fraction(4)])
+    with pytest.raises(UnsupportedOrder, match="truncation order"):
+        s.truncate(order)
+    assert s.truncate(0) == AlphaSeries([Fraction(1)])
 
 
 def test_scale():

@@ -55,6 +55,19 @@ def generic_lax(dim, seed):
                         Matrix([[F(rng.randint(-2, 2)) for _ in range(size)]
                                 for _ in range(size)])])
 
+
+def plain_exchange_defect(series, dim):
+    """Worst defect of the exchange relation, one aux index tuple at a time:
+    [L^(n+1)_ij, L^(m)_kl] - [L^(n)_ij, L^(m+1)_kl]
+        - L^(m)_kj L^(n)_il + L^(n)_kj L^(m)_il over n + m <= order - 1."""
+    t = [block_table(series.coeff(p), dim) for p in range(series.order + 1)]
+    return max(
+        (commutator(t[n + 1][i][j], t[m][k][l]) - commutator(t[n][i][j], t[m + 1][k][l])
+         - t[m][k][j] * t[n][i][l] + t[n][k][j] * t[m][i][l]).max_abs()
+        for n in range(series.order) for m in range(series.order - n)
+        for i, j, k, l in product(range(dim), repeat=4))
+
+
 TRIPLES = [
     (F(3), F(1, 2), F(-2)),
     (F(5), F(2), F(1)),
@@ -198,17 +211,13 @@ class TestExchangeRelations:
     @pytest.mark.parametrize("n_sites", [1, 2, 3])
     def test_defining_relation_all_low_orders(self, n_sites):
         series = monodromy_coproduct(fundamental_lax(2), n_sites, 4)
-        tables = [block_table(series.coeff(k), 2) for k in range(5)]
-        for n in range(4):
-            for m in range(4 - n):
-                for i in range(2):
-                    for j in range(2):
-                        for k in range(2):
-                            for l in range(2):
-                                res = yangian_relations_residual(
-                                    tables, n, m, i, j, k, l
-                                )
-                                assert res.is_zero()
+        defect = yangian_relations_residual(series, 2)
+        assert defect == 0 and type(defect) is Fraction
+
+    @pytest.mark.parametrize("n_sites", [1, 2])
+    def test_defining_relation_at_dim_3(self, n_sites):
+        series = monodromy_coproduct(fundamental_lax(3), n_sites, 4)
+        assert yangian_relations_residual(series, 3) == 0
 
     def test_printed_exchange_items(self):
         # [L^(p)_ij, L^(1)_kl] = d_il L^(p)_kj - d_kj L^(p)_il for p = 1, 2, 3
@@ -247,69 +256,27 @@ class TestExchangeRelations:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("n_sites", [1, 2])
     def test_skipping_zero_blocks_keeps_the_plain_formula(self, dim, n_sites):
-        # L^(p) = 0 for p > n_sites and L^(0) = 1 has zero off-diagonal
-        # blocks; products with such a block are skipped, which must leave
-        # the plain formula's value, also where the residual is not zero
+        # the tensor-leg identity's worst defect is the worst of the plain
+        # per-index formula, also where the relation fails
         generic = generic_lax(dim, seed=10 * dim + n_sites)
         for lax in (fundamental_lax(dim), generic):
             series = monodromy_coproduct(lax, n_sites, 4)
-            tables = [block_table(series.coeff(p), dim) for p in range(5)]
-            nonzero = 0
-            for n in range(4):
-                for m in range(4 - n):
-                    for i, j, k, l in product(range(dim), repeat=4):
-                        ln, lm = tables[n], tables[m]
-                        plain = (
-                            commutator(tables[n + 1][i][j], lm[k][l])
-                            - commutator(ln[i][j], tables[m + 1][k][l])
-                            - lm[k][j] * ln[i][l]
-                            + ln[k][j] * lm[i][l]
-                        )
-                        res = yangian_relations_residual(tables, n, m, i, j, k, l)
-                        assert res == plain
-                        nonzero += not res.is_zero()
-            assert nonzero > 0 if lax is generic else nonzero == 0
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_identity_blocks_are_not_multiplied(self, dim, monkeypatch):
-        # at orders n = m = 0 every one of the six block products has a block
-        # of L^(0) = 1 as an operand: a zero block or the identity, so none is
-        # formed, and the residual is still the plain formula's value
-        series = monodromy_coproduct(generic_lax(dim, seed=dim), 2, 4)
-        tables = [block_table(series.coeff(p), dim) for p in range(5)]
-        plain = {}
-        for i, j, k, l in product(range(dim), repeat=4):
-            ln = lm = tables[0]
-            plain[i, j, k, l] = (
-                commutator(tables[1][i][j], lm[k][l])
-                - commutator(ln[i][j], tables[1][k][l])
-                - lm[k][j] * ln[i][l]
-                + ln[k][j] * lm[i][l]
-            )
-
-        def refuse(self, other):
-            raise AssertionError("a block product with L^(0) was formed")
-
-        monkeypatch.setattr(Matrix, "__mul__", refuse)
-        for (i, j, k, l), want in plain.items():
-            assert yangian_relations_residual(tables, 0, 0, i, j, k, l) == want
-
-    def test_all_zero_blocks_give_the_zero_of_the_product_shape(self):
-        # on one site every block of L^(2), L^(3) and L^(4) is zero, so
-        # nothing is multiplied and the residual is the zero block
-        dim = 3
-        series = monodromy_coproduct(fundamental_lax(dim), 1, 4)
-        tables = [block_table(series.coeff(p), dim) for p in range(5)]
-        res = yangian_relations_residual(tables, 2, 2, 0, 1, 2, 0)
-        block = tables[2][0][1]
-        assert (res.rows, res.cols) == (block.rows, block.cols) == (dim, dim)
-        assert res == Matrix.zeros(dim, dim)
+            defect = yangian_relations_residual(series, dim)
+            assert defect == plain_exchange_defect(series, dim)
+            assert defect > 0 if lax is generic else defect == 0
 
     def test_order_out_of_range(self):
-        series = monodromy_coproduct(fundamental_lax(2), 2, 2)
-        tables = [block_table(series.coeff(k), 2) for k in range(3)]
+        series = monodromy_coproduct(fundamental_lax(2), 2, 0)
         with pytest.raises(UnsupportedOrder):
-            yangian_relations_residual(tables, 2, 0, 0, 0, 0, 0)
+            yangian_relations_residual(series, 2)
+
+    def test_dimension_budget_counts_both_aux_legs(self):
+        # aux (x) 3 sites at dim 4 is 4^4 = 256, within the budget; the
+        # second aux leg makes it 4^5
+        size = 4 ** 4
+        series = AlphaSeries([Matrix.identity(size), Matrix.zeros(size)])
+        with pytest.raises(DimensionMismatch):
+            yangian_relations_residual(series, 4)
 
 
 class TestQGenerators:
