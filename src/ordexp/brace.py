@@ -18,12 +18,13 @@ stores each degree as one site stack (the sites' matrices on top of each
 other, one `Matrix`), so each of those is one matrix operation, and its
 product is `rotabaxter.stack_prelie_left`, one fused kernel call over all
 sites.  It gives the elements of one case (one flow-inverse element, one
-left-law triple, one flow-composition draw) one product memoized on its
-operands' values, so each distinct product is made once per case, and the
-memo is freed with the case's elements.  A difference subtracts component
-by component, and a degree only the subtrahend has enters as its negation,
-so no intermediate negated element is built; in IEEE arithmetic x - y is
-x + (-y), so it rounds as adding the negation does.
+left-law triple, one flow-composition draw) one `functools.cache` of that
+product, keyed on the operands' values, so each distinct product is made
+once per case, and the cache is freed with the case's elements.  A
+difference subtracts component by component, and a degree only the
+subtrahend has enters as its negation, so no intermediate negated element
+is built; in IEEE arithmetic x - y is x + (-y), so it rounds as adding the
+negation does.
 """
 
 from fractions import Fraction

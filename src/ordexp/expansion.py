@@ -278,12 +278,15 @@ def magnus_closed_form(family: SiteOperatorFamily, order: int = 3, style: str = 
 
     `style="explicit"` evaluates the nested-commutator formulas,
     `style="prelie"` the pre-Lie ones (left action for forward families,
-    right action for backward ones).
+    right action for backward ones).  An empty chain's product is 1, so
+    each of its terms is zero, as `magnus_oracle` gives.
     """
     if not 1 <= order <= 3:
         raise UnsupportedOrder(f"closed forms cover orders 1..3, got {order}")
     if style not in _CLOSED_FORMS:
         raise AlgebraError(f"unknown style {style!r}")
+    if family.n_sites == 0:
+        return [zero_like(family.like)] * order
     higher = _CLOSED_FORMS[style][:order - 1]
     return [family.degree_sequence(1).total()] + [closed(family) for closed in higher]
 

@@ -22,11 +22,12 @@ forms (p*q - q*p) + x*y in one pass, without the intermediate matrices, for
 one square matrix or for each block of a site stack: N sites' d x d values
 on top of each other as one (N*d) x d matrix, the carrier of the brace
 suite's elements, on which every sum, scaling and zero test is one
-operation for all sites.  The size rule reads one block's shape.  None of
-this changes a float result: each product entry starts from its backend's
-zero and adds the products of its nonzero terms in order of the inner
-index (a float term with a zero factor is skipped, so a zero never meets an
-inf or a nan), and each sum or scaling is one operation per entry.
+operation for all sites.  It is the only product that reads a stack, with
+one body for both backends; its size rule reads one block's shape.  None
+of this changes a float result: each product entry starts from its
+backend's zero and adds the products of its nonzero terms in order of the
+inner index (a float term with a zero factor is skipped, so a zero never
+meets an inf or a nan), and each sum or scaling is one operation per entry.
 
 Tensor convention used everywhere: a state of `total` factors, each of local
 dimension `dim`, is indexed lexicographically with slot 0 slowest. Slot 0 is
@@ -211,9 +212,9 @@ class Matrix:
 def value_key(m: Matrix) -> tuple:
     """A hashable key of the value `m` stores: its shape, `den` and flat entries.
 
-    Matrices with equal keys are `==`, so a memo keyed by them never merges two
-    values (an exact and a float matrix never share one).  Unlike `hash(m)` it
-    builds no Fraction.  Float keys compare by `==`, so 0.0 and -0.0 match.
+    `hash(m)` hashes it.  Matrices with equal keys are `==`, so a cache keyed
+    by matrices never merges two values (an exact and a float matrix never
+    share one).  Float keys compare by `==`, so 0.0 and -0.0 match.
     """
     return (m.rows, m.cols, m.den, *m.num)
 
@@ -289,29 +290,20 @@ def _product(a: Matrix, b: Matrix) -> list:
 
     Each entry starts from the backend's zero and adds the products of its
     nonzero terms in order of the inner index.  Below the size rule that is
-    the compiled kernel of the shape (`_product_kernel`).  At or above it,
-    `b` is read as N = `b.rows // a.cols` blocks of `a.cols` rows stacked on
-    top of each other, and `a` as N blocks of `a.rows // N` rows; block n of
-    the result is a_n b_n.  N = 1, the ordinary product, is every call but
-    `fused_prelie_site` on a stack of large blocks; a stack of small blocks
-    takes that function's own kernel.  The size rule reads one block's shape.
+    the compiled kernel of the shape (`_product_kernel`); at or above it, a
+    walk over both operands' nonzero rows.
     """
-    n, cols = a.cols, b.cols
-    m = a.rows * n // b.rows  # rows of one block of `a`
-    if n < SPARSE_FROM and cols < SPARSE_FROM and m < SPARSE_FROM:
+    m, n, cols = a.rows, a.cols, b.cols
+    if m < SPARSE_FROM and n < SPARSE_FROM and cols < SPARSE_FROM:
         return _product_kernel(m, n, cols, a.den is not None)(a.num, b.num)
-    out = [0.0 if a.den is None else 0] * (a.rows * cols)
+    out = [0.0 if a.den is None else 0] * (m * cols)
     o = 0  # flat offset of output row i
-    arows, brows = _nonzero_rows(a), _nonzero_rows(b)
-    r = 0  # first row of the block of `a`
-    for t in range(0, b.rows, n):  # first row of its block of `b`
-        bblock = brows[t:t + n]
-        for arow in arows[r:r + m]:
-            for k, aik in arow:
-                for j, bkj in bblock[k]:
-                    out[o + j] += aik * bkj
-            o += cols
-        r += m
+    brows = _nonzero_rows(b)
+    for arow in _nonzero_rows(a):
+        for k, aik in arow:
+            for j, bkj in brows[k]:
+                out[o + j] += aik * bkj
+        o += cols
     return out
 
 
@@ -359,9 +351,8 @@ def _product_kernel(m: int, n: int, cols: int, exact: bool):
 
 
 def _prelie_kernel(d: int, exact: bool):
-    """`kernel(P, Q, X, Y)` on floats, `kernel(P, Q, X, Y, f, h)` on exact
-    numerators: for each d x d block of four flat stacks, every entry as
-    (pq - qp) + xy, or (pq - qp)*f + xy*h, each product entry formed as
+    """`kernel(P, Q, X, Y, f, h)`: for each d x d block of four flat stacks,
+    every entry as (pq - qp)*f + xy*h, each product entry formed as
     `_product_kernel` forms it."""
     key = ("prelie", d, exact)
     kernel = _KERNELS.get(key)
@@ -371,10 +362,10 @@ def _prelie_kernel(d: int, exact: bool):
         for i in range(d):
             for j in range(d):
                 pq, qp, xy = (_entry(a, b, i, j, d, d, exact) for a, b in ("pq", "qp", "xy"))
-                entries.append(f"({pq} - {qp})*f + {xy}*h" if exact else f"({pq} - {qp}) + {xy}")
+                entries.append(f"({pq} - {qp})*f + {xy}*h")
         unpack = "".join(f"        {_names(letter, size)}= {letter.upper()}[t:t + {size}]\n"
                          for letter in "pqxy")
-        kernel = _compiled(key, f"def kernel(P, Q, X, Y{', f, h' if exact else ''}):\n"
+        kernel = _compiled(key, f"def kernel(P, Q, X, Y, f, h):\n"
                                 f"    out = []\n"
                                 f"    for t in range(0, len(P), {size}):\n"
                                 f"{unpack}"
@@ -389,30 +380,30 @@ def fused_prelie_site(p: Matrix, q: Matrix, x: Matrix, y: Matrix) -> Matrix:
     A stack holds the d x d values of N sites on top of each other, as one
     (N*d) x d matrix, with N = `rows // cols`; the four stacks share their
     shape and their backend, and N = 1 is one square matrix.  Each block
-    product keeps its own sum, formed as `p_n * q_n` forms it, and the
-    entries combine as the composed formula does, so float results are bit
-    for bit those of `p_n * q_n - q_n * p_n + x_n * y_n`; the exact result
-    is reduced once for the whole stack, over the common denominator of the
-    two product denominators.  Blocks below `SPARSE_FROM` take one compiled
-    kernel per block size (`_prelie_kernel`); larger ones walk their rows.
+    product keeps its own sum, formed as `p_n * q_n` forms it, and each
+    entry is (pq - qp)*f + xy*h: exact numerators take the f and h that put
+    both parts over one denominator, and the stack is reduced once; floats
+    take f = h = 1.0 (v*1.0 is v in IEEE arithmetic), so their bits are
+    those of `p_n * q_n - q_n * p_n + x_n * y_n`.  Blocks below
+    `SPARSE_FROM` take the compiled kernel of their size (`_prelie_kernel`);
+    larger ones are three `_product` calls each.
     """
     if not (p.den is None) == (q.den is None) == (x.den is None) == (y.den is None):
         raise BackendMismatch("an exact and a float matrix")
-    rows, cols = p.rows, p.cols
-    if p.den is None:
-        if cols < SPARSE_FROM:
-            out = _prelie_kernel(cols, False)(p.num, q.num, x.num, y.num)
-        else:
-            out = [(a - b) + c for a, b, c in zip(_product(p, q), _product(q, p), _product(x, y))]
-        return _wrap(out, rows, cols, None)
-    dpq, dxy = p.den * q.den, x.den * y.den
-    g = gcd(dpq, dxy)
-    f, h = dxy // g, dpq // g
-    if cols < SPARSE_FROM:
-        out = _prelie_kernel(cols, True)(p.num, q.num, x.num, y.num, f, h)
+    d, den, f, h = p.cols, p.den, 1.0, 1.0
+    if den is not None:
+        dpq, dxy = den * q.den, x.den * y.den
+        g = gcd(dpq, dxy)
+        f, h, den = dxy // g, dpq // g, dpq * dxy // g
+    if d < SPARSE_FROM:
+        out = _prelie_kernel(d, den is not None)(p.num, q.num, x.num, y.num, f, h)
     else:
-        out = [(a - b) * f + c * h for a, b, c in zip(_product(p, q), _product(q, p), _product(x, y))]
-    return _reduced(out, rows, cols, dpq * f)
+        out = []
+        for t in range(0, len(p.num), d * d):
+            pn, qn, xn, yn = (_wrap(m.num[t:t + d * d], d, d, m.den) for m in (p, q, x, y))
+            pq, qp, xy = _product(pn, qn), _product(qn, pn), _product(xn, yn)
+            out += [(a - b) * f + c * h for a, b, c in zip(pq, qp, xy)]
+    return _reduced(out, p.rows, d, den)
 
 
 def commutator(a, b):
@@ -453,6 +444,8 @@ def kron_embed(op: Matrix, slots: tuple[int, ...], total: int, dim: int) -> Matr
 
 def permutation_op(dim: int) -> Matrix:
     """The flip on C^dim tensor C^dim: P(u x v) = v x u."""
+    if dim < 1:
+        raise DimensionMismatch(f"the flip needs a dimension of at least 1, got {dim}")
     n = dim * dim
     out = [0] * (n * n)
     for a in range(dim):
@@ -464,8 +457,8 @@ def permutation_op(dim: int) -> Matrix:
 def partial_trace_first(m: Matrix, dim: int) -> Matrix:
     """Trace out the slowest (slot-0) factor of size `dim`."""
     n = m.rows
-    if n != m.cols or n % dim:
-        raise DimensionMismatch("matrix size not divisible by the traced dimension")
+    if dim < 1 or n != m.cols or n % dim:
+        raise DimensionMismatch(f"a {n}x{m.cols} matrix has no blocks for a factor of size {dim}")
     b = n // dim
     out = [0.0 if m.den is None else 0] * (b * b)
     for i in range(dim):
@@ -480,8 +473,10 @@ def partial_trace_first(m: Matrix, dim: int) -> Matrix:
 def aux_block(m: Matrix, a: int, b: int, dim: int) -> Matrix:
     """The (a, b) block with respect to the slot-0 factor of size `dim`."""
     n = m.rows
-    if n != m.cols or n % dim:
-        raise DimensionMismatch("matrix size not divisible by the block dimension")
+    if dim < 1 or n != m.cols or n % dim:
+        raise DimensionMismatch(f"a {n}x{m.cols} matrix has no blocks for a factor of size {dim}")
+    if not (0 <= a < dim and 0 <= b < dim):
+        raise DimensionMismatch(f"block ({a}, {b}) outside a slot-0 factor of size {dim}")
     s = n // dim
     start = a * s * n + b * s
     return _reduced([x for r in range(start, start + s * n, n) for x in m.num[r:r + s]], s, s, m.den)

@@ -22,7 +22,8 @@ every float bit of the formula as written.
 values: a site stack, the N sites' d x d matrices on top of each other as
 one (N*d) x d `Matrix`.  There R(a) is one more stack and the product is one
 `matrix.fused_prelie_site` call over all sites, with the values, and every
-float bit, that `prelie_left` gives site by site.
+float bit, that `prelie_left` gives site by site, at every block size and
+on both backends.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ rows keeps each residual's `max_abs`, not the residual.
 The size flags each suite reads (`--order`, `--sites`, `--dim`,
 `--samples`) are declared once, in `SUITE_FLAGS`, with their defaults
 (the package's acceptance scale) and least values; `_start` resolves
-them, and rejects any other size flag, before the suite draws a case.
+them, and rejects any other size flag and any size that is not a plain
+int (a bool included), before the suite draws a case.
 
 Each suite reads the backend once, to create its report and its root
 `SampleSource`; the source then draws (or `cast`s) every sampled operator
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 from .brace import (
     GradedPreLieElement,
@@ -44,7 +46,7 @@ from .expansion import (
     magnus_oracle,
     monodromy,
 )
-from .matrix import Matrix, value_key
+from .matrix import Matrix
 from .ops import max_abs, worst
 from .report import EXACT, FLOAT, VerificationReport
 from .rotabaxter import (
@@ -153,6 +155,8 @@ def _start(cfg: SuiteConfig, suite: str):
             continue
         if flag not in row:
             raise AlgebraError(f"{flag} is not read by the {suite} suite, got {value}")
+        if type(value) is not int:
+            raise AlgebraError(f"{flag} must be an integer, got {value!r}")
         if flag == "samples" and cfg.sites == 0:
             raise AlgebraError(f"samples is not read by the empty {suite} chain, got {value}")
         default, least = row[flag]
@@ -358,28 +362,6 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
     return rep
 
 
-def _memoized(product):
-    """`product` on two matrices, computed once per pair of operand values.
-
-    The brace suite's operands are site stacks (each degree of an element is
-    one (sites*dim) x dim matrix), so one `matrix.value_key` per operand is
-    the key.  Operands that are `==` but distinct objects still hit it, and
-    it lives as long as the returned callable.  A hit returns the earlier
-    result itself; on floats only the sign of a zero entry can differ from
-    recomputing, which `max_abs` erases.
-    """
-    memo = {}
-
-    def memo_product(a, b):
-        key = (value_key(a), value_key(b))
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = product(a, b)
-        return out
-
-    return memo_product
-
-
 def brace_suite(cfg: SuiteConfig) -> VerificationReport:
     (order, sites, dim, pairs), rep, root = _start(cfg, "brace")
 
@@ -389,11 +371,16 @@ def brace_suite(cfg: SuiteConfig) -> VerificationReport:
     zero = root.cast(Matrix.zeros(sites * dim, dim))
 
     # One case (a flow-inverse element, a left-law triple, a flow-composition
-    # draw) shares one memoized product, so the products it repeats are made
-    # once: Omega's later sweeps redo the settled degrees, and the residuals
-    # rebuild W and Omega on the same elements.  The memo goes with the case.
+    # draw) shares one product cached on its operands' values, so the
+    # products it repeats are made once: Omega's later sweeps redo the
+    # settled degrees, and the residuals rebuild W and Omega on the same
+    # elements.  `Matrix` equality and hash read shape, `den` and entries,
+    # so equal stacks that are distinct objects hit, and an exact and a
+    # float stack never meet.  A hit returns the earlier result itself; on
+    # floats only the sign of a zero entry can differ from recomputing,
+    # which `max_abs` erases.  The cache goes with the case.
     def case(src, count):
-        product = _memoized(stack_prelie_left)
+        product = cache(stack_prelie_left)
         return [GradedPreLieElement(order, {d: src.site_stack(sites, dim) for d in (1, 2)},
                                     product, like=zero)
                 for _ in range(count)]

@@ -1,5 +1,6 @@
 """Brace structure built from the degree-truncated pre-Lie algebra."""
 
+import functools
 import gc
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from ordexp.brace import (
 from ordexp.errors import BackendMismatch, DimensionMismatch
 from ordexp.expansion import FORWARD, SiteOperatorFamily, magnus_oracle, prefix_monodromy
 from ordexp.freealg import FreeElement
-from ordexp.matrix import Matrix, value_key
+from ordexp.matrix import Matrix
 from ordexp.rotabaxter import SiteSequence, prelie_left, stack_prelie_left
 from ordexp.series import AlphaSeries
 
@@ -288,35 +289,57 @@ def test_memoized_product_keeps_values_apart_below_float_resolution():
             for x in (Fraction(1, 3), tiny)]
     other = SiteSequence([Matrix([[2, 1], [1, 0]]), Matrix([[0, 1], [3, 1]])])
     stacks = [stack(s) for s in seqs]
-    product = suites._memoized(stack_prelie_left)
+    product = functools.cache(stack_prelie_left)
     first, second = product(stacks[0], stack(other)), product(stacks[1], stack(other))
     assert first == stack(prelie_left(seqs[0], other))
     assert second == stack(prelie_left(seqs[1], other))
     assert first != second
-    assert product(stacks[0], stack(other)) is first  # a repeat is read, not recomputed
+    # a repeat, on equal operands that are other objects, is read, not recomputed
+    assert product(stack(seqs[0]), stack(other)) is first
+    assert product.cache_info().misses == 2
 
 
 def test_memoized_product_keeps_shapes_apart():
     # four 1x1 sites and one 2x2 site hold the same flat entries
     column, square = Matrix([[1], [2], [3], [4]]), Matrix([[1, 2], [3, 4]])
-    assert value_key(column) != value_key(square)
-    product = suites._memoized(stack_prelie_left)
+    assert column.num == square.num and column != square
+    product = functools.cache(stack_prelie_left)
     assert product(column, column) == Matrix([[1], [4], [9], [16]])
     assert product(square, square) == Matrix([[7, 10], [15, 22]])
+    assert product.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("seed", [2, 3])
 @pytest.mark.parametrize("backend", ["exact", "float"])
 @pytest.mark.parametrize("order,samples", [(4, 6), (6, 3)])
 def test_brace_suite_memo_changes_no_byte(monkeypatch, seed, backend, order, samples):
-    # the per-case memo must give every byte the plain product gives,
+    # the per-case cache must give every byte the plain product gives,
     # beyond the seed whose digests are committed
     cfg = SuiteConfig(seed=seed, backend=backend, order=order, samples=samples)
     memo = run_suite("brace", cfg)
-    monkeypatch.setattr(suites, "_memoized", lambda product: product)
+    monkeypatch.setattr(suites, "cache", lambda product: product)
     plain = run_suite("brace", cfg)
     assert memo.to_text() == plain.to_text()
     assert memo.to_json() == plain.to_json()
+
+
+@pytest.mark.parametrize("backend,requested,computed", [
+    ("exact", 11025, 5375), ("float", 11156, 5734)])
+def test_brace_suite_computes_each_repeated_product_once(monkeypatch, backend, requested, computed):
+    # seed 1 at default sizes: the counts the per-case memo gave before it
+    # became a functools.cache, so the same requests hit
+    calls = {"requested": 0, "computed": 0}
+
+    def counted(name, product):
+        def count(a, b):
+            calls[name] += 1
+            return product(a, b)
+        return count
+
+    monkeypatch.setattr(suites, "stack_prelie_left", counted("computed", stack_prelie_left))
+    monkeypatch.setattr(suites, "cache", lambda product: counted("requested", functools.cache(product)))
+    run_suite("brace", SuiteConfig(seed=1, backend=backend))
+    assert calls == {"requested": requested, "computed": computed}
 
 
 def test_brace_suite_leaves_no_reference_cycle():

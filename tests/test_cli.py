@@ -10,7 +10,7 @@ from ordexp.cli import SpecError, main, parse_family_spec, parse_field_spec
 from ordexp.errors import AlgebraError
 from ordexp.expansion import BACKWARD, FORWARD, SiteOperatorFamily, dyson_terms
 from ordexp.matrix import SPARSE_FROM, Matrix
-from ordexp.suites import SIZE_FLAGS, SUITE_FLAGS
+from ordexp.suites import SIZE_FLAGS, SUITE_FLAGS, run_suite
 
 CSV_HEADER = "delta,err_q1,err_q2,err_q3,rate_q1,rate_q2,rate_q3"
 
@@ -181,6 +181,15 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith(f"error: {argv[1][2:]} ")
 
+    @pytest.mark.parametrize("suite", sorted(SUITE_FLAGS))
+    @pytest.mark.parametrize("value", [2.0, True, "2", Fraction(2)])
+    def test_suite_config_rejects_a_size_that_is_not_an_int(self, suite, value):
+        # the CLI's argparse makes every size an int; the library API must
+        # refuse a float, a bool or a string, not run or print it
+        for flag in SUITE_FLAGS[suite]:
+            with pytest.raises(AlgebraError, match=f"{flag} must be an integer"):
+                run_suite(suite, SuiteConfig(**{flag: value}))
+
     @pytest.mark.parametrize("samples", ["2", "4"])
     def test_rota_baxter_runs_the_samples_given(self, capsys, samples):
         code, out, _ = run_cli(capsys, "verify", "rota-baxter", "--samples", samples)
@@ -309,6 +318,18 @@ class TestExpandCommand:
         fam = SiteOperatorFamily(fam.n_sites, fam.entries, direction=direction, like=fam.like)
         want = [f"T^({m}) = {t}" for m, t in enumerate(dyson_terms(fam, order, method="direct"))]
         assert [line for line in out.splitlines() if line.startswith("T^")] == want
+
+    @pytest.mark.parametrize("spec", ["scalar:p=1;N=0", "free:N=0", "matrix:rand(2x2,int<=3);N=0;seed=4"])
+    @pytest.mark.parametrize("form", ["magnus-prelie", "magnus-explicit"])
+    def test_closed_forms_of_an_empty_chain_are_the_oracle_zeros(self, capsys, spec, form):
+        code, out, _ = run_cli(capsys, "expand", spec, "--form", form)
+        assert code == 0
+        _, oracle, _ = run_cli(capsys, "expand", spec, "--form", "magnus-oracle")
+        tail = lambda text: [l for l in text.splitlines() if l.startswith("Q^")]
+        assert tail(out) == tail(oracle)
+        assert len(tail(out)) == 3
+        if not spec.startswith("matrix"):
+            assert tail(out) == [f"Q^({m}) = 0" for m in (1, 2, 3)]
 
     def test_malformed_spec_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "expand", "scalar:p=1")

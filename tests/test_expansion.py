@@ -33,7 +33,7 @@ from ordexp.expansion import (
     prefix_monodromy,
 )
 from ordexp.freealg import FreeElement
-from ordexp.ops import unit_product
+from ordexp.ops import is_zero, unit_product
 from ordexp.matrix import Matrix
 from ordexp.poly import Poly
 from ordexp.series import AlphaSeries
@@ -244,6 +244,18 @@ def test_closed_forms_match_oracle_matrix(direction, style):
     fam = matrix_family(seed=23, n_sites=4, degrees=(1, 2, 3), direction=direction)
     for degree, residual in closed_form_defects(fam, order=3, style=style):
         assert residual.is_zero(), f"degree {degree} defect"
+
+
+@pytest.mark.parametrize("style", ["explicit", "prelie"])
+@pytest.mark.parametrize("like", [Fraction(1), FreeElement.one(), Matrix.identity(2),
+                                  Matrix.identity(2).to_float()], ids=["scalar", "free", "exact", "float"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_closed_forms_of_an_empty_chain_are_zero(style, like, order):
+    # an empty chain's product is 1, so every logarithm term is zero
+    fam = SiteOperatorFamily(0, {}, like=like)
+    closed = magnus_closed_form(fam, order=order, style=style)
+    assert closed == magnus_oracle(fam, order) == [like * 0] * order
+    assert all(is_zero(residual) for _, residual in closed_form_defects(fam, order=order, style=style))
 
 
 def test_closed_form_rejects_high_order():

@@ -26,6 +26,12 @@ backend at seeds 1-3, which no benchmark workload runs, and on the exact
 backend at seed 1 at `--sites 1`, `2` and `3` and at `--dim 2` and `3`,
 the flags its charge-exchange row reads.  Both were captured before the
 exchange relation became one tensor-leg identity.
+
+`golden_dim8.json` holds the seed-1 digests of `verify brace --dim 8
+--sites 2` and `verify prelie --dim 8` on both backends: 8x8 blocks, at
+the size rule, so the fused pre-Lie product walks each block's nonzero
+rows, on a stack of two sites in brace.  They were captured before that
+walk moved out of the generic product into `fused_prelie_site`.
 """
 
 import contextlib
@@ -52,6 +58,7 @@ OTHER_COMMANDS = [(int(seed), index, row) for seed, rows in json.loads(
     (Path(__file__).resolve().parent / "golden_expand_seeds_2_3.json").read_text()).items()
     for index, row in enumerate(rows)]
 YANGIAN = json.loads((Path(__file__).resolve().parent / "golden_yangian.json").read_text())
+LARGE_BLOCKS = json.loads((Path(__file__).resolve().parent / "golden_dim8.json").read_text())
 
 
 def sha256(text: str) -> str:
@@ -100,4 +107,12 @@ def test_seed_2_3_command_output_matches_golden_digest(seed, index, row):
     for r in YANGIAN])
 def test_yangian_report_matches_golden_digest(row):
     report = run_suite("yangian", SuiteConfig(seed=row["seed"], backend=row["backend"], **row["sizes"]))
+    assert sha256(report.to_text() + "\n" + report.to_json()) == row["sha256"]
+
+
+@pytest.mark.parametrize("row", LARGE_BLOCKS, ids=[
+    f"{r['suite']}-{r['backend']}" + "".join(f"-{k}{v}" for k, v in r["sizes"].items())
+    for r in LARGE_BLOCKS])
+def test_large_block_report_matches_golden_digest(row):
+    report = run_suite(row["suite"], SuiteConfig(seed=1, backend=row["backend"], **row["sizes"]))
     assert sha256(report.to_text() + "\n" + report.to_json()) == row["sha256"]

@@ -247,6 +247,21 @@ def test_aux_block_shape_check():
         aux_block(Matrix.identity(3), 0, 0, 2)
 
 
+@pytest.mark.parametrize("a,b", [(2, 0), (0, 2), (-1, 0), (0, -1), (5, 5)])
+def test_aux_block_rejects_a_block_index_outside_the_factor(a, b):
+    with pytest.raises(DimensionMismatch):
+        aux_block(Matrix.identity(4), a, b, 2)
+
+
+@pytest.mark.parametrize("dim", [0, -1, -2])
+def test_block_helpers_reject_a_factor_below_one(dim):
+    m = Matrix.identity(4)
+    for call in (lambda: aux_block(m, 0, 0, dim), lambda: partial_trace_first(m, dim),
+                 lambda: permutation_op(dim)):
+        with pytest.raises(DimensionMismatch):
+            call()
+
+
 # -- properties against a plain-Fraction reference -------------------------------
 #
 # The reference works on lists of int/Fraction/float entries with plain
@@ -753,8 +768,8 @@ def as_matrix(grid, exact):
 @pytest.mark.parametrize("n_blocks", [1, 2, 3, 4])
 def test_stacked_fused_prelie_site_is_each_block_bit_for_bit(n_blocks, d, exact, bits):
     # every block of a stack is the N = 1 kernel on that block, and the
-    # composed formula, entry for entry; d = SPARSE_FROM walks the stack's
-    # cached nonzero rows, block by block
+    # composed formula, entry for entry; at d = SPARSE_FROM each block's
+    # three products walk its nonzero rows
     rng = random.Random(f"{n_blocks}-{d}-{exact}")
     fill = 0.4 if d >= SPARSE_FROM else 1.0
     for _ in range(3 if d >= SPARSE_FROM else 25):
