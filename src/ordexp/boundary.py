@@ -54,7 +54,7 @@ def _require_invertible(op, what: str):
     free algebra only) has no finite answer for it.
     """
     if isinstance(op, FreeElement):
-        op = FreeElement({(): op.terms.get((), 0)})
+        op = op.scalar_part()
     try:
         invert(op)
     except SingularOperator as exc:

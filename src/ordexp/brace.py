@@ -10,21 +10,22 @@ is ever hand-coded.
 
 Nothing is computed twice: each brace residual computes Omega(a) once for
 its left factor a, the BCH word table is built once per truncation depth
-and then only read, and `bch` brackets each left-nested word prefix once,
-so a word xyx reuses [x, y].  The pre-Lie product itself is the callable
-the elements carry, and a component value may be anything with addition,
-subtraction, negation, scalar multiples and a zero test.  The brace suite
-stores each degree as one site stack (the sites' matrices on top of each
-other, one `Matrix`), so each of those is one matrix operation, and its
-product is `rotabaxter.stack_prelie_left`, one fused kernel call over all
-sites.  It gives the elements of one case (one flow-inverse element, one
-left-law triple, one flow-composition draw) one `functools.cache` of that
-product, keyed on the operands' values, so each distinct product is made
-once per case, and the cache is freed with the case's elements.  A
-difference subtracts component by component, and a degree only the
-subtrahend has enters as its negation, so no intermediate negated element
-is built; in IEEE arithmetic x - y is x + (-y), so it rounds as adding the
-negation does.
+(from the free element's `named_words`, in the order it stores them, which
+fixes the order of the float sum) and then only read, and `bch` brackets
+each left-nested word prefix once, so a word xyx reuses [x, y].  The
+pre-Lie product itself is the callable the elements carry, and a component
+value may be anything with addition, subtraction, negation, scalar
+multiples and a zero test.  The brace suite stores each degree as one site
+stack (the sites' matrices on top of each other, one `Matrix`), so each of
+those is one matrix operation, and its product is
+`matrix.stack_prelie_left`, one fused kernel call over all sites.  It gives
+the elements of one case (one flow-inverse element, one left-law triple,
+one flow-composition draw) one `functools.cache` of that product, keyed on
+the operands' values, so each distinct product is made once per case, and
+the cache is freed with the case's elements.  A difference subtracts
+component by component, and a degree only the subtrahend has enters as its
+negation, so no intermediate negated element is built; in IEEE arithmetic
+x - y is x + (-y), so it rounds as adding the negation does.
 """
 
 from fractions import Fraction
@@ -191,9 +192,9 @@ def _bch_words(depth: int) -> tuple:
     ey = AlphaSeries.from_parts(depth, {1: FreeElement.gen("y")}, like=one).exp()
     logs = (ex * ey).log()
     return tuple(
-        (tuple(letter.name for letter in word), coeff * Fraction(1, len(word)))
+        (names, coeff * Fraction(1, len(names)))
         for k in range(1, depth + 1)
-        for word, coeff in logs.coeff(k).terms.items()
+        for names, coeff in logs.coeff(k).named_words()
     )
 
 

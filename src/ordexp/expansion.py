@@ -41,7 +41,14 @@ BACKWARD = "backward"
 
 
 def compositions(total: int, parts: int):
-    """Yield tuples of `parts` positive integers summing to `total`."""
+    """Yield tuples of `parts` positive integers summing to `total`.
+
+    `(0, 0)` yields the one empty tuple; any other `parts < 1` yields nothing.
+    """
+    if parts < 1:
+        if parts == 0 == total:
+            yield ()
+        return
     if parts == 1:
         if total >= 1:
             yield (total,)
@@ -193,8 +200,11 @@ def dyson_terms(family: SiteOperatorFamily, order: int, method: str = "direct"):
     `method="direct"` enumerates site-ordered products per degree
     composition; `method="tridendriform"` folds the same compositions
     through the half-shuffle actions (right-nested for forward families,
-    left-nested for backward ones).  Both agree with `monodromy`.
+    left-nested for backward ones).  Both agree with `monodromy`.  A
+    negative order is UnsupportedOrder.
     """
+    if order < 0:
+        raise UnsupportedOrder(f"truncation order must be >= 0, got {order}")
     if method == "direct":
         return _dyson_direct(family, order)
     if method == "tridendriform":

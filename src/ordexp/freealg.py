@@ -5,7 +5,12 @@ tuple of letters and multiplies by concatenation. Elements store a mapping
 word -> coefficient with zero coefficients pruned, so equality is exact and
 structural. A coefficient is stored in one canonical form: a plain `int` when
 it is integral, otherwise a `Fraction` with denominator > 1, so the common
-integer coefficients never pay for `Fraction` arithmetic.
+integer coefficients never pay for `Fraction` arithmetic.  A float operand
+raises BackendMismatch: free coefficients are exact on both backends.
+
+This module is the only one that reads that store (`terms`, and a word's
+letters): other modules ask an element for its `scalar_part`, its
+`inverse` or its `named_words`.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BackendMismatch
+from .errors import BackendMismatch, SingularOperator
+from .matrix import SCALARS
 
 
 class Letter(NamedTuple):
@@ -67,6 +73,20 @@ class FreeElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def scalar_part(self):
+        """The coefficient of the empty word: 0 when there is none."""
+        return self.terms.get((), 0)
+
+    def named_words(self) -> list:
+        """(letter names, coefficient) per word, in the order the element stores them."""
+        return [(tuple(letter.name for letter in w), c) for w, c in self.terms.items()]
+
+    def inverse(self) -> "FreeElement":
+        """Two-sided inverse: only a nonzero scalar is a unit of the free algebra."""
+        if list(self.terms) != [()]:
+            raise SingularOperator("a free element is invertible only when it is a nonzero scalar")
+        return FreeElement({(): Fraction(1) / self.terms[()]})
+
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = FreeElement({(): other}) if other else FreeElement({})
@@ -81,7 +101,7 @@ class FreeElement:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other) -> "FreeElement":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, SCALARS):
             other = FreeElement({(): other})
         if not isinstance(other, FreeElement):
             return NotImplemented
@@ -106,7 +126,8 @@ class FreeElement:
         return (-self) + other
 
     def __mul__(self, other) -> "FreeElement":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, SCALARS):
+            other = _coerce(other)
             return FreeElement({w: c * other for w, c in self.terms.items()})
         if not isinstance(other, FreeElement):
             return NotImplemented
@@ -122,7 +143,7 @@ class FreeElement:
         return FreeElement(out)
 
     def __rmul__(self, other) -> "FreeElement":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, SCALARS):
             return self.__mul__(other)
         return NotImplemented
 

@@ -7,10 +7,14 @@ that `gcd(den, *num) == 1`; that form is unique, so equality is a comparison
 of shapes and integers, and every operation runs on plain ints with one gcd
 reduction per result.  `data` gives the entries back row by row: ints when
 `den == 1`, otherwise a Fraction each.  A float matrix holds Python floats
-only and has `den = None`.  An exact and a float matrix are never equal, and
-`+`, `-`, `*`, `kron` and `fused_prelie_site` refuse them with BackendMismatch,
-as an exact matrix refuses a float scalar.  So every operation has one body
-for both backends; `den` only decides whether the result is reduced.
+only and has `den = None`.  Only this module reads or writes that store,
+so each operation that needs it is here: the arithmetic, `from_ints` for
+the sampled draws, `unit_product` for the products by the unit, and the
+pre-Lie products on site stacks below.  An exact and a float matrix are
+never equal, and `+`, `-`, `*`, `kron` and `fused_prelie_site` refuse them
+with BackendMismatch, as an exact matrix refuses a float scalar.  So every
+operation has one body for both backends; `den` only decides whether the
+result is reduced.
 A product with a dimension of at least `SPARSE_FROM` walks both operands
 by their nonzero entries, row by row, from a list each matrix makes on
 first use and keeps (a matrix is never changed once built); that keeps the
@@ -23,7 +27,9 @@ one square matrix or for each block of a site stack: N sites' d x d values
 on top of each other as one (N*d) x d matrix, the carrier of the brace
 suite's elements, on which every sum, scaling and zero test is one
 operation for all sites.  It is the only product that reads a stack, with
-one body for both backends; its size rule reads one block's shape.  None
+one body for both backends; its size rule reads one block's shape.
+`stack_prelie_left` forms the left pre-Lie product of two stacks with it,
+after summing one stack's blocks into its strict prefix sums.  None
 of this changes a float result: each product entry starts from its
 backend's zero and adds the products of its nonzero terms in order of the
 inner index (a float term with a zero factor is skipped, so a zero never
@@ -44,7 +50,7 @@ from operator import add, neg, sub
 
 from .errors import BackendMismatch, DimensionMismatch, SingularOperator
 
-# The scalar operator types; `ops` re-exports this tuple for the rest of the package.
+# The scalar operator types, read by `freealg` and re-exported by `ops`.
 SCALARS = (int, Fraction, float)
 
 
@@ -89,11 +95,18 @@ class Matrix:
         return m
 
     @staticmethod
-    def zeros(rows: int, cols: int | None = None) -> "Matrix":
-        cols = rows if cols is None else cols
+    def from_ints(values: list, rows: int, cols: int) -> "Matrix":
+        """The exact matrix of the ints `values`, row by row; the list becomes its store."""
         if rows < 1 or cols < 1:
             raise DimensionMismatch("matrix needs at least one row and column")
-        return _wrap([0] * (rows * cols), rows, cols, 1)
+        if len(values) != rows * cols:
+            raise DimensionMismatch(f"{len(values)} entries for a {rows}x{cols} matrix")
+        return _wrap(values, rows, cols, 1)
+
+    @staticmethod
+    def zeros(rows: int, cols: int | None = None) -> "Matrix":
+        cols = rows if cols is None else cols
+        return Matrix.from_ints([0] * (rows * cols), rows, cols)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -111,7 +124,7 @@ class Matrix:
                 and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash(value_key(self))
+        return hash((self.rows, self.cols, self.den, *self.num))
 
     def __add__(self, other) -> "Matrix":
         if not isinstance(other, Matrix):
@@ -207,16 +220,6 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({self})"
-
-
-def value_key(m: Matrix) -> tuple:
-    """A hashable key of the value `m` stores: its shape, `den` and flat entries.
-
-    `hash(m)` hashes it.  Matrices with equal keys are `==`, so a cache keyed
-    by matrices never merges two values (an exact and a float matrix never
-    share one).  Float keys compare by `==`, so 0.0 and -0.0 match.
-    """
-    return (m.rows, m.cols, m.den, *m.num)
 
 
 def _wrap(num: list, rows: int, cols: int, den) -> Matrix:
@@ -406,9 +409,48 @@ def fused_prelie_site(p: Matrix, q: Matrix, x: Matrix, y: Matrix) -> Matrix:
     return _reduced(out, p.rows, d, den)
 
 
+def stack_prelie_left(a: Matrix, b: Matrix) -> Matrix:
+    """(a |> b)_n = [a_1+...+a_{n-1}, b_n] + a_n b_n on two site stacks.
+
+    `a` and `b` stack N sites' d x d values as (N*d) x d matrices of one
+    backend.  Block n of R(a) is the strict prefix sum, added from site 1
+    up as `rotabaxter.PartialSumOp` adds it from the zero of the backend
+    (a float -0.0 becomes 0.0), and block 1 is that zero; then one
+    `fused_prelie_site(R(a), b, a, b)` call forms every site.
+    """
+    rows, d = a.rows, a.cols
+    if b.rows != rows or b.cols != d or rows % d:
+        raise DimensionMismatch(f"site stacks {a.rows}x{a.cols} and {b.rows}x{b.cols}")
+    num, size = a.num, d * d
+    acc = [0.0 if a.den is None else 0] * size
+    prefix = acc[:]
+    for i in range(0, len(num) - size, size):
+        acc = list(map(add, acc, num[i:i + size]))
+        prefix += acc
+    return fused_prelie_site(_reduced(prefix, rows, d, a.den), b, a, b)
+
+
 def commutator(a, b):
     """[a, b] = ab - ba, for operators of any backend."""
     return a * b - b * a
+
+
+def unit_product(unit, x):
+    """`unit * x`, equally `x * unit`, for the unit `ops.one_like(x)` of a
+    nonzero `x`, formed without the product and with the same value.
+
+    An exact matrix gives `x` itself, a float one its entries as `0.0 + v`:
+    the zero-skipping product starts each entry at 0.0 and adds `1.0 * v`
+    for each nonzero `v`, so -0.0 becomes 0.0.  Any other `x` is itself
+    when its type is the unit's (a free element, or a scalar of the unit's
+    type), otherwise `unit * x` (an int or a float meeting `Fraction(1)`, a
+    rational meeting 1.0).
+    """
+    if isinstance(x, Matrix):
+        if (x.den is None) != (unit.den is None):
+            raise BackendMismatch("an exact and a float matrix")
+        return x if x.den is not None else _wrap([0.0 + v for v in x.num], x.rows, x.cols, None)
+    return x if type(x) is type(unit) else unit * x
 
 
 def kron_embed(op: Matrix, slots: tuple[int, ...], total: int, dim: int) -> Matrix:

@@ -14,9 +14,11 @@ their coefficients; those two are its only other callers.
 The rule that turns a law's residuals into its reported defect is here as
 well: `worst` takes their largest `max_abs`, keeping their type.
 
-`SCALARS` and `commutator` are defined in `matrix`, which sits below this
-module (`Matrix` needs the scalar tuple, and `matrix.commutator` is public);
-they are re-exported here.
+`SCALARS`, `commutator` and `unit_product` are defined in `matrix`, which
+sits below this module (`Matrix` needs the scalar tuple, `matrix.commutator`
+is public, and `unit_product` reads a matrix's store); they are re-exported
+here.  This module reads no operator's storage: a matrix and a free element
+answer through their own methods (`is_exact`, `inverse`, ...).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 from .errors import BackendMismatch, DimensionMismatch, InsufficientSamples, SingularOperator
 from .freealg import FreeElement
-from .matrix import SCALARS, Matrix, _wrap, commutator, fused_prelie_site
+from .matrix import SCALARS, Matrix, commutator, fused_prelie_site, unit_product
 
 __all__ = ["SCALARS", "check_compatible", "commutator", "invert", "is_zero",
            "max_abs", "one_like", "prelie_site", "to_float", "unit_product", "worst",
@@ -60,24 +62,6 @@ def one_like(x):
     if isinstance(x, SCALARS):
         return 1.0 if isinstance(x, float) else Fraction(1)
     raise BackendMismatch(f"unknown operator type {type(x).__name__}")
-
-
-def unit_product(unit, x):
-    """`unit * x`, equally `x * unit`, for `unit = one_like(...)` of the algebra
-    of a nonzero `x`, formed without the product and with the same value.
-
-    An exact matrix gives `x` itself, a float one its entries as `0.0 + v`:
-    the zero-skipping product starts each entry at 0.0 and adds `1.0 * v`
-    for each nonzero `v`, so -0.0 becomes 0.0.  Any other `x` is itself
-    when its type is the unit's (a free element, or a scalar of the unit's
-    type), otherwise `unit * x` (an int or a float meeting `Fraction(1)`, a
-    rational meeting 1.0).
-    """
-    if isinstance(x, Matrix):
-        if (x.den is None) != (unit.den is None):
-            raise BackendMismatch("an exact and a float matrix")
-        return x if x.den is not None else _wrap([0.0 + v for v in x.num], x.rows, x.cols, None)
-    return x if type(x) is type(unit) else unit * x
 
 
 def is_zero(x) -> bool:
@@ -117,12 +101,8 @@ def invert(x):
     A free element is a unit of the free algebra only when it is a nonzero
     scalar, so that is the only free element this inverts.
     """
-    if isinstance(x, Matrix):
+    if isinstance(x, (Matrix, FreeElement)):
         return x.inverse()
-    if isinstance(x, FreeElement):
-        if list(x.terms) != [()]:
-            raise SingularOperator("a free element is invertible only when it is a nonzero scalar")
-        return FreeElement({(): Fraction(1) / x.terms[()]})
     if not x:
         raise SingularOperator("zero scalar has no inverse")
     return 1.0 / x if isinstance(x, float) else Fraction(1) / x

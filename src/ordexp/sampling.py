@@ -14,9 +14,10 @@ A source also carries the suite's backend, and this is the one place that
 decides it: on the float backend `matrix`, `invertible_matrix`, `sequence`,
 `site_stack`, `matrix_family` and `poly` draw the exact value from the same
 stream and return it converted to float (a family's template `like` too),
-and `cast` converts the few operators a suite builds instead of draws.  Scalars drawn
-as parameters (`integer`, `fraction`, `nonzero_fraction`) and free-letter
-coefficients stay exact.
+and `cast` converts the few operators a suite builds instead of draws.  An
+exact matrix is its draws row by row, built by `Matrix.from_ints`.  Scalars
+drawn as parameters (`integer`, `fraction`, `nonzero_fraction`) and
+free-letter coefficients stay exact.
 """
 
 from __future__ import annotations
@@ -75,9 +76,7 @@ class SampleSource:
 
     def _exact_matrix(self, rows: int, cols: int, bound: int) -> Matrix:
         # The draws of `fraction(bound)` row by row, kept as ints over den = 1.
-        m = Matrix.zeros(rows, cols)
-        m.num[:] = [self.integer(-bound, bound) for _ in range(rows * cols)]
-        return m
+        return Matrix.from_ints([self.integer(-bound, bound) for _ in range(rows * cols)], rows, cols)
 
     def matrix(self, size: int = 2, bound: int = 3) -> Matrix:
         return self.cast(self._exact_matrix(size, size, bound))

@@ -46,7 +46,7 @@ from .expansion import (
     magnus_oracle,
     monodromy,
 )
-from .matrix import Matrix
+from .matrix import Matrix, stack_prelie_left
 from .ops import max_abs, worst
 from .report import EXACT, FLOAT, VerificationReport
 from .rotabaxter import (
@@ -56,7 +56,6 @@ from .rotabaxter import (
     check_prelie_right,
     check_tridendriform,
     rb_residual,
-    stack_prelie_left,
 )
 from .sampling import SampleSource
 from .series import AlphaSeries
@@ -92,9 +91,10 @@ class SuiteConfig:
 
     The backend and tolerance are checked here: the backend must be exact
     or float, and a tolerance is read only on the float backend and must be
-    a finite number >= 0; None means 1e-10, which the header shows on
-    either backend.  The sizes (order, sites, dim, samples) are checked
-    against the suite's row of `SUITE_FLAGS` when the suite starts.
+    an int, float or Fraction (not a bool), finite and >= 0; None means
+    1e-10, which the header shows on either backend.  The sizes (order,
+    sites, dim, samples) are checked against the suite's row of
+    `SUITE_FLAGS` when the suite starts.
     """
 
     __slots__ = ("seed", "backend", "tolerance", "order", "sites", "dim", "samples")
@@ -107,7 +107,8 @@ class SuiteConfig:
             tolerance = 1e-10
         elif backend == EXACT:
             raise AlgebraError(f"tolerance is read only on the {FLOAT} backend, got {tolerance!r}")
-        elif not 0 <= tolerance < math.inf:
+        elif (isinstance(tolerance, bool) or not isinstance(tolerance, (int, float, Fraction))
+              or not 0 <= tolerance < math.inf):
             raise AlgebraError(f"tolerance must be a finite number >= 0, got {tolerance!r}")
         self.seed = seed
         self.backend = backend

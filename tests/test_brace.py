@@ -22,8 +22,8 @@ from ordexp.brace import (
 from ordexp.errors import BackendMismatch, DimensionMismatch
 from ordexp.expansion import FORWARD, SiteOperatorFamily, magnus_oracle, prefix_monodromy
 from ordexp.freealg import FreeElement
-from ordexp.matrix import Matrix
-from ordexp.rotabaxter import SiteSequence, prelie_left, stack_prelie_left
+from ordexp.matrix import Matrix, stack_prelie_left
+from ordexp.rotabaxter import SiteSequence, prelie_left
 from ordexp.series import AlphaSeries
 
 

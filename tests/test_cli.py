@@ -1,6 +1,7 @@
 """Command-line behavior: determinism, exit codes, spec parsing, formats."""
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -231,6 +232,17 @@ class TestVerifyCommand:
         with pytest.raises(AlgebraError, match="finite number"):
             SuiteConfig(backend="float", tolerance=float("nan"))
         assert SuiteConfig(backend="float", tolerance=0).tolerance == 0
+
+    @pytest.mark.parametrize("tolerance", [True, False, "1e-3", [1], Decimal("0.1"), complex(1)])
+    def test_suite_config_refuses_a_tolerance_that_is_not_a_number(self, tolerance):
+        # a bool passed `0 <= True < inf` and printed `tolerance: True`;
+        # a string or a list died with TypeError from the compare
+        with pytest.raises(AlgebraError, match="finite number"):
+            SuiteConfig(backend="float", tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", [0, 1, 0.5, Fraction(1, 10)])
+    def test_suite_config_keeps_a_numeric_tolerance(self, tolerance):
+        assert SuiteConfig(backend="float", tolerance=tolerance).tolerance == tolerance
 
     def test_float_backend_passes_at_default_tolerance(self, capsys):
         code, out, _ = run_cli(

@@ -105,6 +105,28 @@ def test_compositions_enumeration():
         assert count == 2 ** (m - 1)
 
 
+def test_compositions_into_no_parts():
+    # these recursed until RecursionError; the order of every other output
+    # sets the float summation order of the Dyson and Magnus sums
+    assert list(compositions(0, 0)) == [()]
+    for total, parts in ((3, 0), (2, -1), (0, -1), (-1, 0)):
+        assert list(compositions(total, parts)) == []
+    assert list(compositions(4, 2)) == [(1, 3), (2, 2), (3, 1)]
+    assert list(compositions(4, 3)) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+
+
+@pytest.mark.parametrize("order", [-1, -2, -3])
+@pytest.mark.parametrize("like", [Fraction(1), FreeElement.one(), Matrix.identity(2)], ids=["scalar", "free", "matrix"])
+def test_negative_orders_are_unsupported(order, like):
+    # they gave order-0 series, [] or [1]
+    fam = SiteOperatorFamily(2, {(1, 1): like * 2, (2, 1): like * 3}, like=like)
+    for call in (lambda: monodromy(fam, order), lambda: chain_walk(fam, order, FORWARD),
+                 lambda: magnus_oracle(fam, order), lambda: dyson_terms(fam, order),
+                 lambda: dyson_terms(fam, order, method="tridendriform")):
+        with pytest.raises(UnsupportedOrder, match="truncation order"):
+            call()
+
+
 @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
 def test_monodromy_matches_local_product(direction):
     fam = matrix_family(seed=11, n_sites=3, degrees=(1, 2), direction=direction)

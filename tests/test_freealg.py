@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordexp import ops
+from ordexp.errors import BackendMismatch, SingularOperator
 from ordexp.freealg import FreeElement, Letter
 
 # Coefficients either way they may arrive: ints, or Fractions that are
@@ -137,3 +139,36 @@ def test_invert_of_an_int_scalar_is_exact():
     assert type(inv.terms[()]) is Fraction
     assert ops.invert(FreeElement({(): Fraction(1, 3)})).terms == {(): 3}
     assert type(ops.invert(FreeElement({(): -1})).terms[()]) is int
+
+
+def test_inverse_is_that_of_a_nonzero_scalar_only():
+    assert FreeElement({(): 2}).inverse() == FreeElement({(): Fraction(1, 2)})
+    for x in (FreeElement.zero(), FreeElement.gen("x"), FreeElement.one() + FreeElement.gen("x")):
+        with pytest.raises(SingularOperator):
+            x.inverse()
+        with pytest.raises(SingularOperator):
+            ops.invert(x)
+
+
+def test_scalar_part_and_named_words():
+    x, y = FreeElement.gen("x", site=2), FreeElement.gen("y", degree=3)
+    e = x * y * Fraction(1, 2) + 3 - y
+    assert e.scalar_part() == 3 and type(e.scalar_part()) is int
+    assert (x * y).scalar_part() == 0
+    # storage order, each word's letters by name
+    assert e.named_words() == [(("x", "y"), Fraction(1, 2)), ((), 3), (("y",), -1)]
+
+
+@pytest.mark.parametrize("op", [
+    lambda x: x + 0.5, lambda x: 0.5 + x, lambda x: x - 0.5, lambda x: 0.5 - x,
+    lambda x: x * 0.5, lambda x: 0.5 * x, lambda x: FreeElement.zero() * 0.5,
+], ids=["add", "radd", "sub", "rsub", "mul", "rmul", "zero-mul"])
+def test_a_float_operand_is_another_backend(op):
+    # four of these raised TypeError, and 0.5 - x named `+`
+    with pytest.raises(BackendMismatch):
+        op(FreeElement.gen("x"))
+
+
+def test_a_free_element_is_never_equal_to_a_float():
+    assert FreeElement.one() != 1.0 and not FreeElement.zero() == 0.0
+    assert FreeElement.one() == 1 and FreeElement.zero() == 0

@@ -26,7 +26,6 @@ from ordexp.matrix import (
     kron_embed,
     partial_trace_first,
     permutation_op,
-    value_key,
 )
 
 SRC = str(Path(matrix.__file__).resolve().parents[1])
@@ -43,9 +42,11 @@ def test_constructor_rejects_bad_shapes():
         Matrix([])
     with pytest.raises(DimensionMismatch):
         Matrix([[1, 2], [3]])
-    for empty in (lambda: Matrix.zeros(0), lambda: Matrix.zeros(2, 0), lambda: Matrix.identity(0)):
+    for bad in (lambda: Matrix.zeros(0), lambda: Matrix.zeros(2, 0), lambda: Matrix.identity(0),
+                lambda: Matrix.from_ints([], 0, 0), lambda: Matrix.from_ints([1, 2, 3], 2, 2),
+                lambda: Matrix.from_ints([1, 2], 1, 1)):
         with pytest.raises(DimensionMismatch):
-            empty()
+            bad()
 
 
 def test_constructor_rejects_non_numeric_entries():
@@ -1021,7 +1022,7 @@ def test_filled_rows_keep_equality_key_and_hash():
         fresh = Matrix(g)
         assert fresh._nonzeros is None
         assert m == fresh and fresh == m
-        assert value_key(m) == value_key(fresh)
+        assert (m.rows, m.cols, m.den, m.num) == (fresh.rows, fresh.cols, fresh.den, fresh.num)
         assert hash(m) == hash(fresh)
         assert str(m) == str(fresh)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ordexp import ops
 from ordexp.errors import BackendMismatch, DimensionMismatch
 from ordexp.freealg import FreeElement
-from ordexp.matrix import Matrix
+from ordexp.matrix import Matrix, stack_prelie_left
 from ordexp.poly import Poly
 from ordexp.rotabaxter import (
     IntegralOp,
@@ -23,7 +23,6 @@ from ordexp.rotabaxter import (
     prelie_left,
     prelie_right,
     rb_residual,
-    stack_prelie_left,
     trid_apply,
     trid_dot,
     trid_prec,

@@ -184,6 +184,18 @@ def test_truncate_rejects_a_negative_order(order):
     assert s.truncate(0) == AlphaSeries([Fraction(1)])
 
 
+@pytest.mark.parametrize("order", [-1, -2])
+def test_constructors_reject_a_negative_order(order):
+    # `one` gave an order-0 series, `zero` and `from_parts` a DimensionMismatch
+    like = Fraction(1)
+    for call in (lambda: AlphaSeries.one(order, like), lambda: AlphaSeries.zero(order, like),
+                 lambda: AlphaSeries.from_parts(order, {0: like}, like)):
+        with pytest.raises(UnsupportedOrder, match="truncation order"):
+            call()
+    assert AlphaSeries.one(0, like) == AlphaSeries.from_parts(0, {0: like}, like) == AlphaSeries([like])
+    assert AlphaSeries.zero(0, like) == AlphaSeries([0])
+
+
 def test_scale():
     s = AlphaSeries([Fraction(1), Fraction(2)])
     assert s.scale(Fraction(1, 2)) == AlphaSeries([Fraction(1, 2), Fraction(1)])
