@@ -106,8 +106,11 @@ class SiteOperatorFamily:
         Each present coefficient is stored as its sum with the template's
         zero, so its type and float bits are those of the zero-padded series
         plus the unit: an int scalar over an exact template becomes a
-        Fraction, and a float -0.0 entry becomes 0.0.
+        Fraction, and a float -0.0 entry becomes 0.0.  A negative order is
+        UnsupportedOrder.
         """
+        if order < 0:
+            raise UnsupportedOrder(f"truncation order must be >= 0, got {order}")
         zero = zero_like(self.like)
         coeffs = [one_like(self.like)]
         for m in range(1, order + 1):

@@ -1,12 +1,24 @@
 """Free noncommutative elements: rational-linear combinations of words.
 
-A letter is a named symbol attached to a site index and a degree; a word is a
-tuple of letters and multiplies by concatenation. Elements store a mapping
-word -> coefficient with zero coefficients pruned, so equality is exact and
-structural. A coefficient is stored in one canonical form: a plain `int` when
-it is integral, otherwise a `Fraction` with denominator > 1, so the common
-integer coefficients never pay for `Fraction` arithmetic.  A float operand
-raises BackendMismatch: free coefficients are exact on both backends.
+A letter is a named symbol attached to a site index and a degree.  The
+module interns each distinct `Letter` once, to a small int id, so a word is
+a tuple of ids: it multiplies by concatenation and hashes without touching
+a letter's name.  Elements store a mapping word -> coefficient with zero
+coefficients pruned, so equality is exact and structural.  A coefficient is
+stored in one canonical form: a plain `int` when it is integral, otherwise a
+`Fraction` with denominator > 1, so the common integer coefficients never
+pay for `Fraction` arithmetic.  A float operand raises BackendMismatch: free
+coefficients are exact on both backends.
+
+`FreeElement(terms)` is the checked constructor: it takes words of
+`Letter`s, interns them and coerces every coefficient.  Every element the
+module makes itself (sums, differences, products, scalar multiples,
+negation, `gen`, `one`, `zero`) is wrapped as built, without a second walk
+(`_element`); the one normalisation left is that an integral `Fraction`
+result becomes an `int`.  No output reads an id: `str` maps ids back to
+letters and sorts words by (length, name, degree, site), and `named_words`
+lists them in storage order, so nothing depends on the order in which the
+letters were interned.
 
 This module is the only one that reads that store (`terms`, and a word's
 letters): other modules ask an element for its `scalar_part`, its
@@ -18,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import BackendMismatch, SingularOperator
+from .errors import AlgebraError, BackendMismatch, SingularOperator
 from .matrix import SCALARS
 
 
@@ -29,6 +41,26 @@ class Letter(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.name}_{self.site}"
+
+
+# The interned letters: `_LETTERS[i]` is the letter with id i, `_IDS` the inverse.
+_LETTERS: list = []
+_IDS: dict = {}
+
+
+def _intern(letter: Letter) -> int:
+    """The id of `letter`, interned when first met.  It must be a `Letter`
+    with a str name and a plain int site and degree: `True` or `1.0` equals
+    1, so it would share 1's id and be spelled as whichever came first."""
+    if not (isinstance(letter, Letter) and type(letter.name) is str
+            and type(letter.site) is int and type(letter.degree) is int):
+        raise AlgebraError(f"a free-element word is a tuple of Letters with a str name and "
+                           f"an int site and degree, got {letter!r}")
+    i = _IDS.get(letter)
+    if i is None:
+        i = _IDS[letter] = len(_LETTERS)
+        _LETTERS.append(letter)
+    return i
 
 
 def _coerce(c):
@@ -42,6 +74,26 @@ def _coerce(c):
     raise BackendMismatch(f"free-element coefficients must be rational, got {type(c).__name__}")
 
 
+def _integral(terms: dict) -> dict:
+    """`terms` with every integral Fraction coefficient made an int, in place."""
+    for w, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[w] = c.numerator
+    return terms
+
+
+def _element(terms: dict) -> "FreeElement":
+    """The element of an already clean word -> coefficient dict, stored as is."""
+    e = object.__new__(FreeElement)
+    e.terms = terms
+    return e
+
+
+def _scalar(c) -> "FreeElement":
+    c = _coerce(c)
+    return _element({(): c} if c else {})
+
+
 class FreeElement:
     """A finite rational combination of words over site-indexed letters."""
 
@@ -50,22 +102,23 @@ class FreeElement:
     def __init__(self, terms=None):
         clean = {}
         for word, c in (terms or {}).items():
+            word = tuple(_intern(letter) for letter in word)
             c = _coerce(c)
             if c:
-                clean[tuple(word)] = c
+                clean[word] = c
         self.terms = clean
 
     @staticmethod
     def zero() -> "FreeElement":
-        return FreeElement({})
+        return _element({})
 
     @staticmethod
     def one() -> "FreeElement":
-        return FreeElement({(): 1})
+        return _element({(): 1})
 
     @staticmethod
     def gen(name: str, site: int = 0, degree: int = 1) -> "FreeElement":
-        return FreeElement({(Letter(name, site, degree),): 1})
+        return _element({(_intern(Letter(name, site, degree)),): 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -79,17 +132,17 @@ class FreeElement:
 
     def named_words(self) -> list:
         """(letter names, coefficient) per word, in the order the element stores them."""
-        return [(tuple(letter.name for letter in w), c) for w, c in self.terms.items()]
+        return [(tuple(_LETTERS[i].name for i in w), c) for w, c in self.terms.items()]
 
     def inverse(self) -> "FreeElement":
         """Two-sided inverse: only a nonzero scalar is a unit of the free algebra."""
         if list(self.terms) != [()]:
             raise SingularOperator("a free element is invertible only when it is a nonzero scalar")
-        return FreeElement({(): Fraction(1) / self.terms[()]})
+        return _scalar(Fraction(1) / self.terms[()])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = FreeElement({(): other}) if other else FreeElement({})
+            other = _scalar(other)
         if not isinstance(other, FreeElement):
             return NotImplemented
         return self.terms == other.terms
@@ -101,46 +154,50 @@ class FreeElement:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other) -> "FreeElement":
-        if isinstance(other, SCALARS):
-            other = FreeElement({(): other})
         if not isinstance(other, FreeElement):
-            return NotImplemented
+            if not isinstance(other, SCALARS):
+                return NotImplemented
+            other = _scalar(other)
         out = dict(self.terms)
+        get = out.get
         for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
+            s = get(w, 0) + c
+            if not s:
+                del out[w]
+            elif type(s) is int or s.denominator != 1:
                 out[w] = s
             else:
-                out.pop(w, None)
-        return FreeElement(out)
+                out[w] = s.numerator
+        return _element(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FreeElement":
-        return FreeElement({w: -c for w, c in self.terms.items()})
+        return _element({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other) -> "FreeElement":
-        return self + (-other if isinstance(other, FreeElement) else FreeElement({(): -_coerce(other)}))
+        return self + (-other if isinstance(other, FreeElement) else _scalar(-_coerce(other)))
 
     def __rsub__(self, other) -> "FreeElement":
         return (-self) + other
 
     def __mul__(self, other) -> "FreeElement":
-        if isinstance(other, SCALARS):
-            other = _coerce(other)
-            return FreeElement({w: c * other for w, c in self.terms.items()})
         if not isinstance(other, FreeElement):
-            return NotImplemented
+            if not isinstance(other, SCALARS):
+                return NotImplemented
+            other = _coerce(other)
+            return _element(_integral({w: c * other for w, c in self.terms.items()}) if other else {})
         out: dict = {}
+        get = out.get
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                s = out.get(w, 0) + c1 * c2
+                s = get(w, 0) + c1 * c2
                 if s:
                     out[w] = s
                 else:
-                    out.pop(w, None)
-        return FreeElement(out)
+                    del out[w]
+        return _element(_integral(out))
 
     def __rmul__(self, other) -> "FreeElement":
         if isinstance(other, SCALARS):
@@ -153,11 +210,12 @@ class FreeElement:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        words = [([_LETTERS[i] for i in w], c) for w, c in self.terms.items()]
         def word_key(item):
             w, _ = item
             return (len(w), [(l.name, l.degree, l.site) for l in w])
         parts = []
-        for w, c in sorted(self.terms.items(), key=word_key):
+        for w, c in sorted(words, key=word_key):
             body = " ".join(str(l) for l in w)
             if not w:
                 piece = str(c)

@@ -266,11 +266,11 @@ def test_bch_table_serves_every_depth():
         logs = (ex * ey).log()
         want = a.zero()
         for k in range(1, order + 1):
-            for word, coeff in logs.coeff(k).terms.items():
-                acc = {"x": a, "y": b}[word[0].name]
-                for letter in word[1:]:
-                    acc = acc.bracket({"x": a, "y": b}[letter.name])
-                want = want + acc.scale(coeff * Fraction(1, len(word)))
+            for names, coeff in logs.coeff(k).named_words():
+                acc = {"x": a, "y": b}[names[0]]
+                for name in names[1:]:
+                    acc = acc.bracket({"x": a, "y": b}[name])
+                want = want + acc.scale(coeff * Fraction(1, len(names)))
         got = bch(a, b)
         assert got.components.keys() == want.components.keys()
         # str of a float matrix spells every entry by repr, the sign of a zero too

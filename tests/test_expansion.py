@@ -127,6 +127,16 @@ def test_negative_orders_are_unsupported(order, like):
             call()
 
 
+@pytest.mark.parametrize("order", [-1, -2])
+@pytest.mark.parametrize("like", [Fraction(1), FreeElement.one(), Matrix.identity(2)], ids=["scalar", "free", "matrix"])
+def test_lax_series_rejects_a_negative_order(order, like):
+    # it gave an order-0 series
+    fam = SiteOperatorFamily(1, {(1, 1): like * 2}, like=like)
+    with pytest.raises(UnsupportedOrder, match="truncation order"):
+        fam.lax_series(1, order)
+    assert fam.lax_series(1, 0).order == 0
+
+
 @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
 def test_monodromy_matches_local_product(direction):
     fam = matrix_family(seed=11, n_sites=3, degrees=(1, 2), direction=direction)

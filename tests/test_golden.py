@@ -32,12 +32,20 @@ exchange relation became one tensor-leg identity.
 the size rule, so the fused pre-Lie product walks each block's nonzero
 rows, on a stack of two sites in brace.  They were captured before that
 walk moved out of the generic product into `fused_prelie_site`.
+
+The free algebra interns each letter to an id as it first meets it; one
+check runs a fresh interpreter that interns every letter the outputs use in
+the reverse of their spelling order first, and compares three seed-1
+digests, so no output depends on the order of the ids.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,3 +124,35 @@ def test_yangian_report_matches_golden_digest(row):
 def test_large_block_report_matches_golden_digest(row):
     report = run_suite(row["suite"], SuiteConfig(seed=1, backend=row["backend"], **row["sizes"]))
     assert sha256(report.to_text() + "\n" + report.to_json()) == row["sha256"]
+
+
+def test_outputs_do_not_depend_on_the_order_letters_were_interned():
+    brace, trid = ({r["label"]: r["sha256"] for r in GOLDEN["verify-float"]}[s] for s in ("brace", "tridendriform"))
+    (free,) = [r for r in GOLDEN["expand"] if r["argv"][:4] == ["expand", "free:N=4;degrees=1,2", "--form", "magnus-prelie"]]
+    script = """
+import contextlib, hashlib, io, json, sys
+from ordexp.freealg import FreeElement
+# every letter the outputs spell, interned before them in the reverse of
+# the (name, degree, site) order `str` sorts by
+FreeElement.gen("z")
+for name in ("y", "x", "c2", "c1", "b2", "b1", "a2", "a1", "P3", "P2", "P"):
+    for degree in (3, 2, 1):
+        for site in range(6, -1, -1):
+            FreeElement.gen(name, site=site, degree=degree)
+from ordexp import SuiteConfig, run_suite
+from ordexp.cli import main
+digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+out = {}
+for suite in ("brace", "tridendriform"):
+    report = run_suite(suite, SuiteConfig(seed=1, backend="float"))
+    out[suite] = digest(report.to_text() + "\\n" + report.to_json())
+text = io.StringIO()
+with contextlib.redirect_stdout(text):
+    main(json.loads(sys.argv[1]))
+out["free"] = digest(text.getvalue())
+print(json.dumps(out))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(free["argv"])], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(done.stdout) == {"brace": brace, "tridendriform": trid, "free": free["sha256"]}

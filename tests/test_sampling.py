@@ -33,7 +33,7 @@ def leaves(x):
     if isinstance(x, Poly):
         return [x.coeffs[d] for d in sorted(x.coeffs)]
     if isinstance(x, FreeElement):
-        return [x.terms[w] for w in sorted(x.terms)]
+        return [c for _, c in x.named_words()]
     return [x]
 
 
