@@ -162,12 +162,10 @@ class FreeElement:
         get = out.get
         for w, c in other.terms.items():
             s = get(w, 0) + c
-            if not s:
-                del out[w]
-            elif type(s) is int or s.denominator != 1:
-                out[w] = s
+            if s:
+                out[w] = _coerce(s)
             else:
-                out[w] = s.numerator
+                del out[w]
         return _element(out)
 
     __radd__ = __add__

@@ -28,7 +28,7 @@ def _bits(x):
     if isinstance(x, Matrix):
         return [x.rows, x.cols] + [repr(v) for row in x.data for v in row]
     if isinstance(x, FreeElement):
-        return [str(x)] + [(w, repr(c)) for w, c in x.named_words()]
+        return [x, str(x)] + [(w, repr(c)) for w, c in x.named_words()]
     return repr(x)
 
 
