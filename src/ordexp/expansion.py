@@ -62,24 +62,26 @@ class SiteOperatorFamily:
     """The local expansion data of a chain: operator L_n^{(m)} per site and degree.
 
     `entries` maps (site, degree) to an operator; missing pairs are zero.
-    Sites are 1-based.  `direction` fixes which ordered product the family
-    canonically builds.  `like` is a template operator fixing the backend
-    shape; it is inferred from the entries when omitted.
+    Sites are 1-based; a site, degree or `n_sites` that is not a plain int
+    (a bool included) is refused, since no lookup would ever reach it.
+    `direction` fixes which ordered product the family canonically builds.
+    `like` is a template operator fixing the backend shape; it is inferred
+    from the entries when omitted.
     """
 
     __slots__ = ("n_sites", "entries", "direction", "like")
 
     def __init__(self, n_sites, entries, direction=FORWARD, like=None):
-        if n_sites < 0:
-            raise DimensionMismatch("need a nonnegative number of sites")
+        if type(n_sites) is not int or n_sites < 0:
+            raise DimensionMismatch(f"need a nonnegative int number of sites, got {n_sites!r}")
         if direction not in (FORWARD, BACKWARD):
             raise AlgebraError(f"unknown direction {direction!r}")
         clean = {}
         for (site, degree), op in entries.items():
-            if not 1 <= site <= n_sites:
-                raise DimensionMismatch(f"site {site} outside 1..{n_sites}")
-            if degree < 1:
-                raise DimensionMismatch(f"degree {degree} must be positive")
+            if type(site) is not int or not 1 <= site <= n_sites:
+                raise DimensionMismatch(f"site {site!r} is not an int in 1..{n_sites}")
+            if type(degree) is not int or degree < 1:
+                raise DimensionMismatch(f"degree {degree!r} is not a positive int")
             clean[(site, degree)] = op
         if like is None:
             if not clean:
@@ -291,7 +293,8 @@ def magnus_closed_form(family: SiteOperatorFamily, order: int = 3, style: str = 
 
     `style="explicit"` evaluates the nested-commutator formulas,
     `style="prelie"` the pre-Lie ones (left action for forward families,
-    right action for backward ones).  An empty chain's product is 1, so
+    right action for backward ones); each style forms Q^(2) and Q^(3) in
+    one pass and nothing above `order`.  An empty chain's product is 1, so
     each of its terms is zero, as `magnus_oracle` gives.
     """
     if not 1 <= order <= 3:
@@ -300,92 +303,80 @@ def magnus_closed_form(family: SiteOperatorFamily, order: int = 3, style: str = 
         raise AlgebraError(f"unknown style {style!r}")
     if family.n_sites == 0:
         return [zero_like(family.like)] * order
-    higher = _CLOSED_FORMS[style][:order - 1]
-    return [family.degree_sequence(1).total()] + [closed(family) for closed in higher]
+    higher = _CLOSED_FORMS[style](family, order) if order > 1 else []
+    return [family.degree_sequence(1).total()] + higher
 
 
-def _magnus2_explicit(family):
+def _commutator_forms(family, order):
+    """[Q^(2), ..., Q^(order)] from the nested-commutator formulas, order 2 or 3."""
     half = Fraction(1, 2)
     forward = family.direction == FORWARD
-    x = {n: family.entry(n, 1) for n in range(1, family.n_sites + 1)}
-    total = zero_like(family.like)
-    for n in range(1, family.n_sites + 1):
+    sites = range(1, family.n_sites + 1)
+    x = {n: family.entry(n, 1) for n in sites}
+    y = {n: family.entry(n, 2) for n in sites}
+    q2 = zero_like(family.like)
+    for n in sites:
         for n1 in range(1, n):
             # a backward family swaps the two site indices of each term
             left, right = (n, n1) if forward else (n1, n)
-            total = total + half * commutator(x[left], x[right])
-        total = total - half * (x[n] * x[n])
-        total = total + family.entry(n, 2)
-    return total
-
-
-def _magnus3_explicit(family):
+            q2 = q2 + half * commutator(x[left], x[right])
+        q2 = q2 - half * (x[n] * x[n])
+        q2 = q2 + y[n]
+    if order == 2:
+        return [q2]
     sixth = Fraction(1, 6)
-    third = Fraction(1, 3)
-    half = Fraction(1, 2)
-    forward = family.direction == FORWARD
-    x = {n: family.entry(n, 1) for n in range(1, family.n_sites + 1)}
-    y = {n: family.entry(n, 2) for n in range(1, family.n_sites + 1)}
-    total = zero_like(family.like)
-    for n in range(1, family.n_sites + 1):
+    q3 = zero_like(family.like)
+    for n in sites:
         for n1 in range(1, n):
             a, c = (n, n1) if forward else (n1, n)
             for n2 in range(n1 + 1, n):
-                total = total + sixth * (
+                q3 = q3 + sixth * (
                     commutator(x[a], commutator(x[n2], x[c]))
                     + commutator(commutator(x[a], x[n2]), x[c])
                 )
         for m in range(1, n):
             a, b = (m, n) if forward else (n, m)
-            total = total + sixth * (x[a] * commutator(x[a], x[b]) + commutator(x[a], x[b]) * x[b])
-            total = total + sixth * (commutator(x[a], x[b] * x[b]) + commutator(x[a] * x[a], x[b]))
-            total = total - half * (commutator(x[a], y[b]) + commutator(y[a], x[b]))
-        total = total + third * (x[n] * x[n] * x[n])
-        total = total + family.entry(n, 3)
-        total = total - half * (x[n] * y[n] + y[n] * x[n])
-    return total
+            q3 = q3 + sixth * (x[a] * commutator(x[a], x[b]) + commutator(x[a], x[b]) * x[b])
+            q3 = q3 + sixth * (commutator(x[a], x[b] * x[b]) + commutator(x[a] * x[a], x[b]))
+            q3 = q3 - half * (commutator(x[a], y[b]) + commutator(y[a], x[b]))
+        q3 = q3 + Fraction(1, 3) * (x[n] * x[n] * x[n])
+        q3 = q3 + family.entry(n, 3)
+        q3 = q3 - half * (x[n] * y[n] + y[n] * x[n])
+    return [q2, q3]
 
 
-def _prelie(family):
-    return prelie_left if family.direction == FORWARD else prelie_right
-
-
-def _magnus2_prelie(family):
-    act = _prelie(family)
-    s1 = family.degree_sequence(1)
-    seq = Fraction(-1, 2) * act(s1, s1)
-    return seq.total() + family.degree_sequence(2).total()
-
-
-def _magnus3_prelie(family):
-    act = _prelie(family)
+def _prelie_forms(family, order):
+    """[Q^(2), ..., Q^(order)] from the pre-Lie formulas, order 2 or 3."""
+    forward = family.direction == FORWARD
+    act = prelie_left if forward else prelie_right
     s1 = family.degree_sequence(1)
     s2 = family.degree_sequence(2)
     inner = act(s1, s1)
-    if family.direction == FORWARD:
+    q2 = (Fraction(-1, 2) * inner).total() + s2.total()
+    if order == 2:
+        return [q2]
+    if forward:
         cubic = Fraction(1, 4) * act(inner, s1) + Fraction(1, 12) * act(s1, inner)
     else:
         cubic = Fraction(1, 12) * act(inner, s1) + Fraction(1, 4) * act(s1, inner)
     mixed = Fraction(-1, 2) * (act(s2, s1) + act(s1, s2))
-    return cubic.total() + mixed.total() + family.degree_sequence(3).total()
+    return [q2, cubic.total() + mixed.total() + family.degree_sequence(3).total()]
 
 
-# The closed forms of Q^(2) and Q^(3), per style.
-_CLOSED_FORMS = {
-    "explicit": (_magnus2_explicit, _magnus3_explicit),
-    "prelie": (_magnus2_prelie, _magnus3_prelie),
-}
+_CLOSED_FORMS = {"explicit": _commutator_forms, "prelie": _prelie_forms}
 
 
-def closed_form_defects(family: SiteOperatorFamily, order: int = 3, style: str = "explicit"):
-    """Difference of each closed-form coefficient from the series oracle.
+def closed_form_defects(family: SiteOperatorFamily, order: int = 3) -> dict:
+    """Difference of each style's closed-form coefficients from the series oracle.
 
-    Returns a list of (degree, residual) pairs; a faithful closed form
-    gives residual zero at every degree.
+    Returns {style: [(degree, residual), ...]} for every style that
+    `magnus_closed_form` accepts, against one `magnus_oracle` call; a
+    faithful closed form gives residual zero at every degree.
     """
-    closed = magnus_closed_form(family, order=order, style=style)
     oracle = magnus_oracle(family, order)
-    return [(m + 1, closed[m] - oracle[m]) for m in range(order)]
+    return {style: [(m, q - o) for m, (q, o) in
+                    enumerate(zip(magnus_closed_form(family, order, style), oracle), start=1)]
+            for style in _CLOSED_FORMS}
 
 
 def factorized_generators(m_ops: list, l_ops: list):

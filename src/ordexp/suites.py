@@ -303,11 +303,8 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
         return rep
 
     def round_trip(fam):
-        q = magnus_oracle(fam, order)
-        series = AlphaSeries.from_parts(
-            order, {m: q[m - 1] for m in range(1, order + 1)}, like=fam.like
-        ).exp()
-        return series - monodromy(fam, order)
+        series = monodromy(fam, order)
+        return series.log().exp() - series
 
     src = root.split("magnus:round-trip")
     rep.add(
@@ -343,9 +340,8 @@ def magnus_suite(cfg: SuiteConfig) -> VerificationReport:
             SiteOperatorFamily(n, entries, direction=direction, like=one)
         )
     for fam in cases:
-        for style, found in styles.items():
-            found.extend((degree, max_abs(res))
-                         for degree, res in closed_form_defects(fam, order=3, style=style))
+        for style, found in closed_form_defects(fam, order=3).items():
+            styles[style].extend((degree, max_abs(res)) for degree, res in found)
     offending = {f"degree {degree}" for degree, d in styles["explicit"] if d != 0}
     prelie_pass = rep.add(
         "closed-form-pre-lie",

@@ -447,13 +447,9 @@ def coproduct_tridendriform_residual(lax: AlphaSeries, n_sites: int) -> dict:
     single_logs = lax.truncate(3).log()
     q_site = _site_family(single_logs, n_sites, dim)
     q1, q2, q3 = (q_site.degree_sequence(m) for m in (1, 2, 3))
-    pre2 = (
-        Fraction(-1, 2) * prelie_left(q1, q1)
-        + q2
-        + Fraction(1, 2) * trid_dot(q1, q1)
-    )
     q1q1 = prelie_left(q1, q1)
     q1sq = trid_dot(q1, q1)
+    pre2 = Fraction(-1, 2) * q1q1 + q2 + Fraction(1, 2) * q1sq
     pre3 = (
         Fraction(1, 4) * prelie_left(q1q1, q1)
         + Fraction(1, 12) * prelie_left(q1, q1q1)

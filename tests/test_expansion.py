@@ -261,24 +261,39 @@ def test_magnus_order3_frozen_hand_values():
     assert magnus_oracle(bwd, 3)[2] == hand_q3_backward()
 
 
+# The styles `magnus_closed_form` accepts; it refuses any other (see
+# test_unknown_mode_string_is_an_algebra_error).
+STYLES = ("explicit", "prelie")
+
+
+def style_defects(fam, style, order=3):
+    """`style`'s (degree, residual) pairs from `closed_form_defects`, after
+    checking that it returns every accepted style at every degree."""
+    defects = closed_form_defects(fam, order=order)
+    assert set(defects) == set(STYLES)
+    for pairs in defects.values():
+        assert [degree for degree, _ in pairs] == list(range(1, order + 1))
+    return defects[style]
+
+
 @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
-@pytest.mark.parametrize("style", ["explicit", "prelie"])
+@pytest.mark.parametrize("style", STYLES)
 @pytest.mark.parametrize("degrees", [(1,), (1, 2, 3)])
 def test_closed_forms_match_oracle_free(direction, style, degrees):
     fam = free_family(3, degrees=degrees, direction=direction)
-    for degree, residual in closed_form_defects(fam, order=3, style=style):
+    for degree, residual in style_defects(fam, style):
         assert not residual, f"degree {degree} defect: {residual}"
 
 
 @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
-@pytest.mark.parametrize("style", ["explicit", "prelie"])
+@pytest.mark.parametrize("style", STYLES)
 def test_closed_forms_match_oracle_matrix(direction, style):
     fam = matrix_family(seed=23, n_sites=4, degrees=(1, 2, 3), direction=direction)
-    for degree, residual in closed_form_defects(fam, order=3, style=style):
+    for degree, residual in style_defects(fam, style):
         assert residual.is_zero(), f"degree {degree} defect"
 
 
-@pytest.mark.parametrize("style", ["explicit", "prelie"])
+@pytest.mark.parametrize("style", STYLES)
 @pytest.mark.parametrize("like", [Fraction(1), FreeElement.one(), Matrix.identity(2),
                                   Matrix.identity(2).to_float()], ids=["scalar", "free", "exact", "float"])
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -287,7 +302,7 @@ def test_closed_forms_of_an_empty_chain_are_zero(style, like, order):
     fam = SiteOperatorFamily(0, {}, like=like)
     closed = magnus_closed_form(fam, order=order, style=style)
     assert closed == magnus_oracle(fam, order) == [like * 0] * order
-    assert all(is_zero(residual) for _, residual in closed_form_defects(fam, order=order, style=style))
+    assert all(is_zero(residual) for _, residual in style_defects(fam, style, order=order))
 
 
 def test_closed_form_rejects_high_order():
@@ -297,10 +312,15 @@ def test_closed_form_rejects_high_order():
 
 
 def test_closed_form_order_one_and_two_prefix():
-    fam = free_family(3, degrees=(1, 2))
-    oracle = magnus_oracle(fam, 2)
-    closed = magnus_closed_form(fam, order=2, style="explicit")
-    assert closed == oracle
+    # below order 3 each style gives the order-3 terms cut at `order`, no
+    # term past it, and they are the oracle's
+    for direction in (FORWARD, BACKWARD):
+        fam = free_family(3, degrees=(1, 2), direction=direction)
+        for style in STYLES:
+            full = magnus_closed_form(fam, 3, style)
+            for order in (1, 2):
+                closed = magnus_closed_form(fam, order, style)
+                assert closed == full[:order] == magnus_oracle(fam, order), (direction, style, order)
 
 
 def test_factorized_expansion_scalar_example():
@@ -357,6 +377,23 @@ def test_family_validation():
     empty = SiteOperatorFamily(2, {}, like=y)
     assert monodromy(empty, 2).coeff(0) == FreeElement.one()
     assert monodromy(empty, 2).coeff(1) == FreeElement.zero()
+
+
+@pytest.mark.parametrize("n_sites,entries", [
+    (2, {(1.5, 1): Fraction(3), (2, 1): Fraction(1)}),
+    (2, {(1, 2.5): Fraction(3)}),
+    (2, {(Fraction(1), 1): Fraction(3)}),
+    (2, {(True, 1): Fraction(3)}),
+    (2, {(1, True): Fraction(3)}),
+    (2.0, {(1, 1): Fraction(3)}),
+    (True, {(1, 1): Fraction(3)}),
+], ids=["float-site", "float-degree", "fraction-site", "bool-site", "bool-degree",
+        "float-sites", "bool-sites"])
+def test_family_refuses_a_site_or_degree_that_is_not_an_int(n_sites, entries):
+    # a float site or degree was kept but never looked up, so its operator
+    # dropped out of every product and closed form without a word
+    with pytest.raises(DimensionMismatch):
+        SiteOperatorFamily(n_sites, entries, like=Fraction(1))
 
 
 def _one_site():
