@@ -39,7 +39,7 @@ for exact inputs.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, SingularOperator, UnsupportedOrder
+from .errors import DimensionMismatch, SingularOperator, check_order
 from .expansion import BACKWARD, FORWARD, SiteOperatorFamily, chain_walk
 from .freealg import FreeElement
 from .ops import check_compatible, invert, is_zero, worst
@@ -61,11 +61,6 @@ def _require_invertible(op, what: str):
         raise SingularOperator(f"{what} is not invertible") from exc
 
 
-def _check_order(order: int):
-    if order < 1:
-        raise UnsupportedOrder("truncation order must be at least 1")
-
-
 class GaugeProblem:
     """Two same-size families, an invertible initial value, and a truncation."""
 
@@ -79,7 +74,7 @@ class GaugeProblem:
         check_compatible(forward.like, target.like)
         check_compatible(initial, forward.like)
         _require_invertible(initial, "gauge initial value")
-        _check_order(order)
+        check_order(order, 1)
         self.forward = forward
         self.target = target
         self.initial = initial
@@ -101,7 +96,7 @@ class BoundaryProblem:
             raise DimensionMismatch(
                 f"family sizes differ: {forward.n_sites} vs {backward.n_sites}")
         check_compatible(forward.like, backward.like)
-        _check_order(order)
+        check_order(order, 1)
         if isinstance(boundary, AlphaSeries):
             boundary = boundary.truncate(order)
         else:
@@ -179,7 +174,7 @@ def reflection_hat(fam: SiteOperatorFamily, order: int) -> SiteOperatorFamily:
     canonical direction flips.  Applying the map twice returns the
     original family up to the same truncation.
     """
-    _check_order(order)
+    check_order(order, 1)
     entries = {}
     for site in range(1, fam.n_sites + 1):
         hat = fam.lax_series(site, order).flip().inverse()

@@ -31,7 +31,7 @@ from functools import reduce
 from itertools import combinations
 from operator import add
 
-from .errors import AlgebraError, DimensionMismatch, SingularOperator, UnsupportedOrder
+from .errors import AlgebraError, DimensionMismatch, SingularOperator, UnsupportedOrder, check_order
 from .ops import check_compatible, commutator, invert, is_zero, one_like, unit_product, zero_like
 from .rotabaxter import SiteSequence, prelie_left, prelie_right, trid_prec, trid_succ
 from .series import AlphaSeries
@@ -108,11 +108,10 @@ class SiteOperatorFamily:
         Each present coefficient is stored as its sum with the template's
         zero, so its type and float bits are those of the zero-padded series
         plus the unit: an int scalar over an exact template becomes a
-        Fraction, and a float -0.0 entry becomes 0.0.  A negative order is
-        UnsupportedOrder.
+        Fraction, and a float -0.0 entry becomes 0.0.  An order that is not
+        an int of at least 0 is UnsupportedOrder.
         """
-        if order < 0:
-            raise UnsupportedOrder(f"truncation order must be >= 0, got {order}")
+        check_order(order)
         zero = zero_like(self.like)
         coeffs = [one_like(self.like)]
         for m in range(1, order + 1):
@@ -172,6 +171,7 @@ def ordered_product(family: SiteOperatorFamily, order: int, descending: bool) ->
 
 def monodromy(family: SiteOperatorFamily, order: int) -> AlphaSeries:
     """Ordered product of all local operators, per the family's direction."""
+    check_order(order)
     return ordered_product(family, order, descending=family.direction == FORWARD)
 
 
@@ -205,11 +205,10 @@ def dyson_terms(family: SiteOperatorFamily, order: int, method: str = "direct"):
     `method="direct"` enumerates site-ordered products per degree
     composition; `method="tridendriform"` folds the same compositions
     through the half-shuffle actions (right-nested for forward families,
-    left-nested for backward ones).  Both agree with `monodromy`.  A
-    negative order is UnsupportedOrder.
+    left-nested for backward ones).  Both agree with `monodromy`.  An
+    order that is not an int of at least 0 is UnsupportedOrder.
     """
-    if order < 0:
-        raise UnsupportedOrder(f"truncation order must be >= 0, got {order}")
+    check_order(order)
     if method == "direct":
         return _dyson_direct(family, order)
     if method == "tridendriform":
@@ -284,6 +283,7 @@ def magnus_from_dyson(dyson: list, order: int) -> list:
 
 def magnus_oracle(family: SiteOperatorFamily, order: int) -> list:
     """Logarithm coefficients of the ordered product, straight from the series."""
+    check_order(order)
     series = monodromy(family, order).log()
     return [series.coeff(m) for m in range(1, order + 1)]
 
@@ -297,7 +297,8 @@ def magnus_closed_form(family: SiteOperatorFamily, order: int = 3, style: str = 
     one pass and nothing above `order`.  An empty chain's product is 1, so
     each of its terms is zero, as `magnus_oracle` gives.
     """
-    if not 1 <= order <= 3:
+    check_order(order, 1)
+    if order > 3:
         raise UnsupportedOrder(f"closed forms cover orders 1..3, got {order}")
     if style not in _CLOSED_FORMS:
         raise AlgebraError(f"unknown style {style!r}")
@@ -373,6 +374,7 @@ def closed_form_defects(family: SiteOperatorFamily, order: int = 3) -> dict:
     `magnus_closed_form` accepts, against one `magnus_oracle` call; a
     faithful closed form gives residual zero at every degree.
     """
+    check_order(order, 1)
     oracle = magnus_oracle(family, order)
     return {style: [(m, q - o) for m, (q, o) in
                     enumerate(zip(magnus_closed_form(family, order, style), oracle), start=1)]

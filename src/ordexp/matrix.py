@@ -1,39 +1,49 @@
-"""Dense matrices over exact rationals or floats, plus tensor-leg utilities.
+"""Matrices over exact rationals or floats, plus tensor-leg utilities.
 
-A matrix is stored as one flat row-major list `num`, with its shape in
-`rows`/`cols`, over one denominator `den`.  An exact matrix (every entry an
-int or a Fraction) holds integer numerators over a positive `den`, reduced so
-that `gcd(den, *num) == 1`; that form is unique, so equality is a comparison
-of shapes and integers, and every operation runs on plain ints with one gcd
+A matrix keeps its shape in `rows`/`cols` and its entries in `num`, over
+one denominator `den`.  `num` is one of two stores, chosen by the number
+of columns alone, so two matrices of one shape always share a store:
+below `SPARSE_FROM` columns it is one flat row-major list of every entry;
+from `SPARSE_FROM` on it holds only the nonzero entries, one dict per row
+from column to entry, and never a stored zero.  An exact matrix (every
+entry an int or a Fraction) holds integer numerators over a positive
+`den`, reduced so that `gcd(den, *numerators) == 1`, and the zero matrix
+has `den == 1`; that form is unique, so equality is a comparison of
+shapes and integers, and every operation runs on plain ints with one gcd
 reduction per result.  `data` gives the entries back row by row: ints when
 `den == 1`, otherwise a Fraction each.  A float matrix holds Python floats
-only and has `den = None`.  Only this module reads or writes that store,
-so each operation that needs it is here: the arithmetic, `from_ints` for
-the sampled draws, `unit_product` for the products by the unit, and the
-pre-Lie products on site stacks below.  An exact and a float matrix are
-never equal, and `+`, `-`, `*`, `kron` and `fused_prelie_site` refuse them
-with BackendMismatch, as an exact matrix refuses a float scalar.  So every
+only and has `den = None`; the row store drops zeros of both signs, so a
+-0.0 entry of a matrix with `SPARSE_FROM` or more columns reads 0.0 (no
+report prints a float entry: they print `max_abs`).  Only this module reads
+or writes either store, so each operation that needs it is here: the
+arithmetic, `from_ints` for the sampled draws, `unit_product` for the
+products by the unit, the pre-Lie products on site stacks and the tensor
+legs below.  Each operation has one body per store, and on the row store
+costs only the nonzero entries.  An exact and a float matrix are never
+equal, and `+`, `-`, `*`, `kron` and `fused_prelie_site` refuse them with
+BackendMismatch, as an exact matrix refuses a float scalar.  So every
 operation has one body for both backends; `den` only decides whether the
 result is reduced.
 A product with a dimension of at least `SPARSE_FROM` walks both operands
-by their nonzero entries, row by row, from a list each matrix makes on
-first use and keeps (a matrix is never changed once built); that keeps the
-many permutation-shaped operators of the tensor-product checks cheap.  A
-smaller product, such as the dense 2x2-4x4 blocks of the expansions, is one
-straight-line function compiled on first use for its shape and backend,
-which forms every output entry as one expression.  `fused_prelie_site`
-forms (p*q - q*p) + x*y in one pass, without the intermediate matrices, for
-one square matrix or for each block of a site stack: N sites' d x d values
-on top of each other as one (N*d) x d matrix, the carrier of the brace
-suite's elements, on which every sum, scaling and zero test is one
-operation for all sites.  It is the only product that reads a stack, with
-one body for both backends; its size rule reads one block's shape.
+by their nonzero rows, the row store itself or rows made from a flat
+list; that keeps the many permutation-shaped operators of the
+tensor-product checks cheap.  A smaller product, such as the dense 2x2-4x4
+blocks of the expansions, is one straight-line function compiled on first
+use for its shape and backend, which forms every output entry as one
+expression.  `fused_prelie_site` forms (p*q - q*p) + x*y in one pass,
+without the intermediate matrices, for one square matrix or for each block
+of a site stack: N sites' d x d values on top of each other as one
+(N*d) x d matrix, the carrier of the brace suite's elements, on which
+every sum, scaling and zero test is one operation for all sites.  It is
+the only product that reads a stack, with one body for both backends; its
+size rule, like the store's, reads one block's shape.
 `stack_prelie_left` forms the left pre-Lie product of two stacks with it,
 after summing one stack's blocks into its strict prefix sums.  None
 of this changes a float result: each product entry starts from its
 backend's zero and adds the products of its nonzero terms in order of the
 inner index (a float term with a zero factor is skipped, so a zero never
-meets an inf or a nan), and each sum or scaling is one operation per entry.
+meets an inf or a nan), and each sum or scaling is one operation per
+stored entry.
 
 Tensor convention used everywhere: a state of `total` factors, each of local
 dimension `dim`, is indexed lexicographically with slot 0 slowest. Slot 0 is
@@ -44,7 +54,7 @@ literal row/column blocks.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, product as iproduct
+from itertools import chain, compress, product as iproduct
 from math import gcd, lcm
 from operator import add, neg, sub
 
@@ -53,12 +63,24 @@ from .errors import BackendMismatch, DimensionMismatch, SingularOperator
 # The scalar operator types, read by `freealg` and re-exported by `ops`.
 SCALARS = (int, Fraction, float)
 
+# A matrix with at least this many columns keeps its nonzero rows, and a
+# product with a dimension of at least this walks both operands by their
+# nonzero rows; smaller ones keep the flat list and take the kernel
+# compiled for their shape.  The rule reads the shape alone, so a site
+# stack, (N*d) x d, keeps the flat list while its block d is below it.  In
+# a replay of the exact products of seed-1 runs on a 2-vCPU x86-64
+# machine, each operand's rows built once per replay, the row walk took
+# 3.8-7.2 times the kernel's time on the dense 2x2-4x4 operands of
+# `expand` (over 92 % fill), and on the yangian suite's sparse ones
+# 0.65-0.72 of it at 3x3 and 4x4 (11-17 % fill), 0.29 at 8x8 (14 %) and
+# 0.11 at 9x9 (5 %).
+SPARSE_FROM = 8
+
 
 class Matrix:
-    __slots__ = ("rows", "cols", "num", "den", "_nonzeros")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, data):
-        self._nonzeros = None
         data = tuple(tuple(row) for row in data)
         if not data or not data[0]:
             raise DimensionMismatch("matrix needs at least one row and column")
@@ -70,20 +92,23 @@ class Matrix:
         flat = [x for row in data for x in row]
         try:
             if any(isinstance(x, float) for x in flat):
-                self.num = [x if isinstance(x, float) else x.numerator / x.denominator for x in flat]
+                self.num = _from_flat([x if isinstance(x, float) else x.numerator / x.denominator
+                                       for x in flat], w)
                 self.den = None
                 return
             den = lcm(*(x.denominator for x in flat))
         except AttributeError:
             raise TypeError("matrix entries must be int, Fraction or float") from None
         # Reduced fractions over the lcm of their denominators share no factor with it.
-        self.num = [x.numerator * (den // x.denominator) for x in flat]
+        self.num = _from_flat([x.numerator * (den // x.denominator) for x in flat], w)
         self.den = den
 
     @property
     def data(self) -> tuple:
         """The entries, row by row: floats, ints when `den == 1`, otherwise Fractions."""
         num, den, c = self.num, self.den, self.cols
+        if c >= SPARSE_FROM:
+            num = _flat(num, c, _zero(den))
         if den is not None and den != 1:
             num = [Fraction(x, den) for x in num]
         return tuple(tuple(num[i:i + c]) for i in range(0, len(num), c))
@@ -91,22 +116,30 @@ class Matrix:
     @staticmethod
     def identity(n: int) -> "Matrix":
         m = Matrix.zeros(n)
-        m.num[::n + 1] = [1] * n
+        if n < SPARSE_FROM:
+            m.num[::n + 1] = [1] * n
+        else:
+            for i, row in enumerate(m.num):
+                row[i] = 1
         return m
 
     @staticmethod
     def from_ints(values: list, rows: int, cols: int) -> "Matrix":
-        """The exact matrix of the ints `values`, row by row; the list becomes its store."""
+        """The exact matrix of the ints `values`, row by row; below
+        `SPARSE_FROM` columns the list becomes its store."""
         if rows < 1 or cols < 1:
             raise DimensionMismatch("matrix needs at least one row and column")
         if len(values) != rows * cols:
             raise DimensionMismatch(f"{len(values)} entries for a {rows}x{cols} matrix")
-        return _wrap(values, rows, cols, 1)
+        return _wrap(_from_flat(values, cols), rows, cols, 1)
 
     @staticmethod
     def zeros(rows: int, cols: int | None = None) -> "Matrix":
         cols = rows if cols is None else cols
-        return Matrix.from_ints([0] * (rows * cols), rows, cols)
+        if rows < 1 or cols < SPARSE_FROM:
+            # `from_ints` refuses a shape below 1 x 1
+            return Matrix.from_ints([0] * (rows * cols), rows, cols)
+        return _wrap([{} for _ in range(rows)], rows, cols, 1)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -115,6 +148,7 @@ class Matrix:
         return self.den is not None
 
     def is_zero(self) -> bool:
+        # a nonzero numerator, or a row store's nonempty row
         return not any(self.num)
 
     def __eq__(self, other) -> bool:
@@ -124,22 +158,32 @@ class Matrix:
                 and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.den, *self.num))
+        num = self.num
+        if self.cols >= SPARSE_FROM:
+            num = [frozenset(row.items()) for row in num]
+        return hash((self.rows, self.cols, self.den, *num))
 
     def __add__(self, other) -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         na, nb, den = _common(self, other)
-        return _reduced(list(map(add, na, nb)), self.rows, self.cols, den)
+        op = add if self.cols < SPARSE_FROM else _row_sum
+        return _reduced(list(map(op, na, nb)), self.rows, self.cols, den)
 
     def __sub__(self, other) -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         na, nb, den = _common(self, other)
-        return _reduced(list(map(sub, na, nb)), self.rows, self.cols, den)
+        op = sub if self.cols < SPARSE_FROM else _row_difference
+        return _reduced(list(map(op, na, nb)), self.rows, self.cols, den)
 
     def __neg__(self) -> "Matrix":
-        return _wrap(list(map(neg, self.num)), self.rows, self.cols, self.den)
+        num = self.num
+        if self.cols < SPARSE_FROM:
+            num = list(map(neg, num))
+        else:
+            num = [{j: -v for j, v in row.items()} for row in num]
+        return _wrap(num, self.rows, self.cols, self.den)
 
     def __mul__(self, other) -> "Matrix":
         # Matrix first: `isinstance(x, Fraction)` on anything else is an ABC check.
@@ -155,17 +199,15 @@ class Matrix:
             return NotImplemented
         den = self.den
         if den is None:
-            s = float(other)
-            return _wrap([a * s for a in self.num], self.rows, self.cols, None)
+            return _wrap(_times(self.num, self.cols, float(other)), self.rows, self.cols, None)
         if isinstance(other, float):
             raise BackendMismatch("an exact matrix times a float")
         if isinstance(other, int):
             # gcd(den, *num) == 1, so gcd(den, other) is all that cancels.
             g = gcd(den, other)
-            f = other // g
-            return _wrap([a * f for a in self.num], self.rows, self.cols, den // g)
-        p = other.numerator
-        return _reduced([a * p for a in self.num], self.rows, self.cols, den * other.denominator)
+            return _wrap(_times(self.num, self.cols, other // g), self.rows, self.cols, den // g)
+        return _reduced(_times(self.num, self.cols, other.numerator), self.rows, self.cols,
+                        den * other.denominator)
 
     def __rmul__(self, other) -> "Matrix":
         if isinstance(other, SCALARS):
@@ -175,11 +217,13 @@ class Matrix:
     def kron(self, other: "Matrix") -> "Matrix":
         if (self.den is None) != (other.den is None):
             raise BackendMismatch("an exact and a float matrix")
-        adata, bdata, ac, bc = self.num, other.num, self.cols, other.cols
+        zero = _zero(self.den)
+        ac, bc = self.cols, other.cols
+        adata, bdata = (m.num if m.cols < SPARSE_FROM else _flat(m.num, m.cols, zero) for m in (self, other))
         den = None if self.den is None else self.den * other.den
         out = [a * b for i in range(0, len(adata), ac) for k in range(0, len(bdata), bc)
                for a in adata[i:i + ac] for b in bdata[k:k + bc]]
-        return _reduced(out, self.rows * other.rows, ac * bc, den)
+        return _reduced(_from_flat(out, ac * bc), self.rows * other.rows, ac * bc, den)
 
     def inverse(self) -> "Matrix":
         """Gauss-Jordan inverse with a largest-magnitude pivot; exact when the
@@ -205,7 +249,10 @@ class Matrix:
 
     def max_abs(self):
         """Largest absolute entry; a Fraction whenever the matrix is exact."""
-        m = max(map(abs, self.num))
+        num = self.num
+        if self.cols >= SPARSE_FROM:
+            num = chain.from_iterable(map(dict.values, num))
+        m = max(map(abs, num), default=_zero(self.den))
         return m if self.den is None else Fraction(m, self.den)
 
     def to_float(self) -> "Matrix":
@@ -213,7 +260,11 @@ class Matrix:
         if den is None:
             return self
         # int true division rounds correctly, as float(Fraction) does.
-        return _wrap([x / den for x in self.num], self.rows, self.cols, None)
+        if self.cols < SPARSE_FROM:
+            num = [x / den for x in self.num]
+        else:
+            num = [{j: y for j, x in row.items() if (y := x / den)} for row in self.num]
+        return _wrap(num, self.rows, self.cols, None)
 
     def __str__(self) -> str:
         return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.data) + "]"
@@ -223,30 +274,89 @@ class Matrix:
 
 
 def _wrap(num: list, rows: int, cols: int, den) -> Matrix:
-    """A `rows` x `cols` matrix over the flat row-major list it takes as it is:
-    reduced integer numerators over `den`, or, when `den` is None, floats."""
+    """A `rows` x `cols` matrix over the store it takes as it is: reduced
+    integer numerators over `den`, or, when `den` is None, floats."""
     m = object.__new__(Matrix)
     m.rows = rows
     m.cols = cols
     m.num = num
     m.den = den
-    m._nonzeros = None
     return m
 
 
+def _zero(den):
+    """The zero entry of a backend: 0.0 when `den` is None, otherwise 0."""
+    return 0 if den is not None else 0.0
+
+
+def _from_flat(flat: list, cols: int) -> list:
+    """The store of a matrix with `cols` columns, from its flat entries."""
+    return flat if cols < SPARSE_FROM else _nonzero_rows(flat, cols)
+
+
+def _nonzero_rows(flat: list, cols: int) -> list:
+    """One dict per row of flat row-major entries, from the column of each
+    nonzero entry (0.0 and -0.0 are zero) to the entry, columns ascending."""
+    rows = [{} for _ in range(len(flat) // cols)]
+    # `compress` finds the nonzero entries in C.
+    for idx in compress(range(len(flat)), flat):
+        i, j = divmod(idx, cols)
+        rows[i][j] = flat[idx]
+    return rows
+
+
+def _rows(m: Matrix) -> list:
+    """The nonzero rows of either store."""
+    return m.num if m.cols >= SPARSE_FROM else _nonzero_rows(m.num, m.cols)
+
+
+def _flat(rows: list, cols: int, zero) -> list:
+    """The flat row-major entries of nonzero rows, `zero` elsewhere."""
+    out = [zero] * (len(rows) * cols)
+    for o, row in zip(range(0, len(out), cols), rows):
+        for j, v in row.items():
+            out[o + j] = v
+    return out
+
+
+def _from_rows(rows: list, cols: int, den) -> list:
+    """The store of a matrix with `cols` columns, from its nonzero rows."""
+    return rows if cols >= SPARSE_FROM else _flat(rows, cols, _zero(den))
+
+
 def _reduced(num: list, rows: int, cols: int, den) -> Matrix:
-    """A matrix from flat integer numerators over a positive denominator,
-    reduced by their gcd, or from flat floats when `den` is None."""
+    """A matrix from integer numerators over a positive denominator,
+    reduced by their gcd, or from floats when `den` is None; `num` is the
+    store of the shape."""
     if den is not None and den != 1:
-        g = gcd(den, *num)
-        if g != 1:
-            num = [x // g for x in num]
-            den //= g
+        if cols < SPARSE_FROM:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
+        else:
+            g = den
+            for row in num:
+                if row:
+                    g = gcd(g, *row.values())
+                    if g == 1:
+                        break
+            if g != 1:
+                num = [{j: x // g for j, x in row.items()} for row in num]
+                den //= g
     return _wrap(num, rows, cols, den)
 
 
+def _times(num: list, cols: int, f) -> list:
+    """The store `num` of a matrix with `cols` columns, each entry times
+    the scalar `f`; the row store keeps only the nonzero products."""
+    if cols < SPARSE_FROM:
+        return [a * f for a in num]
+    return [{j: y for j, x in row.items() if (y := x * f)} for row in num]
+
+
 def _common(a: Matrix, b: Matrix) -> tuple:
-    """The flat entries of two same-shape matrices of one backend over one
+    """The stores of two same-shape matrices of one backend over one
     denominator: integer numerators over their least common denominator, or
     floats over None."""
     if a.rows != b.rows or a.cols != b.cols:
@@ -258,38 +368,47 @@ def _common(a: Matrix, b: Matrix) -> tuple:
         return a.num, b.num, da
     g = gcd(da, db)
     fa, fb = db // g, da // g
-    na = a.num if fa == 1 else [x * fa for x in a.num]
-    nb = b.num if fb == 1 else [x * fb for x in b.num]
+    na = a.num if fa == 1 else _times(a.num, a.cols, fa)
+    nb = b.num if fb == 1 else _times(b.num, b.cols, fb)
     return na, nb, da * fa
 
 
-# A product with a dimension of at least this walks both operands by their
-# nonzero rows; smaller ones take the kernel compiled for their shape.  In a
-# replay of the exact products of seed-1 runs on a 2-vCPU x86-64 machine,
-# each operand's rows built once per replay, the row walk took 3.8-7.2 times
-# the kernel's time on the dense 2x2-4x4 operands of `expand` (over 92 %
-# fill), and on the yangian suite's sparse ones 0.65-0.72 of it at 3x3 and
-# 4x4 (11-17 % fill), 0.29 at 8x8 (14 %) and 0.11 at 9x9 (5 %).
-SPARSE_FROM = 8
+# A row of the row store is never changed once a matrix holds it, so a sum
+# or difference may hand an operand's row on as it is.
+
+def _row_sum(ra: dict, rb: dict) -> dict:
+    """The nonzero entries of the sum of two nonzero rows."""
+    if not ra:
+        return rb
+    if not rb:
+        return ra
+    row = ra.copy()
+    for j, v in rb.items():
+        w = row.get(j, 0) + v
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+    return row
 
 
-def _nonzero_rows(m: Matrix) -> list:
-    """The `(column, value)` pairs of each row's nonzero entries, made on the
-    first call and kept on `m`: a matrix is never changed once built."""
-    rows = m._nonzeros
-    if rows is None:
-        c, num = m.cols, m.num
-        rows = m._nonzeros = [[] for _ in range(m.rows)]
-        # `compress` finds the nonzero entries (0.0 and -0.0 are zero) in C.
-        for idx in compress(range(len(num)), num):
-            i, j = divmod(idx, c)
-            rows[i].append((j, num[idx]))
-    return rows
+def _row_difference(ra: dict, rb: dict) -> dict:
+    """The nonzero entries of the difference of two nonzero rows."""
+    if not rb:
+        return ra
+    row = ra.copy()
+    for j, v in rb.items():
+        w = row.get(j, 0) - v
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+    return row
 
 
 def _product(a: Matrix, b: Matrix) -> list:
-    """The flat entries of `a * b` before any reduction, for two matrices of
-    one backend: integer numerators over `a.den * b.den`, or floats.
+    """The store of `a * b` before any reduction, for two matrices of one
+    backend: integer numerators over `a.den * b.den`, or floats.
 
     Each entry starts from the backend's zero and adds the products of its
     nonzero terms in order of the inner index.  Below the size rule that is
@@ -297,17 +416,22 @@ def _product(a: Matrix, b: Matrix) -> list:
     walk over both operands' nonzero rows.
     """
     m, n, cols = a.rows, a.cols, b.cols
+    exact = a.den is not None
     if m < SPARSE_FROM and n < SPARSE_FROM and cols < SPARSE_FROM:
-        return _product_kernel(m, n, cols, a.den is not None)(a.num, b.num)
-    out = [0.0 if a.den is None else 0] * (m * cols)
-    o = 0  # flat offset of output row i
-    brows = _nonzero_rows(b)
-    for arow in _nonzero_rows(a):
-        for k, aik in arow:
-            for j, bkj in brows[k]:
-                out[o + j] += aik * bkj
-        o += cols
-    return out
+        return _product_kernel(m, n, cols, exact)(a.num, b.num)
+    zero = _zero(a.den)
+    brows = _rows(b)
+    out = []
+    for arow in _rows(a):
+        row = {}
+        # integer sums do not depend on the order of their terms; float ones do
+        for k, aik in (arow.items() if exact else sorted(arow.items())):
+            for j, bkj in brows[k].items():
+                row[j] = row.get(j, zero) + aik * bkj
+        if 0 in row.values():
+            row = {j: v for j, v in row.items() if v}
+        out.append(row)
+    return _from_rows(out, cols, a.den)
 
 
 # The compiled kernels of the shapes below SPARSE_FROM, one per shape and
@@ -389,7 +513,8 @@ def fused_prelie_site(p: Matrix, q: Matrix, x: Matrix, y: Matrix) -> Matrix:
     take f = h = 1.0 (v*1.0 is v in IEEE arithmetic), so their bits are
     those of `p_n * q_n - q_n * p_n + x_n * y_n`.  Blocks below
     `SPARSE_FROM` take the compiled kernel of their size (`_prelie_kernel`);
-    larger ones are three `_product` calls each.
+    larger ones, held in the row store, are three `_product` calls each on
+    the block's rows, and only entries that some product holds are formed.
     """
     if not (p.den is None) == (q.den is None) == (x.den is None) == (y.den is None):
         raise BackendMismatch("an exact and a float matrix")
@@ -402,10 +527,12 @@ def fused_prelie_site(p: Matrix, q: Matrix, x: Matrix, y: Matrix) -> Matrix:
         out = _prelie_kernel(d, den is not None)(p.num, q.num, x.num, y.num, f, h)
     else:
         out = []
-        for t in range(0, len(p.num), d * d):
-            pn, qn, xn, yn = (_wrap(m.num[t:t + d * d], d, d, m.den) for m in (p, q, x, y))
-            pq, qp, xy = _product(pn, qn), _product(qn, pn), _product(xn, yn)
-            out += [(a - b) * f + c * h for a, b, c in zip(pq, qp, xy)]
+        zero = _zero(den)
+        for t in range(0, p.rows, d):
+            pn, qn, xn, yn = (_wrap(m.num[t:t + d], d, d, m.den) for m in (p, q, x, y))
+            for pq, qp, xy in zip(_product(pn, qn), _product(qn, pn), _product(xn, yn)):
+                out.append({j: v for j in pq.keys() | qp.keys() | xy.keys()
+                            if (v := (pq.get(j, zero) - qp.get(j, zero)) * f + xy.get(j, zero) * h)})
     return _reduced(out, p.rows, d, den)
 
 
@@ -421,11 +548,16 @@ def stack_prelie_left(a: Matrix, b: Matrix) -> Matrix:
     rows, d = a.rows, a.cols
     if b.rows != rows or b.cols != d or rows % d:
         raise DimensionMismatch(f"site stacks {a.rows}x{a.cols} and {b.rows}x{b.cols}")
-    num, size = a.num, d * d
-    acc = [0.0 if a.den is None else 0] * size
+    # a block is d*d flat entries, or d rows of the row store
+    if d < SPARSE_FROM:
+        size, plus, zero = d * d, add, _zero(a.den)
+    else:
+        size, plus, zero = d, _row_sum, {}
+    num = a.num
+    acc = [zero] * size
     prefix = acc[:]
     for i in range(0, len(num) - size, size):
-        acc = list(map(add, acc, num[i:i + size]))
+        acc = list(map(plus, acc, num[i:i + size]))
         prefix += acc
     return fused_prelie_site(_reduced(prefix, rows, d, a.den), b, a, b)
 
@@ -441,15 +573,17 @@ def unit_product(unit, x):
 
     An exact matrix gives `x` itself, a float one its entries as `0.0 + v`:
     the zero-skipping product starts each entry at 0.0 and adds `1.0 * v`
-    for each nonzero `v`, so -0.0 becomes 0.0.  Any other `x` is itself
-    when its type is the unit's (a free element, or a scalar of the unit's
-    type), otherwise `unit * x` (an int or a float meeting `Fraction(1)`, a
-    rational meeting 1.0).
+    for each nonzero `v`, so -0.0 becomes 0.0, which the row store holds
+    already.  Any other `x` is itself when its type is the unit's (a free
+    element, or a scalar of the unit's type), otherwise `unit * x` (an int
+    or a float meeting `Fraction(1)`, a rational meeting 1.0).
     """
     if isinstance(x, Matrix):
         if (x.den is None) != (unit.den is None):
             raise BackendMismatch("an exact and a float matrix")
-        return x if x.den is not None else _wrap([0.0 + v for v in x.num], x.rows, x.cols, None)
+        if x.den is not None or x.cols >= SPARSE_FROM:
+            return x
+        return _wrap([0.0 + v for v in x.num], x.rows, x.cols, None)
     return x if type(x) is type(unit) else unit * x
 
 
@@ -473,15 +607,14 @@ def kron_embed(op: Matrix, slots: tuple[int, ...], total: int, dim: int) -> Matr
     # `slots`), and of each assignment of the factors outside `slots`
     base = [sum(d * weight[s] for d, s in zip(digits, slots)) for digits in iproduct(range(dim), repeat=k)]
     offs = [sum(d * weight[s] for d, s in zip(rest, others)) for rest in iproduct(range(dim), repeat=len(others))]
-    out = [0.0 if op.den is None else 0] * (size * size)
-    for idx, v in enumerate(op.num):
-        if v:
-            i, j = divmod(idx, op.cols)
-            start = base[i] * size + base[j]
-            for off in offs:
-                out[start + off * (size + 1)] = v
+    out = [{} for _ in range(size)]
+    for i, row in enumerate(_rows(op)):
+        targets = [out[base[i] + off] for off in offs]
+        for j, v in row.items():
+            for target, off in zip(targets, offs):
+                target[base[j] + off] = v
     # The same nonzero numerators over the same denominator: still reduced.
-    return _wrap(out, size, size, op.den)
+    return _wrap(_from_rows(out, size, op.den), size, size, op.den)
 
 
 def permutation_op(dim: int) -> Matrix:
@@ -489,36 +622,44 @@ def permutation_op(dim: int) -> Matrix:
     if dim < 1:
         raise DimensionMismatch(f"the flip needs a dimension of at least 1, got {dim}")
     n = dim * dim
-    out = [0] * (n * n)
-    for a in range(dim):
-        for b in range(dim):
-            out[(a * dim + b) * n + b * dim + a] = 1
-    return _wrap(out, n, n, 1)
+    rows = [{b * dim + a: 1} for a in range(dim) for b in range(dim)]
+    return _wrap(_from_rows(rows, n, 1), n, n, 1)
+
+
+def _block_size(m: Matrix, dim: int) -> int:
+    """The size of the blocks of a square `m` with respect to its slot-0
+    factor of size `dim`."""
+    n = m.rows
+    if dim < 1 or n != m.cols or n % dim:
+        raise DimensionMismatch(f"a {n}x{m.cols} matrix has no blocks for a factor of size {dim}")
+    return n // dim
 
 
 def partial_trace_first(m: Matrix, dim: int) -> Matrix:
     """Trace out the slowest (slot-0) factor of size `dim`."""
-    n = m.rows
-    if dim < 1 or n != m.cols or n % dim:
-        raise DimensionMismatch(f"a {n}x{m.cols} matrix has no blocks for a factor of size {dim}")
-    b = n // dim
-    out = [0.0 if m.den is None else 0] * (b * b)
-    for i in range(dim):
-        for r in range(b):
-            start = (i * b + r) * n + i * b
-            for c, v in enumerate(m.num[start:start + b], r * b):
-                if v:
-                    out[c] += v
-    return _reduced(out, b, b, m.den)
+    b = _block_size(m, dim)
+    zero = _zero(m.den)
+    rows = _rows(m)
+    out = [{} for _ in range(b)]
+    # each entry adds its diagonal blocks' terms from the backend's zero, block 0 first
+    for lo in range(0, m.rows, b):
+        for acc, row in zip(out, rows[lo:lo + b]):
+            for c, v in row.items():
+                if lo <= c < lo + b:
+                    acc[c - lo] = acc.get(c - lo, zero) + v
+    out = [{c: v for c, v in acc.items() if v} for acc in out]
+    return _reduced(_from_rows(out, b, m.den), b, b, m.den)
 
 
 def aux_block(m: Matrix, a: int, b: int, dim: int) -> Matrix:
     """The (a, b) block with respect to the slot-0 factor of size `dim`."""
-    n = m.rows
-    if dim < 1 or n != m.cols or n % dim:
-        raise DimensionMismatch(f"a {n}x{m.cols} matrix has no blocks for a factor of size {dim}")
+    s = _block_size(m, dim)
     if not (0 <= a < dim and 0 <= b < dim):
         raise DimensionMismatch(f"block ({a}, {b}) outside a slot-0 factor of size {dim}")
-    s = n // dim
-    start = a * s * n + b * s
-    return _reduced([x for r in range(start, start + s * n, n) for x in m.num[r:r + s]], s, s, m.den)
+    if m.cols < SPARSE_FROM:
+        n = m.cols
+        start = a * s * n + b * s
+        return _reduced([x for r in range(start, start + s * n, n) for x in m.num[r:r + s]], s, s, m.den)
+    lo, hi = b * s, (b + 1) * s
+    rows = [{c - lo: v for c, v in row.items() if lo <= c < hi} for row in m.num[a * s:(a + 1) * s]]
+    return _reduced(_from_rows(rows, s, m.den), s, s, m.den)

@@ -11,14 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BackendMismatch, DimensionMismatch, UnsupportedOrder
+from .errors import BackendMismatch, DimensionMismatch, check_order
 from .ops import (SCALARS, check_compatible, invert, is_zero, max_abs, one_like, to_float,
                   unit_product, zero_like)
-
-
-def _check_order(order: int):
-    if order < 0:
-        raise UnsupportedOrder(f"truncation order must be >= 0, got {order}")
 
 
 class AlphaSeries:
@@ -43,20 +38,20 @@ class AlphaSeries:
 
     @staticmethod
     def one(order: int, like) -> "AlphaSeries":
-        _check_order(order)
+        check_order(order)
         z = zero_like(like)
         return AlphaSeries([one_like(like)] + [z] * order)
 
     @staticmethod
     def zero(order: int, like) -> "AlphaSeries":
-        _check_order(order)
+        check_order(order)
         z = zero_like(like)
         return AlphaSeries([z] * (order + 1))
 
     @staticmethod
     def from_parts(order: int, parts: dict, like) -> "AlphaSeries":
         """Series with the given degree -> coefficient entries, zeros elsewhere."""
-        _check_order(order)
+        check_order(order)
         cs = [zero_like(like) for _ in range(order + 1)]
         for d, c in parts.items():
             if 0 <= d <= order:
@@ -122,7 +117,7 @@ class AlphaSeries:
         return all(is_zero(c) for c in self.coeffs)
 
     def truncate(self, order: int) -> "AlphaSeries":
-        _check_order(order)
+        check_order(order)
         if order <= self.order:
             return AlphaSeries(self.coeffs[:order + 1])
         z = zero_like(self.coeffs[0])

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from ordexp.boundary import BoundaryProblem, GaugeProblem, reflection_hat
 from ordexp.continuum import MatrixField, magnus_continuous
 from ordexp.errors import AlgebraError, BackendMismatch, DimensionMismatch, SingularOperator, UnsupportedOrder
 from ordexp.expansion import (
@@ -123,6 +124,28 @@ def test_negative_orders_are_unsupported(order, like):
     for call in (lambda: monodromy(fam, order), lambda: chain_walk(fam, order, FORWARD),
                  lambda: magnus_oracle(fam, order), lambda: dyson_terms(fam, order),
                  lambda: dyson_terms(fam, order, method="tridendriform")):
+        with pytest.raises(UnsupportedOrder, match="truncation order"):
+            call()
+
+
+@pytest.mark.parametrize("order", [2.0, True, -1, "3"], ids=repr)
+def test_every_order_entry_point_takes_a_plain_int_only(order):
+    # one rule, `errors.check_order`: magnus_closed_form returned two terms
+    # on 2.0, most others died with a bare TypeError on 2.0 or "3", and all
+    # took True as 1
+    one = Fraction(1)
+    fam = SiteOperatorFamily(2, {(1, 1): Fraction(2), (2, 1): Fraction(3), (1, 2): Fraction(5)}, like=one)
+    calls = [
+        lambda: AlphaSeries.one(order, one), lambda: AlphaSeries.zero(order, one),
+        lambda: AlphaSeries.from_parts(order, {0: one}, one), lambda: AlphaSeries([one, one]).truncate(order),
+        lambda: GaugeProblem(fam, fam, one, order), lambda: BoundaryProblem(fam, fam, one, order),
+        lambda: reflection_hat(fam, order), lambda: fam.lax_series(1, order),
+        lambda: dyson_terms(fam, order), lambda: dyson_terms(fam, order, method="tridendriform"),
+        lambda: monodromy(fam, order), lambda: magnus_oracle(fam, order),
+        lambda: magnus_closed_form(fam, order), lambda: magnus_closed_form(fam, order, style="prelie"),
+        lambda: closed_form_defects(fam, order),
+    ]
+    for call in calls:
         with pytest.raises(UnsupportedOrder, match="truncation order"):
             call()
 

@@ -1,8 +1,9 @@
 """Each operator store is read only by the module that defines it.
 
-An exact or float `Matrix` keeps its entries as flat numerators `num` over
-one denominator `den`, with a row cache `_nonzeros`; only `matrix.py` may
-read or write them, or import a private helper of `matrix`.  A
+An exact or float `Matrix` keeps its entries in `num` over one
+denominator `den`: a flat list below `matrix.SPARSE_FROM` columns, its
+nonzero rows from it on; only `matrix.py` may read or write them, or
+import a private helper of `matrix`.  A
 `FreeElement` keeps its words in `terms`, each word a tuple of letters with
 a `name`, `site` and `degree`; only `freealg.py` may read them.  Every
 other module goes through the methods of the two classes, so either store
@@ -17,7 +18,7 @@ import ordexp
 PACKAGE = Path(ordexp.__file__).resolve().parent
 
 # Each store attribute and the one module that may touch it.
-OWNER = {"num": "matrix.py", "den": "matrix.py", "_nonzeros": "matrix.py",
+OWNER = {"num": "matrix.py", "den": "matrix.py",
          "terms": "freealg.py", "name": "freealg.py", "site": "freealg.py", "degree": "freealg.py"}
 
 

@@ -71,8 +71,12 @@ def test_equality_distinguishes_shapes():
     # the same row-major entries in two shapes: equal flat lists, unequal matrices
     square_, wide, tall = Matrix([[1, 2], [3, 4]]), Matrix([[1, 2, 3, 4]]), Matrix([[1], [2], [3], [4]])
     assert square_.num == wide.num == tall.num
+    # and in the row store: one row of 2n entries, or two rows of n
+    n = SPARSE_FROM
+    long_, two = Matrix([list(range(2 * n))]), Matrix([list(range(n)), list(range(n, 2 * n))])
+    assert [v for row in long_.num for v in row.values()] == [v for row in two.num for v in row.values()]
     half = Fraction(1, 2)
-    for x, y in ((square_, wide), (square_, tall), (wide, tall)):
+    for x, y in ((square_, wide), (square_, tall), (wide, tall), (long_, two)):
         assert x != y
         assert x * half != y * half
         assert x.to_float() != y.to_float()
@@ -81,7 +85,7 @@ def test_equality_distinguishes_shapes():
     assert Matrix.zeros(4, 1) != Matrix.zeros(1, 4)
     # equal matrices still hash alike, across storages; an exact matrix and
     # its float copy are two backends, so never equal
-    for x in (square_, wide, tall, square_ * half):
+    for x in (square_, wide, tall, square_ * half, long_, two * half):
         same = Matrix([list(row) for row in x.data])
         assert same == x and hash(same) == hash(x)
         flt = x.to_float()
@@ -369,15 +373,25 @@ def ref_str(a):
 
 
 def assert_stored(m):
-    """`m` keeps one flat row-major list of `rows * cols` entries, in canonical
-    form: integer numerators reduced over a positive `den`, or floats only."""
-    assert len(m.num) == m.rows * m.cols
+    """`m` keeps the store of its shape in canonical form.  Below
+    `SPARSE_FROM` columns that is one flat row-major list of `rows * cols`
+    entries; from it on, one dict per row from column to entry, holding no
+    zero.  The entries are integer numerators reduced over a positive
+    `den` (so the zero matrix has `den == 1`), or floats only."""
+    if m.cols < SPARSE_FROM:
+        assert type(m.num) is list and len(m.num) == m.rows * m.cols
+        values = m.num
+    else:
+        assert type(m.num) is list and len(m.num) == m.rows
+        assert all(type(row) is dict for row in m.num)
+        assert all(0 <= j < m.cols and v for row in m.num for j, v in row.items())
+        values = [v for row in m.num for v in row.values()]
     if m.is_exact():
         assert m.den > 0
-        assert all(type(x) is int for x in m.num)
-        assert gcd(m.den, *m.num) == 1
+        assert all(type(x) is int for x in values)
+        assert gcd(m.den, *values) == 1
     else:
-        assert all(type(x) is float for x in m.num)
+        assert all(type(x) is float for x in values)
 
 
 def assert_exact(m, ref):
@@ -399,6 +413,21 @@ def assert_floats(m, ref):
     assert_stored(m)
     assert all(type(x) is float for row in m.data for x in row)
     assert [[repr(x) for x in row] for row in m.data] == [[repr(float(x)) for x in row] for row in ref]
+
+
+def assert_rebuilt(m):
+    """`m` agrees with the matrix built from its entries: ==, hash, str,
+    data and the store itself."""
+    fresh = Matrix([list(row) for row in m.data])
+    assert m == fresh and fresh == m and hash(m) == hash(fresh)
+    assert str(m) == str(fresh) and m.data == fresh.data
+    assert (m.rows, m.cols, m.den, m.num) == (fresh.rows, fresh.cols, fresh.den, fresh.num)
+
+
+def as_read(ref, cols):
+    """The reference as a matrix of `cols` columns reads it: the row store
+    keeps no zero, so a float zero of either sign reads 0.0 there."""
+    return ref if cols < SPARSE_FROM else [[x if x else 0 for x in row] for row in ref]
 
 
 zero_heavy = st.one_of(
@@ -473,10 +502,12 @@ def test_prop_scaling(ab, s, f):
 def test_zero_results_stay_canonical():
     def assert_zero(m, rows, cols):
         assert (m.rows, m.cols, m.den) == (rows, cols, 1)
-        assert m.num == [0] * (rows * cols)
-        assert m.is_zero()
+        assert_stored(m)
+        assert m.data == ((0,) * cols,) * rows
+        assert m == Matrix.zeros(rows, cols) and m.is_zero()
 
-    for rows, cols in ((1, 1), (1, 4), (4, 1), (2, 3)):
+    n = SPARSE_FROM
+    for rows, cols in ((1, 1), (1, 4), (4, 1), (2, 3), (1, n), (n, 1), (3, n), (n, n + 2)):
         z = Matrix.zeros(rows, cols)
         for s in (0, Fraction(0), Fraction(3, 7), -5):
             assert_zero(z * s, rows, cols)
@@ -612,8 +643,9 @@ def test_prop_rounded_exact_with_float_is_bit_identical(ab, cd, s, case, sq):
     assert_floats(mb + fa, ref_add(b, a))
     assert_floats(fa - mb, ref_sub(a, b))
     assert_floats(mb - fa, ref_sub(b, a))
-    assert_floats(fa.kron(mb), ref_kron(a, b))
-    assert_floats(mb.kron(fa), ref_kron(b, a))
+    # a kron of SPARSE_FROM or more columns is in the row store, where 0.0 * -0.0 reads 0.0
+    assert_floats(fa.kron(mb), as_read(ref_kron(a, b), len(a[0]) * len(b[0])))
+    assert_floats(mb.kron(fa), as_read(ref_kron(b, a), len(a[0]) * len(b[0])))
     assert_floats(mb * s, ref_scale(b, s))
     assert_floats(s * mb, ref_scale(b, s))
     assert_floats(-mb, ref_scale(b, -1.0))
@@ -657,6 +689,115 @@ def test_prop_float_matrix_holds_floats_only(ab, f):
     assert_floats(Matrix(bt) * mb, ref_mul([[float(x) for x in row] for row in bt],
                                            [[float(x) for x in row] for row in b]))
     assert_floats(Matrix(zeros).to_float() * mb, [[0.0] * len(b[0]) for _ in b[0]])
+
+
+# -- the row store, against the same reference ----------------------------------
+#
+# From `SPARSE_FROM` columns on, a matrix holds only its nonzero rows.  The
+# shapes below straddle the rule, so every property meets both stores, and
+# the products meet every mix of them.
+
+edges = st.sampled_from([1, 2, SPARSE_FROM - 1, SPARSE_FROM, SPARSE_FROM + 2])
+sparse = st.one_of(st.just(0), st.just(0), zero_heavy)
+sparse_floats = st.one_of(st.just(0.0), st.just(-0.0), floats)
+
+
+@st.composite
+def edge_pair(draw, entries=sparse):
+    rows, cols = draw(edges), draw(edges)
+    return draw(grid(rows, cols, entries)), draw(grid(rows, cols, entries))
+
+
+@st.composite
+def edge_chain(draw, entries=sparse):
+    """Two left factors of one shape and a right factor."""
+    rows, inner, cols = draw(edges), draw(edges), draw(edges)
+    return draw(grid(rows, inner, entries)), draw(grid(rows, inner, entries)), draw(grid(inner, cols, entries))
+
+
+@st.composite
+def row_store_embedding(draw, entries=sparse):
+    """An operator of SPARSE_FROM or more rows placed on some of the factors."""
+    dim, k, total = draw(st.sampled_from([(2, 3, 3), (2, 3, 4), (3, 2, 2), (3, 2, 3)]))
+    slots = draw(st.permutations(range(total)))[:k]
+    return draw(grid(dim ** k, dim ** k, entries)), tuple(slots), total, dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_pair(), exact_scalars, edge_pair(sparse_floats), floats)
+def test_prop_row_store_sums_and_scalings(ab, s, fg, f):
+    a, b = ab
+    ma, mb = Matrix(a), Matrix(b)
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    for got, want in ((ma + mb, ref_add(a, b)), (ma - mb, ref_sub(a, b)), (-ma, ref_scale(a, -1)),
+                      (ma * s, ref_scale(a, s)), (s * ma, ref_scale(a, s)), (ma * 3, ref_scale(a, 3)),
+                      (ma * 0, ref_scale(a, 0)), (Fraction(0) * ma, ref_scale(a, 0)),
+                      (ma * third - mb * sixth, ref_sub(ref_scale(a, third), ref_scale(b, sixth)))):
+        assert_exact(got, want)
+        assert_rebuilt(got)
+    assert (ma * 0).is_zero() and (ma - ma).is_zero()
+    x, y = fg
+    mx, my = Matrix(x), Matrix(y)
+    cols = len(x[0])
+    for got, want in ((mx + my, ref_add(x, y)), (mx - my, ref_sub(x, y)), (-mx, ref_scale(x, -1.0)),
+                      (mx * f, ref_scale(x, f)), (f * mx, ref_scale(x, f)), (mx * 0, ref_scale(x, 0.0)),
+                      (mx * third, ref_scale(x, float(third))), (ma.to_float(), a)):
+        assert_floats(got, as_read(want, cols))
+        assert_rebuilt(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_chain(), edge_chain(sparse_floats))
+def test_prop_row_store_products(ab, cd):
+    # a sum's rows hold their columns out of order, and a float product
+    # must still add each entry's terms in order of the inner index
+    for (a, a2, b), check in ((ab, assert_exact), (cd, assert_floats)):
+        ma, mb = Matrix(a), Matrix(b)
+        for got, want in ((ma * mb, ref_mul(a, b)), ((ma + Matrix(a2)) * mb, ref_mul(ref_add(a, a2), b))):
+            check(got, want)
+            assert_rebuilt(got)
+
+
+@settings(max_examples=25, deadline=None)
+@given(row_store_embedding(), row_store_embedding(sparse_floats), edge_pair())
+def test_prop_row_store_tensor_legs(case, float_case, ab):
+    for (op, slots, total, dim), check in ((case, assert_exact), (float_case, assert_floats)):
+        big = ref_embed(op, slots, total, dim)
+        embedded = kron_embed(Matrix(op), slots, total, dim)
+        check(embedded, big)
+        trace = partial_trace_first(embedded, dim)
+        check(trace, ref_partial_trace(big, dim))
+        s = len(big) // dim
+        blocks = [aux_block(embedded, i, j, dim) for i in range(dim) for j in range(dim)]
+        for n, block in enumerate(blocks):
+            i, j = divmod(n, dim)
+            check(block, [row[j * s:(j + 1) * s] for row in big[i * s:(i + 1) * s]])
+        square_ = embedded * embedded
+        check(square_, ref_mul(big, big))
+        for m in [embedded, trace, square_] + blocks:
+            assert_rebuilt(m)
+    a, b = ab
+    for x, y in ((a, b), (a, [[1, 0], [2, 3]]), ([[0, 2], [1, 0]], b)):
+        got = Matrix(x).kron(Matrix(y))
+        assert_exact(got, ref_kron(x, y))
+        assert_rebuilt(got)
+
+
+def test_the_row_store_reads_a_float_zero_of_either_sign_as_zero():
+    # a store that drops zeros cannot keep a -0.0: from SPARSE_FROM columns
+    # on it reads 0.0, as a product's zeros always did; below it the flat
+    # store keeps the sign
+    n = SPARSE_FROM
+    signed = [[-0.0 if (i + j) % 2 else 1.5 for j in range(n)] for i in range(n)]
+    zero = Matrix.zeros(n).to_float()
+    m = Matrix(signed)
+    assert [[repr(x) for x in row] for row in m.data] == \
+        [["0.0" if (i + j) % 2 else "1.5" for j in range(n)] for i in range(n)]
+    for z in (Matrix([[-0.0] * n] * n), -zero, m - m, m * 0.0, m * -0.0, -(m * 0)):
+        assert z.is_zero() and z == zero and hash(z) == hash(zero)
+        assert {repr(x) for row in z.data for x in row} == {"0.0"}
+        assert_stored(z)
+    assert repr(Matrix([[-0.0] * (n - 1)]).data[0][0]) == "-0.0"
 
 
 # -- the fused pre-Lie site kernel and the sparse product path ---------------------
@@ -791,8 +932,9 @@ def test_stacked_fused_prelie_site_is_each_block_bit_for_bit(n_blocks, d, exact,
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_a_stack_of_small_blocks_keeps_the_dense_loop(monkeypatch, exact):
     # the size rule reads the block, not the stack's rows: sixteen 2x2 sites
-    # make 32 rows, take the compiled 2x2 kernel, and build no nonzero rows
-    def refuse(m):
+    # make 32 rows, keep the flat store, take the compiled 2x2 kernel, and
+    # build no nonzero rows
+    def refuse(*args):
         raise AssertionError("a stack of 2x2 blocks walked its nonzero rows")
 
     rng = random.Random(8)
@@ -800,6 +942,7 @@ def test_a_stack_of_small_blocks_keeps_the_dense_loop(monkeypatch, exact):
     stacks = [as_matrix(grid, exact) for _, grid in parts]
     monkeypatch.setattr(matrix, "_nonzero_rows", refuse)
     got = fused_prelie_site(*stacks)
+    assert all(len(m.num) == 32 * 2 for m in stacks + [got])
     for n in range(16):
         want = fused_prelie_site(*(as_matrix(blocks[n], exact) for blocks, _ in parts))
         assert Matrix(got.data[2 * n:2 * n + 2]) == want
@@ -992,39 +1135,34 @@ def test_products_match_the_reference_on_both_sides_of_the_size_rule(shape, exac
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-def test_cached_rows_are_reused_on_either_side(exact):
+def test_row_store_operands_are_read_as_stored(monkeypatch, exact):
+    # a matrix at or above the size rule holds its nonzero rows from the
+    # start, so a product reads them on either side and builds none
+    def refuse(*args):
+        raise AssertionError("a row-store operand had its nonzero rows rebuilt")
+
     rng = random.Random(9)
     n = SPARSE_FROM + 1
     grids = [rand_grid(rng, n, n, exact, 0.3) for _ in range(3)]
-    m, b, c = (Matrix(g) if exact else Matrix(g).to_float() for g in grids)
-
-    def fresh():
-        return Matrix([list(row) for row in m.data])
-
-    first = m * b
-    rows = m._nonzeros
-    assert rows is not None
-    for got, want in ((m * b, fresh() * b), (c * m, c * fresh()), (m * c, fresh() * c),
-                      (m * m, fresh() * fresh()), (first, fresh() * b)):
-        assert [repr(v) for v in got.data] == [repr(v) for v in want.data]
-        assert_stored(got)
-    assert m._nonzeros is rows  # made once, then read on both sides
+    m, b, c = (as_matrix(g, exact) for g in grids)
+    monkeypatch.setattr(matrix, "_nonzero_rows", refuse)
+    for got, (x, y) in ((m * b, (0, 1)), (c * m, (2, 0)), (m * c, (0, 2)), (m * m, (0, 0))):
+        assert_same_bits(got, ref_mul(grids[x], grids[y]))
 
 
-def test_filled_rows_keep_equality_key_and_hash():
+def test_row_store_results_keep_equality_key_and_hash():
+    # a row's entries sit in the order an operation met them, which none of
+    # ==, hash, str and data may read: a + b and b + a hold their rows in
+    # different orders, and each result agrees with its rebuilt matrix
     rng = random.Random(4)
     n = SPARSE_FROM
     for exact in (True, False):
-        g = rand_grid(rng, n, n, exact, 0.3)
-        m = Matrix(g)
-        m * m
-        assert m._nonzeros is not None
-        fresh = Matrix(g)
-        assert fresh._nonzeros is None
-        assert m == fresh and fresh == m
-        assert (m.rows, m.cols, m.den, m.num) == (fresh.rows, fresh.cols, fresh.den, fresh.num)
-        assert hash(m) == hash(fresh)
-        assert str(m) == str(fresh)
+        a, b = (as_matrix(rand_grid(rng, n, n, exact, 0.3), exact) for _ in range(2))
+        ab, ba = a + b, b + a
+        assert any(list(x) != list(y) for x, y in zip(ab.num, ba.num))
+        assert ab == ba and hash(ab) == hash(ba) and str(ab) == str(ba)
+        for got in (ab, ba, a - b, -(b - a), a * b, a * Fraction(2, 3) if exact else a * 0.5):
+            assert_rebuilt(got)
 
 
 # -- one backend per operation ----------------------------------------------------

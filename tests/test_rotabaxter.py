@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ordexp import ops
 from ordexp.errors import BackendMismatch, DimensionMismatch
 from ordexp.freealg import FreeElement
-from ordexp.matrix import Matrix, stack_prelie_left
+from ordexp.matrix import SPARSE_FROM, Matrix, stack_prelie_left
 from ordexp.poly import Poly
 from ordexp.rotabaxter import (
     IntegralOp,
@@ -297,7 +297,7 @@ def stack(seq):
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
-@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("size", [1, 2, 3, SPARSE_FROM])
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
 def test_stacked_left_product_is_prelie_left_site_by_site(n_sites, size, exact):
     # block n of the stacked product is site n of prelie_left bit for bit;

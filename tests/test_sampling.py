@@ -16,6 +16,7 @@ import ordexp
 from ordexp import AlphaSeries, FreeElement, Matrix, Poly, SiteOperatorFamily, SiteSequence, SuiteConfig
 from ordexp import matrix, ops
 from ordexp.errors import AlgebraError
+from ordexp.matrix import SPARSE_FROM
 from ordexp.report import EXACT, FLOAT
 from ordexp.sampling import SampleSource
 from ordexp.suites import SUITES
@@ -38,7 +39,8 @@ def leaves(x):
 
 
 def stored(m):
-    """The value a matrix stores: its shape, `den` and flat entries."""
+    """The value a matrix stores: its shape, `den` and store, a flat list
+    below `SPARSE_FROM` columns and its nonzero rows from it on."""
     return m.rows, m.cols, m.den, m.num
 
 
@@ -87,7 +89,7 @@ def test_matrix_draws_the_fractions_it_always_drew(backend):
     for seed in range(40):
         src = SampleSource(seed, backend)
         ref = SampleSource(seed, backend)
-        for size in (1, 2, 3, 5):
+        for size in (1, 2, 3, 5, SPARSE_FROM):
             for bound in (0, 1, 3, 10**20):
                 old = Matrix([[ref.fraction(bound) for _ in range(size)] for _ in range(size)])
                 assert stored(src.matrix(size, bound)) == stored(ref.cast(old))
@@ -99,7 +101,7 @@ def test_site_stack_is_the_sequence_it_stacks(backend):
     for seed in range(20):
         src = SampleSource(seed, backend)
         ref = SampleSource(seed, backend)
-        for n_sites, size in ((1, 1), (1, 2), (3, 2), (4, 3)):
+        for n_sites, size in ((1, 1), (1, 2), (3, 2), (4, 3), (2, SPARSE_FROM)):
             seq = ref.sequence(n_sites, size)
             want = Matrix([row for v in seq.values for row in v.data])
             assert stored(src.site_stack(n_sites, size)) == stored(want)
