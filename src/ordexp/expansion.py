@@ -283,7 +283,6 @@ def magnus_from_dyson(dyson: list, order: int) -> list:
 
 def magnus_oracle(family: SiteOperatorFamily, order: int) -> list:
     """Logarithm coefficients of the ordered product, straight from the series."""
-    check_order(order)
     series = monodromy(family, order).log()
     return [series.coeff(m) for m in range(1, order + 1)]
 
@@ -372,13 +371,14 @@ def closed_form_defects(family: SiteOperatorFamily, order: int = 3) -> dict:
 
     Returns {style: [(degree, residual), ...]} for every style that
     `magnus_closed_form` accepts, against one `magnus_oracle` call; a
-    faithful closed form gives residual zero at every degree.
+    faithful closed form gives residual zero at every degree.  The closed
+    forms come first, so an order they do not cover is refused before the
+    oracle runs.
     """
-    check_order(order, 1)
+    closed = {style: magnus_closed_form(family, order, style) for style in _CLOSED_FORMS}
     oracle = magnus_oracle(family, order)
-    return {style: [(m, q - o) for m, (q, o) in
-                    enumerate(zip(magnus_closed_form(family, order, style), oracle), start=1)]
-            for style in _CLOSED_FORMS}
+    return {style: [(m, q - o) for m, (q, o) in enumerate(zip(qs, oracle), start=1)]
+            for style, qs in closed.items()}
 
 
 def factorized_generators(m_ops: list, l_ops: list):

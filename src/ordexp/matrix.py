@@ -73,7 +73,9 @@ SCALARS = (int, Fraction, float)
 # 3.8-7.2 times the kernel's time on the dense 2x2-4x4 operands of
 # `expand` (over 92 % fill), and on the yangian suite's sparse ones
 # 0.65-0.72 of it at 3x3 and 4x4 (11-17 % fill), 0.29 at 8x8 (14 %) and
-# 0.11 at 9x9 (5 %).
+# 0.11 at 9x9 (5 %).  On the same machine the 6,090 operations of a
+# seed-1 yangian run with an operand or result of 8 or more rows (1-6 %
+# nonzero) took 55 ms on the row store against 113-131 ms on the flat list.
 SPARSE_FROM = 8
 
 

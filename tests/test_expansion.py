@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from ordexp import expansion
 from ordexp.boundary import BoundaryProblem, GaugeProblem, reflection_hat
 from ordexp.continuum import MatrixField, magnus_continuous
 from ordexp.errors import AlgebraError, BackendMismatch, DimensionMismatch, SingularOperator, UnsupportedOrder
@@ -332,6 +333,16 @@ def test_closed_form_rejects_high_order():
     fam = free_family(2)
     with pytest.raises(UnsupportedOrder):
         magnus_closed_form(fam, order=4)
+
+
+def test_closed_form_defects_refuse_an_uncovered_order_before_the_oracle(monkeypatch):
+    # the order-4 oracle was formed, then the closed forms refused the order
+    def refuse(*args):
+        raise AssertionError("the oracle ran for an order no closed form covers")
+
+    monkeypatch.setattr(expansion, "magnus_oracle", refuse)
+    with pytest.raises(UnsupportedOrder, match="closed forms cover"):
+        closed_form_defects(free_family(2), order=4)
 
 
 def test_closed_form_order_one_and_two_prefix():
