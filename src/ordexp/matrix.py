@@ -39,11 +39,12 @@ the only product that reads a stack, with one body for both backends; its
 size rule, like the store's, reads one block's shape.
 `stack_prelie_left` forms the left pre-Lie product of two stacks with it,
 after summing one stack's blocks into its strict prefix sums.  None
-of this changes a float result: each product entry starts from its
-backend's zero and adds the products of its nonzero terms in order of the
-inner index (a float term with a zero factor is skipped, so a zero never
-meets an inf or a nan), and each sum or scaling is one operation per
-stored entry.
+of this changes a float result but the sign of a zero in the row store:
+each product entry starts from its backend's zero and adds the products
+of its nonzero terms in order of the inner index (a float term with a
+zero factor is skipped, so a zero never meets an inf or a nan), and each
+sum or scaling is one operation per stored entry (an entry the row store
+does not hold stays zero where the flat list would form 0.0 * inf).
 
 Tensor convention used everywhere: a state of `total` factors, each of local
 dimension `dim`, is indexed lexicographically with slot 0 slowest. Slot 0 is
