@@ -493,7 +493,7 @@ def yangian_suite(cfg: SuiteConfig) -> VerificationReport:
 
         qn = 3
         series = monodromy_coproduct(fundamental_lax(dim), qn, 3)
-        _, qrep = q_generators_and_relations(series, dim)
+        qrep = q_generators_and_relations(series, dim)
         closing = ("first_family", "second_family", "third_family_literal")
         rep.add(
             f"quadratic-generator-families-dim{dim}",

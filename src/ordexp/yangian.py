@@ -11,18 +11,13 @@ spectral parameters.  Polynomial identities in spectral parameters
 are decided by exact rational evaluation at more points than the degree
 bound, after clearing denominators, or by direct coefficient comparison
 for truncated (matching-order) checks.  The exchange relation among the
-generators L^(m)_ab is one operator identity on aux (x) aux (x) quantum,
-with the monodromy coefficients placed on either aux leg.  The q-generators
-of an operator on aux (x) quantum are read from its `block_table`, built
-once per coefficient, and those of generator products from whole products.
-The coproduct's nested-prec expansion is the tridendriform Dyson fold
-(`dyson_terms`) of the monodromy family, not a hand-unrolled copy.
-
-Arithmetic whose result is known is skipped.  The q-generator relations
-make each pair's brackets [q1_ij, q1_kl] and [q2_ij, q2_kl] once and read
-the reversed pair's as their negation, and every Kronecker delta is a
-branch that adds its term only when the indices match, never a product
-with a 0 or 1 scalar.
+generators L^(m)_ab, and the three bracket families of the q-generators
+(the log coefficients Q1, Q2, Q3 of the monodromy), are each one operator
+identity on aux (x) aux (x) quantum, with the operators placed on either aux
+leg and P12 flipping the two legs; a defect is the largest entry of the
+identity's residual, so no aux index tuple is walked.  The coproduct's
+nested-prec expansion is the tridendriform Dyson fold (`dyson_terms`) of
+the monodromy family, not a hand-unrolled copy.
 """
 
 import math
@@ -33,9 +28,10 @@ from .errors import (
     DimensionMismatch,
     InsufficientSamples,
     UnsupportedOrder,
+    check_order,
 )
 from .matrix import Matrix, aux_block, kron_embed, partial_trace_first, permutation_op
-from .ops import commutator, max_abs, one_like, worst, zero_like
+from .ops import commutator, one_like, worst
 from .poly import Poly
 from .rotabaxter import SiteSequence, prelie_left, trid_dot, trid_prec, trid_succ
 from .expansion import FORWARD, SiteOperatorFamily, dyson_terms, monodromy
@@ -70,6 +66,7 @@ def fundamental_lax(dim: int) -> AlphaSeries:
 
 def geometric_lax(dim: int, max_degree: int) -> AlphaSeries:
     """sum_m lambda^(-m) P^m truncated; exact RTT solution to matching order."""
+    check_order(max_degree, 0)
     p = permutation_op(dim)
     coeffs = [Matrix.identity(dim * dim)]
     for _ in range(max_degree):
@@ -237,6 +234,27 @@ def block_table(mat: Matrix, dim: int) -> list:
     return [[aux_block(mat, a, b, dim) for b in range(dim)] for a in range(dim)]
 
 
+def _aux_legs(coeffs, dim: int):
+    """(N, on leg 1, on leg 2, P12) for operators on aux (x) N sites.
+
+    N is read from the operators' size dim^(N + 1).  On aux (x) aux (x) the
+    N sites, the first list holds each of `coeffs` with its aux factor on
+    the first leg, the second the same on the second leg, and P12 flips the
+    two aux legs.
+    """
+    if type(dim) is not int or dim < 2:
+        raise DimensionMismatch(f"the aux space needs an int dimension of at least 2, got {dim!r}")
+    # dim^(N + 1) = size; a size that is not such a power fails in kron_embed.
+    size, n_sites = coeffs[0].rows, -1
+    while size > 1 and size % dim == 0:
+        size, n_sites = size // dim, n_sites + 1
+    total, sites = n_sites + 2, tuple(range(2, n_sites + 2))
+    return (n_sites,
+            [kron_embed(c, (0, *sites), total, dim) for c in coeffs],
+            [kron_embed(c, (1, *sites), total, dim) for c in coeffs],
+            kron_embed(permutation_op(dim), (0, 1), total, dim))
+
+
 def yangian_relations_residual(series: AlphaSeries, dim: int) -> Fraction:
     """Largest defect of the defining exchange relation over all generator
     orders n + m <= series.order - 1; zero exactly.
@@ -252,15 +270,8 @@ def yangian_relations_residual(series: AlphaSeries, dim: int) -> Fraction:
     """
     if series.order < 1:
         raise UnsupportedOrder("the exchange relation needs the series through order 1")
-    # dim^(N + 1) = size; a size that is not such a power fails in kron_embed.
-    size, n_sites = series.coeffs[0].rows, -1
-    while size > 1 and size % dim == 0:
-        size, n_sites = size // dim, n_sites + 1
+    n_sites, t1, t2, p12 = _aux_legs(series.coeffs, dim)
     _check_budget(dim, n_sites + 2)
-    total, sites = n_sites + 2, tuple(range(2, n_sites + 2))
-    t1 = [kron_embed(c, (0, *sites), total, dim) for c in series.coeffs]
-    t2 = [kron_embed(c, (1, *sites), total, dim) for c in series.coeffs]
-    p12 = kron_embed(permutation_op(dim), (0, 1), total, dim)
     # One defect per order pair is kept, never the residual operators.
     return worst([
         (commutator(t1[n + 1], t2[m]) - commutator(t1[n], t2[m + 1])
@@ -269,65 +280,39 @@ def yangian_relations_residual(series: AlphaSeries, dim: int) -> Fraction:
     ])
 
 
-def q_generators_and_relations(series, dim: int) -> tuple[dict, dict]:
-    """Log-coefficient generators and the residuals of their exchange laws.
+def q_generators_and_relations(series: AlphaSeries, dim: int) -> dict:
+    """Largest defects of the three bracket families of the q-generators.
 
-    Returns ({m: block table}, report). The report carries the maximal
-    defects of the three displayed relation families; the third family is
-    evaluated under both readings of its unbalanced 1/12 parentheses: the
-    literal placement and the delta-swapped variant.  The brackets
-    [q1_ij, q1_kl] and [q2_ij, q2_kl] are made once per unordered pair
-    {ij, kl}: the reversed pair reads their negation, and a pair with
-    itself reads zero.  Each Kronecker delta is a branch: its term is added
-    only when the indices match.
+    The q-generators Q1, Q2, Q3 are the log coefficients of `series`, a
+    monodromy series on aux (x) N sites; S = Q1^2 and C = Q1^3.  On
+    aux (x) aux (x) the N sites, X1 and X2 are X with its aux factor on the
+    first or the second leg and P12 flips the two aux legs.  The aux block
+    ((i, k), (j, l)) of [X1, Y2] is [x_ij, y_kl], that of [X1, P12] is
+    d_kj x_il - d_il x_kj, and that of P12 A1 B2 is a_kj b_il, so each
+    family, over all index tuples at once, is one operator:
+        first   [Q1_1, Q1_2] + [Q1_1, P12]
+        second  [Q1_1, Q2_2] + [Q2_1, P12]
+        third   B - T (literal) and B + T (deltas swapped), with
+                B = [Q2_1, Q2_2] + [Q3_1, P12] + (1/4) P12 (Q1_1 S_2 - S_1 Q1_2)
+                and T = (1/12) [C_1, P12].
+    The third family is evaluated under both readings of its unbalanced
+    1/12 parentheses.  Returns {family: largest entry of its operator}.
     """
     if series.order < 3:
         raise UnsupportedOrder("q-generator relations need the series through order 3")
     logs = series.log()
-    q = {m: block_table(logs.coeff(m), dim) for m in (1, 2, 3)}
-    # A block of a product is the sum of the block products over inner indices.
     q1 = logs.coeff(1)
-    q1sq = block_table(q1 * q1, dim)
-    q1cube = block_table(q1 * q1 * q1, dim)
-
-    def defects(i, j, k, l, c1, c2):
-        """The four families' defects at one index tuple, given c1 = [q1_ij, q1_kl]
-        and c2 = [q2_ij, q2_kl]; the two readings of the third family share
-        its 1/12-free part."""
-        r1 = c1
-        r2 = commutator(q[1][i][j], q[2][k][l])
-        base = (
-            c2
-            + q[1][k][j] * q1sq[i][l] * Fraction(1, 4)
-            - q1sq[k][j] * q[1][i][l] * Fraction(1, 4)
-        )
-        cube = None
-        if i == l:
-            r1, r2, base = r1 - q[1][k][j], r2 - q[2][k][j], base - q[3][k][j]
-            cube = -q1cube[k][j]
-        if k == j:
-            r1, r2, base = r1 + q[1][i][l], r2 + q[2][i][l], base + q[3][i][l]
-            cube = q1cube[i][l] if cube is None else cube + q1cube[i][l]
-        if cube is None:
-            third = max_abs(base)
-            return max_abs(r1), max_abs(r2), third, third
-        twelfth = cube * Fraction(1, 12)
-        return max_abs(r1), max_abs(r2), max_abs(base - twelfth), max_abs(base + twelfth)
-
-    # One defect per family and index tuple is kept, never the residual
-    # matrices themselves, which are dim^3 x dim^3 each.
-    rows = []
-    blocks = list(product(range(dim), repeat=2))
-    for at, (i, j) in enumerate(blocks):
-        zero = zero_like(q[1][i][j])
-        rows.append(defects(i, j, i, j, zero, zero))
-        for k, l in blocks[at + 1:]:
-            c1 = commutator(q[1][i][j], q[1][k][l])
-            c2 = commutator(q[2][i][j], q[2][k][l])
-            rows.append(defects(i, j, k, l, c1, c2))
-            rows.append(defects(k, l, i, j, -c1, -c2))
-    names = ("first_family", "second_family", "third_family_literal", "third_family_swapped")
-    return q, dict(zip(names, map(worst, zip(*rows))))
+    _, first, second, p12 = _aux_legs([q1, logs.coeff(2), logs.coeff(3), q1 * q1, q1 * q1 * q1], dim)
+    (q1_1, q2_1, q3_1, s_1, c_1), (q1_2, q2_2, _, s_2, _) = first, second
+    base = (commutator(q2_1, q2_2) + commutator(q3_1, p12)
+            + p12 * (q1_1 * s_2 - s_1 * q1_2) * Fraction(1, 4))
+    twelfth = commutator(c_1, p12) * Fraction(1, 12)
+    return {
+        "first_family": (commutator(q1_1, q1_2) + commutator(q1_1, p12)).max_abs(),
+        "second_family": (commutator(q1_1, q2_2) + commutator(q2_1, p12)).max_abs(),
+        "third_family_literal": (base - twelfth).max_abs(),
+        "third_family_swapped": (base + twelfth).max_abs(),
+    }
 
 
 def hopf_checks(dim: int) -> dict:

@@ -25,7 +25,9 @@ of each of the 104 expand/limit command lines that
 backend at seeds 1-3, which no benchmark workload runs, and on the exact
 backend at seed 1 at `--sites 1`, `2` and `3` and at `--dim 2` and `3`,
 the flags its charge-exchange row reads.  Both were captured before the
-exchange relation became one tensor-leg identity.
+exchange relation became one tensor-leg identity.  Its two `--dim 4`
+digests at seed 1, one per backend, where the q-generator families act on
+4^5 rows, were captured before those families became one too.
 
 `golden_dim8.json` holds the seed-1 digests of `verify brace --dim 8
 --sites 2` and `verify prelie --dim 8` on both backends: 8x8 blocks, at
