@@ -13,12 +13,20 @@ logarithm (the discrete Magnus series), and evaluates the closed
 commutator and pre-Lie formulas for the first three logarithm
 coefficients so they can be compared against the series oracle.
 
-The ordered product and the prefix products of `chain_walk` grow by one
-Lax step per site: the product with 1 + sum_m alpha^m L_n^(m) formed from
-the site's nonzero degrees alone, with each term by the unit taken through
-`ops.unit_product` rather than multiplied.  Every coefficient adds the same
-terms in the same order as the series product with `lax_series`, so the
-results are those of that plain fold, float bits included.
+The ordered product and the prefix products of `chain_walk` grow one site
+at a time: the product with 1 + sum_m alpha^m L_n^(m) formed from the
+site's nonzero degrees alone, with each term by the unit formed as
+`ops.unit_product` forms it rather than multiplied.  A family of square
+matrices below `matrix.SPARSE_FROM` columns (either backend), or of exact
+scalars only (ints and Fractions), takes `matrix.lax_fold`: the running
+series passes through every site as raw blocks, exact numerators over one
+denominator reduced once per site, or floats, and becomes matrices or
+Fractions only where a series is returned.  Every other family (free
+elements, float or mixed scalars, matrices of the row store) takes one
+`_lax_step` per site, on whole operators.  Either way every coefficient
+adds the same terms in the same order as the series product with
+`lax_series`, so the results are those of that plain fold, float bits
+included.
 
 Operators are polymorphic: exact scalars, Matrix, or FreeElement all
 work, as long as one kind is used per family.
@@ -32,6 +40,7 @@ from itertools import combinations
 from operator import add
 
 from .errors import AlgebraError, DimensionMismatch, SingularOperator, UnsupportedOrder, check_order
+from .matrix import SPARSE_FROM, Matrix, lax_fold
 from .ops import check_compatible, commutator, invert, is_zero, one_like, unit_product, zero_like
 from .rotabaxter import SiteSequence, prelie_left, prelie_right, trid_prec, trid_succ
 from .series import AlphaSeries
@@ -120,6 +129,14 @@ class SiteOperatorFamily:
         return AlphaSeries(coeffs)
 
 
+def _site_terms(family: SiteOperatorFamily, site: int, order: int) -> list:
+    """The site's nonzero operators of degree 1..`order`, as (degree, op)
+    pairs, degrees ascending."""
+    entries = family.entries
+    return [(m, entries[site, m]) for m in range(1, order + 1)
+            if (site, m) in entries and not is_zero(entries[site, m])]
+
+
 def _lax_step(family: SiteOperatorFamily, site: int, t: AlphaSeries, left: bool) -> AlphaSeries:
     """L_site T (`left`) or T L_site, for a series T whose constant term is the unit.
 
@@ -128,14 +145,14 @@ def _lax_step(family: SiteOperatorFamily, site: int, t: AlphaSeries, left: bool)
     the same order (left: 1 T^(n), L^(1) T^(n-1), ..., L^(n) 1; right:
     1 L^(n), T^(1) L^(n-1), ..., T^(n) 1) and is the zero when there are
     none.  A term with the unit is `ops.unit_product`, not a product, and
-    only the site's nonzero degrees are walked.
+    only the site's nonzero degrees are walked.  This is the step of the
+    chains that `matrix.lax_fold` does not take (see `_folds`): free
+    elements, float or mixed scalars, and matrices of the row store.
     """
     coeffs = t.coeffs
     unit = coeffs[0]
     nonzero = [not is_zero(c) for c in coeffs]
-    entries = family.entries
-    laxes = [(m, entries[site, m]) for m in range(1, len(coeffs))
-             if (site, m) in entries and not is_zero(entries[site, m])]
+    laxes = _site_terms(family, site, t.order)
     if not left:
         # Descending degrees, so that 1 L^(n) comes first on the right as
         # L^(n) 1 comes last on the left.
@@ -154,19 +171,48 @@ def _lax_step(family: SiteOperatorFamily, site: int, t: AlphaSeries, left: bool)
     return AlphaSeries(out)
 
 
+def _folds(family: SiteOperatorFamily) -> bool:
+    """Whether the family's chain products take `matrix.lax_fold`: its
+    template is a square matrix below `SPARSE_FROM` columns (the family
+    holds only matrices of that shape and backend), or it and every entry
+    are exact scalars, ints or Fractions."""
+    like = family.like
+    if isinstance(like, Matrix):
+        return like.rows == like.cols < SPARSE_FROM
+    return all(type(x) in (int, Fraction) for x in (like, *family.entries.values()))
+
+
+def _walk(family: SiteOperatorFamily, order: int, sites, left: bool, every: bool) -> list:
+    """The products of the site series, one site at a time in the order of
+    `sites`, each multiplying on the left (`left`) or the right: [1, then
+    the product after each site] when `every`, otherwise [the last one].
+    A family that `_folds` takes `matrix.lax_fold`; any other grows by
+    `_lax_step`.  Both give the plain fold's values and float bits."""
+    check_order(order)
+    if _folds(family):
+        steps = [_site_terms(family, site, order) for site in sites]
+        return [AlphaSeries(c) for c in lax_fold(family.like, steps, order, left, every)]
+    t = AlphaSeries.one(order, like=family.like)
+    out = [t]
+    for site in sites:
+        t = _lax_step(family, site, t, left)
+        if every:
+            out.append(t)
+    return out if every else [t]
+
+
 def ordered_product(family: SiteOperatorFamily, order: int, descending: bool) -> AlphaSeries:
     """The product of the sites' series 1 + sum_m alpha^m L_n^(m) through `order`,
     site N leftmost when `descending`, else site 1 leftmost.
 
-    It grows from 1 by one Lax step per site (`_lax_step`, multiplying on
-    the right), so it has the value and float bits of the plain fold of
-    `lax_series` products without forming any product by the unit.
+    It grows from 1 one site at a time, multiplying on the right
+    (`_walk`): by `matrix.lax_fold` for matrices below `SPARSE_FROM` and
+    exact scalars, by `_lax_step` otherwise.  Either way it has the value
+    and float bits of the plain fold of `lax_series` products, without
+    forming any product by the unit.
     """
-    result = AlphaSeries.one(order, like=family.like)
     sites = range(family.n_sites, 0, -1) if descending else range(1, family.n_sites + 1)
-    for site in sites:
-        result = _lax_step(family, site, result, left=False)
-    return result
+    return _walk(family, order, sites, False, False)[0]
 
 
 def monodromy(family: SiteOperatorFamily, order: int) -> AlphaSeries:
@@ -178,13 +224,14 @@ def monodromy(family: SiteOperatorFamily, order: int) -> AlphaSeries:
 def chain_walk(family: SiteOperatorFamily, order: int, direction: str):
     """Each site's series [L_1..L_N] and the prefix products [T_1..T_{N+1}]:
     T_1 = 1, T_{n+1} = L_n T_n (forward) or T_n L_n (backward), the side
-    set by `direction`, not by the family's own direction.  Each prefix is
-    one Lax step (`_lax_step`) from the last, with the bits of the series
-    product."""
+    set by `direction`, not by the family's own direction; any other
+    `direction` is an AlgebraError.  The prefixes come from one `_walk`
+    over the sites, by `matrix.lax_fold` or by `_lax_step` as for
+    `ordered_product`, each with the bits of the series product."""
+    if direction not in (FORWARD, BACKWARD):
+        raise AlgebraError(f"unknown direction {direction!r}")
     laxes = [family.lax_series(n, order) for n in range(1, family.n_sites + 1)]
-    prefixes = [AlphaSeries.one(order, like=family.like)]
-    for site in range(1, family.n_sites + 1):
-        prefixes.append(_lax_step(family, site, prefixes[-1], left=direction == FORWARD))
+    prefixes = _walk(family, order, range(1, family.n_sites + 1), direction == FORWARD, True)
     return laxes, prefixes
 
 

@@ -17,8 +17,8 @@ only and has `den = None`; the row store drops zeros of both signs, so a
 report prints a float entry: they print `max_abs`).  Only this module reads
 or writes either store, so each operation that needs it is here: the
 arithmetic, `from_ints` for the sampled draws, `unit_product` for the
-products by the unit, the pre-Lie products on site stacks and the tensor
-legs below.  Each operation has one body per store, and on the row store
+products by the unit, the pre-Lie products on site stacks, the chain fold
+`lax_fold` and the tensor legs below.  Each operation has one body per store, and on the row store
 costs only the nonzero entries.  An exact and a float matrix are never
 equal, and `+`, `-`, `*`, `kron` and `fused_prelie_site` refuse them with
 BackendMismatch, as an exact matrix refuses a float scalar.  So every
@@ -38,8 +38,17 @@ every sum, scaling and zero test is one operation for all sites.  It is
 the only product that reads a stack, with one body for both backends; its
 size rule, like the store's, reads one block's shape.
 `stack_prelie_left` forms the left pre-Lie product of two stacks with it,
-after summing one stack's blocks into its strict prefix sums.  None
-of this changes a float result but the sign of a zero in the row store:
+after summing one stack's blocks into its strict prefix sums.
+`lax_fold` multiplies out a chain's site series 1 + sum_m alpha^m L^(m),
+for square matrices below `SPARSE_FROM` of either backend and for exact
+scalars taken as 1 x 1 blocks: the running series stays raw blocks from
+site to site, integer numerators over one shared denominator with one gcd
+reduction per site, or floats, its products are the compiled kernels and
+its sums list operations, and only the series it returns are matrices
+(Fractions for scalars).  It adds the terms of the Lax step of
+`expansion` in that step's order, so its values and float bits are those
+of the plain fold of series products.  None of this changes a float
+result but the sign of a zero in the row store:
 each product entry starts from its backend's zero and adds the products
 of its nonzero terms in order of the inner index (a float term with a
 zero factor is skipped, so a zero never meets an inf or a nan), and each
@@ -55,6 +64,7 @@ literal row/column blocks.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import chain, compress, product as iproduct
 from math import gcd, lcm
 from operator import add, neg, sub
@@ -565,6 +575,91 @@ def stack_prelie_left(a: Matrix, b: Matrix) -> Matrix:
     return fused_prelie_site(_reduced(prefix, rows, d, a.den), b, a, b)
 
 
+def lax_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
+    """The ordered product of the site series 1 + sum_m alpha^m L^(m) through
+    `order`, as `expansion._lax_step` forms it, on raw blocks.
+
+    `like` is a square matrix below `SPARSE_FROM` columns, or an exact
+    scalar (an int or a Fraction, taken as a 1 x 1 block); `sites` holds,
+    in the order they are multiplied in, each site's nonzero operators of
+    degree 1..`order` as (degree, operator) pairs, degrees ascending, all of
+    `like`'s kind.  Each site multiplies the running series on the left
+    (`left`) or the right.  The series runs through every site as flat
+    blocks: integer numerators over one shared denominator, reduced once per
+    site, or floats.  Its coefficients become matrices (Fractions for
+    scalars) only in the lists returned: [1, T^(1), ..., T^(order)] before
+    the first site and after each one when `every`, otherwise after the
+    last site alone.  Coefficient n adds `_lax_step`'s terms in its order:
+    the two by the unit, L^(n) and T^(n), as `unit_product` forms them
+    (floats as 0.0 + v), and each other product, by `_product_kernel`, only
+    when both factors are nonzero; it is the backend's zero when there is
+    no term.  So every value and float bit is that of the plain fold.
+    """
+    matrix = isinstance(like, Matrix)
+    d = like.cols if matrix else 1
+    den = like.den if matrix else 1
+    exact = den is not None
+    kernel = _product_kernel(d, d, d, exact)
+    zero = [_zero(den)] * (d * d)
+    unit = Matrix.identity(d) if matrix else Fraction(1)
+    if not exact:
+        unit = unit.to_float()
+
+    def series():
+        if not exact:
+            return [unit] + [_wrap(b, d, d, None) for b in t]
+        if matrix:
+            return [unit] + [_reduced(b, d, d, dt) for b in t]
+        return [unit] + [Fraction(b[0], dt) for b in t]
+
+    # T^(1)..T^(order) over the denominator dt; floats over None
+    t, dt = [zero] * order, 1 if exact else None
+    out = [series()] if every else []
+    for ops in sites:
+        # the site's numerators over one denominator dl
+        ops = [(m, op.num, op.den) if matrix else (m, [op.numerator], op.denominator) for m, op in ops]
+        dl = lcm(*(dm for _, _, dm in ops)) if exact else None
+        ops = [(m, num if dm == dl else _scaled(num, dl // dm)) for m, num, dm in ops]
+        if not left:
+            # descending degrees on the right, as `_lax_step` takes them
+            ops.reverse()
+        nonzero = [any(b) for b in t]
+        new = []
+        for n in range(1, order + 1):
+            terms = []
+            for m, lm in ops:
+                if m == n:
+                    terms.append(_scaled(lm, dt))
+                elif m < n and nonzero[n - m - 1]:
+                    terms.append(kernel(lm, t[n - m - 1]) if left else kernel(t[n - m - 1], lm))
+            if nonzero[n - 1]:
+                own = _scaled(t[n - 1], dl)
+                terms = [own] + terms if left else terms + [own]
+            # one lazy sum per term after the first, formed in order in one pass
+            new.append(list(reduce(_lazy_sum, terms)) if terms else zero)
+        t = new
+        if exact:
+            dt *= dl
+            g = gcd(dt, *chain.from_iterable(t)) if dt != 1 else 1
+            if g != 1:
+                t = [[x // g for x in b] for b in t]
+                dt //= g
+        if every:
+            out.append(series())
+    return out if every else [series()]
+
+
+def _scaled(block: list, f) -> list:
+    """An exact block's numerators times the int `f`, or, when `f` is None,
+    a float block's entries as the unit's product forms them, 0.0 + v."""
+    if f is None:
+        return [0.0 + v for v in block]
+    return block if f == 1 else [v * f for v in block]
+
+
+_lazy_sum = partial(map, add)
+
+
 def commutator(a, b):
     """[a, b] = ab - ba, for operators of any backend."""
     return a * b - b * a
@@ -621,9 +716,10 @@ def kron_embed(op: Matrix, slots: tuple[int, ...], total: int, dim: int) -> Matr
 
 
 def permutation_op(dim: int) -> Matrix:
-    """The flip on C^dim tensor C^dim: P(u x v) = v x u."""
-    if dim < 1:
-        raise DimensionMismatch(f"the flip needs a dimension of at least 1, got {dim}")
+    """The flip on C^dim tensor C^dim: P(u x v) = v x u.  A `dim` that is
+    not a plain int of at least 1 (a bool included) is DimensionMismatch."""
+    if type(dim) is not int or dim < 1:
+        raise DimensionMismatch(f"the flip needs an int dimension of at least 1, got {dim!r}")
     n = dim * dim
     rows = [{b * dim + a: 1} for a in range(dim) for b in range(dim)]
     return _wrap(_from_rows(rows, n, 1), n, n, 1)

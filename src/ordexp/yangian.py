@@ -61,7 +61,8 @@ def _lax_dim(lax: AlphaSeries) -> int:
 
 def fundamental_lax(dim: int) -> AlphaSeries:
     """1 + P/lambda with P the permutation, the basic RTT solution."""
-    return AlphaSeries([Matrix.identity(dim * dim), permutation_op(dim)])
+    p = permutation_op(dim)
+    return AlphaSeries([Matrix.identity(dim * dim), p])
 
 
 def geometric_lax(dim: int, max_degree: int) -> AlphaSeries:
@@ -76,8 +77,8 @@ def geometric_lax(dim: int, max_degree: int) -> AlphaSeries:
 
 def yangian_r(dim: int) -> Poly:
     """R(lambda) = lambda 1 + P in difference form."""
-    size = dim * dim
-    return Poly({(1,): Matrix.identity(size), (0,): permutation_op(dim)})
+    p = permutation_op(dim)
+    return Poly({(1,): Matrix.identity(dim * dim), (0,): p})
 
 
 def classical_r(dim: int) -> Poly:

@@ -436,10 +436,11 @@ def _one_site():
 
 @pytest.mark.parametrize("call", [
     lambda: SiteOperatorFamily(1, {(1, 1): Fraction(2)}, direction="sideways"),
+    lambda: chain_walk(_one_site(), 2, "sideways"),
     lambda: dyson_terms(_one_site(), 2, method="recursive"),
     lambda: magnus_closed_form(_one_site(), 2, style="bch"),
     lambda: magnus_continuous(MatrixField(Poly({(0,): Matrix.identity(2)})), 2, style="bch"),
-], ids=["direction", "method", "closed-form-style", "continuous-style"])
+], ids=["direction", "walk-direction", "method", "closed-form-style", "continuous-style"])
 def test_unknown_mode_string_is_an_algebra_error(call):
     with pytest.raises(AlgebraError, match="unknown "):
         call()
@@ -456,12 +457,31 @@ def _free(rng, site, degree):
     return x + FreeElement.gen("y", site=site) * Fraction(rng.randint(-2, 2), 3)
 
 
-# kind -> (the family's template, a draw of one operator)
+def _exact_matrix(size, dens=(1, 2, 3)):
+    """Draws of exact size x size matrices with denominators from `dens`."""
+    return lambda rng, n, d: Matrix([[Fraction(rng.randint(-3, 3), rng.choice(dens))
+                                      for _ in range(size)] for _ in range(size)])
+
+
+def _float_matrix(size):
+    return lambda rng, n, d: Matrix([[rng.choice(FLOATS) for _ in range(size)] for _ in range(size)])
+
+
+# kind -> (the family's template, a draw of one operator).  Matrices below
+# SPARSE_FROM (8) columns and exact scalars take `matrix.lax_fold`; the 8 x 8
+# kinds (the row store), floats, mixed scalars and free elements take the
+# Lax step.
 LAX_KINDS = {
-    "exact-matrix": (Matrix.identity(2), lambda rng, n, d: Matrix(
-        [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)] for _ in range(2)])),
-    "float-matrix": (Matrix.identity(2).to_float(), lambda rng, n, d: Matrix(
-        [[rng.choice(FLOATS) for _ in range(2)] for _ in range(2)])),
+    "exact-matrix": (Matrix.identity(2), _exact_matrix(2)),
+    "exact-matrix-3": (Matrix.identity(3), _exact_matrix(3)),
+    "exact-matrix-7": (Matrix.identity(7), _exact_matrix(7)),
+    "exact-matrix-8": (Matrix.identity(8), _exact_matrix(8)),
+    # power-of-two denominators, as discretize's delta * A(x) has them
+    "exact-matrix-dyadic": (Matrix.identity(2), _exact_matrix(2, (1, 2, 4, 8, 16))),
+    "float-matrix": (Matrix.identity(2).to_float(), _float_matrix(2)),
+    "float-matrix-3": (Matrix.identity(3).to_float(), _float_matrix(3)),
+    "float-matrix-7": (Matrix.identity(7).to_float(), _float_matrix(7)),
+    "float-matrix-8": (Matrix.identity(8).to_float(), _float_matrix(8)),
     # Thirds rounded to float, as a float run casts its exact draws.
     "float-matrix-thirds": (Matrix.identity(2).to_float(), lambda rng, n, d: Matrix(
         [[Fraction(rng.randint(-3, 3), 3) for _ in range(2)] for _ in range(2)]).to_float()),
@@ -524,8 +544,30 @@ def test_lax_step_is_the_plain_fold_bit_for_bit(kind, n_sites, order, bits):
             for walk in (FORWARD, BACKWARD):
                 laxes, prefixes = chain_walk(fam, order, walk)
                 assert [bits(lax) for lax in laxes] == [bits(padded_lax(fam, n, order)) for n in ascending]
-                assert [bits(t) for t in prefixes] == [
-                    bits(t) for t in plain_fold(fam, order, ascending, walk == FORWARD)]
+                want = plain_fold(fam, order, ascending, walk == FORWARD)
+                assert [bits(t) for t in prefixes] == [bits(t) for t in want]
+                # exact results are reduced, so they compare and hash as the plain fold's
+                assert prefixes == want
+                assert list(map(hash, prefixes)) == list(map(hash, want))
+            want = plain_fold(fam, order, descending if direction == FORWARD else ascending, False)[-1]
+            assert monodromy(fam, order) == want and hash(monodromy(fam, order)) == hash(want)
+
+
+# the kinds whose chain products take `matrix.lax_fold`, and only it
+FOLD_KINDS = {"exact-matrix", "exact-matrix-3", "exact-matrix-7", "exact-matrix-dyadic",
+              "float-matrix", "float-matrix-3", "float-matrix-7", "float-matrix-thirds",
+              "int", "fraction"}
+
+
+@pytest.mark.parametrize("kind", sorted(LAX_KINDS))
+def test_each_kind_takes_one_path(kind, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a chain took the path its operands do not take")
+
+    fam = lax_family(kind, 3, FORWARD, 0)
+    monkeypatch.setattr(expansion, "_lax_step" if kind in FOLD_KINDS else "lax_fold", refuse)
+    monodromy(fam, 3)
+    chain_walk(fam, 3, BACKWARD)
 
 
 UNIT_CASES = [

@@ -226,6 +226,12 @@ def test_permutation_op_flips_and_squares_to_identity():
         assert p * a.kron(b) * p == b.kron(a)
 
 
+@pytest.mark.parametrize("dim", [True, False, 2.0, Fraction(2)])
+def test_permutation_op_takes_a_plain_int_dimension_only(dim):
+    with pytest.raises(DimensionMismatch):
+        permutation_op(dim)
+
+
 def test_partial_trace_first():
     rng = random.Random(17)
     a, b = rand_matrix(rng), rand_matrix(rng)

@@ -106,6 +106,16 @@ class TestLaxSeries:
             geometric_lax(2, degree)
         assert geometric_lax(2, 0).order == 0
 
+    @pytest.mark.parametrize("dim", [True, 2.0])
+    @pytest.mark.parametrize("build", [fundamental_lax, yangian_r, classical_r,
+                                       lambda dim: geometric_lax(dim, 1), hopf_checks],
+                             ids=["fundamental_lax", "yangian_r", "classical_r", "geometric_lax",
+                                  "hopf_checks"])
+    def test_entry_points_take_a_plain_int_dimension_only(self, build, dim):
+        # each is built on the flip, which refuses the dimension before any use of it
+        with pytest.raises(DimensionMismatch):
+            build(dim)
+
     def test_coeff_pads_with_zeros(self):
         lax = fundamental_lax(2)
         assert lax.order == 1
