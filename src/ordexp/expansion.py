@@ -212,7 +212,7 @@ def ordered_product(family: SiteOperatorFamily, order: int, descending: bool) ->
     forming any product by the unit.
     """
     sites = range(family.n_sites, 0, -1) if descending else range(1, family.n_sites + 1)
-    return _walk(family, order, sites, False, False)[0]
+    return _walk(family, order, sites, left=False, every=False)[0]
 
 
 def monodromy(family: SiteOperatorFamily, order: int) -> AlphaSeries:
@@ -231,7 +231,7 @@ def chain_walk(family: SiteOperatorFamily, order: int, direction: str):
     if direction not in (FORWARD, BACKWARD):
         raise AlgebraError(f"unknown direction {direction!r}")
     laxes = [family.lax_series(n, order) for n in range(1, family.n_sites + 1)]
-    prefixes = _walk(family, order, range(1, family.n_sites + 1), direction == FORWARD, True)
+    prefixes = _walk(family, order, range(1, family.n_sites + 1), left=direction == FORWARD, every=True)
     return laxes, prefixes
 
 

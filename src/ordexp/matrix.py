@@ -18,10 +18,11 @@ report prints a float entry: they print `max_abs`).  Only this module reads
 or writes either store, so each operation that needs it is here: the
 arithmetic, `from_ints` for the sampled draws, `unit_product` for the
 products by the unit, the pre-Lie products on site stacks, the chain fold
-`lax_fold` and the tensor legs below.  Each operation has one body per store, and on the row store
-costs only the nonzero entries.  An exact and a float matrix are never
-equal, and `+`, `-`, `*`, `kron` and `fused_prelie_site` refuse them with
-BackendMismatch, as an exact matrix refuses a float scalar.  So every
+`lax_fold` and the tensor legs below.  Each operation has one body per
+store, and on the row store costs only the nonzero entries.  An exact and
+a float matrix are never equal, and `+`, `-`, `*`, `kron` and
+`fused_prelie_site` refuse them with BackendMismatch, as an exact matrix
+refuses a float scalar.  So every
 operation has one body for both backends; `den` only decides whether the
 result is reduced.
 A product with a dimension of at least `SPARSE_FROM` walks both operands
