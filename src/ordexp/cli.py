@@ -107,7 +107,8 @@ def _degrees(fields: dict) -> tuple:
     return degrees
 
 
-def parse_family_spec(spec: str, default_seed: int = 1) -> SiteOperatorFamily:
+def parse_family_spec(spec: str, default_seed: int = 1, direction: str = FORWARD) -> SiteOperatorFamily:
+    """The family a spec names, built once in `direction`."""
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise SpecError(f"spec {spec!r} needs a kind prefix like scalar: or matrix:")
@@ -118,7 +119,7 @@ def parse_family_spec(spec: str, default_seed: int = 1) -> SiteOperatorFamily:
         n = _sites(fields, spec)
         p = _fraction(fields.get("p", "1"), "p")
         entries = {(s, 1): p for s in range(1, n + 1)}
-        return SiteOperatorFamily(n, entries, like=F(1))
+        return SiteOperatorFamily(n, entries, direction=direction, like=F(1))
 
     if kind == "matrix":
         if not parts or not parts[0].startswith("rand(") or not parts[0].endswith(")"):
@@ -138,7 +139,7 @@ def parse_family_spec(spec: str, default_seed: int = 1) -> SiteOperatorFamily:
         degrees = _degrees(fields)
         seed = _int(fields["seed"], "seed") if "seed" in fields else default_seed
         src = SampleSource(seed).split("expand:matrix")
-        return src.matrix_family(n, degrees, size=int(shape[1]), bound=int(bound[1]))
+        return src.matrix_family(n, degrees, size=int(shape[1]), bound=int(bound[1]), direction=direction)
 
     if kind == "free":
         fields = _key_values(parts, kind, ("N", "degrees"))
@@ -149,7 +150,7 @@ def parse_family_spec(spec: str, default_seed: int = 1) -> SiteOperatorFamily:
             for s in range(1, n + 1)
             for d in degrees
         }
-        return SiteOperatorFamily(n, entries, like=FreeElement.one())
+        return SiteOperatorFamily(n, entries, direction=direction, like=FreeElement.one())
 
     raise SpecError(f"unknown family kind {kind!r}")
 
@@ -222,12 +223,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    family = parse_family_spec(args.spec)
-    if args.direction and args.direction != family.direction:
-        family = SiteOperatorFamily(
-            family.n_sites, family.entries,
-            direction=args.direction, like=family.like,
-        )
+    family = parse_family_spec(args.spec, direction=args.direction or FORWARD)
     order = 3 if args.order is None else args.order
     if order < 0:
         raise SpecError("order must be nonnegative")

@@ -26,7 +26,11 @@ elements, float or mixed scalars, matrices of the row store) takes one
 `_lax_step` per site, on whole operators.  Either way every coefficient
 adds the same terms in the same order as the series product with
 `lax_series`, so the results are those of that plain fold, float bits
-included.
+included.  For a family that takes the fold, `magnus_oracle` takes the
+logarithm with `matrix.lax_log`, on the fold's raw blocks, and builds only
+the coefficients it returns, with the values, types and float bits of
+`AlphaSeries.log`; every other family takes `AlphaSeries.log` of
+`monodromy`.
 
 Operators are polymorphic: exact scalars, Matrix, or FreeElement all
 work, as long as one kind is used per family.
@@ -40,7 +44,7 @@ from itertools import combinations
 from operator import add
 
 from .errors import AlgebraError, DimensionMismatch, SingularOperator, UnsupportedOrder, check_order
-from .matrix import SPARSE_FROM, Matrix, lax_fold
+from .matrix import SPARSE_FROM, Matrix, lax_fold, lax_log
 from .ops import check_compatible, commutator, invert, is_zero, one_like, unit_product, zero_like
 from .rotabaxter import SiteSequence, prelie_left, prelie_right, trid_prec, trid_succ
 from .series import AlphaSeries
@@ -182,6 +186,18 @@ def _folds(family: SiteOperatorFamily) -> bool:
     return all(type(x) in (int, Fraction) for x in (like, *family.entries.values()))
 
 
+def _sites(family: SiteOperatorFamily, descending: bool) -> range:
+    """The sites 1..N in the order they are multiplied in on the right:
+    site N leftmost when `descending`, else site 1 leftmost."""
+    return range(family.n_sites, 0, -1) if descending else range(1, family.n_sites + 1)
+
+
+def _steps(family: SiteOperatorFamily, order: int, sites) -> list:
+    """Each site's nonzero (degree, operator) pairs, in the order of `sites`:
+    the chain as `matrix.lax_fold` and `matrix.lax_log` take it."""
+    return [_site_terms(family, site, order) for site in sites]
+
+
 def _walk(family: SiteOperatorFamily, order: int, sites, left: bool, every: bool) -> list:
     """The products of the site series, one site at a time in the order of
     `sites`, each multiplying on the left (`left`) or the right: [1, then
@@ -190,7 +206,7 @@ def _walk(family: SiteOperatorFamily, order: int, sites, left: bool, every: bool
     `_lax_step`.  Both give the plain fold's values and float bits."""
     check_order(order)
     if _folds(family):
-        steps = [_site_terms(family, site, order) for site in sites]
+        steps = _steps(family, order, sites)
         return [AlphaSeries(c) for c in lax_fold(family.like, steps, order, left, every)]
     t = AlphaSeries.one(order, like=family.like)
     out = [t]
@@ -211,8 +227,7 @@ def ordered_product(family: SiteOperatorFamily, order: int, descending: bool) ->
     and float bits of the plain fold of `lax_series` products, without
     forming any product by the unit.
     """
-    sites = range(family.n_sites, 0, -1) if descending else range(1, family.n_sites + 1)
-    return _walk(family, order, sites, left=False, every=False)[0]
+    return _walk(family, order, _sites(family, descending), left=False, every=False)[0]
 
 
 def monodromy(family: SiteOperatorFamily, order: int) -> AlphaSeries:
@@ -239,11 +254,13 @@ def prefix_monodromy(family: SiteOperatorFamily, upto: int, order: int) -> Alpha
     """Partial ordered product over sites 1..upto-1.
 
     Satisfies T_1 = 1 and T_{n+1} = L_n T_n (forward) or T_{n+1} = T_n L_n
-    (backward), so `upto = n_sites + 1` reproduces the full product.
+    (backward), so `upto = n_sites + 1` reproduces the full product.  It is
+    prefix `upto` of `chain_walk` in the family's direction, from one `_walk`
+    over those sites alone.
     """
     if not 1 <= upto <= family.n_sites + 1:
         raise DimensionMismatch(f"prefix end {upto} outside 1..{family.n_sites + 1}")
-    return chain_walk(family, order, family.direction)[1][upto - 1]
+    return _walk(family, order, range(1, upto), left=family.direction == FORWARD, every=False)[0]
 
 
 def dyson_terms(family: SiteOperatorFamily, order: int, method: str = "direct"):
@@ -329,7 +346,17 @@ def magnus_from_dyson(dyson: list, order: int) -> list:
 
 
 def magnus_oracle(family: SiteOperatorFamily, order: int) -> list:
-    """Logarithm coefficients of the ordered product, straight from the series."""
+    """Logarithm coefficients [Q^(1), ..., Q^(order)] of the ordered product.
+
+    A family that `_folds` takes `matrix.lax_log`, the logarithm on the raw
+    blocks of `matrix.lax_fold`, which builds only the coefficients it
+    returns; any other takes `monodromy(family, order).log()`.  Both give
+    the values, types and float bits of `AlphaSeries.log`.
+    """
+    check_order(order)
+    if _folds(family):
+        sites = _sites(family, descending=family.direction == FORWARD)
+        return lax_log(family.like, _steps(family, order, sites), order)
     series = monodromy(family, order).log()
     return [series.coeff(m) for m in range(1, order + 1)]
 

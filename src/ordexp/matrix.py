@@ -18,7 +18,7 @@ report prints a float entry: they print `max_abs`).  Only this module reads
 or writes either store, so each operation that needs it is here: the
 arithmetic, `from_ints` for the sampled draws, `unit_product` for the
 products by the unit, the pre-Lie products on site stacks, the chain fold
-`lax_fold` and the tensor legs below.  Each operation has one body per
+`lax_fold` and its logarithm `lax_log`, and the tensor legs below.  Each operation has one body per
 store, and on the row store costs only the nonzero entries.  An exact and
 a float matrix are never equal, and `+`, `-`, `*`, `kron` and
 `fused_prelie_site` refuse them with BackendMismatch, as an exact matrix
@@ -48,7 +48,12 @@ reduction per site, or floats, its products are the compiled kernels and
 its sums list operations, and only the series it returns are matrices
 (Fractions for scalars).  It adds the terms of the Lax step of
 `expansion` in that step's order, so its values and float bits are those
-of the plain fold of series products.  None of this changes a float
+of the plain fold of series products.  `lax_log` takes the logarithm of
+that product on the same raw blocks, log(1 + U) = sum_k (-1)^(k+1) U^k / k
+with each power's products by the kernels, and builds only the
+coefficients it returns; it forms each sum and scaling as
+`AlphaSeries.log` does, so it keeps that log's values, types and float
+bits.  None of this changes a float
 result but the sign of a zero in the row store:
 each product entry starts from its backend's zero and adds the products
 of its nonzero terms in order of the inner index (a float term with a
@@ -586,36 +591,97 @@ def lax_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
     degree 1..`order` as (degree, operator) pairs, degrees ascending, all of
     `like`'s kind.  Each site multiplies the running series on the left
     (`left`) or the right.  The series runs through every site as flat
-    blocks: integer numerators over one shared denominator, reduced once per
-    site, or floats.  Its coefficients become matrices (Fractions for
-    scalars) only in the lists returned: [1, T^(1), ..., T^(order)] before
-    the first site and after each one when `every`, otherwise after the
-    last site alone.  Coefficient n adds `_lax_step`'s terms in its order:
-    the two by the unit, L^(n) and T^(n), as `unit_product` forms them
-    (floats as 0.0 + v), and each other product, by `_product_kernel`, only
-    when both factors are nonzero; it is the backend's zero when there is
-    no term.  So every value and float bit is that of the plain fold.
+    blocks (`_raw_fold`), and its coefficients become matrices (Fractions
+    for scalars) only in the lists returned: [1, T^(1), ..., T^(order)]
+    before the first site and after each one when `every`, otherwise after
+    the last site alone.  Every value and float bit is that of the plain
+    fold of series products.  `lax_log` takes the logarithm of the last
+    product on the same blocks, for the same operands.
+    """
+    unit, build = _kind(like)
+    return [[unit] + [build(b, dt) for b in t] for t, dt in _raw_fold(like, sites, order, left, every)]
+
+
+def lax_log(like, sites: list, order: int) -> list:
+    """[Q^(1), ..., Q^(order)]: the logarithm of the ordered product that
+    `lax_fold(like, sites, order, False, False)` gives, on its raw blocks.
+
+    It forms log(1 + U) = sum_k (-1)^(k+1) U^k / k for k = 1..order, U the
+    product's coefficients T^(1)..T^(order), as `series.AlphaSeries.log`
+    forms it, and builds only the matrices (Fractions for scalars) it
+    returns.  U^1 is U by the unit (floats as 0.0 + v, a zero block as the
+    backend's zero); coefficient n of U^k = U^(k-1) U adds the products of
+    its nonzero block pairs by `_product_kernel`, inner index ascending,
+    and is the backend's zero when there is none; every coefficient of the
+    result, zero ones included, adds that of U^k times the weight, rounded
+    to float on floats.  Exact powers are reduced once each, over one
+    denominator, and so is each coefficient returned, so values, types and
+    float bits are those of `AlphaSeries.log`.
+    """
+    _, build = _kind(like)
+    (u, du), = _raw_fold(like, sites, order, False, False)
+    d = like.cols if isinstance(like, Matrix) else 1
+    exact = du is not None
+    kernel = _product_kernel(d, d, d, exact)
+    zero = [_zero(du)] * (d * d)
+    nonzero = [any(b) for b in u]
+    power = [(b if exact else [0.0 + v for v in b]) if nz else zero for b, nz in zip(u, nonzero)]
+    dp = dr = du
+    result = [zero] * order
+    for k in range(1, order + 1):
+        if k > 1:
+            live = [any(b) for b in power]
+            new = []
+            for n in range(order):
+                terms = [kernel(power[j], u[n - j - 1]) for j in range(n) if live[j] and nonzero[n - j - 1]]
+                new.append(list(reduce(_lazy_sum, terms)) if terms else zero)
+            power = new
+            if exact:
+                power, dp = _reduced_blocks(power, dp * du)
+        if exact:
+            # the weight over the power's denominator, and both parts over dr
+            w = Fraction((-1) ** (k + 1), k * dp)
+            f = lcm(dr, w.denominator)
+            fr, fp, dr = f // dr, w.numerator * (f // w.denominator), f
+        else:
+            # a float times the int 1 is itself, so each entry is r + p * w
+            fr, fp = 1, float(Fraction((-1) ** (k + 1), k))
+        result = [[a * fr + x * fp for a, x in zip(r, p)] for r, p in zip(result, power)]
+    return [build(b, dr) for b in result]
+
+
+def _kind(like) -> tuple:
+    """The unit of `like`'s kind and `build(block, den)`, the coefficient of
+    that kind from a raw block: a matrix, reduced when exact, or a Fraction
+    for an exact scalar."""
+    if not isinstance(like, Matrix):
+        return Fraction(1), lambda b, den: Fraction(b[0], den)
+    d = like.cols
+    unit = Matrix.identity(d)
+    return (unit if like.den is not None else unit.to_float()), lambda b, den: _reduced(b, d, d, den)
+
+
+def _raw_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
+    """`lax_fold`'s running series as raw blocks: [(t, dt)] with t the flat
+    blocks T^(1)..T^(order) over the denominator dt (None for floats), once
+    before the first site and after each one when `every`, otherwise after
+    the last site alone.
+
+    A site's operators are put over one denominator and the series is
+    reduced once per site.  Coefficient n adds `_lax_step`'s terms in its
+    order: the two by the unit, L^(n) and T^(n), as `unit_product` forms
+    them (floats as 0.0 + v), and each other product, by `_product_kernel`,
+    only when both factors are nonzero; it is the backend's zero when there
+    is no term.
     """
     matrix = isinstance(like, Matrix)
     d = like.cols if matrix else 1
-    den = like.den if matrix else 1
-    exact = den is not None
+    exact = not matrix or like.den is not None
     kernel = _product_kernel(d, d, d, exact)
-    zero = [_zero(den)] * (d * d)
-    unit = Matrix.identity(d) if matrix else Fraction(1)
-    if not exact:
-        unit = unit.to_float()
-
-    def series():
-        if not exact:
-            return [unit] + [_wrap(b, d, d, None) for b in t]
-        if matrix:
-            return [unit] + [_reduced(b, d, d, dt) for b in t]
-        return [unit] + [Fraction(b[0], dt) for b in t]
-
+    zero = [0 if exact else 0.0] * (d * d)
     # T^(1)..T^(order) over the denominator dt; floats over None
     t, dt = [zero] * order, 1 if exact else None
-    out = [series()] if every else []
+    out = [(t, dt)] if every else []
     for ops in sites:
         # the site's numerators over one denominator dl
         ops = [(m, op.num, op.den) if matrix else (m, [op.numerator], op.denominator) for m, op in ops]
@@ -640,14 +706,19 @@ def lax_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
             new.append(list(reduce(_lazy_sum, terms)) if terms else zero)
         t = new
         if exact:
-            dt *= dl
-            g = gcd(dt, *chain.from_iterable(t)) if dt != 1 else 1
-            if g != 1:
-                t = [[x // g for x in b] for b in t]
-                dt //= g
+            t, dt = _reduced_blocks(t, dt * dl)
         if every:
-            out.append(series())
-    return out if every else [series()]
+            out.append((t, dt))
+    return out if every else [(t, dt)]
+
+
+def _reduced_blocks(blocks: list, den: int) -> tuple:
+    """Exact blocks and their shared denominator, divided by their gcd."""
+    g = gcd(den, *chain.from_iterable(blocks)) if den != 1 else 1
+    if g != 1:
+        blocks = [[x // g for x in b] for b in blocks]
+        den //= g
+    return blocks, den
 
 
 def _scaled(block: list, f) -> list:

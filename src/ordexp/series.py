@@ -138,7 +138,16 @@ class AlphaSeries:
             result = result + term
         return result
 
+    def _check_kinds(self):
+        """Raise unless every coefficient lives in the constant term's algebra
+        (`ops.check_compatible`); the arithmetic operators compare only the
+        constant terms."""
+        c0 = self.coeffs[0]
+        for c in self.coeffs[1:]:
+            check_compatible(c0, c)
+
     def log(self) -> "AlphaSeries":
+        self._check_kinds()
         u = self - AlphaSeries.one(self.order, self.coeffs[0])
         if not is_zero(u.coeffs[0]):
             raise BackendMismatch("log needs constant term equal to the identity")
@@ -148,6 +157,7 @@ class AlphaSeries:
 
     def inverse(self) -> "AlphaSeries":
         """Multiplicative inverse; the constant term must be invertible."""
+        self._check_kinds()
         c0 = self.coeffs[0]
         D = self.order
         c0inv = invert(c0)

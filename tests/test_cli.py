@@ -9,7 +9,7 @@ import pytest
 from ordexp import SuiteConfig, cli, matrix
 from ordexp.cli import SpecError, main, parse_family_spec, parse_field_spec
 from ordexp.errors import AlgebraError
-from ordexp.expansion import BACKWARD, FORWARD, SiteOperatorFamily, dyson_terms
+from ordexp.expansion import BACKWARD, FORWARD, dyson_terms
 from ordexp.matrix import SPARSE_FROM, Matrix
 from ordexp.suites import SIZE_FLAGS, SUITE_FLAGS, run_suite
 
@@ -51,6 +51,14 @@ class TestFamilySpecs:
     def test_matrix_default_seed_is_one(self):
         unseeded = parse_family_spec("matrix:rand(2x2,int<=3);N=3")
         assert unseeded.entries == parse_family_spec("matrix:rand(2x2,int<=3);N=3;seed=1").entries
+
+    @pytest.mark.parametrize("spec", ["scalar:p=1/2;N=3", "matrix:rand(2x2,int<=3);N=4;degrees=1,2",
+                                      "free:N=2;degrees=1,2"])
+    def test_direction_is_set_when_the_family_is_built(self, spec):
+        fam = parse_family_spec(spec, 1, BACKWARD)
+        forward = parse_family_spec(spec, 1)
+        assert (fam.direction, forward.direction) == (BACKWARD, FORWARD)
+        assert fam.entries == forward.entries and fam.like == forward.like
 
     def test_free_degrees(self):
         fam = parse_family_spec("free:N=2;degrees=1,2", 1)
@@ -326,8 +334,7 @@ class TestExpandCommand:
         code, out, _ = run_cli(capsys, "expand", spec, "--form", "dyson",
                                "--order", str(order), "--direction", direction)
         assert code == 0
-        fam = parse_family_spec(spec, 1)
-        fam = SiteOperatorFamily(fam.n_sites, fam.entries, direction=direction, like=fam.like)
+        fam = parse_family_spec(spec, 1, direction)
         want = [f"T^({m}) = {t}" for m, t in enumerate(dyson_terms(fam, order, method="direct"))]
         assert [line for line in out.splitlines() if line.startswith("T^")] == want
 

@@ -568,6 +568,43 @@ def test_each_kind_takes_one_path(kind, monkeypatch):
     monkeypatch.setattr(expansion, "_lax_step" if kind in FOLD_KINDS else "lax_fold", refuse)
     monodromy(fam, 3)
     chain_walk(fam, 3, BACKWARD)
+    # the logarithm: the raw one for the fold's kinds, the series' one otherwise
+    if kind in FOLD_KINDS:
+        monkeypatch.setattr(AlphaSeries, "log", refuse)
+    else:
+        monkeypatch.setattr(expansion, "lax_log", refuse)
+    magnus_oracle(fam, 3)
+
+
+@pytest.mark.parametrize("kind", sorted(LAX_KINDS))
+@pytest.mark.parametrize("n_sites,orders", [(0, (0, 2)), (1, (0, 1, 4)), (3, range(7)), (5, (3, 6))])
+def test_magnus_oracle_is_the_log_of_the_monodromy(kind, n_sites, orders, bits):
+    for seed in range(3):
+        for direction in (FORWARD, BACKWARD):
+            fam = lax_family(kind, n_sites, direction, seed)
+            # a free-letter log grows fast with the order, and takes
+            # `AlphaSeries.log` on both sides
+            for order in (o for o in orders if kind != "free" or o <= 4):
+                got = magnus_oracle(fam, order)
+                log = monodromy(fam, order).log()
+                want = [log.coeff(m) for m in range(1, order + 1)]
+                assert [bits(q) for q in got] == [bits(q) for q in want]
+                assert list(map(type, got)) == list(map(type, want))
+                assert got == want and list(map(hash, got)) == list(map(hash, want))
+
+
+@pytest.mark.parametrize("kind", sorted(LAX_KINDS))
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+def test_prefix_monodromy_walks_only_its_sites(kind, direction, monkeypatch, bits):
+    fam = lax_family(kind, 4, direction, 1)
+    prefixes = chain_walk(fam, 3, direction)[1]
+
+    def refuse(*args):
+        raise AssertionError("a prefix formed a site series")
+
+    monkeypatch.setattr(SiteOperatorFamily, "lax_series", refuse)
+    got = [prefix_monodromy(fam, upto, 3) for upto in range(1, fam.n_sites + 2)]
+    assert [bits(t) for t in got] == [bits(t) for t in prefixes] and got == prefixes
 
 
 UNIT_CASES = [

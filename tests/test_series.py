@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordexp.errors import AlgebraError, BackendMismatch, UnsupportedOrder
+from ordexp.errors import AlgebraError, BackendMismatch, DimensionMismatch, UnsupportedOrder
 from ordexp.freealg import FreeElement
 from ordexp.matrix import Matrix, commutator
 from ordexp import series
@@ -317,3 +317,19 @@ def test_float_matrices_over_an_exact_constant_are_refused(method):
     s = AlphaSeries([CONSTANTS[method](MIXED_SERIES[0])] + MIXED_SERIES)
     with pytest.raises(BackendMismatch):
         getattr(s, method)()
+
+
+# Coefficients of two operator kinds or shapes, and the error that names them.
+MIXED_KINDS = [
+    ([Fraction(1), Matrix.identity(2)], BackendMismatch),
+    ([Matrix.identity(2), Fraction(1, 2), Matrix.identity(2)], BackendMismatch),
+    ([Fraction(1), Fraction(1, 2), FreeElement.gen("x")], BackendMismatch),
+    ([Matrix.identity(2), Matrix.identity(3)], DimensionMismatch),
+]
+
+
+@pytest.mark.parametrize("method", ["log", "inverse"])
+@pytest.mark.parametrize("coeffs,error", MIXED_KINDS)
+def test_log_and_inverse_refuse_coefficients_of_another_kind(coeffs, error, method):
+    with pytest.raises(error):
+        getattr(AlphaSeries(coeffs), method)()
