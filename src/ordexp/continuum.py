@@ -8,6 +8,9 @@ open-evolution residual compute with; the other two are its references.
 The explicit commutator integrals and the Dyson simplex oracle share one
 simplex sum: every tuple of field monomials, weighted by the iterated
 integral of its degrees.
+A discretized field's site values are computed by `matrix.poly_grid` on
+raw integer numerators, one gcd reduction per site, not by evaluating the
+polynomial; they are the exact values `field.eval(x) * delta`.
 The float layer only enters when evaluating those exact polynomials at
 numeric points for finite-difference and rate checks.
 """
@@ -18,9 +21,9 @@ from functools import reduce
 from itertools import product
 from operator import mul
 
-from .errors import AlgebraError, DimensionMismatch, UnsupportedOrder
+from .errors import AlgebraError, BackendMismatch, DimensionMismatch, UnsupportedOrder
 from .expansion import FORWARD, SiteOperatorFamily, compositions, magnus_oracle
-from .matrix import Matrix
+from .matrix import Matrix, poly_grid
 from .ops import commutator
 from .poly import Poly
 
@@ -48,15 +51,21 @@ class MatrixField:
             raise AlgebraError("a field needs a matrix-valued polynomial")
         if any(len(e) != 1 or e[0] < 0 for e in poly.coeffs):
             raise AlgebraError("a field is a polynomial in one variable with nonnegative degrees")
-        sample = next(iter(poly.coeffs.values()), None)
-        if not isinstance(sample, Matrix) or not sample.is_square():
-            raise DimensionMismatch("field coefficients must be square matrices")
+        coeffs = list(poly.coeffs.values())
+        if not coeffs:
+            raise AlgebraError("a field needs a nonzero coefficient")
+        first = coeffs[0]
+        for c in coeffs:
+            if not isinstance(c, Matrix) or not c.is_square() or c.rows != first.rows:
+                raise DimensionMismatch("field coefficients must be square matrices of one shape")
+            if not c.is_exact():
+                raise BackendMismatch("field coefficients must be exact")
         self.poly = poly
         self.x0 = Fraction(x0)
         self.x_end = Fraction(x_end)
         if self.x_end <= self.x0:
             raise AlgebraError("empty interval")
-        self.dim = sample.rows
+        self.dim = first.rows
 
     def eval(self, x) -> Matrix:
         return self.poly.eval(x)
@@ -198,7 +207,9 @@ def discretize(field: MatrixField, delta) -> SiteOperatorFamily:
 
     Left-endpoint sampling: site n carries the field value at the left
     edge of its subinterval, so T_1 sits at x0.  The step must divide the
-    interval, so the chain covers all of it.
+    interval, so the chain covers all of it.  Every site's value comes from
+    one `matrix.poly_grid` call over the field's monomials, on raw integer
+    numerators; it equals `field.eval(x) * delta` exactly.
     """
     delta = Fraction(delta)
     if delta <= 0:
@@ -208,10 +219,8 @@ def discretize(field: MatrixField, delta) -> SiteOperatorFamily:
         raise AlgebraError("step larger than the interval")
     if rest:
         raise AlgebraError(f"delta {delta} does not divide the interval [{field.x0}, {field.x_end}]")
-    entries = {}
-    for n in range(1, n_sites + 1):
-        value = field.eval(field.x0 + (n - 1) * delta) * delta
-        entries[(n, 1)] = value
+    values = poly_grid(_monomials(field), field.x0, delta, n_sites)
+    entries = {(n, 1): value for n, value in enumerate(values, start=1)}
     like = Matrix.identity(field.dim)
     return SiteOperatorFamily(n_sites, entries, direction=FORWARD, like=like)
 

@@ -18,8 +18,10 @@ report prints a float entry: they print `max_abs`).  Only this module reads
 or writes either store, so each operation that needs it is here: the
 arithmetic, `from_ints` for the sampled draws, `unit_product` for the
 products by the unit, the pre-Lie products on site stacks, the chain fold
-`lax_fold` and its logarithm `lax_log`, and the tensor legs below.  Each operation has one body per
-store, and on the row store costs only the nonzero entries.  An exact and
+`lax_fold` and its logarithm `lax_log`, `poly_grid` for the values of a
+matrix polynomial on a grid of points, and the tensor legs below.  Each
+operation has one body per store, and on the row store costs only the
+nonzero entries.  An exact and
 a float matrix are never equal, and `+`, `-`, `*`, `kron` and
 `fused_prelie_site` refuse them with BackendMismatch, as an exact matrix
 refuses a float scalar.  So every
@@ -53,7 +55,10 @@ that product on the same raw blocks, log(1 + U) = sum_k (-1)^(k+1) U^k / k
 with each power's products by the kernels, and builds only the
 coefficients it returns; it forms each sum and scaling as
 `AlphaSeries.log` does, so it keeps that log's values, types and float
-bits.  None of this changes a float
+bits.  `poly_grid` evaluates an exact matrix polynomial, times the step,
+at evenly spaced rational points, as `continuum.discretize` samples a
+field: integer weights and sums, and one gcd reduction per point.
+None of this changes a float
 result but the sign of a zero in the row store:
 each product entry starts from its backend's zero and adds the products
 of its nonzero terms in order of the inner index (a float term with a
@@ -73,7 +78,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, compress, product as iproduct
 from math import gcd, lcm
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 from .errors import BackendMismatch, DimensionMismatch, SingularOperator
 
@@ -730,6 +735,51 @@ def _scaled(block: list, f) -> list:
 
 
 _lazy_sum = partial(map, add)
+
+
+def poly_grid(terms: list, start, step, count: int) -> list:
+    """[step * A(start + i*step) for i = 0..count-1], A(x) = sum_k C_k x^k,
+    on raw integers.
+
+    `terms` holds A's (degree, C_k) pairs, degrees nonnegative ints and
+    the C_k exact square matrices of one shape, in any order; `start` and
+    `step` are rationals.  With D the least common denominator of the C_k,
+    each C_k is N_k / D, and with c that of `start` and `step` each site is
+    x_i = p_i / c for an int p_i, so site i is step.numerator * sum_k N_k
+    p_i^k c^(K-k) over D c^K step.denominator, K the largest degree: one
+    int weight per term, one integer sum per entry, one gcd reduction per
+    site.  The reduced form is unique, so every value equals, and hashes
+    as, `A(x_i) * step` formed by matrix arithmetic.  On the row store
+    only the positions some C_k holds are formed.
+    """
+    start, step = Fraction(start), Fraction(step)
+    d = terms[0][1].cols
+    top = max(k for k, _ in terms)
+    lcd = lcm(*(m.den for _, m in terms))
+    c = lcm(start.denominator, step.denominator)
+    p0, dp = start.numerator * (c // start.denominator), step.numerator * (c // step.denominator)
+    # the part of each term's weight that no site changes, N_k's D / C_k.den included
+    factors = [(k, step.numerator * c ** (top - k) * (lcd // m.den)) for k, m in terms]
+    den = lcd * c ** top * step.denominator
+    # per position formed, the numerators of the terms at it
+    if d < SPARSE_FROM:
+        cols = list(zip(*(m.num for _, m in terms)))
+    else:
+        keys = sorted({(r, j) for _, m in terms for r, row in enumerate(m.num) for j in row})
+        cols = [tuple(m.num[r].get(j, 0) for _, m in terms) for r, j in keys]
+    out = []
+    for i in range(count):
+        p = p0 + i * dp
+        weights = [f * p ** k for k, f in factors]
+        num = [sum(map(mul, weights, col)) for col in cols]
+        if d >= SPARSE_FROM:
+            rows = [{} for _ in range(d)]
+            for (r, j), v in zip(keys, num):
+                if v:
+                    rows[r][j] = v
+            num = rows
+        out.append(_reduced(num, d, d, den))
+    return out
 
 
 def commutator(a, b):

@@ -75,8 +75,10 @@ class SampleSource:
                 return f
 
     def _exact_matrix(self, rows: int, cols: int, bound: int) -> Matrix:
-        # The draws of `fraction(bound)` row by row, kept as ints over den = 1.
-        return Matrix.from_ints([self.integer(-bound, bound) for _ in range(rows * cols)], rows, cols)
+        # The draws of `fraction(bound)` row by row, kept as ints over den = 1;
+        # `randint` is bound once per matrix, a Python frame less per entry.
+        draw = self._rng.randint
+        return Matrix.from_ints([draw(-bound, bound) for _ in range(rows * cols)], rows, cols)
 
     def matrix(self, size: int = 2, bound: int = 3) -> Matrix:
         return self.cast(self._exact_matrix(size, size, bound))

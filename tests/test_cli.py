@@ -415,6 +415,14 @@ class TestLimitCommand:
             main(["limit", "field:poly(X;dim=2)", "--deltas", "1/4,1/8,1/16", *flag])
         assert exc.value.code == 2
 
+    def test_zero_field_names_its_fault(self, capsys):
+        code, out, err = run_cli(
+            capsys, "limit", "field:poly(0*X)", "--deltas", "1/4,1/8,1/16"
+        )
+        assert code == 2
+        assert out == ""
+        assert "error: a field needs a nonzero coefficient" in err
+
     def test_malformed_field_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "limit", "field:poly(Q;dim=2)", "--deltas", "1/4,1/8,1/16"

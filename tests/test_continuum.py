@@ -8,9 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import ordexp
-from ordexp.errors import AlgebraError, DimensionMismatch, UnsupportedOrder
+from ordexp.errors import AlgebraError, BackendMismatch, DimensionMismatch, UnsupportedOrder
 from ordexp.matrix import Matrix, commutator
 from ordexp.poly import Poly
 from ordexp.series import AlphaSeries
@@ -67,6 +69,20 @@ class TestMatrixField:
         bad = Poly.constant(Matrix([[1, 2, 3], [4, 5, 6]]))
         with pytest.raises(DimensionMismatch):
             MatrixField(bad, 0, 1)
+
+    @pytest.mark.parametrize("second", [Matrix.identity(3), Matrix([[1, 2, 3], [4, 5, 6]]), F(1, 2), 2])
+    def test_every_coefficient_is_a_matrix_of_the_first_shape(self, second):
+        with pytest.raises(DimensionMismatch):
+            MatrixField(Poly({(0,): Matrix.identity(2), (1,): second}))
+
+    @pytest.mark.parametrize("coeffs", [{(0,): X.to_float()}, {(0,): X, (1,): Y.to_float()}])
+    def test_refuses_float_coefficients(self, coeffs):
+        with pytest.raises(BackendMismatch):
+            MatrixField(Poly(coeffs))
+
+    def test_requires_a_nonzero_coefficient(self):
+        with pytest.raises(AlgebraError, match="needs a nonzero coefficient"):
+            MatrixField(Poly({(0,): Matrix.zeros(2)}))
 
     @pytest.mark.parametrize("exps", [(-1,), (1, 0)])
     def test_requires_one_variable_polynomial(self, exps):
@@ -221,6 +237,17 @@ class TestDiscretize:
             q = magnus_oracle(fam, 1)
             assert q[0] == Y
 
+    def test_evaluates_no_polynomial(self, monkeypatch):
+        field = MatrixField(Poly({(0,): X, (2,): Y * F(3, 2)}), F(-1, 2), F(1))
+        want = [field.eval(F(-1, 2) + n * F(1, 4)) * F(1, 4) for n in range(6)]
+
+        def refuse(*args):
+            raise AssertionError("discretize evaluated the field's polynomial")
+
+        monkeypatch.setattr(Poly, "eval", refuse)
+        fam = discretize(field, F(1, 4))
+        assert [fam.entry(n, 1) for n in range(1, 7)] == want
+
     def test_step_validation(self):
         field = affine_field()
         with pytest.raises(AlgebraError):
@@ -229,6 +256,42 @@ class TestDiscretize:
             discretize(field, 2)
         with pytest.raises(AlgebraError):
             discretize(field, F(2, 5))
+
+
+@st.composite
+def grids(draw):
+    """A field's coefficients of dimension 2, 3 or 8 (the row store), its
+    base point, a step p/q and a number of sites."""
+    dim = draw(st.sampled_from([2, 3, 8]))
+    degrees = draw(st.sets(st.integers(0, 4), min_size=1, max_size=3))
+    # mostly zeros, so that the row store holds some positions and not others
+    entry = st.one_of(st.just(F(0)), st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3, 4])))
+    entries = st.lists(entry, min_size=dim * dim, max_size=dim * dim)
+    coeffs = {(k,): Matrix([e[i:i + dim] for i in range(0, dim * dim, dim)])
+              for k, e in zip(sorted(degrees), (draw(entries) for _ in degrees))}
+    x0 = draw(st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3])))
+    delta = draw(st.builds(F, st.integers(1, 3), st.integers(1, 5)))
+    return coeffs, x0, delta, draw(st.integers(1, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(grids())
+@example(({(0,): X, (3,): Y * F(2, 3)}, F(-1, 2), F(3, 4), 4))
+@example(({(0,): Y * F(5, 2)}, F(1, 3), F(2, 3), 3))
+# the value vanishes at x = 1 on both stores
+@example(({(0,): Matrix.identity(8), (1,): Matrix.identity(8) * -1}, F(0), F(1, 2), 4))
+@example(({(0,): Matrix.identity(2), (2,): Matrix.identity(2) * -1}, F(-2), F(3, 2), 4))
+def test_discretize_is_the_field_at_each_left_endpoint(case):
+    coeffs, x0, delta, n = case
+    poly = Poly(coeffs)
+    assume(not poly.is_zero())
+    field = MatrixField(poly, x0, x0 + n * delta)
+    fam = discretize(field, delta)
+    assert fam.n_sites == n
+    for site in range(1, n + 1):
+        got = fam.entry(site, 1)
+        want = field.eval(x0 + (site - 1) * delta) * delta
+        assert got == want and hash(got) == hash(want) and str(got) == str(want)
 
 
 class TestConvergence:
