@@ -220,9 +220,9 @@ def discretize(field: MatrixField, delta) -> SiteOperatorFamily:
     if rest:
         raise AlgebraError(f"delta {delta} does not divide the interval [{field.x0}, {field.x_end}]")
     values = poly_grid(_monomials(field), field.x0, delta, n_sites)
+    # every value has the field's shape and is exact, as the template
     entries = {(n, 1): value for n, value in enumerate(values, start=1)}
-    like = Matrix.identity(field.dim)
-    return SiteOperatorFamily(n_sites, entries, direction=FORWARD, like=like)
+    return SiteOperatorFamily._trusted(n_sites, entries, FORWARD, Matrix.identity(field.dim))
 
 
 # The Magnus orders a convergence study compares.

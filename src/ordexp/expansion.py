@@ -24,13 +24,13 @@ denominator reduced once per site, or floats, and becomes matrices or
 Fractions only where a series is returned.  Every other family (free
 elements, float or mixed scalars, matrices of the row store) takes one
 `_lax_step` per site, on whole operators.  Either way every coefficient
-adds the same terms in the same order as the series product with
-`lax_series`, so the results are those of that plain fold, float bits
-included.  For a family that takes the fold, `magnus_oracle` takes the
-logarithm with `matrix.lax_log`, on the fold's raw blocks, and builds only
-the coefficients it returns, with the values, types and float bits of
-`AlphaSeries.log`; every other family takes `AlphaSeries.log` of
-`monodromy`.
+has the value of the series product with `lax_series`, and a float one
+adds the same terms in the same order, so the results are those of that
+plain fold, float bits included.  For a family that takes the fold,
+`magnus_oracle` takes the logarithm with `matrix.lax_log`, on the fold's
+raw blocks, and builds only the coefficients it returns, with the values,
+types and float bits of `AlphaSeries.log`; every other family takes
+`AlphaSeries.log` of `monodromy`.
 
 Operators are polymorphic: exact scalars, Matrix, or FreeElement all
 work, as long as one kind is used per family.
@@ -106,6 +106,19 @@ class SiteOperatorFamily:
         self.entries = clean
         self.direction = direction
         self.like = like
+
+    @classmethod
+    def _trusted(cls, n_sites: int, entries: dict, direction: str, like) -> "SiteOperatorFamily":
+        """The family over `entries` as they are, without the constructor's
+        checks, for a caller that builds them well formed: int sites in
+        1..`n_sites`, positive int degrees and operators of `like`'s kind,
+        shape and backend (`continuum.discretize`)."""
+        family = object.__new__(cls)
+        family.n_sites = n_sites
+        family.entries = entries
+        family.direction = direction
+        family.like = like
+        return family
 
     def entry(self, site: int, degree: int):
         op = self.entries.get((site, degree))

@@ -118,6 +118,12 @@ class FreeElement:
 
     @staticmethod
     def gen(name: str, site: int = 0, degree: int = 1) -> "FreeElement":
+        """The letter `name` at `site` of degree `degree`, as an element.  A
+        site that is not an int of at least 0, or a degree that is not an
+        int of at least 1 (a bool is neither), is AlgebraError."""
+        if not (type(site) is int and site >= 0 and type(degree) is int and degree >= 1):
+            raise AlgebraError(f"a generator needs an int site of at least 0 and an int degree "
+                               f"of at least 1, got site {site!r} and degree {degree!r}")
         return _element({(_intern(Letter(name, site, degree)),): 1})
 
     def __bool__(self) -> bool:

@@ -45,12 +45,16 @@ after summing one stack's blocks into its strict prefix sums.
 `lax_fold` multiplies out a chain's site series 1 + sum_m alpha^m L^(m),
 for square matrices below `SPARSE_FROM` of either backend and for exact
 scalars taken as 1 x 1 blocks: the running series stays raw blocks from
-site to site, integer numerators over one shared denominator with one gcd
-reduction per site, or floats, its products are the compiled kernels and
-its sums list operations, and only the series it returns are matrices
-(Fractions for scalars).  It adds the terms of the Lax step of
-`expansion` in that step's order, so its values and float bits are those
-of the plain fold of series products.  `lax_log` takes the logarithm of
+site to site, and only the series it returns are matrices (Fractions for
+scalars).  An exact site is one call of a step kernel, compiled on first
+use for its block size, its degrees and its side, never its order, which
+forms every coefficient of the step on integer numerators over one shared
+denominator; the series is reduced once per site.  Integer sums do not
+depend on the order of their terms, so its values are those of the plain
+fold of series products.  A float site adds the terms of the Lax step of
+`expansion` in that step's order, its products by the compiled product
+kernels and its sums list operations, so it keeps that fold's float bits
+too.  `lax_log` takes the logarithm of
 that product on the same raw blocks, log(1 + U) = sum_k (-1)^(k+1) U^k / k
 with each power's products by the kernels, and builds only the
 coefficients it returns; it forms each sum and scaling as
@@ -139,6 +143,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
+        """The n x n unit; its size is refused as `zeros` refuses it."""
         m = Matrix.zeros(n)
         if n < SPARSE_FROM:
             m.num[::n + 1] = [1] * n
@@ -159,7 +164,12 @@ class Matrix:
 
     @staticmethod
     def zeros(rows: int, cols: int | None = None) -> "Matrix":
+        """The zero matrix of `rows` x `cols` (square when `cols` is None).
+        A size that is not a plain int (a bool included) is DimensionMismatch,
+        as is one below 1."""
         cols = rows if cols is None else cols
+        if type(rows) is not int or type(cols) is not int:
+            raise DimensionMismatch(f"a matrix size is an int, got {rows!r} x {cols!r}")
         if rows < 1 or cols < SPARSE_FROM:
             # `from_ints` refuses a shape below 1 x 1
             return Matrix.from_ints([0] * (rows * cols), rows, cols)
@@ -459,7 +469,8 @@ def _product(a: Matrix, b: Matrix) -> list:
 
 
 # The compiled kernels of the shapes below SPARSE_FROM, one per shape and
-# backend, each made on first use; their source is built from the shape alone.
+# backend (an exact step kernel per block size, degrees and side), each made
+# on first use; their source is built from its key alone.
 _KERNELS = {}
 
 
@@ -596,11 +607,13 @@ def lax_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
     degree 1..`order` as (degree, operator) pairs, degrees ascending, all of
     `like`'s kind.  Each site multiplies the running series on the left
     (`left`) or the right.  The series runs through every site as flat
-    blocks (`_raw_fold`), and its coefficients become matrices (Fractions
-    for scalars) only in the lists returned: [1, T^(1), ..., T^(order)]
-    before the first site and after each one when `every`, otherwise after
-    the last site alone.  Every value and float bit is that of the plain
-    fold of series products.  `lax_log` takes the logarithm of the last
+    blocks (`_raw_fold`): an exact site is one call of its compiled step
+    kernel, and a float site adds `_lax_step`'s terms in that step's order.
+    Its coefficients become matrices (Fractions for scalars) only in the
+    lists returned: [1, T^(1), ..., T^(order)] before the first site and
+    after each one when `every`, otherwise after the last site alone.  Every
+    value and float bit is that of the plain fold of series products.
+    `lax_log` takes the logarithm of the last
     product on the same blocks, for the same operands.
     """
     unit, build = _kind(like)
@@ -672,26 +685,93 @@ def _raw_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
     before the first site and after each one when `every`, otherwise after
     the last site alone.
 
-    A site's operators are put over one denominator and the series is
-    reduced once per site.  Coefficient n adds `_lax_step`'s terms in its
-    order: the two by the unit, L^(n) and T^(n), as `unit_product` forms
-    them (floats as 0.0 + v), and each other product, by `_product_kernel`,
-    only when both factors are nonzero; it is the backend's zero when there
-    is no term.
+    An exact site is one call of the compiled step kernel of its block size
+    and degrees (`_step_kernel`), on its operators' numerators over one
+    denominator dl, and the series is reduced once per site; a site with no
+    operators leaves it as it is.  Integer sums do not depend on the order
+    of their terms, so the kernel forms every term, zero ones included.
+    Float chains take `_float_fold`, which keeps `_lax_step`'s terms and
+    their order.
     """
+    if isinstance(like, Matrix) and like.den is None:
+        return _float_fold(like.cols, sites, order, left, every)
     matrix = isinstance(like, Matrix)
     d = like.cols if matrix else 1
-    exact = not matrix or like.den is not None
-    kernel = _product_kernel(d, d, d, exact)
-    zero = [0 if exact else 0.0] * (d * d)
-    # T^(1)..T^(order) over the denominator dt; floats over None
-    t, dt = [zero] * order, 1 if exact else None
+    # T^(1)..T^(order) over the denominator dt
+    t, dt = [[0] * (d * d)] * order, 1
     out = [(t, dt)] if every else []
     for ops in sites:
-        # the site's numerators over one denominator dl
-        ops = [(m, op.num, op.den) if matrix else (m, [op.numerator], op.denominator) for m, op in ops]
-        dl = lcm(*(dm for _, _, dm in ops)) if exact else None
-        ops = [(m, num if dm == dl else _scaled(num, dl // dm)) for m, num, dm in ops]
+        if ops:
+            blocks = [(op.num, op.den) if matrix else ([op.numerator], op.denominator) for _, op in ops]
+            dl = lcm(*(dm for _, dm in blocks))
+            blocks = [num if dm == dl else [v * (dl // dm) for v in num] for num, dm in blocks]
+            step = _step_kernel(d, tuple(m for m, _ in ops), left)
+            t, dt = _reduced_blocks(step(t, blocks, dt, dl), dt * dl)
+        if every:
+            out.append((t, dt))
+    return out if every else [(t, dt)]
+
+
+def _step_kernel(d: int, degrees: tuple, left: bool):
+    """`kernel(T, L, dt, dl)`: the exact Lax step of one site on flat d x d
+    blocks, every coefficient n = 1..len(T) as the numerators
+    dl*T^(n) + dt*L^(n) + sum_{m < n} L^(m) T^(n-m) (`left`; T^(n-m) L^(m)
+    on the right), over dt*dl before any reduction.
+
+    T holds T^(1)..T^(order) over dt and L the site's blocks of `degrees`,
+    ascending, over dl; no degree lies above the order.  Coefficients 1 up
+    to the largest degree are one straight-line expression per entry, and
+    each later one is a pass of one loop whose body has every degree's
+    product, so the source grows with d and the degrees but not with the
+    order."""
+    key = ("step", d, degrees, left)
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        size, top = d * d, degrees[-1]
+
+        def coefficient(n: int, own: str, low) -> str:
+            # `own` names T^(n)'s entries and `low(m)` those of T^(n-m)
+            entries = []
+            for i in range(d):
+                for j in range(d):
+                    terms = [f"dl*{own}{i * d + j}"]
+                    if n in degrees:
+                        terms.append(f"dt*l{n}_{i * d + j}")
+                    for m in degrees:
+                        if m < n:
+                            a, b = (f"l{m}_", low(m)) if left else (low(m), f"l{m}_")
+                            terms.append(_entry(a, b, i, j, d, d, True))
+                    entries.append(" + ".join(terms))
+            return f"[{', '.join(entries)}]"
+
+        laxes = "".join(f"    {_names(f'l{m}_', size)}= L[{k}]\n" for k, m in enumerate(degrees))
+        head = "".join(f"    {_names(f't{n}_', size)}= T[{n - 1}]\n" for n in range(1, top + 1))
+        lows = "".join(f"        {_names(f'u{m}_', size)}= T[n - {m}]\n" for m in degrees)
+        first = ", ".join(coefficient(n, f"t{n}_", lambda m, n=n: f"t{n - m}_") for n in range(1, top + 1))
+        kernel = _compiled(key, f"def kernel(T, L, dt, dl):\n"
+                                f"{laxes}{head}"
+                                f"    out = [{first}]\n"
+                                f"    for n in range({top}, len(T)):\n"
+                                f"        {_names('s', size)}= T[n]\n"
+                                f"{lows}"
+                                f"        out.append({coefficient(top + 1, 's', lambda m: f'u{m}_')})\n"
+                                f"    return out\n")
+    return kernel
+
+
+def _float_fold(d: int, sites: list, order: int, left: bool, every: bool) -> list:
+    """`_raw_fold` for float d x d blocks, over None.  Coefficient n adds
+    `_lax_step`'s terms in its order: the two by the unit, L^(n) and T^(n),
+    as `unit_product` forms them (0.0 + v), and each other product, by
+    `_product_kernel`, only when both factors are nonzero; it is 0.0 when
+    there is no term.  Float sums depend on the order of their terms and on
+    which terms are there, so the float bits are those of `_lax_step`."""
+    kernel = _product_kernel(d, d, d, False)
+    zero = [0.0] * (d * d)
+    t = [zero] * order
+    out = [(t, None)] if every else []
+    for ops in sites:
+        ops = [(m, op.num) for m, op in ops]
         if not left:
             # descending degrees on the right, as `_lax_step` takes them
             ops.reverse()
@@ -701,20 +781,18 @@ def _raw_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
             terms = []
             for m, lm in ops:
                 if m == n:
-                    terms.append(_scaled(lm, dt))
+                    terms.append([0.0 + v for v in lm])
                 elif m < n and nonzero[n - m - 1]:
                     terms.append(kernel(lm, t[n - m - 1]) if left else kernel(t[n - m - 1], lm))
             if nonzero[n - 1]:
-                own = _scaled(t[n - 1], dl)
+                own = [0.0 + v for v in t[n - 1]]
                 terms = [own] + terms if left else terms + [own]
             # one lazy sum per term after the first, formed in order in one pass
             new.append(list(reduce(_lazy_sum, terms)) if terms else zero)
         t = new
-        if exact:
-            t, dt = _reduced_blocks(t, dt * dl)
         if every:
-            out.append((t, dt))
-    return out if every else [(t, dt)]
+            out.append((t, None))
+    return out if every else [(t, None)]
 
 
 def _reduced_blocks(blocks: list, den: int) -> tuple:
@@ -724,14 +802,6 @@ def _reduced_blocks(blocks: list, den: int) -> tuple:
         blocks = [[x // g for x in b] for b in blocks]
         den //= g
     return blocks, den
-
-
-def _scaled(block: list, f) -> list:
-    """An exact block's numerators times the int `f`, or, when `f` is None,
-    a float block's entries as the unit's product forms them, 0.0 + v."""
-    if f is None:
-        return [0.0 + v for v in block]
-    return block if f == 1 else [v * f for v in block]
 
 
 _lazy_sum = partial(map, add)

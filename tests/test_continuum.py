@@ -16,7 +16,7 @@ from ordexp.errors import AlgebraError, BackendMismatch, DimensionMismatch, Unsu
 from ordexp.matrix import Matrix, commutator
 from ordexp.poly import Poly
 from ordexp.series import AlphaSeries
-from ordexp.expansion import magnus_oracle, monodromy
+from ordexp.expansion import FORWARD, SiteOperatorFamily, magnus_oracle, monodromy
 from ordexp.continuum import (
     ConvergenceTable,
     MatrixField,
@@ -292,6 +292,18 @@ def test_discretize_is_the_field_at_each_left_endpoint(case):
         got = fam.entry(site, 1)
         want = field.eval(x0 + (site - 1) * delta) * delta
         assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    # the family the public constructor builds from the same entries
+    public = SiteOperatorFamily(n, dict(fam.entries), direction=FORWARD, like=Matrix.identity(field.dim))
+    assert [getattr(fam, a) for a in SiteOperatorFamily.__slots__] == [
+        getattr(public, a) for a in SiteOperatorFamily.__slots__]
+
+
+def test_the_public_family_constructor_still_checks_every_entry():
+    like = Matrix.identity(2)
+    for bad, error in ((Matrix.identity(3), DimensionMismatch), (like.to_float(), BackendMismatch),
+                       (F(1), BackendMismatch)):
+        with pytest.raises(error):
+            SiteOperatorFamily(2, {(1, 1): like, (2, 1): bad}, direction=FORWARD, like=like)
 
 
 class TestConvergence:

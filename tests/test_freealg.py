@@ -153,6 +153,13 @@ def test_the_checked_constructor_takes_letter_words_only():
             FreeElement({(Letter(**{"name": "x", "site": 1, "degree": 1, **bad}),): 1})
 
 
+def test_a_generator_needs_a_site_of_at_least_0_and_a_degree_of_at_least_1():
+    assert FreeElement.gen("x", 0, 1).named_words() == [(("x",), 1)]
+    for site, degree in ((-1, 1), (False, 1), (0, 0), (0, -2), (0, 2.0), (0, False), (1.5, 1)):
+        with pytest.raises(AlgebraError):
+            FreeElement.gen("x", site, degree)
+
+
 def test_zero_and_one():
     x = FreeElement.gen("x")
     assert x + FreeElement.zero() == x

@@ -49,6 +49,18 @@ def test_constructor_rejects_bad_shapes():
             bad()
 
 
+def test_a_matrix_size_is_a_plain_int():
+    for bad in (True, False, 2.0, Fraction(2), "2"):
+        for make in (Matrix.identity, Matrix.zeros,
+                     lambda n: Matrix.zeros(2, n), lambda n: Matrix.zeros(n, 2)):
+            with pytest.raises(DimensionMismatch):
+                make(bad)
+    # the messages of the size rule below 1 are the ones `from_ints` gives
+    with pytest.raises(DimensionMismatch, match="needs at least one row and column"):
+        Matrix.identity(0)
+    assert Matrix.identity(1).data == ((1,),) and Matrix.zeros(1, 3).data == ((0, 0, 0),)
+
+
 def test_constructor_rejects_non_numeric_entries():
     with pytest.raises(TypeError):
         Matrix([[1, 1j]])
@@ -1065,14 +1077,20 @@ def test_every_small_fused_kernel_is_the_dense_loop_bit_for_bit(n_blocks, kind, 
 
 
 def test_kernels_are_compiled_on_first_use_and_only_below_the_size_rule():
-    # a fresh interpreter: importing compiles nothing, and a seed-1 pass of
-    # every suite on both backends and of some expand requests makes kernels
-    # only for shapes below the size rule, though yangian multiplies 8x8 and
-    # larger operators
+    # a fresh interpreter: importing compiles nothing, an exact chain folded
+    # at order 4 and at order 12 compiles one step kernel, and a seed-1 pass
+    # of every suite on both backends and of some expand requests makes
+    # kernels only for shapes below the size rule, though yangian multiplies
+    # 8x8 and larger operators
     script = """
 import ordexp
 print(len(ordexp.matrix._KERNELS))
 from ordexp import cli, matrix
+from ordexp.matrix import Matrix, lax_fold
+site = [(1, Matrix([[1, 2], [3, 4]])), (3, Matrix([[0, 1], [1, 0]]))]
+for order in (4, 12):
+    lax_fold(Matrix.identity(2), [site] * 3, order, True, False)
+    print(repr(sorted(matrix._KERNELS, key=repr)))
 from ordexp.suites import SUITES, SuiteConfig, run_suite
 for suite in sorted(SUITES):
     for backend in ("exact", "float"):
@@ -1087,9 +1105,20 @@ print(repr(sorted(matrix._KERNELS, key=repr)))
                           check=True, env={**os.environ, "PYTHONPATH": SRC})
     lines = done.stdout.splitlines()
     assert lines[0] == "0"
+    # the step kernel's key has no order in it
+    assert ast.literal_eval(lines[1]) == ast.literal_eval(lines[2]) == [("step", 2, (1, 3), True)]
     keys = ast.literal_eval(lines[-1])
     assert ("product", 2, 2, 2, True) in keys and ("prelie", 2, False) in keys
-    for kind, *shape, exact in keys:
+    assert any(key[0] == "step" and key[1] > 2 for key in keys)
+    for key in keys:
+        if key[0] == "step":
+            # (kind, block size, degrees, left)
+            _, d, degrees, left = key
+            assert 1 <= d < SPARSE_FROM and left in (True, False)
+            assert type(degrees) is tuple and degrees == tuple(sorted(set(degrees)))
+            assert all(type(m) is int and m >= 1 for m in degrees)
+            continue
+        kind, *shape, exact = key
         assert kind in ("product", "prelie") and exact in (True, False)
         assert all(1 <= s < SPARSE_FROM for s in shape)
 
