@@ -54,10 +54,18 @@ BACKWARD = "backward"
 
 
 def compositions(total: int, parts: int):
-    """Yield tuples of `parts` positive integers summing to `total`.
+    """Iterator over the tuples of `parts` positive integers summing to `total`.
 
     `(0, 0)` yields the one empty tuple; any other `parts < 1` yields nothing.
+    A `total` or `parts` that is not a plain int (a bool included) is
+    AlgebraError, raised by the call itself.
     """
+    if type(total) is not int or type(parts) is not int:
+        raise AlgebraError(f"compositions take ints, got {total!r} and {parts!r}")
+    return _compositions(total, parts)
+
+
+def _compositions(total: int, parts: int):
     if parts < 1:
         if parts == 0 == total:
             yield ()
@@ -67,7 +75,7 @@ def compositions(total: int, parts: int):
             yield (total,)
         return
     for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
+        for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
@@ -85,16 +93,11 @@ class SiteOperatorFamily:
     __slots__ = ("n_sites", "entries", "direction", "like")
 
     def __init__(self, n_sites, entries, direction=FORWARD, like=None):
-        if type(n_sites) is not int or n_sites < 0:
-            raise DimensionMismatch(f"need a nonnegative int number of sites, got {n_sites!r}")
-        if direction not in (FORWARD, BACKWARD):
-            raise AlgebraError(f"unknown direction {direction!r}")
+        self._check(n_sites, [degree for _, degree in entries], direction)
         clean = {}
         for (site, degree), op in entries.items():
             if type(site) is not int or not 1 <= site <= n_sites:
                 raise DimensionMismatch(f"site {site!r} is not an int in 1..{n_sites}")
-            if type(degree) is not int or degree < 1:
-                raise DimensionMismatch(f"degree {degree!r} is not a positive int")
             clean[(site, degree)] = op
         if like is None:
             if not clean:
@@ -107,12 +110,26 @@ class SiteOperatorFamily:
         self.direction = direction
         self.like = like
 
+    @staticmethod
+    def _check(n_sites, degrees, direction) -> None:
+        """The constructor's checks of everything but the entries' sites and
+        operators: `n_sites` an int of at least 0, each degree an int of at
+        least 1 (a bool is neither) and a known direction."""
+        if type(n_sites) is not int or n_sites < 0:
+            raise DimensionMismatch(f"need a nonnegative int number of sites, got {n_sites!r}")
+        if direction not in (FORWARD, BACKWARD):
+            raise AlgebraError(f"unknown direction {direction!r}")
+        for degree in degrees:
+            if type(degree) is not int or degree < 1:
+                raise DimensionMismatch(f"degree {degree!r} is not a positive int")
+
     @classmethod
     def _trusted(cls, n_sites: int, entries: dict, direction: str, like) -> "SiteOperatorFamily":
         """The family over `entries` as they are, without the constructor's
         checks, for a caller that builds them well formed: int sites in
         1..`n_sites`, positive int degrees and operators of `like`'s kind,
-        shape and backend (`continuum.discretize`)."""
+        shape and backend (`continuum.discretize`, and
+        `SampleSource.matrix_family` after `_check` of its arguments)."""
         family = object.__new__(cls)
         family.n_sites = n_sites
         family.entries = entries

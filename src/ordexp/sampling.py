@@ -1,9 +1,13 @@
 """Deterministic case generation for the verification suites.
 
 All pseudo-randomness flows through one fixed, documented algorithm:
-CPython's Mersenne Twister as exposed by `random.Random`, drawn only
-through `randint`.  A 64-bit seed therefore reproduces every sampled
-case bit-for-bit on any platform.
+CPython's Mersenne Twister as exposed by `random.Random`.  Every draw is
+exactly the integers `randint` would return, leaving the stream in the state
+`randint` would leave it: `SampleSource._ints` draws many at once with
+`randint`'s own rule (k-bit words from `getrandbits`, k the bit length of the
+range's width, a word at or above the width rejected), and
+`tests/test_sampling.py` pins it to a per-entry `randint` reference.  A 64-bit
+seed therefore reproduces every sampled case bit-for-bit on any platform.
 
 Streams are hierarchical: `split(label)` derives an independent child
 stream whose seed is a SHA-256 digest of the parent seed and the label.
@@ -15,7 +19,9 @@ decides it: on the float backend `matrix`, `invertible_matrix`, `sequence`,
 `site_stack`, `matrix_family` and `poly` draw the exact value from the same
 stream and return it converted to float (a family's template `like` too),
 and `cast` converts the few operators a suite builds instead of draws.  An
-exact matrix is its draws row by row, built by `Matrix.from_ints`.  Scalars
+exact matrix is its draws row by row, built by `Matrix.from_ints`; a
+sequence, a site stack or a family is drawn in one `_ints` call and cut
+into its matrices in draw order.  Scalars
 drawn as parameters (`integer`, `fraction`, `nonzero_fraction`) and
 free-letter coefficients stay exact.
 """
@@ -25,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import AlgebraError, SingularOperator
 from .expansion import FORWARD, SiteOperatorFamily
@@ -62,8 +69,32 @@ class SampleSource:
         """`x` in this source's backend: converted to float on the float backend."""
         return to_float(x) if self.backend == FLOAT else x
 
+    def _ints(self, count: int, low: int, high: int) -> list:
+        """`[randint(low, high) for _ in range(count)]`, with the stream left
+        as those calls leave it.  `randint` draws k-bit words, k the bit
+        length of the width n, until one is below n; so draw as many words as
+        entries are still missing, keep those below n in order, and repeat
+        for the shortfall: never a word `randint` would not draw."""
+        n = high - low + 1
+        if n <= 0 < count:
+            raise ValueError(f"empty range for randrange() ({low}, {high + 1}, {n})")
+        k = n.bit_length()
+        bits = self._rng.getrandbits
+        out = []
+        while len(out) < count:
+            out += [w + low for w in map(bits, repeat(k, count - len(out))) if w < n]
+        return out
+
+    def _matrices(self, count: int, size: int, bound: int) -> list:
+        """`count` exact `size` x `size` matrices of entries in -bound..bound,
+        drawn in one call and cut in draw order, each row by row."""
+        step = size * size
+        values = self._ints(count * step, -bound, bound)
+        return [Matrix.from_ints(values[i * step:(i + 1) * step], size, size)
+                for i in range(count)]
+
     def integer(self, low: int, high: int) -> int:
-        return self._rng.randint(low, high)
+        return self._ints(1, low, high)[0]
 
     def fraction(self, bound: int = 3) -> Fraction:
         return Fraction(self.integer(-bound, bound))
@@ -75,10 +106,8 @@ class SampleSource:
                 return f
 
     def _exact_matrix(self, rows: int, cols: int, bound: int) -> Matrix:
-        # The draws of `fraction(bound)` row by row, kept as ints over den = 1;
-        # `randint` is bound once per matrix, a Python frame less per entry.
-        draw = self._rng.randint
-        return Matrix.from_ints([draw(-bound, bound) for _ in range(rows * cols)], rows, cols)
+        # The draws of `fraction(bound)` row by row, kept as ints over den = 1.
+        return Matrix.from_ints(self._ints(rows * cols, -bound, bound), rows, cols)
 
     def matrix(self, size: int = 2, bound: int = 3) -> Matrix:
         return self.cast(self._exact_matrix(size, size, bound))
@@ -95,7 +124,8 @@ class SampleSource:
             return self.cast(m)
 
     def sequence(self, n_sites: int, size: int = 2) -> SiteSequence:
-        return SiteSequence([self.matrix(size) for _ in range(n_sites)])
+        """`n_sites` draws of `matrix(size)`, in one call."""
+        return SiteSequence([self.cast(m) for m in self._matrices(n_sites, size, 3)])
 
     def site_stack(self, n_sites: int, size: int = 2) -> Matrix:
         """`sequence(n_sites, size)` as one site stack, the sites' matrices on
@@ -108,26 +138,32 @@ class SampleSource:
 
         Exact on both backends: free letters take only rational coefficients.
         """
+        coeffs = self._ints(2 * n_sites, -3, 3)
         values = []
         for n in range(1, n_sites + 1):
-            v = FreeElement.gen(f"{tag}1", site=n) * self.fraction()
-            v = v + FreeElement.gen(f"{tag}2", site=n) * self.fraction()
+            v = FreeElement.gen(f"{tag}1", site=n) * Fraction(coeffs[2 * n - 2])
+            v = v + FreeElement.gen(f"{tag}2", site=n) * Fraction(coeffs[2 * n - 1])
             values.append(v)
         return SiteSequence(values)
 
     def matrix_family(self, n_sites: int, degrees=(1,), size: int = 2,
                       bound: int = 3, direction=FORWARD) -> SiteOperatorFamily:
-        entries = {(n, d): self.matrix(size, bound) for n in range(1, n_sites + 1) for d in degrees}
+        """Per site and degree, site-major, a draw of `matrix(size, bound)`;
+        a repeated degree keeps its last draw.  The arguments are refused
+        as `SiteOperatorFamily` and `Matrix.identity` refuse them."""
+        SiteOperatorFamily._check(n_sites, degrees, direction)
         like = self.cast(Matrix.identity(size))
-        return SiteOperatorFamily(n_sites, entries, direction=direction, like=like)
+        keys = [(n, d) for n in range(1, n_sites + 1) for d in degrees]
+        entries = dict(zip(keys, map(self.cast, self._matrices(len(keys), size, bound))))
+        return SiteOperatorFamily._trusted(n_sites, entries, direction, like)
 
     def poly(self, degree: int) -> Poly:
-        return Poly({(d,): self.cast(self.fraction()) for d in range(degree + 1)})
+        return Poly({(d,): self.cast(Fraction(v)) for d, v in enumerate(self._ints(degree + 1, -3, 3))})
 
     def subset(self, items) -> tuple:
         """Nonempty subset, drawn element by element."""
         items = tuple(items)
         while True:
-            chosen = tuple(x for x in items if self.integer(0, 1))
+            chosen = tuple(x for x, keep in zip(items, self._ints(len(items), 0, 1)) if keep)
             if chosen:
                 return chosen

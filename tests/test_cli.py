@@ -444,6 +444,13 @@ def test_unreadable_spec_numbers_exit_2(capsys, argv):
     assert "cannot read" in err
 
 
+def test_matrix_spec_of_size_zero_exits_2(capsys):
+    code, out, err = run_cli(capsys, "expand", "matrix:rand(0x0,int<=3);N=2")
+    assert code == 2
+    assert out == ""
+    assert "at least one row and column" in err
+
+
 @pytest.mark.parametrize("argv, key", [
     (["expand", "scalar:p=1;N=2;q=3"], "q"),
     (["expand", "matrix:rand(2x2,int<=3);N=2;p=1"], "p"),

@@ -117,6 +117,14 @@ def test_compositions_into_no_parts():
     assert list(compositions(4, 3)) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
 
 
+@pytest.mark.parametrize("total,parts", [(True, 2), (3, True), (False, 0), (3.0, 2), (3, 2.0),
+                                         ("3", 2), (3, None)])
+def test_compositions_take_plain_ints(total, parts):
+    # refused at the call, not at the first `next`; a bool is not taken as 0 or 1
+    with pytest.raises(AlgebraError, match="compositions take ints"):
+        compositions(total, parts)
+
+
 @pytest.mark.parametrize("order", [-1, -2, -3])
 @pytest.mark.parametrize("like", [Fraction(1), FreeElement.one(), Matrix.identity(2)], ids=["scalar", "free", "matrix"])
 def test_negative_orders_are_unsupported(order, like):

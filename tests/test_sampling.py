@@ -8,6 +8,7 @@ no suite builds a float matrix, or a polynomial or series with a float
 coefficient, on the exact backend.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,8 @@ import pytest
 import ordexp
 from ordexp import AlphaSeries, FreeElement, Matrix, Poly, SiteOperatorFamily, SiteSequence, SuiteConfig
 from ordexp import matrix, ops
-from ordexp.errors import AlgebraError
+from ordexp.errors import AlgebraError, DimensionMismatch, SingularOperator
+from ordexp.expansion import BACKWARD, FORWARD
 from ordexp.matrix import SPARSE_FROM
 from ordexp.report import EXACT, FLOAT
 from ordexp.sampling import SampleSource
@@ -62,6 +64,8 @@ DRAWS = [
     ("invertible_matrix", (2, 1)),
     ("sequence", (3, 2)),
     ("matrix_family", (3, (1, 3), 2)),
+    # the row store, and a repeated degree: its last draw is kept
+    ("matrix_family", (2, (2, 1, 2), SPARSE_FROM)),
     ("poly", (4,)),
     ("site_stack", (3, 2)),
 ]
@@ -82,6 +86,144 @@ def test_float_source_draws_the_exact_values_converted(method, args, seed):
         assert all(isinstance(v, float) for v in leaves(got))
         assert leaves(got) == [float(v) for v in leaves(want)]
     assert flt._rng.getstate() == exact._rng.getstate()
+
+
+def randint_ints(rng, count, low, high):
+    """The reference every draw is pinned to: one `randint` call per entry."""
+    return [rng.randint(low, high) for _ in range(count)]
+
+
+@pytest.mark.parametrize("bound", [0, 1, 3, 4, 2**31, 2**40])
+def test_ints_are_randints_and_leave_the_stream_alike(bound):
+    # -bound..bound: bound 0 rejects half the 1-bit words, 4 rejects 7 of 16
+    # 4-bit words, and 2**31 and 2**40 draw words of more than 32 bits
+    for seed in range(300):
+        src = SampleSource(seed)
+        ref = random.Random(seed)
+        for count in range(1, 51):
+            assert src._ints(count, -bound, bound) == randint_ints(ref, count, -bound, bound)
+            assert src._rng.random() == ref.random()
+
+
+def test_ints_of_an_empty_range_raise_as_randint_does():
+    src, ref = SampleSource(5), random.Random(5)
+    assert src._ints(0, 3, 2) == randint_ints(ref, 0, 3, 2) == []
+    assert src._ints(3, 2, 4) == randint_ints(ref, 3, 2, 4)
+    # the wording of randint's message differs between Python versions
+    for draw in (lambda: src._ints(2, 3, 1), lambda: randint_ints(ref, 2, 3, 1)):
+        with pytest.raises(ValueError, match="empty range"):
+            draw()
+    assert src._rng.getstate() == ref.getstate()
+
+
+def randint_matrix(rng, size, bound=3):
+    return Matrix([[Fraction(v) for v in randint_ints(rng, size, -bound, bound)]
+                   for _ in range(size)])
+
+
+def randint_invertible(rng, size, bound=3):
+    while True:
+        m = randint_matrix(rng, size, bound)
+        try:
+            m.inverse()
+        except SingularOperator:
+            continue
+        return m
+
+
+def randint_family(rng, n_sites, degrees, size):
+    entries = {(n, d): randint_matrix(rng, size) for n in range(1, n_sites + 1) for d in degrees}
+    return SiteOperatorFamily(n_sites, entries, like=Matrix.identity(size))
+
+
+# per `DRAWS` method, the exact value drawn by one `randint` call per entry
+REFERENCES = {
+    "matrix": randint_matrix,
+    "invertible_matrix": randint_invertible,
+    "sequence": lambda rng, n, size: SiteSequence([randint_matrix(rng, size) for _ in range(n)]),
+    "matrix_family": randint_family,
+    "poly": lambda rng, degree: Poly({(d,): Fraction(rng.randint(-3, 3)) for d in range(degree + 1)}),
+    "site_stack": lambda rng, n, size: Matrix(
+        [row for _ in range(n) for row in randint_matrix(rng, size).data]),
+}
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("method,args", DRAWS)
+def test_draws_are_the_per_entry_randint_values(method, args, backend):
+    for seed in (0, 1, 7, 2**64 - 1):
+        src = SampleSource(seed, backend)
+        ref = random.Random(seed)
+        for _ in range(3):
+            want = REFERENCES[method](ref, *args)
+            got = getattr(src, method)(*args)
+            assert type(got) is type(want)
+            assert shape(got) == shape(want)
+            assert leaves(got) == [src.cast(v) for v in leaves(want)]
+            assert [type(v) for v in leaves(got)] == [type(src.cast(v)) for v in leaves(want)]
+        assert src._rng.getstate() == ref.getstate()
+
+
+def test_scalar_draws_are_the_per_entry_randint_values():
+    src, ref = SampleSource(11), random.Random(11)
+    for _ in range(20):
+        assert src.integer(1, 4) == ref.randint(1, 4)
+        assert src.fraction(5) == Fraction(ref.randint(-5, 5))
+        want = Fraction(ref.randint(-3, 3))
+        while not want:
+            want = Fraction(ref.randint(-3, 3))
+        assert src.nonzero_fraction() == want
+        items = tuple(range(6))
+        chosen = ()
+        while not chosen:
+            chosen = tuple(x for x in items if ref.randint(0, 1))
+        assert src.subset(items) == chosen
+        values = [FreeElement.gen(f"z{i}", site=n) * Fraction(ref.randint(-3, 3))
+                  for n in (1, 2, 3) for i in (1, 2)]
+        want = [values[i] + values[i + 1] for i in (0, 2, 4)]
+        assert src.free_sequence(3, "z") == SiteSequence(want)
+    assert src._rng.getstate() == ref.getstate()
+
+
+def test_a_family_is_drawn_without_randint(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("randint was called")
+
+    want = randint_family(random.Random(3), 128, (1, 2, 3), 4)
+    monkeypatch.setattr(random.Random, "randint", refuse)
+    got = SampleSource(3).matrix_family(128, (1, 2, 3), size=4)
+    assert got.entries == want.entries and got.like == want.like
+
+
+@pytest.mark.parametrize("kwargs,error,message", [
+    ({"n_sites": True}, DimensionMismatch, "nonnegative int number of sites"),
+    ({"n_sites": "3"}, DimensionMismatch, "nonnegative int number of sites"),
+    ({"n_sites": 2.0}, DimensionMismatch, "nonnegative int number of sites"),
+    ({"n_sites": -1}, DimensionMismatch, "nonnegative int number of sites"),
+    ({"degrees": (1, 0)}, DimensionMismatch, "degree 0 is not a positive int"),
+    ({"degrees": (True,)}, DimensionMismatch, "degree True is not a positive int"),
+    ({"degrees": (1.0,)}, DimensionMismatch, "degree 1.0 is not a positive int"),
+    ({"degrees": ("2",)}, DimensionMismatch, "is not a positive int"),
+    ({"n_sites": 0, "degrees": (-1,)}, DimensionMismatch, "degree -1 is not a positive int"),
+    ({"direction": "sideways"}, AlgebraError, "unknown direction 'sideways'"),
+    ({"size": 0}, DimensionMismatch, "at least one row and column"),
+    ({"size": True}, DimensionMismatch, "a matrix size is an int"),
+])
+def test_matrix_family_refuses_bad_arguments_before_drawing(kwargs, error, message):
+    args = {"n_sites": 2, "degrees": (1, 2), "size": 2, "direction": FORWARD, **kwargs}
+    src = SampleSource(4)
+    state = src._rng.getstate()
+    with pytest.raises(error, match=message):
+        src.matrix_family(**args)
+    assert src._rng.getstate() == state
+
+
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+def test_matrix_family_is_the_checked_family(direction):
+    got = SampleSource(6, FLOAT).matrix_family(3, (2, 1), size=3, direction=direction)
+    want = SiteOperatorFamily(got.n_sites, got.entries, direction, like=got.like)
+    assert (got.n_sites, got.direction, got.entries, got.like) == (
+        want.n_sites, want.direction, want.entries, want.like)
 
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])
