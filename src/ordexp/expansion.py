@@ -16,21 +16,21 @@ coefficients so they can be compared against the series oracle.
 The ordered product and the prefix products of `chain_walk` grow one site
 at a time: the product with 1 + sum_m alpha^m L_n^(m) formed from the
 site's nonzero degrees alone, with each term by the unit formed as
-`ops.unit_product` forms it rather than multiplied.  A family of square
-matrices below `matrix.SPARSE_FROM` columns (either backend), or of exact
-scalars only (ints and Fractions), takes `matrix.lax_fold`: the running
-series passes through every site as raw blocks, exact numerators over one
-denominator reduced once per site, or floats, and becomes matrices or
-Fractions only where a series is returned.  Every other family (free
-elements, float or mixed scalars, matrices of the row store) takes one
-`_lax_step` per site, on whole operators.  Either way every coefficient
-has the value of the series product with `lax_series`, and a float one
-adds the same terms in the same order, so the results are those of that
-plain fold, float bits included.  For a family that takes the fold,
-`magnus_oracle` takes the logarithm with `matrix.lax_log`, on the fold's
-raw blocks, and builds only the coefficients it returns, with the values,
-types and float bits of `AlphaSeries.log`; every other family takes
-`AlphaSeries.log` of `monodromy`.
+`ops.unit_product` forms it rather than multiplied.  A family of exact
+square matrices below `matrix.SPARSE_FROM` columns, or of exact scalars
+only (ints and Fractions), takes `matrix.lax_fold`: the running series
+passes through every site as integer numerators over one denominator,
+reduced once per site, and becomes matrices or Fractions only where a
+series is returned.  Every other family (float matrices, free elements,
+float or mixed scalars, matrices of the row store) takes one `_lax_step`
+per site, on whole operators.  Either way every coefficient has the value
+of the series product with `lax_series`, and a float one adds the same
+terms in the same order, so the results are those of that plain fold,
+float bits included.  For a family that takes the fold, `magnus_oracle`
+takes the logarithm with `matrix.lax_log`, on the fold's raw blocks, and
+builds only the coefficients it returns, with the values and types of
+`AlphaSeries.log`; every other family takes `AlphaSeries.log` of
+`monodromy`.
 
 Operators are polymorphic: exact scalars, Matrix, or FreeElement all
 work, as long as one kind is used per family.
@@ -180,8 +180,9 @@ def _lax_step(family: SiteOperatorFamily, site: int, t: AlphaSeries, left: bool)
     1 L^(n), T^(1) L^(n-1), ..., T^(n) 1) and is the zero when there are
     none.  A term with the unit is `ops.unit_product`, not a product, and
     only the site's nonzero degrees are walked.  This is the step of the
-    chains that `matrix.lax_fold` does not take (see `_folds`): free
-    elements, float or mixed scalars, and matrices of the row store.
+    chains that `matrix.lax_fold` does not take (see `_folds`): float
+    matrices, free elements, float or mixed scalars, and matrices of the
+    row store.
     """
     coeffs = t.coeffs
     unit = coeffs[0]
@@ -207,12 +208,12 @@ def _lax_step(family: SiteOperatorFamily, site: int, t: AlphaSeries, left: bool)
 
 def _folds(family: SiteOperatorFamily) -> bool:
     """Whether the family's chain products take `matrix.lax_fold`: its
-    template is a square matrix below `SPARSE_FROM` columns (the family
-    holds only matrices of that shape and backend), or it and every entry
-    are exact scalars, ints or Fractions."""
+    template is an exact square matrix below `SPARSE_FROM` columns (the
+    family holds only matrices of that shape and backend), or it and every
+    entry are exact scalars, ints or Fractions."""
     like = family.like
     if isinstance(like, Matrix):
-        return like.rows == like.cols < SPARSE_FROM
+        return like.is_exact() and like.rows == like.cols < SPARSE_FROM
     return all(type(x) in (int, Fraction) for x in (like, *family.entries.values()))
 
 
@@ -232,8 +233,9 @@ def _walk(family: SiteOperatorFamily, order: int, sites, left: bool, every: bool
     """The products of the site series, one site at a time in the order of
     `sites`, each multiplying on the left (`left`) or the right: [1, then
     the product after each site] when `every`, otherwise [the last one].
-    A family that `_folds` takes `matrix.lax_fold`; any other grows by
-    `_lax_step`.  Both give the plain fold's values and float bits."""
+    An exact family that `_folds` takes `matrix.lax_fold`; any other,
+    floats included, grows by `_lax_step`.  Both give the plain fold's
+    values, and `_lax_step` its float bits."""
     check_order(order)
     if _folds(family):
         steps = _steps(family, order, sites)
@@ -252,8 +254,8 @@ def ordered_product(family: SiteOperatorFamily, order: int, descending: bool) ->
     site N leftmost when `descending`, else site 1 leftmost.
 
     It grows from 1 one site at a time, multiplying on the right
-    (`_walk`): by `matrix.lax_fold` for matrices below `SPARSE_FROM` and
-    exact scalars, by `_lax_step` otherwise.  Either way it has the value
+    (`_walk`): by `matrix.lax_fold` for exact matrices below `SPARSE_FROM`
+    and exact scalars, by `_lax_step` otherwise.  Either way it has the value
     and float bits of the plain fold of `lax_series` products, without
     forming any product by the unit.
     """
@@ -378,10 +380,10 @@ def magnus_from_dyson(dyson: list, order: int) -> list:
 def magnus_oracle(family: SiteOperatorFamily, order: int) -> list:
     """Logarithm coefficients [Q^(1), ..., Q^(order)] of the ordered product.
 
-    A family that `_folds` takes `matrix.lax_log`, the logarithm on the raw
-    blocks of `matrix.lax_fold`, which builds only the coefficients it
-    returns; any other takes `monodromy(family, order).log()`.  Both give
-    the values, types and float bits of `AlphaSeries.log`.
+    An exact family that `_folds` takes `matrix.lax_log`, the logarithm on
+    the raw blocks of `matrix.lax_fold`, which builds only the coefficients
+    it returns, with the values and types of `AlphaSeries.log`; any other,
+    floats included, takes `monodromy(family, order).log()`.
     """
     check_order(order)
     if _folds(family):

@@ -43,27 +43,24 @@ size rule, like the store's, reads one block's shape.
 `stack_prelie_left` forms the left pre-Lie product of two stacks with it,
 after summing one stack's blocks into its strict prefix sums.
 `lax_fold` multiplies out a chain's site series 1 + sum_m alpha^m L^(m),
-for square matrices below `SPARSE_FROM` of either backend and for exact
-scalars taken as 1 x 1 blocks: the running series stays raw blocks from
-site to site, and only the series it returns are matrices (Fractions for
-scalars).  An exact site is one call of a step kernel, compiled on first
-use for its block size, its degrees and its side, never its order, which
-forms every coefficient of the step on integer numerators over one shared
-denominator; the series is reduced once per site.  Integer sums do not
-depend on the order of their terms, so its values are those of the plain
-fold of series products.  A float site adds the terms of the Lax step of
-`expansion` in that step's order, its products by the compiled product
-kernels and its sums list operations, so it keeps that fold's float bits
-too.  `lax_log` takes the logarithm of
+for exact square matrices below `SPARSE_FROM` and for exact scalars taken
+as 1 x 1 blocks: the running series stays integer numerators over one
+shared denominator from site to site, and only the series it returns are
+matrices (Fractions for scalars).  Each site is one call of a step
+kernel, compiled on first use for its block size, its degrees and its
+side, never its order, and the series is reduced once per site.  Integer
+sums do not depend on the order of their terms, so its values are those
+of the plain fold of series products.  `lax_log` takes the logarithm of
 that product on the same raw blocks, log(1 + U) = sum_k (-1)^(k+1) U^k / k
 with each power's products by the kernels, and builds only the
-coefficients it returns; it forms each sum and scaling as
-`AlphaSeries.log` does, so it keeps that log's values, types and float
-bits.  `poly_grid` evaluates an exact matrix polynomial, times the step,
-at evenly spaced rational points, as `continuum.discretize` samples a
-field: integer weights and sums, and one gcd reduction per point.
-None of this changes a float
-result but the sign of a zero in the row store:
+coefficients it returns, with the values and types of `AlphaSeries.log`.
+Neither takes floats: a float chain keeps `expansion`'s Lax step and
+`AlphaSeries.log`, whose float bits are the reference.  `poly_grid`
+evaluates an exact matrix polynomial, times the step, at evenly spaced
+rational points, as `continuum.discretize` samples a field: integer
+weights and sums, and one gcd reduction per point.
+None of this changes a float result but the sign of a zero in the row
+store:
 each product entry starts from its backend's zero and adds the products
 of its nonzero terms in order of the inner index (a float term with a
 zero factor is skipped, so a zero never meets an inf or a nan), and each
@@ -599,22 +596,22 @@ def stack_prelie_left(a: Matrix, b: Matrix) -> Matrix:
 
 def lax_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
     """The ordered product of the site series 1 + sum_m alpha^m L^(m) through
-    `order`, as `expansion._lax_step` forms it, on raw blocks.
+    `order`, as `expansion._lax_step` forms it, on raw integer blocks.
 
-    `like` is a square matrix below `SPARSE_FROM` columns, or an exact
-    scalar (an int or a Fraction, taken as a 1 x 1 block); `sites` holds,
-    in the order they are multiplied in, each site's nonzero operators of
-    degree 1..`order` as (degree, operator) pairs, degrees ascending, all of
-    `like`'s kind.  Each site multiplies the running series on the left
-    (`left`) or the right.  The series runs through every site as flat
-    blocks (`_raw_fold`): an exact site is one call of its compiled step
-    kernel, and a float site adds `_lax_step`'s terms in that step's order.
-    Its coefficients become matrices (Fractions for scalars) only in the
-    lists returned: [1, T^(1), ..., T^(order)] before the first site and
-    after each one when `every`, otherwise after the last site alone.  Every
-    value and float bit is that of the plain fold of series products.
-    `lax_log` takes the logarithm of the last
-    product on the same blocks, for the same operands.
+    `like` is an exact square matrix below `SPARSE_FROM` columns, or an
+    exact scalar (an int or a Fraction, taken as a 1 x 1 block); a float
+    one is BackendMismatch.  `sites` holds, in the order they are
+    multiplied in, each site's nonzero operators of degree 1..`order` as
+    (degree, operator) pairs, degrees ascending, all of `like`'s kind.
+    Each site multiplies the running series on the left (`left`) or the
+    right.  The series runs through every site as flat blocks of integer
+    numerators (`_raw_fold`), each site one call of its compiled step
+    kernel.  Its coefficients become matrices (Fractions for scalars) only
+    in the lists returned: [1, T^(1), ..., T^(order)] before the first
+    site and after each one when `every`, otherwise after the last site
+    alone.  Every value is that of the plain fold of series products.
+    `lax_log` takes the logarithm of the last product on the same blocks,
+    for the same operands.
     """
     unit, build = _kind(like)
     return [[unit] + [build(b, dt) for b in t] for t, dt in _raw_fold(like, sites, order, left, every)]
@@ -625,25 +622,20 @@ def lax_log(like, sites: list, order: int) -> list:
     `lax_fold(like, sites, order, False, False)` gives, on its raw blocks.
 
     It forms log(1 + U) = sum_k (-1)^(k+1) U^k / k for k = 1..order, U the
-    product's coefficients T^(1)..T^(order), as `series.AlphaSeries.log`
-    forms it, and builds only the matrices (Fractions for scalars) it
-    returns.  U^1 is U by the unit (floats as 0.0 + v, a zero block as the
-    backend's zero); coefficient n of U^k = U^(k-1) U adds the products of
-    its nonzero block pairs by `_product_kernel`, inner index ascending,
-    and is the backend's zero when there is none; every coefficient of the
-    result, zero ones included, adds that of U^k times the weight, rounded
-    to float on floats.  Exact powers are reduced once each, over one
-    denominator, and so is each coefficient returned, so values, types and
-    float bits are those of `AlphaSeries.log`.
+    product's coefficients T^(1)..T^(order), and builds only the matrices
+    (Fractions for scalars) it returns.  Coefficient n of U^k = U^(k-1) U
+    adds the products of its nonzero block pairs by `_product_kernel`, and
+    each power is reduced once, over one denominator, as is each
+    coefficient returned, so values and types are those of
+    `AlphaSeries.log`.
     """
     _, build = _kind(like)
     (u, du), = _raw_fold(like, sites, order, False, False)
     d = like.cols if isinstance(like, Matrix) else 1
-    exact = du is not None
-    kernel = _product_kernel(d, d, d, exact)
-    zero = [_zero(du)] * (d * d)
+    kernel = _product_kernel(d, d, d, True)
+    zero = [0] * (d * d)
     nonzero = [any(b) for b in u]
-    power = [(b if exact else [0.0 + v for v in b]) if nz else zero for b, nz in zip(u, nonzero)]
+    power = u
     dp = dr = du
     result = [zero] * order
     for k in range(1, order + 1):
@@ -653,49 +645,40 @@ def lax_log(like, sites: list, order: int) -> list:
             for n in range(order):
                 terms = [kernel(power[j], u[n - j - 1]) for j in range(n) if live[j] and nonzero[n - j - 1]]
                 new.append(list(reduce(_lazy_sum, terms)) if terms else zero)
-            power = new
-            if exact:
-                power, dp = _reduced_blocks(power, dp * du)
-        if exact:
-            # the weight over the power's denominator, and both parts over dr
-            w = Fraction((-1) ** (k + 1), k * dp)
-            f = lcm(dr, w.denominator)
-            fr, fp, dr = f // dr, w.numerator * (f // w.denominator), f
-        else:
-            # a float times the int 1 is itself, so each entry is r + p * w
-            fr, fp = 1, float(Fraction((-1) ** (k + 1), k))
+            power, dp = _reduced_blocks(new, dp * du)
+        # the weight over the power's denominator, and both parts over dr
+        w = Fraction((-1) ** (k + 1), k * dp)
+        f = lcm(dr, w.denominator)
+        fr, fp, dr = f // dr, w.numerator * (f // w.denominator), f
         result = [[a * fr + x * fp for a, x in zip(r, p)] for r, p in zip(result, power)]
     return [build(b, dr) for b in result]
 
 
 def _kind(like) -> tuple:
     """The unit of `like`'s kind and `build(block, den)`, the coefficient of
-    that kind from a raw block: a matrix, reduced when exact, or a Fraction
-    for an exact scalar."""
+    that kind from a raw block: a reduced matrix, or a Fraction for a
+    scalar."""
     if not isinstance(like, Matrix):
         return Fraction(1), lambda b, den: Fraction(b[0], den)
     d = like.cols
-    unit = Matrix.identity(d)
-    return (unit if like.den is not None else unit.to_float()), lambda b, den: _reduced(b, d, d, den)
+    return Matrix.identity(d), lambda b, den: _reduced(b, d, d, den)
 
 
 def _raw_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
     """`lax_fold`'s running series as raw blocks: [(t, dt)] with t the flat
-    blocks T^(1)..T^(order) over the denominator dt (None for floats), once
-    before the first site and after each one when `every`, otherwise after
-    the last site alone.
+    blocks T^(1)..T^(order) of integer numerators over the denominator dt,
+    once before the first site and after each one when `every`, otherwise
+    after the last site alone.  A float `like` is BackendMismatch.
 
-    An exact site is one call of the compiled step kernel of its block size
-    and degrees (`_step_kernel`), on its operators' numerators over one
+    A site is one call of the compiled step kernel of its block size and
+    degrees (`_step_kernel`), on its operators' numerators over one
     denominator dl, and the series is reduced once per site; a site with no
     operators leaves it as it is.  Integer sums do not depend on the order
     of their terms, so the kernel forms every term, zero ones included.
-    Float chains take `_float_fold`, which keeps `_lax_step`'s terms and
-    their order.
     """
-    if isinstance(like, Matrix) and like.den is None:
-        return _float_fold(like.cols, sites, order, left, every)
     matrix = isinstance(like, Matrix)
+    if isinstance(like, float) or matrix and like.den is None:
+        raise BackendMismatch("the chain fold takes exact operators only")
     d = like.cols if matrix else 1
     # T^(1)..T^(order) over the denominator dt
     t, dt = [[0] * (d * d)] * order, 1
@@ -757,42 +740,6 @@ def _step_kernel(d: int, degrees: tuple, left: bool):
                                 f"        out.append({coefficient(top + 1, 's', lambda m: f'u{m}_')})\n"
                                 f"    return out\n")
     return kernel
-
-
-def _float_fold(d: int, sites: list, order: int, left: bool, every: bool) -> list:
-    """`_raw_fold` for float d x d blocks, over None.  Coefficient n adds
-    `_lax_step`'s terms in its order: the two by the unit, L^(n) and T^(n),
-    as `unit_product` forms them (0.0 + v), and each other product, by
-    `_product_kernel`, only when both factors are nonzero; it is 0.0 when
-    there is no term.  Float sums depend on the order of their terms and on
-    which terms are there, so the float bits are those of `_lax_step`."""
-    kernel = _product_kernel(d, d, d, False)
-    zero = [0.0] * (d * d)
-    t = [zero] * order
-    out = [(t, None)] if every else []
-    for ops in sites:
-        ops = [(m, op.num) for m, op in ops]
-        if not left:
-            # descending degrees on the right, as `_lax_step` takes them
-            ops.reverse()
-        nonzero = [any(b) for b in t]
-        new = []
-        for n in range(1, order + 1):
-            terms = []
-            for m, lm in ops:
-                if m == n:
-                    terms.append([0.0 + v for v in lm])
-                elif m < n and nonzero[n - m - 1]:
-                    terms.append(kernel(lm, t[n - m - 1]) if left else kernel(t[n - m - 1], lm))
-            if nonzero[n - 1]:
-                own = [0.0 + v for v in t[n - 1]]
-                terms = [own] + terms if left else terms + [own]
-            # one lazy sum per term after the first, formed in order in one pass
-            new.append(list(reduce(_lazy_sum, terms)) if terms else zero)
-        t = new
-        if every:
-            out.append((t, None))
-    return out if every else [(t, None)]
 
 
 def _reduced_blocks(blocks: list, den: int) -> tuple:

@@ -24,6 +24,8 @@ from ordexp.matrix import (
     commutator,
     fused_prelie_site,
     kron_embed,
+    lax_fold,
+    lax_log,
     partial_trace_first,
     permutation_op,
 )
@@ -1217,3 +1219,14 @@ def test_every_operation_refuses_an_exact_and_a_float_matrix():
             fused_prelie_site(*args)
         with pytest.raises(BackendMismatch):
             ops.prelie_site(*args)
+
+
+@pytest.mark.parametrize("like", [Matrix.identity(2).to_float(), 1.0], ids=["float-matrix", "float-scalar"])
+@pytest.mark.parametrize("n_sites", [0, 2])
+def test_the_chain_fold_and_its_log_refuse_a_float_template(like, n_sites):
+    # the raw chain layer is integer-only: float chains take `expansion._lax_step`
+    sites = [[(1, like)]] * n_sites
+    with pytest.raises(BackendMismatch):
+        lax_fold(like, sites, 2, True, False)
+    with pytest.raises(BackendMismatch):
+        lax_log(like, sites, 2)
