@@ -31,7 +31,7 @@ x - y is x + (-y), so it rounds as adding the negation does.
 from fractions import Fraction
 from functools import cache
 
-from .errors import BackendMismatch, DimensionMismatch
+from .errors import BackendMismatch, DimensionMismatch, check_order
 from .freealg import FreeElement
 from .ops import worst
 from .series import AlphaSeries
@@ -50,8 +50,7 @@ class GradedPreLieElement:
     __slots__ = ("order", "product", "components", "like")
 
     def __init__(self, order, components, product, like=None):
-        if order < 1:
-            raise DimensionMismatch("truncation order must be at least 1")
+        check_order(order, 1, error=DimensionMismatch)
         clean = {}
         for d, v in components.items():
             if d < 1:

@@ -237,8 +237,8 @@ def cmd_expand(args) -> int:
     ]
     if args.form == "dyson":
         # The ordered product's coefficients are the Dyson terms, at O(N order^2)
-        # cost (one Lax step per site, no product by the unit);
-        # `dyson_terms`' direct enumerator costs O(N^order).
+        # cost (one series product per site); `dyson_terms`' direct
+        # enumerator costs O(N^order).
         for m, t in enumerate(monodromy(family, order).coeffs):
             lines.append(f"T^({m}) = {t}")
     else:

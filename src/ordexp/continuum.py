@@ -21,7 +21,7 @@ from functools import reduce
 from itertools import product
 from operator import mul
 
-from .errors import AlgebraError, BackendMismatch, DimensionMismatch, UnsupportedOrder
+from .errors import AlgebraError, BackendMismatch, DimensionMismatch, UnsupportedOrder, check_order
 from .expansion import FORWARD, SiteOperatorFamily, compositions, magnus_oracle
 from .matrix import Matrix, poly_grid
 from .ops import commutator
@@ -30,8 +30,7 @@ from .poly import Poly
 
 def bernoulli(n: int) -> Fraction:
     """B_n from z/(e^z - 1), via the symmetric recurrence."""
-    if n < 0:
-        raise UnsupportedOrder("Bernoulli numbers start at n = 0")
+    check_order(n)
     values = [Fraction(1)]
     for m in range(1, n + 1):
         acc = Fraction(0)
@@ -143,8 +142,7 @@ def magnus_continuous(field: MatrixField, order: int = 3, style: str = "prelie")
     The pre-Lie form is the one the package computes with; the
     commutator-integral form ("explicit") is its reference.
     """
-    if order < 1:
-        raise UnsupportedOrder("need order >= 1")
+    check_order(order, 1)
     if style == "explicit":
         return _magnus_explicit(field, order)
     if style == "prelie":
@@ -158,6 +156,8 @@ def magnus_bernoulli_iterate(field: MatrixField, depth: int, order: int) -> dict
     Each sweep settles one more order, so depth below the requested order
     cannot have converged.
     """
+    check_order(order, 1)
+    check_order(depth)
     if depth < order:
         raise UnsupportedOrder("iteration depth below the requested order")
     a = field.poly
@@ -183,8 +183,7 @@ def magnus_bernoulli_iterate(field: MatrixField, depth: int, order: int) -> dict
 
 def dyson_continuous(field: MatrixField, order: int) -> dict:
     """T^(m)(x) by the nested right-to-left products A(x) . integral(B)."""
-    if order < 1:
-        raise UnsupportedOrder("need order >= 1")
+    check_order(order, 1)
     a = field.poly
     x0 = field.x0
     out = {}
@@ -198,6 +197,7 @@ def dyson_continuous(field: MatrixField, order: int) -> dict:
 
 def dyson_simplex_oracle(field: MatrixField, order: int) -> dict:
     """T^(m)(x) as descending-ordered simplex integrals, term by term."""
+    check_order(order, 1)
     return {m: _simplex_sum(field, m, lambda mats: reduce(mul, reversed(mats)))
             for m in range(1, order + 1)}
 

@@ -21,11 +21,11 @@ class UnsupportedOrder(AlgebraError):
     """A closed form was requested beyond the orders it covers."""
 
 
-def check_order(order, least: int = 0):
-    """Raise UnsupportedOrder unless `order` is a plain int, not a bool,
-    of at least `least`, the least order its entry point takes."""
+def check_order(order, least: int = 0, error=UnsupportedOrder):
+    """Raise `error` unless `order` is a plain int, not a bool, of at least
+    `least`, the least order its entry point takes."""
     if type(order) is not int or order < least:
-        raise UnsupportedOrder(f"truncation order must be an int >= {least}, got {order!r}")
+        raise error(f"truncation order must be an int >= {least}, got {order!r}")
 
 
 class InsufficientSamples(AlgebraError):

@@ -14,23 +14,19 @@ commutator and pre-Lie formulas for the first three logarithm
 coefficients so they can be compared against the series oracle.
 
 The ordered product and the prefix products of `chain_walk` grow one site
-at a time: the product with 1 + sum_m alpha^m L_n^(m) formed from the
-site's nonzero degrees alone, with each term by the unit formed as
-`ops.unit_product` forms it rather than multiplied.  A family of exact
-square matrices below `matrix.SPARSE_FROM` columns, or of exact scalars
-only (ints and Fractions), takes `matrix.lax_fold`: the running series
-passes through every site as integer numerators over one denominator,
-reduced once per site, and becomes matrices or Fractions only where a
-series is returned.  Every other family (float matrices, free elements,
-float or mixed scalars, matrices of the row store) takes one `_lax_step`
-per site, on whole operators.  Either way every coefficient has the value
-of the series product with `lax_series`, and a float one adds the same
-terms in the same order, so the results are those of that plain fold,
-float bits included.  For a family that takes the fold, `magnus_oracle`
-takes the logarithm with `matrix.lax_log`, on the fold's raw blocks, and
-builds only the coefficients it returns, with the values and types of
-`AlphaSeries.log`; every other family takes `AlphaSeries.log` of
-`monodromy`.
+at a time, by the product with the site's series 1 + sum_m alpha^m L_n^(m).
+A family of exact square matrices below `matrix.SPARSE_FROM` columns, or
+of exact scalars only (ints and Fractions), takes `matrix.lax_fold`: the
+running series passes through every site as integer numerators over one
+denominator, reduced once per site, and becomes matrices or Fractions
+only where a series is returned, with the values of the series products.
+Every other family (float matrices, free elements, float or mixed
+scalars, matrices of the row store) is multiplied by `lax_series` one
+site at a time, as `AlphaSeries` multiplies.  For a family that takes the
+fold, `magnus_oracle` takes the logarithm with `matrix.lax_log`, on the
+fold's raw blocks, and builds only the coefficients it returns, with the
+values and types of `AlphaSeries.log`; every other family takes
+`AlphaSeries.log` of `monodromy`.
 
 Operators are polymorphic: exact scalars, Matrix, or FreeElement all
 work, as long as one kind is used per family.
@@ -41,11 +37,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from operator import add
 
 from .errors import AlgebraError, DimensionMismatch, SingularOperator, UnsupportedOrder, check_order
 from .matrix import SPARSE_FROM, Matrix, lax_fold, lax_log
-from .ops import check_compatible, commutator, invert, is_zero, one_like, unit_product, zero_like
+from .ops import check_compatible, commutator, invert, is_zero, one_like, zero_like
 from .rotabaxter import SiteSequence, prelie_left, prelie_right, trid_prec, trid_succ
 from .series import AlphaSeries
 
@@ -171,41 +166,6 @@ def _site_terms(family: SiteOperatorFamily, site: int, order: int) -> list:
             if (site, m) in entries and not is_zero(entries[site, m])]
 
 
-def _lax_step(family: SiteOperatorFamily, site: int, t: AlphaSeries, left: bool) -> AlphaSeries:
-    """L_site T (`left`) or T L_site, for a series T whose constant term is the unit.
-
-    Value and float bits are those of the series product with
-    `lax_series(site, t.order)`: coefficient n adds the same nonzero terms in
-    the same order (left: 1 T^(n), L^(1) T^(n-1), ..., L^(n) 1; right:
-    1 L^(n), T^(1) L^(n-1), ..., T^(n) 1) and is the zero when there are
-    none.  A term with the unit is `ops.unit_product`, not a product, and
-    only the site's nonzero degrees are walked.  This is the step of the
-    chains that `matrix.lax_fold` does not take (see `_folds`): float
-    matrices, free elements, float or mixed scalars, and matrices of the
-    row store.
-    """
-    coeffs = t.coeffs
-    unit = coeffs[0]
-    nonzero = [not is_zero(c) for c in coeffs]
-    laxes = _site_terms(family, site, t.order)
-    if not left:
-        # Descending degrees, so that 1 L^(n) comes first on the right as
-        # L^(n) 1 comes last on the left.
-        laxes.reverse()
-    out = [unit]
-    for n in range(1, len(coeffs)):
-        middle = []
-        for m, op in laxes:
-            if m == n:
-                middle.append(unit_product(unit, op))
-            elif m < n and nonzero[n - m]:
-                middle.append(op * coeffs[n - m] if left else coeffs[n - m] * op)
-        own = [unit_product(unit, coeffs[n])] if nonzero[n] else []
-        terms = own + middle if left else middle + own
-        out.append(reduce(add, terms) if terms else zero_like(unit))
-    return AlphaSeries(out)
-
-
 def _folds(family: SiteOperatorFamily) -> bool:
     """Whether the family's chain products take `matrix.lax_fold`: its
     template is an exact square matrix below `SPARSE_FROM` columns (the
@@ -233,9 +193,9 @@ def _walk(family: SiteOperatorFamily, order: int, sites, left: bool, every: bool
     """The products of the site series, one site at a time in the order of
     `sites`, each multiplying on the left (`left`) or the right: [1, then
     the product after each site] when `every`, otherwise [the last one].
-    An exact family that `_folds` takes `matrix.lax_fold`; any other,
-    floats included, grows by `_lax_step`.  Both give the plain fold's
-    values, and `_lax_step` its float bits."""
+    An exact family that `_folds` takes `matrix.lax_fold`, with the values
+    of the series products; any other, floats included, is that plain fold
+    of `lax_series` products."""
     check_order(order)
     if _folds(family):
         steps = _steps(family, order, sites)
@@ -243,7 +203,8 @@ def _walk(family: SiteOperatorFamily, order: int, sites, left: bool, every: bool
     t = AlphaSeries.one(order, like=family.like)
     out = [t]
     for site in sites:
-        t = _lax_step(family, site, t, left)
+        lax = family.lax_series(site, order)
+        t = lax * t if left else t * lax
         if every:
             out.append(t)
     return out if every else [t]
@@ -255,9 +216,8 @@ def ordered_product(family: SiteOperatorFamily, order: int, descending: bool) ->
 
     It grows from 1 one site at a time, multiplying on the right
     (`_walk`): by `matrix.lax_fold` for exact matrices below `SPARSE_FROM`
-    and exact scalars, by `_lax_step` otherwise.  Either way it has the value
-    and float bits of the plain fold of `lax_series` products, without
-    forming any product by the unit.
+    and exact scalars, by the product with `lax_series` otherwise.  Either
+    way it has the value of the plain fold of `lax_series` products.
     """
     return _walk(family, order, _sites(family, descending), left=False, every=False)[0]
 
@@ -273,8 +233,7 @@ def chain_walk(family: SiteOperatorFamily, order: int, direction: str):
     T_1 = 1, T_{n+1} = L_n T_n (forward) or T_n L_n (backward), the side
     set by `direction`, not by the family's own direction; any other
     `direction` is an AlgebraError.  The prefixes come from one `_walk`
-    over the sites, by `matrix.lax_fold` or by `_lax_step` as for
-    `ordered_product`, each with the bits of the series product."""
+    over the sites, as for `ordered_product`."""
     if direction not in (FORWARD, BACKWARD):
         raise AlgebraError(f"unknown direction {direction!r}")
     laxes = [family.lax_series(n, order) for n in range(1, family.n_sites + 1)]

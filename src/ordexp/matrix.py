@@ -54,8 +54,8 @@ of the plain fold of series products.  `lax_log` takes the logarithm of
 that product on the same raw blocks, log(1 + U) = sum_k (-1)^(k+1) U^k / k
 with each power's products by the kernels, and builds only the
 coefficients it returns, with the values and types of `AlphaSeries.log`.
-Neither takes floats: a float chain keeps `expansion`'s Lax step and
-`AlphaSeries.log`, whose float bits are the reference.  `poly_grid`
+Neither takes floats: a float chain grows by the product of `AlphaSeries`
+and takes `AlphaSeries.log`, whose float bits are the reference.  `poly_grid`
 evaluates an exact matrix polynomial, times the step, at evenly spaced
 rational points, as `continuum.discretize` samples a field: integer
 weights and sums, and one gcd reduction per point.
@@ -596,7 +596,7 @@ def stack_prelie_left(a: Matrix, b: Matrix) -> Matrix:
 
 def lax_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
     """The ordered product of the site series 1 + sum_m alpha^m L^(m) through
-    `order`, as `expansion._lax_step` forms it, on raw integer blocks.
+    `order`, as the product of `AlphaSeries` forms it, on raw integer blocks.
 
     `like` is an exact square matrix below `SPARSE_FROM` columns, or an
     exact scalar (an int or a Fraction, taken as a 1 x 1 block); a float

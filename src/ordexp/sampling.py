@@ -100,6 +100,9 @@ class SampleSource:
         return Fraction(self.integer(-bound, bound))
 
     def nonzero_fraction(self, bound: int = 3) -> Fraction:
+        """A nonzero draw of `fraction(bound)`, for a `bound` of at least 1."""
+        if bound < 1:
+            raise AlgebraError(f"a nonzero draw needs a bound of at least 1, got {bound!r}")
         while True:
             f = self.fraction(bound)
             if f:
@@ -161,8 +164,10 @@ class SampleSource:
         return Poly({(d,): self.cast(Fraction(v)) for d, v in enumerate(self._ints(degree + 1, -3, 3))})
 
     def subset(self, items) -> tuple:
-        """Nonempty subset, drawn element by element."""
+        """Nonempty subset of `items`, which hold at least one, drawn element by element."""
         items = tuple(items)
+        if not items:
+            raise AlgebraError("a nonempty subset needs at least one item")
         while True:
             chosen = tuple(x for x, keep in zip(items, self._ints(len(items), 0, 1)) if keep)
             if chosen:

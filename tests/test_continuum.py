@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ordexp
+from ordexp.brace import GradedPreLieElement
 from ordexp.errors import AlgebraError, BackendMismatch, DimensionMismatch, UnsupportedOrder
 from ordexp.matrix import Matrix, commutator
 from ordexp.poly import Poly
@@ -58,6 +59,31 @@ class TestBernoulli:
     def test_negative_rejected(self):
         with pytest.raises(UnsupportedOrder):
             bernoulli(-1)
+
+
+ORDER_ENTRY_POINTS = {
+    "bernoulli": (bernoulli, UnsupportedOrder),
+    "magnus_continuous-prelie": (lambda x: magnus_continuous(affine_field(), x), UnsupportedOrder),
+    "magnus_continuous-explicit": (
+        lambda x: magnus_continuous(affine_field(), x, "explicit"), UnsupportedOrder),
+    "magnus_bernoulli_iterate-order": (
+        lambda x: magnus_bernoulli_iterate(affine_field(), 3, x), UnsupportedOrder),
+    "magnus_bernoulli_iterate-depth": (
+        lambda x: magnus_bernoulli_iterate(affine_field(), x, 2), UnsupportedOrder),
+    "dyson_continuous": (lambda x: dyson_continuous(affine_field(), x), UnsupportedOrder),
+    "dyson_simplex_oracle": (lambda x: dyson_simplex_oracle(affine_field(), x), UnsupportedOrder),
+    "GradedPreLieElement": (
+        lambda x: GradedPreLieElement(x, {1: X}, lambda a, b: a * b), DimensionMismatch),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ORDER_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [2.0, True, -1, "3"], ids=repr)
+def test_every_order_is_an_int_of_at_least_the_entry_points_least(entry, bad):
+    call, error = ORDER_ENTRY_POINTS[entry]
+    with pytest.raises(error, match="must be an int >=") as raised:
+        call(bad)
+    assert type(raised.value) is error
 
 
 class TestMatrixField:

@@ -455,7 +455,7 @@ def test_unknown_mode_string_is_an_algebra_error(call):
         call()
 
 
-# -- the Lax step against the plain fold ----------------------------------------
+# -- the chain products against the plain fold ----------------------------------
 
 # Floats whose sums round, and both zeros.
 FLOATS = (0.0, -0.0, 1.5, -2.25, 0.1, -1 / 3, 7.0, 1e-17)
@@ -490,7 +490,7 @@ def _edge_matrix(size):
 # kind -> (the family's template, a draw of one operator).  Exact matrices
 # below SPARSE_FROM (8) columns and exact scalars take `matrix.lax_fold`;
 # the 8 x 8 kinds (the row store), float matrices, floats, mixed scalars and
-# free elements take the Lax step.
+# free elements grow by the series product with `lax_series`.
 LAX_KINDS = {
     "exact-matrix": (Matrix.identity(2), _exact_matrix(2)),
     "exact-matrix-3": (Matrix.identity(3), _exact_matrix(3)),
@@ -590,7 +590,11 @@ def test_each_kind_takes_one_path(kind, monkeypatch):
         raise AssertionError("a chain took the path its operands do not take")
 
     fam = lax_family(kind, 3, FORWARD, 0)
-    monkeypatch.setattr(expansion, "_lax_step" if kind in FOLD_KINDS else "lax_fold", refuse)
+    # the fold's kinds form no series product; the rest never reach the fold
+    if kind in FOLD_KINDS:
+        monkeypatch.setattr(AlphaSeries, "__mul__", refuse)
+    else:
+        monkeypatch.setattr(expansion, "lax_fold", refuse)
     monodromy(fam, 3)
     chain_walk(fam, 3, BACKWARD)
     # the logarithm: the raw one for the fold's kinds, the series' one otherwise
@@ -642,12 +646,19 @@ def test_magnus_oracle_is_the_log_of_the_monodromy(kind, n_sites, orders, bits):
 def test_prefix_monodromy_walks_only_its_sites(kind, direction, monkeypatch, bits):
     fam = lax_family(kind, 4, direction, 1)
     prefixes = chain_walk(fam, 3, direction)[1]
+    formed = []
+    lax_series = SiteOperatorFamily.lax_series
 
-    def refuse(*args):
-        raise AssertionError("a prefix formed a site series")
+    def spy(family, site, order):
+        formed.append(site)
+        return lax_series(family, site, order)
 
-    monkeypatch.setattr(SiteOperatorFamily, "lax_series", refuse)
-    got = [prefix_monodromy(fam, upto, 3) for upto in range(1, fam.n_sites + 2)]
+    monkeypatch.setattr(SiteOperatorFamily, "lax_series", spy)
+    got = []
+    for upto in range(1, fam.n_sites + 2):
+        formed.clear()
+        got.append(prefix_monodromy(fam, upto, 3))
+        assert all(site < upto for site in formed)
     assert [bits(t) for t in got] == [bits(t) for t in prefixes] and got == prefixes
 
 

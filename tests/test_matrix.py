@@ -1224,7 +1224,7 @@ def test_every_operation_refuses_an_exact_and_a_float_matrix():
 @pytest.mark.parametrize("like", [Matrix.identity(2).to_float(), 1.0], ids=["float-matrix", "float-scalar"])
 @pytest.mark.parametrize("n_sites", [0, 2])
 def test_the_chain_fold_and_its_log_refuse_a_float_template(like, n_sites):
-    # the raw chain layer is integer-only: float chains take `expansion._lax_step`
+    # the raw chain layer is integer-only: float chains grow by the series product
     sites = [[(1, like)]] * n_sites
     with pytest.raises(BackendMismatch):
         lax_fold(like, sites, 2, True, False)

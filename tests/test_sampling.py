@@ -218,6 +218,30 @@ def test_matrix_family_refuses_bad_arguments_before_drawing(kwargs, error, messa
     assert src._rng.getstate() == state
 
 
+def refused_before_drawing(draw, monkeypatch):
+    """`draw` of a fresh source raises AlgebraError without drawing: a draw
+    fails the test rather than loop, and the stream is left as a fresh one."""
+    def refuse(*args):
+        raise AssertionError("a refused draw drew")
+
+    src = SampleSource(4)
+    with monkeypatch.context() as patch:
+        patch.setattr(SampleSource, "_ints", refuse)
+        with pytest.raises(AlgebraError):
+            draw(src)
+    assert src.integer(-9, 9) == SampleSource(4).integer(-9, 9)
+
+
+@pytest.mark.parametrize("items", [(), [], iter(())])
+def test_a_subset_of_no_items_is_refused_before_drawing(items, monkeypatch):
+    refused_before_drawing(lambda src: src.subset(items), monkeypatch)
+
+
+@pytest.mark.parametrize("bound", [0, -1, -3])
+def test_a_nonzero_fraction_below_bound_1_is_refused_before_drawing(bound, monkeypatch):
+    refused_before_drawing(lambda src: src.nonzero_fraction(bound), monkeypatch)
+
+
 @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
 def test_matrix_family_is_the_checked_family(direction):
     got = SampleSource(6, FLOAT).matrix_family(3, (2, 1), size=3, direction=direction)
