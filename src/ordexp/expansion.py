@@ -37,6 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from operator import not_
 
 from .errors import AlgebraError, DimensionMismatch, SingularOperator, UnsupportedOrder, check_order
 from .matrix import SPARSE_FROM, Matrix, lax_fold, lax_log
@@ -158,14 +159,6 @@ class SiteOperatorFamily:
         return AlphaSeries(coeffs)
 
 
-def _site_terms(family: SiteOperatorFamily, site: int, order: int) -> list:
-    """The site's nonzero operators of degree 1..`order`, as (degree, op)
-    pairs, degrees ascending."""
-    entries = family.entries
-    return [(m, entries[site, m]) for m in range(1, order + 1)
-            if (site, m) in entries and not is_zero(entries[site, m])]
-
-
 def _folds(family: SiteOperatorFamily) -> bool:
     """Whether the family's chain products take `matrix.lax_fold`: its
     template is an exact square matrix below `SPARSE_FROM` columns (the
@@ -184,26 +177,36 @@ def _sites(family: SiteOperatorFamily, descending: bool) -> range:
 
 
 def _steps(family: SiteOperatorFamily, order: int, sites) -> list:
-    """Each site's nonzero (degree, operator) pairs, in the order of `sites`:
-    the chain as `matrix.lax_fold` and `matrix.lax_log` take it."""
-    return [_site_terms(family, site, order) for site in sites]
+    """Each site's nonzero (degree, operator) pairs of degree 1..`order`,
+    degrees ascending, in the order of `sites`: the chain as
+    `matrix.lax_fold` and `matrix.lax_log` take it, from one pass over the
+    family's entries."""
+    # the family holds matrices alone or scalars alone
+    zero = Matrix.is_zero if isinstance(family.like, Matrix) else not_
+    terms = [[] for _ in range(family.n_sites + 1)]
+    for (site, m), op in family.entries.items():
+        if m <= order and not zero(op):
+            terms[site].append((m, op))
+    return [sorted(terms[site]) for site in sites]
 
 
-def _walk(family: SiteOperatorFamily, order: int, sites, left: bool, every: bool) -> list:
+def _walk(family: SiteOperatorFamily, order: int, sites, left: bool, every: bool, laxes=None) -> list:
     """The products of the site series, one site at a time in the order of
     `sites`, each multiplying on the left (`left`) or the right: [1, then
     the product after each site] when `every`, otherwise [the last one].
     An exact family that `_folds` takes `matrix.lax_fold`, with the values
     of the series products; any other, floats included, is that plain fold
-    of `lax_series` products."""
+    of `lax_series` products, which reads them from `laxes`, in the order
+    of `sites`, when the caller has formed them already."""
     check_order(order)
     if _folds(family):
         steps = _steps(family, order, sites)
         return [AlphaSeries(c) for c in lax_fold(family.like, steps, order, left, every)]
+    if laxes is None:
+        laxes = (family.lax_series(site, order) for site in sites)
     t = AlphaSeries.one(order, like=family.like)
     out = [t]
-    for site in sites:
-        lax = family.lax_series(site, order)
+    for lax in laxes:
         t = lax * t if left else t * lax
         if every:
             out.append(t)
@@ -233,11 +236,13 @@ def chain_walk(family: SiteOperatorFamily, order: int, direction: str):
     T_1 = 1, T_{n+1} = L_n T_n (forward) or T_n L_n (backward), the side
     set by `direction`, not by the family's own direction; any other
     `direction` is an AlgebraError.  The prefixes come from one `_walk`
-    over the sites, as for `ordered_product`."""
+    over the sites, as for `ordered_product`, which multiplies by the
+    series returned rather than forming them again."""
     if direction not in (FORWARD, BACKWARD):
         raise AlgebraError(f"unknown direction {direction!r}")
-    laxes = [family.lax_series(n, order) for n in range(1, family.n_sites + 1)]
-    prefixes = _walk(family, order, range(1, family.n_sites + 1), left=direction == FORWARD, every=True)
+    sites = range(1, family.n_sites + 1)
+    laxes = [family.lax_series(n, order) for n in sites]
+    prefixes = _walk(family, order, sites, left=direction == FORWARD, every=True, laxes=laxes)
     return laxes, prefixes
 
 

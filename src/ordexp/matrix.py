@@ -46,11 +46,13 @@ after summing one stack's blocks into its strict prefix sums.
 for exact square matrices below `SPARSE_FROM` and for exact scalars taken
 as 1 x 1 blocks: the running series stays integer numerators over one
 shared denominator from site to site, and only the series it returns are
-matrices (Fractions for scalars).  Each site is one call of a step
-kernel, compiled on first use for its block size, its degrees and its
-side, never its order, and the series is reduced once per site.  Integer
-sums do not depend on the order of their terms, so its values are those
-of the plain fold of series products.  `lax_log` takes the logarithm of
+matrices (Fractions for scalars).  Each run of consecutive sites with one
+degree tuple, nearly always the whole chain, is one call of a fold
+kernel compiled on first use for its block size, its degrees, its side
+and its kind (matrix or scalar), never its order, whose loop walks the
+run's sites and reduces the series once per site.  Integer sums do not
+depend on the order of their terms, so its values are those of the plain
+fold of series products.  `lax_log` takes the logarithm of
 that product on the same raw blocks, log(1 + U) = sum_k (-1)^(k+1) U^k / k
 with each power's products by the kernels, and builds only the
 coefficients it returns, with the values and types of `AlphaSeries.log`.
@@ -466,8 +468,8 @@ def _product(a: Matrix, b: Matrix) -> list:
 
 
 # The compiled kernels of the shapes below SPARSE_FROM, one per shape and
-# backend (an exact step kernel per block size, degrees and side), each made
-# on first use; their source is built from its key alone.
+# backend (an exact fold kernel per block size, degrees, side and kind),
+# each made on first use; their source is built from its key alone.
 _KERNELS = {}
 
 
@@ -488,7 +490,7 @@ def _entry(a: str, b: str, i: int, j: int, n: int, cols: int, exact: bool) -> st
 
 
 def _compiled(key: tuple, source: str):
-    namespace = {}
+    namespace = {"gcd": gcd, "lcm": lcm, "from_iterable": chain.from_iterable}
     # a file name per key keeps the kernels apart in a profile
     exec(compile(source, f"<matrix kernel {key}>", "exec"), namespace)
     kernel = _KERNELS[key] = namespace["kernel"]
@@ -601,11 +603,12 @@ def lax_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
     `like` is an exact square matrix below `SPARSE_FROM` columns, or an
     exact scalar (an int or a Fraction, taken as a 1 x 1 block); a float
     one is BackendMismatch.  `sites` holds, in the order they are
-    multiplied in, each site's nonzero operators of degree 1..`order` as
-    (degree, operator) pairs, degrees ascending, all of `like`'s kind.
-    Each site multiplies the running series on the left (`left`) or the
-    right.  The series runs through every site as flat blocks of integer
-    numerators (`_raw_fold`), each site one call of its compiled step
+    multiplied in, each site's operators of degree 1..`order` as (degree,
+    operator) pairs, degrees ascending, all of `like`'s kind; a zero one
+    may be left out, and `expansion` leaves it out.  Each site multiplies
+    the running series on the left (`left`) or the right.  The series runs
+    through every site as flat blocks of integer numerators (`_raw_fold`),
+    each run of sites with one degree tuple one call of its compiled fold
     kernel.  Its coefficients become matrices (Fractions for scalars) only
     in the lists returned: [1, T^(1), ..., T^(order)] before the first
     site and after each one when `every`, otherwise after the last site
@@ -622,8 +625,9 @@ def lax_log(like, sites: list, order: int) -> list:
     `lax_fold(like, sites, order, False, False)` gives, on its raw blocks.
 
     It forms log(1 + U) = sum_k (-1)^(k+1) U^k / k for k = 1..order, U the
-    product's coefficients T^(1)..T^(order), and builds only the matrices
-    (Fractions for scalars) it returns.  Coefficient n of U^k = U^(k-1) U
+    product's coefficients T^(1)..T^(order) as `_raw_fold`'s fold kernels
+    leave them, and builds only the matrices (Fractions for scalars) it
+    returns.  Coefficient n of U^k = U^(k-1) U
     adds the products of its nonzero block pairs by `_product_kernel`, and
     each power is reduced once, over one denominator, as is each
     coefficient returned, so values and types are those of
@@ -670,11 +674,10 @@ def _raw_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
     once before the first site and after each one when `every`, otherwise
     after the last site alone.  A float `like` is BackendMismatch.
 
-    A site is one call of the compiled step kernel of its block size and
-    degrees (`_step_kernel`), on its operators' numerators over one
-    denominator dl, and the series is reduced once per site; a site with no
-    operators leaves it as it is.  Integer sums do not depend on the order
-    of their terms, so the kernel forms every term, zero ones included.
+    Each run of consecutive sites whose operators have one degree tuple is
+    one call of the compiled fold kernel of its block size, degrees, side
+    and kind (`_fold_kernel`), which walks the whole run; a site with no
+    operators leaves the series as it is.
     """
     matrix = isinstance(like, Matrix)
     if isinstance(like, float) or matrix and like.den is None:
@@ -682,32 +685,39 @@ def _raw_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
     d = like.cols if matrix else 1
     # T^(1)..T^(order) over the denominator dt
     t, dt = [[0] * (d * d)] * order, 1
-    out = [(t, dt)] if every else []
-    for ops in sites:
+    out = [(t, dt)] if every else None
+    i = 0
+    while i < len(sites):
+        ops = sites[i]
         if ops:
-            blocks = [(op.num, op.den) if matrix else ([op.numerator], op.denominator) for _, op in ops]
-            dl = lcm(*(dm for _, dm in blocks))
-            blocks = [num if dm == dl else [v * (dl // dm) for v in num] for num, dm in blocks]
-            step = _step_kernel(d, tuple(m for m, _ in ops), left)
-            t, dt = _reduced_blocks(step(t, blocks, dt, dl), dt * dl)
-        if every:
-            out.append((t, dt))
+            kernel = _fold_kernel(d, tuple([m for m, _ in ops]), left, matrix)
+            t, dt, i = kernel(t, dt, sites, i, out)
+        else:
+            i += 1
+            if every:
+                out.append((t, dt))
     return out if every else [(t, dt)]
 
 
-def _step_kernel(d: int, degrees: tuple, left: bool):
-    """`kernel(T, L, dt, dl)`: the exact Lax step of one site on flat d x d
-    blocks, every coefficient n = 1..len(T) as the numerators
-    dl*T^(n) + dt*L^(n) + sum_{m < n} L^(m) T^(n-m) (`left`; T^(n-m) L^(m)
-    on the right), over dt*dl before any reduction.
+def _fold_kernel(d: int, degrees: tuple, left: bool, matrix: bool):
+    """`kernel(T, dt, sites, i, out)`: the exact Lax steps, on flat d x d
+    blocks, of the run of sites from `sites[i]` on whose operators have
+    `degrees` (ascending, none above the order); it returns (T, dt, j), j
+    the first site not taken: one of other degrees, or the end.
 
-    T holds T^(1)..T^(order) over dt and L the site's blocks of `degrees`,
-    ascending, over dl; no degree lies above the order.  Coefficients 1 up
-    to the largest degree are one straight-line expression per entry, and
-    each later one is a pass of one loop whose body has every degree's
-    product, so the source grows with d and the degrees but not with the
+    T holds T^(1)..T^(order) over dt.  Each site reads its operators'
+    numerators and denominators (a matrix's `num` and `den`, or when not
+    `matrix` a scalar's `numerator` and `denominator`, as a 1 x 1 block),
+    puts them over one dl, and forms each coefficient n = 1..order as the
+    numerators dl*T^(n) + dt*L^(n) + sum_{m < n} L^(m) T^(n-m) (`left`;
+    T^(n-m) L^(m) on the right) over dt*dl, divided by their gcd unless
+    dt*dl is 1; then (T, dt) goes to `out` unless it is None.  Integer sums
+    do not depend on the order of their terms, so every term is formed,
+    zero ones included.  Coefficients through the largest degree are one
+    straight-line expression per entry, and each later one is a pass of one
+    loop, so the source grows with d and the degrees but not with the
     order."""
-    key = ("step", d, degrees, left)
+    key = ("fold", d, degrees, left, matrix)
     kernel = _KERNELS.get(key)
     if kernel is None:
         size, top = d * d, degrees[-1]
@@ -727,18 +737,48 @@ def _step_kernel(d: int, degrees: tuple, left: bool):
                     entries.append(" + ".join(terms))
             return f"[{', '.join(entries)}]"
 
-        laxes = "".join(f"    {_names(f'l{m}_', size)}= L[{k}]\n" for k, m in enumerate(degrees))
-        head = "".join(f"    {_names(f't{n}_', size)}= T[{n - 1}]\n" for n in range(1, top + 1))
-        lows = "".join(f"        {_names(f'u{m}_', size)}= T[n - {m}]\n" for m in degrees)
+        pad = " " * 8
+        # each operator's numerators and denominator; a scalar's numerator is a 1-tuple
+        if matrix:
+            num, den, scaled = "a{0}.num", "a{0}.den", "[v * (dl // e{0}) for v in a{0}.num]"
+        else:
+            num, den, scaled = "(a{0}.numerator,)", "a{0}.denominator", "(a{0}.numerator * (dl // e{0}),)"
+        if len(degrees) == 1:
+            read = f"{pad}dl = {den.format(top)}\n{pad}{_names(f'l{top}_', size)}= {num.format(top)}\n"
+        else:
+            # a degree whose denominator is not dl is scaled up to it
+            dens = ", ".join(f"e{m}" for m in degrees)
+            read = (f"{pad}{dens} = {', '.join(den.format(m) for m in degrees)}\n"
+                    f"{pad}dl = lcm({dens})\n")
+            read += "".join(f"{pad}{_names(f'l{m}_', size)}= {num.format(m)} if e{m} == dl else {scaled.format(m)}\n"
+                            for m in degrees)
+        head = "".join(f"{pad}{_names(f't{n}_', size)}= T[{n - 1}]\n" for n in range(1, top + 1))
+        lows = "".join(f"{pad}    {_names(f'u{m}_', size)}= T[n - {m}]\n" for m in degrees)
         first = ", ".join(coefficient(n, f"t{n}_", lambda m, n=n: f"t{n - m}_") for n in range(1, top + 1))
-        kernel = _compiled(key, f"def kernel(T, L, dt, dl):\n"
-                                f"{laxes}{head}"
-                                f"    out = [{first}]\n"
-                                f"    for n in range({top}, len(T)):\n"
-                                f"        {_names('s', size)}= T[n]\n"
+        kernel = _compiled(key, f"def kernel(T, dt, sites, i, out):\n"
+                                f"    for i in range(i, len(sites)):\n"
+                                f"        ops = sites[i]\n"
+                                f"        if len(ops) != {len(degrees)}:\n"
+                                f"            return T, dt, i\n"
+                                f"        {''.join(f'(m{m}, a{m}), ' for m in degrees)}= ops\n"
+                                f"        if {' or '.join(f'm{m} != {m}' for m in degrees)}:\n"
+                                f"            return T, dt, i\n"
+                                f"{read}{head}"
+                                f"        N = [{first}]\n"
+                                f"        for n in range({top}, len(T)):\n"
+                                f"            {_names('s', size)}= T[n]\n"
                                 f"{lows}"
-                                f"        out.append({coefficient(top + 1, 's', lambda m: f'u{m}_')})\n"
-                                f"    return out\n")
+                                f"            N.append({coefficient(top + 1, 's', lambda m: f'u{m}_')})\n"
+                                f"        dt *= dl\n"
+                                f"        if dt != 1:\n"
+                                f"            g = gcd(dt, *from_iterable(N))\n"
+                                f"            if g != 1:\n"
+                                f"                N = [[x // g for x in b] for b in N]\n"
+                                f"                dt //= g\n"
+                                f"        T = N\n"
+                                f"        if out is not None:\n"
+                                f"            out.append((T, dt))\n"
+                                f"    return T, dt, len(sites)\n")
     return kernel
 
 

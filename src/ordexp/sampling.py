@@ -43,11 +43,21 @@ from .report import EXACT, FLOAT
 from .rotabaxter import SiteSequence
 
 
+def _bound(bound) -> int:
+    """`bound` itself when it is a plain int, a bool not included; otherwise
+    AlgebraError.  Every bound a draw takes is checked here, before a word
+    is drawn."""
+    if type(bound) is not int:
+        raise AlgebraError(f"a draw bound is a plain int, got {bound!r}")
+    return bound
+
+
 class SampleSource:
     """Seeded draw stream with labeled, order-independent substreams.
 
     The seed is an int in 0..2**64-1 and `backend` exact or float; anything
-    else raises AlgebraError.  The backend is passed on to every child stream.
+    else raises AlgebraError, as does a draw bound that is not a plain int
+    (`_bound`).  The backend is passed on to every child stream.
     """
 
     __slots__ = ("seed", "backend", "_rng")
@@ -85,23 +95,28 @@ class SampleSource:
             out += [w + low for w in map(bits, repeat(k, count - len(out))) if w < n]
         return out
 
+    def _signed(self, count: int, bound: int) -> list:
+        """`_ints(count, -bound, bound)`, the bound checked before it is negated."""
+        bound = _bound(bound)
+        return self._ints(count, -bound, bound)
+
     def _matrices(self, count: int, size: int, bound: int) -> list:
         """`count` exact `size` x `size` matrices of entries in -bound..bound,
         drawn in one call and cut in draw order, each row by row."""
         step = size * size
-        values = self._ints(count * step, -bound, bound)
+        values = self._signed(count * step, bound)
         return [Matrix.from_ints(values[i * step:(i + 1) * step], size, size)
                 for i in range(count)]
 
     def integer(self, low: int, high: int) -> int:
-        return self._ints(1, low, high)[0]
+        return self._ints(1, _bound(low), _bound(high))[0]
 
     def fraction(self, bound: int = 3) -> Fraction:
-        return Fraction(self.integer(-bound, bound))
+        return Fraction(self._signed(1, bound)[0])
 
     def nonzero_fraction(self, bound: int = 3) -> Fraction:
         """A nonzero draw of `fraction(bound)`, for a `bound` of at least 1."""
-        if bound < 1:
+        if _bound(bound) < 1:
             raise AlgebraError(f"a nonzero draw needs a bound of at least 1, got {bound!r}")
         while True:
             f = self.fraction(bound)
@@ -110,7 +125,7 @@ class SampleSource:
 
     def _exact_matrix(self, rows: int, cols: int, bound: int) -> Matrix:
         # The draws of `fraction(bound)` row by row, kept as ints over den = 1.
-        return Matrix.from_ints(self._ints(rows * cols, -bound, bound), rows, cols)
+        return Matrix.from_ints(self._signed(rows * cols, bound), rows, cols)
 
     def matrix(self, size: int = 2, bound: int = 3) -> Matrix:
         return self.cast(self._exact_matrix(size, size, bound))

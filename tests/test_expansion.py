@@ -605,6 +605,26 @@ def test_each_kind_takes_one_path(kind, monkeypatch):
     magnus_oracle(fam, 3)
 
 
+@pytest.mark.parametrize("kind", sorted(LAX_KINDS))
+def test_chain_walk_forms_each_site_series_once(kind, monkeypatch):
+    # the prefixes of a chain the fold does not take multiply by the series
+    # `chain_walk` returns, not by a second copy of each
+    formed = []
+    real = SiteOperatorFamily.lax_series
+
+    def spy(family, site, order):
+        formed.append(site)
+        return real(family, site, order)
+
+    fam = lax_family(kind, 4, FORWARD, 0)
+    monkeypatch.setattr(SiteOperatorFamily, "lax_series", spy)
+    for walk in (FORWARD, BACKWARD):
+        formed.clear()
+        laxes, prefixes = chain_walk(fam, 3, walk)
+        assert formed == [1, 2, 3, 4]
+        assert prefixes == plain_fold(fam, 3, range(1, 5), walk == FORWARD)
+
+
 @pytest.mark.parametrize("kind", sorted(EDGE_KINDS))
 @pytest.mark.parametrize("n_sites,order", [(1, 4), (3, 3), (4, 4), (5, 6)])
 def test_float_chains_with_non_finite_entries_keep_the_reference_bits(kind, n_sites, order, bits):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from ordexp import matrix, ops
 from ordexp.errors import BackendMismatch, DimensionMismatch, SingularOperator
 from ordexp.freealg import FreeElement
+from ordexp.series import AlphaSeries
 from ordexp.matrix import (
     SPARSE_FROM,
     Matrix,
@@ -1080,7 +1081,7 @@ def test_every_small_fused_kernel_is_the_dense_loop_bit_for_bit(n_blocks, kind, 
 
 def test_kernels_are_compiled_on_first_use_and_only_below_the_size_rule():
     # a fresh interpreter: importing compiles nothing, an exact chain folded
-    # at order 4 and at order 12 compiles one step kernel, and a seed-1 pass
+    # at order 4 and at order 12 compiles one fold kernel, and a seed-1 pass
     # of every suite on both backends and of some expand requests makes
     # kernels only for shapes below the size rule, though yangian multiplies
     # 8x8 and larger operators
@@ -1107,16 +1108,16 @@ print(repr(sorted(matrix._KERNELS, key=repr)))
                           check=True, env={**os.environ, "PYTHONPATH": SRC})
     lines = done.stdout.splitlines()
     assert lines[0] == "0"
-    # the step kernel's key has no order in it
-    assert ast.literal_eval(lines[1]) == ast.literal_eval(lines[2]) == [("step", 2, (1, 3), True)]
+    # the fold kernel's key has no order in it
+    assert ast.literal_eval(lines[1]) == ast.literal_eval(lines[2]) == [("fold", 2, (1, 3), True, True)]
     keys = ast.literal_eval(lines[-1])
     assert ("product", 2, 2, 2, True) in keys and ("prelie", 2, False) in keys
-    assert any(key[0] == "step" and key[1] > 2 for key in keys)
+    assert any(key[0] == "fold" and key[1] > 2 for key in keys)
     for key in keys:
-        if key[0] == "step":
-            # (kind, block size, degrees, left)
-            _, d, degrees, left = key
-            assert 1 <= d < SPARSE_FROM and left in (True, False)
+        if key[0] == "fold":
+            # (kind, block size, degrees, left, matrix or scalar)
+            _, d, degrees, left, matrix_kind = key
+            assert 1 <= d < SPARSE_FROM and left in (True, False) and matrix_kind in (True, False)
             assert type(degrees) is tuple and degrees == tuple(sorted(set(degrees)))
             assert all(type(m) is int and m >= 1 for m in degrees)
             continue
@@ -1230,3 +1231,68 @@ def test_the_chain_fold_and_its_log_refuse_a_float_template(like, n_sites):
         lax_fold(like, sites, 2, True, False)
     with pytest.raises(BackendMismatch):
         lax_log(like, sites, 2)
+
+
+@st.composite
+def exact_chains(draw):
+    """(like, sites, order): a chain of exact scalars (d = 0; ints and
+    Fractions) or of exact d x d matrices, d = 1..7, as `lax_fold` takes it.
+    A site holds up to three of the degrees 1..order with denominators
+    drawn apart, now and then a zero operator, or none at all, so the
+    degree tuple changes along the chain."""
+    d = draw(st.integers(0, 7))
+    order = draw(st.integers(1, 5))
+    sites = []
+    for _ in range(draw(st.integers(0, 6))):
+        pairs = []
+        for m in sorted(draw(st.sets(st.integers(1, order), max_size=3))):
+            den = draw(st.sampled_from((1, 1, 2, 3, 4, 6)))
+            zero = draw(st.integers(0, 9)) == 0
+            if d == 0:
+                value = Fraction(draw(st.integers(-3, 3)) * (not zero), den)
+                pairs.append((m, int(value) if value.denominator == 1 and draw(st.booleans()) else value))
+            else:
+                nums = draw(st.lists(st.integers(-3, 3), min_size=d * d, max_size=d * d))
+                pairs.append((m, Matrix([[Fraction(v * (not zero), den) for v in nums[i:i + d]]
+                                       for i in range(0, d * d, d)])))
+        sites.append(pairs)
+    return (Fraction(1) if d == 0 else Matrix.identity(d)), sites, order
+
+
+def plain_site_series(like, pairs, order):
+    """A site's series 1 + sum_m alpha^m L^(m), each coefficient plus the
+    template's zero, as `SiteOperatorFamily.lax_series` forms it."""
+    zero, given = ops.zero_like(like), dict(pairs)
+    return AlphaSeries([ops.one_like(like)] + [given.get(m, zero) + zero for m in range(1, order + 1)])
+
+
+def same_series(got: list, want: AlphaSeries):
+    assert got == list(want.coeffs)
+    assert [type(c) for c in got] == [type(c) for c in want.coeffs]
+    assert [hash(c) for c in got] == [hash(c) for c in want.coeffs]
+    assert hash(AlphaSeries(got)) == hash(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_chains())
+def test_the_chain_fold_and_its_log_are_the_plain_series_products(case):
+    like, sites, order = case
+    laxes = [plain_site_series(like, site, order) for site in sites]
+    for left in (True, False):
+        t = AlphaSeries.one(order, like=like)
+        want = [t]
+        for lax in laxes:
+            t = lax * t if left else t * lax
+            want.append(t)
+        got = lax_fold(like, sites, order, left, True)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            same_series(g, w)
+        last, = lax_fold(like, sites, order, left, False)
+        same_series(last, want[-1])
+        # the raw blocks are reduced after every site, so the integers stay small
+        assert all(gcd(dt, *(x for b in t for x in b)) == 1 for t, dt in matrix._raw_fold(like, sites, order, left, True))
+    log = t.log()
+    got = lax_log(like, sites, order)
+    assert [type(q) for q in got] == [type(q) for q in log.coeffs[1:]]
+    assert got == list(log.coeffs[1:]) and list(map(hash, got)) == list(map(hash, log.coeffs[1:]))

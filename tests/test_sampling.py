@@ -242,6 +242,24 @@ def test_a_nonzero_fraction_below_bound_1_is_refused_before_drawing(bound, monke
     refused_before_drawing(lambda src: src.nonzero_fraction(bound), monkeypatch)
 
 
+# every draw that takes a bound, with the bad one in its place
+BOUNDED_DRAWS = {
+    "integer-high": lambda src, bad: src.integer(0, bad),
+    "integer-low": lambda src, bad: src.integer(bad, 2),
+    "fraction": lambda src, bad: src.fraction(bad),
+    "nonzero_fraction": lambda src, bad: src.nonzero_fraction(bad),
+    "matrix": lambda src, bad: src.matrix(2, bad),
+    "invertible_matrix": lambda src, bad: src.invertible_matrix(2, bad),
+    "matrix_family": lambda src, bad: src.matrix_family(2, (1,), 2, bad),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "3"])
+@pytest.mark.parametrize("draw", sorted(BOUNDED_DRAWS))
+def test_a_draw_bound_that_is_not_a_plain_int_is_refused_before_drawing(draw, bad, monkeypatch):
+    refused_before_drawing(lambda src: BOUNDED_DRAWS[draw](src, bad), monkeypatch)
+
+
 @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
 def test_matrix_family_is_the_checked_family(direction):
     got = SampleSource(6, FLOAT).matrix_family(3, (2, 1), size=3, direction=direction)
