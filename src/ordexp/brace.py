@@ -8,32 +8,31 @@ with W(a) o W(b) = W(C(a, b)) is read off from log(exp exp) in the free
 associative algebra and reduced to nested brackets, so no BCH coefficient
 is ever hand-coded.
 
-Nothing is computed twice: each brace residual computes Omega(a) once for
-its left factor a, the BCH word table is built once per truncation depth
-(from the free element's `named_words`, in the order it stores them, which
-fixes the order of the float sum) and then only read, and `bch` brackets
-each left-nested word prefix once, so a word xyx reuses [x, y].  The
-pre-Lie product itself is the callable the elements carry, and a component
-value may be anything with addition, subtraction, negation, scalar
-multiples and a zero test.  The brace suite stores each degree as one site
-stack (the sites' matrices on top of each other, one `Matrix`), so each of
-those is one matrix operation, and its product is
-`matrix.stack_prelie_left`, one fused kernel call over all sites.  It gives
-the elements of one case (one flow-inverse element, one left-law triple,
-one flow-composition draw) one `functools.cache` of that product, keyed on
-the operands' values, so each distinct product is made once per case, and
-the cache is freed with the case's elements.  A difference subtracts
-component by component, and a degree only the subtrahend has enters as its
-negation, so no intermediate negated element is built; in IEEE arithmetic
-x - y is x + (-y), so it rounds as adding the negation does.
+Omega of an exact element is one pass in degree order, the pre-Lie Magnus
+recursion (`_omega_pass`, which `continuum` runs on its fields too); a float
+element keeps `order` fixed-point sweeps, whose rounding the float reports
+follow.  Nothing else is computed twice: each brace residual computes
+Omega(a) once for its left factor a, the BCH word table is built once per
+truncation depth (from the free element's `named_words`, in the order it
+stores them, which fixes the order of the float sum) and then only read,
+and `bch` brackets each left-nested word prefix once, so a word xyx reuses
+[x, y].  The pre-Lie product itself is the callable the elements carry, and
+a component value may be anything with addition, subtraction, negation,
+scalar multiples and a zero test; the brace suite's are site stacks under
+one cached `matrix.stack_prelie_left` per case (see `suites.brace_suite`).
+A difference subtracts component by component, and a degree only the
+subtrahend has enters as its negation, so no intermediate negated element
+is built; in IEEE arithmetic x - y is x + (-y), so it rounds as adding the
+negation does.
 """
 
 from fractions import Fraction
 from functools import cache
+from math import factorial
 
 from .errors import BackendMismatch, DimensionMismatch, check_order
 from .freealg import FreeElement
-from .ops import worst
+from .ops import max_abs, worst
 from .series import AlphaSeries
 
 
@@ -144,6 +143,26 @@ class GradedPreLieElement:
         return f"GradedPreLieElement(order={self.order}, degrees=[{degs}])"
 
 
+def _omega_pass(b: dict, product, order: int) -> dict:
+    """Omega(b), degree by degree, in one pass: with P_0 = x and
+    [P_k]_d = sum over d1 of x_d1 |> [P_(k-1)]_(d-d1), the pre-Lie Magnus
+    recursion x_d = b_d - sum_{k=1}^{d-1} [P_k]_d / (k+1)! reads W's series
+    backwards, and degree d needs only lower ones.  Only nonzero parts are
+    kept, so only products of nonzero parts are made."""
+    power = {}  # power[k, d] = [P_k]_d; P_0 = x
+    for d in range(1, order + 1):
+        parts = [b[d]] if d in b else []
+        for k in range(1, d):
+            terms = [product(power[0, d1], power[k - 1, d - d1]) for d1 in range(1, d)
+                     if (0, d1) in power and (k - 1, d - d1) in power]
+            if terms and not (p := sum(terms[1:], terms[0])).is_zero():
+                power[k, d] = p
+                parts.append(p * Fraction(-1, factorial(k + 1)))
+        if parts and not (x := sum(parts[1:], parts[0])).is_zero():
+            power[0, d] = x
+    return {d: v for (k, d), v in power.items() if not k}
+
+
 def _flow(a: GradedPreLieElement, start: GradedPreLieElement, first: int) -> GradedPreLieElement:
     """start + t_first + t_{first+1} + ..., where t_{first-1} = start and
     t_k = a|>t_{k-1} / k; stops at the first zero term or at the order."""
@@ -168,11 +187,13 @@ def w_map(a: GradedPreLieElement) -> GradedPreLieElement:
 
 
 def omega_map(b: GradedPreLieElement) -> GradedPreLieElement:
-    """The compositional inverse of w_map, solved degree by degree.
-
-    Each fixed-point sweep x <- b - (W(x) - x) settles one more degree,
-    since the degree-d part of W(x) - x only involves lower degrees of x.
-    """
+    """The compositional inverse of w_map, solved degree by degree: by
+    `_omega_pass` when `b.like` is exact (its `max_abs` is no float), else by
+    the reference sweeps x <- b - (W(x) - x), each settling one more degree,
+    whose rounding the float reports' bits follow."""
+    if not isinstance(max_abs(b.like), float):
+        return GradedPreLieElement(b.order, _omega_pass(b.components, b.product, b.order),
+                                   b.product, like=b.like)
     x = b
     for _ in range(b.order):
         x = b - (w_map(x) - x)

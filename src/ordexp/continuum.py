@@ -17,10 +17,11 @@ numeric points for finite-difference and rate checks.
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import product
 from operator import mul
 
+from .brace import _omega_pass
 from .errors import AlgebraError, BackendMismatch, DimensionMismatch, UnsupportedOrder, check_order
 from .expansion import FORWARD, SiteOperatorFamily, compositions, magnus_oracle
 from .matrix import Matrix, poly_grid
@@ -121,19 +122,9 @@ def _magnus_explicit(field: MatrixField, order: int) -> dict:
 
 
 def _magnus_prelie(field: MatrixField, order: int) -> dict:
-    if order >= 4:
-        raise UnsupportedOrder("pre-Lie continuous Magnus terms stop at order 3")
-    a = field.poly
-    x0 = field.x0
-    out = {1: a.integrate(x0)}
-    if order >= 2:
-        aa = field_prelie(field, a, a)
-        out[2] = (Fraction(-1, 2) * aa).integrate(x0)
-    if order >= 3:
-        left = field_prelie(field, aa, a)
-        right = field_prelie(field, a, aa)
-        out[3] = (Fraction(1, 4) * left + Fraction(1, 12) * right).integrate(x0)
-    return out
+    """Q^(m) integrates Omega(A)'s degree m, A of degree 1 under `field_prelie`."""
+    omega = _omega_pass({1: field.poly}, partial(field_prelie, field), order)
+    return {m: omega.get(m, Poly()).integrate(field.x0) for m in range(1, order + 1)}
 
 
 def magnus_continuous(field: MatrixField, order: int = 3, style: str = "prelie") -> dict:

@@ -83,7 +83,7 @@ from itertools import chain, compress, product as iproduct
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 
-from .errors import BackendMismatch, DimensionMismatch, SingularOperator
+from .errors import AlgebraError, BackendMismatch, DimensionMismatch, SingularOperator
 
 # The scalar operator types, read by `freealg` and re-exported by `ops`.
 SCALARS = (int, Fraction, float)
@@ -676,9 +676,9 @@ def _raw_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
 
     Each run of consecutive sites whose operators have one degree tuple is
     one call of the compiled fold kernel of its block size, degrees, side
-    and kind (`_fold_kernel`), which walks the whole run; a site with no
-    operators leaves the series as it is.
-    """
+    and kind (`_fold_kernel`), which walks the whole run, unless its degrees
+    are not ascending in 1..order (AlgebraError); a site with no operators
+    leaves the series as it is."""
     matrix = isinstance(like, Matrix)
     if isinstance(like, float) or matrix and like.den is None:
         raise BackendMismatch("the chain fold takes exact operators only")
@@ -690,7 +690,10 @@ def _raw_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
     while i < len(sites):
         ops = sites[i]
         if ops:
-            kernel = _fold_kernel(d, tuple([m for m, _ in ops]), left, matrix)
+            degrees = tuple([m for m, _ in ops])
+            if sorted(set(degrees)) != list(degrees) or not 0 < degrees[0] <= degrees[-1] <= order:
+                raise AlgebraError(f"site degrees {degrees} are not ascending within 1..{order}")
+            kernel = _fold_kernel(d, degrees, left, matrix)
             t, dt, i = kernel(t, dt, sites, i, out)
         else:
             i += 1

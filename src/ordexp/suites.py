@@ -369,9 +369,9 @@ def brace_suite(cfg: SuiteConfig) -> VerificationReport:
 
     # One case (a flow-inverse element, a left-law triple, a flow-composition
     # draw) shares one product cached on its operands' values, so the
-    # products it repeats are made once: Omega's later sweeps redo the
-    # settled degrees, and the residuals rebuild W and Omega on the same
-    # elements.  `Matrix` equality and hash read shape, `den` and entries,
+    # products it repeats are made once: the residuals rebuild W and Omega
+    # on the same elements, and on floats Omega's later sweeps redo the
+    # settled degrees.  `Matrix` equality and hash read shape, `den` and entries,
     # so equal stacks that are distinct objects hit, and an exact and a
     # float stack never meet.  A hit returns the earlier result itself; on
     # floats only the sign of a zero entry can differ from recomputing,

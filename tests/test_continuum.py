@@ -175,13 +175,30 @@ class TestMagnusContinuous:
                 assert (explicit[m] - prelie[m]).is_zero()
 
     def test_order_bounds(self):
+        # only the explicit commutator integrals stop at order 3
+        with pytest.raises(UnsupportedOrder):
+            magnus_continuous(affine_field(), 4, "explicit")
+        assert len(magnus_continuous(affine_field(), 4, "prelie")) == 4
         for style in STYLES:
-            with pytest.raises(UnsupportedOrder):
-                magnus_continuous(affine_field(), 4, style)
             with pytest.raises(UnsupportedOrder):
                 magnus_continuous(affine_field(), 0, style)
         with pytest.raises(AlgebraError):
             magnus_continuous(affine_field(), 2, style="nope")
+
+    @settings(max_examples=15, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), degrees=st.sets(st.integers(0, 2), min_size=1),
+           x0=st.sampled_from([F(0), F(-1, 2)]), data=st.data())
+    def test_prelie_matches_the_references_past_order_three(self, dim, degrees, x0, data):
+        # the pre-Lie recursion runs to any order: the Bernoulli fixed point
+        # at orders 4 and 5, the commutator integrals through order 3
+        entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+        coeffs = {(d,): Matrix([[data.draw(entry) for _ in range(dim)] for _ in range(dim)])
+                  for d in sorted(degrees)}
+        assume(any(not c.is_zero() for c in coeffs.values()))
+        field = MatrixField(Poly(coeffs), x0, x0 + 1)
+        for order in (4, 5):
+            assert magnus_continuous(field, order) == magnus_bernoulli_iterate(field, order, order)
+        assert magnus_continuous(field, 3) == magnus_continuous(field, 3, "explicit")
 
 
 class TestBernoulliIteration:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordexp import matrix, ops
-from ordexp.errors import BackendMismatch, DimensionMismatch, SingularOperator
+from ordexp.errors import AlgebraError, BackendMismatch, DimensionMismatch, SingularOperator
 from ordexp.freealg import FreeElement
 from ordexp.series import AlphaSeries
 from ordexp.matrix import (
@@ -1231,6 +1231,23 @@ def test_the_chain_fold_and_its_log_refuse_a_float_template(like, n_sites):
         lax_fold(like, sites, 2, True, False)
     with pytest.raises(BackendMismatch):
         lax_log(like, sites, 2)
+
+
+@pytest.mark.parametrize("site", [
+    [(2, Fraction(1, 2)), (1, Fraction(1))],  # descending
+    [(1, Fraction(1)), (1, Fraction(2))],  # repeated
+    [(1, Fraction(1)), (4, Fraction(1))],  # above the order
+    [(0, Fraction(1))],  # below 1
+], ids=["descending", "repeated", "above-order", "zero"])
+def test_the_chain_fold_and_its_log_refuse_a_malformed_site(site):
+    # checked once per run of sites with one degree tuple, before its kernel
+    sites = [[(1, Fraction(1))], site]
+    with pytest.raises(AlgebraError):
+        lax_fold(Fraction(1), sites, 3, True, True)
+    with pytest.raises(AlgebraError):
+        lax_log(Fraction(1), sites, 3)
+    with pytest.raises(AlgebraError):
+        lax_log(Matrix.identity(2), [[(m, Matrix.identity(2) * v) for m, v in site]], 3)
 
 
 @st.composite
