@@ -32,7 +32,7 @@ from math import factorial
 
 from .errors import BackendMismatch, DimensionMismatch, check_order
 from .freealg import FreeElement
-from .ops import max_abs, worst
+from .ops import worst
 from .series import AlphaSeries
 
 
@@ -188,10 +188,10 @@ def w_map(a: GradedPreLieElement) -> GradedPreLieElement:
 
 def omega_map(b: GradedPreLieElement) -> GradedPreLieElement:
     """The compositional inverse of w_map, solved degree by degree: by
-    `_omega_pass` when `b.like` is exact (its `max_abs` is no float), else by
-    the reference sweeps x <- b - (W(x) - x), each settling one more degree,
-    whose rounding the float reports' bits follow."""
-    if not isinstance(max_abs(b.like), float):
+    `_omega_pass` when `b`'s components are exact (its `max_abs` is no float),
+    else by the reference sweeps x <- b - (W(x) - x), each settling one more
+    degree, whose rounding the float reports' bits follow."""
+    if not isinstance(b.max_abs(), float):
         return GradedPreLieElement(b.order, _omega_pass(b.components, b.product, b.order),
                                    b.product, like=b.like)
     x = b

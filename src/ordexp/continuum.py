@@ -17,7 +17,7 @@ numeric points for finite-difference and rate checks.
 
 import math
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from itertools import product
 from operator import mul
 
@@ -122,9 +122,18 @@ def _magnus_explicit(field: MatrixField, order: int) -> dict:
 
 
 def _magnus_prelie(field: MatrixField, order: int) -> dict:
-    """Q^(m) integrates Omega(A)'s degree m, A of degree 1 under `field_prelie`."""
-    omega = _omega_pass({1: field.poly}, partial(field_prelie, field), order)
-    return {m: omega.get(m, Poly()).integrate(field.x0) for m in range(1, order + 1)}
+    """Q^(m) integrates x_m, Omega(A)'s degree m, A of degree 1 under
+    `field_prelie`; every left operand of the pass is some x_d, so each x_d
+    is integrated once, for Q^(d) and for the products it enters."""
+    integrals = {}  # id(x_d) -> (x_d, its integral); holding x_d keeps its id its own
+
+    def integral(x: Poly) -> Poly:
+        if id(x) not in integrals:
+            integrals[id(x)] = x, x.integrate(field.x0)
+        return integrals[id(x)][1]
+
+    omega = _omega_pass({1: field.poly}, lambda a, b: commutator(integral(a), b), order)
+    return {m: integral(omega[m]) if m in omega else Poly() for m in range(1, order + 1)}
 
 
 def magnus_continuous(field: MatrixField, order: int = 3, style: str = "prelie") -> dict:

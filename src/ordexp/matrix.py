@@ -16,12 +16,12 @@ only and has `den = None`; the row store drops zeros of both signs, so a
 -0.0 entry of a matrix with `SPARSE_FROM` or more columns reads 0.0 (no
 report prints a float entry: they print `max_abs`).  Only this module reads
 or writes either store, so each operation that needs it is here: the
-arithmetic, `from_ints` for the sampled draws, `unit_product` for the
-products by the unit, the pre-Lie products on site stacks, the chain fold
-`lax_fold` and its logarithm `lax_log`, `poly_grid` for the values of a
-matrix polynomial on a grid of points, and the tensor legs below.  Each
-operation has one body per store, and on the row store costs only the
-nonzero entries.  An exact and
+arithmetic, `from_ints` for the sampled draws, the pre-Lie products on
+site stacks, the chain fold `lax_fold` and its logarithm `lax_log`,
+`poly_grid` for the values of a matrix polynomial on a grid of points,
+and the tensor legs below.  Each operation but `poly_grid`, which reads
+every coefficient as flat numerators, has one body per store, and on the
+row store costs only the nonzero entries.  An exact and
 a float matrix are never equal, and `+`, `-`, `*`, `kron` and
 `fused_prelie_site` refuse them with BackendMismatch, as an exact matrix
 refuses a float scalar.  So every
@@ -235,10 +235,7 @@ class Matrix:
             return _wrap(_times(self.num, self.cols, float(other)), self.rows, self.cols, None)
         if isinstance(other, float):
             raise BackendMismatch("an exact matrix times a float")
-        if isinstance(other, int):
-            # gcd(den, *num) == 1, so gcd(den, other) is all that cancels.
-            g = gcd(den, other)
-            return _wrap(_times(self.num, self.cols, other // g), self.rows, self.cols, den // g)
+        # an int or a Fraction: its numerator over its denominator
         return _reduced(_times(self.num, self.cols, other.numerator), self.rows, self.cols,
                         den * other.denominator)
 
@@ -809,8 +806,8 @@ def poly_grid(terms: list, start, step, count: int) -> list:
     p_i^k c^(K-k) over D c^K step.denominator, K the largest degree: one
     int weight per term, one integer sum per entry, one gcd reduction per
     site.  The reduced form is unique, so every value equals, and hashes
-    as, `A(x_i) * step` formed by matrix arithmetic.  On the row store
-    only the positions some C_k holds are formed.
+    as, `A(x_i) * step` formed by matrix arithmetic.  Every C_k is read as
+    its flat numerators, whichever store holds it.
     """
     start, step = Fraction(start), Fraction(step)
     d = terms[0][1].cols
@@ -821,50 +818,20 @@ def poly_grid(terms: list, start, step, count: int) -> list:
     # the part of each term's weight that no site changes, N_k's D / C_k.den included
     factors = [(k, step.numerator * c ** (top - k) * (lcd // m.den)) for k, m in terms]
     den = lcd * c ** top * step.denominator
-    # per position formed, the numerators of the terms at it
-    if d < SPARSE_FROM:
-        cols = list(zip(*(m.num for _, m in terms)))
-    else:
-        keys = sorted({(r, j) for _, m in terms for r, row in enumerate(m.num) for j in row})
-        cols = [tuple(m.num[r].get(j, 0) for _, m in terms) for r, j in keys]
+    # per entry, the numerators of the terms at it
+    cols = list(zip(*(m.num if d < SPARSE_FROM else _flat(m.num, d, 0) for _, m in terms)))
     out = []
     for i in range(count):
         p = p0 + i * dp
         weights = [f * p ** k for k, f in factors]
         num = [sum(map(mul, weights, col)) for col in cols]
-        if d >= SPARSE_FROM:
-            rows = [{} for _ in range(d)]
-            for (r, j), v in zip(keys, num):
-                if v:
-                    rows[r][j] = v
-            num = rows
-        out.append(_reduced(num, d, d, den))
+        out.append(_reduced(_from_flat(num, d), d, d, den))
     return out
 
 
 def commutator(a, b):
     """[a, b] = ab - ba, for operators of any backend."""
     return a * b - b * a
-
-
-def unit_product(unit, x):
-    """`unit * x`, equally `x * unit`, for the unit `ops.one_like(x)` of a
-    nonzero `x`, formed without the product and with the same value.
-
-    An exact matrix gives `x` itself, a float one its entries as `0.0 + v`:
-    the zero-skipping product starts each entry at 0.0 and adds `1.0 * v`
-    for each nonzero `v`, so -0.0 becomes 0.0, which the row store holds
-    already.  Any other `x` is itself when its type is the unit's (a free
-    element, or a scalar of the unit's type), otherwise `unit * x` (an int
-    or a float meeting `Fraction(1)`, a rational meeting 1.0).
-    """
-    if isinstance(x, Matrix):
-        if (x.den is None) != (unit.den is None):
-            raise BackendMismatch("an exact and a float matrix")
-        if x.den is not None or x.cols >= SPARSE_FROM:
-            return x
-        return _wrap([0.0 + v for v in x.num], x.rows, x.cols, None)
-    return x if type(x) is type(unit) else unit * x
 
 
 def kron_embed(op: Matrix, slots: tuple[int, ...], total: int, dim: int) -> Matrix:

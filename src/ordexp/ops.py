@@ -14,11 +14,11 @@ their coefficients; those two are its only other callers.
 The rule that turns a law's residuals into its reported defect is here as
 well: `worst` takes their largest `max_abs`, keeping their type.
 
-`SCALARS`, `commutator` and `unit_product` are defined in `matrix`, which
-sits below this module (`Matrix` needs the scalar tuple, `matrix.commutator`
-is public, and `unit_product` reads a matrix's store); they are re-exported
-here.  This module reads no operator's storage: a matrix and a free element
-answer through their own methods (`is_exact`, `inverse`, ...).
+`SCALARS` and `commutator` are defined in `matrix`, which sits below this
+module (`Matrix` needs the scalar tuple, and `matrix.commutator` is
+public); they are re-exported here.  This module reads no operator's
+storage: a matrix and a free element answer through their own methods
+(`is_exact`, `inverse`, ...).
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from fractions import Fraction
 
 from .errors import BackendMismatch, DimensionMismatch, InsufficientSamples, SingularOperator
 from .freealg import FreeElement
-from .matrix import SCALARS, Matrix, commutator, fused_prelie_site, unit_product
+from .matrix import SCALARS, Matrix, commutator, fused_prelie_site
 
 __all__ = ["SCALARS", "check_compatible", "commutator", "invert", "is_zero",
-           "max_abs", "one_like", "prelie_site", "to_float", "unit_product", "worst",
-           "zero_like"]
+           "max_abs", "one_like", "prelie_site", "to_float", "worst", "zero_like"]
 
 
 def zero_like(x):

@@ -12,8 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BackendMismatch, DimensionMismatch, check_order
-from .ops import (SCALARS, check_compatible, invert, is_zero, max_abs, one_like, to_float,
-                  unit_product, zero_like)
+from .ops import SCALARS, check_compatible, invert, is_zero, max_abs, one_like, to_float, zero_like
 
 
 class AlphaSeries:
@@ -131,10 +130,9 @@ class AlphaSeries:
         if not is_zero(self.coeffs[0]):
             raise BackendMismatch("exp needs a vanishing constant term")
         D = self.order
-        one = one_like(self.coeffs[0])
-        result = AlphaSeries.one(D, one)
+        result = term = AlphaSeries.one(D, self.coeffs[0])
         for k in range(1, D + 1):
-            term = (_unit_times(one, self) if k == 1 else term * self).scale(Fraction(1, k))
+            term = (term * self).scale(Fraction(1, k))
             result = result + term
         return result
 
@@ -151,8 +149,7 @@ class AlphaSeries:
         u = self - AlphaSeries.one(self.order, self.coeffs[0])
         if not is_zero(u.coeffs[0]):
             raise BackendMismatch("log needs constant term equal to the identity")
-        one = one_like(self.coeffs[0])
-        return _power_sum(AlphaSeries.zero(self.order, one), one, u,
+        return _power_sum(AlphaSeries.zero(self.order, u.coeffs[0]), u,
                           lambda k: Fraction((-1) ** (k + 1), k))
 
     def inverse(self) -> "AlphaSeries":
@@ -164,9 +161,8 @@ class AlphaSeries:
         # self = c0 * unit with unit = 1 + u, so self^{-1} = unit^{-1} c0^{-1},
         # and unit^{-1} is the alternating Neumann sum.
         unit = AlphaSeries([c0inv * c for c in self.coeffs])
-        one = one_like(c0)
-        u = unit - AlphaSeries.one(D, one)
-        result = _power_sum(AlphaSeries.one(D, one), one, u, lambda k: (-1) ** k)
+        one = AlphaSeries.one(D, c0)
+        result = _power_sum(one, unit - one, lambda k: (-1) ** k)
         return AlphaSeries([c * c0inv for c in result.coeffs])
 
     def max_abs(self):
@@ -182,18 +178,12 @@ class AlphaSeries:
         return f"AlphaSeries(order={self.order})"
 
 
-def _power_sum(start: AlphaSeries, unit, u: AlphaSeries, weight) -> AlphaSeries:
-    """`start + sum_k weight(k) u^k` for k = 1..order, with u^1 = `_unit_times(unit, u)`."""
+def _power_sum(start: AlphaSeries, u: AlphaSeries, weight) -> AlphaSeries:
+    """`start + sum_k weight(k) u^k` for k = 1..order, each power the series
+    product of the one before and `u`, the first by the series one."""
     result = start
+    power = AlphaSeries.one(u.order, u.coeffs[0])
     for k in range(1, u.order + 1):
-        power = _unit_times(unit, u) if k == 1 else power * u
+        power = power * u
         result = result + power.scale(weight(k))
     return result
-
-
-def _unit_times(unit, series: AlphaSeries) -> AlphaSeries:
-    """`AlphaSeries.one * series` for the unit `unit`, without a product: each
-    nonzero coefficient through `ops.unit_product`, each zero one the zero of
-    the unit's backend, as the series product gives."""
-    zero = zero_like(unit)
-    return AlphaSeries([unit_product(unit, c) if not is_zero(c) else zero for c in series.coeffs])

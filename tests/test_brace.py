@@ -254,14 +254,20 @@ def test_one_pass_omega_equals_the_sweeps(kind, order, data):
 
 def test_float_omega_keeps_the_sweeps_bits():
     # floats keep the sweeps, whose rounding the float reports follow; the
-    # drawn elements are ones on which one pass would round differently
-    rng = random.Random(89)
+    # drawn elements are ones on which one pass would round differently.
+    # The path is read from the components, so float components over an
+    # exact `like` keep the sweeps too.
+    rng, other = random.Random(89), random.Random(97)
+    c = Matrix([[other.uniform(-1, 1) for _ in range(2)] for _ in range(2)])
     for order in (3, 4, 5):
-        a = float_element(rng, order=order)
-        got, want = omega_map(a), sweeps(a)
-        # str of a float matrix spells every entry by repr, the sign of a zero too
-        assert {d: str(v) for d, v in got.components.items()} == {
-            d: str(v) for d, v in want.components.items()}
+        over_exact = GradedPreLieElement(
+            order, {1: Matrix([[other.uniform(-1, 1) for _ in range(2)] for _ in range(2)])},
+            lambda x, y: x * y * c, like=Matrix.zeros(2))
+        for a in (float_element(rng, order=order), over_exact):
+            got, want = omega_map(a), sweeps(a)
+            # str of a float matrix spells every entry by repr, the sign of a zero too
+            assert {d: str(v) for d, v in got.components.items()} == {
+                d: str(v) for d, v in want.components.items()}
 
 
 def test_float_residuals_equal_the_spelled_out_products():

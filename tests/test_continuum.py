@@ -201,6 +201,23 @@ class TestMagnusContinuous:
         assert magnus_continuous(field, 3) == magnus_continuous(field, 3, "explicit")
 
 
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    def test_prelie_integrates_each_omega_degree_once(self, order, monkeypatch):
+        # every left factor of the pass is some degree of Omega, whose
+        # integral is also its Magnus term, so it is integrated once
+        field = MatrixField(Poly({(0,): X, (1,): Y, (2,): X + Y * F(1, 2)}), F(-1, 2), F(1))
+        want = magnus_bernoulli_iterate(field, order, order)
+        integrate, calls = Poly.integrate, []
+
+        def counted(poly, *args):
+            calls.append(poly)
+            return integrate(poly, *args)
+
+        monkeypatch.setattr(Poly, "integrate", counted)
+        assert magnus_continuous(field, order) == want
+        assert len(calls) == order
+
+
 class TestBernoulliIteration:
     def test_depth_must_cover_order(self):
         with pytest.raises(UnsupportedOrder):
