@@ -19,7 +19,8 @@ and `bch` brackets each left-nested word prefix once, so a word xyx reuses
 [x, y].  The pre-Lie product itself is the callable the elements carry, and
 a component value may be anything with addition, subtraction, negation,
 scalar multiples and a zero test; the brace suite's are site stacks under
-one cached `matrix.stack_prelie_left` per case (see `suites.brace_suite`).
+one cached `matrix.stack_prelie_left` per case, with each left operand's
+prefix sums cached beside it (see `suites.brace_suite`).
 A difference subtracts component by component, and a degree only the
 subtrahend has enters as its negation, so no intermediate negated element
 is built; in IEEE arithmetic x - y is x + (-y), so it rounds as adding the
@@ -32,7 +33,7 @@ from math import factorial
 
 from .errors import BackendMismatch, DimensionMismatch, check_order
 from .freealg import FreeElement
-from .ops import worst
+from .ops import check_compatible, max_abs, worst
 from .series import AlphaSeries
 
 
@@ -43,7 +44,10 @@ class GradedPreLieElement:
     product is a bilinear callable on component values; component values
     only need addition, subtraction, negation, scalar multiples, and is_zero.
     `like` is a template component value (the first component when
-    omitted); its multiple by zero stands in for missing degrees.
+    omitted); its multiple by zero stands in for missing degrees, so it
+    must live where the components do: another kind, shape or backend is
+    refused (BackendMismatch, or DimensionMismatch for a shape).  Results
+    of arithmetic on elements are built by `_with`, unchecked.
     """
 
     __slots__ = ("order", "product", "components", "like")
@@ -60,13 +64,27 @@ class GradedPreLieElement:
             if not clean:
                 raise DimensionMismatch("an all-zero element needs a like value")
             like = next(iter(clean.values()))
+        floated = isinstance(max_abs(like), float)
+        for v in clean.values():
+            check_compatible(like, v)
+            if isinstance(max_abs(v), float) != floated:
+                raise BackendMismatch("the like value and the components are of two backends")
         self.order = order
         self.product = product
         self.components = clean
         self.like = like
 
+    def _with(self, components: dict) -> "GradedPreLieElement":
+        """The element of this one's order, product and `like` with the nonzero
+        values of `components`: a result of arithmetic on checked elements,
+        whose degrees lie in 1..order, so it is not checked again."""
+        e = object.__new__(GradedPreLieElement)
+        e.order, e.product, e.like = self.order, self.product, self.like
+        e.components = {d: v for d, v in components.items() if not v.is_zero()}
+        return e
+
     def zero(self) -> "GradedPreLieElement":
-        return GradedPreLieElement(self.order, {}, self.product, like=self.like)
+        return self._with({})
 
     def component(self, degree: int):
         value = self.components.get(degree)
@@ -99,27 +117,20 @@ class GradedPreLieElement:
         out = dict(self.components)
         for d, v in other.components.items():
             out[d] = out[d] + v if d in out else v
-        return GradedPreLieElement(self.order, out, self.product, like=self.like)
+        return self._with(out)
 
     def __sub__(self, other) -> "GradedPreLieElement":
         self._check(other)
         out = dict(self.components)
         for d, v in other.components.items():
             out[d] = out[d] - v if d in out else -v
-        return GradedPreLieElement(self.order, out, self.product, like=self.like)
+        return self._with(out)
 
     def __neg__(self) -> "GradedPreLieElement":
-        return GradedPreLieElement(
-            self.order, {d: -v for d, v in self.components.items()}, self.product, like=self.like
-        )
+        return self._with({d: -v for d, v in self.components.items()})
 
     def scale(self, s) -> "GradedPreLieElement":
-        return GradedPreLieElement(
-            self.order,
-            {d: v * s for d, v in self.components.items()},
-            self.product,
-            like=self.like,
-        )
+        return self._with({d: v * s for d, v in self.components.items()})
 
     def prod(self, other) -> "GradedPreLieElement":
         """Bilinear extension of the pre-Lie product; degrees add."""
@@ -132,7 +143,7 @@ class GradedPreLieElement:
                     continue
                 w = self.product(v1, v2)
                 out[d] = out[d] + w if d in out else w
-        return GradedPreLieElement(self.order, out, self.product, like=self.like)
+        return self._with(out)
 
     def bracket(self, other) -> "GradedPreLieElement":
         """[a, b] = a|>b - b|>a, the Lie bracket induced on the carrier."""
@@ -192,8 +203,7 @@ def omega_map(b: GradedPreLieElement) -> GradedPreLieElement:
     else by the reference sweeps x <- b - (W(x) - x), each settling one more
     degree, whose rounding the float reports' bits follow."""
     if not isinstance(b.max_abs(), float):
-        return GradedPreLieElement(b.order, _omega_pass(b.components, b.product, b.order),
-                                   b.product, like=b.like)
+        return b._with(_omega_pass(b.components, b.product, b.order))
     x = b
     for _ in range(b.order):
         x = b - (w_map(x) - x)

@@ -1,33 +1,43 @@
 """Free noncommutative elements: rational-linear combinations of words.
 
 A letter is a named symbol attached to a site index and a degree.  The
-module interns each distinct `Letter` once, to a small int id, so a word is
-a tuple of ids: it multiplies by concatenation and hashes without touching
-a letter's name.  Elements store a mapping word -> coefficient with zero
-coefficients pruned, so equality is exact and structural.  A coefficient is
-stored in one canonical form: a plain `int` when it is integral, otherwise a
-`Fraction` with denominator > 1, so the common integer coefficients never
-pay for `Fraction` arithmetic.  A float operand raises BackendMismatch: free
-coefficients are exact on both backends.
+module interns each distinct `Letter` once, to a small int id, and tables
+its sort key (name, degree, site) and its spelling beside it, so a word is
+a tuple of ids: it multiplies by concatenation, hashes without touching a
+letter's name, and is spelled and sorted from the tables.
+
+An element stores its words as integer numerators over one denominator:
+`terms` maps each word to a nonzero plain `int`, and `denom` is a positive
+int with gcd(denom, *numerators) == 1.  That form is unique, so equality
+compares ints and the hash is built from them.  A product multiplies
+numerators and denominators, a sum or difference works over the lcm of the
+two denominators, and each reduces once, only when its denominator is not
+1.  When every word of one factor has the same length, concatenation is
+one-to-one, so no two terms of the product meet and a product of more than
+a few pairs is one comprehension over them.  The canonical coefficient (a
+plain `int` when it is integral, otherwise a `Fraction` with denominator >
+1) is built only where one is read: `named_words`, `scalar_part`,
+`max_abs`, `str`, and the comparison and hash of a scalar element with its
+scalar.  A float operand raises BackendMismatch: free coefficients are
+exact on both backends.
 
 `FreeElement(terms)` is the checked constructor: it takes words of
-`Letter`s, interns them and coerces every coefficient.  Every element the
+`Letter`s, interns them and checks every coefficient.  Every element the
 module makes itself (sums, differences, products, scalar multiples,
 negation, `gen`, `one`, `zero`) is wrapped as built, without a second walk
-(`_element`); the one normalisation left is that an integral `Fraction`
-result becomes an `int`.  No output reads an id: `str` maps ids back to
-letters and sorts words by (length, name, degree, site), and `named_words`
-lists them in storage order, so nothing depends on the order in which the
-letters were interned.
+(`_element`).  No output reads an id: `str` sorts words by (length, name,
+degree, site), and `named_words` lists them in storage order, so nothing
+depends on the order in which the letters were interned.
 
-This module is the only one that reads that store (`terms`, and a word's
-letters): other modules ask an element for its `scalar_part`, its
+This module is the only one that reads that store (`terms`, `denom`, and a
+word's letters): other modules ask an element for its `scalar_part`, its
 `inverse` or its `named_words`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import AlgebraError, BackendMismatch, SingularOperator
@@ -43,9 +53,12 @@ class Letter(NamedTuple):
         return f"{self.name}_{self.site}"
 
 
-# The interned letters: `_LETTERS[i]` is the letter with id i, `_IDS` the inverse.
+# The interned letters: `_LETTERS[i]` is the letter with id i, `_IDS` the
+# inverse, `_KEYS[i]` its sort key and `_SPELLINGS[i]` how `str` writes it.
 _LETTERS: list = []
 _IDS: dict = {}
+_KEYS: list = []
+_SPELLINGS: list = []
 
 
 def _intern(letter: Letter) -> int:
@@ -60,53 +73,81 @@ def _intern(letter: Letter) -> int:
     if i is None:
         i = _IDS[letter] = len(_LETTERS)
         _LETTERS.append(letter)
+        _KEYS.append((letter.name, letter.degree, letter.site))
+        _SPELLINGS.append(str(letter))
     return i
 
 
-def _coerce(c):
-    """The canonical form of a rational coefficient: int if integral, else Fraction."""
+def _ratio(c) -> tuple:
+    """(numerator, denominator) of a rational coefficient, in lowest terms."""
     if type(c) is int:
-        return c
+        return c, 1
     if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
+        return c.numerator, c.denominator
     if isinstance(c, int):
-        return int(c)
+        return int(c), 1
     raise BackendMismatch(f"free-element coefficients must be rational, got {type(c).__name__}")
 
 
-def _integral(terms: dict) -> dict:
-    """`terms` with every integral Fraction coefficient made an int, in place."""
-    for w, c in terms.items():
-        if type(c) is not int and c.denominator == 1:
-            terms[w] = c.numerator
-    return terms
+def _coefficient(n: int, denom: int):
+    """The canonical coefficient n / denom: an int if integral, else a Fraction."""
+    if denom == 1:
+        return n
+    c = Fraction(n, denom)
+    return c.numerator if c.denominator == 1 else c
 
 
-def _element(terms: dict) -> "FreeElement":
-    """The element of an already clean word -> coefficient dict, stored as is."""
+def _spelled(n: int, denom: int) -> str:
+    """n / denom as `str` spells its canonical coefficient: "n" or "n/d" in lowest terms."""
+    g = gcd(n, denom)
+    return str(n // g) if g == denom else f"{n // g}/{denom // g}"
+
+
+def _element(terms: dict, denom: int = 1) -> "FreeElement":
+    """The element of an already reduced numerator dict over `denom`, stored as is."""
     e = object.__new__(FreeElement)
     e.terms = terms
+    e.denom = denom
     return e
 
 
+def _reduced(terms: dict, denom: int) -> "FreeElement":
+    """The element of the numerators `terms` over `denom`, their common factor divided out."""
+    if denom != 1:
+        g = gcd(denom, *terms.values())
+        if g != 1:
+            denom //= g
+            terms = {w: n // g for w, n in terms.items()}
+    return _element(terms, denom)
+
+
 def _scalar(c) -> "FreeElement":
-    c = _coerce(c)
-    return _element({(): c} if c else {})
+    n, d = _ratio(c)
+    return _element({(): n}, d) if n else _element({})
+
+
+def _one_length(terms: dict) -> bool:
+    """Whether every word has the same length."""
+    return len(set(map(len, terms))) < 2
 
 
 class FreeElement:
     """A finite rational combination of words over site-indexed letters."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "denom")
 
     def __init__(self, terms=None):
-        clean = {}
+        parts = []
+        denom = 1
         for word, c in (terms or {}).items():
             word = tuple(_intern(letter) for letter in word)
-            c = _coerce(c)
-            if c:
-                clean[word] = c
-        self.terms = clean
+            n, d = _ratio(c)
+            if n:
+                parts.append((word, n, d))
+                denom = lcm(denom, d)
+        # over the lcm of reduced fractions the numerators share no factor with it
+        self.terms = {w: n * (denom // d) for w, n, d in parts}
+        self.denom = denom
 
     @staticmethod
     def zero() -> "FreeElement":
@@ -134,53 +175,52 @@ class FreeElement:
 
     def scalar_part(self):
         """The coefficient of the empty word: 0 when there is none."""
-        return self.terms.get((), 0)
+        return _coefficient(self.terms.get((), 0), self.denom)
 
     def named_words(self) -> list:
         """(letter names, coefficient) per word, in the order the element stores them."""
-        return [(tuple(_LETTERS[i].name for i in w), c) for w, c in self.terms.items()]
+        denom = self.denom
+        return [(tuple(_LETTERS[i].name for i in w), _coefficient(n, denom))
+                for w, n in self.terms.items()]
 
     def inverse(self) -> "FreeElement":
         """Two-sided inverse: only a nonzero scalar is a unit of the free algebra."""
         if list(self.terms) != [()]:
             raise SingularOperator("a free element is invertible only when it is a nonzero scalar")
-        return _scalar(Fraction(1) / self.terms[()])
+        n, d = self.terms[()], self.denom
+        return _element({(): d}, n) if n > 0 else _element({(): -d}, -n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = _scalar(other)
         if not isinstance(other, FreeElement):
             return NotImplemented
-        return self.terms == other.terms
+        return self.denom == other.denom and self.terms == other.terms
 
     def __hash__(self):
         # A scalar element is == to its scalar, so it hashes as that scalar.
         if self.terms.keys() <= {()}:
-            return hash(self.terms.get((), 0))
-        return hash(frozenset(self.terms.items()))
+            return hash(self.scalar_part())
+        return hash((self.denom, frozenset(self.terms.items())))
 
     def __add__(self, other) -> "FreeElement":
         if not isinstance(other, FreeElement):
             if not isinstance(other, SCALARS):
                 return NotImplemented
             other = _scalar(other)
-        out = dict(self.terms)
-        get = out.get
-        for w, c in other.terms.items():
-            s = get(w, 0) + c
-            if s:
-                out[w] = _coerce(s)
-            else:
-                del out[w]
-        return _element(out)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FreeElement":
-        return _element({w: -c for w, c in self.terms.items()})
+        return _element({w: -n for w, n in self.terms.items()}, self.denom)
 
     def __sub__(self, other) -> "FreeElement":
-        return self + (-other if isinstance(other, FreeElement) else _scalar(-_coerce(other)))
+        if not isinstance(other, FreeElement):
+            if not isinstance(other, SCALARS):
+                return NotImplemented
+            other = _scalar(other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other) -> "FreeElement":
         return (-self) + other
@@ -189,19 +229,27 @@ class FreeElement:
         if not isinstance(other, FreeElement):
             if not isinstance(other, SCALARS):
                 return NotImplemented
-            other = _coerce(other)
-            return _element(_integral({w: c * other for w, c in self.terms.items()}) if other else {})
-        out: dict = {}
-        get = out.get
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = get(w, 0) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    del out[w]
-        return _element(_integral(out))
+            n, d = _ratio(other)
+            if not n:
+                return _element({})
+            return _reduced({w: c * n for w, c in self.terms.items()}, self.denom * d)
+        a, b = self.terms, other.terms
+        # over a few pairs the loop costs less than the length test
+        if len(a) * len(b) > 4 and (_one_length(a) or _one_length(b)):
+            # no two pairs of words concatenate to one word
+            out = {w1 + w2: c1 * c2 for w1, c1 in a.items() for w2, c2 in b.items()}
+        else:
+            out = {}
+            get = out.get
+            for w1, c1 in a.items():
+                for w2, c2 in b.items():
+                    w = w1 + w2
+                    s = get(w, 0) + c1 * c2
+                    if s:
+                        out[w] = s
+                    else:
+                        del out[w]
+        return _reduced(out, self.denom * other.denom)
 
     def __rmul__(self, other) -> "FreeElement":
         if isinstance(other, SCALARS):
@@ -209,26 +257,23 @@ class FreeElement:
         return NotImplemented
 
     def max_abs(self) -> Fraction:
-        return Fraction(max((abs(c) for c in self.terms.values()), default=0))
+        return Fraction(max(map(abs, self.terms.values()), default=0), self.denom)
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        words = [([_LETTERS[i] for i in w], c) for w, c in self.terms.items()]
-        def word_key(item):
-            w, _ = item
-            return (len(w), [(l.name, l.degree, l.site) for l in w])
+        keys, spell, denom = _KEYS.__getitem__, _SPELLINGS.__getitem__, self.denom
         parts = []
-        for w, c in sorted(words, key=word_key):
-            body = " ".join(str(l) for l in w)
+        for w, n in sorted(self.terms.items(), key=lambda item: (len(item[0]), list(map(keys, item[0])))):
+            body = " ".join(map(spell, w))
             if not w:
-                piece = str(c)
-            elif c == 1:
+                piece = _spelled(n, denom)
+            elif n == denom:
                 piece = body
-            elif c == -1:
+            elif n == -denom:
                 piece = "-" + body
             else:
-                piece = f"{c} {body}"
+                piece = f"{_spelled(n, denom)} {body}"
             parts.append(piece)
         text = parts[0]
         for piece in parts[1:]:
@@ -240,3 +285,23 @@ class FreeElement:
 
     def __repr__(self) -> str:
         return f"FreeElement({self})"
+
+
+def _combine(a: FreeElement, b: FreeElement, sign: int) -> FreeElement:
+    """a + sign * b over the lcm of the two denominators, in a's word order
+    followed by the words only b has."""
+    da, db = a.denom, b.denom
+    if da == db:
+        out, fb, denom = dict(a.terms), sign, da
+    else:
+        denom = lcm(da, db)
+        fa, fb = denom // da, sign * (denom // db)
+        out = {w: n * fa for w, n in a.terms.items()} if fa != 1 else dict(a.terms)
+    get = out.get
+    for w, n in b.terms.items():
+        s = get(w, 0) + n * fb
+        if s:
+            out[w] = s
+        else:
+            del out[w]
+    return _reduced(out, denom)

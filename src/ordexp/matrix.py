@@ -41,7 +41,8 @@ every sum, scaling and zero test is one operation for all sites.  It is
 the only product that reads a stack, with one body for both backends; its
 size rule, like the store's, reads one block's shape.
 `stack_prelie_left` forms the left pre-Lie product of two stacks with it,
-after summing one stack's blocks into its strict prefix sums.
+after summing one stack's blocks into its strict prefix sums
+(`stack_prefix_sum`, which a caller may hold and pass back in).
 `lax_fold` multiplies out a chain's site series 1 + sum_m alpha^m L^(m),
 for exact square matrices below `SPARSE_FROM` and for exact scalars taken
 as 1 x 1 blocks: the running series stays integer numerators over one
@@ -567,18 +568,17 @@ def fused_prelie_site(p: Matrix, q: Matrix, x: Matrix, y: Matrix) -> Matrix:
     return _reduced(out, p.rows, d, den)
 
 
-def stack_prelie_left(a: Matrix, b: Matrix) -> Matrix:
-    """(a |> b)_n = [a_1+...+a_{n-1}, b_n] + a_n b_n on two site stacks.
+def stack_prefix_sum(a: Matrix) -> Matrix:
+    """R(a): block n of a site stack's strict prefix sums a_1+...+a_{n-1}.
 
-    `a` and `b` stack N sites' d x d values as (N*d) x d matrices of one
-    backend.  Block n of R(a) is the strict prefix sum, added from site 1
-    up as `rotabaxter.PartialSumOp` adds it from the zero of the backend
-    (a float -0.0 becomes 0.0), and block 1 is that zero; then one
-    `fused_prelie_site(R(a), b, a, b)` call forms every site.
+    `a` stacks N sites' d x d values as an (N*d) x d matrix.  Each block is
+    added from site 1 up as `rotabaxter.PartialSumOp` adds it from the zero
+    of the backend (a float -0.0 becomes 0.0), and block 1 is that zero, so
+    R(a) depends on the value of `a` alone.
     """
     rows, d = a.rows, a.cols
-    if b.rows != rows or b.cols != d or rows % d:
-        raise DimensionMismatch(f"site stacks {a.rows}x{a.cols} and {b.rows}x{b.cols}")
+    if rows % d:
+        raise DimensionMismatch(f"a site stack of {a.rows}x{a.cols}")
     # a block is d*d flat entries, or d rows of the row store
     if d < SPARSE_FROM:
         size, plus, zero = d * d, add, _zero(a.den)
@@ -590,7 +590,20 @@ def stack_prelie_left(a: Matrix, b: Matrix) -> Matrix:
     for i in range(0, len(num) - size, size):
         acc = list(map(plus, acc, num[i:i + size]))
         prefix += acc
-    return fused_prelie_site(_reduced(prefix, rows, d, a.den), b, a, b)
+    return _reduced(prefix, rows, d, a.den)
+
+
+def stack_prelie_left(a: Matrix, b: Matrix, prefix: Matrix | None = None) -> Matrix:
+    """(a |> b)_n = [a_1+...+a_{n-1}, b_n] + a_n b_n on two site stacks.
+
+    `a` and `b` stack N sites' d x d values as (N*d) x d matrices of one
+    backend.  One `fused_prelie_site(R(a), b, a, b)` call forms every site,
+    R(a) the strict prefix sums `stack_prefix_sum(a)`, or `prefix` when the
+    caller holds them already.
+    """
+    if b.rows != a.rows or b.cols != a.cols or a.rows % a.cols:
+        raise DimensionMismatch(f"site stacks {a.rows}x{a.cols} and {b.rows}x{b.cols}")
+    return fused_prelie_site(stack_prefix_sum(a) if prefix is None else prefix, b, a, b)
 
 
 def lax_fold(like, sites: list, order: int, left: bool, every: bool) -> list:

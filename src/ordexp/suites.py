@@ -46,7 +46,7 @@ from .expansion import (
     magnus_oracle,
     monodromy,
 )
-from .matrix import Matrix, stack_prelie_left
+from .matrix import Matrix, stack_prefix_sum, stack_prelie_left
 from .ops import max_abs, worst
 from .report import EXACT, FLOAT, VerificationReport
 from .rotabaxter import (
@@ -375,9 +375,13 @@ def brace_suite(cfg: SuiteConfig) -> VerificationReport:
     # so equal stacks that are distinct objects hit, and an exact and a
     # float stack never meet.  A hit returns the earlier result itself; on
     # floats only the sign of a zero entry can differ from recomputing,
-    # which `max_abs` erases.  The cache goes with the case.
+    # which `max_abs` erases.  The strict prefix sums R(a) of each left
+    # operand are cached beside the products, by value too: a prefix starts
+    # from the backend's zero, so it depends on the value of `a` alone.  The
+    # caches go with the case.
     def case(src, count):
-        product = cache(stack_prelie_left)
+        prefix = cache(stack_prefix_sum)
+        product = cache(lambda a, b: stack_prelie_left(a, b, prefix(a)))
         return [GradedPreLieElement(order, {d: src.site_stack(sites, dim) for d in (1, 2)},
                                     product, like=zero)
                 for _ in range(count)]

@@ -24,7 +24,7 @@ from ordexp.brace import (
 from ordexp.errors import BackendMismatch, DimensionMismatch
 from ordexp.expansion import FORWARD, SiteOperatorFamily, magnus_oracle, prefix_monodromy
 from ordexp.freealg import FreeElement
-from ordexp.matrix import Matrix, stack_prelie_left
+from ordexp.matrix import Matrix, stack_prefix_sum, stack_prelie_left
 from ordexp.rotabaxter import SiteSequence, prelie_left
 from ordexp.series import AlphaSeries
 
@@ -76,6 +76,24 @@ def test_constructor_validation():
         GradedPreLieElement(3, {}, seq_prelie)
     elt = GradedPreLieElement(3, {5: s, 1: s}, seq_prelie)
     assert 5 not in elt.components  # beyond truncation
+
+
+def test_a_like_of_another_backend_is_refused():
+    # a missing degree is read as `like`'s zero, so an exact zero among float
+    # components would meet them only later, in a sum
+    float_matrix = Matrix([[0.5, 1.0], [0.0, 2.0]])
+    for like, components in ((Matrix.zeros(2), {1: float_matrix}),
+                             (Matrix.zeros(2).to_float(), {1: Matrix([[1, 2], [3, 4]])}),
+                             (FreeElement.zero(), {1: Matrix.identity(2)}),
+                             (SiteSequence([Fraction(0)] * 2), {2: SiteSequence([0.5, 1.0])})):
+        with pytest.raises(BackendMismatch):
+            GradedPreLieElement(3, components, assoc_prod, like=like)
+    with pytest.raises(DimensionMismatch):
+        GradedPreLieElement(3, {1: float_matrix}, assoc_prod, like=Matrix.zeros(3).to_float())
+    e = GradedPreLieElement(3, {1: float_matrix}, assoc_prod, like=Matrix.zeros(2).to_float())
+    assert e.component(3) + float_matrix == float_matrix
+    # an all-zero element takes any like, and results keep theirs unchecked
+    assert GradedPreLieElement(3, {}, assoc_prod, like=Fraction(0)).zero().like == 0
 
 
 def test_mismatched_products_rejected():
@@ -255,15 +273,15 @@ def test_one_pass_omega_equals_the_sweeps(kind, order, data):
 def test_float_omega_keeps_the_sweeps_bits():
     # floats keep the sweeps, whose rounding the float reports follow; the
     # drawn elements are ones on which one pass would round differently.
-    # The path is read from the components, so float components over an
-    # exact `like` keep the sweeps too.
+    # The path is read from the components, here site sequences and square
+    # matrices under another product.
     rng, other = random.Random(89), random.Random(97)
     c = Matrix([[other.uniform(-1, 1) for _ in range(2)] for _ in range(2)])
     for order in (3, 4, 5):
-        over_exact = GradedPreLieElement(
+        square = GradedPreLieElement(
             order, {1: Matrix([[other.uniform(-1, 1) for _ in range(2)] for _ in range(2)])},
-            lambda x, y: x * y * c, like=Matrix.zeros(2))
-        for a in (float_element(rng, order=order), over_exact):
+            lambda x, y: x * y * c, like=Matrix.zeros(2).to_float())
+        for a in (float_element(rng, order=order), square):
             got, want = omega_map(a), sweeps(a)
             # str of a float matrix spells every entry by repr, the sign of a zero too
             assert {d: str(v) for d, v in got.components.items()} == {
@@ -393,15 +411,40 @@ def test_brace_suite_computes_each_repeated_product_once(monkeypatch, backend, r
     calls = {"requested": 0, "computed": 0}
 
     def counted(name, product):
-        def count(a, b):
+        def count(*args):
             calls[name] += 1
-            return product(a, b)
+            return product(*args)
         return count
 
+    def memo(f):
+        # the prefix sums' cache is not a product's
+        return functools.cache(f) if f is stack_prefix_sum else counted("requested", functools.cache(f))
+
     monkeypatch.setattr(suites, "stack_prelie_left", counted("computed", stack_prelie_left))
-    monkeypatch.setattr(suites, "cache", lambda product: counted("requested", functools.cache(product)))
+    monkeypatch.setattr(suites, "cache", memo)
     run_suite("brace", SuiteConfig(seed=1, backend=backend))
     assert calls == {"requested": requested, "computed": computed}
+
+
+@pytest.mark.parametrize("backend,computed,prefixes", [("exact", 4725, 650), ("float", 5734, 1181)])
+def test_brace_suite_sums_each_left_operand_once(monkeypatch, backend, computed, prefixes):
+    # seed 1 at default sizes: every computed product is handed the prefix
+    # sums of its left operand, which each case forms once per distinct value
+    calls = {"computed": 0, "prefixes": 0}
+
+    def product(a, b, prefix):
+        calls["computed"] += 1
+        assert prefix == stack_prefix_sum(a)
+        return stack_prelie_left(a, b, prefix)
+
+    def prefix_sum(a):
+        calls["prefixes"] += 1
+        return stack_prefix_sum(a)
+
+    monkeypatch.setattr(suites, "stack_prelie_left", product)
+    monkeypatch.setattr(suites, "stack_prefix_sum", prefix_sum)
+    run_suite("brace", SuiteConfig(seed=1, backend=backend))
+    assert calls == {"computed": computed, "prefixes": prefixes}
 
 
 def test_brace_suite_leaves_no_reference_cycle():

@@ -128,6 +128,45 @@ def test_arithmetic_agrees_with_a_plain_reference(ra, rb, s):
     assert (a == b) == (x == y)
 
 
+# Coefficients over many denominators, so sums and products of the numerator
+# store meet differing ones, and words of one length, on which a product of
+# more than a few pairs skips the search for colliding words.
+wide = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+one_length = st.integers(0, 3).flatmap(lambda k: st.dictionaries(
+    st.lists(st.sampled_from(SPREAD), min_size=k, max_size=k).map(tuple), wide, max_size=6))
+mixed = st.dictionaries(spread_words, wide, max_size=6)
+scalars = st.dictionaries(st.just(()), wide, max_size=1)
+stores = st.one_of(one_length, mixed, scalars)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stores, stores, wide)
+@example({U1 + V: Fraction(1, 3), U3 + U1: Fraction(5, 6), V + V: -2},
+         {(): Fraction(1, 2), U02: Fraction(3, 4)}, Fraction(6, 5))
+@example({U1 + V: Fraction(1, 2), V + U1: Fraction(1, 2), V + V: Fraction(1, 4)},
+         {U1: 2, V: 4, U3: Fraction(2, 3)}, 4)
+@example({(): Fraction(-3, 4)}, {(): Fraction(4, 3)}, Fraction(-1, 12))
+def test_the_numerator_store_agrees_with_a_plain_reference(ra, rb, s):
+    x, y = ref_of(ra), ref_of(rb)
+    a, b = FreeElement(ra), FreeElement(rb)
+    results = ((a, x), (a + b, ref_add(x, y)), (a - b, ref_add(x, ref_scale(y, -1))),
+               (-a, ref_scale(x, -1)), (a * b, ref_mul(x, y)), (b * a, ref_mul(y, x)),
+               (a * s, ref_scale(x, s)), (s * a, ref_scale(x, s)))
+    for e, r in results:
+        assert_agrees(e, r)
+        m = e.max_abs()
+        assert type(m) is Fraction and m == max(map(abs, r.values()), default=0)
+    # equal values reached by other roads are equal, with one hash
+    for e, f in ((a + b - b, a), (a * b - a * b, FreeElement.zero()), ((a + b) * s, a * s + b * s)):
+        assert e == f and hash(e) == hash(f)
+    if list(x) == [()]:
+        assert_agrees(a.inverse(), {(): 1 / x[()]})
+        assert a * a.inverse() == 1
+    else:
+        with pytest.raises(SingularOperator):
+            a.inverse()
+
+
 def test_generators_and_words():
     x = FreeElement.gen("x")
     y = FreeElement.gen("y", site=2, degree=3)

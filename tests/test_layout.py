@@ -4,8 +4,9 @@ An exact or float `Matrix` keeps its entries in `num` over one
 denominator `den`: a flat list below `matrix.SPARSE_FROM` columns, its
 nonzero rows from it on; only `matrix.py` may read or write them, or
 import a private helper of `matrix`.  A
-`FreeElement` keeps its words in `terms`, each word a tuple of letters with
-a `name`, `site` and `degree`; only `freealg.py` may read them.  Every
+`FreeElement` keeps its words in `terms`, integer numerators over one
+denominator `denom`, each word a tuple of letters with a `name`, `site`
+and `degree`; only `freealg.py` may read them.  Every
 other module goes through the methods of the two classes, so either store
 can be replaced in its own file.
 """
@@ -19,7 +20,8 @@ PACKAGE = Path(ordexp.__file__).resolve().parent
 
 # Each store attribute and the one module that may touch it.
 OWNER = {"num": "matrix.py", "den": "matrix.py",
-         "terms": "freealg.py", "name": "freealg.py", "site": "freealg.py", "degree": "freealg.py"}
+         "terms": "freealg.py", "denom": "freealg.py",
+         "name": "freealg.py", "site": "freealg.py", "degree": "freealg.py"}
 
 
 def store_reads(path: Path) -> list:
@@ -39,9 +41,10 @@ def test_each_operator_store_is_read_only_by_its_module(tmp_path):
     # the check itself sees each kind of access
     probe = tmp_path / "ops.py"
     probe.write_text("from .matrix import _wrap\n"
-                     "def f(m, e, w):\n    return m.num, m.den, e.terms, w[0].name\n")
+                     "def f(m, e, w):\n    return m.num, m.den, e.terms, e.denom, w[0].name\n")
     assert store_reads(probe) == ["ops.py:1 imports matrix._wrap", "ops.py:3 .num",
-                                  "ops.py:3 .den", "ops.py:3 .terms", "ops.py:3 .name"]
+                                  "ops.py:3 .den", "ops.py:3 .terms", "ops.py:3 .denom",
+                                  "ops.py:3 .name"]
     modules = sorted(PACKAGE.glob("*.py"))
     assert {"matrix.py", "freealg.py", "ops.py"} <= {p.name for p in modules}
     assert [hit for path in modules for hit in store_reads(path)] == []
