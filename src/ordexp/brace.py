@@ -58,6 +58,8 @@ class GradedPreLieElement:
         for d, v in components.items():
             if d < 1:
                 raise DimensionMismatch("pre-Lie components start at degree 1")
+            if not hasattr(v, "is_zero"):
+                raise BackendMismatch(f"a component value needs is_zero, got {type(v).__name__}")
             if d <= order and not v.is_zero():
                 clean[d] = v
         if like is None:

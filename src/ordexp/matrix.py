@@ -19,9 +19,9 @@ or writes either store, so each operation that needs it is here: the
 arithmetic, `from_ints` for the sampled draws, the pre-Lie products on
 site stacks, the chain fold `lax_fold` and its logarithm `lax_log`,
 `poly_grid` for the values of a matrix polynomial on a grid of points,
-and the tensor legs below.  Each operation but `poly_grid`, which reads
-every coefficient as flat numerators, has one body per store, and on the
-row store costs only the nonzero entries.  An exact and
+and the tensor legs below.  Each operation has one body per store but
+`poly_grid` (flat numerators) and the tensor legs (nonzero rows), and on
+the row store costs only the nonzero entries.  An exact and
 a float matrix are never equal, and `+`, `-`, `*`, `kron` and
 `fused_prelie_site` refuse them with BackendMismatch, as an exact matrix
 refuses a float scalar.  So every
@@ -51,7 +51,7 @@ matrices (Fractions for scalars).  Each run of consecutive sites with one
 degree tuple, nearly always the whole chain, is one call of a fold
 kernel compiled on first use for its block size, its degrees, its side
 and its kind (matrix or scalar), never its order, whose loop walks the
-run's sites and reduces the series once per site.  Integer sums do not
+run's sites, each step reduced once by `_reduced_blocks`.  Integer sums do not
 depend on the order of their terms, so its values are those of the plain
 fold of series products.  `lax_log` takes the logarithm of
 that product on the same raw blocks, log(1 + U) = sum_k (-1)^(k+1) U^k / k
@@ -154,10 +154,9 @@ class Matrix:
 
     @staticmethod
     def from_ints(values: list, rows: int, cols: int) -> "Matrix":
-        """The exact matrix of the ints `values`, row by row; below
-        `SPARSE_FROM` columns the list becomes its store."""
-        if rows < 1 or cols < 1:
-            raise DimensionMismatch("matrix needs at least one row and column")
+        """The exact matrix of the ints `values`, row by row, of a size
+        `zeros` takes; below `SPARSE_FROM` columns the list is its store."""
+        _check_size(rows, cols)
         if len(values) != rows * cols:
             raise DimensionMismatch(f"{len(values)} entries for a {rows}x{cols} matrix")
         return _wrap(_from_flat(values, cols), rows, cols, 1)
@@ -168,11 +167,9 @@ class Matrix:
         A size that is not a plain int (a bool included) is DimensionMismatch,
         as is one below 1."""
         cols = rows if cols is None else cols
-        if type(rows) is not int or type(cols) is not int:
-            raise DimensionMismatch(f"a matrix size is an int, got {rows!r} x {cols!r}")
-        if rows < 1 or cols < SPARSE_FROM:
-            # `from_ints` refuses a shape below 1 x 1
-            return Matrix.from_ints([0] * (rows * cols), rows, cols)
+        _check_size(rows, cols)
+        if cols < SPARSE_FROM:
+            return _wrap([0] * (rows * cols), rows, cols, 1)
         return _wrap([{} for _ in range(rows)], rows, cols, 1)
 
     def is_square(self) -> bool:
@@ -201,14 +198,14 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         na, nb, den = _common(self, other)
-        op = add if self.cols < SPARSE_FROM else _row_sum
+        op = add if self.cols < SPARSE_FROM else partial(_row_sum, add)
         return _reduced(list(map(op, na, nb)), self.rows, self.cols, den)
 
     def __sub__(self, other) -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         na, nb, den = _common(self, other)
-        op = sub if self.cols < SPARSE_FROM else _row_difference
+        op = sub if self.cols < SPARSE_FROM else partial(_row_sum, sub)
         return _reduced(list(map(op, na, nb)), self.rows, self.cols, den)
 
     def __neg__(self) -> "Matrix":
@@ -304,6 +301,14 @@ class Matrix:
         return f"Matrix({self})"
 
 
+def _check_size(rows, cols) -> None:
+    """DimensionMismatch unless both sizes are plain ints, not bools, of at least 1."""
+    if type(rows) is not int or type(cols) is not int:
+        raise DimensionMismatch(f"a matrix size is an int, got {rows!r} x {cols!r}")
+    if rows < 1 or cols < 1:
+        raise DimensionMismatch("matrix needs at least one row and column")
+
+
 def _wrap(num: list, rows: int, cols: int, den) -> Matrix:
     """A `rows` x `cols` matrix over the store it takes as it is: reduced
     integer numerators over `den`, or, when `den` is None, floats."""
@@ -366,6 +371,7 @@ def _reduced(num: list, rows: int, cols: int, den) -> Matrix:
                 num = [x // g for x in num]
                 den //= g
         else:
+            # stop at the first row that brings the gcd to 1, as most do
             g = den
             for row in num:
                 if row:
@@ -407,29 +413,16 @@ def _common(a: Matrix, b: Matrix) -> tuple:
 # A row of the row store is never changed once a matrix holds it, so a sum
 # or difference may hand an operand's row on as it is.
 
-def _row_sum(ra: dict, rb: dict) -> dict:
-    """The nonzero entries of the sum of two nonzero rows."""
-    if not ra:
+def _row_sum(op, ra: dict, rb: dict) -> dict:
+    """The nonzero entries of `op(ra, rb)` for two nonzero rows, `op` being
+    `operator.add` or `operator.sub`; only a sum hands `rb` on as it is."""
+    if not rb:
+        return ra
+    if not ra and op is add:
         return rb
-    if not rb:
-        return ra
     row = ra.copy()
     for j, v in rb.items():
-        w = row.get(j, 0) + v
-        if w:
-            row[j] = w
-        else:
-            del row[j]
-    return row
-
-
-def _row_difference(ra: dict, rb: dict) -> dict:
-    """The nonzero entries of the difference of two nonzero rows."""
-    if not rb:
-        return ra
-    row = ra.copy()
-    for j, v in rb.items():
-        w = row.get(j, 0) - v
+        w = op(row.get(j, 0), v)
         if w:
             row[j] = w
         else:
@@ -488,7 +481,7 @@ def _entry(a: str, b: str, i: int, j: int, n: int, cols: int, exact: bool) -> st
 
 
 def _compiled(key: tuple, source: str):
-    namespace = {"gcd": gcd, "lcm": lcm, "from_iterable": chain.from_iterable}
+    namespace = {"lcm": lcm, "reduced_blocks": _reduced_blocks}
     # a file name per key keeps the kernels apart in a profile
     exec(compile(source, f"<matrix kernel {key}>", "exec"), namespace)
     kernel = _KERNELS[key] = namespace["kernel"]
@@ -537,8 +530,8 @@ def fused_prelie_site(p: Matrix, q: Matrix, x: Matrix, y: Matrix) -> Matrix:
     """(p_n q_n - q_n p_n) + x_n y_n for each block n of four site stacks.
 
     A stack holds the d x d values of N sites on top of each other, as one
-    (N*d) x d matrix, with N = `rows // cols`; the four stacks share their
-    shape and their backend, and N = 1 is one square matrix.  Each block
+    (N*d) x d matrix; four stacks not of one such shape and one backend
+    are refused, and N = 1 is one square matrix.  Each block
     product keeps its own sum, formed as `p_n * q_n` forms it, and each
     entry is (pq - qp)*f + xy*h: exact numerators take the f and h that put
     both parts over one denominator, and the stack is reduced once; floats
@@ -551,6 +544,8 @@ def fused_prelie_site(p: Matrix, q: Matrix, x: Matrix, y: Matrix) -> Matrix:
     if not (p.den is None) == (q.den is None) == (x.den is None) == (y.den is None):
         raise BackendMismatch("an exact and a float matrix")
     d, den, f, h = p.cols, p.den, 1.0, 1.0
+    if not (p.rows == q.rows == x.rows == y.rows and d == q.cols == x.cols == y.cols) or p.rows % d:
+        raise DimensionMismatch("site stacks " + ", ".join(f"{m.rows}x{m.cols}" for m in (p, q, x, y)))
     if den is not None:
         dpq, dxy = den * q.den, x.den * y.den
         g = gcd(dpq, dxy)
@@ -583,7 +578,7 @@ def stack_prefix_sum(a: Matrix) -> Matrix:
     if d < SPARSE_FROM:
         size, plus, zero = d * d, add, _zero(a.den)
     else:
-        size, plus, zero = d, _row_sum, {}
+        size, plus, zero = d, partial(_row_sum, add), {}
     num = a.num
     acc = [zero] * size
     prefix = acc[:]
@@ -599,10 +594,8 @@ def stack_prelie_left(a: Matrix, b: Matrix, prefix: Matrix | None = None) -> Mat
     `a` and `b` stack N sites' d x d values as (N*d) x d matrices of one
     backend.  One `fused_prelie_site(R(a), b, a, b)` call forms every site,
     R(a) the strict prefix sums `stack_prefix_sum(a)`, or `prefix` when the
-    caller holds them already.
+    caller holds them already; that call checks both stacks.
     """
-    if b.rows != a.rows or b.cols != a.cols or a.rows % a.cols:
-        raise DimensionMismatch(f"site stacks {a.rows}x{a.cols} and {b.rows}x{b.cols}")
     return fused_prelie_site(stack_prefix_sum(a) if prefix is None else prefix, b, a, b)
 
 
@@ -723,13 +716,12 @@ def _fold_kernel(d: int, degrees: tuple, left: bool, matrix: bool):
     `matrix` a scalar's `numerator` and `denominator`, as a 1 x 1 block),
     puts them over one dl, and forms each coefficient n = 1..order as the
     numerators dl*T^(n) + dt*L^(n) + sum_{m < n} L^(m) T^(n-m) (`left`;
-    T^(n-m) L^(m) on the right) over dt*dl, divided by their gcd unless
-    dt*dl is 1; then (T, dt) goes to `out` unless it is None.  Integer sums
-    do not depend on the order of their terms, so every term is formed,
-    zero ones included.  Coefficients through the largest degree are one
-    straight-line expression per entry, and each later one is a pass of one
-    loop, so the source grows with d and the degrees but not with the
-    order."""
+    T^(n-m) L^(m) on the right) over dt*dl, reduced by `_reduced_blocks`;
+    then (T, dt) goes to `out` unless it is None.  Integer sums do not
+    depend on the order of their terms, so every term is formed, zero ones
+    included.  Coefficients through the largest degree are one straight-line
+    expression per entry, and each later one is a pass of one loop, so the
+    source grows with d and the degrees but not with the order."""
     key = ("fold", d, degrees, left, matrix)
     kernel = _KERNELS.get(key)
     if kernel is None:
@@ -782,13 +774,7 @@ def _fold_kernel(d: int, degrees: tuple, left: bool, matrix: bool):
                                 f"            {_names('s', size)}= T[n]\n"
                                 f"{lows}"
                                 f"            N.append({coefficient(top + 1, 's', lambda m: f'u{m}_')})\n"
-                                f"        dt *= dl\n"
-                                f"        if dt != 1:\n"
-                                f"            g = gcd(dt, *from_iterable(N))\n"
-                                f"            if g != 1:\n"
-                                f"                N = [[x // g for x in b] for b in N]\n"
-                                f"                dt //= g\n"
-                                f"        T = N\n"
+                                f"        T, dt = reduced_blocks(N, dt * dl)\n"
                                 f"        if out is not None:\n"
                                 f"            out.append((T, dt))\n"
                                 f"    return T, dt, len(sites)\n")
@@ -796,7 +782,8 @@ def _fold_kernel(d: int, degrees: tuple, left: bool, matrix: bool):
 
 
 def _reduced_blocks(blocks: list, den: int) -> tuple:
-    """Exact blocks and their shared denominator, divided by their gcd."""
+    """Exact blocks and their shared denominator, divided by their gcd: the
+    one reduction of raw blocks, per fold kernel site and `lax_log` power."""
     g = gcd(den, *chain.from_iterable(blocks)) if den != 1 else 1
     if g != 1:
         blocks = [[x // g for x in b] for b in blocks]
@@ -913,14 +900,11 @@ def partial_trace_first(m: Matrix, dim: int) -> Matrix:
 
 
 def aux_block(m: Matrix, a: int, b: int, dim: int) -> Matrix:
-    """The (a, b) block with respect to the slot-0 factor of size `dim`."""
+    """The (a, b) block with respect to the slot-0 factor of size `dim`, read
+    by nonzero rows from either store, so a float -0.0 entry reads 0.0."""
     s = _block_size(m, dim)
     if not (0 <= a < dim and 0 <= b < dim):
         raise DimensionMismatch(f"block ({a}, {b}) outside a slot-0 factor of size {dim}")
-    if m.cols < SPARSE_FROM:
-        n = m.cols
-        start = a * s * n + b * s
-        return _reduced([x for r in range(start, start + s * n, n) for x in m.num[r:r + s]], s, s, m.den)
     lo, hi = b * s, (b + 1) * s
-    rows = [{c - lo: v for c, v in row.items() if lo <= c < hi} for row in m.num[a * s:(a + 1) * s]]
+    rows = [{c - lo: v for c, v in row.items() if lo <= c < hi} for row in _rows(m)[a * s:(a + 1) * s]]
     return _reduced(_from_rows(rows, s, m.den), s, s, m.den)

@@ -96,6 +96,12 @@ def test_a_like_of_another_backend_is_refused():
     assert GradedPreLieElement(3, {}, assoc_prod, like=Fraction(0)).zero().like == 0
 
 
+def test_a_component_without_a_zero_test_is_refused():
+    # a plain scalar has no is_zero: a library error naming its type, not a bare AttributeError
+    with pytest.raises(BackendMismatch, match="Fraction"):
+        GradedPreLieElement(3, {2: Fraction(1, 2)}, lambda a, b: a * b)
+
+
 def test_mismatched_products_rejected():
     s = free_seq(2, "a")
     x = GradedPreLieElement(3, {1: s}, seq_prelie)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from ordexp.continuum import (
     dyson_continuous,
     dyson_simplex_oracle,
     expm,
+    field_prelie,
     magnus_bernoulli_iterate,
     magnus_continuous,
     open_evolution_residual,
@@ -316,6 +318,37 @@ class TestDiscretize:
             discretize(field, 2)
         with pytest.raises(AlgebraError):
             discretize(field, F(2, 5))
+
+
+@st.composite
+def matrix_polys(draw):
+    """An exact 2x2 polynomial of degree at most 2, possibly zero."""
+    entry = st.builds(F, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+    return Poly({(k,): Matrix([[draw(entry) for _ in range(2)] for _ in range(2)]) for k in range(3)})
+
+
+def pre_lie_associator(field, a, b, c):
+    prod = partial(field_prelie, field)
+    return prod(prod(a, b), c) - prod(a, prod(b, c))
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=matrix_polys(), b=matrix_polys(), c=matrix_polys(), x0=st.sampled_from([F(0), F(-1, 2), F(2, 3)]))
+def test_field_prelie_is_a_left_pre_lie_product(a, b, c, x0):
+    # (A |> B)(x) = [integral of A from x0, B(x)]; its associator is
+    # symmetric in its first two arguments, exactly
+    field = MatrixField(Poly.constant(X), x0, x0 + 1)
+    assert field_prelie(field, a, b) == commutator(a.integrate(x0), b)
+    assert pre_lie_associator(field, a, b, c) == pre_lie_associator(field, b, a, c)
+
+
+def test_field_prelie_is_not_right_pre_lie():
+    # the associator is not symmetric in its last two arguments, so the
+    # identity above is not one that every bilinear product passes
+    field = MatrixField(Poly.constant(X), F(0), F(1))
+    a, b, c = Poly.constant(X), Poly.constant(Y), Poly({(1,): X})
+    assert pre_lie_associator(field, a, b, c) == pre_lie_associator(field, b, a, c)
+    assert pre_lie_associator(field, a, b, c) != pre_lie_associator(field, a, c, b)
 
 
 @st.composite

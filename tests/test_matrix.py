@@ -62,6 +62,10 @@ def test_a_matrix_size_is_a_plain_int():
     with pytest.raises(DimensionMismatch, match="needs at least one row and column"):
         Matrix.identity(0)
     assert Matrix.identity(1).data == ((1,),) and Matrix.zeros(1, 3).data == ((0, 0, 0),)
+    # `from_ints` keeps the same rule, with its message, where its entries fit the size
+    for values, rows, cols in (([1, 2], 2.0, 1), ([1], True, True), ([1, 2, 3], "3", 1), ([1, 2], 1, 2.0)):
+        with pytest.raises(DimensionMismatch, match="a matrix size is an int"):
+            Matrix.from_ints(values, rows, cols)
 
 
 def test_constructor_rejects_non_numeric_entries():
@@ -887,6 +891,19 @@ def test_fused_prelie_site_matches_the_composed_formula(kind, exact):
         assert [repr(v) for v in got.data] == [repr(v) for v in composed(*mats).data]
         assert ops.prelie_site(*mats).data == got.data
         assert_same_bits(got, ref_prelie_site(*grids))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_fused_prelie_site_checks_its_operands_shapes(exact):
+    # four operands of one shape made of whole square blocks, or DimensionMismatch
+    a, c, s = (as_matrix(g, exact) for g in ([[1, 2], [3, 4]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                             [[1, 2], [3, 4], [5, 6], [7, 8]]))
+    for args in ((a, a, a, c), (s, a, s, s), (c, c, c, a), (a, a, s, s)):
+        with pytest.raises(DimensionMismatch):
+            fused_prelie_site(*args)
+    tall = as_matrix([[1, 2], [3, 4], [5, 6]], exact)
+    with pytest.raises(DimensionMismatch):
+        fused_prelie_site(tall, tall, tall, tall)
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
