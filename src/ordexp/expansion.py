@@ -15,13 +15,14 @@ coefficients so they can be compared against the series oracle.
 
 The ordered product and the prefix products of `chain_walk` grow one site
 at a time, by the product with the site's series 1 + sum_m alpha^m L_n^(m).
-A family of exact square matrices below `matrix.SPARSE_FROM` columns, or
-of exact scalars only (ints and Fractions), takes `matrix.lax_fold`: the
-running series passes through every site as integer numerators over one
-denominator, reduced once per site, and becomes matrices or Fractions
-only where a series is returned, with the values of the series products.
-Every other family (float matrices, free elements, float or mixed
-scalars, matrices of the row store) is multiplied by `lax_series` one
+The whole ordered product of a family of exact square matrices below
+`matrix.SPARSE_FROM` columns, or of exact scalars only (ints and
+Fractions), takes `matrix.lax_fold`: the running series passes through
+every site as integer numerators over one denominator, reduced once per
+site, and becomes matrices or Fractions only at the end, with the value
+of the series product.  Every other family's product (float matrices,
+free elements, float or mixed scalars, matrices of the row store), and
+the prefix products of every family, are multiplied by `lax_series` one
 site at a time, as `AlphaSeries` multiplies.  For a family that takes the
 fold, `magnus_oracle` takes the logarithm with `matrix.lax_log`, on the
 fold's raw blocks, and builds only the coefficients it returns, with the
@@ -190,39 +191,32 @@ def _steps(family: SiteOperatorFamily, order: int, sites) -> list:
     return [sorted(terms[site]) for site in sites]
 
 
-def _walk(family: SiteOperatorFamily, order: int, sites, left: bool, every: bool, laxes=None) -> list:
-    """The products of the site series, one site at a time in the order of
-    `sites`, each multiplying on the left (`left`) or the right: [1, then
-    the product after each site] when `every`, otherwise [the last one].
-    An exact family that `_folds` takes `matrix.lax_fold`, with the values
-    of the series products; any other, floats included, is that plain fold
-    of `lax_series` products, which reads them from `laxes`, in the order
-    of `sites`, when the caller has formed them already."""
-    check_order(order)
-    if _folds(family):
-        steps = _steps(family, order, sites)
-        return [AlphaSeries(c) for c in lax_fold(family.like, steps, order, left, every)]
-    if laxes is None:
-        laxes = (family.lax_series(site, order) for site in sites)
-    t = AlphaSeries.one(order, like=family.like)
+def _products(laxes, order: int, like, left: bool) -> list:
+    """[1, then the product after each series of `laxes`]: the running
+    product grows from 1, multiplying each on the left (`left`) or the
+    right."""
+    t = AlphaSeries.one(order, like=like)
     out = [t]
     for lax in laxes:
         t = lax * t if left else t * lax
-        if every:
-            out.append(t)
-    return out if every else [t]
+        out.append(t)
+    return out
 
 
 def ordered_product(family: SiteOperatorFamily, order: int, descending: bool) -> AlphaSeries:
     """The product of the sites' series 1 + sum_m alpha^m L_n^(m) through `order`,
     site N leftmost when `descending`, else site 1 leftmost.
 
-    It grows from 1 one site at a time, multiplying on the right
-    (`_walk`): by `matrix.lax_fold` for exact matrices below `SPARSE_FROM`
-    and exact scalars, by the product with `lax_series` otherwise.  Either
-    way it has the value of the plain fold of `lax_series` products.
+    It grows from 1 one site at a time, multiplying on the right: by
+    `matrix.lax_fold` for exact matrices below `SPARSE_FROM` and exact
+    scalars, by the product with `lax_series` otherwise.  Either way it has
+    the value of the plain fold of `lax_series` products.
     """
-    return _walk(family, order, _sites(family, descending), left=False, every=False)[0]
+    check_order(order)
+    sites = _sites(family, descending)
+    if _folds(family):
+        return AlphaSeries(lax_fold(family.like, _steps(family, order, sites), order))
+    return _products((family.lax_series(site, order) for site in sites), order, family.like, False)[-1]
 
 
 def monodromy(family: SiteOperatorFamily, order: int) -> AlphaSeries:
@@ -235,15 +229,12 @@ def chain_walk(family: SiteOperatorFamily, order: int, direction: str):
     """Each site's series [L_1..L_N] and the prefix products [T_1..T_{N+1}]:
     T_1 = 1, T_{n+1} = L_n T_n (forward) or T_n L_n (backward), the side
     set by `direction`, not by the family's own direction; any other
-    `direction` is an AlgebraError.  The prefixes come from one `_walk`
-    over the sites, as for `ordered_product`, which multiplies by the
-    series returned rather than forming them again."""
+    `direction` is an AlgebraError.  The prefixes are series products of
+    the series returned, on every backend."""
     if direction not in (FORWARD, BACKWARD):
         raise AlgebraError(f"unknown direction {direction!r}")
-    sites = range(1, family.n_sites + 1)
-    laxes = [family.lax_series(n, order) for n in sites]
-    prefixes = _walk(family, order, sites, left=direction == FORWARD, every=True, laxes=laxes)
-    return laxes, prefixes
+    laxes = [family.lax_series(n, order) for n in range(1, family.n_sites + 1)]
+    return laxes, _products(laxes, order, family.like, direction == FORWARD)
 
 
 def prefix_monodromy(family: SiteOperatorFamily, upto: int, order: int) -> AlphaSeries:
@@ -251,12 +242,14 @@ def prefix_monodromy(family: SiteOperatorFamily, upto: int, order: int) -> Alpha
 
     Satisfies T_1 = 1 and T_{n+1} = L_n T_n (forward) or T_{n+1} = T_n L_n
     (backward), so `upto = n_sites + 1` reproduces the full product.  It is
-    prefix `upto` of `chain_walk` in the family's direction, from one `_walk`
-    over those sites alone.
+    prefix `upto` of `chain_walk` in the family's direction, from the
+    series of those sites alone.  An `upto` that is not a plain int (a bool
+    included) in 1..n_sites+1 is DimensionMismatch.
     """
-    if not 1 <= upto <= family.n_sites + 1:
-        raise DimensionMismatch(f"prefix end {upto} outside 1..{family.n_sites + 1}")
-    return _walk(family, order, range(1, upto), left=family.direction == FORWARD, every=False)[0]
+    if type(upto) is not int or not 1 <= upto <= family.n_sites + 1:
+        raise DimensionMismatch(f"prefix end {upto!r} is not an int in 1..{family.n_sites + 1}")
+    laxes = (family.lax_series(n, order) for n in range(1, upto))
+    return _products(laxes, order, family.like, family.direction == FORWARD)[-1]
 
 
 def dyson_terms(family: SiteOperatorFamily, order: int, method: str = "direct"):

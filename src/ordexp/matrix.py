@@ -43,20 +43,22 @@ size rule, like the store's, reads one block's shape.
 `stack_prelie_left` forms the left pre-Lie product of two stacks with it,
 after summing one stack's blocks into its strict prefix sums
 (`stack_prefix_sum`, which a caller may hold and pass back in).
-`lax_fold` multiplies out a chain's site series 1 + sum_m alpha^m L^(m),
-for exact square matrices below `SPARSE_FROM` and for exact scalars taken
-as 1 x 1 blocks: the running series stays integer numerators over one
-shared denominator from site to site, and only the series it returns are
-matrices (Fractions for scalars).  Each run of consecutive sites with one
-degree tuple, nearly always the whole chain, is one call of a fold
-kernel compiled on first use for its block size, its degrees, its side
-and its kind (matrix or scalar), never its order, whose loop walks the
-run's sites, each step reduced once by `_reduced_blocks`.  Integer sums do not
-depend on the order of their terms, so its values are those of the plain
-fold of series products.  `lax_log` takes the logarithm of
-that product on the same raw blocks, log(1 + U) = sum_k (-1)^(k+1) U^k / k
-with each power's products by the kernels, and builds only the
-coefficients it returns, with the values and types of `AlphaSeries.log`.
+`lax_fold` multiplies out a whole chain's site series 1 + sum_m alpha^m
+L^(m), each on the right, for exact square matrices below `SPARSE_FROM`
+and for exact scalars taken as 1 x 1 blocks: the running series stays
+integer numerators over one shared denominator from site to site, and
+only the product it returns is matrices (Fractions for scalars).  Each
+run of consecutive sites with one degree tuple, nearly always the whole
+chain, is one call of a fold kernel compiled on first use for its block
+size, its degrees and its kind (matrix or scalar), never its order, whose
+loop walks the run's sites, each step reduced once by `_reduced_blocks`.
+Integer sums do not depend on the order of their terms, so its values are
+those of the plain fold of series products.  It never forms a chain's
+prefix products: `expansion` grows those by the series product.
+`lax_log` takes the logarithm of that product on the same raw blocks,
+log(1 + U) = sum_k (-1)^(k+1) U^k / k with each power's products by the
+kernels, and builds only the coefficients it returns, with the values
+and types of `AlphaSeries.log`.
 Neither takes floats: a float chain grows by the product of `AlphaSeries`
 and takes `AlphaSeries.log`, whose float bits are the reference.  `poly_grid`
 evaluates an exact matrix polynomial, times the step, at evenly spaced
@@ -459,7 +461,7 @@ def _product(a: Matrix, b: Matrix) -> list:
 
 
 # The compiled kernels of the shapes below SPARSE_FROM, one per shape and
-# backend (an exact fold kernel per block size, degrees, side and kind),
+# backend (an exact fold kernel per block size, degrees and kind),
 # each made on first use; their source is built from its key alone.
 _KERNELS = {}
 
@@ -599,7 +601,7 @@ def stack_prelie_left(a: Matrix, b: Matrix, prefix: Matrix | None = None) -> Mat
     return fused_prelie_site(stack_prefix_sum(a) if prefix is None else prefix, b, a, b)
 
 
-def lax_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
+def lax_fold(like, sites: list, order: int) -> list:
     """The ordered product of the site series 1 + sum_m alpha^m L^(m) through
     `order`, as the product of `AlphaSeries` forms it, on raw integer blocks.
 
@@ -609,23 +611,22 @@ def lax_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
     multiplied in, each site's operators of degree 1..`order` as (degree,
     operator) pairs, degrees ascending, all of `like`'s kind; a zero one
     may be left out, and `expansion` leaves it out.  Each site multiplies
-    the running series on the left (`left`) or the right.  The series runs
-    through every site as flat blocks of integer numerators (`_raw_fold`),
-    each run of sites with one degree tuple one call of its compiled fold
-    kernel.  Its coefficients become matrices (Fractions for scalars) only
-    in the lists returned: [1, T^(1), ..., T^(order)] before the first
-    site and after each one when `every`, otherwise after the last site
-    alone.  Every value is that of the plain fold of series products.
-    `lax_log` takes the logarithm of the last product on the same blocks,
-    for the same operands.
+    the running series on the right.  The series runs through every site
+    as flat blocks of integer numerators (`_raw_fold`), each run of sites
+    with one degree tuple one call of its compiled fold kernel.  Its
+    coefficients become matrices (Fractions for scalars) only in the list
+    returned, [1, T^(1), ..., T^(order)] after the last site, with the
+    value of the plain fold of series products.  `lax_log` takes the
+    logarithm of that product on the same blocks, for the same operands.
     """
     unit, build = _kind(like)
-    return [[unit] + [build(b, dt) for b in t] for t, dt in _raw_fold(like, sites, order, left, every)]
+    t, dt = _raw_fold(like, sites, order)
+    return [unit] + [build(b, dt) for b in t]
 
 
 def lax_log(like, sites: list, order: int) -> list:
     """[Q^(1), ..., Q^(order)]: the logarithm of the ordered product that
-    `lax_fold(like, sites, order, False, False)` gives, on its raw blocks.
+    `lax_fold(like, sites, order)` gives, on its raw blocks.
 
     It forms log(1 + U) = sum_k (-1)^(k+1) U^k / k for k = 1..order, U the
     product's coefficients T^(1)..T^(order) as `_raw_fold`'s fold kernels
@@ -637,7 +638,7 @@ def lax_log(like, sites: list, order: int) -> list:
     `AlphaSeries.log`.
     """
     _, build = _kind(like)
-    (u, du), = _raw_fold(like, sites, order, False, False)
+    u, du = _raw_fold(like, sites, order)
     d = like.cols if isinstance(like, Matrix) else 1
     kernel = _product_kernel(d, d, d, True)
     zero = [0] * (d * d)
@@ -671,15 +672,14 @@ def _kind(like) -> tuple:
     return Matrix.identity(d), lambda b, den: _reduced(b, d, d, den)
 
 
-def _raw_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
-    """`lax_fold`'s running series as raw blocks: [(t, dt)] with t the flat
-    blocks T^(1)..T^(order) of integer numerators over the denominator dt,
-    once before the first site and after each one when `every`, otherwise
-    after the last site alone.  A float `like` is BackendMismatch.
+def _raw_fold(like, sites: list, order: int) -> tuple:
+    """`lax_fold`'s product as raw blocks: (t, dt) with t the flat blocks
+    T^(1)..T^(order) of integer numerators over the denominator dt, after
+    the last site.  A float `like` is BackendMismatch.
 
     Each run of consecutive sites whose operators have one degree tuple is
-    one call of the compiled fold kernel of its block size, degrees, side
-    and kind (`_fold_kernel`), which walks the whole run, unless its degrees
+    one call of the compiled fold kernel of its block size, degrees and
+    kind (`_fold_kernel`), which walks the whole run, unless its degrees
     are not ascending in 1..order (AlgebraError); a site with no operators
     leaves the series as it is."""
     matrix = isinstance(like, Matrix)
@@ -688,7 +688,6 @@ def _raw_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
     d = like.cols if matrix else 1
     # T^(1)..T^(order) over the denominator dt
     t, dt = [[0] * (d * d)] * order, 1
-    out = [(t, dt)] if every else None
     i = 0
     while i < len(sites):
         ops = sites[i]
@@ -696,17 +695,14 @@ def _raw_fold(like, sites: list, order: int, left: bool, every: bool) -> list:
             degrees = tuple([m for m, _ in ops])
             if sorted(set(degrees)) != list(degrees) or not 0 < degrees[0] <= degrees[-1] <= order:
                 raise AlgebraError(f"site degrees {degrees} are not ascending within 1..{order}")
-            kernel = _fold_kernel(d, degrees, left, matrix)
-            t, dt, i = kernel(t, dt, sites, i, out)
+            t, dt, i = _fold_kernel(d, degrees, matrix)(t, dt, sites, i)
         else:
             i += 1
-            if every:
-                out.append((t, dt))
-    return out if every else [(t, dt)]
+    return t, dt
 
 
-def _fold_kernel(d: int, degrees: tuple, left: bool, matrix: bool):
-    """`kernel(T, dt, sites, i, out)`: the exact Lax steps, on flat d x d
+def _fold_kernel(d: int, degrees: tuple, matrix: bool):
+    """`kernel(T, dt, sites, i)`: the exact Lax steps, on flat d x d
     blocks, of the run of sites from `sites[i]` on whose operators have
     `degrees` (ascending, none above the order); it returns (T, dt, j), j
     the first site not taken: one of other degrees, or the end.
@@ -715,14 +711,14 @@ def _fold_kernel(d: int, degrees: tuple, left: bool, matrix: bool):
     numerators and denominators (a matrix's `num` and `den`, or when not
     `matrix` a scalar's `numerator` and `denominator`, as a 1 x 1 block),
     puts them over one dl, and forms each coefficient n = 1..order as the
-    numerators dl*T^(n) + dt*L^(n) + sum_{m < n} L^(m) T^(n-m) (`left`;
-    T^(n-m) L^(m) on the right) over dt*dl, reduced by `_reduced_blocks`;
-    then (T, dt) goes to `out` unless it is None.  Integer sums do not
-    depend on the order of their terms, so every term is formed, zero ones
-    included.  Coefficients through the largest degree are one straight-line
-    expression per entry, and each later one is a pass of one loop, so the
-    source grows with d and the degrees but not with the order."""
-    key = ("fold", d, degrees, left, matrix)
+    numerators dl*T^(n) + dt*L^(n) + sum_{m < n} T^(n-m) L^(m) over dt*dl,
+    the site multiplied in on the right, reduced by `_reduced_blocks`.
+    Integer sums do not depend on the order of their terms, so every term
+    is formed, zero ones included.  Coefficients through the largest degree
+    are one straight-line expression per entry, and each later one is a
+    pass of one loop, so the source grows with d and the degrees but not
+    with the order."""
+    key = ("fold", d, degrees, matrix)
     kernel = _KERNELS.get(key)
     if kernel is None:
         size, top = d * d, degrees[-1]
@@ -737,8 +733,7 @@ def _fold_kernel(d: int, degrees: tuple, left: bool, matrix: bool):
                         terms.append(f"dt*l{n}_{i * d + j}")
                     for m in degrees:
                         if m < n:
-                            a, b = (f"l{m}_", low(m)) if left else (low(m), f"l{m}_")
-                            terms.append(_entry(a, b, i, j, d, d, True))
+                            terms.append(_entry(low(m), f"l{m}_", i, j, d, d, True))
                     entries.append(" + ".join(terms))
             return f"[{', '.join(entries)}]"
 
@@ -760,7 +755,7 @@ def _fold_kernel(d: int, degrees: tuple, left: bool, matrix: bool):
         head = "".join(f"{pad}{_names(f't{n}_', size)}= T[{n - 1}]\n" for n in range(1, top + 1))
         lows = "".join(f"{pad}    {_names(f'u{m}_', size)}= T[n - {m}]\n" for m in degrees)
         first = ", ".join(coefficient(n, f"t{n}_", lambda m, n=n: f"t{n - m}_") for n in range(1, top + 1))
-        kernel = _compiled(key, f"def kernel(T, dt, sites, i, out):\n"
+        kernel = _compiled(key, f"def kernel(T, dt, sites, i):\n"
                                 f"    for i in range(i, len(sites)):\n"
                                 f"        ops = sites[i]\n"
                                 f"        if len(ops) != {len(degrees)}:\n"
@@ -775,8 +770,6 @@ def _fold_kernel(d: int, degrees: tuple, left: bool, matrix: bool):
                                 f"{lows}"
                                 f"            N.append({coefficient(top + 1, 's', lambda m: f'u{m}_')})\n"
                                 f"        T, dt = reduced_blocks(N, dt * dl)\n"
-                                f"        if out is not None:\n"
-                                f"            out.append((T, dt))\n"
                                 f"    return T, dt, len(sites)\n")
     return kernel
 
@@ -838,11 +831,15 @@ def kron_embed(op: Matrix, slots: tuple[int, ...], total: int, dim: int) -> Matr
     """Embed `op` (acting on the listed slots, in that order) into `total` factors.
 
     Slots are 0-based and distinct; the returned matrix acts on dim**total with
-    slot 0 slowest. Factors outside `slots` carry the identity.
+    slot 0 slowest. Factors outside `slots` carry the identity.  A `total`,
+    `dim` or slot that is not a plain int (a bool included), a negative
+    `total` or a `dim` below 1 is DimensionMismatch.
     """
     slots = tuple(slots)
     k = len(slots)
-    if len(set(slots)) != k or any(s < 0 or s >= total for s in slots):
+    if type(total) is not int or type(dim) is not int or total < 0 or dim < 1:
+        raise DimensionMismatch(f"need int sizes, got {total!r} factors of size {dim!r}")
+    if len(set(slots)) != k or any(type(s) is not int or s < 0 or s >= total for s in slots):
         raise DimensionMismatch(f"bad slot list {slots} for {total} factors")
     if op.rows != dim ** k or op.cols != dim ** k:
         raise DimensionMismatch(f"operator is {op.rows}x{op.cols}, expected {dim ** k} for {k} slots")
@@ -876,10 +873,10 @@ def permutation_op(dim: int) -> Matrix:
 
 def _block_size(m: Matrix, dim: int) -> int:
     """The size of the blocks of a square `m` with respect to its slot-0
-    factor of size `dim`."""
+    factor of size `dim`, which must be a plain int (a bool is not)."""
     n = m.rows
-    if dim < 1 or n != m.cols or n % dim:
-        raise DimensionMismatch(f"a {n}x{m.cols} matrix has no blocks for a factor of size {dim}")
+    if type(dim) is not int or dim < 1 or n != m.cols or n % dim:
+        raise DimensionMismatch(f"a {n}x{m.cols} matrix has no blocks for a factor of size {dim!r}")
     return n // dim
 
 
@@ -903,7 +900,7 @@ def aux_block(m: Matrix, a: int, b: int, dim: int) -> Matrix:
     """The (a, b) block with respect to the slot-0 factor of size `dim`, read
     by nonzero rows from either store, so a float -0.0 entry reads 0.0."""
     s = _block_size(m, dim)
-    if not (0 <= a < dim and 0 <= b < dim):
+    if type(a) is not int or type(b) is not int or not (0 <= a < dim and 0 <= b < dim):
         raise DimensionMismatch(f"block ({a}, {b}) outside a slot-0 factor of size {dim}")
     lo, hi = b * s, (b + 1) * s
     rows = [{c - lo: v for c, v in row.items() if lo <= c < hi} for row in _rows(m)[a * s:(a + 1) * s]]

@@ -90,7 +90,7 @@ class Poly:
 
     def __rmul__(self, other) -> "Poly":
         if isinstance(other, SCALARS):
-            return Poly({e: other * c for e, c in self.coeffs.items()})
+            return self.__mul__(other)
         return NotImplemented
 
     def shift(self, exps) -> "Poly":

@@ -101,7 +101,7 @@ class SiteSequence:
 
     def __rmul__(self, other) -> "SiteSequence":
         if isinstance(other, SCALARS):
-            return SiteSequence(a * other for a in self.values)
+            return self.__mul__(other)
         return NotImplemented
 
     def is_zero(self) -> bool:

@@ -231,7 +231,10 @@ def transfer_commute_residual(lax: AlphaSeries, n_sites: int, order: int) -> Fra
 
 def block_table(mat: Matrix, dim: int) -> list:
     """The aux blocks of `mat`: `block_table(mat, dim)[a][b]` is mat_{a,b}
-    on the quantum space."""
+    on the quantum space.  A `dim` that is not a plain int (a bool
+    included) is DimensionMismatch."""
+    if type(dim) is not int:
+        raise DimensionMismatch(f"the aux space needs an int dimension, got {dim!r}")
     return [[aux_block(mat, a, b, dim) for b in range(dim)] for a in range(dim)]
 
 

@@ -590,13 +590,20 @@ def test_each_kind_takes_one_path(kind, monkeypatch):
         raise AssertionError("a chain took the path its operands do not take")
 
     fam = lax_family(kind, 3, FORWARD, 0)
-    # the fold's kinds form no series product; the rest never reach the fold
+    # prefix products are series products for every kind
+    with monkeypatch.context() as patch:
+        patch.setattr(expansion, "lax_fold", refuse)
+        for walk in (FORWARD, BACKWARD):
+            chain_walk(fam, 3, walk)
+        for upto in range(1, fam.n_sites + 2):
+            prefix_monodromy(fam, upto, 3)
+    # the whole product: the fold's kinds form no series product; the rest
+    # never reach the fold
     if kind in FOLD_KINDS:
         monkeypatch.setattr(AlphaSeries, "__mul__", refuse)
     else:
         monkeypatch.setattr(expansion, "lax_fold", refuse)
     monodromy(fam, 3)
-    chain_walk(fam, 3, BACKWARD)
     # the logarithm: the raw one for the fold's kinds, the series' one otherwise
     if kind in FOLD_KINDS:
         monkeypatch.setattr(AlphaSeries, "log", refuse)
@@ -680,6 +687,14 @@ def test_prefix_monodromy_walks_only_its_sites(kind, direction, monkeypatch, bit
         got.append(prefix_monodromy(fam, upto, 3))
         assert all(site < upto for site in formed)
     assert [bits(t) for t in got] == [bits(t) for t in prefixes] and got == prefixes
+
+
+@pytest.mark.parametrize("upto", [2.0, "2", True], ids=repr)
+def test_prefix_monodromy_takes_a_plain_int_end_only(upto):
+    # 2.0 and "2" died with a bare TypeError, and True was taken as 1
+    fam = lax_family("fraction", 3, FORWARD, 0)
+    with pytest.raises(DimensionMismatch, match="prefix end"):
+        prefix_monodromy(fam, upto, 2)
 
 
 UNIT_CASES = [

@@ -18,6 +18,7 @@ from ordexp import matrix, ops
 from ordexp.errors import AlgebraError, BackendMismatch, DimensionMismatch, SingularOperator
 from ordexp.freealg import FreeElement
 from ordexp.series import AlphaSeries
+from ordexp.yangian import block_table
 from ordexp.matrix import (
     SPARSE_FROM,
     Matrix,
@@ -233,6 +234,9 @@ def test_kron_embed_validation():
         kron_embed(a, (2,), 2, 2)
     with pytest.raises(DimensionMismatch):
         kron_embed(a, (0, 1), 2, 2)
+    # 2**-1 factors died with a bare TypeError
+    with pytest.raises(DimensionMismatch):
+        kron_embed(Matrix.identity(1), (), -1, 2)
 
 
 def test_permutation_op_flips_and_squares_to_identity():
@@ -286,8 +290,24 @@ def test_aux_block_rejects_a_block_index_outside_the_factor(a, b):
 @pytest.mark.parametrize("dim", [0, -1, -2])
 def test_block_helpers_reject_a_factor_below_one(dim):
     m = Matrix.identity(4)
+    # kron_embed took (-2)**2 == 4 for the operator's size
     for call in (lambda: aux_block(m, 0, 0, dim), lambda: partial_trace_first(m, dim),
-                 lambda: permutation_op(dim)):
+                 lambda: permutation_op(dim), lambda: kron_embed(m, (0, 1), 3, dim)):
+        with pytest.raises(DimensionMismatch):
+            call()
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2"], ids=repr)
+def test_tensor_legs_take_plain_int_sizes_only(bad):
+    # a float or a string died with a bare TypeError, and a bool was taken as 1
+    p, i9 = permutation_op(2), Matrix.identity(9)
+    calls = [
+        lambda: kron_embed(p, (0, 1), bad, 2), lambda: kron_embed(p, (0, 1), 2, bad),
+        lambda: kron_embed(Matrix.identity(2), (bad,), 3, 2), lambda: partial_trace_first(p, bad),
+        lambda: aux_block(p, 0, 0, bad), lambda: aux_block(i9, bad, 0, 3), lambda: aux_block(i9, 0, bad, 3),
+        lambda: block_table(p, bad),
+    ]
+    for call in calls:
         with pytest.raises(DimensionMismatch):
             call()
 
@@ -1109,7 +1129,7 @@ from ordexp import cli, matrix
 from ordexp.matrix import Matrix, lax_fold
 site = [(1, Matrix([[1, 2], [3, 4]])), (3, Matrix([[0, 1], [1, 0]]))]
 for order in (4, 12):
-    lax_fold(Matrix.identity(2), [site] * 3, order, True, False)
+    lax_fold(Matrix.identity(2), [site] * 3, order)
     print(repr(sorted(matrix._KERNELS, key=repr)))
 from ordexp.suites import SUITES, SuiteConfig, run_suite
 for suite in sorted(SUITES):
@@ -1126,21 +1146,35 @@ print(repr(sorted(matrix._KERNELS, key=repr)))
     lines = done.stdout.splitlines()
     assert lines[0] == "0"
     # the fold kernel's key has no order in it
-    assert ast.literal_eval(lines[1]) == ast.literal_eval(lines[2]) == [("fold", 2, (1, 3), True, True)]
+    assert ast.literal_eval(lines[1]) == ast.literal_eval(lines[2]) == [("fold", 2, (1, 3), True)]
     keys = ast.literal_eval(lines[-1])
     assert ("product", 2, 2, 2, True) in keys and ("prelie", 2, False) in keys
     assert any(key[0] == "fold" and key[1] > 2 for key in keys)
     for key in keys:
         if key[0] == "fold":
-            # (kind, block size, degrees, left, matrix or scalar)
-            _, d, degrees, left, matrix_kind = key
-            assert 1 <= d < SPARSE_FROM and left in (True, False) and matrix_kind in (True, False)
+            # (kind, block size, degrees, matrix or scalar)
+            _, d, degrees, matrix_kind = key
+            assert 1 <= d < SPARSE_FROM and matrix_kind in (True, False)
             assert type(degrees) is tuple and degrees == tuple(sorted(set(degrees)))
             assert all(type(m) is int and m >= 1 for m in degrees)
             continue
         kind, *shape, exact = key
         assert kind in ("product", "prelie") and exact in (True, False)
         assert all(1 <= s < SPARSE_FROM for s in shape)
+
+
+def test_the_exact_boundary_suite_compiles_no_fold_kernel():
+    # its chains are walked prefix by prefix, by the series product alone
+    script = """
+from ordexp import matrix
+from ordexp.suites import SuiteConfig, run_suite
+run_suite("boundary", SuiteConfig(seed=1, backend="exact"))
+print(repr(sorted(matrix._KERNELS, key=repr)))
+"""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": SRC})
+    keys = ast.literal_eval(done.stdout)
+    assert keys and not [key for key in keys if key[0] == "fold"]
 
 
 def test_prelie_site_falls_back_to_the_composed_formula(monkeypatch):
@@ -1245,7 +1279,7 @@ def test_the_chain_fold_and_its_log_refuse_a_float_template(like, n_sites):
     # the raw chain layer is integer-only: float chains grow by the series product
     sites = [[(1, like)]] * n_sites
     with pytest.raises(BackendMismatch):
-        lax_fold(like, sites, 2, True, False)
+        lax_fold(like, sites, 2)
     with pytest.raises(BackendMismatch):
         lax_log(like, sites, 2)
 
@@ -1260,7 +1294,7 @@ def test_the_chain_fold_and_its_log_refuse_a_malformed_site(site):
     # checked once per run of sites with one degree tuple, before its kernel
     sites = [[(1, Fraction(1))], site]
     with pytest.raises(AlgebraError):
-        lax_fold(Fraction(1), sites, 3, True, True)
+        lax_fold(Fraction(1), sites, 3)
     with pytest.raises(AlgebraError):
         lax_log(Fraction(1), sites, 3)
     with pytest.raises(AlgebraError):
@@ -1312,20 +1346,14 @@ def same_series(got: list, want: AlphaSeries):
 def test_the_chain_fold_and_its_log_are_the_plain_series_products(case):
     like, sites, order = case
     laxes = [plain_site_series(like, site, order) for site in sites]
-    for left in (True, False):
-        t = AlphaSeries.one(order, like=like)
-        want = [t]
-        for lax in laxes:
-            t = lax * t if left else t * lax
-            want.append(t)
-        got = lax_fold(like, sites, order, left, True)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            same_series(g, w)
-        last, = lax_fold(like, sites, order, left, False)
-        same_series(last, want[-1])
+    t = AlphaSeries.one(order, like=like)
+    for k, lax in enumerate(laxes, start=1):
+        t = t * lax
+        same_series(lax_fold(like, sites[:k], order), t)
         # the raw blocks are reduced after every site, so the integers stay small
-        assert all(gcd(dt, *(x for b in t for x in b)) == 1 for t, dt in matrix._raw_fold(like, sites, order, left, True))
+        u, du = matrix._raw_fold(like, sites[:k], order)
+        assert gcd(du, *(x for b in u for x in b)) == 1
+    same_series(lax_fold(like, sites, order), t)
     log = t.log()
     got = lax_log(like, sites, order)
     assert [type(q) for q in got] == [type(q) for q in log.coeffs[1:]]
